@@ -14,7 +14,8 @@ produce byte-identical files.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (or, under
 --mutate, a mutation slipped through), 2 usage or configuration error,
-3 a size cap or model error rejected the run.
+3 a size cap or model error rejected the run, 4 an internal error (an
+uncaught exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .envelope import classic_snell, robust_envelope
 from .errors import ConfigError
 from .game import game_values
-from .model import ControlSet, DriftSpec, expand_tree, DEFAULT_NODE_CAP
+from .model import ControlSet, DriftSpec, expand_tree, state_norms, DEFAULT_NODE_CAP
 from .pathspace import ModulusSpec, TimeGrid
 from .reward import (
     RewardFunctional,
@@ -145,6 +148,28 @@ def _section(cfg: dict, name: str, required=()) -> dict:
     return sec
 
 
+def _finite(v, what: str) -> float:
+    """v as a float; NaN, infinities and ints beyond the float range are
+    rejected (Python's json reads NaN, Infinity and 1e400 as floats)."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"{what} must be finite, got {v!r}")
+    return f
+
+
+def _finite_array(v, what: str) -> np.ndarray:
+    try:
+        a = np.asarray(v, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must hold numbers, got {v!r}")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{what} must be finite, got {v!r}")
+    return a
+
+
 def _num(sec: dict, section: str, key: str, default=None, integer=False):
     if key not in sec:
         return default
@@ -155,7 +180,7 @@ def _num(sec: dict, section: str, key: str, default=None, integer=False):
         if isinstance(v, float) and not v.is_integer():
             raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
         return int(v)
-    return float(v)
+    return _finite(v, f"{section}.{key}")
 
 
 def build_grid(cfg: dict) -> TimeGrid:
@@ -166,13 +191,15 @@ def build_grid(cfg: dict) -> TimeGrid:
     return TimeGrid(_num(sec, "grid", "t_start", 0.0), _num(sec, "grid", "t_end"), n)
 
 
-def build_dynamics(cfg: dict):
+def build_dynamics(cfg: dict, grid: TimeGrid):
     sec = _section(cfg, "dynamics")
     x0 = sec.get("x0", 0.0)
     if isinstance(x0, list):
-        x0 = np.asarray(x0, dtype=np.float64)
+        x0 = _finite_array(x0, "dynamics.x0")
     elif isinstance(x0, bool) or not isinstance(x0, (int, float)):
         raise ConfigError(f"dynamics.x0 must be a number or list, got {x0!r}")
+    else:
+        x0 = _finite(x0, "dynamics.x0")
     draw = sec.get("drift", {"kind": "zero"})
     if not isinstance(draw, dict):
         raise ConfigError("dynamics.drift must be an object")
@@ -180,8 +207,16 @@ def build_dynamics(cfg: dict):
     if bad:
         raise ConfigError(f"unknown key(s) in dynamics.drift: {sorted(bad)}")
     kind = draw.get("kind", "zero")
-    if kind == "custom-table" and not isinstance(draw.get("table"), list):
-        raise ConfigError("custom-table drift needs a JSON list table")
+    if kind == "custom-table":
+        table = draw.get("table")
+        if not isinstance(table, list):
+            raise ConfigError("custom-table drift needs a JSON list table")
+        if len(table) < grid.n_steps:
+            raise ConfigError(
+                f"dynamics.drift.table has {len(table)} rows, grid.n_steps needs {grid.n_steps}"
+            )
+        for row in table:
+            _finite_array(row, "dynamics.drift.table")
     try:
         drift = DriftSpec(
             kind=kind,
@@ -200,7 +235,7 @@ def build_controls(cfg: dict) -> ControlSet:
     values = sec["values"]
     if not isinstance(values, list) or not values:
         raise ConfigError("controls.values must be a nonempty list")
-    mats = [np.asarray(v, dtype=np.float64) for v in values]
+    mats = [_finite_array(v, "controls.values") for v in values]
     cap = _num(sec, "controls", "cap")
     if cap is None:
         cap = max(
@@ -282,7 +317,7 @@ def _emit(report: dict, out_dir: str | None, csvs: dict | None = None) -> None:
 
 def _instance(cfg: dict):
     grid = build_grid(cfg)
-    x0, drift = build_dynamics(cfg)
+    x0, drift = build_dynamics(cfg, grid)
     controls = build_controls(cfg)
     Y = build_reward(cfg, grid)
     solver = build_solver(cfg)
@@ -301,17 +336,18 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
 
     slices = []
     boundary_rows = []
-    for k in range(tree.k[tree.root], grid.n_steps + 1):
-        nodes = tree.nodes_at(k)
+    for k in range(tree.k0, grid.n_steps + 1):
+        nodes = tree.level(k)
         z = sol.z[nodes]
         y = sol.y[nodes]
-        stopped = [i for i in nodes if sol.stop[i]]
+        stopped = sol.stop[nodes]
+        n_stopped = int(np.count_nonzero(stopped))
         slices.append(
             {
                 "k": k,
                 "time": grid.time(k),
-                "n_nodes": len(nodes),
-                "n_stopped": len(stopped),
+                "n_nodes": nodes.stop - nodes.start,
+                "n_stopped": n_stopped,
                 "z_min": float(np.min(z)),
                 "z_mean": float(np.mean(z)),
                 "z_max": float(np.max(z)),
@@ -319,18 +355,19 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
                 "y_max": float(np.max(y)),
             }
         )
+        # Python's min over the floats, as a per-node loop takes it
         min_abs = (
-            min(float(np.linalg.norm(tree.state(i))) for i in stopped)
-            if stopped
+            min(state_norms(tree.states_at(k)[stopped]).tolist())
+            if n_stopped
             else None
         )
         boundary_rows.append(
-            [k, grid.time(k), len(stopped), "" if min_abs is None else min_abs]
+            [k, grid.time(k), n_stopped, "" if min_abs is None else min_abs]
         )
 
-    interior = tree.interior()
-    counts = np.bincount(sol.argmin_control[interior], minlength=len(controls))
-    freqs = (counts / max(len(interior), 1)).tolist()
+    n_interior = tree.offsets[-2]
+    counts = np.bincount(sol.argmin_control[:n_interior], minlength=len(controls))
+    freqs = (counts / max(n_interior, 1)).tolist()
 
     report = {
         "command": "solve",
@@ -532,17 +569,23 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     inst = (grid, x0, drift, controls, Y, solver, tree, sol)
 
     # checks are independent and individually seeded, so pool scheduling
-    # cannot change any result
+    # cannot change any result.  A single worker runs them in this thread:
+    # a pool thread would add a thread start per call, and glibc releases
+    # a finished thread's malloc arena only after the join returns, so a
+    # quick next call could grow a fresh arena and raise peak memory.
+    def run(i, name):
+        return _run_check(name, cfg, inst, seed + 101 * i, mutate)
+
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(run, i, name) for i, name in enumerate(names)]
+            results = [fut.result() for fut in futures]
+    else:
+        results = [run(i, name) for i, name in enumerate(names)]
     reports = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        futures = [
-            pool.submit(_run_check, name, cfg, inst, seed + 101 * i, mutate)
-            for i, name in enumerate(names)
-        ]
-        for name, fut in zip(names, futures):
-            rep = fut.result()
-            log.info("check %s: %s", name, "pass" if rep.passed else "FAIL")
-            reports.append((name, rep))
+    for name, rep in zip(names, results):
+        log.info("check %s: %s", name, "pass" if rep.passed else "FAIL")
+        reports.append((name, rep))
 
     if mutate:
         ok = all(not rep.passed for _, rep in reports)
@@ -571,6 +614,10 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     strikes = sec["strikes"]
     if not isinstance(strikes, list) or not strikes:
         raise ConfigError("demo.strikes must be a nonempty list")
+    for K in strikes:
+        if isinstance(K, bool) or not isinstance(K, (int, float)):
+            raise ConfigError(f"demo.strikes entries must be numbers, got {K!r}")
+        _finite(K, "demo.strikes")
     lo = _num(sec, "demo", "sigma_lo")
     hi = _num(sec, "demo", "sigma_hi")
     if not 0 < lo <= hi:
@@ -591,8 +638,6 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     monotone = True
     classic_gap = 0.0
     for K in strikes:
-        if isinstance(K, bool) or not isinstance(K, (int, float)):
-            raise ConfigError(f"demo.strikes entries must be numbers, got {K!r}")
         Y = american_put(strike=float(K), base=base)
         menu = ControlSet([lo] if lo == hi else [lo, hi], cap=hi)
         tree = expand_tree(grid, 0.0, drift, menu)
@@ -608,13 +653,14 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
         value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
 
         for k in range(grid.n_steps + 1):
-            stopped = [i for i in tree.nodes_at(k) if sol.stop[i]]
+            stopped = sol.stop[tree.level(k)]
+            n_stopped = int(np.count_nonzero(stopped))
             level = (
-                max(base + float(tree.state(i)[0]) for i in stopped)
-                if stopped
+                max((base + tree.states_at(k)[stopped, 0]).tolist())
+                if n_stopped
                 else ""
             )
-            boundary_rows.append([float(K), k, grid.time(k), len(stopped), level])
+            boundary_rows.append([float(K), k, grid.time(k), n_stopped, level])
 
         # nested menus: each widening keeps every earlier volatility, so
         # the inf runs over a superset and the value cannot increase
@@ -746,6 +792,9 @@ def main(argv=None) -> int:
         # SizeError and the other model rejections land here
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

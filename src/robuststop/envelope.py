@@ -138,18 +138,26 @@ class EnvelopeSolution:
 
 
 def _scenario_tau(tree, flags, argmin_control) -> dict:
-    """First stopping index along every argmin-consistent trajectory."""
+    """First stopping index along every argmin-consistent trajectory.
+
+    A depth-first walk over the argmin-consistent nodes only, with child
+    ids computed from the level layout, so it reads no per-node view.
+    """
+    C, B = tree.weights.shape
+    off = tree.offsets
+    last = len(off) - 2
     out = {}
-
-    def walk(node, outcomes):
-        if flags[node] or tree.is_leaf(node):
-            out[outcomes] = int(tree.k[node])
-            return
-        ci = int(argmin_control[node])
-        for oi, child in enumerate(tree.children[node][ci]):
-            walk(child, outcomes + (oi,))
-
-    walk(tree.root, ())
+    stack = [(0, 0, ())]
+    while stack:
+        node, l, outcomes = stack.pop()
+        if l == last or flags[node]:
+            out[outcomes] = tree.k0 + l
+            continue
+        # argmin -1 (no finite continuation) follows the last control,
+        # as list indexing of the per-node children did
+        ci = int(argmin_control[node]) % C
+        first = off[l + 1] + (node - off[l]) * C * B + ci * B
+        stack.extend((first + oi, l + 1, outcomes + (oi,)) for oi in reversed(range(B)))
     return out
 
 
@@ -163,7 +171,8 @@ def robust_envelope(
 
     Y is a RewardFunctional or a precomputed per-node payoff array.  Ties
     in the control argmin go to the smallest control index, so the output
-    is deterministic.
+    is deterministic.  Each level is one vectorised step with the
+    arithmetic of _expect and the scalar min/max of a per-node loop.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -175,22 +184,27 @@ def robust_envelope(
     z = np.empty(n)
     cont = np.full(n, np.nan)
     argmin = np.full(n, -1, dtype=np.int64)
-    # children always carry larger ids than their parent, so a reverse
-    # id sweep is a valid backward induction
-    for i in range(n - 1, -1, -1):
-        if tree.is_leaf(i):
-            z[i] = y[i]
-            continue
-        best = np.inf
-        best_ci = -1
-        for ci, (kids, w) in enumerate(zip(tree.children[i], tree.edge_weights[i])):
-            e = _expect(w, z[kids])
-            if e < best:
-                best = e
-                best_ci = ci
-        cont[i] = best
-        argmin[i] = best_ci
-        z[i] = max(y[i], best)
+    off = tree.offsets
+    w = tree.weights
+    C, B = w.shape
+    z[off[-2]:] = y[off[-2]:]
+    for l in range(len(off) - 3, -1, -1):
+        lo, hi = off[l], off[l + 1]
+        kids = z[hi : off[l + 2]].reshape(hi - lo, C, B)
+        # _expect's left-to-right fold, for every node and control at once
+        acc = w[:, 0] * kids[:, :, 0]
+        for j in range(1, B):
+            acc = acc + w[:, j] * kids[:, :, j]
+        best = np.full(hi - lo, np.inf)
+        best_ci = np.full(hi - lo, -1, dtype=np.int64)
+        for ci in range(C):
+            better = acc[:, ci] < best
+            best = np.where(better, acc[:, ci], best)
+            best_ci[better] = ci
+        cont[lo:hi] = best
+        argmin[lo:hi] = best_ci
+        # Python's max(y, best): keeps y unless best is strictly larger
+        z[lo:hi] = np.where(best > y[lo:hi], best, y[lo:hi])
     flags = z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
     tau = _scenario_tau(tree, flags, argmin)
     return EnvelopeSolution(tree, delta, y, z, cont, argmin, flags, tau)

@@ -12,15 +12,19 @@ matrices.  Two carriers are provided:
   increment kernels whose first two moments match b*dt and u*u^T*dt, and
 * Gaussian Monte Carlo samples for checking the moment estimates.
 
-Trees are non-recombining and store the full state prefix at each node:
+Trees are non-recombining and keep the full state prefix of every node:
 both the drift and the rewards downstream may look at the whole history,
-so merging nodes would be unsound.
+so merging nodes would be unsound.  A tree is stored level by level as
+numpy arrays (one prefix block per time index), and expansion, reward
+evaluation and the worst-case sweep each run one vectorised step per
+level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "expand_tree",
     "simulate_paths",
     "prefix_key",
+    "state_norms",
     "DEFAULT_NODE_CAP",
 ]
 
@@ -54,9 +59,8 @@ class DriftSpec:
     kind "mean-reversion":  b = rate * (level - x_k), componentwise.
     kind "running-max":     b = -min(kappa, running max of the prefix),
                             componentwise (pulls large excursions down).
-    kind "custom-table":    table is either a sequence indexed by k (a
-                            time table of drift vectors) or a callable
-                            (k, prefix, u) -> d-vector.
+    kind "custom-table":    table is a sequence indexed by k: a time table
+                            of drift vectors, one row per grid step.
 
     kappa is the Lipschitz/growth constant the drift is declared to obey;
     verify.check_drift samples the two bounds.
@@ -73,12 +77,15 @@ class DriftSpec:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.kind == "custom-table" and self.table is None:
-            raise ValueError("custom-table drift needs a table")
+        if self.kind == "custom-table" and (self.table is None or callable(self.table)):
+            raise ValueError("custom-table drift needs a table of per-step drift vectors")
 
 
 def drift_eval(spec: DriftSpec, k: int, prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Drift vector at time index k given the state prefix (length k+1)."""
+    """Drift vector at time index k given the state prefix (length k+1).
+
+    u is the control in force; no drift kind depends on it.
+    """
     prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
     if prefix.shape[0] != k + 1:
         raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {prefix.shape[0]}")
@@ -90,14 +97,27 @@ def drift_eval(spec: DriftSpec, k: int, prefix: np.ndarray, u: np.ndarray) -> np
     if spec.kind == "running-max":
         m = np.max(prefix, axis=0)
         return -np.minimum(spec.kappa, m)
-    # custom-table
-    if callable(spec.table):
-        out = np.asarray(spec.table(k, prefix, u), dtype=np.float64).reshape(d)
-    else:
-        out = np.asarray(spec.table[k], dtype=np.float64).reshape(d)
+    return _table_row(spec, k, d)
+
+
+def _table_row(spec: DriftSpec, k: int, d: int) -> np.ndarray:
+    out = np.asarray(spec.table[k], dtype=np.float64).reshape(d)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"custom drift returned non-finite value at k={k}")
     return out
+
+
+def _drift_block(spec: DriftSpec, k: int, values: np.ndarray) -> np.ndarray:
+    """Vectorized drift over a block: values has shape (n, k+1, d)."""
+    n, _, d = values.shape
+    if spec.kind == "zero":
+        return np.zeros((n, d))
+    if spec.kind == "mean-reversion":
+        return spec.rate * (spec.level - values[:, -1, :])
+    if spec.kind == "running-max":
+        m = np.max(values, axis=1)
+        return -np.minimum(spec.kappa, m)
+    return np.broadcast_to(_table_row(spec, k, d), (n, d))
 
 
 class ControlSet:
@@ -190,26 +210,13 @@ class StepKernel:
         return (centered.T * self.weights) @ centered
 
 
-def step_kernel(
-    spec: DriftSpec,
-    k: int,
-    prefix: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    branching=2,
-) -> StepKernel:
-    """Two-point (d=1) or 2d-point (d>1) kernel matching mean b*dt and
-    covariance u*u^T*dt.
+def _control_kernel(u, dt: float) -> StepKernel:
+    """Driftless kernel of one control: increments +c_0, -c_0, +c_1, ...
 
-    branching may be a callable(spec, k, prefix, u, dt) -> StepKernel for
-    custom constructions; otherwise it must equal 2 for d = 1 and 2d for
-    d > 1.
+    For d = 1, c_0 = u * sqrt(dt); for d > 1, c_j is column j of u
+    scaled by sqrt(d * dt).  Adding the drift shift gives shift + c_j and
+    shift + (-c_j), bit for bit the same as shift - c_j.
     """
-    if callable(branching):
-        kern = branching(spec, k, prefix, u, dt)
-        if not isinstance(kern, StepKernel):
-            raise TypeError("custom kernel builder must return a StepKernel")
-        return kern
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     u = np.asarray(u, dtype=np.float64)
@@ -219,25 +226,36 @@ def step_kernel(
     eig = np.linalg.eigvalsh(u)
     if eig[0] <= 0:
         raise ValueError(f"control must be positive definite, eigenvalues {eig}")
-    b = drift_eval(spec, k, prefix, u)
-    shift = b * dt
     if d == 1:
-        if branching != 2:
-            raise ValueError(f"d=1 kernels use branching 2, got {branching}")
-        c = float(u[0, 0]) * math.sqrt(dt)
-        inc = np.array([[shift[0] + c], [shift[0] - c]])
-        w = np.array([0.5, 0.5])
-        return StepKernel(inc, w)
-    if branching not in (2 * d, None):
-        raise ValueError(f"d={d} kernels use branching {2 * d}, got {branching}")
-    scale = math.sqrt(d * dt)
-    rows = []
-    for j in range(d):
-        col = u[:, j] * scale
-        rows.append(shift + col)
-        rows.append(shift - col)
-    w = np.full(2 * d, 1.0 / (2 * d))
-    return StepKernel(np.array(rows), w)
+        cols = float(u[0, 0]) * math.sqrt(dt)
+    else:
+        cols = u.T * math.sqrt(d * dt)
+    inc = np.empty((2 * d, d))
+    inc[0::2] = cols
+    inc[1::2] = -cols
+    return StepKernel(inc, np.full(2 * d, 1.0 / (2 * d)))
+
+
+def step_kernel(
+    spec: DriftSpec,
+    k: int,
+    prefix: np.ndarray,
+    u: np.ndarray,
+    dt: float,
+    branching=2,
+) -> StepKernel:
+    """Two-point (d=1) or 2d-point (d>1) kernel matching mean b*dt and
+    covariance u*u^T*dt at one node.
+
+    branching must equal 2 for d = 1 and 2d for d > 1; None skips the
+    check.
+    """
+    kern = _control_kernel(u, dt)
+    if branching is not None and branching != kern.branching:
+        d = kern.increments.shape[1]
+        raise ValueError(f"d={d} kernels use branching {kern.branching}, got {branching}")
+    shift = drift_eval(spec, k, prefix, u) * dt
+    return StepKernel(shift + kern.increments, kern.weights)
 
 
 def prefix_key(k: int, values: np.ndarray) -> tuple:
@@ -250,45 +268,84 @@ def prefix_key(k: int, values: np.ndarray) -> tuple:
     return (k, tuple(np.asarray(values, dtype=np.float64).flat))
 
 
-class ScenarioTree:
-    """Control-expanded non-recombining tree.
+def state_norms(states: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array.
 
-    Arena layout: node i has time index k[i], parent[i] (-1 at the root),
-    state prefix prefixes[i] of shape (k[i]+1, d), and for interior nodes
-    children[i][ci][oi] = child node id for control index ci and outcome
-    index oi.  Edge weights mirror the children layout.
+    Bit for bit np.linalg.norm(row) on every row: that takes the square
+    root of the BLAS dot product row.dot(row), and the stacked matmul
+    below reaches the same dot routine.  np.linalg.norm(states, axis=1)
+    sums the squares without it and differs in the last bit on some rows.
+    """
+    states = np.ascontiguousarray(states)
+    return np.sqrt((states[:, None, :] @ states[:, :, None]).reshape(-1))
+
+
+class ScenarioTree:
+    """Control-expanded non-recombining tree, stored level by level.
+
+    With C controls of B outcomes each, level l (time index k0 + l)
+    holds the node ids offsets[l] .. offsets[l+1] - 1 and a read-only
+    prefix block blocks[l] of shape (n_l, k0 + l + 1, d) whose row j is
+    the state prefix of node offsets[l] + j.  Ids run level by level,
+    then by parent, control and outcome, so node i of level l has the
+    children
+
+        offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
+
+    for control index ci and outcome index oi.  weights[ci] holds the B
+    edge weights of control ci, the same at every node.
+
+    The per-node views k, parent, prefixes, children and edge_weights
+    (lists indexed by node id) are built from the arrays on first
+    access; the level sweeps never need them.
     """
 
-    def __init__(self, grid, controls, branching, drift):
+    def __init__(self, grid, controls, drift, k0: int, blocks: list, weights: np.ndarray):
         self.grid = grid
         self.controls = controls
-        self.branching = branching
         self.drift = drift
-        self.k = []
-        self.parent = []
-        self.prefixes = []
-        self.children = []  # per node: None (leaf) or list over controls of lists of ids
-        self.edge_weights = []
+        self.k0 = k0
+        self.blocks = blocks
+        self.weights = weights
+        self.branching = weights.shape[1]
+        self.offsets = [0]
+        for block in blocks:
+            self.offsets.append(self.offsets[-1] + block.shape[0])
 
     @property
     def n_nodes(self) -> int:
-        return len(self.k)
+        return self.offsets[-1]
 
     @property
     def root(self) -> int:
         return 0
 
+    @property
+    def fanout(self) -> int:
+        return self.weights.size
+
+    def level(self, k: int) -> slice:
+        """Node ids at time index k, as a slice."""
+        l = k - self.k0
+        return slice(self.offsets[l], self.offsets[l + 1])
+
+    def states_at(self, k: int) -> np.ndarray:
+        """Current values of the nodes at time index k, shape (n_k, d)."""
+        return self.blocks[k - self.k0][:, -1, :]
+
     def is_leaf(self, i: int) -> bool:
-        return self.k[i] == self.grid.n_steps
+        return i >= self.offsets[-2]
 
     def nodes_at(self, depth: int) -> list[int]:
-        return [i for i in range(self.n_nodes) if self.k[i] == depth]
+        if not self.k0 <= depth <= self.grid.n_steps:
+            return []
+        return list(range(self.offsets[depth - self.k0], self.offsets[depth - self.k0 + 1]))
 
     def leaves(self) -> list[int]:
         return self.nodes_at(self.grid.n_steps)
 
     def interior(self) -> list[int]:
-        return [i for i in range(self.n_nodes) if not self.is_leaf(i)]
+        return list(range(self.offsets[-2]))
 
     def state(self, i: int) -> np.ndarray:
         """Current value at node i (last entry of its prefix)."""
@@ -298,26 +355,48 @@ class ScenarioTree:
         return prefix_key(self.k[i], self.prefixes[i])
 
     def subtree_nodes(self, i: int) -> list[int]:
-        """Node ids below and including i, in construction (BFS-ish) order."""
-        out = [i]
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if self.children[j] is None:
-                continue
-            for per_control in self.children[j]:
-                for c in per_control:
-                    out.append(c)
-                    stack.append(c)
-        return sorted(out)
+        """Node ids below and including i, in increasing order."""
+        l = self.k[i] - self.k0
+        first, count = i - self.offsets[l], 1
+        out = []
+        for start in self.offsets[l:-1]:
+            out.extend(range(start + first, start + first + count))
+            first, count = first * self.fanout, count * self.fanout
+        return out
 
-    def _add_node(self, k, prefix, parent):
-        self.k.append(k)
-        self.prefixes.append(prefix)
-        self.parent.append(parent)
-        self.children.append(None)
-        self.edge_weights.append(None)
-        return len(self.k) - 1
+    @cached_property
+    def k(self) -> list[int]:
+        out = []
+        for l, block in enumerate(self.blocks):
+            out += [self.k0 + l] * block.shape[0]
+        return out
+
+    @cached_property
+    def parent(self) -> list[int]:
+        out = [-1]
+        for l, block in enumerate(self.blocks[1:]):
+            out += (self.offsets[l] + np.arange(block.shape[0]) // self.fanout).tolist()
+        return out
+
+    @cached_property
+    def prefixes(self) -> list[np.ndarray]:
+        return [row for block in self.blocks for row in block]
+
+    @cached_property
+    def children(self) -> list:
+        """Per node: None at a leaf, else children[i][ci][oi]."""
+        out = []
+        C, B = self.weights.shape
+        for l, block in enumerate(self.blocks[1:]):
+            ids = self.offsets[l + 1] + np.arange(block.shape[0])
+            out += ids.reshape(-1, C, B).tolist()
+        return out + [None] * self.blocks[-1].shape[0]
+
+    @cached_property
+    def edge_weights(self) -> list:
+        """Per node: None at a leaf, else one weight row per control."""
+        rows = list(self.weights)
+        return [rows] * self.offsets[-2] + [None] * self.blocks[-1].shape[0]
 
 
 def _projected_node_count(n_levels: int, fanout: int) -> int:
@@ -334,20 +413,17 @@ def expand_tree(
     x0,
     drift: DriftSpec,
     controls: ControlSet,
-    branching=2,
     node_cap: int = DEFAULT_NODE_CAP,
     init_prefix=None,
-    kernel_builder=None,
 ) -> ScenarioTree:
     """Expand the complete scenario tree on grid.
 
     The root holds prefix [x0] at time index 0, or init_prefix (an array
     of shape (k0+1, d) covering grid nodes 0..k0) when resuming from a
     later time.  Every interior node gets |controls| * branching children,
-    one per (control, outcome) pair.
-
-    kernel_builder, when given, overrides the default two-point kernel;
-    it is passed through to step_kernel as the custom branching callable.
+    one per (control, outcome) pair, with branching 2 for d = 1 and 2d
+    for d > 1.  Child states are x + (b * dt + c) for each kernel
+    increment c of step_kernel, one vectorised step per level.
     """
     d = controls.dim
     if init_prefix is not None:
@@ -360,62 +436,40 @@ def expand_tree(
     else:
         root_prefix = np.broadcast_to(
             np.asarray(x0, dtype=np.float64).reshape(-1), (1, d)
-        ).astype(np.float64)
+        )
         k0 = 0
+    if drift.kind == "custom-table" and len(drift.table) < grid.n_steps:
+        raise ValueError(
+            f"custom-table drift has {len(drift.table)} rows, the grid needs {grid.n_steps}"
+        )
 
-    if d == 1 and not callable(kernel_builder):
-        if branching != 2:
-            raise ValueError(f"d=1 trees use branching 2, got {branching}")
-        fanout_per_control = 2
-    elif callable(kernel_builder):
-        fanout_per_control = branching
-    else:
-        fanout_per_control = 2 * d
-        branching = fanout_per_control
-
-    fanout = len(controls) * fanout_per_control
+    dt = grid.dt
+    kernels = [_control_kernel(u, dt) for u in controls]
+    increments = np.array([kern.increments for kern in kernels])  # (C, B, d)
+    weights = np.array([kern.weights for kern in kernels])  # (C, B)
+    weights.setflags(write=False)
+    fanout = weights.size
     projected = _projected_node_count(grid.n_steps - k0, fanout)
     if projected > node_cap:
         raise SizeError(
             f"tree would hold {projected} nodes, exceeding the cap {node_cap}"
         )
 
-    tree = ScenarioTree(grid, controls, fanout_per_control, drift)
-    root_prefix = root_prefix.copy()
-    root_prefix.setflags(write=False)
-    tree._add_node(k0, root_prefix, -1)
-    dt = grid.dt
-    builder = kernel_builder if callable(kernel_builder) else 2 if d == 1 else 2 * d
-
-    frontier = [0]
-    for depth in range(k0, grid.n_steps):
-        next_frontier = []
-        for node in frontier:
-            prefix = tree.prefixes[node]
-            kids = []
-            wts = []
-            for u in controls:
-                kern = step_kernel(drift, depth, prefix, u, dt, builder)
-                if kern.branching != fanout_per_control:
-                    raise ValueError(
-                        f"kernel branching {kern.branching} != tree branching "
-                        f"{fanout_per_control}"
-                    )
-                ids = []
-                for inc in kern.increments:
-                    child_prefix = np.concatenate(
-                        [prefix, (prefix[-1] + inc)[None, :]], axis=0
-                    )
-                    child_prefix.setflags(write=False)
-                    cid = tree._add_node(depth + 1, child_prefix, node)
-                    ids.append(cid)
-                    next_frontier.append(cid)
-                kids.append(ids)
-                wts.append(kern.weights)
-            tree.children[node] = kids
-            tree.edge_weights[node] = wts
-        frontier = next_frontier
-    return tree
+    root = root_prefix[None].copy()
+    root.setflags(write=False)
+    blocks = [root]
+    for k in range(k0, grid.n_steps):
+        prev = blocks[-1]
+        n = prev.shape[0]
+        shift = _drift_block(drift, k, prev) * dt
+        step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
+        block = np.empty((n * fanout, k + 2, d))
+        view = block.reshape(n, fanout, k + 2, d)
+        view[:, :, : k + 1, :] = prev[:, None]
+        view[:, :, k + 1, :] = prev[:, None, -1, :] + step.reshape(n, fanout, d)
+        block.setflags(write=False)
+        blocks.append(block)
+    return ScenarioTree(grid, controls, drift, k0, blocks, weights)
 
 
 @dataclass
@@ -440,23 +494,6 @@ class PathSample:
         """Iterate the sample as zero-anchored Path objects."""
         for row in self.values:
             yield Path(self.grid, row - row[0])
-
-
-def _drift_block(spec: DriftSpec, k: int, values: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized drift over a block: values has shape (n, k+1, d)."""
-    n, _, d = values.shape
-    if spec.kind == "zero":
-        return np.zeros((n, d))
-    if spec.kind == "mean-reversion":
-        return spec.rate * (spec.level - values[:, -1, :])
-    if spec.kind == "running-max":
-        m = np.max(values, axis=1)
-        return -np.minimum(spec.kappa, m)
-    if not callable(spec.table):
-        return np.broadcast_to(
-            np.asarray(spec.table[k], dtype=np.float64).reshape(d), (n, d)
-        )
-    return np.stack([drift_eval(spec, k, row, u) for row in values])
 
 
 _BLOCK = 4096
@@ -507,7 +544,7 @@ def simulate_paths(
             u = np.asarray(control_at(k, block[:, : k + 1, :]), dtype=np.float64)
             if u.ndim == 0:
                 u = u.reshape(1, 1)
-            b = _drift_block(drift, k, block[:, : k + 1, :], u)
+            b = _drift_block(drift, k, block[:, : k + 1, :])
             block[:, k + 1, :] = (
                 block[:, k, :] + b * dt + (noise[:, k, :] @ u.T) * sqdt
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import state_norms
 from .pathspace import ModulusSpec, Path
 
 __all__ = [
@@ -121,12 +122,47 @@ def reward_values(tree, Y: RewardFunctional, pre_history: Path | None = None) ->
     """Y evaluated at every tree node, indexed by node id.
 
     All envelope and game sweeps share this array so their comparisons see
-    bit-identical payoffs.
+    bit-identical payoffs.  Catalog kinds are evaluated one tree level at a
+    time, with the same floating-point operations eval_reward performs on
+    each node; custom-table callables are called node by node.
     """
-    out = np.empty(tree.n_nodes)
-    for i in range(tree.n_nodes):
-        out[i] = eval_reward(Y, tree.k[i], tree.prefixes[i], pre_history)
-    return out
+    if Y.kind == "custom-table":
+        out = np.empty(tree.n_nodes)
+        for i in range(tree.n_nodes):
+            out[i] = eval_reward(Y, tree.k[i], tree.prefixes[i], pre_history)
+        return out
+    return np.concatenate([_level_rewards(Y, block, pre_history) for block in tree.blocks])
+
+
+def _level_rewards(Y: RewardFunctional, block: np.ndarray, pre_history: Path | None):
+    """Catalog payoff at every row of a prefix block of shape (n, k+1, d)."""
+    n, _, d = block.shape
+    if pre_history is None:
+        track = Y.base + block
+    else:
+        if pre_history.dim != d:
+            raise ValueError("pre-history dim differs from prefix dim")
+        pre = pre_history.values
+        track = Y.base + np.concatenate(
+            [np.broadcast_to(pre, (n,) + pre.shape), pre[-1] + block[:, 1:, :]], axis=1
+        )
+    if Y.kind == "constant":
+        return np.full(n, float(Y.scale))
+    if Y.kind == "terminal-abs":
+        return Y.scale * state_norms(track[:, -1, :])
+    if d != 1:
+        raise ValueError(f"{Y.kind} is a scalar-path reward, got dim {d}")
+    # contiguous rows, so np.max and np.sum reduce each row as they reduce
+    # the single track in eval_reward
+    track = np.ascontiguousarray(track[:, :, 0])
+    if Y.kind == "american-put":
+        gap = Y.strike - track[:, -1]
+        # Python's max(gap, 0.0): keeps gap unless 0.0 is strictly larger
+        return Y.scale * np.where(0.0 > gap, 0.0, gap)
+    if Y.kind == "lookback-max":
+        return Y.scale * np.max(track, axis=1)
+    # running-sum
+    return Y.scale * np.sum(track, axis=1)
 
 
 @dataclass(frozen=True)

@@ -229,3 +229,69 @@ def test_usage_errors_raise_system_exit():
         main([])
     with pytest.raises(SystemExit):
         main(["solve"])
+
+
+DEMO_SMALL = {
+    "demo": {"strikes": [1.0], "sigma_lo": 0.3, "sigma_hi": 0.9, "n_steps": 2,
+             "widenings": 1}
+}
+
+
+# (command, config, raw JSON token standing in for the value, key named)
+NON_FINITE = {
+    "x0-nan": ("solve", {**PUT_N2, "dynamics": {"x0": "@"}}, "NaN", "dynamics.x0"),
+    "x0-list-nan": (
+        "solve", {**PUT_N2, "dynamics": {"x0": ["@"]}}, "NaN", "dynamics.x0"
+    ),
+    "strike-overflow": (
+        "solve", {**PUT_N2, "reward": {"kind": "american-put", "strike": "@"}},
+        "1e400", "reward.strike",
+    ),
+    "t-end-infinity": (
+        "solve", {**PUT_N2, "grid": {"t_end": "@", "n_steps": 2}}, "Infinity",
+        "grid.t_end",
+    ),
+    "control-nan": (
+        "solve", {**PUT_N2, "controls": {"values": [0.5, "@"]}}, "NaN",
+        "controls.values",
+    ),
+    "demo-strike-nan": (
+        "demo", {"demo": {**DEMO_SMALL["demo"], "strikes": [1.0, "@"]}}, "NaN",
+        "demo.strikes",
+    ),
+    "drift-table-inf": (
+        "solve",
+        {**PUT_N2, "dynamics": {"x0": 1.0, "drift": {
+            "kind": "custom-table", "table": [[0.1], ["@"]]}}},
+        "-Infinity", "dynamics.drift.table",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_numbers_fail_closed(tmp_path, capsys, case):
+    command, cfg, token, key = NON_FINITE[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"@"', token))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
+def test_short_drift_table_is_config_error(tmp_path, capsys):
+    cfg = {**PUT_N2, "dynamics": {"x0": 1.0, "drift": {
+        "kind": "custom-table", "table": [[0.1]]}}}
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "dynamics.drift.table" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
+    import robuststop.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    assert main(["solve", "--config", write_config(tmp_path, INST_A)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err

@@ -15,6 +15,7 @@ from robuststop import (
     simulate_paths,
     step_kernel,
 )
+from robuststop.model import state_norms
 
 
 def test_drift_kinds_hand_values():
@@ -35,6 +36,8 @@ def test_drift_validation():
         DriftSpec("brownian-bridge")
     with pytest.raises(ValueError):
         DriftSpec("custom-table")
+    with pytest.raises(ValueError):
+        DriftSpec("custom-table", table=lambda k, prefix, u: [0.0])
     with pytest.raises(ValueError):
         DriftSpec("zero", kappa=-1.0)
 
@@ -83,6 +86,17 @@ def test_step_kernel_matrix_covariance():
     assert np.allclose(kern.covariance(), u @ u.T * 0.5, atol=1e-12)
     with pytest.raises(ValueError):
         step_kernel(DriftSpec("zero"), 0, np.zeros((1, 2)), u, 0.5, branching=2)
+
+
+def test_state_norms_match_per_row_norm():
+    # np.linalg.norm(a, axis=1) rounds differently on some rows for d > 1
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        a = rng.normal(size=(4000, d)) * rng.choice([1e-3, 1.0, 1e3], size=(4000, 1))
+        want = np.array([np.linalg.norm(row) for row in a])
+        assert state_norms(a).tobytes() == want.tobytes()
+        assert state_norms(a[:, ::-1]).tobytes() == np.array(
+            [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()
 
 
 def test_prefix_key_distinguishes_paths():
@@ -137,6 +151,34 @@ def test_tree_drift_moves_children():
     tree = expand_tree(TimeGrid(0.0, 1.0, 1), 0.0, drift, ControlSet([1.0], cap=1.0))
     kids = sorted(float(tree.state(i)[0]) for i in tree.leaves())
     assert kids == pytest.approx([0.5 - 1.0, 0.5 + 1.0], abs=1e-15)
+
+
+def test_tree_rejects_short_drift_table():
+    drift = DriftSpec("custom-table", table=[[0.5], [0.1]])
+    cs = ControlSet([1.0], cap=1.0)
+    assert expand_tree(TimeGrid(0.0, 1.0, 2), 0.0, drift, cs).n_nodes == 7
+    with pytest.raises(ValueError, match="rows"):
+        expand_tree(TimeGrid(0.0, 1.0, 3), 0.0, drift, cs)
+
+
+def test_tree_level_layout(put_n2):
+    tree, _ = put_n2
+    assert tree.offsets == [0, 1, 5, 21]
+    assert [b.shape for b in tree.blocks] == [(1, 1, 1), (4, 2, 1), (16, 3, 1)]
+    assert tree.weights.shape == (2, 2)
+    for k in range(3):
+        nodes = tree.nodes_at(k)
+        assert list(range(tree.n_nodes))[tree.level(k)] == nodes
+        assert np.array_equal(tree.states_at(k), [tree.state(i) for i in nodes])
+    # children of node i at level l: offsets[l+1] + (i - offsets[l]) * C*B + ci*B + oi
+    for i in range(5):
+        l = tree.k[i]
+        for ci in range(2):
+            for oi in range(2):
+                child = tree.offsets[l + 1] + (i - tree.offsets[l]) * 4 + ci * 2 + oi
+                assert tree.children[i][ci][oi] == child
+                assert tree.parent[child] == i
+    assert all(tree.is_leaf(i) == (i >= 5) for i in range(tree.n_nodes))
 
 
 def test_tree_resume_from_pinned_prefix():
