@@ -1,0 +1,254 @@
+"""Bitwise parity gate for the backward sweeps, the game oracle and the
+enumeration checks.
+
+Every value below is pinned by a sha256 digest: the classic Snell
+values of every enumerated strategy, the nonlinear expectation, stopped
+envelope values, the worst-case stopped reward of enumerated stopping
+rules, every GameReport field, and the JSON form of the
+supermartingale, martingale, dpp and dpp-random reports, on clean and
+corrupted envelopes.  The digests were recorded from the recursive
+per-node sweeps that the level-ordered sweep replaced; any change in
+the order of floating-point operations, in a tie-break or in a count
+shows up as a mismatch.
+
+The 200 acceptance instances are folded into one digest per field (the
+sha256 of their per-instance digests, in draw order).  To print the
+digests of the current code:
+
+    PYTHONPATH=src python tests/test_sweep_parity.py
+"""
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import make_put, random_instance
+from robuststop import (
+    ControlSet,
+    ControlStrategy,
+    DriftSpec,
+    StoppingRule,
+    TimeGrid,
+    classic_snell,
+    enumerate_stopping_rules,
+    enumerate_strategies,
+    expand_tree,
+    game_values,
+    nonlinear_expectation,
+    pasting_check,
+    reward_values,
+    robust_envelope,
+    stopped_value,
+    terminal_abs,
+    worst_case_stopped_reward,
+)
+from robuststop.verify import (
+    check_dpp,
+    check_dpp_random_horizon,
+    check_martingale_to_tau,
+    check_supermartingale,
+    corrupt_envelope,
+)
+
+FIELDS = ("classic_snell", "nonlinear_expectation", "stopped_value",
+          "worst_case_stopped_reward", "game", "verify")
+
+# rule maps over more prefixes than this are sampled, not enumerated
+ALL_RULES_UP_TO = 10
+RULE_SAMPLES = 512
+
+
+def _sha(parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else repr(p).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _outcome(fn, *args):
+    """A float result, or the name of the exception it raised."""
+    try:
+        return float(fn(*args))
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc).__name__
+
+
+def _snell_part(tree, strategy, y, from_node=0):
+    try:
+        r = classic_snell(tree, strategy, y, from_node=from_node)
+    except Exception as exc:
+        return (type(exc).__name__,)
+    rule = sorted((k, bool(v)) for k, v in r.rule.items())
+    return (np.ascontiguousarray(r.values).tobytes(), float(r.root_value), rule)
+
+
+def _rules(tree, rng):
+    """Every prefix-keyed rule on small trees, a seeded sample otherwise."""
+    if len({tree.node_key(i) for i in tree.interior()}) <= ALL_RULES_UP_TO:
+        return list(enumerate_stopping_rules(tree))
+    keys = sorted({tree.node_key(i) for i in tree.interior()})
+    bits = rng.integers(0, 2, size=(RULE_SAMPLES, len(keys)))
+    return [StoppingRule(tree.grid.n_steps, dict(zip(keys, map(bool, row))))
+            for row in bits]
+
+
+def _game_part(tree, y):
+    try:
+        r = game_values(tree, y)
+    except Exception as exc:
+        return (type(exc).__name__,)
+    return (
+        float(r.lower), float(r.upper), float(r.envelope_root),
+        float(r.value_at_tau_star), float(r.saddle_value), float(r.max_gap),
+        bool(r.agree), bool(r.saddle), float(r.tolerance),
+        int(r.n_strategies), int(r.n_stopping_times), int(r.n_rule_maps),
+        sorted((int(k), int(v)) for k, v in r.optimal_strategy.assignments.items()),
+        int(r.optimal_rule.terminal_index),
+        sorted((k, bool(v)) for k, v in r.optimal_rule.decisions.items()),
+    )
+
+
+def _verify_part(tree, sol):
+    n = tree.grid.n_steps
+    barrier = lambda k, pref: abs(float(pref[-1, 0])) >= 1.0
+    out = []
+    for target in (sol, corrupt_envelope(sol), corrupt_envelope(sol, node=tree.root)):
+        reports = [check_supermartingale(tree, target),
+                   check_martingale_to_tau(tree, target)]
+        reports += [check_dpp(tree, target, s) for s in range(n + 1)]
+        reports += [check_dpp_random_horizon(tree, target, nu)
+                    for nu in (n, barrier, sol.stop_rule_map(0.05))]
+        out += [json.dumps(r.as_dict(), sort_keys=True) for r in reports]
+    return out
+
+
+def digests(tree, Y, rng) -> dict:
+    y = reward_values(tree, Y)
+    sol = robust_envelope(tree, Y)
+    level1 = tree.nodes_at(tree.k0 + 1)
+    starts = [tree.root] + level1
+    xi = lambda p: float(np.sum(p * p)) - float(p[-1, 0])
+    stop_rules = (0, tree.grid.n_steps, sol.stop_rule_map(),
+                  lambda k, pref: float(pref[-1, 0]) <= float(pref[0, 0]))
+    parts = {
+        "classic_snell": [
+            _snell_part(tree, s, y) for s in enumerate_strategies(tree)
+        ] + [_snell_part(tree, {i: int(c) % len(tree.controls)
+                                for i, c in enumerate(sol.argmin_control)}, y, node)
+             for node in level1],
+        "nonlinear_expectation": [
+            _outcome(nonlinear_expectation, tree, xi_, node)
+            for xi_ in (y, xi) for node in starts
+        ],
+        "stopped_value": [
+            _outcome(stopped_value, sol, node, rule)
+            for rule in stop_rules for node in starts
+        ],
+        "worst_case_stopped_reward": [
+            _outcome(worst_case_stopped_reward, tree, y, rule)
+            for rule in _rules(tree, rng)
+        ],
+        "game": _game_part(tree, y),
+        "verify": _verify_part(tree, sol),
+    }
+    return {f: _sha(parts[f]) for f in FIELDS}
+
+
+def _fold(per: list) -> dict:
+    return {f: hashlib.sha256("".join(d[f] for d in per).encode()).hexdigest()
+            for f in FIELDS}
+
+
+def _acceptance():
+    rng = np.random.default_rng(20260815)
+    rules_rng = np.random.default_rng(7)
+    return _fold([digests(tree, Y, rules_rng)
+                  for tree, Y in (random_instance(rng) for _ in range(200))])
+
+
+def _collision_tree(n_steps):
+    # the two controls share the first column, so a control-0 and a
+    # control-1 child observe the same state after one step
+    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
+    return expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
+                       DriftSpec("zero"), controls)
+
+
+def _prefix_collision():
+    rng = np.random.default_rng(7)
+    return _fold([digests(_collision_tree(n), terminal_abs(), rng) for n in (1, 2)])
+
+
+def _pasting_from_node():
+    tree, Y = make_put(3)
+    base = ControlStrategy(tree, {i: 0 for i in tree.interior()})
+    piece = ControlStrategy(tree, {i: 1 for i in tree.interior()})
+    up = lambda p: p[-1][0] > 1.0
+    parts = []
+    for s in (tree.grid.time(1), tree.grid.time(2)):
+        r = pasting_check(base, s, [lambda p: not up(p), up], [piece], Y)
+        parts.append((bool(r.ok), float(r.worst_atom_gap), float(r.worst_marginal_gap),
+                      float(r.worst_snell_excess), r.n_atoms, r.n_marginal_events,
+                      r.failures))
+    y = reward_values(tree, Y)
+    for node in tree.interior():
+        parts.append(_snell_part(tree, base, y, node))
+        parts.append(_snell_part(tree, piece, y, node))
+    return {f: _sha(parts) if f == "classic_snell" else "-" for f in FIELDS}
+
+
+CASES = {
+    "acceptance-200": _acceptance,
+    "prefix-collision": _prefix_collision,
+    "pasting-from-node": _pasting_from_node,
+}
+
+RECORDED = {
+    'acceptance-200': {
+        'classic_snell': 'bb0dd0b14cf482efb3bac4b8d98440a207cd10cf8932e36db7539324f05a9f7b',
+        'nonlinear_expectation': 'a0d91cbcf8301c4d37ea7ebf2fdd790bc27d457d351fc082bb9135adbb0e8e9e',
+        'stopped_value': '94685e884e9d8cbb3f7e92c77919ddee7c1673f9f2a2b2c0ba9258a8da13557e',
+        'worst_case_stopped_reward': 'b5d43f4660e1a1a3b8e7252d33f546cbdf6998341f99f1c54b4cd9d36e72b76a',
+        'game': '914f41f0a0d6e6d5bf80b9790b414659456cdb9854e4f0dbaf3d754eeea79bdd',
+        'verify': '44f95bfaed018f18cf5ee55f380ee651bd33a30a59dd15dd19c301797bbf5867',
+    },
+    'pasting-from-node': {
+        'classic_snell': 'e0ab328142baefdee28f793dcb1778036239d8025ce5f894c12a449b39371da8',
+        'nonlinear_expectation': '-',
+        'stopped_value': '-',
+        'worst_case_stopped_reward': '-',
+        'game': '-',
+        'verify': '-',
+    },
+    'prefix-collision': {
+        'classic_snell': '459d1b20e1db8280712633a6b1e985d1b4dea1d03fc3e899dd27d7d935f37c66',
+        'nonlinear_expectation': '6e4d3850842b52dcf721a4dff22adfb91c4fb266786c2cccd89841ecdb36928e',
+        'stopped_value': '7f6da26c2daf2e83e50408d6fab03895fd0e9052ee8d30273e52635ce94c8f4a',
+        'worst_case_stopped_reward': '6555c2228a5994c840a79e310ebda48f807c3b58bfaf94abb3e1078e874643e7',
+        'game': 'f95fdd8fec28d6089a5ed6ace35f4689aaf25cfa1dceb4b91712b8cb9dbd873b',
+        'verify': '4d708750c03587ad9787c050c9d6e06f4f2ee332c0d9dbe7743a6a213e8cef3f',
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sweep_outputs_match_recorded_digests(case):
+    got = CASES[case]()
+    want = RECORDED[case]
+    changed = [f for f in FIELDS if got[f] != want[f]]
+    assert not changed, f"{case}: {changed} differ from the recorded digests"
+
+
+if __name__ == "__main__":
+    print("RECORDED = {")
+    for case in sorted(CASES):
+        print(f"    {case!r}: {{")
+        for f, d in CASES[case]().items():
+            print(f"        {f!r}: {d!r},")
+        print("    },")
+        sys.stdout.flush()
+    print("}")
