@@ -52,17 +52,7 @@ from .model import (
     simulate_paths,
     step_kernel,
 )
-from .pathspace import (
-    ModulusSpec,
-    Path,
-    TimeGrid,
-    concat,
-    dist_dinfty,
-    prefix,
-    shift_functional,
-    sup_norm_segment,
-    truncate,
-)
+from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
 from .reward import (
     RewardFunctional,
     american_put,

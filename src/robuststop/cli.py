@@ -160,10 +160,19 @@ def _finite(v, what: str) -> float:
     return f
 
 
+def _numbers_only(v) -> bool:
+    if isinstance(v, list):
+        return all(_numbers_only(e) for e in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _finite_array(v, what: str) -> np.ndarray:
+    # numpy would convert "1.5" and true to floats, so check JSON types first
+    if not _numbers_only(v):
+        raise ConfigError(f"{what} must hold numbers, got {v!r}")
     try:
         a = np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ConfigError(f"{what} must hold numbers, got {v!r}")
     if not np.all(np.isfinite(a)):
         raise ConfigError(f"{what} must be finite, got {v!r}")
@@ -191,7 +200,7 @@ def build_grid(cfg: dict) -> TimeGrid:
     return TimeGrid(_num(sec, "grid", "t_start", 0.0), _num(sec, "grid", "t_end"), n)
 
 
-def build_dynamics(cfg: dict, grid: TimeGrid):
+def build_dynamics(cfg: dict, grid: TimeGrid, dim: int):
     sec = _section(cfg, "dynamics")
     x0 = sec.get("x0", 0.0)
     if isinstance(x0, list):
@@ -216,7 +225,11 @@ def build_dynamics(cfg: dict, grid: TimeGrid):
                 f"dynamics.drift.table has {len(table)} rows, grid.n_steps needs {grid.n_steps}"
             )
         for row in table:
-            _finite_array(row, "dynamics.drift.table")
+            if _finite_array(row, "dynamics.drift.table").size != dim:
+                raise ConfigError(
+                    f"dynamics.drift.table rows need {dim} entries, one per "
+                    f"state dimension, got {row!r}"
+                )
     try:
         drift = DriftSpec(
             kind=kind,
@@ -317,8 +330,8 @@ def _emit(report: dict, out_dir: str | None, csvs: dict | None = None) -> None:
 
 def _instance(cfg: dict):
     grid = build_grid(cfg)
-    x0, drift = build_dynamics(cfg, grid)
     controls = build_controls(cfg)
+    x0, drift = build_dynamics(cfg, grid, controls.dim)
     Y = build_reward(cfg, grid)
     solver = build_solver(cfg)
     tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
@@ -740,13 +753,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="directory for report and CSVs")
         p.add_argument("--seed", type=int, default=2026, help="base seed (u64)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads (results never depend on this)",
-        )
         if name == "verify":
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=os.cpu_count() or 1,
+                help="worker threads (results never depend on this)",
+            )
             p.add_argument(
                 "--suite",
                 default="all",

@@ -1,21 +1,31 @@
-"""Snell envelopes on scenario trees.
+"""Snell envelopes on scenario trees, all from one backward sweep.
 
-Two sweeps share one arithmetic kernel:
+Every value in this module is one step of the paper's nonlinear
+expectation, applied level by level from the leaves:
 
-* classic_snell: the envelope under a single fixed strategy,
-  V = max(Y, E[V next]), with its first-meeting stopping rule;
-* robust_envelope: the worst-case envelope over the whole control menu,
-  Z = max(Y, min_u E_u[Z next]), with the argmin control per node.
+    v = max(floor, min over allowed u of E_u[v next]),
 
-The worst-case form is the one-step dynamic programming recursion; the
-min over controls and the max with the running reward commute at a node
-because the reward there does not depend on the control.  The game module
-certifies the recursion against direct enumeration instead of trusting
-that argument.
+with v frozen where a stop mask holds.  backward_sweep runs that step;
+the public functions only choose its inputs:
 
-Also here: the nonlinear expectation (backward min over controls with no
-reward max), the hitting times tau_delta / tau_star, and stopped-envelope
-evaluation for the supermartingale and martingale checks.
+* robust_envelope: the worst-case envelope Z = max(Y, min_u E_u[Z next])
+  (floor Y), with the argmin control per node and the hitting time tau*;
+* classic_snell: the envelope under one fixed strategy (floor Y, one
+  allowed control per reachable node), with its first-meeting rule;
+* nonlinear_expectation: the worst-case mean of leaf values (no floor);
+* stopped_value: the worst-case mean of Z frozen by a stopping rule.
+
+The game module's worst-case stopped reward is the same sweep with Y
+frozen by a rule.  Because every caller shares one fold, cross-sweep
+inequalities (lower game value <= upper game value, stopped values <=
+envelope values) hold exactly in floating point.  The min over controls
+and the max with the running reward commute at a node because the
+reward there does not depend on the control; the game module certifies
+the recursion against direct enumeration instead of trusting that
+argument.
+
+stop_mask turns a stopping description (grid index, prefix-keyed rule,
+or callable) into the per-node mask the sweep takes.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ from .reward import RewardFunctional, reward_values
 __all__ = [
     "EnvelopeSolution",
     "SnellResult",
+    "backward_sweep",
+    "stop_mask",
     "robust_envelope",
     "classic_snell",
     "nonlinear_expectation",
@@ -40,18 +52,6 @@ __all__ = [
 # Relative guard for testing Z == Y in floating point; tau_star uses
 # delta = 0 plus this guard.
 STOP_GUARD = 1e-12
-
-
-def _expect(weights, values) -> float:
-    """Left-to-right weighted fold, the single reduction used by every
-    sweep in the package.  Keeping one operation order makes cross-sweep
-    inequalities (lower game value <= upper game value, stopped values
-    <= envelope values) hold exactly in floating point, because rounding
-    is monotone term by term."""
-    acc = weights[0] * values[0]
-    for i in range(1, len(weights)):
-        acc = acc + weights[i] * values[i]
-    return float(acc)
 
 
 def control_index_at(strategy, tree, node: int) -> int:
@@ -70,27 +70,102 @@ def control_index_at(strategy, tree, node: int) -> int:
     return ci
 
 
-def _stop_predicate(rule_or_time, tree):
-    """Normalize a stopping description to a node -> bool predicate.
+def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
+    """Per-node stop flags of a stopping description, from node down.
 
-    Accepts a grid time index (stop once k >= index), a mapping from
-    prefix keys to booleans, or a callable (k, prefix) -> bool.  Terminal
-    nodes stop regardless.
+    rule is a grid time index (stop once k >= index), a mapping from
+    prefix keys to booleans (or an object holding one as .decisions,
+    such as a game.StoppingRule), or a callable (k, prefix) -> bool.
+    Leaves stop regardless.  A mapping or callable is evaluated depth
+    first from node, and only at interior nodes that no earlier stop cuts
+    off, so a partial map fails only where a decision is needed.
+    Interior nodes below a stop keep False; no sweep reads them.
     """
-    if isinstance(rule_or_time, (int, np.integer)):
-        r = int(rule_or_time)
-        return lambda i: tree.k[i] >= r
-    if callable(rule_or_time):
-        return lambda i: bool(rule_or_time(tree.k[i], tree.prefixes[i]))
-    decisions = getattr(rule_or_time, "decisions", rule_or_time)
+    mask = np.zeros(tree.n_nodes, dtype=bool)
+    mask[tree.offsets[-2]:] = True
+    if isinstance(rule, (int, np.integer)):
+        l = min(max(int(rule) - tree.k0, 0), len(tree.offsets) - 1)
+        mask[tree.offsets[l]:] = True
+        return mask
+    if hasattr(rule, "decisions") or not callable(rule):
+        decisions = getattr(rule, "decisions", rule)
 
-    def from_map(i):
-        key = tree.node_key(i)
-        if key not in decisions:
-            raise RuleError(f"rule has no decision for prefix at node {i}")
-        return bool(decisions[key])
+        def stops(i):
+            key = tree.node_key(i)
+            if key not in decisions:
+                raise RuleError(f"rule has no decision for prefix at node {i}")
+            return bool(decisions[key])
+    else:
+        stops = lambda i: bool(rule(tree.k[i], tree.prefixes[i]))
+    stack = [node]
+    while stack:
+        i = stack.pop()
+        if mask[i]:
+            continue
+        if stops(i):
+            mask[i] = True
+        else:
+            stack.extend(c for kids in reversed(tree.children[i]) for c in reversed(kids))
+    return mask
 
-    return from_map
+
+def backward_sweep(tree, values, *, floor=None, stop=None, allowed=None, node=0):
+    """One backward pass of v = max(floor, min over allowed u of E_u[v next]),
+    a vectorised step per level over the subtree of node.
+
+    Leaves, and nodes where the stop mask holds, take values.  Every
+    other node takes the min over the controls allowed there
+    (allowed[i, ci], every control when None) of the left-to-right
+    weighted fold of its children's v, then the max with floor[i] when a
+    floor is given.  The min starts at +inf and moves only on a strictly
+    smaller value, so ties go to the smallest control index and a node
+    with no allowed control gets +inf; the max keeps floor unless the
+    min is strictly larger, as Python's max(floor, best) does.  Keeping
+    this one operation order for every caller makes cross-sweep
+    inequalities hold exactly in floating point, because rounding is
+    monotone term by term.
+
+    Returns per-node arrays (v, continuation, argmin), where continuation
+    is the min before floor and stop apply.  All three are NaN, NaN, -1
+    outside the subtree, and continuation and argmin are NaN and -1 at
+    leaves.
+    """
+    w = tree.weights
+    C, B = w.shape
+    v = np.full(tree.n_nodes, np.nan)
+    cont = np.full(tree.n_nodes, np.nan)
+    argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
+    ranges = tree.subtree_ranges(node)
+    lo, hi = ranges[-1]
+    v[lo:hi] = values[lo:hi]
+    # each level's children are the next level's range, in order
+    for (lo, hi), (klo, khi) in zip(ranges[-2::-1], ranges[:0:-1]):
+        kids = v[klo:khi].reshape(hi - lo, C, B)
+        acc = w[:, 0] * kids[:, :, 0]
+        for j in range(1, B):
+            acc = acc + w[:, j] * kids[:, :, j]
+        best = np.full(hi - lo, np.inf)
+        best_ci = np.full(hi - lo, -1, dtype=np.int64)
+        for ci in range(C):
+            better = acc[:, ci] < best
+            if allowed is not None:
+                better &= allowed[lo:hi, ci]
+            best = np.where(better, acc[:, ci], best)
+            best_ci[better] = ci
+        cont[lo:hi] = best
+        argmin[lo:hi] = best_ci
+        if floor is not None:
+            best = np.where(best > floor[lo:hi], best, floor[lo:hi])
+        if stop is not None:
+            best = np.where(stop[lo:hi], values[lo:hi], best)
+        v[lo:hi] = best
+    return v, cont, argmin
+
+
+def _y_array(tree, Y, pre_history=None) -> np.ndarray:
+    if isinstance(Y, RewardFunctional):
+        return reward_values(tree, Y, pre_history)
+    return np.asarray(Y, dtype=np.float64)
 
 
 @dataclass
@@ -171,40 +246,12 @@ def robust_envelope(
 
     Y is a RewardFunctional or a precomputed per-node payoff array.  Ties
     in the control argmin go to the smallest control index, so the output
-    is deterministic.  Each level is one vectorised step with the
-    arithmetic of _expect and the scalar min/max of a per-node loop.
+    is deterministic.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if isinstance(Y, RewardFunctional):
-        y = reward_values(tree, Y, pre_history)
-    else:
-        y = np.asarray(Y, dtype=np.float64)
-    n = tree.n_nodes
-    z = np.empty(n)
-    cont = np.full(n, np.nan)
-    argmin = np.full(n, -1, dtype=np.int64)
-    off = tree.offsets
-    w = tree.weights
-    C, B = w.shape
-    z[off[-2]:] = y[off[-2]:]
-    for l in range(len(off) - 3, -1, -1):
-        lo, hi = off[l], off[l + 1]
-        kids = z[hi : off[l + 2]].reshape(hi - lo, C, B)
-        # _expect's left-to-right fold, for every node and control at once
-        acc = w[:, 0] * kids[:, :, 0]
-        for j in range(1, B):
-            acc = acc + w[:, j] * kids[:, :, j]
-        best = np.full(hi - lo, np.inf)
-        best_ci = np.full(hi - lo, -1, dtype=np.int64)
-        for ci in range(C):
-            better = acc[:, ci] < best
-            best = np.where(better, acc[:, ci], best)
-            best_ci[better] = ci
-        cont[lo:hi] = best
-        argmin[lo:hi] = best_ci
-        # Python's max(y, best): keeps y unless best is strictly larger
-        z[lo:hi] = np.where(best > y[lo:hi], best, y[lo:hi])
+    y = _y_array(tree, Y, pre_history)
+    z, cont, argmin = backward_sweep(tree, y, floor=y)
     flags = z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
     tau = _scenario_tau(tree, flags, argmin)
     return EnvelopeSolution(tree, delta, y, z, cont, argmin, flags, tau)
@@ -227,34 +274,33 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     """V = max(Y, E[V next]) under a fixed strategy, from from_node down.
 
     Y may be a RewardFunctional or a precomputed per-node array.  The
-    returned rule stops at the first node where V meets Y (relative
-    guard), which is the optimal stopping rule under that single law.
+    strategy is resolved depth first over the nodes it reaches, then the
+    sweep runs with that one control allowed per node.  The returned
+    rule stops at the first node where V meets Y (relative guard), which
+    is the optimal stopping rule under that single law; reachable nodes
+    that share a prefix must agree on it.
     """
-    if isinstance(Y, RewardFunctional):
-        y = reward_values(tree, Y)
-    else:
-        y = np.asarray(Y, dtype=np.float64)
-    values = np.full(tree.n_nodes, np.nan)
-    rule = {}
-
-    def visit(node) -> float:
-        if tree.is_leaf(node):
-            v = y[node]
-        else:
+    y = _y_array(tree, Y)
+    allowed = np.zeros((tree.n_nodes, len(tree.controls)), dtype=bool)
+    reach = []
+    stack = [from_node]
+    while stack:
+        node = stack.pop()
+        reach.append(node)
+        if not tree.is_leaf(node):
             ci = control_index_at(strategy, tree, node)
-            kids = tree.children[node][ci]
-            w = tree.edge_weights[node][ci]
-            e = _expect(w, [visit(c) for c in kids])
-            v = max(y[node], e)
-        values[node] = v
-        stop = v - y[node] <= STOP_GUARD * (1.0 + abs(y[node]))
-        key = tree.node_key(node)
-        if rule.setdefault(key, stop) != stop:
+            allowed[node, ci] = True
+            stack.extend(reversed(tree.children[node][ci]))
+    swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
+    values = np.full(tree.n_nodes, np.nan)
+    values[reach] = swept[reach]
+    flags = values - y <= STOP_GUARD * (1.0 + np.abs(y))
+    rule = {}
+    for node in reach:
+        stop = flags[node]
+        if rule.setdefault(tree.node_key(node), stop) != stop:
             raise RuleError(f"strategy-reachable prefixes disagree at node {node}")
-        return v
-
-    root_value = visit(from_node)
-    return SnellResult(tree, from_node, values, rule, float(root_value))
+    return SnellResult(tree, from_node, values, rule, float(values[from_node]))
 
 
 def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
@@ -264,23 +310,13 @@ def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
     xi is a callable on the leaf's full state prefix, or an array/mapping
     of per-leaf values indexed by node id.
     """
-
-    def leaf_value(i):
-        if callable(xi):
-            return float(xi(tree.prefixes[i]))
-        return float(xi[i])
-
-    def visit(node) -> float:
-        if tree.is_leaf(node):
-            return leaf_value(node)
-        best = np.inf
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            e = _expect(w, [visit(c) for c in kids])
-            if e < best:
-                best = e
-        return best
-
-    return float(visit(from_node))
+    lo, hi = tree.subtree_ranges(from_node)[-1]
+    leaf = np.full(tree.n_nodes, np.nan)
+    if callable(xi):
+        leaf[lo:hi] = [float(xi(tree.prefixes[i])) for i in range(lo, hi)]
+    else:
+        leaf[lo:hi] = [float(xi[i]) for i in range(lo, hi)]
+    return float(backward_sweep(tree, leaf, node=from_node)[0][from_node])
 
 
 def tau_delta(sol: EnvelopeSolution, delta: float) -> dict:
@@ -299,20 +335,9 @@ def stopped_value(sol: EnvelopeSolution, node: int, rule_or_time) -> float:
     """Worst-case expected value of the envelope stopped by a rule.
 
     Computes the nonlinear expectation from node of Z frozen at the
-    rule's stopping nodes: stopping immediately returns Z at the node,
-    stopping at the terminal returns the worst-case mean of Y there.
+    rule's stopping nodes (see stop_mask): stopping immediately returns
+    Z at the node, stopping at the terminal returns the worst-case mean
+    of Y there.
     """
-    tree = sol.tree
-    stops = _stop_predicate(rule_or_time, tree)
-
-    def visit(nd) -> float:
-        if tree.is_leaf(nd) or stops(nd):
-            return float(sol.z[nd])
-        best = np.inf
-        for kids, w in zip(tree.children[nd], tree.edge_weights[nd]):
-            e = _expect(w, [visit(c) for c in kids])
-            if e < best:
-                best = e
-        return best
-
-    return float(visit(node))
+    stops = stop_mask(sol.tree, rule_or_time, node)
+    return float(backward_sweep(sol.tree, sol.z, stop=stops, node=node)[0][node])

@@ -11,12 +11,25 @@ oracle computes
 by exhaustive enumeration, and compares both to the envelope solver's
 root value and to the worst-case value of stopping at tau_star.
 
+Both enumerations are tables built once per tree, which the verify
+checks read too:
+
+* strategy_table: the optimally-stopped value of every strategy (in
+  enumerate_strategies order), optionally with the horizon cut at a
+  stop mask and a terminal value there;
+* stop_set_table: the controller's best response to every stopping set,
+  with an optional frozen mask;
+* count_strategies: the size of either table, without building it.
+
 The one structural decision that matters: stopping rules are keyed by the
 observed state-path prefix, never by tree node identity.  The stopper
 watches the state process only, so a rule must act identically on
 coincident state paths produced by different control choices.  Strategies,
 by contrast, are keyed by node (prefix plus control history): the
-controller knows its own past choices.
+controller knows its own past choices.  Stopping sets are keyed by node,
+so they match the adapted rules only when no two nodes share a prefix;
+on a tree with a prefix collision the lower value enumerates the 2^m
+prefix maps instead.
 """
 
 from __future__ import annotations
@@ -27,7 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import _expect, classic_snell, control_index_at, robust_envelope
+from .envelope import (
+    backward_sweep,
+    classic_snell,
+    control_index_at,
+    robust_envelope,
+    stop_mask,
+)
 from .errors import PartitionError, RuleError, SizeError, StrategyError
 from .model import prefix_key
 from .reward import RewardFunctional, reward_values
@@ -36,6 +55,9 @@ __all__ = [
     "StoppingRule",
     "ControlStrategy",
     "GameReport",
+    "count_strategies",
+    "strategy_table",
+    "stop_set_table",
     "enumerate_stopping_rules",
     "enumerate_strategies",
     "expected_reward",
@@ -142,21 +164,31 @@ def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
         yield StoppingRule(terminal, decisions)
 
 
-def count_strategies(tree, from_node: int | None = None) -> int:
-    """Number of self-consistent strategies below from_node."""
+def count_strategies(tree, from_node: int | None = None, cut=None,
+                     stop_sets: bool = False) -> int:
+    """Number of self-consistent strategies below from_node, or with
+    stop_sets the number of stopping sets; the row count of
+    strategy_table or stop_set_table.
 
-    def count(node) -> int:
-        if tree.is_leaf(node):
-            return 1
-        total = 0
-        for kids in tree.children[node]:
-            prod = 1
-            for c in kids:
-                prod *= count(c)
-            total += prod
-        return total
-
-    return count(tree.root if from_node is None else from_node)
+    A strategy picks one control per reached node, so the per-control
+    products of the children's counts add up; a stopping set either
+    stops at the node or picks a set in every child subtree under every
+    control, so it is 1 plus the product over all children.  Leaves and
+    nodes where the cut mask holds count 1.  Python integers, so counts
+    far beyond any cap stay exact.
+    """
+    C, B = tree.weights.shape
+    ranges = tree.subtree_ranges(tree.root if from_node is None else from_node)
+    counts = np.ones(ranges[-1][1] - ranges[-1][0], dtype=object)
+    for lo, hi in ranges[-2::-1]:
+        kids = counts.reshape(hi - lo, C, B)
+        if stop_sets:
+            counts = 1 + kids.reshape(hi - lo, C * B).prod(axis=1)
+        else:
+            counts = kids.prod(axis=2).sum(axis=1)
+        if cut is not None:
+            counts[cut[lo:hi]] = 1
+    return int(counts[0])
 
 
 def enumerate_strategies(tree, cap: int = STRATEGY_CAP, from_node: int | None = None):
@@ -188,24 +220,16 @@ def _y_array(tree, Y) -> np.ndarray:
     return np.asarray(Y, dtype=np.float64)
 
 
-def _stops_fn(tree, rule):
-    """Normalize a rule to a (tree, node) -> bool predicate; leaves stop."""
-    if isinstance(rule, StoppingRule):
-        return rule.stops_at
-    if isinstance(rule, dict):
-        return lambda t, n: t.is_leaf(n) or bool(rule[t.node_key(n)])
-    return rule
-
-
 def expected_reward(tree, strategy, rule, Y) -> float:
     """E[Y at the stop] under one strategy and one rule: the literal
-    weighted sum over stopped trajectories, weights multiplying per step."""
+    weighted sum over stopped trajectories, weights multiplying per step.
+    rule is anything stop_mask accepts."""
     y = _y_array(tree, Y)
-    stops = _stops_fn(tree, rule)
+    stops = stop_mask(tree, rule)
     terms = []
 
     def walk(node, weight):
-        if tree.is_leaf(node) or stops(tree, node):
+        if stops[node]:
             terms.append(weight * y[node])
             return
         ci = control_index_at(strategy, tree, node)
@@ -219,23 +243,12 @@ def expected_reward(tree, strategy, rule, Y) -> float:
 
 
 def worst_case_stopped_reward(tree, Y, rule, from_node: int = 0) -> float:
-    """min over strategies of E[Y at the stop] for a fixed rule, by
-    backward induction (the controller observes everything, so node-wise
-    minimization is exact)."""
+    """min over strategies of E[Y at the stop] for a fixed rule (anything
+    stop_mask accepts), by backward induction: the controller observes
+    everything, so node-wise minimization is exact."""
     y = _y_array(tree, Y)
-    stops = _stops_fn(tree, rule)
-
-    def visit(node) -> float:
-        if tree.is_leaf(node) or stops(tree, node):
-            return float(y[node])
-        best = np.inf
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            e = _expect(w, [visit(c) for c in kids])
-            if e < best:
-                best = e
-        return best
-
-    return float(visit(from_node))
+    stops = stop_mask(tree, rule, from_node)
+    return float(backward_sweep(tree, y, stop=stops, node=from_node)[0][from_node])
 
 
 def _has_prefix_collision(tree) -> bool:
@@ -248,54 +261,73 @@ def _has_prefix_collision(tree) -> bool:
     return False
 
 
-def _count_stop_times(tree) -> int:
-    def count(node) -> int:
-        if tree.is_leaf(node):
-            return 1
-        prod = 1
-        for kids in tree.children[node]:
-            for c in kids:
-                prod *= count(c)
-        return 1 + prod
+def strategy_table(tree, y, terminal, cut=None) -> np.ndarray:
+    """Optimally-stopped value of every strategy, in enumerate_strategies
+    order.
 
-    return count(tree.root)
-
-
-def _lower_value_vectorized(tree, y: np.ndarray, cap: int) -> float:
-    """max over adapted stopping times of the controller's best response.
-
-    Valid when every node's prefix is unique (checked by the caller): the
-    stopper's decisions then live on disjoint subtrees, so stopping times
-    enumerate as one stop-row plus the cartesian product of the children's
-    tables.  Each row's value is the backward min over controls with the
-    reward frozen at the row's stopping set; the whole table is swept
-    with the same left-to-right fold as every other sweep, so the result
-    stays exactly below the upper value in floating point.
+    table(node) holds max(y, E[table next]) at node for every control
+    assignment on its subtree; leaves and nodes where the cut mask holds
+    end the horizon with terminal[node].  With terminal = y and no cut,
+    row r is classic_snell's root value under strategy r.
     """
-    total = _count_stop_times(tree)
-    if total > cap:
-        raise SizeError(f"{total} stopping times exceed the cap {cap}")
 
     def table(node) -> np.ndarray:
-        if tree.is_leaf(node):
-            return np.array([y[node]])
-        all_kids = [c for kids in tree.children[node] for c in kids]
-        tables = [table(c) for c in all_kids]
-        sizes = [t.shape[0] for t in tables]
-        axis = {c: i for i, c in enumerate(all_kids)}
-        cont = None
+        if tree.is_leaf(node) or (cut is not None and cut[node]):
+            return np.array([terminal[node]])
+        parts = []
         for kids, w in zip(tree.children[node], tree.edge_weights[node]):
+            tabs = [table(c) for c in kids]
+            sizes = [t.shape[0] for t in tabs]
             acc = None
-            for j, c in enumerate(kids):
+            for j, t in enumerate(tabs):
                 shape = [1] * len(sizes)
-                shape[axis[c]] = sizes[axis[c]]
-                term = w[j] * tables[axis[c]].reshape(shape)
+                shape[j] = sizes[j]
+                term = w[j] * t.reshape(shape)
                 acc = term if acc is None else acc + term
-            cont = acc if cont is None else np.minimum(cont, acc)
-        cont = np.broadcast_to(cont, sizes).reshape(-1)
-        return np.concatenate([[y[node]], cont])
+            parts.append(np.maximum(y[node], acc).reshape(-1))
+        return np.concatenate(parts)
 
-    return float(np.max(table(tree.root)))
+    return table(tree.root)
+
+
+def stop_set_table(tree, vals, frozen=None, on_table=None) -> np.ndarray:
+    """Worst-case mean of vals frozen at every stopping set, at the root.
+
+    table(node)[r] is the backward min over controls of the expectation
+    of vals frozen at stopping set r of the subtree; entry 0 is the
+    immediate stop, and leaves and nodes where the frozen mask holds
+    have no other.  on_table(node, table) fires once per node,
+    bottom-up.  Stopping sets pick a set in every child subtree across
+    all controls, which is a superset of the prefix-adapted rules, so
+    checks over these tables are conservative.  Each table is swept with
+    the same left-to-right fold as backward_sweep, so its values stay
+    exactly comparable with the envelope's.
+    """
+
+    def table(node) -> np.ndarray:
+        if tree.is_leaf(node) or (frozen is not None and frozen[node]):
+            t = np.array([vals[node]])
+        else:
+            all_kids = [c for kids in tree.children[node] for c in kids]
+            tables = [table(c) for c in all_kids]
+            sizes = [t.shape[0] for t in tables]
+            axis = {c: i for i, c in enumerate(all_kids)}
+            cont = None
+            for kids, w in zip(tree.children[node], tree.edge_weights[node]):
+                acc = None
+                for j, c in enumerate(kids):
+                    shape = [1] * len(sizes)
+                    shape[axis[c]] = sizes[axis[c]]
+                    term = w[j] * tables[axis[c]].reshape(shape)
+                    acc = term if acc is None else acc + term
+                cont = acc if cont is None else np.minimum(cont, acc)
+            cont = np.broadcast_to(cont, sizes).reshape(-1)
+            t = np.concatenate([[vals[node]], cont])
+        if on_table is not None:
+            on_table(node, t)
+        return t
+
+    return table(tree.root)
 
 
 @dataclass
@@ -335,27 +367,26 @@ def game_values(
 ) -> GameReport:
     """Enumerate the game and report all four value computations.
 
-    The upper value enumerates strategies and takes each one's optimal
-    stopping value from classic_snell.  The lower value enumerates
-    adapted stopping times (vectorized when prefixes are unique; over all
-    2^m prefix maps otherwise) and lets the controller best-respond by
-    backward induction.  The inequality lower <= upper is asserted
-    exactly, before any tolerance enters.
+    The upper value is the min of the strategy table, and the optimal
+    strategy is the enumerated strategy at its first minimal row.  The
+    lower value is the max of the stopping-set table when prefixes are
+    unique, and otherwise the max over all 2^m prefix maps of the
+    controller's best response.  The inequality lower <= upper is
+    asserted exactly, before any tolerance enters.
     """
     y = _y_array(tree, Y)
 
     n_strategies = count_strategies(tree)
     if n_strategies > strategy_cap:
         raise SizeError(f"{n_strategies} strategies exceed the cap {strategy_cap}")
-    upper = np.inf
-    best_strategy = None
-    for strat in enumerate_strategies(tree, cap=strategy_cap):
-        v = classic_snell(tree, strat, y).root_value
-        if v < upper:
-            upper = v
-            best_strategy = strat
+    values = strategy_table(tree, y, y)
+    best = int(np.argmin(values))
+    upper = values[best]
+    best_strategy = next(
+        itertools.islice(enumerate_strategies(tree, cap=strategy_cap), best, None)
+    )
 
-    n_stop_times = _count_stop_times(tree)
+    n_stop_times = count_strategies(tree, stop_sets=True)
     m = len(_nonterminal_prefix_keys(tree))
     if _has_prefix_collision(tree):
         # rare engineered case: fall back to explicit prefix-map rules
@@ -365,7 +396,9 @@ def game_values(
             if v > lower:
                 lower = v
     else:
-        lower = _lower_value_vectorized(tree, y, cap=stop_time_cap)
+        if n_stop_times > stop_time_cap:
+            raise SizeError(f"{n_stop_times} stopping times exceed the cap {stop_time_cap}")
+        lower = np.max(stop_set_table(tree, y))
 
     assert lower <= upper, f"minimax inequality violated: {lower} > {upper}"
 
@@ -374,7 +407,7 @@ def game_values(
         tree.grid.n_steps,
         {k: v for k, v in sol.stop_rule_map().items() if k[0] < tree.grid.n_steps},
     )
-    value_at_tau = worst_case_stopped_reward(tree, y, tau_rule)
+    value_at_tau = backward_sweep(tree, y, stop=sol.stop)[0][tree.root]
     saddle_value = expected_reward(tree, best_strategy, tau_rule, y)
 
     return GameReport(

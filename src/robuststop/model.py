@@ -22,6 +22,7 @@ level.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -354,15 +355,21 @@ class ScenarioTree:
     def node_key(self, i: int) -> tuple:
         return prefix_key(self.k[i], self.prefixes[i])
 
-    def subtree_nodes(self, i: int) -> list[int]:
-        """Node ids below and including i, in increasing order."""
-        l = self.k[i] - self.k0
+    def subtree_ranges(self, i: int) -> list[tuple[int, int]]:
+        """The subtree of node i as one id range (lo, hi) per level, from
+        i's level down to the leaves; the children of range l are range
+        l + 1, in order."""
+        l = bisect.bisect_right(self.offsets, i) - 1
         first, count = i - self.offsets[l], 1
         out = []
         for start in self.offsets[l:-1]:
-            out.extend(range(start + first, start + first + count))
+            out.append((start + first, start + first + count))
             first, count = first * self.fanout, count * self.fanout
         return out
+
+    def subtree_nodes(self, i: int) -> list[int]:
+        """Node ids below and including i, in increasing order."""
+        return [j for lo, hi in self.subtree_ranges(i) for j in range(lo, hi)]
 
     @cached_property
     def k(self) -> list[int]:

@@ -1,18 +1,14 @@
 """Discrete canonical path space: uniform grids, zero-anchored paths,
-concatenation, truncation, shifted functionals, and the one-sided
-time-path distance used by continuity checks.
+and the one-sided time-path distance used by continuity checks.
 
-All paths live on uniform grids and start at zero.  Concatenation glues a
-suffix onto a prefix by adding the prefix's final value; truncation
-subtracts the value at the cut so the result is anchored at zero again.
-Path equality is exact: no comparison in this module carries a tolerance.
+All paths live on uniform grids and start at zero.  Path equality is
+exact: no comparison in this module carries a tolerance.
 
 Usage::
 
     g = TimeGrid(0.0, 2.0, 2)
     w = Path(g, [0.0, 1.0, 3.0])
-    truncate(w, 1.0)             # Path on [1,2] with values [0,2]
-    concat(prefix(w, 1), truncate(w, 1.0)) == w   # True, bitwise
+    dist_dinfty(1.0, w, 2.0, w)   # 3.0: time gap 1 plus stopped-path gap 2
 """
 
 from __future__ import annotations
@@ -27,13 +23,7 @@ __all__ = [
     "TimeGrid",
     "Path",
     "ModulusSpec",
-    "concat",
-    "truncate",
-    "prefix",
-    "shift_functional",
-    "ShiftedFunctional",
     "dist_dinfty",
-    "sup_norm_segment",
 ]
 
 # Relative slack for matching user-supplied times to grid nodes.  Node
@@ -106,18 +96,6 @@ class TimeGrid:
                 best = i
         return best
 
-    def subgrid(self, i: int, j: int) -> "TimeGrid":
-        """Grid covering nodes i..j of this grid."""
-        if not 0 <= i <= j <= self.n_steps:
-            raise GridError(f"bad subgrid range [{i}, {j}]")
-        return TimeGrid(self.time(i), self.time(j), j - i)
-
-    def compatible_spacing(self, other: "TimeGrid") -> bool:
-        if self.n_steps == 0 or other.n_steps == 0:
-            return True
-        a, b = self.dt, other.dt
-        return a == b or abs(a - b) <= _TIME_MATCH_RTOL * max(a, b)
-
 
 @dataclass(frozen=True, eq=False)
 class Path:
@@ -171,73 +149,6 @@ class Path:
         )
 
 
-def concat(prefix_path: Path, suffix: Path) -> Path:
-    """Glue suffix onto prefix_path: values follow the prefix up to the
-    junction, then prefix-end plus suffix values."""
-    gp, gs = prefix_path.grid, suffix.grid
-    if gp.t_end != gs.t_start:
-        raise GridError(
-            f"junction mismatch: prefix ends at {gp.t_end}, suffix starts at {gs.t_start}"
-        )
-    if not gp.compatible_spacing(gs):
-        raise GridError(f"spacing mismatch: {gp.dt} vs {gs.dt}")
-    if prefix_path.dim != suffix.dim:
-        raise PathError(f"dim mismatch: {prefix_path.dim} vs {suffix.dim}")
-    out_grid = TimeGrid(gp.t_start, gs.t_end, gp.n_steps + gs.n_steps)
-    # suffix.values[0] == 0, so the junction node keeps the prefix value bit-for-bit
-    tail = prefix_path.values[-1] + suffix.values[1:]
-    vals = np.concatenate([prefix_path.values, tail], axis=0)
-    return Path(out_grid, vals)
-
-
-def truncate(path: Path, s: float) -> Path:
-    """Path on [s, t_end] anchored at zero: node values ω(r) − ω(s)."""
-    i = path.grid.index_of(s)
-    return truncate_at(path, i)
-
-
-def truncate_at(path: Path, i: int) -> Path:
-    if i == 0:
-        return path
-    sub = path.grid.subgrid(i, path.grid.n_steps)
-    vals = path.values[i:] - path.values[i]
-    return Path(sub, vals)
-
-
-def prefix(path: Path, i: int) -> Path:
-    """Restriction of path to its first i steps (exact slice)."""
-    sub = path.grid.subgrid(0, i)
-    return Path(sub, path.values[: i + 1])
-
-
-class ShiftedFunctional:
-    """Functional on suffix paths obtained by pinning a prefix.
-
-    Calling it on a suffix evaluates the original functional on the
-    concatenated path, so composition of shifts is associative by
-    construction.
-    """
-
-    def __init__(self, xi, prefix_path: Path):
-        self.xi = xi
-        self.prefix_path = prefix_path
-
-    def __call__(self, suffix: Path):
-        return self.xi(concat(self.prefix_path, suffix))
-
-    def __repr__(self):
-        return f"ShiftedFunctional({self.xi!r} after {self.prefix_path!r})"
-
-
-def shift_functional(xi, s: float, prefix_path: Path) -> ShiftedFunctional:
-    """Shift the path-functional xi by the history prefix_path up to s."""
-    if prefix_path.grid.t_end != s:
-        # allow last-ulp slack in the caller's time argument
-        if prefix_path.grid.index_of(s) != prefix_path.grid.n_steps:
-            raise GridError(f"prefix must end at the shift time {s}")
-    return ShiftedFunctional(xi, prefix_path)
-
-
 def _stopped_values(path: Path, t: float) -> np.ndarray:
     """Node values of the stopped path ω(· ∧ t), clamped at the greatest
     grid node at or below t."""
@@ -259,16 +170,6 @@ def dist_dinfty(t1: float, om1: Path, t2: float, om2: Path) -> float:
     gap = _stopped_values(om1, t1) - _stopped_values(om2, t2)
     sup = float(np.max(np.linalg.norm(gap, axis=1)))
     return (t2 - t1) + sup
-
-
-def sup_norm_segment(path: Path, s: float, r: float) -> float:
-    """Largest Euclidean node norm of the path over grid times [s, r]."""
-    i = path.grid.index_of(s)
-    j = path.grid.index_of(r)
-    if i > j:
-        raise GridError(f"segment start {s} exceeds end {r}")
-    seg = path.values[i : j + 1]
-    return float(np.max(np.linalg.norm(seg, axis=1)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ hitting-time ladder, continuity in the stored pre-history, and the Monte
 Carlo moment scaling.  Each check returns a CheckReport carrying the
 worst violation it saw, so a failure localizes itself.
 
+The enumeration checks build no tables of their own: the supermartingale
+and martingale laws read game.stop_set_table (every stopping set of every
+subtree, frozen at the stop region for the martingale law), the two
+dynamic-programming identities read game.strategy_table with the horizon
+cut at envelope.stop_mask, and game.count_strategies sizes each against
+its cap before it is built.
+
 Checks are deterministic given their seeds, and each one can genuinely
 fail: corrupt_envelope and corrupt_tau build broken inputs for the
 negative tests, and the cli's --mutate flag runs the same demonstrations.
@@ -19,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import EnvelopeSolution, _stop_predicate, robust_envelope, tau_delta
+from .envelope import EnvelopeSolution, robust_envelope, stop_mask, tau_delta
 from .errors import SizeError
+from .game import count_strategies, stop_set_table, strategy_table
 from .model import DriftSpec, drift_eval, expand_tree, simulate_paths
 from .pathspace import Path, TimeGrid, dist_dinfty
 from .reward import RewardFunctional, eval_reward
@@ -240,56 +248,26 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     )
 
 
-def _frozen_stop_tables(tree, vals, froze, on_table, cap: int) -> int:
-    """Worst-case means of vals frozen at every stopping set, per node.
-
-    table(node)[r] is the backward min over controls of the expectation
-    of vals frozen at stopping set r of the subtree; entry 0 is the
-    immediate stop.  froze(node) prunes the subtree to immediate stop.
-    on_table(node, table) fires once per node, bottom-up.  Stopping sets
-    assign a choice to every child subtree across all controls, which is
-    a superset of the path-adapted rules, so checks over these tables are
-    conservative.  Returns the root table size.
-    """
-
-    def count(node) -> int:
-        if tree.is_leaf(node) or froze(node):
-            return 1
-        prod = 1
-        for kids in tree.children[node]:
-            for c in kids:
-                prod *= count(c)
-        return 1 + prod
-
-    total = count(tree.root)
+def _stop_set_check(name, tree, sol, frozen, gap, tolerance, cap) -> CheckReport:
+    """Worst gap(table, z[node]) over the stopping-set table of every node."""
+    total = count_strategies(tree, cut=frozen, stop_sets=True)
     if total > cap:
         raise SizeError(f"{total} stopping sets exceed the cap {cap}")
+    state = {"worst": -np.inf, "n": 0}
 
-    def table(node) -> np.ndarray:
-        if tree.is_leaf(node) or froze(node):
-            t = np.array([vals[node]])
-            on_table(node, t)
-            return t
-        all_kids = [c for kids in tree.children[node] for c in kids]
-        tables = [table(c) for c in all_kids]
-        sizes = [t.shape[0] for t in tables]
-        axis = {c: i for i, c in enumerate(all_kids)}
-        cont = None
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            acc = None
-            for j, c in enumerate(kids):
-                shape = [1] * len(sizes)
-                shape[axis[c]] = sizes[axis[c]]
-                term = w[j] * tables[axis[c]].reshape(shape)
-                acc = term if acc is None else acc + term
-            cont = acc if cont is None else np.minimum(cont, acc)
-        cont = np.broadcast_to(cont, sizes).reshape(-1)
-        t = np.concatenate([[vals[node]], cont])
-        on_table(node, t)
-        return t
+    def on_table(node, t):
+        state["worst"] = max(state["worst"], gap(t, sol.z[node]))
+        state["n"] += t.shape[0]
 
-    table(tree.root)
-    return total
+    stop_set_table(tree, sol.z, frozen, on_table)
+    return CheckReport(
+        name=name,
+        passed=state["worst"] <= tolerance,
+        worst=state["worst"],
+        tolerance=tolerance,
+        n_checked=state["n"],
+        details={"root_stopping_sets": total},
+    )
 
 
 def check_supermartingale(
@@ -302,20 +280,9 @@ def check_supermartingale(
     Immediate stop realizes equality, so the worst violation is >= 0 up
     to rounding.
     """
-    state = {"worst": -np.inf, "n": 0}
-
-    def on_table(node, t):
-        state["worst"] = max(state["worst"], float(np.max(t) - sol.z[node]))
-        state["n"] += t.shape[0]
-
-    root_size = _frozen_stop_tables(tree, sol.z, lambda i: False, on_table, cap)
-    return CheckReport(
-        name="supermartingale",
-        passed=state["worst"] <= tolerance,
-        worst=state["worst"],
-        tolerance=tolerance,
-        n_checked=state["n"],
-        details={"root_stopping_sets": root_size},
+    return _stop_set_check(
+        "supermartingale", tree, sol, None,
+        lambda t, z: float(np.max(t) - z), tolerance, cap,
     )
 
 
@@ -328,23 +295,9 @@ def check_martingale_to_tau(
     every enumerated worst-case mean must reproduce the node value
     exactly (within the enumeration tolerance), not just stay below it.
     """
-    flags = sol.stop
-    state = {"worst": -np.inf, "n": 0}
-
-    def on_table(node, t):
-        state["worst"] = max(state["worst"], float(np.max(np.abs(t - sol.z[node]))))
-        state["n"] += t.shape[0]
-
-    root_size = _frozen_stop_tables(
-        tree, sol.z, lambda i: bool(flags[i]), on_table, cap
-    )
-    return CheckReport(
-        name="martingale-to-tau",
-        passed=state["worst"] <= tolerance,
-        worst=state["worst"],
-        tolerance=tolerance,
-        n_checked=state["n"],
-        details={"root_stopping_sets": root_size},
+    return _stop_set_check(
+        "martingale-to-tau", tree, sol, sol.stop,
+        lambda t, z: float(np.max(np.abs(t - z))), tolerance, cap,
     )
 
 
@@ -352,47 +305,22 @@ def check_martingale_to_tau(
 # dynamic programming identities
 
 
-def _snell_strategy_tables(tree, y, z, cutoff, cap: int):
-    """One optimally-stopped value per truncated strategy.
-
-    Below the cutoff, table(node) holds the classic envelope value at
-    node for every control assignment on the truncated subtree; at the
-    cutoff (or a leaf) the horizon ends with the solver's value z[node].
-    Returns (root table, its size).
-    """
-
-    def count(node) -> int:
-        if tree.is_leaf(node) or cutoff(node):
-            return 1
-        total = 0
-        for kids in tree.children[node]:
-            prod = 1
-            for c in kids:
-                prod *= count(c)
-            total += prod
-        return total
-
-    total = count(tree.root)
+def _dpp_check(name, tree, sol, cut, tolerance, cap, details) -> CheckReport:
+    """Root value against the min over truncated strategies of the
+    optimally-stopped value that ends in the solver's z at the cut."""
+    total = count_strategies(tree, cut=cut)
     if total > cap:
         raise SizeError(f"{total} truncated strategies exceed the cap {cap}")
-
-    def table(node) -> np.ndarray:
-        if tree.is_leaf(node) or cutoff(node):
-            return np.array([z[node]])
-        parts = []
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            tabs = [table(c) for c in kids]
-            sizes = [t.shape[0] for t in tabs]
-            acc = None
-            for j, t in enumerate(tabs):
-                shape = [1] * len(sizes)
-                shape[j] = sizes[j]
-                term = w[j] * t.reshape(shape)
-                acc = term if acc is None else acc + term
-            parts.append(np.maximum(y[node], acc).reshape(-1))
-        return np.concatenate(parts)
-
-    return table(tree.root), total
+    recomputed = float(np.min(strategy_table(tree, sol.y, sol.z, cut)))
+    worst = abs(recomputed - sol.root_value())
+    return CheckReport(
+        name=name,
+        passed=worst <= tolerance,
+        worst=worst,
+        tolerance=tolerance,
+        n_checked=total,
+        details={**details, "recomputed_root": recomputed},
+    )
 
 
 def check_dpp(
@@ -411,18 +339,9 @@ def check_dpp(
     s_idx = int(s) if isinstance(s, (int, np.integer)) else tree.grid.index_of(s)
     if not tree.k[tree.root] <= s_idx <= tree.grid.n_steps:
         raise ValueError(f"cut {s_idx} outside the tree's horizon")
-    table, size = _snell_strategy_tables(
-        tree, sol.y, sol.z, lambda i: tree.k[i] >= s_idx, cap
-    )
-    recomputed = float(np.min(table))
-    worst = abs(recomputed - sol.root_value())
-    return CheckReport(
-        name="dpp-deterministic",
-        passed=worst <= tolerance,
-        worst=worst,
-        tolerance=tolerance,
-        n_checked=size,
-        details={"s": s_idx, "recomputed_root": recomputed},
+    return _dpp_check(
+        "dpp-deterministic", tree, sol, stop_mask(tree, s_idx), tolerance, cap,
+        {"s": s_idx},
     )
 
 
@@ -437,19 +356,10 @@ def check_dpp_random_horizon(
 
     nu is a grid index, a callable (k, prefix) -> bool whose first hit
     ends the horizon, or a mapping from prefix keys to booleans; leaves
-    end it regardless.
+    end it regardless (see stop_mask).
     """
-    hit = _stop_predicate(nu, tree)
-    table, size = _snell_strategy_tables(tree, sol.y, sol.z, hit, cap)
-    recomputed = float(np.min(table))
-    worst = abs(recomputed - sol.root_value())
-    return CheckReport(
-        name="dpp-random-horizon",
-        passed=worst <= tolerance,
-        worst=worst,
-        tolerance=tolerance,
-        n_checked=size,
-        details={"recomputed_root": recomputed},
+    return _dpp_check(
+        "dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, cap, {}
     )
 
 

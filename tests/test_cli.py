@@ -285,6 +285,27 @@ def test_short_drift_table_is_config_error(tmp_path, capsys):
     assert "dynamics.drift.table" in capsys.readouterr().err
 
 
+# JSON values numpy would read as numbers, and a drift row of the wrong width
+NOT_NUMBERS = {
+    "x0-string": ({**PUT_N2, "dynamics": {"x0": ["1.5"]}}, "dynamics.x0"),
+    "control-bool": (
+        {**PUT_N2, "controls": {"values": [0.5, True], "cap": 1.0}}, "controls.values"
+    ),
+    "drift-row-width": (
+        {**PUT_N2, "dynamics": {"x0": 1.0, "drift": {
+            "kind": "custom-table", "table": [[0.1, 0.2], [0.1, 0.2]]}}},
+        "dynamics.drift.table",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_malformed_config_arrays_fail_closed(tmp_path, capsys, case):
+    cfg, key = NOT_NUMBERS[case]
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_internal_error_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
     import robuststop.cli as cli
 

@@ -24,9 +24,10 @@ from robuststop import (
     paste_strategies,
     pasting_check,
     state_law,
+    terminal_abs,
     worst_case_stopped_reward,
 )
-from robuststop.game import count_strategies
+from robuststop.game import _has_prefix_collision, count_strategies
 
 
 def test_rule_count_one_step(inst_a):
@@ -157,6 +158,26 @@ def test_minimax_order_on_random_instances(rand_instance):
         report = game_values(tree, Y)
         assert report.lower <= report.upper
         assert report.agree, report.max_gap
+
+
+@pytest.mark.parametrize("n_steps, n_nodes, n_rule_maps, value", [
+    (1, 9, 2, 1.4142135623730951),
+    (2, 73, 128, 1.2071067811865475),
+])
+def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
+    # the controls share their first column, so after one step a
+    # control-0 and a control-1 child observe the same state and the
+    # lower value must enumerate prefix maps, not node-keyed stop sets
+    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
+    tree = expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
+                       DriftSpec("zero"), controls)
+    assert tree.n_nodes == n_nodes
+    assert _has_prefix_collision(tree)
+    report = game_values(tree, terminal_abs())
+    assert report.n_rule_maps == n_rule_maps
+    assert report.lower == report.upper == value
+    assert report.envelope_root == report.value_at_tau_star == value
+    assert report.agree and report.saddle
 
 
 def test_game_size_caps(put_n2):

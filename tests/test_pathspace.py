@@ -1,10 +1,8 @@
-"""Grid and path behavior: exact node times, bitwise round-trip laws,
-shift composition, and the one-sided time-path distance."""
+"""Grid and path behavior: exact node times, zero-anchored paths, the
+one-sided time-path distance, and modulus templates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from robuststop import (
     GridError,
@@ -12,14 +10,8 @@ from robuststop import (
     Path,
     PathError,
     TimeGrid,
-    concat,
     dist_dinfty,
-    prefix,
-    shift_functional,
-    sup_norm_segment,
-    truncate,
 )
-from robuststop.pathspace import truncate_at
 
 
 def test_grid_nodes_exact():
@@ -54,134 +46,12 @@ def test_grid_index_lookup():
         g.floor_index(1.5)
 
 
-def test_subgrid_times_match_parent():
-    g = TimeGrid(0.0, 1.0, 3)
-    sub = g.subgrid(1, 3)
-    assert sub.t_start == g.time(1)
-    assert sub.t_end == g.time(3)
-    assert sub.n_steps == 2
-    assert g.compatible_spacing(sub)
-
-
 def test_path_requires_zero_anchor():
     g = TimeGrid(0.0, 1.0, 1)
     with pytest.raises(PathError):
         Path(g, [0.1, 1.0])
     with pytest.raises(PathError):
         Path(g, [0.0, 1.0, 2.0])
-
-
-def test_concat_hand_examples():
-    g1, g2 = TimeGrid(0.0, 1.0, 1), TimeGrid(1.0, 2.0, 1)
-    w = concat(Path(g1, [0.0, 1.0]), Path(g2, [0.0, 2.0]))
-    assert w.values[:, 0].tolist() == [0.0, 1.0, 3.0]
-    flat = concat(Path(g1, [0.0, 1.0]), Path(g2, [0.0, 0.0]))
-    assert flat.values[:, 0].tolist() == [0.0, 1.0, 1.0]
-
-
-def test_concat_rejects_mismatches():
-    g1 = TimeGrid(0.0, 1.0, 1)
-    with pytest.raises(GridError):
-        concat(Path(g1, [0.0, 1.0]), Path(TimeGrid(1.5, 2.5, 1), [0.0, 1.0]))
-    with pytest.raises(GridError):
-        concat(Path(g1, [0.0, 1.0]), Path(TimeGrid(1.0, 1.5, 1), [0.0, 1.0]))
-    with pytest.raises(PathError):
-        concat(Path(g1, [0.0, 1.0]), Path(TimeGrid(1.0, 2.0, 1), np.zeros((2, 2))))
-
-
-def test_truncate_hand_examples():
-    w = Path(TimeGrid(0.0, 2.0, 2), [0.0, 1.0, 3.0])
-    t = truncate(w, 1.0)
-    assert t.grid.t_start == 1.0
-    assert t.values[:, 0].tolist() == [0.0, 2.0]
-    assert truncate(w, 0.0) is w
-    with pytest.raises(GridError):
-        truncate(w, 0.7)
-
-
-def test_concat_of_start_truncation_is_identity():
-    w = Path(TimeGrid(0.0, 2.0, 2), [0.0, 1.0, 3.0])
-    assert concat(prefix(w, 0), truncate(w, 0.0)) == w
-    assert concat(prefix(w, 2), truncate_at(w, 2)) == w
-
-
-# Increments on a 2^-10 lattice with bounded magnitude: every stored value
-# and every pairwise difference is then exactly representable, so the
-# round-trip and associativity laws below must hold bitwise, not just
-# approximately.
-_DYADIC = st.integers(min_value=-(2**16), max_value=2**16).map(lambda k: k * 2.0**-10)
-
-
-@st.composite
-def dyadic_paths(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    d = draw(st.integers(min_value=1, max_value=2))
-    rows = [[0.0] * d]
-    for _ in range(n):
-        rows.append([rows[-1][j] + draw(_DYADIC) for j in range(d)])
-    return Path(TimeGrid(0.0, float(n), n), np.array(rows))
-
-
-@settings(max_examples=200, deadline=None)
-@given(w=dyadic_paths(), data=st.data())
-def test_concat_truncate_roundtrip_bitwise(w, data):
-    i = data.draw(st.integers(min_value=0, max_value=w.grid.n_steps))
-    assert concat(prefix(w, i), truncate_at(w, i)) == w
-
-
-def test_roundtrip_on_simulated_increments_within_float_noise():
-    # Full-precision values are not closed under subtract-then-re-add:
-    # when w(r) - w(s) carries a larger exponent than w(r), truncation
-    # rounds past half an ulp of the target and the bit-exact law is out
-    # of reach.  Generic paths therefore get a couple-ulp guarantee; the
-    # bitwise law is covered on the dyadic lattice above.
-    rng = np.random.default_rng(2026)
-    g = TimeGrid(0.0, 1.0, 8)
-    for _ in range(250):
-        steps = rng.standard_normal((8, 2))
-        vals = np.vstack([np.zeros((1, 2)), steps]).cumsum(axis=0)
-        w = Path(g, vals)
-        for i in (1, 3, 5, 8):
-            rt = concat(prefix(w, i), truncate_at(w, i))
-            assert rt.grid == w.grid
-            assert rt.values[0, 0] == 0.0
-            scale = 1.0 + np.max(np.abs(w.values))
-            assert np.max(np.abs(rt.values - w.values)) <= 4e-16 * scale
-
-
-def test_shift_terminal_and_constant():
-    pre = Path(TimeGrid(0.0, 1.0, 1), [0.0, 1.0])
-    terminal = lambda p: p.values[-1, 0]
-    shifted = shift_functional(terminal, 1.0, pre)
-    assert shifted(Path(TimeGrid(1.0, 2.0, 1), [0.0, 0.25])) == 1.25
-    const = shift_functional(lambda p: 3.0, 1.0, pre)
-    assert const(Path(TimeGrid(1.0, 2.0, 1), [0.0, -5.0])) == 3.0
-
-
-def test_shift_running_max_keeps_prefix_peak():
-    pre = Path(TimeGrid(0.0, 1.0, 1), [0.0, 2.0])
-    running_max = lambda p: float(np.max(p.values[:, 0]))
-    shifted = shift_functional(running_max, 1.0, pre)
-    # suffix peaks at 2 - 0.5 = 1.5 absolute, below the prefix peak
-    assert shifted(Path(TimeGrid(1.0, 2.0, 1), [0.0, -0.5])) == 2.0
-
-
-def test_shift_composition_law_exact():
-    rng = np.random.default_rng(7)
-    g01 = TimeGrid(0.0, 1.0, 2)
-    g12 = TimeGrid(1.0, 2.0, 2)
-    g23 = TimeGrid(2.0, 3.0, 2)
-
-    def draw_path(grid):
-        steps = rng.integers(-(2**16), 2**16, size=(grid.n_steps, 1)) * 2.0**-10
-        return Path(grid, np.vstack([np.zeros((1, 1)), steps]).cumsum(axis=0))
-
-    xi = lambda p: float(np.max(np.abs(p.values))) + float(p.values[-1, 0])
-    for _ in range(1000):
-        w, wt, tail = draw_path(g01), draw_path(g12), draw_path(g23)
-        twice = shift_functional(shift_functional(xi, 1.0, w), 2.0, wt)
-        once = shift_functional(xi, 2.0, concat(w, wt))
-        assert twice(tail) == once(tail)
 
 
 def test_dist_identical_pairs_vanish():
@@ -214,15 +84,6 @@ def test_dist_rejects_reversed_times():
     w = Path(TimeGrid(0.0, 1.0, 1), [0.0, 1.0])
     with pytest.raises(GridError):
         dist_dinfty(1.0, w, 0.0, w)
-
-
-def test_sup_norm_segment():
-    w = Path(TimeGrid(0.0, 2.0, 2), [0.0, 1.0, -3.0])
-    assert sup_norm_segment(w, 0.0, 2.0) == 3.0
-    assert sup_norm_segment(w, 1.0, 1.0) == 1.0
-    assert sup_norm_segment(Path(TimeGrid(0.0, 2.0, 2), np.zeros(3)), 0.0, 2.0) == 0.0
-    with pytest.raises(GridError):
-        sup_norm_segment(w, 2.0, 1.0)
 
 
 def test_modulus_kinds():
