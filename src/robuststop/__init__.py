@@ -45,12 +45,10 @@ from .model import (
     DriftSpec,
     PathSample,
     ScenarioTree,
-    StepKernel,
     drift_eval,
     expand_tree,
     prefix_key,
     simulate_paths,
-    step_kernel,
 )
 from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
 from .reward import (

@@ -33,7 +33,7 @@ import numpy as np
 
 from .envelope import classic_snell, robust_envelope
 from .errors import ConfigError
-from .game import game_values
+from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
 from .model import ControlSet, DriftSpec, expand_tree, state_norms, DEFAULT_NODE_CAP
 from .pathspace import ModulusSpec, TimeGrid
 from .reward import (
@@ -179,7 +179,7 @@ def _finite_array(v, what: str) -> np.ndarray:
     return a
 
 
-def _num(sec: dict, section: str, key: str, default=None, integer=False):
+def _num(sec: dict, section: str, key: str, default=None, integer=False, minimum=None):
     if key not in sec:
         return default
     v = sec[key]
@@ -188,16 +188,22 @@ def _num(sec: dict, section: str, key: str, default=None, integer=False):
     if integer:
         if isinstance(v, float) and not v.is_integer():
             raise ConfigError(f"{section}.{key} must be an integer, got {v!r}")
-        return int(v)
-    return _finite(v, f"{section}.{key}")
+        out = int(v)
+    else:
+        out = _finite(v, f"{section}.{key}")
+    if minimum is not None and out < minimum:
+        raise ConfigError(f"{section}.{key} must be >= {minimum}, got {v!r}")
+    return out
 
 
 def build_grid(cfg: dict) -> TimeGrid:
     sec = _section(cfg, "grid", required=("t_end", "n_steps"))
-    n = _num(sec, "grid", "n_steps", integer=True)
-    if n < 1:
-        raise ConfigError(f"grid.n_steps must be >= 1, got {n}")
-    return TimeGrid(_num(sec, "grid", "t_start", 0.0), _num(sec, "grid", "t_end"), n)
+    n = _num(sec, "grid", "n_steps", integer=True, minimum=1)
+    t_start = _num(sec, "grid", "t_start", 0.0, minimum=0)
+    t_end = _num(sec, "grid", "t_end")
+    if not t_end > t_start:
+        raise ConfigError(f"grid.t_end must exceed grid.t_start, got [{t_start}, {t_end}]")
+    return TimeGrid(t_start, t_end, n)
 
 
 def build_dynamics(cfg: dict, grid: TimeGrid, dim: int):
@@ -284,16 +290,18 @@ def build_reward(cfg: dict, grid: TimeGrid) -> RewardFunctional:
 
 def build_solver(cfg: dict) -> dict:
     sec = _section(cfg, "solver")
-    out = {
-        "delta": _num(sec, "solver", "delta", 0.0),
-        "tolerance": _num(sec, "solver", "tolerance", 1e-9),
-        "node_cap": _num(sec, "solver", "node_cap", DEFAULT_NODE_CAP, integer=True),
-        "strategy_cap": _num(sec, "solver", "strategy_cap", 1_000_000, integer=True),
-        "stop_time_cap": _num(sec, "solver", "stop_time_cap", 500_000, integer=True),
-        "rule_prefix_cap": _num(sec, "solver", "rule_prefix_cap", 22, integer=True),
+    caps = {
+        "node_cap": DEFAULT_NODE_CAP,
+        "strategy_cap": STRATEGY_CAP,
+        "stop_time_cap": STOP_TIME_CAP,
+        "rule_prefix_cap": RULE_PREFIX_CAP,
     }
-    if out["delta"] < 0:
-        raise ConfigError(f"solver.delta must be >= 0, got {out['delta']}")
+    out = {
+        "delta": _num(sec, "solver", "delta", 0.0, minimum=0),
+        "tolerance": _num(sec, "solver", "tolerance", 1e-9, minimum=0),
+    }
+    for key, default in caps.items():
+        out[key] = _num(sec, "solver", key, default, integer=True, minimum=1)
     return out
 
 
@@ -497,8 +505,10 @@ def _parse_suite(spec: str) -> list:
 def _run_check(name, cfg, inst, seed: int, mutate: bool):
     grid, x0, drift, controls, Y, solver, tree, sol = inst
     vcfg = _section(cfg, "verify")
-    n_samples = _num(vcfg, "verify", "n_samples", 10_000, integer=True)
+    n_samples = _num(vcfg, "verify", "n_samples", 10_000, integer=True, minimum=1)
     spread = _num(vcfg, "verify", "spread", 1.0)
+    if not spread > 0:
+        raise ConfigError(f"verify.spread must be > 0, got {spread}")
 
     if name == "y1":
         target = Y
@@ -550,7 +560,9 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         return vf.check_tau_monotone(target)
     if name == "prehistory":
         split = _num(vcfg, "verify", "split", min(1, grid.n_steps), integer=True)
-        pairs = _num(vcfg, "verify", "prehistory_pairs", 12, integer=True)
+        if not 0 <= split <= grid.n_steps:
+            raise ConfigError(f"verify.split must lie in [0, {grid.n_steps}]")
+        pairs = _num(vcfg, "verify", "prehistory_pairs", 12, integer=True, minimum=1)
         # with a path-independent drift the reward's own modulus transfers
         # to the root value; otherwise fit and report
         rho1 = Y.modulus if drift.kind in ("zero", "custom-table") else None
@@ -561,8 +573,8 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
             x0=x0, n_pairs=pairs, spread=spread, rho1=rho1, seed=seed,
         )
     if name == "moments":
-        steps = _num(vcfg, "verify", "moments_steps", 16, integer=True)
-        paths = _num(vcfg, "verify", "moments_paths", 100_000, integer=True)
+        steps = _num(vcfg, "verify", "moments_steps", 16, integer=True, minimum=1)
+        paths = _num(vcfg, "verify", "moments_paths", 100_000, integer=True, minimum=1)
         kwargs = {"u": controls[0], "n_steps": steps, "n_paths": paths, "seed": seed}
         if mutate:
             # constant unit push with an understated declared bound
@@ -636,10 +648,10 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     if not 0 < lo <= hi:
         raise ConfigError(f"need 0 < sigma_lo <= sigma_hi, got [{lo}, {hi}]")
     t_end = _num(sec, "demo", "t_end", 1.0)
-    n_steps = _num(sec, "demo", "n_steps", 3, integer=True)
-    widenings = _num(sec, "demo", "widenings", 4, integer=True)
-    if n_steps < 1 or widenings < 1:
-        raise ConfigError("demo.n_steps and demo.widenings must be >= 1")
+    if not t_end > 0:
+        raise ConfigError(f"demo.t_end must be > 0, got {t_end}")
+    n_steps = _num(sec, "demo", "n_steps", 3, integer=True, minimum=1)
+    widenings = _num(sec, "demo", "widenings", 4, integer=True, minimum=1)
 
     grid = TimeGrid(0.0, t_end, n_steps)
     drift = DriftSpec("zero")

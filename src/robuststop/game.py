@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import (
+    _y_array,
     backward_sweep,
     classic_snell,
     control_index_at,
@@ -49,7 +50,7 @@ from .envelope import (
 )
 from .errors import PartitionError, RuleError, SizeError, StrategyError
 from .model import prefix_key
-from .reward import RewardFunctional, reward_values
+from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it here
 
 __all__ = [
     "StoppingRule",
@@ -212,12 +213,6 @@ def enumerate_strategies(tree, cap: int = STRATEGY_CAP, from_node: int | None = 
 
     for assignments in gen(start):
         yield ControlStrategy(tree, assignments)
-
-
-def _y_array(tree, Y) -> np.ndarray:
-    if isinstance(Y, RewardFunctional):
-        return reward_values(tree, Y)
-    return np.asarray(Y, dtype=np.float64)
 
 
 def expected_reward(tree, strategy, rule, Y) -> float:

@@ -17,7 +17,9 @@ both the drift and the rewards downstream may look at the whole history,
 so merging nodes would be unsound.  A tree is stored level by level as
 numpy arrays (one prefix block per time index), and expansion, reward
 evaluation and the worst-case sweep each run one vectorised step per
-level.
+level.  drift_eval is the one evaluator of every drift kind: expansion
+and the path simulator call it once per level on a stack of prefixes,
+and the sampled checks on stacks of sampled prefixes.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ from .pathspace import Path, TimeGrid
 __all__ = [
     "DriftSpec",
     "ControlSet",
-    "StepKernel",
     "ScenarioTree",
     "PathSample",
     "drift_eval",
-    "step_kernel",
     "expand_tree",
     "simulate_paths",
     "prefix_key",
@@ -82,43 +82,32 @@ class DriftSpec:
             raise ValueError("custom-table drift needs a table of per-step drift vectors")
 
 
-def drift_eval(spec: DriftSpec, k: int, prefix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Drift vector at time index k given the state prefix (length k+1).
+def drift_eval(spec: DriftSpec, k: int, prefix, u) -> np.ndarray:
+    """Drift at time index k on a state prefix of k+1 values.
 
-    u is the control in force; no drift kind depends on it.
+    prefix is one prefix, of shape (k+1, d) or (k+1,), and gives a (d,)
+    vector; or a stack of n prefixes of shape (n, k+1, d), and gives an
+    (n, d) array.  u is the control in force, one matrix or one per
+    prefix of a stack; no drift kind reads it, so a caller that shares
+    one drift across every control passes None.
     """
-    prefix = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
-    if prefix.shape[0] != k + 1:
-        raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {prefix.shape[0]}")
-    d = prefix.shape[1]
+    p = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
+    block = p[None] if p.ndim == 2 else p
+    n, m, d = block.shape
+    if m != k + 1:
+        raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
     if spec.kind == "zero":
-        return np.zeros(d)
-    if spec.kind == "mean-reversion":
-        return spec.rate * (spec.level - prefix[-1])
-    if spec.kind == "running-max":
-        m = np.max(prefix, axis=0)
-        return -np.minimum(spec.kappa, m)
-    return _table_row(spec, k, d)
-
-
-def _table_row(spec: DriftSpec, k: int, d: int) -> np.ndarray:
-    out = np.asarray(spec.table[k], dtype=np.float64).reshape(d)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"custom drift returned non-finite value at k={k}")
-    return out
-
-
-def _drift_block(spec: DriftSpec, k: int, values: np.ndarray) -> np.ndarray:
-    """Vectorized drift over a block: values has shape (n, k+1, d)."""
-    n, _, d = values.shape
-    if spec.kind == "zero":
-        return np.zeros((n, d))
-    if spec.kind == "mean-reversion":
-        return spec.rate * (spec.level - values[:, -1, :])
-    if spec.kind == "running-max":
-        m = np.max(values, axis=1)
-        return -np.minimum(spec.kappa, m)
-    return np.broadcast_to(_table_row(spec, k, d), (n, d))
+        out = np.zeros((n, d))
+    elif spec.kind == "mean-reversion":
+        out = spec.rate * (spec.level - block[:, -1, :])
+    elif spec.kind == "running-max":
+        out = -np.minimum(spec.kappa, np.max(block, axis=1))
+    else:
+        row = np.asarray(spec.table[k], dtype=np.float64).reshape(d)
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"custom drift returned non-finite value at k={k}")
+        out = np.full((n, d), row)
+    return out[0] if p.ndim == 2 else out
 
 
 class ControlSet:
@@ -178,44 +167,13 @@ class ControlSet:
         return f"ControlSet({len(self)} matrices, d={self.dim}, cap={self.cap})"
 
 
-@dataclass(frozen=True)
-class StepKernel:
-    """One-step increment distribution: finitely many (increment, weight)."""
-
-    increments: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        inc = np.atleast_2d(np.asarray(self.increments, dtype=np.float64).T).T
-        w = np.asarray(self.weights, dtype=np.float64)
-        if inc.shape[0] != w.shape[0]:
-            raise ValueError("support and weights length mismatch")
-        if np.any(w <= 0):
-            raise ValueError("kernel weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > 1e-15 * inc.shape[0]:
-            raise ValueError(f"kernel weights sum to {np.sum(w)}, not 1")
-        inc.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def branching(self) -> int:
-        return self.increments.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.increments
-
-    def covariance(self) -> np.ndarray:
-        centered = self.increments - self.mean()
-        return (centered.T * self.weights) @ centered
-
-
-def _control_kernel(u, dt: float) -> StepKernel:
+def _control_kernel(u, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Driftless kernel of one control: increments +c_0, -c_0, +c_1, ...
+    of shape (2d, d) and their weights, each 1 / (2d).
 
     For d = 1, c_0 = u * sqrt(dt); for d > 1, c_j is column j of u
-    scaled by sqrt(d * dt).  Adding the drift shift gives shift + c_j and
+    scaled by sqrt(d * dt), so the increments have mean zero and
+    covariance u u^T dt.  Adding the drift shift gives shift + c_j and
     shift + (-c_j), bit for bit the same as shift - c_j.
     """
     if dt <= 0:
@@ -234,29 +192,7 @@ def _control_kernel(u, dt: float) -> StepKernel:
     inc = np.empty((2 * d, d))
     inc[0::2] = cols
     inc[1::2] = -cols
-    return StepKernel(inc, np.full(2 * d, 1.0 / (2 * d)))
-
-
-def step_kernel(
-    spec: DriftSpec,
-    k: int,
-    prefix: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    branching=2,
-) -> StepKernel:
-    """Two-point (d=1) or 2d-point (d>1) kernel matching mean b*dt and
-    covariance u*u^T*dt at one node.
-
-    branching must equal 2 for d = 1 and 2d for d > 1; None skips the
-    check.
-    """
-    kern = _control_kernel(u, dt)
-    if branching is not None and branching != kern.branching:
-        d = kern.increments.shape[1]
-        raise ValueError(f"d={d} kernels use branching {kern.branching}, got {branching}")
-    shift = drift_eval(spec, k, prefix, u) * dt
-    return StepKernel(shift + kern.increments, kern.weights)
+    return inc, np.full(2 * d, 1.0 / (2 * d))
 
 
 def prefix_key(k: int, values: np.ndarray) -> tuple:
@@ -429,8 +365,9 @@ def expand_tree(
     of shape (k0+1, d) covering grid nodes 0..k0) when resuming from a
     later time.  Every interior node gets |controls| * branching children,
     one per (control, outcome) pair, with branching 2 for d = 1 and 2d
-    for d > 1.  Child states are x + (b * dt + c) for each kernel
-    increment c of step_kernel, one vectorised step per level.
+    for d > 1.  Child states are x + (b * dt + c) for each increment c
+    of the control's kernel, with the drift b from one drift_eval call on
+    the level's prefix block.
     """
     d = controls.dim
     if init_prefix is not None:
@@ -452,8 +389,8 @@ def expand_tree(
 
     dt = grid.dt
     kernels = [_control_kernel(u, dt) for u in controls]
-    increments = np.array([kern.increments for kern in kernels])  # (C, B, d)
-    weights = np.array([kern.weights for kern in kernels])  # (C, B)
+    increments = np.array([inc for inc, _ in kernels])  # (C, B, d)
+    weights = np.array([w for _, w in kernels])  # (C, B)
     weights.setflags(write=False)
     fanout = weights.size
     projected = _projected_node_count(grid.n_steps - k0, fanout)
@@ -468,7 +405,7 @@ def expand_tree(
     for k in range(k0, grid.n_steps):
         prev = blocks[-1]
         n = prev.shape[0]
-        shift = _drift_block(drift, k, prev) * dt
+        shift = drift_eval(drift, k, prev, None) * dt
         step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
         block = np.empty((n * fanout, k + 2, d))
         view = block.reshape(n, fanout, k + 2, d)
@@ -551,7 +488,7 @@ def simulate_paths(
             u = np.asarray(control_at(k, block[:, : k + 1, :]), dtype=np.float64)
             if u.ndim == 0:
                 u = u.reshape(1, 1)
-            b = _drift_block(drift, k, block[:, : k + 1, :])
+            b = drift_eval(drift, k, block[:, : k + 1, :], u)
             block[:, k + 1, :] = (
                 block[:, k, :] + b * dt + (noise[:, k, :] @ u.T) * sqdt
             )

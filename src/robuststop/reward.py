@@ -4,6 +4,9 @@ A reward Y assigns a real payoff to every (time index, state prefix).
 Evaluation happens on absolute levels: the canonical zero-anchored path is
 shifted by the base level x0, and an optional stored pre-history path is
 spliced in front, so Y sees the whole concatenated trajectory.
+eval_reward is the one evaluator of every kind: it takes a single prefix
+or a stack of prefixes of one length, and reward_values calls it once
+per tree level.
 
 Every functional declares a one-sided continuity modulus (how much Y can
 exceed its value at a later, nearby time-path pair) and a finite lower
@@ -78,65 +81,20 @@ class RewardFunctional:
             raise ValueError(f"{self.kind} needs scale >= 0 to stay bounded below")
 
 
-def _absolute_track(Y: RewardFunctional, k: int, prefix, pre_history: Path | None):
-    """Absolute path values through the evaluation node.
+def eval_reward(Y: RewardFunctional, k: int, prefix, pre_history: Path | None = None):
+    """Payoff at time index k on a state prefix of k+1 values.
 
-    Returns (values, idx): values is the spliced absolute trajectory,
-    idx the index of the current node within it.
+    prefix is one prefix, of shape (k+1, d) or (k+1,), and gives a float;
+    or a stack of n prefixes of shape (n, k+1, d), and gives n payoffs.
+    With pre_history, the stored path is spliced in front: each prefix's
+    increments continue from its last value.  A custom-table callable is
+    called once per prefix on its absolute track.
     """
     p = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
-    if p.shape[0] != k + 1:
-        raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {p.shape[0]}")
-    if pre_history is None:
-        return Y.base + p, k
-    if pre_history.dim != p.shape[1]:
-        raise ValueError("pre-history dim differs from prefix dim")
-    pre = pre_history.values
-    spliced = np.concatenate([pre, pre[-1] + p[1:]], axis=0)
-    return Y.base + spliced, pre.shape[0] - 1 + k
-
-
-def eval_reward(
-    Y: RewardFunctional, k: int, prefix, pre_history: Path | None = None
-) -> float:
-    """Payoff at time index k on the given state prefix (length k+1)."""
-    track, idx = _absolute_track(Y, k, prefix, pre_history)
-    d = track.shape[1]
-    if Y.kind == "constant":
-        return float(Y.scale)
-    if Y.kind == "terminal-abs":
-        return float(Y.scale * np.linalg.norm(track[idx]))
-    if Y.kind == "custom-table":
-        return float(Y.table(k, track[: idx + 1]))
-    if d != 1:
-        raise ValueError(f"{Y.kind} is a scalar-path reward, got dim {d}")
-    if Y.kind == "american-put":
-        return float(Y.scale * max(Y.strike - track[idx, 0], 0.0))
-    if Y.kind == "lookback-max":
-        return float(Y.scale * np.max(track[: idx + 1, 0]))
-    # running-sum
-    return float(Y.scale * np.sum(track[: idx + 1, 0]))
-
-
-def reward_values(tree, Y: RewardFunctional, pre_history: Path | None = None) -> np.ndarray:
-    """Y evaluated at every tree node, indexed by node id.
-
-    All envelope and game sweeps share this array so their comparisons see
-    bit-identical payoffs.  Catalog kinds are evaluated one tree level at a
-    time, with the same floating-point operations eval_reward performs on
-    each node; custom-table callables are called node by node.
-    """
-    if Y.kind == "custom-table":
-        out = np.empty(tree.n_nodes)
-        for i in range(tree.n_nodes):
-            out[i] = eval_reward(Y, tree.k[i], tree.prefixes[i], pre_history)
-        return out
-    return np.concatenate([_level_rewards(Y, block, pre_history) for block in tree.blocks])
-
-
-def _level_rewards(Y: RewardFunctional, block: np.ndarray, pre_history: Path | None):
-    """Catalog payoff at every row of a prefix block of shape (n, k+1, d)."""
-    n, _, d = block.shape
+    block = p[None] if p.ndim == 2 else p
+    n, m, d = block.shape
+    if m != k + 1:
+        raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
     if pre_history is None:
         track = Y.base + block
     else:
@@ -146,23 +104,44 @@ def _level_rewards(Y: RewardFunctional, block: np.ndarray, pre_history: Path | N
         track = Y.base + np.concatenate(
             [np.broadcast_to(pre, (n,) + pre.shape), pre[-1] + block[:, 1:, :]], axis=1
         )
+    out = _payoffs(Y, k, track)
+    return float(out[0]) if p.ndim == 2 else out
+
+
+def _payoffs(Y: RewardFunctional, k: int, track: np.ndarray) -> np.ndarray:
+    """Payoff of every absolute track in a stack of shape (n, m, d)."""
+    n, _, d = track.shape
     if Y.kind == "constant":
         return np.full(n, float(Y.scale))
     if Y.kind == "terminal-abs":
         return Y.scale * state_norms(track[:, -1, :])
+    if Y.kind == "custom-table":
+        return np.array([float(Y.table(k, row)) for row in track])
     if d != 1:
         raise ValueError(f"{Y.kind} is a scalar-path reward, got dim {d}")
-    # contiguous rows, so np.max and np.sum reduce each row as they reduce
-    # the single track in eval_reward
+    # contiguous rows, so np.max and np.sum reduce each row as they
+    # reduce a single track
     track = np.ascontiguousarray(track[:, :, 0])
     if Y.kind == "american-put":
         gap = Y.strike - track[:, -1]
-        # Python's max(gap, 0.0): keeps gap unless 0.0 is strictly larger
+        # keeps gap unless 0.0 is strictly larger, so a -0.0 gap stays
         return Y.scale * np.where(0.0 > gap, 0.0, gap)
     if Y.kind == "lookback-max":
         return Y.scale * np.max(track, axis=1)
     # running-sum
     return Y.scale * np.sum(track, axis=1)
+
+
+def reward_values(tree, Y: RewardFunctional, pre_history: Path | None = None) -> np.ndarray:
+    """Y evaluated at every tree node, indexed by node id.
+
+    All envelope and game sweeps share this array so their comparisons see
+    bit-identical payoffs.  Each tree level is one eval_reward call on its
+    prefix block.
+    """
+    return np.concatenate([
+        eval_reward(Y, tree.k0 + l, block, pre_history) for l, block in enumerate(tree.blocks)
+    ])
 
 
 @dataclass(frozen=True)

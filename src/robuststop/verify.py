@@ -28,8 +28,14 @@ import numpy as np
 
 from .envelope import EnvelopeSolution, robust_envelope, stop_mask, tau_delta
 from .errors import SizeError
-from .game import count_strategies, stop_set_table, strategy_table
-from .model import DriftSpec, drift_eval, expand_tree, simulate_paths
+from .game import (
+    STOP_TIME_CAP,
+    STRATEGY_CAP,
+    count_strategies,
+    stop_set_table,
+    strategy_table,
+)
+from .model import DriftSpec, drift_eval, expand_tree, simulate_paths, state_norms
 from .pathspace import Path, TimeGrid, dist_dinfty
 from .reward import RewardFunctional, eval_reward
 
@@ -50,10 +56,6 @@ __all__ = [
     "corrupt_envelope",
     "corrupt_tau",
 ]
-
-STOP_TABLE_CAP = 500_000
-STRATEGY_TABLE_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -99,6 +101,27 @@ def _jsonable(obj):
 
 # ---------------------------------------------------------------------------
 # sampled regularity checks
+
+# Draws are evaluated in chunks of this many, one stacked call per time
+# index: a call per draw costs more than a stacked one, and stacking
+# every draw at once holds all their prefixes in memory.
+SAMPLE_CHUNK = 512
+
+
+def _stacked(fn, ks, *columns) -> np.ndarray:
+    """fn(k, *stacks) once per distinct time index k, on the stacked
+    entries of each column drawn at k, with the results put back in draw
+    order.  max() over them is then the same as over per-draw values."""
+    groups = {}
+    for i, k in enumerate(ks):
+        groups.setdefault(k, []).append(i)
+    out = None
+    for k, idx in groups.items():
+        vals = fn(k, *(np.stack([col[i] for i in idx]) for col in columns))
+        if out is None:
+            out = np.empty((len(ks),) + vals.shape[1:])
+        out[idx] = vals
+    return out
 
 
 def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
@@ -147,15 +170,18 @@ def check_y1(
     paths on one grid and k1 <= k2.
     """
     rng = np.random.default_rng(seed)
+    reward = lambda k, block: eval_reward(Y, k, block)
     worst = -np.inf
-    for _ in range(n):
-        k1, om1, k2, om2 = sampler(rng)
-        grid = om1.grid
-        lhs = eval_reward(Y, k1, om1.values[: k1 + 1]) - eval_reward(
-            Y, k2, om2.values[: k2 + 1]
-        )
-        rhs = Y.modulus(dist_dinfty(grid.time(k1), om1, grid.time(k2), om2))
-        worst = max(worst, lhs - rhs)
+    for start in range(0, n, SAMPLE_CHUNK):
+        draws = [sampler(rng) for _ in range(min(SAMPLE_CHUNK, n - start))]
+        k1, om1, k2, om2 = zip(*draws)
+        lhs = _stacked(reward, k1, [om.values[: k + 1] for k, om in zip(k1, om1)])
+        lhs -= _stacked(reward, k2, [om.values[: k + 1] for k, om in zip(k2, om2)])
+        rhs = [
+            Y.modulus(dist_dinfty(a.grid.time(ka), a, a.grid.time(kb), b))
+            for ka, a, kb, b in draws
+        ]
+        worst = max([worst] + (lhs - rhs).tolist())
     return CheckReport(
         name="y1",
         passed=worst <= tolerance,
@@ -203,19 +229,26 @@ def check_drift(
     """
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(n):
-        k, p1, p2, u = sampler(rng)
-        a1 = np.atleast_2d(np.asarray(p1, dtype=np.float64).T).T
-        a2 = np.atleast_2d(np.asarray(p2, dtype=np.float64).T).T
-        um = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        unorm = float(np.linalg.norm(um, 2))
-        b0 = drift_eval(spec, k, np.zeros_like(a1), u)
-        growth = float(np.linalg.norm(b0)) - spec.kappa * (1.0 + unorm)
-        b1 = drift_eval(spec, k, a1, u)
-        b2 = drift_eval(spec, k, a2, u)
-        sup = float(np.max(np.linalg.norm(a1 - a2, axis=1)))
-        lip = float(np.linalg.norm(b1 - b2)) - spec.kappa * sup
-        worst = max(worst, growth, lip)
+    for start in range(0, n, SAMPLE_CHUNK):
+        ks, a1, a2, um = [], [], [], []
+        for _ in range(min(SAMPLE_CHUNK, n - start)):
+            k, p1, p2, u = sampler(rng)
+            ks.append(k)
+            a1.append(np.atleast_2d(np.asarray(p1, dtype=np.float64).T).T)
+            a2.append(np.atleast_2d(np.asarray(p2, dtype=np.float64).T).T)
+            um.append(np.atleast_2d(np.asarray(u, dtype=np.float64)))
+        unorm = np.array([np.linalg.norm(m, 2) for m in um])
+        b0 = _stacked(lambda k, a, u: drift_eval(spec, k, np.zeros_like(a), u), ks, a1, um)
+        growth = state_norms(b0) - spec.kappa * (1.0 + unorm)
+        b1 = _stacked(lambda k, a, u: drift_eval(spec, k, a, u), ks, a1, um)
+        b2 = _stacked(lambda k, a, u: drift_eval(spec, k, a, u), ks, a2, um)
+        sup = _stacked(
+            lambda k, a, b: np.max(np.linalg.norm(a - b, axis=2), axis=1), ks, a1, a2
+        )
+        lip = state_norms(b1 - b2) - spec.kappa * sup
+        # scan growth_0, lip_0, growth_1, ...: the order of a per-draw
+        # max(worst, growth, lip), so ties between 0.0 and -0.0 resolve alike
+        worst = max([worst] + np.column_stack([growth, lip]).ravel().tolist())
     return CheckReport(
         name="drift-bounds",
         passed=worst <= tolerance,
@@ -271,7 +304,7 @@ def _stop_set_check(name, tree, sol, frozen, gap, tolerance, cap) -> CheckReport
 
 
 def check_supermartingale(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TABLE_CAP
+    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TIME_CAP
 ) -> CheckReport:
     """Worst-case means of the stopped envelope never exceed the envelope.
 
@@ -287,7 +320,7 @@ def check_supermartingale(
 
 
 def check_martingale_to_tau(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TABLE_CAP
+    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TIME_CAP
 ) -> CheckReport:
     """The envelope is flat, in the worst-case mean, up to the meeting time.
 
@@ -328,7 +361,7 @@ def check_dpp(
     sol: EnvelopeSolution,
     s,
     tolerance: float = 1e-9,
-    cap: int = STRATEGY_TABLE_CAP,
+    cap: int = STRATEGY_CAP,
 ) -> CheckReport:
     """One-step-at-a-time identity against the truncated game.
 
@@ -350,7 +383,7 @@ def check_dpp_random_horizon(
     sol: EnvelopeSolution,
     nu,
     tolerance: float = 1e-9,
-    cap: int = STRATEGY_TABLE_CAP,
+    cap: int = STRATEGY_CAP,
 ) -> CheckReport:
     """Same identity with the horizon cut at a hitting time.
 

@@ -316,3 +316,46 @@ def test_internal_error_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", write_config(tmp_path, INST_A)]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# (command, suite, config, key named): counts and caps below 1, a
+# non-positive spread or tolerance, a split off the grid, an empty grid
+OUT_OF_RANGE = {
+    "n-samples-0": ("verify", "y1", {"verify": {"n_samples": 0}}, "verify.n_samples"),
+    "prehistory-pairs-0": (
+        "verify", "prehistory", {"verify": {"prehistory_pairs": 0}},
+        "verify.prehistory_pairs",
+    ),
+    "moments-steps-0": (
+        "verify", "moments", {"verify": {"moments_steps": 0}}, "verify.moments_steps"
+    ),
+    "moments-paths-0": (
+        "verify", "moments", {"verify": {"moments_paths": 0}}, "verify.moments_paths"
+    ),
+    "split-past-grid": ("verify", "prehistory", {"verify": {"split": 5}}, "verify.split"),
+    "spread-negative": ("verify", "drift", {"verify": {"spread": -1}}, "verify.spread"),
+    "t-end-equals-t-start": (
+        "solve", None, {"grid": {"t_start": 0.5, "t_end": 0.5, "n_steps": 2}},
+        "grid.t_end",
+    ),
+    "tolerance-negative": ("oracle", None, {"solver": {"tolerance": -1}}, "solver.tolerance"),
+    "strategy-cap-negative": (
+        "oracle", None, {"solver": {"strategy_cap": -5}}, "solver.strategy_cap"
+    ),
+    "stop-time-cap-0": ("oracle", None, {"solver": {"stop_time_cap": 0}}, "solver.stop_time_cap"),
+    "rule-prefix-cap-0": (
+        "oracle", None, {"solver": {"rule_prefix_cap": 0}}, "solver.rule_prefix_cap"
+    ),
+    "node-cap-0": ("solve", None, {"solver": {"node_cap": 0}}, "solver.node_cap"),
+    "demo-t-end-0": ("demo", None, {"demo": {**DEMO_SMALL["demo"], "t_end": 0}}, "demo.t_end"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_numbers_fail_closed(tmp_path, capsys, case):
+    command, suite, override, key = OUT_OF_RANGE[case]
+    argv = [command, "--config", write_config(tmp_path, {**PUT_N2, **override})]
+    if suite is not None:
+        argv += ["--suite", suite, "--threads", "1"]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""Controlled dynamics: drift evaluation, control menus, two-point step
-kernels, scenario-tree expansion, and the path simulator."""
+"""Controlled dynamics: drift evaluation, control menus, the increment
+kernels of the first expanded level, scenario-tree expansion, and the
+path simulator."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from robuststop import (
     expand_tree,
     prefix_key,
     simulate_paths,
-    step_kernel,
 )
 from robuststop.model import state_norms
 
@@ -68,24 +68,38 @@ def test_control_set_matrix_controls():
         ControlSet([np.array([[1.0, 0.8], [-0.8, 1.0]])], cap=2.0)
 
 
-def test_step_kernel_moments():
-    u = np.array([[0.7]])
+def _first_level_moments(tree):
+    """Weights, mean and covariance of the root's increments under
+    control 0, read off the first expanded level."""
+    w = tree.weights[0]
+    inc = tree.states_at(tree.k0 + 1)[: w.size] - tree.state(tree.root)
+    mean = w @ inc
+    centered = inc - mean
+    return w, mean, (centered.T * w) @ centered
+
+
+def test_first_level_kernel_moments():
     dt = 0.25
     spec = DriftSpec("mean-reversion", kappa=1.0, rate=0.6, level=0.0)
-    p = np.array([[0.5]])
-    kern = step_kernel(spec, 0, p, u, dt)
-    assert kern.weights.tolist() == [0.5, 0.5]
+    tree = expand_tree(TimeGrid(0.0, dt, 1), 0.5, spec, ControlSet([0.7], cap=1.0))
+    w, mean, cov = _first_level_moments(tree)
+    assert w.tolist() == [0.5, 0.5]
     b = 0.6 * (0.0 - 0.5)
-    assert np.allclose(kern.mean(), [b * dt], atol=1e-15)
-    assert np.allclose(kern.covariance(), [[0.49 * dt]], atol=1e-12)
+    assert np.allclose(mean, [b * dt], atol=1e-15)
+    assert np.allclose(cov, [[0.49 * dt]], atol=1e-12)
 
 
-def test_step_kernel_matrix_covariance():
+def test_first_level_kernel_matrix_covariance():
+    dt = 0.5
     u = np.array([[1.0, 0.3], [0.3, 0.8]])
-    kern = step_kernel(DriftSpec("zero"), 0, np.zeros((1, 2)), u, 0.5, branching=4)
-    assert np.allclose(kern.covariance(), u @ u.T * 0.5, atol=1e-12)
-    with pytest.raises(ValueError):
-        step_kernel(DriftSpec("zero"), 0, np.zeros((1, 2)), u, 0.5, branching=2)
+    spec = DriftSpec("mean-reversion", kappa=1.0, rate=0.4, level=0.2)
+    x0 = np.array([0.5, -1.0])
+    tree = expand_tree(TimeGrid(0.0, dt, 1), x0, spec, ControlSet([u], cap=2.0))
+    assert tree.branching == 4
+    w, mean, cov = _first_level_moments(tree)
+    assert w.tolist() == [0.25] * 4
+    assert np.allclose(mean, 0.4 * (0.2 - x0) * dt, atol=1e-15)
+    assert np.allclose(cov, u @ u.T * dt, atol=1e-12)
 
 
 def test_state_norms_match_per_row_norm():
