@@ -9,13 +9,21 @@ Pinned by sha256 digests:
 * the JSON form of check_drift for every drift kind and for the
   `--mutate` drift (mean reversion with rate above kappa), at d = 1 and
   d = 2;
+* check_y1 and check_drift on an off-origin grid with non-dyadic
+  spacing and on a zero-step grid, which pin the node times that enter
+  the time-path distance;
 * eval_reward on single prefixes, with and without a stored
   pre-history, and drift_eval on single prefixes: the returned value's
-  type, shape and raw bytes, or the name of the exception raised.
+  type, shape and raw bytes, or the name of the exception raised;
+* simulate_paths values and sup_distance_from_start at d = 1, 2 and 3
+  for every drift kind, with sample sizes inside one block, at a block
+  boundary and across several blocks.
 
 Sample counts straddle several evaluation chunks, and one count is zero.
 The digests were recorded from the per-sample evaluators, which called
-eval_reward and drift_eval once per sampled prefix.  Any change in the
+eval_reward and drift_eval once per sampled prefix; the odd-grid and
+simulator digests from per-draw samplers, which built a Path per walk
+and took one distance per draw, and from a whole-sample supremum.  Any change in the
 order of floating-point operations, in the RNG draw order, in a
 reduction's tie-break or in an exception type shows up as a mismatch.
 To print the digests of the current code:
@@ -36,6 +44,7 @@ from robuststop import (
     ModulusSpec,
     Path,
     TimeGrid,
+    simulate_paths,
     american_put,
     builtin_catalog,
     custom_reward,
@@ -138,6 +147,46 @@ def _drift(d):
     return _sha(parts)
 
 
+# an off-origin grid whose node times are not multiples of dt, and the
+# single-point grid
+ODD_GRIDS = (TimeGrid(0.3, 1.7, 5), TimeGrid(0.5, 0.5, 0))
+
+
+def _odd_grids():
+    parts = []
+    for grid in ODD_GRIDS:
+        for d in (1, 2):
+            for Y in _rewards():
+                for n in (1, 700):
+                    parts.append(_report(check_y1, Y, pair_sampler(grid, d), n, seed=3))
+            sampler = prefix_sampler(grid, _controls(d), d, 2.0)
+            for spec in _drifts(d)[:3]:
+                for n in (1, 700):
+                    parts.append(_report(check_drift, spec, sampler, n, seed=3))
+    return _sha(parts)
+
+
+def _simulate():
+    grid = TimeGrid(0.0, 1.0, 4)
+    controls = {
+        1: 0.7,
+        2: np.array([[1.0, 0.2], [0.2, 0.8]]),
+        3: np.array([[0.9, 0.1, 0.0], [0.1, 0.7, 0.2], [0.0, 0.2, 0.6]]),
+    }
+    parts = []
+    for d, u in controls.items():
+        drifts = _drifts(d)[:3] + [
+            DriftSpec("custom-table", table=[[0.1 * (k - 1.5)] * d for k in range(4)])
+        ]
+        for spec in drifts:
+            for n_paths in (1, 4096, 5000, 12289):
+                for x0 in (0.0, 1.5):
+                    sample = simulate_paths(grid, x0, spec, u, n_paths, seed=17)
+                    parts.append(_value(lambda: sample.values))
+                    parts.append(_value(sample.sup_distance_from_start))
+    return _sha(parts)
+
+
 def _prefixes(rng, d):
     """(k, prefix) pairs: 2-D prefixes of every length up to 9, a 1-D
     prefix at d = 1, and a prefix one value too short."""
@@ -196,6 +245,8 @@ CASES = {
     "drift-d2": lambda: _drift(2),
     "eval-reward": _eval_reward,
     "drift-eval": _drift_eval,
+    "odd-grids": _odd_grids,
+    "simulate": _simulate,
 }
 
 RECORDED = {
@@ -203,6 +254,8 @@ RECORDED = {
     'drift-d2': '0d11f62976d92952bb3bcd5b1bc36e2e1f6f449d0c08c911a80e708915c34b16',
     'drift-eval': 'a22f7d8a501954e509a4a40ed606bdf7889e9b7b1f0f779863d664445a36643c',
     'eval-reward': '96410f8584cdf1eefbed63fa8ec69d0fc8067e1c2bb8b71c34e92ffc4dfb76c6',
+    'odd-grids': '1aec31a84a7bc0ac534c6fd7f5fc244a0e61de417c6bbcac40df94cd63e9fd78',
+    'simulate': 'e350fd801d9a74b8229fc67ae2ceaa94b22dd50d6dc1dc1fb318ffe1bbd8067b',
     'y1-d1': '1cf6c7fc1eaea3c0dd37d8ad63578cf4974ee749b782189c56444d906a8f4158',
     'y1-d2': 'f9e2af54347472db90a5c88ecccc3f536b2750d8c05a871d5e8e938241f81ce9',
 }
