@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SizeError
-from .pathspace import Path, TimeGrid
+from .pathspace import TimeGrid
 
 __all__ = [
     "DriftSpec",
@@ -430,17 +430,22 @@ class PathSample:
         return self.values.shape[0]
 
     def sup_distance_from_start(self) -> np.ndarray:
-        """Per path: max_k | X_k - x0 | (Euclidean)."""
-        dev = self.values - self.values[:, :1, :]
-        return np.max(np.linalg.norm(dev, axis=2), axis=1)
+        """Per path: max_k | X_k - x0 | (Euclidean), _SUP_ROWS paths at a
+        time so the temporaries stay in cache."""
+        out = np.empty(self.n_paths)
+        for start in range(0, self.n_paths, _SUP_ROWS):
+            rows = self.values[start : start + _SUP_ROWS]
+            dev = rows - rows[:, :1, :]
+            out[start : start + _SUP_ROWS] = np.max(np.linalg.norm(dev, axis=2), axis=1)
+        return out
 
-    def as_paths(self):
-        """Iterate the sample as zero-anchored Path objects."""
-        for row in self.values:
-            yield Path(self.grid, row - row[0])
 
-
+# paths per simulation block, each with its own derived seed
 _BLOCK = 4096
+# paths per slice of sup_distance_from_start: on 100,000 paths of 17
+# nodes a 1024-row slice took half the time of the whole sample at d = 1
+# and 0.8 of it at d = 2 and 3, while 4096 rows gained nothing at d = 1
+_SUP_ROWS = 1024
 
 
 def simulate_paths(
@@ -453,22 +458,16 @@ def simulate_paths(
 ) -> PathSample:
     """Gaussian Euler simulation, deterministic given seed.
 
-    strategy is a constant control (scalar or SPD matrix) or a callable
-    (k, values_so_far) -> control matrix, applied uniformly across the
-    block.  Paths are generated in fixed-size blocks with per-block
-    derived seeds, so the output does not depend on scheduling.
+    strategy is a constant control, a scalar or an SPD matrix.  Paths are
+    generated in fixed-size blocks with per-block derived seeds, so the
+    output does not depend on scheduling.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if callable(strategy):
-        control_at = strategy
-        d = np.asarray(x0, dtype=np.float64).reshape(-1).size
-    else:
-        const = np.asarray(strategy, dtype=np.float64)
-        if const.ndim == 0:
-            const = const.reshape(1, 1)
-        control_at = lambda k, values: const
-        d = const.shape[0]
+    u = np.asarray(strategy, dtype=np.float64)
+    if u.ndim == 0:
+        u = u.reshape(1, 1)
+    d = u.shape[0]
     x0v = np.broadcast_to(np.asarray(x0, dtype=np.float64).reshape(-1), (d,))
     n = grid.n_steps
     dt = grid.dt
@@ -485,9 +484,6 @@ def simulate_paths(
         block = np.empty((m, n + 1, d))
         block[:, 0, :] = x0v
         for k in range(n):
-            u = np.asarray(control_at(k, block[:, : k + 1, :]), dtype=np.float64)
-            if u.ndim == 0:
-                u = u.reshape(1, 1)
             b = drift_eval(drift, k, block[:, : k + 1, :], u)
             block[:, k + 1, :] = (
                 block[:, k, :] + b * dt + (noise[:, k, :] @ u.T) * sqdt

@@ -9,6 +9,9 @@ Usage::
     g = TimeGrid(0.0, 2.0, 2)
     w = Path(g, [0.0, 1.0, 3.0])
     dist_dinfty(1.0, w, 2.0, w)   # 3.0: time gap 1 plus stopped-path gap 2
+
+A Path may also hold a stack of paths on one grid, and dist_dinfty then
+takes one pair of times per row and gives one distance per row.
 """
 
 from __future__ import annotations
@@ -83,18 +86,21 @@ class TimeGrid:
                 return i
         raise GridError(f"time {t} is not a node of {self}")
 
-    def floor_index(self, t: float) -> int:
+    def floor_index(self, t):
         """Index of the greatest node with time <= t (clamping for the
-        stopped-path operation)."""
-        if t < self.t_start or t > self.t_end:
+        stopped-path operation); an array of times gives an index array."""
+        ts = np.asarray(t, dtype=np.float64)
+        if np.any((ts < self.t_start) | (ts > self.t_end)):
             raise GridError(f"time {t} outside [{self.t_start}, {self.t_end}]")
         span = max(abs(self.t_end), abs(self.t_start), 1.0)
-        best = 0
-        for i in range(self.n_steps + 1):
-            ti = self.time(i)
-            if ti <= t or abs(t - ti) <= _TIME_MATCH_RTOL * span:
-                best = i
-        return best
+        nodes = self.times()
+        below = (nodes <= ts[..., None]) | (
+            np.abs(ts[..., None] - nodes) <= _TIME_MATCH_RTOL * span
+        )
+        # the last node below t, or node 0 when none is
+        last = self.n_steps - np.argmax(below[..., ::-1], axis=-1)
+        best = np.where(below.any(axis=-1), last, 0)
+        return int(best) if ts.ndim == 0 else best
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +108,9 @@ class Path:
     """Zero-anchored path: one d-dimensional value per grid node.
 
     values has shape (n_steps + 1, d); a flat sequence is accepted for
-    d = 1.  The first value must be exactly zero in every component.
-    The stored array is frozen after construction.
+    d = 1.  A stack of n paths on the grid has shape (n, n_steps + 1, d).
+    The first value of every path must be exactly zero in every
+    component.  The stored array is frozen after construction.
     """
 
     grid: TimeGrid
@@ -113,63 +120,69 @@ class Path:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim == 1:
             v = v[:, None]
-        if v.ndim != 2:
-            raise PathError(f"values must be 1- or 2-dimensional, got shape {v.shape}")
-        if v.shape[0] != self.grid.n_steps + 1:
+        if v.ndim not in (2, 3):
+            raise PathError(f"values must be 1- to 3-dimensional, got shape {v.shape}")
+        if v.shape[-2] != self.grid.n_steps + 1:
             raise PathError(
-                f"expected {self.grid.n_steps + 1} node values, got {v.shape[0]}"
+                f"expected {self.grid.n_steps + 1} node values, got {v.shape[-2]}"
             )
-        if not np.all(v[0] == 0.0):
-            raise PathError(f"paths start at zero, got initial value {v[0]}")
+        if not np.all(v[..., 0, :] == 0.0):
+            raise PathError("paths start at zero, got a nonzero initial value")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    def value_at(self, i: int) -> np.ndarray:
-        return self.values[i]
+        return self.values.shape[-1]
 
     def __eq__(self, other) -> bool:
-        # exact, bitwise: used by the round-trip laws
+        # exact, bitwise
         if not isinstance(other, Path):
             return NotImplemented
         return self.grid == other.grid and np.array_equal(self.values, other.values)
 
     def __repr__(self):
+        n = f"{self.values.shape[0]} paths, " if self.values.ndim == 3 else ""
         return (
             f"Path([{self.grid.t_start}, {self.grid.t_end}], "
-            f"n={self.grid.n_steps}, d={self.dim})"
+            f"{n}n={self.grid.n_steps}, d={self.dim})"
         )
 
 
-def _stopped_values(path: Path, t: float) -> np.ndarray:
-    """Node values of the stopped path ω(· ∧ t), clamped at the greatest
-    grid node at or below t."""
-    i = path.grid.floor_index(t)
-    out = path.values.copy()
-    out[i + 1 :] = path.values[i]
-    return out
+def _stopped_values(path: Path, t) -> np.ndarray:
+    """Node values of the stopped paths ω(· ∧ t), one row per path, each
+    clamped at the greatest grid node at or below its time."""
+    v = path.values.reshape((-1,) + path.values.shape[-2:])
+    i = np.broadcast_to(path.grid.floor_index(t), v.shape[:1])[:, None, None]
+    nodes = np.arange(v.shape[1])[None, :, None]
+    return np.where(nodes > i, np.take_along_axis(v, i, axis=1), v)
 
 
-def dist_dinfty(t1: float, om1: Path, t2: float, om2: Path) -> float:
+def dist_dinfty(t1, om1: Path, t2, om2: Path):
     """One-sided distance (t2 − t1) + sup-norm of the stopped-path gap.
 
-    Defined for t1 <= t2 only; both paths must share grid and dimension.
+    One pair, with float times and single paths, gives a float.  A stack
+    of n pairs, with length-n time arrays and path stacks of n rows,
+    gives n distances, each the one its pair alone would give.  Defined
+    for t1 <= t2 only, in every row; both sides must share grid,
+    dimension and row count.
     """
-    if t1 > t2:
-        raise GridError(f"one-sided distance needs t1 <= t2, got {t1} > {t2}")
-    if om1.grid != om2.grid or om1.dim != om2.dim:
-        raise GridError("paths must share grid and dim")
-    gap = _stopped_values(om1, t1) - _stopped_values(om2, t2)
-    sup = float(np.max(np.linalg.norm(gap, axis=1)))
-    return (t2 - t1) + sup
+    ta, tb = np.broadcast_arrays(
+        np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
+    )
+    late = np.flatnonzero(ta > tb)
+    if late.size:
+        r = late[0]
+        row = f" in row {r}" if ta.ndim else ""
+        raise GridError(
+            f"one-sided distance needs t1 <= t2, got {ta.flat[r]} > {tb.flat[r]}{row}"
+        )
+    if om1.grid != om2.grid or om1.values.shape != om2.values.shape:
+        raise GridError("paths must share grid, dim and row count")
+    gap = _stopped_values(om1, ta) - _stopped_values(om2, tb)
+    out = (tb - ta) + np.max(np.linalg.norm(gap, axis=2), axis=1)
+    return float(out[0]) if om1.values.ndim == 2 else out
 
 
 @dataclass(frozen=True)

@@ -102,55 +102,62 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 # sampled regularity checks
 
-# Draws are evaluated in chunks of this many, one stacked call per time
-# index: a call per draw costs more than a stacked one, and stacking
-# every draw at once holds all their prefixes in memory.
+# Samplers draw this many samples per call, and the checks evaluate them
+# with one stacked call per time index: a call per draw costs more than a
+# stacked one, and stacking every draw at once holds all their prefixes
+# in memory.
 SAMPLE_CHUNK = 512
 
 
-def _stacked(fn, ks, *columns) -> np.ndarray:
-    """fn(k, *stacks) once per distinct time index k, on the stacked
-    entries of each column drawn at k, with the results put back in draw
-    order.  max() over them is then the same as over per-draw values."""
-    groups = {}
-    for i, k in enumerate(ks):
-        groups.setdefault(k, []).append(i)
+def _per_index(fn, ks) -> np.ndarray:
+    """fn(k, ids) once per distinct time index k, in the order k is
+    first drawn, on the ids of the draws at k, with the results put back
+    in draw order.  max() over them is then the same as over per-draw
+    values."""
     out = None
-    for k, idx in groups.items():
-        vals = fn(k, *(np.stack([col[i] for i in idx]) for col in columns))
+    for k in dict.fromkeys(ks.tolist()):
+        ids = np.flatnonzero(ks == k)
+        vals = fn(k, ids)
         if out is None:
             out = np.empty((len(ks),) + vals.shape[1:])
-        out[idx] = vals
+        out[ids] = vals
     return out
 
 
 def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     """Default sampler of ordered time-path pairs for check_y1.
 
-    Draws two zero-anchored paths on grid with uniform increments of
-    magnitude at most spread * sqrt(dt); half the time the second path is
-    a small perturbation of the first so tiny distances are exercised.
-    With the default spread the paths stay well inside the catalog's
-    declared sampling range.
+    sampler(rng, m) -> (k1, om1, k2, om2) draws m pairs: index arrays
+    k1 <= k2 of length m, and two Path stacks on grid, each of shape
+    (m, n_steps + 1, dim).  Each pair is two zero-anchored walks with
+    uniform increments of magnitude at most spread * sqrt(dt); half the
+    time the second walk is a small perturbation of the first, so tiny
+    distances are exercised.  With the default spread the paths stay
+    well inside the catalog's declared sampling range.
+
+    Each draw makes the same generator calls, in the same order, as a
+    draw on its own; the walks of all m draws are then summed in one
+    stacked cumsum.
     """
     n = grid.n_steps
     step = spread * math.sqrt(grid.dt) if n > 0 else 0.0
+    full = (-step, step)
+    small = (-step * 0.05, step * 0.05)
 
-    def walk(rng, scale):
-        inc = rng.uniform(-step * scale, step * scale, size=(n, dim))
-        vals = np.concatenate([np.zeros((1, dim)), np.cumsum(inc, axis=0)])
-        return Path(grid, vals)
-
-    def draw(rng):
-        om1 = walk(rng, 1.0)
-        if rng.random() < 0.5:
-            om2 = walk(rng, 1.0)
-        else:
-            bump = walk(rng, 0.05)
-            om2 = Path(grid, om1.values + bump.values)
-        k1 = int(rng.integers(0, n + 1))
-        k2 = int(rng.integers(k1, n + 1))
-        return k1, om1, k2, om2
+    def draw(rng, m):
+        uniform, integers = rng.uniform, rng.integers
+        inc, fresh, k1, k2 = [], [], [], []
+        for _ in range(m):
+            inc.append(uniform(*full, size=(n, dim)))
+            fresh.append(rng.random() < 0.5)
+            inc.append(uniform(*(full if fresh[-1] else small), size=(n, dim)))
+            k1.append(int(integers(0, n + 1)))
+            k2.append(int(integers(k1[-1], n + 1)))
+        walks = np.zeros((m, 2, n + 1, dim))
+        np.cumsum(np.reshape(inc, (m, 2, n, dim)), axis=2, out=walks[:, :, 1:])
+        first, second = walks[:, 0], walks[:, 1]
+        second = np.where(np.array(fresh)[:, None, None], second, first + second)
+        return np.array(k1), Path(grid, first), np.array(k2), Path(grid, second)
 
     return draw
 
@@ -166,21 +173,23 @@ def check_y1(
 
     On n sampled ordered pairs (k1, om1) <= (k2, om2), the earlier value
     may exceed the later one by at most the declared modulus of the
-    one-sided distance.  sampler(rng) -> (k1, om1, k2, om2) with both
-    paths on one grid and k1 <= k2.
+    one-sided distance.  sampler(rng, m) -> (k1, om1, k2, om2) draws m
+    pairs: index arrays with k1 <= k2 and two Path stacks of m rows on
+    one grid.  Per chunk of draws the rewards take one stacked call per
+    time index, the distances one dist_dinfty call on the stacks and the
+    modulus one call on the distances.
     """
     rng = np.random.default_rng(seed)
-    reward = lambda k, block: eval_reward(Y, k, block)
     worst = -np.inf
     for start in range(0, n, SAMPLE_CHUNK):
-        draws = [sampler(rng) for _ in range(min(SAMPLE_CHUNK, n - start))]
-        k1, om1, k2, om2 = zip(*draws)
-        lhs = _stacked(reward, k1, [om.values[: k + 1] for k, om in zip(k1, om1)])
-        lhs -= _stacked(reward, k2, [om.values[: k + 1] for k, om in zip(k2, om2)])
-        rhs = [
-            Y.modulus(dist_dinfty(a.grid.time(ka), a, a.grid.time(kb), b))
-            for ka, a, kb, b in draws
-        ]
+        k1, om1, k2, om2 = sampler(rng, min(SAMPLE_CHUNK, n - start))
+
+        def reward(ks, om):
+            return _per_index(lambda k, ids: eval_reward(Y, k, om.values[ids, : k + 1]), ks)
+
+        lhs = reward(k1, om1) - reward(k2, om2)
+        times = om1.grid.times()
+        rhs = Y.modulus(dist_dinfty(times[k1], om1, times[k2], om2))
         worst = max([worst] + (lhs - rhs).tolist())
     return CheckReport(
         name="y1",
@@ -193,23 +202,42 @@ def check_y1(
 
 
 def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
-    """Default sampler of (k, prefix, prefix', u) triples for check_drift.
+    """Default sampler of (k, prefix, prefix', u) draws for check_drift.
 
-    Prefixes are independent bounded random walks; the control is drawn
-    uniformly from the menu.
+    sampler(rng, m) -> (k, p1, p2, u, u_norm) draws m samples: an index
+    array k of length m, two prefix stacks of shape (m, K, dim) whose
+    row i holds its prefix in its first k[i] + 1 entries (K is the
+    longest prefix the grid allows), the controls u of shape (m, d, d)
+    and their operator norms.  Prefixes are independent bounded random
+    walks; the control is drawn uniformly from the menu, and each menu
+    control's norm is taken once.
+
+    Each draw makes the same generator calls, in the same order, as a
+    draw on its own; the walks of all m draws are then summed in one
+    stacked cumsum over zero-padded increments.
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
+    K = max(grid.n_steps, 1)
+    menu = np.array([np.atleast_2d(np.asarray(u, dtype=np.float64)) for u in controls])
+    norms = np.array([np.linalg.norm(u, 2) for u in menu])
 
-    def walk(rng, m):
-        inc = rng.uniform(-step, step, size=(m, dim))
-        return np.cumsum(inc, axis=0) - inc[0] + rng.uniform(-spread, spread, dim)
-
-    def draw(rng):
-        k = int(rng.integers(0, max(grid.n_steps, 1)))
-        p1 = walk(rng, k + 1)
-        p2 = walk(rng, k + 1)
-        u = controls[int(rng.integers(0, len(controls)))]
-        return k, p1, p2, u
+    def draw(rng, m):
+        uniform, integers = rng.uniform, rng.integers
+        ks, inc, offset, pick = [], [], [], []
+        for _ in range(m):
+            ks.append(int(integers(0, K)))
+            for _ in range(2):
+                inc.append(uniform(-step, step, size=(ks[-1] + 1, dim)))
+                offset.append(uniform(-spread, spread, dim))
+            pick.append(int(integers(0, len(menu))))
+        k = np.array(ks)
+        # the increments of each walk, zero past its prefix
+        padded = np.zeros((m, 2, K, dim))
+        within = np.broadcast_to(np.arange(K) <= k[:, None, None], (m, 2, K))
+        padded[within] = np.concatenate(inc)
+        offset = np.reshape(offset, (m, 2, 1, dim))
+        walks = np.cumsum(padded, axis=2) - padded[:, :, :1] + offset
+        return k, walks[:, 0], walks[:, 1], menu[pick], norms[pick]
 
     return draw
 
@@ -225,26 +253,25 @@ def check_drift(
 
     At the zero prefix the drift norm must stay below kappa * (1 + |u|);
     between two prefixes it must move by at most kappa times their
-    componentwise sup gap.  sampler(rng) -> (k, prefix, prefix', u).
+    componentwise sup gap.  sampler(rng, m) -> (k, p1, p2, u, u_norm)
+    draws m samples (see prefix_sampler).  Per chunk of draws each
+    drift and each sup gap takes one stacked call per time index.
     """
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for start in range(0, n, SAMPLE_CHUNK):
-        ks, a1, a2, um = [], [], [], []
-        for _ in range(min(SAMPLE_CHUNK, n - start)):
-            k, p1, p2, u = sampler(rng)
-            ks.append(k)
-            a1.append(np.atleast_2d(np.asarray(p1, dtype=np.float64).T).T)
-            a2.append(np.atleast_2d(np.asarray(p2, dtype=np.float64).T).T)
-            um.append(np.atleast_2d(np.asarray(u, dtype=np.float64)))
-        unorm = np.array([np.linalg.norm(m, 2) for m in um])
-        b0 = _stacked(lambda k, a, u: drift_eval(spec, k, np.zeros_like(a), u), ks, a1, um)
-        growth = state_norms(b0) - spec.kappa * (1.0 + unorm)
-        b1 = _stacked(lambda k, a, u: drift_eval(spec, k, a, u), ks, a1, um)
-        b2 = _stacked(lambda k, a, u: drift_eval(spec, k, a, u), ks, a2, um)
-        sup = _stacked(
-            lambda k, a, b: np.max(np.linalg.norm(a - b, axis=2), axis=1), ks, a1, a2
-        )
+        ks, p1, p2, u, unorm = sampler(rng, min(SAMPLE_CHUNK, n - start))
+
+        def drift(p):
+            return _per_index(
+                lambda k, ids: drift_eval(spec, k, p[ids, : k + 1], u[ids]), ks
+            )
+
+        growth = state_norms(drift(np.zeros_like(p1))) - spec.kappa * (1.0 + unorm)
+        b1 = drift(p1)
+        b2 = drift(p2)
+        gap = np.linalg.norm(p1 - p2, axis=2)
+        sup = _per_index(lambda k, ids: np.max(gap[ids, : k + 1], axis=1), ks)
         lip = state_norms(b1 - b2) - spec.kappa * sup
         # scan growth_0, lip_0, growth_1, ...: the order of a per-draw
         # max(worst, growth, lip), so ties between 0.0 and -0.0 resolve alike

@@ -254,8 +254,5 @@ def test_simulate_paths_sample_views():
     sup = sample.sup_distance_from_start()
     assert sup.shape == (4,)
     assert np.all(sup >= 0.0)
-    first = next(iter(sample.as_paths()))
-    assert first.values[0, 0] == 0.0
-    assert first.grid == g
-    # zero-anchored view plus the start level reproduces the raw block
-    assert np.array_equal(first.values[:, 0] + 2.0, sample.values[0, :, 0])
+    ref = np.max(np.abs(sample.values[:, :, 0] - 2.0), axis=1)
+    np.testing.assert_allclose(sup, ref, rtol=1e-15, atol=0.0)

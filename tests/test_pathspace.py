@@ -1,5 +1,6 @@
 """Grid and path behavior: exact node times, zero-anchored paths, the
-one-sided time-path distance, and modulus templates."""
+one-sided time-path distance on one pair or a stack, and modulus
+templates."""
 
 import numpy as np
 import pytest
@@ -84,6 +85,100 @@ def test_dist_rejects_reversed_times():
     w = Path(TimeGrid(0.0, 1.0, 1), [0.0, 1.0])
     with pytest.raises(GridError):
         dist_dinfty(1.0, w, 0.0, w)
+
+
+def _reference_floor(grid, t):
+    """The greatest node at or below t, within the grid's time-match
+    slack, found with a loop over the nodes."""
+    span = max(abs(grid.t_end), abs(grid.t_start), 1.0)
+    best = 0
+    for i in range(grid.n_steps + 1):
+        ti = grid.time(i)
+        if ti <= t or abs(t - ti) <= 1e-12 * span:
+            best = i
+    return best
+
+
+def _reference_dist(t1, v1, t2, v2, grid):
+    """The one-pair distance written out with a loop over the nodes."""
+
+    def stopped(v, t):
+        i = _reference_floor(grid, t)
+        out = v.copy()
+        out[i + 1 :] = v[i]
+        return out
+
+    gap = stopped(v1, t1) - stopped(v2, t2)
+    return (t2 - t1) + float(np.max(np.linalg.norm(gap, axis=1)))
+
+
+def _sampled_pairs(grid, d, n, rng):
+    """n ordered pairs: node times, off-node times and equal times, on
+    zero-anchored walks."""
+    def walks():
+        inc = rng.uniform(-1.0, 1.0, size=(n, grid.n_steps, d))
+        return np.concatenate([np.zeros((n, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+
+    times = grid.times()
+    k1 = rng.integers(0, grid.n_steps + 1, size=n)
+    k2 = rng.integers(k1, grid.n_steps + 1)
+    t1, t2 = times[k1], times[k2]
+    off = rng.uniform(grid.t_start, grid.t_end, size=(2, n // 3))
+    t1[: n // 3], t2[: n // 3] = off.min(axis=0), off.max(axis=0)
+    t2[-3:] = t1[-3:]
+    return t1, walks(), t2, walks()
+
+
+@pytest.mark.parametrize("grid", [
+    TimeGrid(0.0, 2.0, 4),
+    TimeGrid(0.3, 1.7, 5),
+    TimeGrid(0.25, 1.1, 7),
+    TimeGrid(0.5, 0.5, 0),
+])
+@pytest.mark.parametrize("d", [1, 3])
+def test_dist_stack_matches_single_pairs_bitwise(grid, d):
+    rng = np.random.default_rng(17 + d)
+    t1, v1, t2, v2 = _sampled_pairs(grid, d, 300, rng)
+    stacked = dist_dinfty(t1, Path(grid, v1), t2, Path(grid, v2))
+    single = [
+        dist_dinfty(float(a), Path(grid, x), float(b), Path(grid, y))
+        for a, x, b, y in zip(t1, v1, t2, v2)
+    ]
+    reference = [_reference_dist(*pair, grid) for pair in zip(t1, v1, t2, v2)]
+    assert stacked.shape == (300,)
+    assert all(type(x) is float for x in single)
+    assert stacked.tobytes() == np.array(single).tobytes() == np.array(reference).tobytes()
+
+
+def test_floor_index_array_matches_scalar():
+    g = TimeGrid(0.3, 1.7, 5)
+    nodes = g.times()
+    near = [nodes[1:] - 1e-13, nodes[:-1] + 1e-13]
+    ts = np.concatenate([nodes, *near, np.linspace(0.3, 1.7, 41)])
+    expected = [_reference_floor(g, t) for t in ts]
+    assert g.floor_index(ts).tolist() == expected
+    assert [g.floor_index(float(t)) for t in ts] == expected
+    with pytest.raises(GridError):
+        g.floor_index(np.array([0.5, 1.8]))
+
+
+def test_dist_stack_rejects_bad_rows_and_mismatches():
+    g = TimeGrid(0.0, 1.0, 4)
+    rng = np.random.default_rng(5)
+    t1, v1, t2, v2 = _sampled_pairs(g, 2, 12, rng)
+    a, b = Path(g, v1), Path(g, v2)
+    late = t1.copy()
+    late[7] = t2[7] + 0.25  # one row with k1 > k2
+    with pytest.raises(GridError):
+        dist_dinfty(late, a, t2, b)
+    with pytest.raises(GridError):  # grids differ
+        dist_dinfty(t1, a, t2, Path(TimeGrid(0.0, 2.0, 4), v2))
+    with pytest.raises(GridError):  # dims differ
+        dist_dinfty(t1, a, t2, Path(g, v2[:, :, :1]))
+    with pytest.raises(GridError):  # row counts differ
+        dist_dinfty(t1[:6], Path(g, v1[:6]), t2[:6], Path(g, v2[:5]))
+    with pytest.raises(GridError):  # a single path against a stack
+        dist_dinfty(0.0, Path(g, v1[0]), t2, b)
 
 
 def test_modulus_kinds():
