@@ -145,11 +145,11 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     small = (-step * 0.05, step * 0.05)
 
     def draw(rng, m):
-        uniform, integers = rng.uniform, rng.integers
+        uniform, random, integers = rng.uniform, rng.random, rng.integers
         inc, fresh, k1, k2 = [], [], [], []
         for _ in range(m):
             inc.append(uniform(*full, size=(n, dim)))
-            fresh.append(rng.random() < 0.5)
+            fresh.append(random() < 0.5)
             inc.append(uniform(*(full if fresh[-1] else small), size=(n, dim)))
             k1.append(int(integers(0, n + 1)))
             k2.append(int(integers(k1[-1], n + 1)))
@@ -179,14 +179,14 @@ def check_y1(
     time index, the distances one dist_dinfty call on the stacks and the
     modulus one call on the distances.
     """
+
+    def reward(ks, om):
+        return _per_index(lambda k, ids: eval_reward(Y, k, om.values[ids, : k + 1]), ks)
+
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for start in range(0, n, SAMPLE_CHUNK):
         k1, om1, k2, om2 = sampler(rng, min(SAMPLE_CHUNK, n - start))
-
-        def reward(ks, om):
-            return _per_index(lambda k, ids: eval_reward(Y, k, om.values[ids, : k + 1]), ks)
-
         lhs = reward(k1, om1) - reward(k2, om2)
         times = om1.grid.times()
         rhs = Y.modulus(dist_dinfty(times[k1], om1, times[k2], om2))
