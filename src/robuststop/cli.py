@@ -566,10 +566,20 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         # with a path-independent drift the reward's own modulus transfers
         # to the root value; otherwise fit and report
         rho1 = Y.modulus if drift.kind in ("zero", "custom-table") else None
+        target = Y
         if mutate:
+            # payoff that reads the pre-history but claims a zero modulus,
+            # so the root value moves on every pair with a gap, whatever
+            # the configured reward; a gap needs a split past 0 and a pair
+            # past the first, identical one
+            split, pairs = max(split, 1), max(pairs, 2)
+            target = custom_reward(
+                lambda k, track: float(np.sum(np.abs(track[: split + 1]))),
+                ModulusSpec("linear", 0.0), 0.0,
+            )
             rho1 = ModulusSpec("linear", 0.0)
         return vf.check_continuity_in_prehistory(
-            grid, drift, controls, Y, split,
+            grid, drift, controls, target, split,
             x0=x0, n_pairs=pairs, spread=spread, rho1=rho1, seed=seed,
         )
     if name == "moments":

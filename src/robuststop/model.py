@@ -10,16 +10,20 @@ matrices.  Two carriers are provided:
 
 * exhaustive scenario trees with two-point (d = 1) or 2d-point (d > 1)
   increment kernels whose first two moments match b*dt and u*u^T*dt, and
-* Gaussian Monte Carlo samples for checking the moment estimates.
+* Gaussian Monte Carlo samples for checking the moment estimates, from
+  one blocked Euler kernel that either stores the paths (simulate_paths)
+  or keeps only each path's running supremum, for several drifts on one
+  draw of the normals (simulate_sup_distances).
 
 Trees are non-recombining and keep the full state prefix of every node:
 both the drift and the rewards downstream may look at the whole history,
 so merging nodes would be unsound.  A tree is stored level by level as
 numpy arrays (one prefix block per time index), and expansion, reward
 evaluation and the worst-case sweep each run one vectorised step per
-level.  drift_eval is the one evaluator of every drift kind: expansion
-and the path simulator call it once per level on a stack of prefixes,
-and the sampled checks on stacks of sampled prefixes.
+level.  Every drift kind is written once, in _drift_into, which reads
+at most the current states and their running max: drift_eval feeds it
+from stacks of prefixes, for expansion (once per level) and the sampled
+checks, and the Euler kernel from the two arrays it carries per path.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "drift_eval",
     "expand_tree",
     "simulate_paths",
+    "simulate_sup_distances",
     "prefix_key",
     "state_norms",
     "DEFAULT_NODE_CAP",
@@ -96,18 +101,34 @@ def drift_eval(spec: DriftSpec, k: int, prefix, u) -> np.ndarray:
     n, m, d = block.shape
     if m != k + 1:
         raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
+    peak = np.max(block, axis=1) if spec.kind == "running-max" else None
+    out = _drift_into(spec, k, block[:, -1, :], peak, np.empty((n, d)))
+    return out[0] if p.ndim == 2 else out
+
+
+def _drift_into(spec: DriftSpec, k: int, last, peak, out) -> np.ndarray:
+    """Write the drift at time index k of a stack of prefixes into out,
+    an (n, d) array, and return it.
+
+    Every drift kind reads at most the current values last, shape (n, d),
+    and, for running-max, the running max peak of each prefix, shape
+    (n, d); so the Euler kernel can evaluate drifts from two carried
+    arrays where drift_eval reduces whole prefixes.
+    """
     if spec.kind == "zero":
-        out = np.zeros((n, d))
+        out.fill(0.0)
     elif spec.kind == "mean-reversion":
-        out = spec.rate * (spec.level - block[:, -1, :])
+        np.subtract(spec.level, last, out=out)
+        np.multiply(spec.rate, out, out=out)
     elif spec.kind == "running-max":
-        out = -np.minimum(spec.kappa, np.max(block, axis=1))
+        np.minimum(spec.kappa, peak, out=out)
+        np.negative(out, out=out)
     else:
-        row = np.asarray(spec.table[k], dtype=np.float64).reshape(d)
+        row = np.asarray(spec.table[k], dtype=np.float64).reshape(out.shape[1])
         if not np.all(np.isfinite(row)):
             raise ValueError(f"custom drift returned non-finite value at k={k}")
-        out = np.full((n, d), row)
-    return out[0] if p.ndim == 2 else out
+        out[...] = row
+    return out
 
 
 class ControlSet:
@@ -448,6 +469,101 @@ _BLOCK = 4096
 _SUP_ROWS = 1024
 
 
+def _euler_inputs(x0, strategy, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
+    """The control matrix u and the (d,) start x0 of a simulation."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    u = np.asarray(strategy, dtype=np.float64)
+    if u.ndim == 0:
+        u = u.reshape(1, 1)
+    d = u.shape[0]
+    return u, np.broadcast_to(np.asarray(x0, dtype=np.float64).reshape(-1), (d,))
+
+
+def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
+    """Blocked Gaussian Euler kernel behind simulate_paths and
+    simulate_sup_distances.
+
+    Paths run in blocks of _BLOCK, block b on the normals drawn at once
+    from the b-th SeedSequence(seed).spawn child, so the result does not
+    depend on scheduling.  At each step the increment u xi_k sqrt(dt) is
+    formed once and every drift in drifts takes it, as
+
+        X_{k+1} = (X_k + b * dt) + (xi_k @ u.T) * sqrt(dt),
+
+    with b from _drift_into on the carried state and running max.  With
+    values, an (n_paths, n_steps + 1, d) array, the one drift's states
+    are written there; otherwise the kernel keeps the running max of
+    |X_k - x0|^2 per path, reduced over the components like
+    np.linalg.norm(axis=...), and returns the (len(drifts), n_paths)
+    square roots: sqrt is monotone and correctly rounded, so that is bit
+    for bit the max of the per-node norms.
+
+    Every work buffer is allocated once per call and reused by every
+    block: temporaries above glibc's mmap threshold (128 KB) cost a page
+    fault per page on every allocation.
+    """
+    d = u.shape[0]
+    n = grid.n_steps
+    dt = grid.dt
+    sqdt = math.sqrt(dt) if n > 0 else 0.0
+    ut = u.T
+    rows = min(_BLOCK, n_paths)
+    noise = np.empty((rows, n, d))
+    inc = np.empty((rows, d)) if d > 1 else None
+    shift = np.empty((rows, d))
+    state = np.empty((len(drifts), rows, d))
+    peak = np.empty_like(state)
+    dev = np.empty((rows, d))
+    sq = dev[:, 0] if d == 1 else np.empty(rows)
+    sup = None if values is not None else np.zeros((len(drifts), n_paths))
+    seeds = np.random.SeedSequence(seed).spawn(-(-n_paths // _BLOCK))
+    for b, ss in enumerate(seeds):
+        start = b * _BLOCK
+        m = min(_BLOCK, n_paths - start)
+        stop = start + m
+        xi = noise[:m]
+        np.random.Generator(np.random.PCG64(ss)).standard_normal(out=xi)
+        if d == 1:
+            # each (m, 1) @ (1, 1) product is 0.0 + xi * u elementwise,
+            # so the whole block's increments are formed in place at once
+            np.multiply(xi, u[0, 0], out=xi)
+            xi += 0.0
+            xi *= sqdt
+        shift_m, dev_m, sq_m = shift[:m], dev[:m], sq[:m]
+        states = [
+            (spec, state[j, :m], peak[j, :m], None if sup is None else sup[j, start:stop])
+            for j, spec in enumerate(drifts)
+        ]
+        state[:, :m] = x0
+        peak[:, :m] = x0
+        for k in range(n):
+            if d == 1:
+                inc_k = xi[:, k, :]
+            else:
+                inc_k = np.matmul(xi[:, k, :], ut, out=inc[:m])
+                inc_k *= sqdt
+            for spec, x, peak_j, sup_j in states:
+                _drift_into(spec, k, x, peak_j, shift_m)
+                shift_m *= dt
+                x += shift_m
+                x += inc_k
+                if spec.kind == "running-max":
+                    np.maximum(peak_j, x, out=peak_j)
+                if sup_j is None:
+                    values[start:stop, k + 1] = x
+                    continue
+                np.subtract(x, x0, out=dev_m)
+                np.multiply(dev_m, dev_m, out=dev_m)
+                if d > 1:
+                    np.add.reduce(dev_m, axis=1, out=sq_m)
+                np.maximum(sup_j, sq_m, out=sup_j)
+    if values is not None:
+        values[:, 0] = x0
+        return values
+    return np.sqrt(sup, out=sup)
+
+
 def simulate_paths(
     grid: TimeGrid,
     x0,
@@ -462,32 +578,26 @@ def simulate_paths(
     generated in fixed-size blocks with per-block derived seeds, so the
     output does not depend on scheduling.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    u = np.asarray(strategy, dtype=np.float64)
-    if u.ndim == 0:
-        u = u.reshape(1, 1)
-    d = u.shape[0]
-    x0v = np.broadcast_to(np.asarray(x0, dtype=np.float64).reshape(-1), (d,))
-    n = grid.n_steps
-    dt = grid.dt
-    sqdt = math.sqrt(dt) if n > 0 else 0.0
+    u, x0v = _euler_inputs(x0, strategy, n_paths)
+    values = np.empty((n_paths, grid.n_steps + 1, u.shape[0]))
+    _euler(grid, x0v, [drift], u, n_paths, seed, values)
+    return PathSample(grid, x0v, values, seed)
 
-    out = np.empty((n_paths, n + 1, d))
-    seeds = np.random.SeedSequence(seed).spawn(-(-n_paths // _BLOCK))
-    start = 0
-    for ss in seeds:
-        stop = min(start + _BLOCK, n_paths)
-        m = stop - start
-        rng = np.random.Generator(np.random.PCG64(ss))
-        noise = rng.standard_normal((m, n, d))
-        block = np.empty((m, n + 1, d))
-        block[:, 0, :] = x0v
-        for k in range(n):
-            b = drift_eval(drift, k, block[:, : k + 1, :], u)
-            block[:, k + 1, :] = (
-                block[:, k, :] + b * dt + (noise[:, k, :] @ u.T) * sqdt
-            )
-        out[start:stop] = block
-        start = stop
-    return PathSample(grid, x0v, out, seed)
+
+def simulate_sup_distances(
+    grid: TimeGrid,
+    x0,
+    drifts,
+    strategy,
+    n_paths: int,
+    seed: int,
+) -> np.ndarray:
+    """Per drift and path: max_k |X_k - x0| (Euclidean), without storing
+    the paths.
+
+    Row j is bit for bit simulate_paths(grid, x0, drifts[j], strategy,
+    n_paths, seed).sup_distance_from_start(): every drift steps on the
+    same normals, drawn once.  Returns shape (len(drifts), n_paths).
+    """
+    u, x0v = _euler_inputs(x0, strategy, n_paths)
+    return _euler(grid, x0v, list(drifts), u, n_paths, seed)

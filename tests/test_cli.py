@@ -130,6 +130,25 @@ def test_verify_subset_and_mutation(tmp_path, capsys):
     assert not any(c["passed"] for c in report["checks"].values())
 
 
+@pytest.mark.parametrize("verify", [{}, {"split": 0, "prehistory_pairs": 1}])
+def test_verify_mutation_breaks_prehistory_on_constant_reward(tmp_path, capsys, verify):
+    # a constant payoff's root value ignores the pre-history, so the
+    # mutation must swap in a payoff that reads it
+    cfg = {
+        **SMALL_VERIFY,
+        "reward": {"kind": "constant", "value": 0.5},
+        "verify": {**SMALL_VERIFY["verify"], **verify},
+    }
+    code, report = run(
+        capsys, "verify", "--config", write_config(tmp_path, cfg),
+        "--suite", "prehistory", "--mutate",
+    )
+    assert code == 0
+    assert report["ok"]
+    assert not report["checks"]["prehistory"]["passed"]
+    assert report["checks"]["prehistory"]["worst"] > 0.0
+
+
 def test_verify_empty_suite_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_VERIFY)
     code = main(["verify", "--config", cfg, "--suite", ""])

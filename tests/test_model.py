@@ -15,7 +15,7 @@ from robuststop import (
     prefix_key,
     simulate_paths,
 )
-from robuststop.model import state_norms
+from robuststop.model import simulate_sup_distances, state_norms
 
 
 def test_drift_kinds_hand_values():
@@ -256,3 +256,28 @@ def test_simulate_paths_sample_views():
     assert np.all(sup >= 0.0)
     ref = np.max(np.abs(sample.values[:, :, 0] - 2.0), axis=1)
     np.testing.assert_allclose(sup, ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sup_distances_match_stored_paths_bitwise(d):
+    # every drift of one call steps on the same normals, and each row is
+    # the supremum of the paths simulate_paths stores for that drift
+    g = TimeGrid(0.3, 1.7, 7)
+    u = 0.7 if d == 1 else np.eye(d) * 0.8 + 0.1
+    drifts = [
+        DriftSpec("zero"),
+        DriftSpec("mean-reversion", rate=0.8, level=0.1),
+        DriftSpec("running-max", kappa=0.3),
+        DriftSpec("custom-table", table=[[0.1 * (k - 3)] * d for k in range(7)]),
+    ]
+    for n_paths in (1, 4097):
+        sups = simulate_sup_distances(g, -1.5, drifts, u, n_paths, seed=9)
+        assert sups.shape == (len(drifts), n_paths)
+        for row, spec in zip(sups, drifts):
+            ref = simulate_paths(g, -1.5, spec, u, n_paths, seed=9).sup_distance_from_start()
+            assert row.tobytes() == ref.tobytes()
+
+
+def test_sup_distances_rejects_empty_sample():
+    with pytest.raises(ValueError, match="n_paths"):
+        simulate_sup_distances(TimeGrid(0.0, 1.0, 2), 0.0, [DriftSpec("zero")], 1.0, 0, 1)

@@ -17,13 +17,19 @@ Pinned by sha256 digests:
   type, shape and raw bytes, or the name of the exception raised;
 * simulate_paths values and sup_distance_from_start at d = 1, 2 and 3
   for every drift kind, with sample sizes inside one block, at a block
-  boundary and across several blocks.
+  boundary and across several blocks;
+* the JSON form of check_sde_moments at d = 1 and 2, with no drift, the
+  `--mutate` custom-table drift, mean reversion and running max, for a
+  unit and a zero control and for path counts inside one block, at a
+  block boundary, one past it and across several blocks.
 
 Sample counts straddle several evaluation chunks, and one count is zero.
 The digests were recorded from the per-sample evaluators, which called
 eval_reward and drift_eval once per sampled prefix; the odd-grid and
 simulator digests from per-draw samplers, which built a Path per walk
-and took one distance per draw, and from a whole-sample supremum.  Any change in the
+and took one distance per draw, and from a whole-sample supremum; the
+moment digest from the path simulator, whose paths were stored whole and
+reduced afterwards, re-drawing the noise for the drifted run.  Any change in the
 order of floating-point operations, in the RNG draw order, in a
 reduction's tie-break or in an exception type shows up as a mismatch.
 To print the digests of the current code:
@@ -53,7 +59,13 @@ from robuststop import (
     lookback_max,
     running_sum,
 )
-from robuststop.verify import check_drift, check_y1, pair_sampler, prefix_sampler
+from robuststop.verify import (
+    check_drift,
+    check_sde_moments,
+    check_y1,
+    pair_sampler,
+    prefix_sampler,
+)
 
 COUNTS = (0, 1, 1300)
 SEEDS = (2026, 7)
@@ -187,6 +199,30 @@ def _simulate():
     return _sha(parts)
 
 
+def _moments():
+    controls = {
+        1: (1.0, 0.0),
+        2: (np.array([[1.0, 0.2], [0.2, 0.8]]), np.zeros((2, 2))),
+    }
+    parts = []
+    for d, menu in controls.items():
+        drifts = [
+            (None, None),
+            # the drift and bound `verify --mutate` checks
+            (DriftSpec("custom-table", table=[[1.0] * d] * 7), 1e-6),
+            (DriftSpec("mean-reversion", kappa=1.0, rate=0.8, level=0.1), 1.0),
+            (DriftSpec("running-max", kappa=0.3), 0.3),
+        ]
+        for u in menu:
+            for drift, bound in drifts:
+                for n_paths in (1, 4096, 4097, 10_000):
+                    parts.append(_report(
+                        check_sde_moments, u, n_steps=7, n_paths=n_paths, seed=29,
+                        drift=drift, drift_bound=bound,
+                    ))
+    return _sha(parts)
+
+
 def _prefixes(rng, d):
     """(k, prefix) pairs: 2-D prefixes of every length up to 9, a 1-D
     prefix at d = 1, and a prefix one value too short."""
@@ -247,12 +283,14 @@ CASES = {
     "drift-eval": _drift_eval,
     "odd-grids": _odd_grids,
     "simulate": _simulate,
+    "moments": _moments,
 }
 
 RECORDED = {
     'drift-d1': 'cb4bbf44ebd27e375ae561cbf47cded2fc91e9a3ae56afa3ab50d3a118036054',
     'drift-d2': '0d11f62976d92952bb3bcd5b1bc36e2e1f6f449d0c08c911a80e708915c34b16',
     'drift-eval': 'a22f7d8a501954e509a4a40ed606bdf7889e9b7b1f0f779863d664445a36643c',
+    'moments': 'dae7295efe974001f8d8c824af0502ad8bef747a7a6e11d2ec9a1f0d2b6136e2',
     'eval-reward': '96410f8584cdf1eefbed63fa8ec69d0fc8067e1c2bb8b71c34e92ffc4dfb76c6',
     'odd-grids': '1aec31a84a7bc0ac534c6fd7f5fc244a0e61de417c6bbcac40df94cd63e9fd78',
     'simulate': 'e350fd801d9a74b8229fc67ae2ceaa94b22dd50d6dc1dc1fb318ffe1bbd8067b',

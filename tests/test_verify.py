@@ -1,8 +1,12 @@
 """One test pair per runnable check: the claim holds on healthy input and
 the check rejects a deliberately corrupted one."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import robuststop.verify as verify_module
 
 from robuststop import (
     ControlSet,
@@ -285,6 +289,32 @@ def test_sde_moments_drift_transfer():
     assert honest.passed
     lying = check_sde_moments(n_paths=10_000, drift=table, drift_bound=1e-6)
     assert not lying.passed
+
+
+def test_sde_moments_drift_without_bound_fails_before_simulating(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the arguments")
+
+    monkeypatch.setattr(verify_module, "simulate_sup_distances", no_simulation)
+    with pytest.raises(ValueError, match="sup bound"):
+        check_sde_moments(n_paths=100_000, drift=DriftSpec("running-max"))
+
+
+@pytest.mark.parametrize("drifted", [False, True])
+def test_sde_moments_memory_stays_small(drifted):
+    # only per-path suprema and per-block work buffers are kept: storing
+    # the 100,000 x 17 paths alone would take 13.6 MB per simulation
+    kwargs = {"n_paths": 100_000}
+    if drifted:
+        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0]] * 16)
+        kwargs["drift_bound"] = 1.0
+    tracemalloc.start()
+    try:
+        check_sde_moments(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_corrupt_helpers_leave_original_alone(put_sol):
