@@ -14,8 +14,9 @@ produce byte-identical files.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (or, under
 --mutate, a mutation slipped through), 2 usage or configuration error,
-3 a size cap or model error rejected the run, 4 an internal error (an
-uncaught exception; its traceback goes to stderr).
+3 a size cap or model error rejected the run (a SizeError, whose message
+names the cap's config key, or a RuleError), 4 an internal error (any
+other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import traceback
 import numpy as np
 
 from .envelope import classic_snell, robust_envelope
-from .errors import ConfigError
+from .errors import ConfigError, RuleError, SizeError
 from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
 from .model import ControlSet, DriftSpec, expand_tree, state_norms, DEFAULT_NODE_CAP
 from .pathspace import ModulusSpec, TimeGrid
@@ -266,9 +267,13 @@ def build_controls(cfg: dict) -> ControlSet:
         raise ConfigError(f"bad controls: {exc}")
 
 
-def build_reward(cfg: dict, grid: TimeGrid) -> RewardFunctional:
+def build_reward(cfg: dict, grid: TimeGrid, dim: int) -> RewardFunctional:
     sec = _section(cfg, "reward", required=("kind",))
     kind = sec["kind"]
+    if dim != 1 and kind in ("american-put", "lookback-max", "running-sum"):
+        raise ConfigError(
+            f"reward.kind {kind!r} reads a scalar path, but the controls give d = {dim}"
+        )
     base = _num(sec, "reward", "base", 0.0)
     scale = _num(sec, "reward", "scale", 1.0)
     try:
@@ -340,7 +345,7 @@ def _instance(cfg: dict):
     grid = build_grid(cfg)
     controls = build_controls(cfg)
     x0, drift = build_dynamics(cfg, grid, controls.dim)
-    Y = build_reward(cfg, grid)
+    Y = build_reward(cfg, grid, controls.dim)
     solver = build_solver(cfg)
     tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
     log.info("expanded tree with %d nodes", tree.n_nodes)
@@ -534,10 +539,10 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         return vf.check_envelope_basic(target)
     if name == "supermartingale":
         target = vf.corrupt_envelope(sol) if mutate else sol
-        return vf.check_supermartingale(tree, target, cap=solver["stop_time_cap"])
+        return vf.check_supermartingale(tree, target)
     if name == "martingale":
         target = vf.corrupt_envelope(sol) if mutate else sol
-        return vf.check_martingale_to_tau(tree, target, cap=solver["stop_time_cap"])
+        return vf.check_martingale_to_tau(tree, target)
     if name == "dpp":
         s = _num(vcfg, "verify", "dpp_s", grid.n_steps, integer=True)
         if not 0 <= s <= grid.n_steps:
@@ -546,7 +551,7 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         if mutate:
             target = vf.corrupt_envelope(sol, node=tree.root)
             s = max(s, 1)
-        return vf.check_dpp(tree, target, s, cap=solver["strategy_cap"])
+        return vf.check_dpp(tree, target, s)
     if name == "dpp-random":
         barrier = _num(vcfg, "verify", "barrier")
         if mutate or barrier is None:
@@ -554,7 +559,7 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         else:
             nu = lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier)
         target = vf.corrupt_envelope(sol, node=tree.root) if mutate else sol
-        return vf.check_dpp_random_horizon(tree, target, nu, cap=solver["strategy_cap"])
+        return vf.check_dpp_random_horizon(tree, target, nu)
     if name == "tau":
         target = vf.corrupt_tau(sol) if mutate else sol
         return vf.check_tau_monotone(target)
@@ -823,8 +828,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # SizeError and the other model rejections land here
+    except (SizeError, RuleError) as exc:
+        # the model errors a valid config can meet: a cap, and a stop
+        # region that is not adapted to the observed prefixes (the
+        # oracle's tau* rule); any other ValueError is a defect
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception:

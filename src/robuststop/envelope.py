@@ -16,13 +16,15 @@ the public functions only choose its inputs:
 * stopped_value: the worst-case mean of Z frozen by a stopping rule.
 
 The game module's worst-case stopped reward is the same sweep with Y
-frozen by a rule.  Because every caller shares one fold, cross-sweep
-inequalities (lower game value <= upper game value, stopped values <=
-envelope values) hold exactly in floating point.  The min over controls
-and the max with the running reward commute at a node because the
-reward there does not depend on the control; the game module certifies
-the recursion against direct enumeration instead of trusting that
-argument.
+frozen by a rule, and the verify module's supermartingale, martingale
+and dynamic-programming checks are the same sweep with Z as the floor,
+the ceiling or the terminal value.  Because every caller shares one
+fold, cross-sweep inequalities (lower game value <= upper game value,
+stopped values <= envelope values) hold exactly in floating point.
+The min over controls and the max with the running reward commute at a
+node because the reward there does not depend on the control; the game
+module certifies the recursion against direct enumeration instead of
+trusting that argument.
 
 stop_mask turns a stopping description (grid index, prefix-keyed rule,
 or callable) into the per-node mask the sweep takes.
@@ -109,7 +111,8 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
     return mask
 
 
-def backward_sweep(tree, values, *, floor=None, stop=None, allowed=None, node=0):
+def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
+                   allowed=None, node=0):
     """One backward pass of v = max(floor, min over allowed u of E_u[v next]),
     a vectorised step per level over the subtree of node.
 
@@ -117,10 +120,12 @@ def backward_sweep(tree, values, *, floor=None, stop=None, allowed=None, node=0)
     other node takes the min over the controls allowed there
     (allowed[i, ci], every control when None) of the left-to-right
     weighted fold of its children's v, then the max with floor[i] when a
-    floor is given.  The min starts at +inf and moves only on a strictly
-    smaller value, so ties go to the smallest control index and a node
-    with no allowed control gets +inf; the max keeps floor unless the
-    min is strictly larger, as Python's max(floor, best) does.  Keeping
+    floor is given and the min with ceiling[i] when a ceiling is given.
+    The min starts at +inf and moves only on a strictly smaller value,
+    so ties go to the smallest control index and a node with no allowed
+    control gets +inf; the max keeps floor unless the min is strictly
+    larger, as Python's max(floor, best) does, and the min keeps ceiling
+    unless the min is strictly smaller.  Keeping
     this one operation order for every caller makes cross-sweep
     inequalities hold exactly in floating point, because rounding is
     monotone term by term.
@@ -156,6 +161,8 @@ def backward_sweep(tree, values, *, floor=None, stop=None, allowed=None, node=0)
         argmin[lo:hi] = best_ci
         if floor is not None:
             best = np.where(best > floor[lo:hi], best, floor[lo:hi])
+        if ceiling is not None:
+            best = np.where(best < ceiling[lo:hi], best, ceiling[lo:hi])
         if stop is not None:
             best = np.where(stop[lo:hi], values[lo:hi], best)
         v[lo:hi] = best

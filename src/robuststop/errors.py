@@ -4,6 +4,8 @@ Everything derives from ValueError so callers that just want "bad input"
 semantics can catch one class, while tests can pin down the precise failure.
 """
 
+import math
+
 
 class GridError(ValueError):
     """Incompatible time grids (mismatched spacing or junction time)."""
@@ -15,6 +17,14 @@ class PathError(ValueError):
 
 class SizeError(ValueError):
     """A construction or enumeration exceeds its configured cap."""
+
+    @classmethod
+    def over_cap(cls, count: int, what: str, cap: int, key: str) -> "SizeError":
+        """count items of a kind exceed cap; the message names the config
+        key that sets the cap.  A count of 13 digits or more is given as
+        a power of ten: Python refuses to print an int past 4300 digits."""
+        size = str(count) if count < 10**12 else f"about 10^{int(math.log10(count))}"
+        return cls(f"{size} {what} exceed the cap {cap}; raise {key} to allow more")
 
 
 class StrategyError(ValueError):

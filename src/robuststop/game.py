@@ -11,15 +11,16 @@ oracle computes
 by exhaustive enumeration, and compares both to the envelope solver's
 root value and to the worst-case value of stopping at tau_star.
 
-Both enumerations are tables built once per tree, which the verify
-checks read too:
+Both enumerations are tables built once per tree:
 
 * strategy_table: the optimally-stopped value of every strategy (in
-  enumerate_strategies order), optionally with the horizon cut at a
-  stop mask and a terminal value there;
-* stop_set_table: the controller's best response to every stopping set,
-  with an optional frozen mask;
+  enumerate_strategies order);
+* stop_set_table: the controller's best response to every stopping set;
 * count_strategies: the size of either table, without building it.
+
+The verify checks range over the same strategies and stopping sets with
+backward sweeps instead; these tables are the referee they are tested
+against.
 
 The one structural decision that matters: stopping rules are keyed by the
 observed state-path prefix, never by tree node identity.  The stopper
@@ -158,28 +159,25 @@ def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
     keys = _nonterminal_prefix_keys(tree)
     m = len(keys)
     if m > cap:
-        raise SizeError(f"{m} non-terminal prefixes exceed the rule cap {cap}")
+        raise SizeError.over_cap(m, "non-terminal prefixes", cap, "solver.rule_prefix_cap")
     terminal = tree.grid.n_steps
     for bits in range(1 << m):
         decisions = {key: bool((bits >> j) & 1) for j, key in enumerate(keys)}
         yield StoppingRule(terminal, decisions)
 
 
-def count_strategies(tree, from_node: int | None = None, cut=None,
-                     stop_sets: bool = False) -> int:
-    """Number of self-consistent strategies below from_node, or with
-    stop_sets the number of stopping sets; the row count of
-    strategy_table or stop_set_table.
+def count_strategies(tree, stop_sets: bool = False) -> int:
+    """Number of self-consistent strategies, or with stop_sets the number
+    of stopping sets; the row count of strategy_table or stop_set_table.
 
     A strategy picks one control per reached node, so the per-control
     products of the children's counts add up; a stopping set either
     stops at the node or picks a set in every child subtree under every
-    control, so it is 1 plus the product over all children.  Leaves and
-    nodes where the cut mask holds count 1.  Python integers, so counts
-    far beyond any cap stay exact.
+    control, so it is 1 plus the product over all children.  Leaves
+    count 1.  Python integers, so counts far beyond any cap stay exact.
     """
     C, B = tree.weights.shape
-    ranges = tree.subtree_ranges(tree.root if from_node is None else from_node)
+    ranges = tree.subtree_ranges(tree.root)
     counts = np.ones(ranges[-1][1] - ranges[-1][0], dtype=object)
     for lo, hi in ranges[-2::-1]:
         kids = counts.reshape(hi - lo, C, B)
@@ -187,18 +185,15 @@ def count_strategies(tree, from_node: int | None = None, cut=None,
             counts = 1 + kids.reshape(hi - lo, C * B).prod(axis=1)
         else:
             counts = kids.prod(axis=2).sum(axis=1)
-        if cut is not None:
-            counts[cut[lo:hi]] = 1
     return int(counts[0])
 
 
-def enumerate_strategies(tree, cap: int = STRATEGY_CAP, from_node: int | None = None):
+def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
     """Depth-first product over reachable nodes: at each node pick a
     control, then branch into the children that choice makes reachable."""
-    start = tree.root if from_node is None else from_node
-    total = count_strategies(tree, start)
+    total = count_strategies(tree)
     if total > cap:
-        raise SizeError(f"{total} strategies exceed the cap {cap}")
+        raise SizeError.over_cap(total, "strategies", cap, "solver.strategy_cap")
 
     def gen(node):
         if tree.is_leaf(node):
@@ -211,7 +206,7 @@ def enumerate_strategies(tree, cap: int = STRATEGY_CAP, from_node: int | None = 
                     merged.update(part)
                 yield merged
 
-    for assignments in gen(start):
+    for assignments in gen(tree.root):
         yield ControlStrategy(tree, assignments)
 
 
@@ -256,19 +251,18 @@ def _has_prefix_collision(tree) -> bool:
     return False
 
 
-def strategy_table(tree, y, terminal, cut=None) -> np.ndarray:
+def strategy_table(tree, y) -> np.ndarray:
     """Optimally-stopped value of every strategy, in enumerate_strategies
     order.
 
     table(node) holds max(y, E[table next]) at node for every control
-    assignment on its subtree; leaves and nodes where the cut mask holds
-    end the horizon with terminal[node].  With terminal = y and no cut,
-    row r is classic_snell's root value under strategy r.
+    assignment on its subtree, and y at leaves; row r is classic_snell's
+    root value under strategy r.
     """
 
     def table(node) -> np.ndarray:
-        if tree.is_leaf(node) or (cut is not None and cut[node]):
-            return np.array([terminal[node]])
+        if tree.is_leaf(node):
+            return np.array([y[node]])
         parts = []
         for kids, w in zip(tree.children[node], tree.edge_weights[node]):
             tabs = [table(c) for c in kids]
@@ -285,42 +279,37 @@ def strategy_table(tree, y, terminal, cut=None) -> np.ndarray:
     return table(tree.root)
 
 
-def stop_set_table(tree, vals, frozen=None, on_table=None) -> np.ndarray:
+def stop_set_table(tree, vals) -> np.ndarray:
     """Worst-case mean of vals frozen at every stopping set, at the root.
 
     table(node)[r] is the backward min over controls of the expectation
     of vals frozen at stopping set r of the subtree; entry 0 is the
-    immediate stop, and leaves and nodes where the frozen mask holds
-    have no other.  on_table(node, table) fires once per node,
-    bottom-up.  Stopping sets pick a set in every child subtree across
-    all controls, which is a superset of the prefix-adapted rules, so
-    checks over these tables are conservative.  Each table is swept with
-    the same left-to-right fold as backward_sweep, so its values stay
-    exactly comparable with the envelope's.
+    immediate stop, and leaves have no other.  Stopping sets pick a set
+    in every child subtree across all controls, which is a superset of
+    the prefix-adapted rules; without a prefix collision they induce
+    exactly those rules.  Each table is swept with the same
+    left-to-right fold as backward_sweep, so its values stay exactly
+    comparable with the envelope's.
     """
 
     def table(node) -> np.ndarray:
-        if tree.is_leaf(node) or (frozen is not None and frozen[node]):
-            t = np.array([vals[node]])
-        else:
-            all_kids = [c for kids in tree.children[node] for c in kids]
-            tables = [table(c) for c in all_kids]
-            sizes = [t.shape[0] for t in tables]
-            axis = {c: i for i, c in enumerate(all_kids)}
-            cont = None
-            for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-                acc = None
-                for j, c in enumerate(kids):
-                    shape = [1] * len(sizes)
-                    shape[axis[c]] = sizes[axis[c]]
-                    term = w[j] * tables[axis[c]].reshape(shape)
-                    acc = term if acc is None else acc + term
-                cont = acc if cont is None else np.minimum(cont, acc)
-            cont = np.broadcast_to(cont, sizes).reshape(-1)
-            t = np.concatenate([[vals[node]], cont])
-        if on_table is not None:
-            on_table(node, t)
-        return t
+        if tree.is_leaf(node):
+            return np.array([vals[node]])
+        all_kids = [c for kids in tree.children[node] for c in kids]
+        tables = [table(c) for c in all_kids]
+        sizes = [t.shape[0] for t in tables]
+        axis = {c: i for i, c in enumerate(all_kids)}
+        cont = None
+        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
+            acc = None
+            for j, c in enumerate(kids):
+                shape = [1] * len(sizes)
+                shape[axis[c]] = sizes[axis[c]]
+                term = w[j] * tables[axis[c]].reshape(shape)
+                acc = term if acc is None else acc + term
+            cont = acc if cont is None else np.minimum(cont, acc)
+        cont = np.broadcast_to(cont, sizes).reshape(-1)
+        return np.concatenate([[vals[node]], cont])
 
     return table(tree.root)
 
@@ -371,19 +360,28 @@ def game_values(
     """
     y = _y_array(tree, Y)
 
+    # every cap is checked before any table is built
     n_strategies = count_strategies(tree)
     if n_strategies > strategy_cap:
-        raise SizeError(f"{n_strategies} strategies exceed the cap {strategy_cap}")
-    values = strategy_table(tree, y, y)
+        raise SizeError.over_cap(
+            n_strategies, "strategies", strategy_cap, "solver.strategy_cap"
+        )
+    n_stop_times = count_strategies(tree, stop_sets=True)
+    collision = _has_prefix_collision(tree)
+    if not collision and n_stop_times > stop_time_cap:
+        raise SizeError.over_cap(
+            n_stop_times, "stopping times", stop_time_cap, "solver.stop_time_cap"
+        )
+
+    values = strategy_table(tree, y)
     best = int(np.argmin(values))
     upper = values[best]
     best_strategy = next(
         itertools.islice(enumerate_strategies(tree, cap=strategy_cap), best, None)
     )
 
-    n_stop_times = count_strategies(tree, stop_sets=True)
     m = len(_nonterminal_prefix_keys(tree))
-    if _has_prefix_collision(tree):
+    if collision:
         # rare engineered case: fall back to explicit prefix-map rules
         lower = -np.inf
         for rule in enumerate_stopping_rules(tree, cap=rule_prefix_cap):
@@ -391,8 +389,6 @@ def game_values(
             if v > lower:
                 lower = v
     else:
-        if n_stop_times > stop_time_cap:
-            raise SizeError(f"{n_stop_times} stopping times exceed the cap {stop_time_cap}")
         lower = np.max(stop_set_table(tree, y))
 
     assert lower <= upper, f"minimax inequality violated: {lower} > {upper}"

@@ -416,9 +416,7 @@ def expand_tree(
     fanout = weights.size
     projected = _projected_node_count(grid.n_steps - k0, fanout)
     if projected > node_cap:
-        raise SizeError(
-            f"tree would hold {projected} nodes, exceeding the cap {node_cap}"
-        )
+        raise SizeError.over_cap(projected, "tree nodes", node_cap, "solver.node_cap")
 
     root = root_prefix[None].copy()
     root.setflags(write=False)

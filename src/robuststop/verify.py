@@ -7,12 +7,11 @@ hitting-time ladder, continuity in the stored pre-history, and the Monte
 Carlo moment scaling.  Each check returns a CheckReport carrying the
 worst violation it saw, so a failure localizes itself.
 
-The enumeration checks build no tables of their own: the supermartingale
-and martingale laws read game.stop_set_table (every stopping set of every
-subtree, frozen at the stop region for the martingale law), the two
-dynamic-programming identities read game.strategy_table with the horizon
-cut at envelope.stop_mask, and game.count_strategies sizes each against
-its cap before it is built.
+The supermartingale and martingale laws and both dynamic-programming
+identities range over every stopping set or truncated strategy without
+enumerating them: child subtrees are independent and the fold is
+monotone, so each max or min over them is one envelope.backward_sweep,
+bit for bit the game module's enumeration tables, in linear time.
 
 Checks are deterministic given their seeds, and each one can genuinely
 fail: corrupt_envelope and corrupt_tau build broken inputs for the
@@ -26,14 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import EnvelopeSolution, robust_envelope, stop_mask, tau_delta
-from .errors import SizeError
-from .game import (
-    STOP_TIME_CAP,
-    STRATEGY_CAP,
-    count_strategies,
-    stop_set_table,
-    strategy_table,
+from .envelope import (
+    EnvelopeSolution,
+    backward_sweep,
+    robust_envelope,
+    stop_mask,
+    tau_delta,
 )
 from .model import (
     DriftSpec,
@@ -315,88 +312,75 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     )
 
 
-def _stop_set_check(name, tree, sol, frozen, gap, tolerance, cap) -> CheckReport:
-    """Worst gap(table, z[node]) over the stopping-set table of every node."""
-    total = count_strategies(tree, cut=frozen, stop_sets=True)
-    if total > cap:
-        raise SizeError(f"{total} stopping sets exceed the cap {cap}")
-    state = {"worst": -np.inf, "n": 0}
-
-    def on_table(node, t):
-        state["worst"] = max(state["worst"], gap(t, sol.z[node]))
-        state["n"] += t.shape[0]
-
-    stop_set_table(tree, sol.z, frozen, on_table)
-    return CheckReport(
-        name=name,
-        passed=state["worst"] <= tolerance,
-        worst=state["worst"],
-        tolerance=tolerance,
-        n_checked=state["n"],
-        details={"root_stopping_sets": total},
-    )
+def _reached(tree, stop) -> np.ndarray:
+    """Nodes with no strict ancestor where stop holds: one forward step
+    per level, each node passing its flag, cleared where it stops, to
+    its C * B contiguous children."""
+    off = tree.offsets
+    out = np.zeros(tree.n_nodes, dtype=bool)
+    out[0] = True
+    for lo, hi, end in zip(off, off[1:], off[2:]):
+        out[hi:end] = np.repeat(out[lo:hi] & ~stop[lo:hi], tree.weights.size)
+    return out
 
 
 def check_supermartingale(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TIME_CAP
+    tree, sol: EnvelopeSolution, tolerance: float = 1e-9
 ) -> CheckReport:
     """Worst-case means of the stopped envelope never exceed the envelope.
 
-    At every node, every stopping set of the subtree is enumerated and
-    the frozen-envelope worst-case mean compared against the node value.
-    Immediate stop realizes equality, so the worst violation is >= 0 up
-    to rounding.
+    At every node (n_checked counts them), the largest worst-case mean of
+    the envelope frozen at a stopping set of the subtree is compared
+    against the node value; that max is the sweep W = max(z, min_u
+    E_u[W next]).  Immediate stop realizes equality, so the worst
+    violation is >= 0 up to rounding.
     """
-    return _stop_set_check(
-        "supermartingale", tree, sol, None,
-        lambda t, z: float(np.max(t) - z), tolerance, cap,
-    )
+    worst = float(np.max(backward_sweep(tree, sol.z, floor=sol.z)[0] - sol.z))
+    return CheckReport("supermartingale", worst <= tolerance, worst, tolerance,
+                       tree.n_nodes)
 
 
 def check_martingale_to_tau(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9, cap: int = STOP_TIME_CAP
+    tree, sol: EnvelopeSolution, tolerance: float = 1e-9
 ) -> CheckReport:
     """The envelope is flat, in the worst-case mean, up to the meeting time.
 
     Stopping sets are restricted to act at or before the stop region, so
-    every enumerated worst-case mean must reproduce the node value
-    exactly (within the enumeration tolerance), not just stay below it.
+    every worst-case mean of the frozen envelope must reproduce the node
+    value (within the tolerance), not just stay below it.  The largest
+    and smallest of those means are the sweeps W+ = max(z, min_u
+    E_u[W+ next]) and W- = min(z, min_u E_u[W- next]), both frozen at the
+    stop region, compared at the nodes with no strict ancestor in it
+    (n_checked counts them).
     """
-    return _stop_set_check(
-        "martingale-to-tau", tree, sol, sol.stop,
-        lambda t, z: float(np.max(np.abs(t - z))), tolerance, cap,
-    )
+    z, stop = sol.z, sol.stop
+    upper = backward_sweep(tree, z, floor=z, stop=stop)[0]
+    lower = backward_sweep(tree, z, ceiling=z, stop=stop)[0]
+    reached = _reached(tree, stop)
+    worst = float(np.max(np.maximum(upper - z, z - lower)[reached]))
+    return CheckReport("martingale-to-tau", worst <= tolerance, worst, tolerance,
+                       int(np.count_nonzero(reached)))
 
 
 # ---------------------------------------------------------------------------
 # dynamic programming identities
 
 
-def _dpp_check(name, tree, sol, cut, tolerance, cap, details) -> CheckReport:
+def _dpp_check(name, tree, sol, cut, tolerance, details) -> CheckReport:
     """Root value against the min over truncated strategies of the
-    optimally-stopped value that ends in the solver's z at the cut."""
-    total = count_strategies(tree, cut=cut)
-    if total > cap:
-        raise SizeError(f"{total} truncated strategies exceed the cap {cap}")
-    recomputed = float(np.min(strategy_table(tree, sol.y, sol.z, cut)))
+    optimally-stopped value that ends in the solver's z at the cut.
+
+    The controller sees everything, so that min is the sweep v = max(y,
+    min_u E_u[v next]) with z frozen at the cut; n_checked counts the
+    nodes swept.
+    """
+    recomputed = float(backward_sweep(tree, sol.z, floor=sol.y, stop=cut)[0][tree.root])
     worst = abs(recomputed - sol.root_value())
-    return CheckReport(
-        name=name,
-        passed=worst <= tolerance,
-        worst=worst,
-        tolerance=tolerance,
-        n_checked=total,
-        details={**details, "recomputed_root": recomputed},
-    )
+    return CheckReport(name, worst <= tolerance, worst, tolerance, tree.n_nodes,
+                       {**details, "recomputed_root": recomputed})
 
 
-def check_dpp(
-    tree,
-    sol: EnvelopeSolution,
-    s,
-    tolerance: float = 1e-9,
-    cap: int = STRATEGY_CAP,
-) -> CheckReport:
+def check_dpp(tree, sol: EnvelopeSolution, s, tolerance: float = 1e-9) -> CheckReport:
     """One-step-at-a-time identity against the truncated game.
 
     The root value must equal the min over control assignments on the
@@ -404,20 +388,15 @@ def check_dpp(
     is the solver's own slice-s values.  s is a grid index or node time.
     """
     s_idx = int(s) if isinstance(s, (int, np.integer)) else tree.grid.index_of(s)
-    if not tree.k[tree.root] <= s_idx <= tree.grid.n_steps:
+    if not tree.k0 <= s_idx <= tree.grid.n_steps:
         raise ValueError(f"cut {s_idx} outside the tree's horizon")
     return _dpp_check(
-        "dpp-deterministic", tree, sol, stop_mask(tree, s_idx), tolerance, cap,
-        {"s": s_idx},
+        "dpp-deterministic", tree, sol, stop_mask(tree, s_idx), tolerance, {"s": s_idx}
     )
 
 
 def check_dpp_random_horizon(
-    tree,
-    sol: EnvelopeSolution,
-    nu,
-    tolerance: float = 1e-9,
-    cap: int = STRATEGY_CAP,
+    tree, sol: EnvelopeSolution, nu, tolerance: float = 1e-9
 ) -> CheckReport:
     """Same identity with the horizon cut at a hitting time.
 
@@ -425,9 +404,7 @@ def check_dpp_random_horizon(
     ends the horizon, or a mapping from prefix keys to booleans; leaves
     end it regardless (see stop_mask).
     """
-    return _dpp_check(
-        "dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, cap, {}
-    )
+    return _dpp_check("dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, {})
 
 
 # ---------------------------------------------------------------------------

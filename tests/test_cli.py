@@ -108,6 +108,35 @@ def test_oracle_node_cap_exits_3(tmp_path, capsys):
     assert "cap" in err
 
 
+def test_oracle_cap_message_is_short_and_names_the_key(tmp_path, capsys):
+    # 65,535 nodes and about 10^5797 stopping sets: a count Python
+    # refuses to print in full
+    cfg = {
+        **PUT_N2,
+        "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 15},
+        "controls": {"values": [1.0], "cap": 1.0},
+    }
+    assert main(["oracle", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "solver.stop_time_cap" in err
+    assert len(err) < 200
+
+
+def test_verify_tree_checks_on_a_deep_tree(tmp_path, capsys):
+    # 87,381 nodes, far past what enumerating stopping sets or
+    # strategies could reach; each check is a backward sweep
+    suite = "supermartingale,martingale,dpp,dpp-random"
+    cfg = {**PUT_N2, "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 8}}
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--suite", suite]
+    code, report = run(capsys, *argv)
+    assert code == 0
+    assert sorted(report["checks"]) == sorted(suite.split(","))
+    assert all(c["passed"] for c in report["checks"].values())
+    code, report = run(capsys, *argv, "--mutate")
+    assert code == 0
+    assert not any(c["passed"] for c in report["checks"].values())
+
+
 def test_verify_full_suite(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_VERIFY)
     code, report = run(capsys, "verify", "--config", cfg)
@@ -335,6 +364,27 @@ def test_internal_error_exits_4_with_traceback(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", write_config(tmp_path, INST_A)]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_library_value_error_exits_4(tmp_path, capsys, monkeypatch):
+    # exit 3 is kept for the size caps and model errors a config can
+    # meet; a ValueError from anywhere else is a defect
+    import robuststop.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("library defect")
+
+    monkeypatch.setattr(cli, "robust_envelope", broken)
+    assert main(["solve", "--config", write_config(tmp_path, INST_A)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: library defect" in err
+
+
+def test_scalar_reward_on_a_vector_state_is_config_error(tmp_path, capsys):
+    cfg = {**PUT_N2, "dynamics": {"x0": [1.0, 1.0]},
+           "controls": {"values": [[[1.0, 0.0], [0.0, 1.0]]], "cap": 1.0}}
+    assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "reward.kind" in capsys.readouterr().err
 
 
 # (command, suite, config, key named): counts and caps below 1, a

@@ -23,11 +23,18 @@ from robuststop import (
     game_values,
     paste_strategies,
     pasting_check,
+    robust_envelope,
     state_law,
     terminal_abs,
     worst_case_stopped_reward,
 )
-from robuststop.game import _has_prefix_collision, count_strategies
+from robuststop.envelope import backward_sweep
+from robuststop.game import (
+    _has_prefix_collision,
+    count_strategies,
+    stop_set_table,
+    strategy_table,
+)
 
 
 def test_rule_count_one_step(inst_a):
@@ -182,10 +189,25 @@ def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
 
 def test_game_size_caps(put_n2):
     tree, Y = put_n2
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="solver.strategy_cap"):
         game_values(tree, Y, strategy_cap=3)
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeError, match="solver.stop_time_cap"):
         game_values(tree, Y, stop_time_cap=2)
+
+
+def test_referee_tables_factor_into_sweeps(rand_instance):
+    # the verify checks rest on these identities: the max and the min
+    # over every stopping set, and the min over every strategy, are one
+    # backward sweep each, bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        tree, Y = rand_instance(rng)
+        sol = robust_envelope(tree, Y)
+        z = sol.z
+        stops = stop_set_table(tree, z)
+        assert np.max(stops) == backward_sweep(tree, z, floor=z)[0][tree.root]
+        assert np.min(stops) == backward_sweep(tree, z, ceiling=z)[0][tree.root]
+        assert np.min(strategy_table(tree, sol.y)) == sol.root_value()
 
 
 def test_state_law_is_a_probability(put_n2):

@@ -152,6 +152,45 @@ def test_martingale_to_tau_rejects_corruption(put_sol):
     assert not check_martingale_to_tau(tree, corrupt_envelope(sol)).passed
 
 
+def test_martingale_to_tau_rejects_a_raised_node(put_sol):
+    # every stopped mean stays below a node lifted before the stop
+    # region, so only the lower side of the law sees the lift
+    tree, _, sol = put_sol
+    report = check_martingale_to_tau(tree, corrupt_envelope(sol, amount=0.1))
+    assert not report.passed
+    assert report.worst == pytest.approx(0.1)
+
+
+def _reached_before_stop(tree, stop) -> int:
+    """Nodes with no strict ancestor in the stop region, walked depth first."""
+    seen, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        seen += 1
+        if not stop[node]:
+            stack.extend(c for kids in tree.children[node] for c in kids)
+    return seen
+
+
+def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        tree, Y = rand_instance(rng)
+        sol = robust_envelope(tree, Y)
+        reached = _reached_before_stop(tree, sol.stop)
+        assert check_supermartingale(tree, sol).n_checked == tree.n_nodes
+        assert check_martingale_to_tau(tree, sol).n_checked == reached
+        assert check_dpp(tree, sol, 1).n_checked == tree.n_nodes
+        nu = sol.stop_rule_map(0.05)
+        assert check_dpp_random_horizon(tree, sol, nu).n_checked == tree.n_nodes
+
+
+def test_martingale_to_tau_compares_only_the_root_when_it_stops(inst_a):
+    tree, _ = inst_a
+    sol = robust_envelope(tree, constant_reward(0.4))
+    assert check_martingale_to_tau(tree, sol).n_checked == 1
+
+
 def test_dpp_terminal_slice_is_definition(put_sol):
     tree, _, sol = put_sol
     report = check_dpp(tree, sol, tree.grid.t_end)
