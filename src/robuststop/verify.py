@@ -66,9 +66,10 @@ class CheckReport:
     """Outcome of one check.
 
     worst is the largest violation encountered (signed: anything at or
-    below tolerance passes); n_checked counts the individual comparisons
-    the worst was taken over.  details holds check-specific diagnostics,
-    all JSON-friendly scalars and lists.
+    below tolerance passes); n_checked counts the work the worst was
+    taken over, such as samples or tree nodes (each check says which).
+    details holds check-specific diagnostics, all JSON-friendly scalars
+    and lists.
     """
 
     name: str

@@ -185,12 +185,6 @@ def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
         assert check_dpp_random_horizon(tree, sol, nu).n_checked == tree.n_nodes
 
 
-def test_martingale_to_tau_compares_only_the_root_when_it_stops(inst_a):
-    tree, _ = inst_a
-    sol = robust_envelope(tree, constant_reward(0.4))
-    assert check_martingale_to_tau(tree, sol).n_checked == 1
-
-
 def test_dpp_terminal_slice_is_definition(put_sol):
     tree, _, sol = put_sol
     report = check_dpp(tree, sol, tree.grid.t_end)
