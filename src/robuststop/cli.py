@@ -267,13 +267,9 @@ def build_controls(cfg: dict) -> ControlSet:
         raise ConfigError(f"bad controls: {exc}")
 
 
-def build_reward(cfg: dict, grid: TimeGrid, dim: int) -> RewardFunctional:
+def build_reward(cfg: dict, grid: TimeGrid) -> RewardFunctional:
     sec = _section(cfg, "reward", required=("kind",))
     kind = sec["kind"]
-    if dim != 1 and kind in ("american-put", "lookback-max", "running-sum"):
-        raise ConfigError(
-            f"reward.kind {kind!r} reads a scalar path, but the controls give d = {dim}"
-        )
     base = _num(sec, "reward", "base", 0.0)
     scale = _num(sec, "reward", "scale", 1.0)
     try:
@@ -345,7 +341,12 @@ def _instance(cfg: dict):
     grid = build_grid(cfg)
     controls = build_controls(cfg)
     x0, drift = build_dynamics(cfg, grid, controls.dim)
-    Y = build_reward(cfg, grid, controls.dim)
+    Y = build_reward(cfg, grid)
+    if controls.dim != 1 and Y.kind in ("american-put", "lookback-max", "running-sum"):
+        raise ConfigError(
+            f"reward.kind {Y.kind!r} reads a scalar path, "
+            f"but the controls give d = {controls.dim}"
+        )
     solver = build_solver(cfg)
     tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
     log.info("expanded tree with %d nodes", tree.n_nodes)
