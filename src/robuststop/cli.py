@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -382,9 +383,11 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
                 "y_max": float(np.max(y)),
             }
         )
-        # Python's min over the floats, as a per-node loop takes it
+        # the norms of finite states are never NaN and never -0.0 (a square
+        # root of a sum of squares is at least +0.0), so np.min picks the
+        # same float that Python's min over the per-node values would
         min_abs = (
-            min(state_norms(tree.states_at(k)[stopped]).tolist())
+            float(np.min(state_norms(tree.states_at(k)[stopped])))
             if n_stopped
             else None
         )
@@ -765,7 +768,10 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and shared by
+    every later one in the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="robuststop",
         description="worst-case optimal stopping on scenario trees",

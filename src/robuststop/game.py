@@ -242,12 +242,15 @@ def worst_case_stopped_reward(tree, Y, rule, from_node: int = 0) -> float:
 
 
 def _has_prefix_collision(tree) -> bool:
-    seen = set()
-    for i in range(tree.n_nodes):
-        key = tree.node_key(i)
-        if key in seen:
+    """Whether two nodes share a prefix_key.  Keys carry the time index,
+    so only rows of one level's prefix block can collide.  Sorting the
+    rows puts equal ones next to each other, and == compares neighbours
+    as prefix_key does (0.0 == -0.0); np.unique would import numpy.ma."""
+    for block in tree.blocks:
+        rows = block.reshape(block.shape[0], -1)
+        rows = rows[np.lexsort(rows.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             return True
-        seen.add(key)
     return False
 
 

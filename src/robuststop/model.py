@@ -233,7 +233,12 @@ def state_norms(states: np.ndarray) -> np.ndarray:
     root of the BLAS dot product row.dot(row), and the stacked matmul
     below reaches the same dot routine.  np.linalg.norm(states, axis=1)
     sums the squares without it and differs in the last bit on some rows.
+    With one column the dot product of a row is its single product x * x,
+    so that case is np.sqrt(x * x), with no BLAS call per row.
     """
+    if states.shape[1] == 1:
+        x = states[:, 0]
+        return np.sqrt(x * x)
     states = np.ascontiguousarray(states)
     return np.sqrt((states[:, None, :] @ states[:, :, None]).reshape(-1))
 

@@ -5,10 +5,13 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from robuststop.cli import main
+import robuststop
+from robuststop.cli import _build_parser, main
 
 INST_A = {
     "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 1},
@@ -272,11 +275,48 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
-def test_usage_errors_raise_system_exit():
+def test_usage_errors_raise_system_exit(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main([])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["solve"])
+    assert exc.value.code == 2
+    # the shared parser still serves the next call
+    code, report = run(capsys, "solve", "--config", write_config(tmp_path, INST_A))
+    assert code == 0
+    assert report["root_value"] == 0.5
+
+
+def test_parser_is_shared_and_keeps_no_flag_between_calls(tmp_path, capsys):
+    argv = ["verify", "--config", write_config(tmp_path, SMALL_VERIFY),
+            "--suite", "envelope,tau", "--threads", "1"]
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv + ["--mutate"]) == 0
+    assert json.loads(capsys.readouterr().out)["mutate"] is True
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+    assert json.loads(again)["mutate"] is False
+    assert again == first
+    assert _build_parser() is _build_parser()
+
+
+def test_one_shot_entry_point_matches_main(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(robuststop.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "robuststop", *argv],
+                              env=env, capture_output=True, timeout=120)
+
+    assert entry("--help").returncode == 0
+    cfg = write_config(tmp_path, PUT_N2)
+    one_shot = entry("solve", "--config", cfg)
+    assert one_shot.returncode == 0
+    assert main(["solve", "--config", cfg]) == 0
+    assert one_shot.stdout == capsys.readouterr().out.encode()
 
 
 DEMO_SMALL = {

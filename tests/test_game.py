@@ -11,6 +11,7 @@ from robuststop import (
     ControlStrategy,
     DriftSpec,
     PartitionError,
+    ScenarioTree,
     SizeError,
     StoppingRule,
     StrategyError,
@@ -167,17 +168,31 @@ def test_minimax_order_on_random_instances(rand_instance):
         assert report.agree, report.max_gap
 
 
+def _shared_column_tree(n_steps):
+    # the controls share their first column, so after one step a
+    # control-0 and a control-1 child observe the same state
+    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
+    return expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
+                       DriftSpec("zero"), controls)
+
+
+def _signed_zero_tree():
+    # one step, two outcomes whose states differ only in the sign of
+    # zero: prefix_key compares floats, so they share a prefix
+    blocks = [np.zeros((1, 1, 1)), np.array([[[0.0], [0.0]], [[0.0], [-0.0]]])]
+    return ScenarioTree(TimeGrid(0.0, 1.0, 1), ControlSet([1.0], cap=1.0),
+                        DriftSpec("zero"), 0, blocks, np.full((1, 2), 0.5))
+
+
 @pytest.mark.parametrize("n_steps, n_nodes, n_rule_maps, value", [
     (1, 9, 2, 1.4142135623730951),
     (2, 73, 128, 1.2071067811865475),
+    pytest.param(None, 3, 2, 0.0, id="signed-zero"),
 ])
 def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
-    # the controls share their first column, so after one step a
-    # control-0 and a control-1 child observe the same state and the
-    # lower value must enumerate prefix maps, not node-keyed stop sets
-    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
-    tree = expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
-                       DriftSpec("zero"), controls)
+    # two nodes observe the same prefix, so the lower value must
+    # enumerate prefix maps, not node-keyed stop sets
+    tree = _signed_zero_tree() if n_steps is None else _shared_column_tree(n_steps)
     assert tree.n_nodes == n_nodes
     assert _has_prefix_collision(tree)
     report = game_values(tree, terminal_abs())
@@ -193,6 +208,9 @@ def test_game_size_caps(put_n2):
         game_values(tree, Y, strategy_cap=3)
     with pytest.raises(SizeError, match="solver.stop_time_cap"):
         game_values(tree, Y, stop_time_cap=2)
+    # the collision check reads the level blocks, so a rejected run
+    # never builds the per-node prefix list
+    assert "prefixes" not in vars(tree)
 
 
 def test_referee_tables_factor_into_sweeps(rand_instance):

@@ -103,14 +103,19 @@ def test_first_level_kernel_matrix_covariance():
 
 
 def test_state_norms_match_per_row_norm():
-    # np.linalg.norm(a, axis=1) rounds differently on some rows for d > 1
+    # np.linalg.norm(a, axis=1) rounds differently on some rows for d > 1;
+    # the edge rows hold signed zeros, the smallest subnormal, a value
+    # whose square underflows and values whose squares overflow
     rng = np.random.default_rng(7)
+    edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e155, -1e200])
     for d in (1, 2, 3):
         a = rng.normal(size=(4000, d)) * rng.choice([1e-3, 1.0, 1e3], size=(4000, 1))
-        want = np.array([np.linalg.norm(row) for row in a])
-        assert state_norms(a).tobytes() == want.tobytes()
-        assert state_norms(a[:, ::-1]).tobytes() == np.array(
-            [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()
+        a = np.vstack([a, np.repeat(edge[:, None], d, axis=1), np.resize(edge, (8, d))])
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.array([np.linalg.norm(row) for row in a])
+            assert state_norms(a).tobytes() == want.tobytes()
+            assert state_norms(a[:, ::-1]).tobytes() == np.array(
+                [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()
 
 
 def test_prefix_key_distinguishes_paths():
