@@ -26,6 +26,8 @@ node because the reward there does not depend on the control; the game
 module certifies the recursion against direct enumeration instead of
 trusting that argument.
 
+forward_pass, the sweep's forward twin, follows a strategy from a node
+down to a stop rule, one step per level; every forward walk runs on it.
 stop_mask turns a stopping description (grid index, prefix-keyed rule,
 or callable) into the per-node mask the sweep takes.
 """
@@ -43,6 +45,7 @@ __all__ = [
     "EnvelopeSolution",
     "SnellResult",
     "backward_sweep",
+    "forward_pass",
     "stop_mask",
     "robust_envelope",
     "classic_snell",
@@ -78,10 +81,10 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
     rule is a grid time index (stop once k >= index), a mapping from
     prefix keys to booleans (or an object holding one as .decisions,
     such as a game.StoppingRule), or a callable (k, prefix) -> bool.
-    Leaves stop regardless.  A mapping or callable is evaluated depth
-    first from node, and only at interior nodes that no earlier stop cuts
-    off, so a partial map fails only where a decision is needed.
-    Interior nodes below a stop keep False; no sweep reads them.
+    Leaves stop regardless.  A mapping or callable is evaluated by
+    forward_pass from node, so only at interior nodes that no earlier
+    stop cuts off, and a partial map fails only where a decision is
+    needed.  Interior nodes below a stop keep False; no sweep reads them.
     """
     mask = np.zeros(tree.n_nodes, dtype=bool)
     mask[tree.offsets[-2]:] = True
@@ -99,16 +102,51 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
             return bool(decisions[key])
     else:
         stops = lambda i: bool(rule(tree.k[i], tree.prefixes[i]))
-    stack = [node]
-    while stack:
-        i = stack.pop()
-        if mask[i]:
-            continue
-        if stops(i):
-            mask[i] = True
+    walk = forward_pass(tree, node, stops=lambda ids: [stops(i) for i in ids.tolist()])
+    return mask | walk[1]
+
+
+def forward_pass(tree, node: int = 0, strategy=None, stops=None):
+    """The forward twin of backward_sweep: one vectorised step per level
+    over the subtree of node, following the strategy's control at each
+    node (every control without one), cut off where stops holds.
+
+    stops(ids) gives the flags of an array of reached interior nodes, and
+    the strategy (anything control_index_at resolves) the control at each
+    reached interior node that does not stop; neither is asked about any
+    other node, so a partial rule or strategy fails only where a decision
+    is needed.  Returns per-node arrays (reached, stop, control, weight):
+    stop holds at reached nodes that stop and at reached leaves, control
+    is -1 where no strategy's control is in force, and weight is 1 at
+    node, a child's its parent's times weights[ci, oi], 0 if unreached.
+    """
+    C, B = tree.weights.shape
+    w = tree.weights.reshape(-1)
+    reached = np.zeros(tree.n_nodes, dtype=bool)
+    stop = np.zeros(tree.n_nodes, dtype=bool)
+    control = np.full(tree.n_nodes, -1, dtype=np.int64)
+    weight = np.zeros(tree.n_nodes)
+    reached[node] = True
+    weight[node] = 1.0
+    ranges = tree.subtree_ranges(node)
+    # each level's children are the next level's range, C * B per node
+    for (lo, hi), (klo, khi) in zip(ranges, ranges[1:]):
+        go = reached[lo:hi]
+        if stops is not None:
+            ids = lo + np.flatnonzero(go)
+            stop[ids] = stops(ids)
+            go = go & ~stop[lo:hi]
+        if strategy is None:
+            kids = np.repeat(go, C * B)
         else:
-            stack.extend(c for kids in reversed(tree.children[i]) for c in reversed(kids))
-    return mask
+            ids = lo + np.flatnonzero(go)
+            control[ids] = [control_index_at(strategy, tree, i) for i in ids.tolist()]
+            kids = np.repeat(control[lo:hi, None] == np.arange(C), B)
+        reached[klo:khi] = kids
+        weight[klo:khi] = np.where(kids, (weight[lo:hi, None] * w).reshape(-1), 0.0)
+    lo, hi = ranges[-1]
+    stop[lo:hi] = reached[lo:hi]
+    return reached, stop, control, weight
 
 
 def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
@@ -236,7 +274,7 @@ def _scenario_tau(tree, flags, argmin_control) -> dict:
             out[outcomes] = tree.k0 + l
             continue
         # argmin -1 (no finite continuation) follows the last control,
-        # as list indexing of the per-node children did
+        # as a Python index of -1 would
         ci = int(argmin_control[node]) % C
         first = off[l + 1] + (node - off[l]) * C * B + ci * B
         stack.extend((first + oi, l + 1, outcomes + (oi,)) for oi in reversed(range(B)))
@@ -281,29 +319,20 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     """V = max(Y, E[V next]) under a fixed strategy, from from_node down.
 
     Y may be a RewardFunctional or a precomputed per-node array.  The
-    strategy is resolved depth first over the nodes it reaches, then the
+    strategy is resolved by forward_pass over the nodes it reaches, then the
     sweep runs with that one control allowed per node.  The returned
     rule stops at the first node where V meets Y (relative guard), which
     is the optimal stopping rule under that single law; reachable nodes
     that share a prefix must agree on it.
     """
     y = _y_array(tree, Y)
-    allowed = np.zeros((tree.n_nodes, len(tree.controls)), dtype=bool)
-    reach = []
-    stack = [from_node]
-    while stack:
-        node = stack.pop()
-        reach.append(node)
-        if not tree.is_leaf(node):
-            ci = control_index_at(strategy, tree, node)
-            allowed[node, ci] = True
-            stack.extend(reversed(tree.children[node][ci]))
+    reached, _, control, _ = forward_pass(tree, from_node, strategy)
+    allowed = control[:, None] == np.arange(len(tree.controls))
     swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
-    values = np.full(tree.n_nodes, np.nan)
-    values[reach] = swept[reach]
+    values = np.where(reached, swept, np.nan)
     flags = values - y <= STOP_GUARD * (1.0 + np.abs(y))
     rule = {}
-    for node in reach:
+    for node in np.flatnonzero(reached).tolist():
         stop = flags[node]
         if rule.setdefault(tree.node_key(node), stop) != stop:
             raise RuleError(f"strategy-reachable prefixes disagree at node {node}")

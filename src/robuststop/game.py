@@ -11,10 +11,11 @@ oracle computes
 by exhaustive enumeration, and compares both to the envelope solver's
 root value and to the worst-case value of stopping at tau_star.
 
-Both enumerations are tables built once per tree:
+Both enumerations are tables built once per tree, level by level from
+the leaves (all nodes of a level have tables of one size):
 
 * strategy_table: the optimally-stopped value of every strategy (in
-  enumerate_strategies order);
+  enumerate_strategies order, which decodes a row arithmetically);
 * stop_set_table: the controller's best response to every stopping set;
 * count_strategies: the size of either table, without building it.
 
@@ -35,7 +36,6 @@ prefix maps instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -45,11 +45,11 @@ from .envelope import (
     _y_array,
     backward_sweep,
     classic_snell,
-    control_index_at,
+    forward_pass,
     robust_envelope,
     stop_mask,
 )
-from .errors import PartitionError, RuleError, SizeError, StrategyError
+from .errors import PartitionError, RuleError, SizeError
 from .model import prefix_key
 from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it here
 
@@ -113,7 +113,7 @@ class ControlStrategy:
     """Control assignment per tree node.
 
     Only nodes reachable under the strategy itself need an assignment;
-    validate() walks that subtree and rejects gaps.
+    validate() follows the strategy forward and rejects gaps.
     """
 
     def __init__(self, tree, assignments: dict):
@@ -123,113 +123,101 @@ class ControlStrategy:
     def __getitem__(self, node: int) -> int:
         return self.assignments[node]
 
-    def get(self, node, default=None):
-        return self.assignments.get(node, default)
-
     def validate(self) -> None:
-        for node in self.reachable_interior():
-            if node not in self.assignments:
-                raise StrategyError(f"strategy assigns no control to node {node}")
-
-    def reachable_interior(self) -> list[int]:
-        tree = self.tree
-        out = []
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if tree.is_leaf(node):
-                continue
-            out.append(node)
-            ci = control_index_at(self.assignments, tree, node)
-            stack.extend(tree.children[node][ci])
-        return out
+        """Raise StrategyError at a reached interior node with no valid
+        control."""
+        forward_pass(self.tree, strategy=self.assignments)
 
     def __repr__(self):
         return f"ControlStrategy({len(self.assignments)} nodes)"
 
 
-def _nonterminal_prefix_keys(tree) -> list:
-    keys = {tree.node_key(i) for i in range(tree.n_nodes) if not tree.is_leaf(i)}
-    return sorted(keys)
+def _nonterminal_prefix_keys(tree, cap: int | None = None) -> list:
+    """The sorted keys of the non-terminal prefixes, at most cap of them
+    when a cap is given."""
+    keys = sorted({tree.node_key(i) for i in range(tree.offsets[-2])})
+    if cap is not None and len(keys) > cap:
+        raise SizeError.over_cap(
+            len(keys), "non-terminal prefixes", cap, "solver.rule_prefix_cap"
+        )
+    return keys
 
 
 def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
     """All 2^m stop/continue maps over the m non-terminal reachable
     prefixes (not deduplicated by induced stopping time)."""
-    keys = _nonterminal_prefix_keys(tree)
-    m = len(keys)
-    if m > cap:
-        raise SizeError.over_cap(m, "non-terminal prefixes", cap, "solver.rule_prefix_cap")
+    keys = _nonterminal_prefix_keys(tree, cap)
     terminal = tree.grid.n_steps
-    for bits in range(1 << m):
+    for bits in range(1 << len(keys)):
         decisions = {key: bool((bits >> j) & 1) for j, key in enumerate(keys)}
         yield StoppingRule(terminal, decisions)
 
 
-def count_strategies(tree, stop_sets: bool = False) -> int:
-    """Number of self-consistent strategies, or with stop_sets the number
-    of stopping sets; the row count of strategy_table or stop_set_table.
+def _table_sizes(tree, stop_sets: bool = False) -> list[int]:
+    """Row count of a node's strategy table (or, with stop_sets, its
+    stopping-set table), per level from the root down.
 
-    A strategy picks one control per reached node, so the per-control
-    products of the children's counts add up; a stopping set either
-    stops at the node or picks a set in every child subtree under every
-    control, so it is 1 plus the product over all children.  Leaves
-    count 1.  Python integers, so counts far beyond any cap stay exact.
+    A strategy picks one of C controls, then a strategy in each of its B
+    children; a stopping set either stops at the node or picks a set in
+    each of the C * B children.  Leaves count 1.  Python integers, so
+    counts far beyond any cap stay exact.
     """
     C, B = tree.weights.shape
-    ranges = tree.subtree_ranges(tree.root)
-    counts = np.ones(ranges[-1][1] - ranges[-1][0], dtype=object)
-    for lo, hi in ranges[-2::-1]:
-        kids = counts.reshape(hi - lo, C, B)
-        if stop_sets:
-            counts = 1 + kids.reshape(hi - lo, C * B).prod(axis=1)
-        else:
-            counts = kids.prod(axis=2).sum(axis=1)
-    return int(counts[0])
+    sizes = [1]
+    for _ in range(len(tree.offsets) - 2):
+        s = sizes[0]
+        sizes.insert(0, 1 + s ** (C * B) if stop_sets else C * s**B)
+    return sizes
+
+
+def count_strategies(tree, stop_sets: bool = False) -> int:
+    """The row count of strategy_table, or with stop_sets of stop_set_table."""
+    return _table_sizes(tree, stop_sets)[0]
+
+
+def _strategy_at(tree, sizes: list[int], row: int) -> dict:
+    """Row row of strategy_table as a node -> control map.
+
+    Row r of a node's table of C * P rows (P = S**B, S the size of its
+    children's tables) picks control r // P, and r % P, read as B digits
+    in base S, one row of each child table under that control, the first
+    child the most significant digit.
+    """
+    C, B = tree.weights.shape
+    off = tree.offsets
+    out = {}
+    level = [(0, row)]
+    for l, S in enumerate(sizes[1:]):
+        nxt = []
+        for node, r in level:
+            ci, r = divmod(r, S**B)
+            out[node] = ci
+            first = off[l + 1] + (node - off[l]) * C * B + ci * B
+            nxt += [(first + j, r // S ** (B - 1 - j) % S) for j in range(B)]
+        level = nxt
+    return out
 
 
 def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
-    """Depth-first product over reachable nodes: at each node pick a
-    control, then branch into the children that choice makes reachable."""
-    total = count_strategies(tree)
-    if total > cap:
-        raise SizeError.over_cap(total, "strategies", cap, "solver.strategy_cap")
-
-    def gen(node):
-        if tree.is_leaf(node):
-            yield {}
-            return
-        for ci, kids in enumerate(tree.children[node]):
-            for combo in itertools.product(*(list(gen(c)) for c in kids)):
-                merged = {node: ci}
-                for part in combo:
-                    merged.update(part)
-                yield merged
-
-    for assignments in gen(tree.root):
-        yield ControlStrategy(tree, assignments)
+    """Every strategy, in strategy_table row order: the control at the
+    root varies slowest, then the strategies of the children it reaches,
+    the first child the most significant."""
+    sizes = _table_sizes(tree)
+    if sizes[0] > cap:
+        raise SizeError.over_cap(sizes[0], "strategies", cap, "solver.strategy_cap")
+    for row in range(sizes[0]):
+        yield ControlStrategy(tree, _strategy_at(tree, sizes, row))
 
 
 def expected_reward(tree, strategy, rule, Y) -> float:
-    """E[Y at the stop] under one strategy and one rule: the literal
-    weighted sum over stopped trajectories, weights multiplying per step.
+    """E[Y at the stop] under one strategy and one rule: the exactly
+    rounded sum over stopped trajectories, weights multiplying per step.
     rule is anything stop_mask accepts."""
     y = _y_array(tree, Y)
     stops = stop_mask(tree, rule)
-    terms = []
-
-    def walk(node, weight):
-        if stops[node]:
-            terms.append(weight * y[node])
-            return
-        ci = control_index_at(strategy, tree, node)
-        kids = tree.children[node][ci]
-        w = tree.edge_weights[node][ci]
-        for j, c in enumerate(kids):
-            walk(c, weight * w[j])
-
-    walk(tree.root, 1.0)
-    return math.fsum(terms)
+    _, end, _, weight = forward_pass(tree, strategy=strategy, stops=stops.__getitem__)
+    ends = np.flatnonzero(end)
+    return math.fsum(weight[ends] * y[ends])
 
 
 def worst_case_stopped_reward(tree, Y, rule, from_node: int = 0) -> float:
@@ -254,67 +242,68 @@ def _has_prefix_collision(tree) -> bool:
     return False
 
 
+def _fold(tree, kids) -> np.ndarray:
+    """Per node and control, the left-to-right weighted fold of the B
+    child tables in kids, shape (n, C, B, S), over every combination of
+    their rows: shape (n, C, S**B), the first child's row the most
+    significant, in backward_sweep's operation order."""
+    n, C, B, S = kids.shape
+    acc = None
+    for j in range(B):
+        shape = [n, C] + [1] * B
+        shape[2 + j] = S
+        term = tree.weights[:, j].reshape([1, C] + [1] * B) * kids[:, :, j].reshape(shape)
+        acc = term if acc is None else acc + term
+    return acc.reshape(n, C, -1)
+
+
 def strategy_table(tree, y) -> np.ndarray:
     """Optimally-stopped value of every strategy, in enumerate_strategies
     order.
 
-    table(node) holds max(y, E[table next]) at node for every control
-    assignment on its subtree, and y at leaves; row r is classic_snell's
-    root value under strategy r.
+    Level by level from the leaves, a node's table holds max(y, E[table
+    next]) for every control assignment on its subtree: under each
+    control in turn, every combination of its children's rows.  Leaves
+    hold y.  Row r is classic_snell's root value under strategy r.
     """
-
-    def table(node) -> np.ndarray:
-        if tree.is_leaf(node):
-            return np.array([y[node]])
-        parts = []
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            tabs = [table(c) for c in kids]
-            sizes = [t.shape[0] for t in tabs]
-            acc = None
-            for j, t in enumerate(tabs):
-                shape = [1] * len(sizes)
-                shape[j] = sizes[j]
-                term = w[j] * t.reshape(shape)
-                acc = term if acc is None else acc + term
-            parts.append(np.maximum(y[node], acc).reshape(-1))
-        return np.concatenate(parts)
-
-    return table(tree.root)
+    C, B = tree.weights.shape
+    off = tree.offsets
+    tab = y[off[-2]:off[-1], None]
+    for lo, hi in reversed(list(zip(off, off[1:-1]))):
+        acc = _fold(tree, tab.reshape(hi - lo, C, B, -1))
+        tab = np.maximum(y[lo:hi, None, None], acc).reshape(hi - lo, -1)
+    return tab[0]
 
 
 def stop_set_table(tree, vals) -> np.ndarray:
     """Worst-case mean of vals frozen at every stopping set, at the root.
 
-    table(node)[r] is the backward min over controls of the expectation
-    of vals frozen at stopping set r of the subtree; entry 0 is the
-    immediate stop, and leaves have no other.  Stopping sets pick a set
-    in every child subtree across all controls, which is a superset of
-    the prefix-adapted rules; without a prefix collision they induce
-    exactly those rules.  Each table is swept with the same
-    left-to-right fold as backward_sweep, so its values stay exactly
-    comparable with the envelope's.
+    Level by level from the leaves, row r of a node's table is the
+    backward min over controls of the expectation of vals frozen at
+    stopping set r of its subtree; row 0 is the immediate stop, and
+    leaves have no other.  The other rows pick one row of every child
+    table, across all controls (control 0's children most significant),
+    which is a superset of the prefix-adapted rules; without a prefix
+    collision they induce exactly those rules.  Each table is swept with
+    the same left-to-right fold as backward_sweep, so its values stay
+    exactly comparable with the envelope's.
     """
-
-    def table(node) -> np.ndarray:
-        if tree.is_leaf(node):
-            return np.array([vals[node]])
-        all_kids = [c for kids in tree.children[node] for c in kids]
-        tables = [table(c) for c in all_kids]
-        sizes = [t.shape[0] for t in tables]
-        axis = {c: i for i, c in enumerate(all_kids)}
+    C, B = tree.weights.shape
+    off = tree.offsets
+    tab = vals[off[-2]:off[-1], None]
+    for lo, hi in reversed(list(zip(off, off[1:-1]))):
+        n = hi - lo
+        acc = _fold(tree, tab.reshape(n, C, B, -1))
+        P = acc.shape[2]
         cont = None
-        for kids, w in zip(tree.children[node], tree.edge_weights[node]):
-            acc = None
-            for j, c in enumerate(kids):
-                shape = [1] * len(sizes)
-                shape[axis[c]] = sizes[axis[c]]
-                term = w[j] * tables[axis[c]].reshape(shape)
-                acc = term if acc is None else acc + term
-            cont = acc if cont is None else np.minimum(cont, acc)
-        cont = np.broadcast_to(cont, sizes).reshape(-1)
-        return np.concatenate([[vals[node]], cont])
-
-    return table(tree.root)
+        for ci in range(C):
+            shape = [n] + [1] * C
+            shape[1 + ci] = P
+            part = acc[:, ci].reshape(shape)
+            cont = part if cont is None else np.minimum(cont, part)
+        cont = np.broadcast_to(cont, [n] + [P] * C).reshape(n, -1)
+        tab = np.concatenate([vals[lo:hi, None], cont], axis=1)
+    return tab[0]
 
 
 @dataclass
@@ -361,10 +350,9 @@ def game_values(
     controller's best response.  The inequality lower <= upper is
     asserted exactly, before any tolerance enters.
     """
-    y = _y_array(tree, Y)
-
-    # every cap is checked before any table is built
-    n_strategies = count_strategies(tree)
+    # every cap is checked before any table or payoff is built
+    sizes = _table_sizes(tree)
+    n_strategies = sizes[0]
     if n_strategies > strategy_cap:
         raise SizeError.over_cap(
             n_strategies, "strategies", strategy_cap, "solver.strategy_cap"
@@ -375,20 +363,26 @@ def game_values(
         raise SizeError.over_cap(
             n_stop_times, "stopping times", stop_time_cap, "solver.stop_time_cap"
         )
+    keys = _nonterminal_prefix_keys(tree, rule_prefix_cap if collision else None)
+    m = len(keys)
+    y = _y_array(tree, Y)
 
     values = strategy_table(tree, y)
     best = int(np.argmin(values))
     upper = values[best]
-    best_strategy = next(
-        itertools.islice(enumerate_strategies(tree, cap=strategy_cap), best, None)
-    )
+    best_strategy = ControlStrategy(tree, _strategy_at(tree, sizes, best))
 
-    m = len(_nonterminal_prefix_keys(tree))
     if collision:
-        # rare engineered case: fall back to explicit prefix-map rules
+        # rare engineered case: fall back to explicit prefix-map rules,
+        # one sweep per map with the map's bits as the interior stop flags
+        interior = tree.offsets[-2]
+        index = {key: j for j, key in enumerate(keys)}
+        col = np.array([index[tree.node_key(i)] for i in range(interior)])
+        mask = np.ones(tree.n_nodes, dtype=bool)
         lower = -np.inf
-        for rule in enumerate_stopping_rules(tree, cap=rule_prefix_cap):
-            v = worst_case_stopped_reward(tree, y, rule)
+        for bits in range(1 << m):
+            mask[:interior] = (bits >> col) & 1
+            v = backward_sweep(tree, y, stop=mask)[0][tree.root]
             if v > lower:
                 lower = v
     else:
@@ -421,16 +415,12 @@ def game_values(
 
 def _reachable_at(tree, strategy, depth: int) -> list[tuple[int, float]]:
     """(node, probability) pairs at the given depth under a strategy."""
-    level = [(tree.root, 1.0)]
-    for _ in range(depth - tree.k[tree.root]):
-        nxt = []
-        for node, wgt in level:
-            ci = control_index_at(strategy, tree, node)
-            kids = tree.children[node][ci]
-            w = tree.edge_weights[node][ci]
-            nxt.extend((c, wgt * w[j]) for j, c in enumerate(kids))
-        level = nxt
-    return level
+    l = max(depth - tree.k0, 0)
+    first, end = tree.offsets[l], tree.offsets[l + 1]
+    reached, _, _, weight = forward_pass(tree, strategy=strategy,
+                                         stops=lambda ids: ids >= first)
+    ids = first + np.flatnonzero(reached[first:end])
+    return list(zip(ids.tolist(), weight[ids].tolist()))
 
 
 def _partition_index(partition, prefix) -> int:
@@ -487,19 +477,11 @@ def state_law(tree, strategy, from_node: int = 0) -> dict:
     Distinct tree leaves with coincident state paths merge, since the law
     lives on the observable process.
     """
+    reached, _, _, weight = forward_pass(tree, from_node, strategy)
+    lo = tree.offsets[-2]
     bags: dict = {}
-
-    def walk(node, weight):
-        if tree.is_leaf(node):
-            bags.setdefault(tree.node_key(node), []).append(weight)
-            return
-        ci = control_index_at(strategy, tree, node)
-        kids = tree.children[node][ci]
-        w = tree.edge_weights[node][ci]
-        for j, c in enumerate(kids):
-            walk(c, weight * w[j])
-
-    walk(from_node, 1.0)
+    for node in (lo + np.flatnonzero(reached[lo:])).tolist():
+        bags.setdefault(tree.node_key(node), []).append(weight[node])
     return {key: math.fsum(ws) for key, ws in sorted(bags.items())}
 
 

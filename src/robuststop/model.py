@@ -256,11 +256,14 @@ class ScenarioTree:
         offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
 
     for control index ci and outcome index oi.  weights[ci] holds the B
-    edge weights of control ci, the same at every node.
+    edge weights of control ci, the same at every node.  Every walk over
+    the tree, backward (envelope.backward_sweep) or forward
+    (envelope.forward_pass), computes child ids from this layout.
 
-    The per-node views k, parent, prefixes, children and edge_weights
-    (lists indexed by node id) are built from the arrays on first
-    access; the level sweeps never need them.
+    The per-node views k and prefixes (lists indexed by node id) are
+    built from the arrays on first access, for node_key: a prefix key is
+    the stopper's information, so prefix-keyed rules and maps read them.
+    The level sweeps never need them.
     """
 
     def __init__(self, grid, controls, drift, k0: int, blocks: list, weights: np.ndarray):
@@ -341,31 +344,8 @@ class ScenarioTree:
         return out
 
     @cached_property
-    def parent(self) -> list[int]:
-        out = [-1]
-        for l, block in enumerate(self.blocks[1:]):
-            out += (self.offsets[l] + np.arange(block.shape[0]) // self.fanout).tolist()
-        return out
-
-    @cached_property
     def prefixes(self) -> list[np.ndarray]:
         return [row for block in self.blocks for row in block]
-
-    @cached_property
-    def children(self) -> list:
-        """Per node: None at a leaf, else children[i][ci][oi]."""
-        out = []
-        C, B = self.weights.shape
-        for l, block in enumerate(self.blocks[1:]):
-            ids = self.offsets[l + 1] + np.arange(block.shape[0])
-            out += ids.reshape(-1, C, B).tolist()
-        return out + [None] * self.blocks[-1].shape[0]
-
-    @cached_property
-    def edge_weights(self) -> list:
-        """Per node: None at a leaf, else one weight row per control."""
-        rows = list(self.weights)
-        return [rows] * self.offsets[-2] + [None] * self.blocks[-1].shape[0]
 
 
 def _projected_node_count(n_levels: int, fanout: int) -> int:

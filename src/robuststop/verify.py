@@ -28,6 +28,7 @@ import numpy as np
 from .envelope import (
     EnvelopeSolution,
     backward_sweep,
+    forward_pass,
     robust_envelope,
     stop_mask,
     tau_delta,
@@ -313,18 +314,6 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     )
 
 
-def _reached(tree, stop) -> np.ndarray:
-    """Nodes with no strict ancestor where stop holds: one forward step
-    per level, each node passing its flag, cleared where it stops, to
-    its C * B contiguous children."""
-    off = tree.offsets
-    out = np.zeros(tree.n_nodes, dtype=bool)
-    out[0] = True
-    for lo, hi, end in zip(off, off[1:], off[2:]):
-        out[hi:end] = np.repeat(out[lo:hi] & ~stop[lo:hi], tree.weights.size)
-    return out
-
-
 def check_supermartingale(
     tree, sol: EnvelopeSolution, tolerance: float = 1e-9
 ) -> CheckReport:
@@ -357,7 +346,7 @@ def check_martingale_to_tau(
     z, stop = sol.z, sol.stop
     upper = backward_sweep(tree, z, floor=z, stop=stop)[0]
     lower = backward_sweep(tree, z, ceiling=z, stop=stop)[0]
-    reached = _reached(tree, stop)
+    reached = forward_pass(tree, stops=stop.__getitem__)[0]
     worst = float(np.max(np.maximum(upper - z, z - lower)[reached]))
     return CheckReport("martingale-to-tau", worst <= tolerance, worst, tolerance,
                        int(np.count_nonzero(reached)))

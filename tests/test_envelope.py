@@ -10,6 +10,7 @@ from robuststop import (
     ControlSet,
     ControlStrategy,
     DriftSpec,
+    StrategyError,
     TimeGrid,
     american_put,
     classic_snell,
@@ -21,6 +22,7 @@ from robuststop import (
     stopped_value,
     tau_delta,
 )
+from robuststop.envelope import forward_pass
 
 
 def test_inst_a_hand_values(inst_a):
@@ -152,3 +154,32 @@ def test_delta_guard_handles_scale():
     tree = expand_tree(grid, 1e9, DriftSpec("zero"), ControlSet([1.0], cap=1.0))
     sol = robust_envelope(tree, constant_reward(1e9))
     assert np.all(sol.stop)
+
+
+def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        tree, _ = rand_instance(rng)
+        strategy = {i: int(rng.integers(len(tree.controls))) for i in tree.interior()}
+        flags = rng.random(tree.n_nodes) < 0.3
+        flags[tree.root] = False
+        out = forward_pass(tree, strategy=strategy, stops=flags.__getitem__)
+        reached, stop, control, weight = out
+        # the paths end where they stop or at a leaf, and d = 1 edge
+        # weights are powers of two, so the end weights sum to 1 exactly
+        ends = np.flatnonzero(stop)
+        assert np.all(reached[ends])
+        assert math.fsum(weight[ends]) == 1.0
+        # only the reached nodes above a stop need a control
+        needed = np.flatnonzero(control >= 0).tolist()
+        assert needed
+        partial = {i: strategy[i] for i in needed}
+        again = forward_pass(tree, strategy=ControlStrategy(tree, partial),
+                             stops=flags.__getitem__)
+        for got, want in zip(again, out):
+            assert np.array_equal(got, want)
+        drop = needed[int(rng.integers(len(needed)))]
+        del partial[drop]
+        with pytest.raises(StrategyError, match=f"node {drop}$"):
+            forward_pass(tree, strategy=ControlStrategy(tree, partial),
+                         stops=flags.__getitem__)

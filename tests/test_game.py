@@ -10,6 +10,7 @@ from robuststop import (
     ControlSet,
     ControlStrategy,
     DriftSpec,
+    ModulusSpec,
     PartitionError,
     ScenarioTree,
     SizeError,
@@ -17,6 +18,7 @@ from robuststop import (
     StrategyError,
     TimeGrid,
     american_put,
+    custom_reward,
     enumerate_stopping_rules,
     enumerate_strategies,
     expand_tree,
@@ -211,6 +213,22 @@ def test_game_size_caps(put_n2):
     # the collision check reads the level blocks, so a rejected run
     # never builds the per-node prefix list
     assert "prefixes" not in vars(tree)
+
+
+def test_game_caps_come_before_the_payoff(put_n2):
+    tree, _ = put_n2
+    calls = []
+
+    def table(k, track):
+        calls.append(k)
+        return float(track[-1, 0])
+
+    Y = custom_reward(table, ModulusSpec("linear", 1.0), lower_bound=-10.0)
+    with pytest.raises(SizeError, match="solver.strategy_cap"):
+        game_values(tree, Y, strategy_cap=1)
+    assert calls == []
+    assert game_values(tree, Y).agree
+    assert len(calls) == tree.n_nodes
 
 
 def test_referee_tables_factor_into_sweeps(rand_instance):

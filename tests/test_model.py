@@ -139,9 +139,11 @@ def test_inst_a_tree_shape(inst_a):
     # two controls, two outcomes each, half weight per edge
     states = sorted(float(tree.state(i)[0]) for i in tree.leaves())
     assert states == [-1.0, -0.5, 0.5, 1.0]
-    for kids, w in zip(tree.children[0], tree.edge_weights[0]):
-        assert len(kids) == 2
-        assert np.all(np.asarray(w) == 0.5)
+    assert tree.weights.shape == (2, 2)
+    assert np.all(tree.weights == 0.5)
+    # the root's children run by control, then outcome: +u, -u per control
+    assert tree.subtree_ranges(0) == [(0, 1), (1, 5)]
+    assert [float(tree.state(i)[0]) for i in range(1, 5)] == [0.5, -0.5, 1.0, -1.0]
 
 
 def test_tree_node_counts_scale_with_depth():
@@ -158,8 +160,9 @@ def test_tree_prefix_consistency(put_n2):
         pref = tree.prefixes[i]
         assert pref.shape[0] == tree.k[i] + 1
         assert np.array_equal(tree.state(i), pref[-1])
-        parent = tree.parent[i]
-        if parent >= 0:
+        l = tree.k[i] - tree.k0
+        if l > 0:
+            parent = tree.offsets[l - 1] + (i - tree.offsets[l]) // tree.fanout
             assert np.array_equal(tree.prefixes[parent], pref[:-1])
         key = tree.node_key(i)
         assert key[0] == tree.k[i]
@@ -189,14 +192,22 @@ def test_tree_level_layout(put_n2):
         nodes = tree.nodes_at(k)
         assert list(range(tree.n_nodes))[tree.level(k)] == nodes
         assert np.array_equal(tree.states_at(k), [tree.state(i) for i in nodes])
-    # children of node i at level l: offsets[l+1] + (i - offsets[l]) * C*B + ci*B + oi
+    # children of node i at level l: offsets[l+1] + (i - offsets[l]) * C*B + ci*B + oi;
+    # each child's prefix is its parent's plus one step of control ci,
+    # up for outcome 0 and down for outcome 1, and every id is one child
+    step = np.sqrt(tree.grid.dt)
+    children = []
     for i in range(5):
         l = tree.k[i]
-        for ci in range(2):
-            for oi in range(2):
+        for ci, u in enumerate(tree.controls.scalars()):
+            for oi, sign in enumerate((1.0, -1.0)):
                 child = tree.offsets[l + 1] + (i - tree.offsets[l]) * 4 + ci * 2 + oi
-                assert tree.children[i][ci][oi] == child
-                assert tree.parent[child] == i
+                children.append(child)
+                assert tree.k[child] == l + 1
+                assert np.array_equal(tree.prefixes[child][:-1], tree.prefixes[i])
+                move = tree.state(child)[0] - tree.state(i)[0]
+                assert move == pytest.approx(sign * u * step, abs=1e-15)
+    assert children == list(range(1, tree.n_nodes))
     assert all(tree.is_leaf(i) == (i >= 5) for i in range(tree.n_nodes))
 
 

@@ -162,13 +162,15 @@ def test_martingale_to_tau_rejects_a_raised_node(put_sol):
 
 
 def _reached_before_stop(tree, stop) -> int:
-    """Nodes with no strict ancestor in the stop region, walked depth first."""
-    seen, stack = 0, [tree.root]
+    """Nodes with no strict ancestor in the stop region, walked depth
+    first, with child ids from the level layout (leaves always stop)."""
+    seen, stack = 0, [(tree.root, 0)]
     while stack:
-        node = stack.pop()
+        node, l = stack.pop()
         seen += 1
         if not stop[node]:
-            stack.extend(c for kids in tree.children[node] for c in kids)
+            first = tree.offsets[l + 1] + (node - tree.offsets[l]) * tree.fanout
+            stack.extend((c, l + 1) for c in range(first, first + tree.fanout))
     return seen
 
 
