@@ -539,7 +539,7 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
             n_samples, seed=seed,
         )
     if name == "envelope":
-        target = vf.corrupt_envelope(sol, node=tree.leaves()[0]) if mutate else sol
+        target = vf.corrupt_envelope(sol, node=tree.offsets[-2]) if mutate else sol
         return vf.check_envelope_basic(target)
     if name == "supermartingale":
         target = vf.corrupt_envelope(sol) if mutate else sol

@@ -34,11 +34,13 @@ or callable) into the per-node mask the sweep takes.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RuleError, StrategyError
+from .model import prefix_key
 from .reward import RewardFunctional, reward_values
 
 __all__ = [
@@ -82,9 +84,9 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
     prefix keys to booleans (or an object holding one as .decisions,
     such as a game.StoppingRule), or a callable (k, prefix) -> bool.
     Leaves stop regardless.  A mapping or callable is evaluated by
-    forward_pass from node, so only at interior nodes that no earlier
-    stop cuts off, and a partial map fails only where a decision is
-    needed.  Interior nodes below a stop keep False; no sweep reads them.
+    forward_pass from node, once per reached prefix class on its lowest
+    node's row, so a partial map fails only where a decision is needed.
+    Interior nodes below a stop keep False; no sweep reads them.
     """
     mask = np.zeros(tree.n_nodes, dtype=bool)
     mask[tree.offsets[-2]:] = True
@@ -92,18 +94,27 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
         l = min(max(int(rule) - tree.k0, 0), len(tree.offsets) - 1)
         mask[tree.offsets[l]:] = True
         return mask
-    if hasattr(rule, "decisions") or not callable(rule):
-        decisions = getattr(rule, "decisions", rule)
-
-        def stops(i):
-            key = tree.node_key(i)
-            if key not in decisions:
-                raise RuleError(f"rule has no decision for prefix at node {i}")
-            return bool(decisions[key])
+    decisions = getattr(rule, "decisions", rule)
+    if callable(decisions):
+        decide = lambda k, row: bool(decisions(k, row))
     else:
-        stops = lambda i: bool(rule(tree.k[i], tree.prefixes[i]))
-    walk = forward_pass(tree, node, stops=lambda ids: [stops(i) for i in ids.tolist()])
-    return mask | walk[1]
+        def decide(k, row):
+            key = prefix_key(k, row)
+            return bool(decisions[key]) if key in decisions else -1  # no decision
+
+    def stops(ids):
+        if not len(ids):
+            return []
+        l = bisect.bisect_right(tree.offsets, ids[0]) - 1
+        at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
+        block = tree.blocks[l]
+        by_class = {j: decide(tree.k0 + l, block[j]) for j in dict.fromkeys(at)}
+        flags = [by_class[j] for j in at]
+        if -1 in flags:
+            raise RuleError(f"rule has no decision for prefix at node {ids[flags.index(-1)]}")
+        return flags
+
+    return mask | forward_pass(tree, node, stops=stops)[1]
 
 
 def forward_pass(tree, node: int = 0, strategy=None, stops=None):
@@ -111,14 +122,15 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     over the subtree of node, following the strategy's control at each
     node (every control without one), cut off where stops holds.
 
-    stops(ids) gives the flags of an array of reached interior nodes, and
-    the strategy (anything control_index_at resolves) the control at each
-    reached interior node that does not stop; neither is asked about any
-    other node, so a partial rule or strategy fails only where a decision
-    is needed.  Returns per-node arrays (reached, stop, control, weight):
-    stop holds at reached nodes that stop and at reached leaves, control
-    is -1 where no strategy's control is in force, and weight is 1 at
-    node, a child's its parent's times weights[ci, oi], 0 if unreached.
+    stops(ids) gives the flags of one level's reached interior nodes, and
+    the strategy (anything control_index_at resolves, a constant once a
+    level) the control at each reached interior node that does not stop;
+    neither is asked about any other node, so a partial rule or strategy
+    fails only where a decision is needed.  Returns per-node arrays
+    (reached, stop, control, weight): stop holds at reached nodes that
+    stop and at reached leaves, control is -1 where no strategy's control
+    is in force, and weight is 1 at node, a child's its parent's times
+    weights[ci, oi], 0 if unreached.
     """
     C, B = tree.weights.shape
     w = tree.weights.reshape(-1)
@@ -140,7 +152,8 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
             kids = np.repeat(go, C * B)
         else:
             ids = lo + np.flatnonzero(go)
-            control[ids] = [control_index_at(strategy, tree, i) for i in ids.tolist()]
+            asked = ids[:1] if isinstance(strategy, (int, np.integer)) else ids
+            control[ids] = [control_index_at(strategy, tree, i) for i in asked.tolist()]
             kids = np.repeat(control[lo:hi, None] == np.arange(C), B)
         reached[klo:khi] = kids
         weight[klo:khi] = np.where(kids, (weight[lo:hi, None] * w).reshape(-1), 0.0)
@@ -244,17 +257,20 @@ class EnvelopeSolution:
         The envelope is a function of the prefix, so nodes sharing a
         prefix must agree; a conflict means the solution is corrupt.
         """
-        flags = self.stop_flags(delta)
-        out = {}
-        for i in range(self.tree.n_nodes):
-            key = self.tree.node_key(i)
-            want = bool(flags[i])
-            if out.setdefault(key, want) != want:
-                raise RuleError(f"conflicting stop flags for one prefix at node {i}")
-        return out
+        return _prefix_rule(self.tree, np.arange(self.tree.n_nodes), self.stop_flags(delta))
 
     def root_value(self) -> float:
         return float(self.z[self.tree.root])
+
+
+def _prefix_rule(tree, ids, flags, conflict="conflicting stop flags for one prefix") -> dict:
+    """The flags at increasing node ids as a prefix-keyed map, keyed from
+    each class's first node in ids, which every other node must match."""
+    first, heads = tree.class_firsts(ids)
+    bad = np.flatnonzero(flags != flags[first])
+    if len(bad):
+        raise RuleError(f"{conflict} at node {ids[bad[0]]}")
+    return dict(zip(tree.prefix_keys(ids[heads]), flags[heads].tolist()))
 
 
 def _scenario_tau(tree, flags, argmin_control) -> dict:
@@ -330,12 +346,9 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     allowed = control[:, None] == np.arange(len(tree.controls))
     swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
     values = np.where(reached, swept, np.nan)
-    flags = values - y <= STOP_GUARD * (1.0 + np.abs(y))
-    rule = {}
-    for node in np.flatnonzero(reached).tolist():
-        stop = flags[node]
-        if rule.setdefault(tree.node_key(node), stop) != stop:
-            raise RuleError(f"strategy-reachable prefixes disagree at node {node}")
+    ids = np.flatnonzero(reached)
+    flags = (values - y <= STOP_GUARD * (1.0 + np.abs(y)))[ids]
+    rule = _prefix_rule(tree, ids, flags, "strategy-reachable prefixes disagree")
     return SnellResult(tree, from_node, values, rule, float(values[from_node]))
 
 
@@ -349,7 +362,8 @@ def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
     lo, hi = tree.subtree_ranges(from_node)[-1]
     leaf = np.full(tree.n_nodes, np.nan)
     if callable(xi):
-        leaf[lo:hi] = [float(xi(tree.prefixes[i])) for i in range(lo, hi)]
+        rows = tree.blocks[-1][lo - tree.offsets[-2]:hi - tree.offsets[-2]]
+        leaf[lo:hi] = [float(xi(row)) for row in rows]
     else:
         leaf[lo:hi] = [float(xi[i]) for i in range(lo, hi)]
     return float(backward_sweep(tree, leaf, node=from_node)[0][from_node])

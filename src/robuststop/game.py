@@ -26,22 +26,25 @@ against.
 The one structural decision that matters: stopping rules are keyed by the
 observed state-path prefix, never by tree node identity.  The stopper
 watches the state process only, so a rule must act identically on
-coincident state paths produced by different control choices.  Strategies,
-by contrast, are keyed by node (prefix plus control history): the
-controller knows its own past choices.  Stopping sets are keyed by node,
-so they match the adapted rules only when no two nodes share a prefix;
-on a tree with a prefix collision the lower value enumerates the 2^m
-prefix maps instead.
+coincident state paths produced by different control choices; rules,
+laws and partition predicates act once per ScenarioTree.prefix_class.
+Strategies, by contrast, are keyed by node (prefix plus control history):
+the controller knows its own past choices.  Stopping sets are keyed by
+node, so they match the adapted rules only when no two nodes share a
+prefix; on a tree with a prefix collision the lower value enumerates the
+2^m prefix maps instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .envelope import (
+    _prefix_rule,
     _y_array,
     backward_sweep,
     classic_snell,
@@ -96,14 +99,6 @@ class StoppingRule:
             raise RuleError(f"rule has no decision for prefix at time {k}")
         return bool(self.decisions[key])
 
-    def stops_at(self, tree, node: int) -> bool:
-        if tree.is_leaf(node):
-            return True
-        key = tree.node_key(node)
-        if key not in self.decisions:
-            raise RuleError(f"rule has no decision for node {node}")
-        return bool(self.decisions[key])
-
     def __repr__(self):
         stops = sum(1 for v in self.decisions.values() if v)
         return f"StoppingRule({stops}/{len(self.decisions)} prefixes stop)"
@@ -132,21 +127,25 @@ class ControlStrategy:
         return f"ControlStrategy({len(self.assignments)} nodes)"
 
 
-def _nonterminal_prefix_keys(tree, cap: int | None = None) -> list:
-    """The sorted keys of the non-terminal prefixes, at most cap of them
-    when a cap is given."""
-    keys = sorted({tree.node_key(i) for i in range(tree.offsets[-2])})
-    if cap is not None and len(keys) > cap:
+def _nonterminal_prefix_keys(tree, cap: int = RULE_PREFIX_CAP) -> tuple[list, np.ndarray]:
+    """The sorted keys of the non-terminal prefixes, at most cap of them,
+    and per interior node the position of its key in that list."""
+    cls = tree.prefix_class[: tree.offsets[-2]]
+    heads = np.flatnonzero(cls == np.arange(len(cls)))
+    if len(heads) > cap:
         raise SizeError.over_cap(
-            len(keys), "non-terminal prefixes", cap, "solver.rule_prefix_cap"
+            len(heads), "non-terminal prefixes", cap, "solver.rule_prefix_cap"
         )
-    return keys
+    keys = tree.prefix_keys(heads)
+    index = {key: j for j, key in enumerate(sorted(keys))}
+    col = np.array([index[key] for key in keys], dtype=np.int64)
+    return list(index), col[np.searchsorted(heads, cls)]
 
 
 def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
     """All 2^m stop/continue maps over the m non-terminal reachable
     prefixes (not deduplicated by induced stopping time)."""
-    keys = _nonterminal_prefix_keys(tree, cap)
+    keys = _nonterminal_prefix_keys(tree, cap)[0]
     terminal = tree.grid.n_steps
     for bits in range(1 << len(keys)):
         decisions = {key: bool((bits >> j) & 1) for j, key in enumerate(keys)}
@@ -227,19 +226,6 @@ def worst_case_stopped_reward(tree, Y, rule, from_node: int = 0) -> float:
     y = _y_array(tree, Y)
     stops = stop_mask(tree, rule, from_node)
     return float(backward_sweep(tree, y, stop=stops, node=from_node)[0][from_node])
-
-
-def _has_prefix_collision(tree) -> bool:
-    """Whether two nodes share a prefix_key.  Keys carry the time index,
-    so only rows of one level's prefix block can collide.  Sorting the
-    rows puts equal ones next to each other, and == compares neighbours
-    as prefix_key does (0.0 == -0.0); np.unique would import numpy.ma."""
-    for block in tree.blocks:
-        rows = block.reshape(block.shape[0], -1)
-        rows = rows[np.lexsort(rows.T)]
-        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
-            return True
-    return False
 
 
 def _fold(tree, kids) -> np.ndarray:
@@ -358,13 +344,16 @@ def game_values(
             n_strategies, "strategies", strategy_cap, "solver.strategy_cap"
         )
     n_stop_times = count_strategies(tree, stop_sets=True)
-    collision = _has_prefix_collision(tree)
+    # whether two nodes share a prefix_key: a node's class is a lower node
+    collision = bool(np.any(tree.prefix_class != np.arange(tree.n_nodes)))
     if not collision and n_stop_times > stop_time_cap:
         raise SizeError.over_cap(
             n_stop_times, "stopping times", stop_time_cap, "solver.stop_time_cap"
         )
-    keys = _nonterminal_prefix_keys(tree, rule_prefix_cap if collision else None)
-    m = len(keys)
+    m = tree.offsets[-2]  # without a collision each non-terminal node is its own prefix
+    if collision:
+        keys, col = _nonterminal_prefix_keys(tree, rule_prefix_cap)
+        m = len(keys)
     y = _y_array(tree, Y)
 
     values = strategy_table(tree, y)
@@ -376,8 +365,6 @@ def game_values(
         # rare engineered case: fall back to explicit prefix-map rules,
         # one sweep per map with the map's bits as the interior stop flags
         interior = tree.offsets[-2]
-        index = {key: j for j, key in enumerate(keys)}
-        col = np.array([index[tree.node_key(i)] for i in range(interior)])
         mask = np.ones(tree.n_nodes, dtype=bool)
         lower = -np.inf
         for bits in range(1 << m):
@@ -391,10 +378,9 @@ def game_values(
     assert lower <= upper, f"minimax inequality violated: {lower} > {upper}"
 
     sol = robust_envelope(tree, y)
-    tau_rule = StoppingRule(
-        tree.grid.n_steps,
-        {k: v for k, v in sol.stop_rule_map().items() if k[0] < tree.grid.n_steps},
-    )
+    # stop_rule_map() on the non-terminal prefixes: terminal ones stop anyway
+    ids = np.arange(tree.offsets[-2])
+    tau_rule = StoppingRule(tree.grid.n_steps, _prefix_rule(tree, ids, sol.stop[ids]))
     value_at_tau = backward_sweep(tree, y, stop=sol.stop)[0][tree.root]
     saddle_value = expected_reward(tree, best_strategy, tau_rule, y)
 
@@ -433,6 +419,17 @@ def _partition_index(partition, prefix) -> int:
     return hits[0]
 
 
+def _at_level(tree, k: int, fn) -> dict:
+    """fn of each node's state prefix up to time index k, by node id over
+    k's level (the root's, if k is before it), called once per prefix
+    class, on the class's lowest node."""
+    l = max(k - tree.k0, 0)
+    lo = tree.offsets[l]
+    cls = (tree.prefix_class[lo:tree.offsets[l + 1]] - lo).tolist()
+    at = {j: fn(tree.blocks[l][j, : k + 1]) for j, c in enumerate(cls) if j == c}
+    return {lo + j: at[c] for j, c in enumerate(cls)}
+
+
 def paste_strategies(base: ControlStrategy, s: float, partition, pieces) -> ControlStrategy:
     """Follow base strictly before s; from s on, follow piece j on the
     cell A_j, and keep base on the remainder cell A_0 = partition[0].
@@ -447,25 +444,21 @@ def paste_strategies(base: ControlStrategy, s: float, partition, pieces) -> Cont
             f"got {len(pieces)}"
         )
     i_s = tree.grid.index_of(s)
+    off = tree.offsets
+    l = max(i_s - tree.k0, 0)
     # the cells must split every prefix observable at s, whatever strategy
-    # produced it
-    for node in tree.nodes_at(i_s):
-        _partition_index(partition, tree.prefixes[node])
+    # produced it; from s on a node follows its ancestor's cell (0: base)
+    cell = np.zeros(tree.n_nodes, dtype=np.int64)
+    cells = _at_level(tree, i_s, partial(_partition_index, partition))
+    cell[off[l]:off[l + 1]] = list(cells.values())
+    for a, b, c in zip(off[l:], off[l + 1:], off[l + 2:]):
+        cell[b:c] = np.repeat(cell[a:b], tree.fanout)
 
+    sources = [base, *pieces]
     assignments = {}
-    for node in range(tree.n_nodes):
-        if tree.is_leaf(node):
-            continue
-        if tree.k[node] < i_s:
-            if node in base.assignments:
-                assignments[node] = base.assignments[node]
-            continue
-        # prefix up to s decides the source strategy for this subtree
-        cut = tree.prefixes[node][: i_s + 1]
-        j = _partition_index(partition, cut)
-        source = base if j == 0 else pieces[j - 1]
-        if node in source.assignments:
-            assignments[node] = source.assignments[node]
+    for node, j in enumerate(cell[: off[-2]].tolist()):
+        if node in sources[j].assignments:
+            assignments[node] = sources[j].assignments[node]
     pasted = ControlStrategy(tree, assignments)
     pasted.validate()
     return pasted
@@ -479,10 +472,12 @@ def state_law(tree, strategy, from_node: int = 0) -> dict:
     """
     reached, _, _, weight = forward_pass(tree, from_node, strategy)
     lo = tree.offsets[-2]
-    bags: dict = {}
-    for node in (lo + np.flatnonzero(reached[lo:])).tolist():
-        bags.setdefault(tree.node_key(node), []).append(weight[node])
-    return {key: math.fsum(ws) for key, ws in sorted(bags.items())}
+    ids = lo + np.flatnonzero(reached[lo:])
+    first, heads = tree.class_firsts(ids)
+    # one group per class, its weights in id order, named by its first leaf
+    order = np.argsort(first, kind="stable")
+    groups = np.split(weight[ids[order]], np.searchsorted(first[order], heads[1:]))
+    return dict(sorted(zip(tree.prefix_keys(ids[heads]), map(math.fsum, groups))))
 
 
 @dataclass
@@ -521,13 +516,15 @@ def pasting_check(
     tree = base.tree
     y = _y_array(tree, Y)
     i_s = tree.grid.index_of(s)
-    if A is None:
-        A = lambda prefix: True
     pasted = paste_strategies(base, s, partition, pieces)
 
     p_law = state_law(tree, base)
     hat_law = state_law(tree, pasted)
     failures = []
+
+    sources = [base, *pieces]
+    cells = _at_level(tree, i_s, partial(_partition_index, partition))
+    in_A = _at_level(tree, i_s, A or (lambda prefix: True))
 
     # (a) atom decomposition over every leaf state path of either support
     level = _reachable_at(tree, base, i_s)
@@ -535,10 +532,7 @@ def pasting_check(
     atom_keys = sorted(set(p_law) | set(hat_law))
     expected: dict = {}
     for node, wgt in level:
-        cut = tree.prefixes[node]
-        j = _partition_index(partition, cut)
-        source = base if j == 0 else pieces[j - 1]
-        sub_law = state_law(tree, source, from_node=node)
+        sub_law = state_law(tree, sources[cells[node]], from_node=node)
         for key, w in sub_law.items():
             expected[key] = expected.get(key, 0.0) + wgt * w
     for key in atom_keys:
@@ -547,38 +541,33 @@ def pasting_check(
         if gap > tolerance:
             failures.append(f"atom {key}: pasted weight off by {gap:.3e}")
 
-    # (b) marginal at s, split by cell and restricted to A
+    # (b) marginal at s, per prefix class, restricted to A
+    cls = tree.prefix_class
     worst_marg = 0.0
     base_marg: dict = {}
     pasted_marg: dict = {}
     for node, wgt in level:
-        base_marg[tree.node_key(node)] = base_marg.get(tree.node_key(node), 0.0) + wgt
+        base_marg[cls[node]] = base_marg.get(cls[node], 0.0) + wgt
     for node, wgt in _reachable_at(tree, pasted, i_s):
-        pasted_marg[tree.node_key(node)] = (
-            pasted_marg.get(tree.node_key(node), 0.0) + wgt
-        )
+        pasted_marg[cls[node]] = pasted_marg.get(cls[node], 0.0) + wgt
     n_marginal = 0
     for node, _ in level:
-        cut = tree.prefixes[node]
-        if not A(cut):
+        if not in_A[node]:
             continue
-        key = tree.node_key(node)
         n_marginal += 1
-        gap = abs(base_marg.get(key, 0.0) - pasted_marg.get(key, 0.0))
+        gap = abs(base_marg.get(cls[node], 0.0) - pasted_marg.get(cls[node], 0.0))
         worst_marg = max(worst_marg, gap)
         if gap > tolerance:
+            key = tree.prefix_keys([node])[0]
             failures.append(f"marginal event {key}: off by {gap:.3e}")
 
     # (c) cell-wise optimal stopping from s: pasted value vs piece value
     worst_excess = -np.inf
     for node, wgt in level:
-        cut = tree.prefixes[node]
-        if not A(cut):
+        if not in_A[node]:
             continue
-        j = _partition_index(partition, cut)
-        source = base if j == 0 else pieces[j - 1]
         lhs = wgt * classic_snell(tree, pasted, y, from_node=node).root_value
-        rhs = wgt * classic_snell(tree, source, y, from_node=node).root_value
+        rhs = wgt * classic_snell(tree, sources[cells[node]], y, from_node=node).root_value
         worst_excess = max(worst_excess, lhs - rhs)
         if lhs - rhs > tolerance:
             failures.append(

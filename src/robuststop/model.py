@@ -260,10 +260,9 @@ class ScenarioTree:
     the tree, backward (envelope.backward_sweep) or forward
     (envelope.forward_pass), computes child ids from this layout.
 
-    The per-node views k and prefixes (lists indexed by node id) are
-    built from the arrays on first access, for node_key: a prefix key is
-    the stopper's information, so prefix-keyed rules and maps read them.
-    The level sweeps never need them.
+    The stopper sees the state path only, so nodes reached under
+    different controls can share its information: prefix_class holds,
+    per node, the lowest node id with the same prefix_key.
     """
 
     def __init__(self, grid, controls, drift, k0: int, blocks: list, weights: np.ndarray):
@@ -299,27 +298,6 @@ class ScenarioTree:
         """Current values of the nodes at time index k, shape (n_k, d)."""
         return self.blocks[k - self.k0][:, -1, :]
 
-    def is_leaf(self, i: int) -> bool:
-        return i >= self.offsets[-2]
-
-    def nodes_at(self, depth: int) -> list[int]:
-        if not self.k0 <= depth <= self.grid.n_steps:
-            return []
-        return list(range(self.offsets[depth - self.k0], self.offsets[depth - self.k0 + 1]))
-
-    def leaves(self) -> list[int]:
-        return self.nodes_at(self.grid.n_steps)
-
-    def interior(self) -> list[int]:
-        return list(range(self.offsets[-2]))
-
-    def state(self, i: int) -> np.ndarray:
-        """Current value at node i (last entry of its prefix)."""
-        return self.prefixes[i][-1]
-
-    def node_key(self, i: int) -> tuple:
-        return prefix_key(self.k[i], self.prefixes[i])
-
     def subtree_ranges(self, i: int) -> list[tuple[int, int]]:
         """The subtree of node i as one id range (lo, hi) per level, from
         i's level down to the leaves; the children of range l are range
@@ -332,20 +310,39 @@ class ScenarioTree:
             first, count = first * self.fanout, count * self.fanout
         return out
 
-    def subtree_nodes(self, i: int) -> list[int]:
-        """Node ids below and including i, in increasing order."""
-        return [j for lo, hi in self.subtree_ranges(i) for j in range(lo, hi)]
-
     @cached_property
-    def k(self) -> list[int]:
-        out = []
-        for l, block in enumerate(self.blocks):
-            out += [self.k0 + l] * block.shape[0]
+    def prefix_class(self) -> np.ndarray:
+        """Per node, the lowest node id whose prefix_key equals its own:
+        two prefixes agree when their parents' do and their states are
+        equal, so each level takes one stable lexsort over (the parent's
+        class, the state with -0.0 made 0.0); == splits the sorted rows."""
+        out = np.zeros(self.n_nodes, dtype=np.int64)
+        for l in range(1, len(self.blocks)):
+            lo, hi = self.offsets[l], self.offsets[l + 1]
+            parent = np.repeat(out[self.offsets[l - 1]:lo], self.fanout)
+            rows = np.column_stack((parent, self.blocks[l][:, -1, :])) + 0.0
+            order = np.lexsort(rows.T)
+            rows = rows[order]
+            new = np.ones(hi - lo, dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            out[lo + order] = lo + order[new][np.cumsum(new) - 1]
         return out
 
-    @cached_property
-    def prefixes(self) -> list[np.ndarray]:
-        return [row for block in self.blocks for row in block]
+    def class_firsts(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """For increasing node ids: per id, the position in ids of the
+        first id of its prefix class; and those positions, increasing."""
+        cls = self.prefix_class[ids]
+        first = np.full(self.n_nodes, len(ids))
+        np.minimum.at(first, cls, np.arange(len(ids)))
+        first = first[cls]
+        return first, np.flatnonzero(first == np.arange(len(ids)))
+
+    def prefix_keys(self, ids) -> list[tuple]:
+        """prefix_key of each of the increasing node ids."""
+        ids = np.asarray(ids, dtype=np.int64)
+        cuts = np.searchsorted(ids, self.offsets).tolist()
+        return [prefix_key(self.k0 + l, block[j]) for l, block in enumerate(self.blocks)
+                for j in (ids[cuts[l]:cuts[l + 1]] - self.offsets[l]).tolist()]
 
 
 def _projected_node_count(n_levels: int, fanout: int) -> int:

@@ -301,7 +301,7 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     with no tolerance at all: both facts are assignments in the sweep."""
     tree = sol.tree
     worst = float(np.max(sol.y - sol.z))
-    leaves = tree.leaves()
+    leaves = slice(tree.offsets[-2], tree.offsets[-1])
     leaf_gap = float(np.max(np.abs(sol.z[leaves] - sol.y[leaves])))
     worst = max(worst, leaf_gap)
     return CheckReport(
@@ -309,7 +309,7 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
         passed=worst <= 0.0,
         worst=worst,
         tolerance=0.0,
-        n_checked=tree.n_nodes + len(leaves),
+        n_checked=tree.n_nodes + tree.offsets[-1] - tree.offsets[-2],
         details={"leaf_gap": leaf_gap},
     )
 
@@ -632,11 +632,8 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
     the corruption is visible to every consistency check.
     """
     if node is None:
-        node = sol.tree.root
-        for i in sol.tree.interior():
-            if not sol.stop[i]:
-                node = i
-                break
+        going = np.flatnonzero(~sol.stop[: sol.tree.offsets[-2]])
+        node = int(going[0]) if len(going) else sol.tree.root
     z = sol.z.copy()
     z[node] += amount
     return EnvelopeSolution(

@@ -11,6 +11,9 @@ the root.
 put_n2 / put_n3: the same put with controls {0.5, 1.0} on 2 and 3
 steps.  The low control is optimal throughout, so the roots equal the
 classic binomial Snell values sqrt(2)/8 and sqrt(3)/8.
+
+make_collision_tree and make_signed_zero_tree build trees where nodes
+reached under different controls observe the same state prefix.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from robuststop import (
     ControlSet,
     DriftSpec,
+    ScenarioTree,
     TimeGrid,
     american_put,
     constant_reward,
@@ -47,6 +51,27 @@ def make_put(n_steps):
     controls = ControlSet([0.5, 1.0], cap=1.0)
     tree = expand_tree(grid, 1.0, DriftSpec("zero"), controls)
     return tree, american_put(strike=1.0, base=0.0)
+
+
+def make_collision_tree(n_steps, init_prefix=None):
+    """d = 2, two controls that share their first column, so after one
+    step a control-0 and a control-1 child observe the same state."""
+    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
+    return expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
+                       DriftSpec("zero"), controls, init_prefix=init_prefix)
+
+
+def make_signed_zero_tree(n_steps=1):
+    """One control, two outcomes per node.  The first step's outcomes
+    differ only in the sign of zero, so prefix_key, which compares
+    floats, gives both one key; a second step moves by +-0.5."""
+    level1 = np.array([[[0.0], [0.0]], [[0.0], [-0.0]]])
+    blocks = [np.zeros((1, 1, 1)), level1]
+    if n_steps == 2:
+        step = np.tile([[[0.5]], [[-0.5]]], (2, 1, 1))
+        blocks.append(np.concatenate([np.repeat(level1, 2, axis=0), step], axis=1))
+    return ScenarioTree(TimeGrid(0.0, 1.0, n_steps), ControlSet([1.0], cap=1.0),
+                        DriftSpec("zero"), 0, blocks, np.full((1, 2), 0.5))
 
 
 def random_instance(rng):

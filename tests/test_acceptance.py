@@ -91,7 +91,7 @@ def test_c03_domination_and_leaf_equality_exact(batch):
         report = check_envelope_basic(sol)
         assert report.passed and report.worst == 0.0
         assert np.all(sol.z >= sol.y)
-        leaves = [i for i in range(sol.tree.n_nodes) if sol.tree.is_leaf(i)]
+        leaves = slice(sol.tree.offsets[-2], sol.tree.n_nodes)
         assert np.array_equal(sol.z[leaves], sol.y[leaves])
 
 
@@ -133,7 +133,7 @@ def test_c06_random_pastings_exact():
     while done < N_INSTANCES:
         tree, Y = random_instance(rng)
         n_ctrl = len(tree.controls)
-        interior = tree.interior()
+        interior = range(tree.offsets[-2])
         for _ in range(4):
             base = ControlStrategy(
                 tree, {i: int(rng.integers(n_ctrl)) for i in interior}
@@ -143,7 +143,7 @@ def test_c06_random_pastings_exact():
                 for _ in range(int(rng.integers(1, 3)))
             ]
             s_idx = int(rng.integers(0, tree.grid.n_steps + 1))
-            states = [float(tree.prefixes[i][-1, 0]) for i in tree.nodes_at(s_idx)]
+            states = tree.states_at(s_idx)[:, 0].tolist()
             cuts = np.sort(rng.uniform(min(states) - 0.1, max(states) + 0.1, len(pieces)))
             cells = [lambda p, c=cuts[0]: p[-1, 0] <= c]
             for lo, hi in zip(cuts[:-1], cuts[1:]):

@@ -41,7 +41,7 @@ def test_inst_b_hand_values(inst_b):
     sol = robust_envelope(tree, Y)
     assert sol.root_value() == 0.5
     assert not sol.stop[0]
-    leaves = list(tree.leaves())
+    leaves = slice(tree.offsets[-2], tree.n_nodes)
     assert np.array_equal(sol.z[leaves], sol.y[leaves])
     assert sorted(sol.y[leaves].tolist()) == [0.0, 1.0]
 
@@ -59,7 +59,7 @@ def test_envelope_dominates_reward(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
     assert np.all(sol.z >= sol.y)
-    leaves = list(tree.leaves())
+    leaves = slice(tree.offsets[-2], tree.n_nodes)
     assert np.array_equal(sol.z[leaves], sol.y[leaves])
 
 
@@ -76,7 +76,7 @@ def test_singleton_control_equals_classic_snell():
     tree = expand_tree(grid, 1.0, DriftSpec("zero"), ControlSet([0.7], cap=1.0))
     Y = american_put(strike=1.0, base=0.0)
     sol = robust_envelope(tree, Y)
-    snell = classic_snell(tree, ControlStrategy(tree, {i: 0 for i in tree.interior()}), Y)
+    snell = classic_snell(tree, ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])}), Y)
     assert sol.z.tolist() == snell.values.tolist()
     assert sol.root_value() == snell.root_value
 
@@ -126,8 +126,7 @@ def test_nonlinear_expectation_picks_worst_control(inst_a):
     val = nonlinear_expectation(tree, lambda p: abs(float(p[-1, 0])))
     assert val == 0.5
     per_leaf = np.zeros(tree.n_nodes)
-    for leaf in tree.leaves():
-        per_leaf[leaf] = abs(float(tree.state(leaf)[0]))
+    per_leaf[tree.offsets[-2]:] = np.abs(tree.states_at(tree.grid.n_steps)[:, 0])
     assert nonlinear_expectation(tree, per_leaf) == 0.5
 
 
@@ -160,7 +159,7 @@ def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):
     rng = np.random.default_rng(3)
     for _ in range(20):
         tree, _ = rand_instance(rng)
-        strategy = {i: int(rng.integers(len(tree.controls))) for i in tree.interior()}
+        strategy = {i: int(rng.integers(len(tree.controls))) for i in range(tree.offsets[-2])}
         flags = rng.random(tree.n_nodes) < 0.3
         flags[tree.root] = False
         out = forward_pass(tree, strategy=strategy, stops=flags.__getitem__)
@@ -183,3 +182,20 @@ def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):
         with pytest.raises(StrategyError, match=f"node {drop}$"):
             forward_pass(tree, strategy=ControlStrategy(tree, partial),
                          stops=flags.__getitem__)
+
+
+def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
+    tree, _ = put_n2
+    interior = range(tree.offsets[-2])
+    for ci in (0, 1, np.int64(1)):
+        by_node = forward_pass(tree, strategy={i: int(ci) for i in interior})
+        for got, want in zip(forward_pass(tree, strategy=ci), by_node):
+            assert np.array_equal(got, want)
+    # an out-of-range index fails at the first node that needs a control
+    with pytest.raises(StrategyError, match="control index 2 out of range at node 0$"):
+        forward_pass(tree, strategy=2)
+    with pytest.raises(StrategyError, match="control index -1 out of range at node 3$"):
+        forward_pass(tree, 3, strategy=-1)
+    # where every reached node stops, none needs one
+    flags = np.ones(tree.n_nodes, dtype=bool)
+    assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21

@@ -12,7 +12,6 @@ from robuststop import (
     DriftSpec,
     ModulusSpec,
     PartitionError,
-    ScenarioTree,
     SizeError,
     StoppingRule,
     StrategyError,
@@ -26,14 +25,16 @@ from robuststop import (
     game_values,
     paste_strategies,
     pasting_check,
+    prefix_key,
     robust_envelope,
     state_law,
     terminal_abs,
     worst_case_stopped_reward,
 )
-from robuststop.envelope import backward_sweep
+from conftest import make_collision_tree, make_signed_zero_tree
+from robuststop import model
+from robuststop.envelope import backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
-    _has_prefix_collision,
     count_strategies,
     stop_set_table,
     strategy_table,
@@ -69,11 +70,15 @@ def test_rules_are_adapted(put_n2):
     from robuststop import RuleError
 
     for rule in enumerate_stopping_rules(tree):
-        for i in range(tree.n_nodes):
-            by_node = rule.stops_at(tree, i)
-            by_prefix = rule(tree.k[i], tree.prefixes[i].copy())
-            assert by_node == by_prefix
-        assert rule(tree.grid.n_steps, tree.prefixes[tree.n_nodes - 1])
+        mask = stop_mask(tree, rule)
+        # the nodes the mask evaluates: reached with no stop above them
+        reached = forward_pass(tree, stops=mask.__getitem__)[0]
+        for l, block in enumerate(tree.blocks):
+            for j, row in enumerate(block):
+                if reached[tree.offsets[l] + j]:
+                    by_prefix = rule(tree.k0 + l, row.copy())
+                    assert by_prefix == mask[tree.offsets[l] + j]
+        assert rule(tree.grid.n_steps, tree.blocks[-1][-1])
     full = next(iter(enumerate_stopping_rules(tree)))
     with pytest.raises(RuleError):
         full(0, np.array([[42.0]]))
@@ -115,9 +120,8 @@ def test_expected_reward_hand_values(inst_a):
 
 
 def _nonterminal_keys(tree):
-    return {
-        tree.node_key(i) for i in range(tree.n_nodes) if tree.k[i] < tree.grid.n_steps
-    }
+    return {prefix_key(tree.k0 + l, row)
+            for l, block in enumerate(tree.blocks[:-1]) for row in block}
 
 
 def test_worst_case_stopped_reward(inst_a):
@@ -170,22 +174,6 @@ def test_minimax_order_on_random_instances(rand_instance):
         assert report.agree, report.max_gap
 
 
-def _shared_column_tree(n_steps):
-    # the controls share their first column, so after one step a
-    # control-0 and a control-1 child observe the same state
-    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
-    return expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
-                       DriftSpec("zero"), controls)
-
-
-def _signed_zero_tree():
-    # one step, two outcomes whose states differ only in the sign of
-    # zero: prefix_key compares floats, so they share a prefix
-    blocks = [np.zeros((1, 1, 1)), np.array([[[0.0], [0.0]], [[0.0], [-0.0]]])]
-    return ScenarioTree(TimeGrid(0.0, 1.0, 1), ControlSet([1.0], cap=1.0),
-                        DriftSpec("zero"), 0, blocks, np.full((1, 2), 0.5))
-
-
 @pytest.mark.parametrize("n_steps, n_nodes, n_rule_maps, value", [
     (1, 9, 2, 1.4142135623730951),
     (2, 73, 128, 1.2071067811865475),
@@ -194,9 +182,9 @@ def _signed_zero_tree():
 def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
     # two nodes observe the same prefix, so the lower value must
     # enumerate prefix maps, not node-keyed stop sets
-    tree = _signed_zero_tree() if n_steps is None else _shared_column_tree(n_steps)
+    tree = make_signed_zero_tree() if n_steps is None else make_collision_tree(n_steps)
     assert tree.n_nodes == n_nodes
-    assert _has_prefix_collision(tree)
+    assert np.any(tree.prefix_class != np.arange(tree.n_nodes))
     report = game_values(tree, terminal_abs())
     assert report.n_rule_maps == n_rule_maps
     assert report.lower == report.upper == value
@@ -204,15 +192,17 @@ def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
     assert report.agree and report.saddle
 
 
-def test_game_size_caps(put_n2):
+def test_game_size_caps(put_n2, monkeypatch):
     tree, Y = put_n2
+    # the collision check reads the prefix classes, so a rejected run
+    # builds no prefix key
+    keys = []
+    monkeypatch.setattr(model, "prefix_key", lambda *args: keys.append(args))
     with pytest.raises(SizeError, match="solver.strategy_cap"):
         game_values(tree, Y, strategy_cap=3)
     with pytest.raises(SizeError, match="solver.stop_time_cap"):
         game_values(tree, Y, stop_time_cap=2)
-    # the collision check reads the level blocks, so a rejected run
-    # never builds the per-node prefix list
-    assert "prefixes" not in vars(tree)
+    assert keys == []
 
 
 def test_game_caps_come_before_the_payoff(put_n2):
@@ -248,7 +238,7 @@ def test_referee_tables_factor_into_sweeps(rand_instance):
 
 def test_state_law_is_a_probability(put_n2):
     tree, _ = put_n2
-    law = state_law(tree, ControlStrategy(tree, {i: 0 for i in tree.interior()}))
+    law = state_law(tree, ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])}))
     weights = np.array(list(law.values()))
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(weights > 0)
@@ -257,8 +247,8 @@ def test_state_law_is_a_probability(put_n2):
 
 def test_pasting_changes_law_only_below_switched_cell(put_n2):
     tree, _ = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in tree.interior()})
-    piece = ControlStrategy(tree, {i: 1 for i in tree.interior()})
+    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
+    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
     up = lambda p: p[-1][0] > 1.0
     pasted = paste_strategies(base, 0.5, [lambda p: not up(p), up], [piece])
     law_base = state_law(tree, base)
@@ -273,8 +263,8 @@ def test_pasting_changes_law_only_below_switched_cell(put_n2):
 
 def test_pasting_check_zero_slack(put_n2):
     tree, Y = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in tree.interior()})
-    piece = ControlStrategy(tree, {i: 1 for i in tree.interior()})
+    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
+    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
     up = lambda p: p[-1][0] > 1.0
     report = pasting_check(base, 0.5, [lambda p: not up(p), up], [piece], Y)
     assert report.ok
@@ -286,8 +276,8 @@ def test_pasting_check_zero_slack(put_n2):
 
 def test_pasting_rejects_bad_partitions(put_n2):
     tree, _ = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in tree.interior()})
-    piece = ControlStrategy(tree, {i: 1 for i in tree.interior()})
+    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
+    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
     always = lambda p: True
     with pytest.raises(PartitionError):
         paste_strategies(base, 0.5, [always, always], [piece])

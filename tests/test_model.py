@@ -68,11 +68,21 @@ def test_control_set_matrix_controls():
         ControlSet([np.array([[1.0, 0.8], [-0.8, 1.0]])], cap=2.0)
 
 
+def _row(tree, i):
+    """Time index and state prefix of node i, from the level layout."""
+    l = next(l for l in range(len(tree.blocks)) if i < tree.offsets[l + 1])
+    return tree.k0 + l, tree.blocks[l][i - tree.offsets[l]]
+
+
+def _leaf_states(tree):
+    return tree.states_at(tree.grid.n_steps)[:, 0].tolist()
+
+
 def _first_level_moments(tree):
     """Weights, mean and covariance of the root's increments under
     control 0, read off the first expanded level."""
     w = tree.weights[0]
-    inc = tree.states_at(tree.k0 + 1)[: w.size] - tree.state(tree.root)
+    inc = tree.states_at(tree.k0 + 1)[: w.size] - tree.states_at(tree.k0)[0]
     mean = w @ inc
     centered = inc - mean
     return w, mean, (centered.T * w) @ centered
@@ -131,19 +141,16 @@ def test_inst_a_tree_shape(inst_a):
     tree, _ = inst_a
     assert tree.n_nodes == 5
     assert tree.root == 0
-    assert not tree.is_leaf(0)
-    assert sorted(tree.nodes_at(0)) == [0]
-    assert sorted(tree.nodes_at(1)) == [1, 2, 3, 4]
-    assert sorted(tree.leaves()) == [1, 2, 3, 4]
-    assert list(tree.interior()) == [0]
+    assert tree.offsets == [0, 1, 5]
+    assert tree.level(0) == slice(0, 1)
+    assert tree.level(1) == slice(1, 5)
     # two controls, two outcomes each, half weight per edge
-    states = sorted(float(tree.state(i)[0]) for i in tree.leaves())
-    assert states == [-1.0, -0.5, 0.5, 1.0]
+    assert sorted(_leaf_states(tree)) == [-1.0, -0.5, 0.5, 1.0]
     assert tree.weights.shape == (2, 2)
     assert np.all(tree.weights == 0.5)
     # the root's children run by control, then outcome: +u, -u per control
     assert tree.subtree_ranges(0) == [(0, 1), (1, 5)]
-    assert [float(tree.state(i)[0]) for i in range(1, 5)] == [0.5, -0.5, 1.0, -1.0]
+    assert _leaf_states(tree) == [0.5, -0.5, 1.0, -1.0]
 
 
 def test_tree_node_counts_scale_with_depth():
@@ -157,21 +164,20 @@ def test_tree_node_counts_scale_with_depth():
 def test_tree_prefix_consistency(put_n2):
     tree, _ = put_n2
     for i in range(tree.n_nodes):
-        pref = tree.prefixes[i]
-        assert pref.shape[0] == tree.k[i] + 1
-        assert np.array_equal(tree.state(i), pref[-1])
-        l = tree.k[i] - tree.k0
+        k, pref = _row(tree, i)
+        assert pref.shape[0] == k + 1
+        l = k - tree.k0
+        assert np.array_equal(tree.states_at(k)[i - tree.offsets[l]], pref[-1])
         if l > 0:
             parent = tree.offsets[l - 1] + (i - tree.offsets[l]) // tree.fanout
-            assert np.array_equal(tree.prefixes[parent], pref[:-1])
-        key = tree.node_key(i)
-        assert key[0] == tree.k[i]
+            assert np.array_equal(_row(tree, parent)[1], pref[:-1])
+        assert tree.prefix_keys([i])[0][0] == k
 
 
 def test_tree_drift_moves_children():
     drift = DriftSpec("custom-table", table=[[0.5]])
     tree = expand_tree(TimeGrid(0.0, 1.0, 1), 0.0, drift, ControlSet([1.0], cap=1.0))
-    kids = sorted(float(tree.state(i)[0]) for i in tree.leaves())
+    kids = sorted(_leaf_states(tree))
     assert kids == pytest.approx([0.5 - 1.0, 0.5 + 1.0], abs=1e-15)
 
 
@@ -189,38 +195,39 @@ def test_tree_level_layout(put_n2):
     assert [b.shape for b in tree.blocks] == [(1, 1, 1), (4, 2, 1), (16, 3, 1)]
     assert tree.weights.shape == (2, 2)
     for k in range(3):
-        nodes = tree.nodes_at(k)
-        assert list(range(tree.n_nodes))[tree.level(k)] == nodes
-        assert np.array_equal(tree.states_at(k), [tree.state(i) for i in nodes])
+        nodes = range(tree.offsets[k], tree.offsets[k + 1])
+        assert list(range(tree.n_nodes))[tree.level(k)] == list(nodes)
+        assert np.array_equal(tree.states_at(k), [_row(tree, i)[1][-1] for i in nodes])
     # children of node i at level l: offsets[l+1] + (i - offsets[l]) * C*B + ci*B + oi;
     # each child's prefix is its parent's plus one step of control ci,
     # up for outcome 0 and down for outcome 1, and every id is one child
     step = np.sqrt(tree.grid.dt)
     children = []
     for i in range(5):
-        l = tree.k[i]
+        k, pref = _row(tree, i)
+        l = k - tree.k0
         for ci, u in enumerate(tree.controls.scalars()):
             for oi, sign in enumerate((1.0, -1.0)):
                 child = tree.offsets[l + 1] + (i - tree.offsets[l]) * 4 + ci * 2 + oi
                 children.append(child)
-                assert tree.k[child] == l + 1
-                assert np.array_equal(tree.prefixes[child][:-1], tree.prefixes[i])
-                move = tree.state(child)[0] - tree.state(i)[0]
+                k_child, kid = _row(tree, child)
+                assert k_child == k + 1
+                assert np.array_equal(kid[:-1], pref)
+                move = kid[-1, 0] - pref[-1, 0]
                 assert move == pytest.approx(sign * u * step, abs=1e-15)
     assert children == list(range(1, tree.n_nodes))
-    assert all(tree.is_leaf(i) == (i >= 5) for i in range(tree.n_nodes))
+    assert tree.offsets[-2] == 5
 
 
 def test_tree_resume_from_pinned_prefix():
     g = TimeGrid(0.0, 1.0, 3)
     cs = ControlSet([0.5, 1.0], cap=1.0)
     tree = expand_tree(g, 0.0, DriftSpec("zero"), cs, init_prefix=[0.0, 0.4])
-    assert tree.k[0] == 1
-    assert tree.prefixes[0].ravel().tolist() == [0.0, 0.4]
+    assert tree.k0 == 1
+    assert _row(tree, 0)[1].ravel().tolist() == [0.0, 0.4]
     assert tree.n_nodes == 1 + 4 + 16
-    for leaf in tree.leaves():
-        assert tree.k[leaf] == 3
-        assert tree.prefixes[leaf][1, 0] == 0.4
+    assert [b.shape[1] for b in tree.blocks] == [2, 3, 4]
+    assert np.all(tree.blocks[-1][:, 1, 0] == 0.4)
     with pytest.raises(ValueError):
         expand_tree(g, 0.0, DriftSpec("zero"), cs, init_prefix=np.zeros((5, 1)))
 
@@ -235,11 +242,10 @@ def test_tree_node_cap_is_enforced():
 
 def test_subtree_nodes_partition(put_n2):
     tree, _ = put_n2
-    below = tree.subtree_nodes(1)
-    assert 1 in below
-    assert all(tree.k[j] >= tree.k[1] for j in below)
-    # root subtree is everything
-    assert sorted(tree.subtree_nodes(0)) == list(range(tree.n_nodes))
+    # node 1's subtree: itself, then its four children at the leaves
+    assert tree.subtree_ranges(1) == [(1, 2), (5, 9)]
+    # the root's subtree is every level, whole
+    assert tree.subtree_ranges(0) == list(zip(tree.offsets, tree.offsets[1:]))
 
 
 def test_simulate_paths_deterministic():

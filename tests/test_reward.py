@@ -79,9 +79,10 @@ def test_reward_values_match_pointwise(inst_a):
     tree, Y = inst_a
     vals = reward_values(tree, Y)
     assert vals.shape == (tree.n_nodes,)
-    for i in range(tree.n_nodes):
-        assert vals[i] == eval_reward(Y, tree.k[i], tree.prefixes[i])
-    assert sorted(vals[list(tree.leaves())].tolist()) == [0.5, 0.5, 1.0, 1.0]
+    for l, block in enumerate(tree.blocks):
+        for j, row in enumerate(block):
+            assert vals[tree.offsets[l] + j] == eval_reward(Y, tree.k0 + l, row)
+    assert sorted(vals[tree.offsets[-2]:].tolist()) == [0.5, 0.5, 1.0, 1.0]
 
 
 def test_pre_history_splice_keeps_peak():

@@ -29,20 +29,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_put, random_instance
+from conftest import make_collision_tree, make_put, random_instance
 from robuststop import (
-    ControlSet,
     ControlStrategy,
-    DriftSpec,
     StoppingRule,
-    TimeGrid,
     classic_snell,
     enumerate_stopping_rules,
     enumerate_strategies,
-    expand_tree,
     game_values,
     nonlinear_expectation,
     pasting_check,
+    prefix_key,
     reward_values,
     robust_envelope,
     stopped_value,
@@ -92,9 +89,10 @@ def _snell_part(tree, strategy, y, from_node=0):
 
 def _rules(tree, rng):
     """Every prefix-keyed rule on small trees, a seeded sample otherwise."""
-    if len({tree.node_key(i) for i in tree.interior()}) <= ALL_RULES_UP_TO:
+    keys = sorted({prefix_key(tree.k0 + l, row)
+                   for l, block in enumerate(tree.blocks[:-1]) for row in block})
+    if len(keys) <= ALL_RULES_UP_TO:
         return list(enumerate_stopping_rules(tree))
-    keys = sorted({tree.node_key(i) for i in tree.interior()})
     bits = rng.integers(0, 2, size=(RULE_SAMPLES, len(keys)))
     return [StoppingRule(tree.grid.n_steps, dict(zip(keys, map(bool, row))))
             for row in bits]
@@ -142,7 +140,7 @@ def _count_free(report: dict) -> dict:
 def digests(tree, Y, rng) -> dict:
     y = reward_values(tree, Y)
     sol = robust_envelope(tree, Y)
-    level1 = tree.nodes_at(tree.k0 + 1)
+    level1 = list(range(*tree.offsets[1:3]))
     starts = [tree.root] + level1
     xi = lambda p: float(np.sum(p * p)) - float(p[-1, 0])
     stop_rules = (0, tree.grid.n_steps, sol.stop_rule_map(),
@@ -183,23 +181,16 @@ def _acceptance():
                   for tree, Y in (random_instance(rng) for _ in range(200))])
 
 
-def _collision_tree(n_steps):
-    # the two controls share the first column, so a control-0 and a
-    # control-1 child observe the same state after one step
-    controls = ControlSet([np.eye(2), np.diag([1.0, 2.0])], cap=2.0)
-    return expand_tree(TimeGrid(0.0, 1.0, n_steps), np.array([0.0, 0.0]),
-                       DriftSpec("zero"), controls)
-
-
 def _prefix_collision():
     rng = np.random.default_rng(7)
-    return _fold([digests(_collision_tree(n), terminal_abs(), rng) for n in (1, 2)])
+    return _fold([digests(make_collision_tree(n), terminal_abs(), rng) for n in (1, 2)])
 
 
 def _pasting_from_node():
     tree, Y = make_put(3)
-    base = ControlStrategy(tree, {i: 0 for i in tree.interior()})
-    piece = ControlStrategy(tree, {i: 1 for i in tree.interior()})
+    interior = range(tree.offsets[-2])
+    base = ControlStrategy(tree, {i: 0 for i in interior})
+    piece = ControlStrategy(tree, {i: 1 for i in interior})
     up = lambda p: p[-1][0] > 1.0
     parts = []
     for s in (tree.grid.time(1), tree.grid.time(2)):
@@ -208,7 +199,7 @@ def _pasting_from_node():
                       float(r.worst_snell_excess), r.n_atoms, r.n_marginal_events,
                       r.failures))
     y = reward_values(tree, Y)
-    for node in tree.interior():
+    for node in interior:
         parts.append(_snell_part(tree, base, y, node))
         parts.append(_snell_part(tree, piece, y, node))
     return {f: _sha(parts) if f == "classic_snell" else "-" for f in FIELDS}

@@ -49,7 +49,7 @@ def _array_digest(a) -> str:
 
 
 def digests(tree, sol) -> dict:
-    states = np.array([tree.prefixes[i][-1] for i in range(tree.n_nodes)])
+    states = np.concatenate([block[:, -1, :] for block in tree.blocks])
     out = {"states": _array_digest(states)}
     for name in FIELDS[1:-1]:
         out[name] = _array_digest(getattr(sol, name))

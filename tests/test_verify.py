@@ -102,12 +102,12 @@ def test_envelope_basic_exact(put_sol):
     assert report.worst == 0.0
     assert report.tolerance == 0.0
     # every node is checked for domination and every leaf for equality
-    assert report.n_checked == tree.n_nodes + len(list(tree.leaves()))
+    assert report.n_checked == tree.n_nodes + tree.n_nodes - tree.offsets[-2]
 
 
 def test_envelope_basic_rejects_corrupt_leaf(put_sol):
     tree, _, sol = put_sol
-    leaf = next(iter(tree.leaves()))
+    leaf = tree.offsets[-2]
     bad = corrupt_envelope(sol, node=leaf)
     report = check_envelope_basic(bad)
     assert not report.passed
