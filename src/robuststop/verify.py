@@ -111,7 +111,8 @@ def _jsonable(obj):
 # Samplers draw this many samples per call, and the checks evaluate them
 # with one stacked call per time index: a call per draw costs more than a
 # stacked one, and stacking every draw at once holds all their prefixes
-# in memory.
+# in memory.  A sampler reads each chunk from one block of raw PCG64
+# words (see _PCG64Words), about 40 KB at this size on a 4-step grid.
 SAMPLE_CHUNK = 512
 
 
@@ -130,6 +131,79 @@ def _per_index(fn, ks) -> np.ndarray:
     return out
 
 
+class _PCG64Words:
+    """Generator.random, uniform and integers draws, replayed from raw
+    words of the Generator's PCG64 bit generator.
+
+    As numpy implements them, a double is (word >> 11) * 2**-53 of the
+    next 64-bit word and uniform(lo, hi) is lo + (hi - lo) times one.
+    integers(a, b) draws nothing when b - 1 == a, and is otherwise
+    Lemire's bounded method, rejection loop included, on 32-bit draws.
+    Those come from PCG64's half-word buffer: a fresh word gives its low
+    half and keeps its high half for the next 32-bit draw, across calls;
+    doubles leave the buffer alone.
+
+    The reader takes words from one random_raw block of n_words, reading
+    more if a rejection runs past it.  doubles(n) passes over the words
+    of n doubles and gives the index of the first; integer(r) gives what
+    integers(0, r + 1) would, for r < 2**32.  close() leaves the
+    generator exactly where those calls would have left it and gives the
+    doubles of all words read, indexed like the words.  Any other bit
+    generator raises TypeError: its draws follow other rules.
+    """
+
+    def __init__(self, rng, n_words: int):
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise TypeError(
+                f"the samplers replay PCG64 draws, got a Generator on {type(bg).__name__}"
+            )
+        self._bg, self._start = bg, bg.state
+        self._has, self._half = self._start["has_uint32"], self._start["uinteger"]
+        self._blocks = [bg.random_raw(n_words)]
+        self._words = self._blocks[0].tolist()
+        self._pos = 0
+
+    def _read_to(self, end: int) -> None:
+        if end > len(self._words):
+            self._blocks.append(self._bg.random_raw(max(end - len(self._words), 64)))
+            self._words += self._blocks[-1].tolist()
+
+    def doubles(self, n: int) -> int:
+        first = self._pos
+        self._pos += n
+        return first
+
+    def integer(self, r: int) -> int:
+        if r == 0:
+            return 0
+        excl = r + 1
+        # numpy's (2**32 - 1 - r) % (r + 1): a 32-bit draw x is rejected
+        # while the low half of x * (r + 1) falls below it
+        threshold = (1 << 32) % excl
+        while True:
+            if self._has:
+                x, self._has = self._half, 0
+            else:
+                self._read_to(self._pos + 1)
+                word = self._words[self._pos]
+                self._pos += 1
+                x, self._half, self._has = word & 0xFFFFFFFF, word >> 32, 1
+            m = x * excl
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    def close(self) -> np.ndarray:
+        self._read_to(self._pos)
+        bg = self._bg
+        bg.state = self._start
+        bg.advance(self._pos)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        bg.state = state
+        return (np.concatenate(self._blocks) >> 11) * 2.0**-53
+
+
 def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     """Default sampler of ordered time-path pairs for check_y1.
 
@@ -141,28 +215,40 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     distances are exercised.  With the default spread the paths stay
     well inside the catalog's declared sampling range.
 
-    Each draw makes the same generator calls, in the same order, as a
-    draw on its own; the walks of all m draws are then summed in one
-    stacked cumsum.
+    The draws are bit for bit those of one draw at a time with
+    rng.uniform (first walk), rng.random (fresh or perturbed),
+    rng.uniform (second walk) and rng.integers (k1, then k2), and rng
+    ends in the same state.  A chunk reads them from one block of raw
+    words, so rng must run on PCG64 (TypeError otherwise); the walks of
+    all m draws are then gathered and summed in one stacked cumsum.
     """
     n = grid.n_steps
     step = spread * math.sqrt(grid.dt) if n > 0 else 0.0
     full = (-step, step)
     small = (-step * 0.05, step * 0.05)
+    # the (low, high) ends of each walk's increments, by [fresh][walk]
+    ends = np.array([[full, small], [full, full]])
+    lo, span = ends[..., :1], ends[..., 1:] - ends[..., :1]
+    # per draw: the first walk, the fresh double, the second walk
+    walk = np.array([[0], [n * dim + 1]]) + np.arange(n * dim)
 
     def draw(rng, m):
-        uniform, random, integers = rng.uniform, rng.random, rng.integers
-        inc, fresh, k1, k2 = [], [], [], []
+        words = _PCG64Words(rng, m * (2 * n * dim + 2))
+        doubles, integer = words.doubles, words.integer
+        at, k1, k2 = [], [], []
         for _ in range(m):
-            inc.append(uniform(*full, size=(n, dim)))
-            fresh.append(random() < 0.5)
-            inc.append(uniform(*(full if fresh[-1] else small), size=(n, dim)))
-            k1.append(int(integers(0, n + 1)))
-            k2.append(int(integers(k1[-1], n + 1)))
+            at.append(doubles(2 * n * dim + 1))
+            k1.append(integer(n))
+            k2.append(k1[-1] + integer(n - k1[-1]))
+        u = words.close()
+        at = np.array(at, dtype=np.intp)
+        fresh = u[at + n * dim] < 0.5
+        pick = fresh.astype(np.intp)
+        inc = lo[pick] + span[pick] * u[at[:, None, None] + walk]
         walks = np.zeros((m, 2, n + 1, dim))
         np.cumsum(np.reshape(inc, (m, 2, n, dim)), axis=2, out=walks[:, :, 1:])
         first, second = walks[:, 0], walks[:, 1]
-        second = np.where(np.array(fresh)[:, None, None], second, first + second)
+        second = np.where(fresh[:, None, None], second, first + second)
         return np.array(k1), Path(grid, first), np.array(k2), Path(grid, second)
 
     return draw
@@ -218,30 +304,39 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     walks; the control is drawn uniformly from the menu, and each menu
     control's norm is taken once.
 
-    Each draw makes the same generator calls, in the same order, as a
-    draw on its own; the walks of all m draws are then summed in one
-    stacked cumsum over zero-padded increments.
+    The draws are bit for bit those of one draw at a time with
+    rng.integers (k), then per walk rng.uniform (increments) and
+    rng.uniform (start), then rng.integers (the control), and rng ends
+    in the same state.  A chunk reads them from one block of raw words,
+    so rng must run on PCG64 (TypeError otherwise); the walks of all m
+    draws are then gathered and summed in one stacked cumsum over
+    zero-padded increments.
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
     K = max(grid.n_steps, 1)
     menu = np.array([np.atleast_2d(np.asarray(u, dtype=np.float64)) for u in controls])
     norms = np.array([np.linalg.norm(u, 2) for u in menu])
+    rows = np.arange(K)[:, None] * dim + np.arange(dim)
 
     def draw(rng, m):
-        uniform, integers = rng.uniform, rng.integers
-        ks, inc, offset, pick = [], [], [], []
+        words = _PCG64Words(rng, m * (2 * (K + 1) * dim + 1))
+        doubles, integer = words.doubles, words.integer
+        ks, at, pick = [], [], []
         for _ in range(m):
-            ks.append(int(integers(0, K)))
-            for _ in range(2):
-                inc.append(uniform(-step, step, size=(ks[-1] + 1, dim)))
-                offset.append(uniform(-spread, spread, dim))
-            pick.append(int(integers(0, len(menu))))
+            ks.append(integer(K - 1))
+            # each walk: k + 1 increments, then its start
+            at.append(doubles((ks[-1] + 2) * dim))
+            at.append(doubles((ks[-1] + 2) * dim))
+            pick.append(integer(len(menu) - 1))
+        u = words.close()
         k = np.array(ks)
+        at = np.reshape(np.array(at, dtype=np.intp), (m, 2, 1, 1))
         # the increments of each walk, zero past its prefix
         padded = np.zeros((m, 2, K, dim))
         within = np.broadcast_to(np.arange(K) <= k[:, None, None], (m, 2, K))
-        padded[within] = np.concatenate(inc)
-        offset = np.reshape(offset, (m, 2, 1, dim))
+        padded[within] = -step + (step - -step) * u[(at + rows)[within]]
+        start = at + (k[:, None, None, None] + 1) * dim + np.arange(dim)
+        offset = -spread + (spread - -spread) * u[start]
         walks = np.cumsum(padded, axis=2) - padded[:, :, :1] + offset
         return k, walks[:, 0], walks[:, 1], menu[pick], norms[pick]
 

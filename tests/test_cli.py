@@ -2,6 +2,7 @@
 exit codes, and byte-identical reruns."""
 
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -468,3 +469,47 @@ def test_out_of_range_numbers_fail_closed(tmp_path, capsys, case):
         argv += ["--suite", suite, "--threads", "1"]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+
+
+# The sampled suite on the verify-sampled bench config (d = 1, 4 steps,
+# running-max drift, lookback-max reward, default n_samples) and on a
+# d = 2 two-matrix config, plain and with --mutate.  moments_paths is
+# lowered to keep the run short; everything else is the default.
+SAMPLED_D1 = {
+    "grid": {"t_end": 1.0, "n_steps": 4},
+    "dynamics": {"x0": 1.0, "drift": {"kind": "running-max", "kappa": 1.0}},
+    "controls": {"values": [0.5, 1.0], "cap": 1.0},
+    "reward": {"kind": "lookback-max"},
+    "verify": {"moments_paths": 2000},
+}
+SAMPLED_D2 = {
+    "grid": {"t_end": 1.0, "n_steps": 4},
+    "dynamics": {"x0": [0.0, 0.0], "drift": {"kind": "mean-reversion", "rate": 0.5}},
+    "controls": {
+        "values": [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.2], [0.2, 0.8]]],
+        "cap": 1.2,
+    },
+    "reward": {"kind": "terminal-abs"},
+    "verify": {"moments_paths": 2000},
+}
+# sha256 of each verify stdout, recorded from the per-draw samplers
+SAMPLED_DIGESTS = {
+    ("d1", False):
+        "fc90b0fb8b4338720482711105a1208412cbbc517f4b3082d0820c83fdb3c0f7",
+    ("d1", True):
+        "cc4cd5702805d33831e4361e7f831555eb865cb5749a88b64c286351b4c63162",
+    ("d2", False):
+        "571b9c52fbd13fb95a4fa5880b3b2c7711cf9626c8ff2751414e6d996a6388ea",
+    ("d2", True):
+        "bde5674751653693a92b9f540025839a4158ac82d0b58e4604c7ad3f0646e0b5",
+}
+
+
+@pytest.mark.parametrize("name, mutate", sorted(SAMPLED_DIGESTS))
+def test_sampled_suite_reports_are_pinned(tmp_path, capsys, name, mutate):
+    cfg = {"d1": SAMPLED_D1, "d2": SAMPLED_D2}[name]
+    argv = ["verify", "--config", write_config(tmp_path, cfg),
+            "--suite", "y1,drift,prehistory,moments", "--threads", "1"]
+    assert main(argv + ["--mutate"] * mutate) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLED_DIGESTS[name, mutate]
