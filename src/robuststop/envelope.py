@@ -107,8 +107,9 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
             return []
         l = bisect.bisect_right(tree.offsets, ids[0]) - 1
         at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
-        block = tree.blocks[l]
-        by_class = {j: decide(tree.k0 + l, block[j]) for j in dict.fromkeys(at)}
+        heads = list(dict.fromkeys(at))
+        rows = tree.level_prefixes(l, heads)
+        by_class = {j: decide(tree.k0 + l, row) for j, row in zip(heads, rows)}
         flags = [by_class[j] for j in at]
         if -1 in flags:
             raise RuleError(f"rule has no decision for prefix at node {ids[flags.index(-1)]}")
@@ -362,7 +363,8 @@ def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
     lo, hi = tree.subtree_ranges(from_node)[-1]
     leaf = np.full(tree.n_nodes, np.nan)
     if callable(xi):
-        rows = tree.blocks[-1][lo - tree.offsets[-2]:hi - tree.offsets[-2]]
+        first = lo - tree.offsets[-2]
+        rows = tree.level_prefixes(len(tree.states) - 1, np.arange(first, first + hi - lo))
         leaf[lo:hi] = [float(xi(row)) for row in rows]
     else:
         leaf[lo:hi] = [float(xi[i]) for i in range(lo, hi)]

@@ -426,7 +426,8 @@ def _at_level(tree, k: int, fn) -> dict:
     l = max(k - tree.k0, 0)
     lo = tree.offsets[l]
     cls = (tree.prefix_class[lo:tree.offsets[l + 1]] - lo).tolist()
-    at = {j: fn(tree.blocks[l][j, : k + 1]) for j, c in enumerate(cls) if j == c}
+    heads = [j for j, c in enumerate(cls) if j == c]
+    at = {j: fn(row[: k + 1]) for j, row in zip(heads, tree.level_prefixes(l, heads))}
     return {lo + j: at[c] for j, c in enumerate(cls)}
 
 

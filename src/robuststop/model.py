@@ -15,15 +15,16 @@ matrices.  Two carriers are provided:
   or keeps only each path's running supremum, for several drifts on one
   draw of the normals (simulate_sup_distances).
 
-Trees are non-recombining and keep the full state prefix of every node:
-both the drift and the rewards downstream may look at the whole history,
-so merging nodes would be unsound.  A tree is stored level by level as
-numpy arrays (one prefix block per time index), and expansion, reward
-evaluation and the worst-case sweep each run one vectorised step per
-level.  Every drift kind is written once, in _drift_into, which reads
-at most the current states and their running max: drift_eval feeds it
-from stacks of prefixes, for expansion (once per level) and the sampled
-checks, and the Euler kernel from the two arrays it carries per path.
+Trees are non-recombining: both the drift and the rewards downstream may
+look at the whole history, so merging nodes would be unsound.  A tree is
+stored level by level as numpy arrays, the current states and their
+running max per time index, and expansion, reward evaluation and the
+worst-case sweep each run one vectorised step per level; a node's whole
+prefix is rebuilt on demand from its ancestors' states.  Every drift
+kind is written once, in _drift_into, which reads at most the current
+states and their running max: expansion feeds it the two arrays of a
+level, drift_eval reduces stacks of prefixes for the sampled checks, and
+the Euler kernel carries the two arrays per path.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def _drift_into(spec: DriftSpec, k: int, last, peak, out) -> np.ndarray:
 
     Every drift kind reads at most the current values last, shape (n, d),
     and, for running-max, the running max peak of each prefix, shape
-    (n, d); so the Euler kernel can evaluate drifts from two carried
-    arrays where drift_eval reduces whole prefixes.
+    (n, d); so expansion and the Euler kernel evaluate drifts from two
+    carried arrays, where drift_eval reduces whole prefixes.
     """
     if spec.kind == "zero":
         out.fill(0.0)
@@ -247,15 +248,18 @@ class ScenarioTree:
     """Control-expanded non-recombining tree, stored level by level.
 
     With C controls of B outcomes each, level l (time index k0 + l)
-    holds the node ids offsets[l] .. offsets[l+1] - 1 and a read-only
-    prefix block blocks[l] of shape (n_l, k0 + l + 1, d) whose row j is
-    the state prefix of node offsets[l] + j.  Ids run level by level,
-    then by parent, control and outcome, so node i of level l has the
-    children
+    holds the node ids offsets[l] .. offsets[l+1] - 1, and two read-only
+    arrays of shape (n_l, d): states[l], whose row j is the current
+    state of node offsets[l] + j, and peaks[l], the componentwise
+    running max of that node's prefix.  The root's whole prefix, of
+    shape (k0 + 1, d), is root_prefix.  Ids run level by level, then by
+    parent, control and outcome, so node i of level l has the children
 
         offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
 
-    for control index ci and outcome index oi.  weights[ci] holds the B
+    for control index ci and outcome index oi, and row j of level l has
+    the ancestor row j // fanout**(l - m) at level m: level_prefixes
+    gathers whole prefixes along those rows.  weights[ci] holds the B
     edge weights of control ci, the same at every node.  Every walk over
     the tree, backward (envelope.backward_sweep) or forward
     (envelope.forward_pass), computes child ids from this layout.
@@ -265,17 +269,20 @@ class ScenarioTree:
     per node, the lowest node id with the same prefix_key.
     """
 
-    def __init__(self, grid, controls, drift, k0: int, blocks: list, weights: np.ndarray):
+    def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
+                 peaks: list, weights: np.ndarray):
         self.grid = grid
         self.controls = controls
         self.drift = drift
-        self.k0 = k0
-        self.blocks = blocks
+        self.root_prefix = root_prefix
+        self.k0 = root_prefix.shape[0] - 1
+        self.states = states
+        self.peaks = peaks
         self.weights = weights
         self.branching = weights.shape[1]
         self.offsets = [0]
-        for block in blocks:
-            self.offsets.append(self.offsets[-1] + block.shape[0])
+        for level in states:
+            self.offsets.append(self.offsets[-1] + level.shape[0])
 
     @property
     def n_nodes(self) -> int:
@@ -296,7 +303,21 @@ class ScenarioTree:
 
     def states_at(self, k: int) -> np.ndarray:
         """Current values of the nodes at time index k, shape (n_k, d)."""
-        return self.blocks[k - self.k0][:, -1, :]
+        return self.states[k - self.k0]
+
+    def level_prefixes(self, l: int, rows=None) -> np.ndarray:
+        """State prefixes of the given rows of level l (every row when
+        None), shape (len(rows), k0 + l + 1, d): the root's prefix, then
+        the state of each row's ancestor at levels 1 .. l."""
+        if rows is None:
+            rows = np.arange(self.offsets[l + 1] - self.offsets[l])
+        rows = np.asarray(rows, dtype=np.int64)
+        out = np.empty((len(rows), self.k0 + l + 1, self.root_prefix.shape[1]))
+        out[:, : self.k0 + 1] = self.root_prefix
+        for m in range(l, 0, -1):
+            out[:, self.k0 + m] = self.states[m][rows]
+            rows = rows // self.fanout
+        return out
 
     def subtree_ranges(self, i: int) -> list[tuple[int, int]]:
         """The subtree of node i as one id range (lo, hi) per level, from
@@ -317,10 +338,10 @@ class ScenarioTree:
         equal, so each level takes one stable lexsort over (the parent's
         class, the state with -0.0 made 0.0); == splits the sorted rows."""
         out = np.zeros(self.n_nodes, dtype=np.int64)
-        for l in range(1, len(self.blocks)):
+        for l in range(1, len(self.states)):
             lo, hi = self.offsets[l], self.offsets[l + 1]
             parent = np.repeat(out[self.offsets[l - 1]:lo], self.fanout)
-            rows = np.column_stack((parent, self.blocks[l][:, -1, :])) + 0.0
+            rows = np.column_stack((parent, self.states[l])) + 0.0
             order = np.lexsort(rows.T)
             rows = rows[order]
             new = np.ones(hi - lo, dtype=bool)
@@ -341,8 +362,9 @@ class ScenarioTree:
         """prefix_key of each of the increasing node ids."""
         ids = np.asarray(ids, dtype=np.int64)
         cuts = np.searchsorted(ids, self.offsets).tolist()
-        return [prefix_key(self.k0 + l, block[j]) for l, block in enumerate(self.blocks)
-                for j in (ids[cuts[l]:cuts[l + 1]] - self.offsets[l]).tolist()]
+        return [prefix_key(self.k0 + l, row)
+                for l in range(len(self.states)) if cuts[l] < cuts[l + 1]
+                for row in self.level_prefixes(l, ids[cuts[l]:cuts[l + 1]] - self.offsets[l])]
 
 
 def _projected_node_count(n_levels: int, fanout: int) -> int:
@@ -369,8 +391,9 @@ def expand_tree(
     later time.  Every interior node gets |controls| * branching children,
     one per (control, outcome) pair, with branching 2 for d = 1 and 2d
     for d > 1.  Child states are x + (b * dt + c) for each increment c
-    of the control's kernel, with the drift b from one drift_eval call on
-    the level's prefix block.
+    of the control's kernel, with the drift b from one _drift_into call
+    on the level's states and running maxima; a child's running max is
+    the max of its parent's and its own state.  No prefix is stored.
     """
     d = controls.dim
     if init_prefix is not None:
@@ -400,21 +423,24 @@ def expand_tree(
     if projected > node_cap:
         raise SizeError.over_cap(projected, "tree nodes", node_cap, "solver.node_cap")
 
-    root = root_prefix[None].copy()
-    root.setflags(write=False)
-    blocks = [root]
+    root = root_prefix.copy()
+    states, peaks = [root[-1:].copy()], [np.max(root[None], axis=1)]
     for k in range(k0, grid.n_steps):
-        prev = blocks[-1]
+        prev, peak = states[-1], peaks[-1]
         n = prev.shape[0]
-        shift = drift_eval(drift, k, prev, None) * dt
+        shift = _drift_into(drift, k, prev, peak, np.empty((n, d)))
+        shift *= dt
         step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
-        block = np.empty((n * fanout, k + 2, d))
-        view = block.reshape(n, fanout, k + 2, d)
-        view[:, :, : k + 1, :] = prev[:, None]
-        view[:, :, k + 1, :] = prev[:, None, -1, :] + step.reshape(n, fanout, d)
-        block.setflags(write=False)
-        blocks.append(block)
-    return ScenarioTree(grid, controls, drift, k0, blocks, weights)
+        step += prev[:, None, None, :]
+        kids = step.reshape(n, fanout, d)
+        # on a tie of 0.0 and -0.0 np.maximum keeps its second argument,
+        # as np.max over a prefix keeps the later value, so the carried
+        # max is bit for bit the max over the whole prefix
+        states.append(kids.reshape(n * fanout, d))
+        peaks.append(np.maximum(peak[:, None, :], kids).reshape(n * fanout, d))
+    for a in (root, *states, *peaks):
+        a.setflags(write=False)
+    return ScenarioTree(grid, controls, drift, root, states, peaks, weights)
 
 
 @dataclass

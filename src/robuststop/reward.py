@@ -4,9 +4,12 @@ A reward Y assigns a real payoff to every (time index, state prefix).
 Evaluation happens on absolute levels: the canonical zero-anchored path is
 shifted by the base level x0, and an optional stored pre-history path is
 spliced in front, so Y sees the whole concatenated trajectory.
-eval_reward is the one evaluator of every kind: it takes a single prefix
-or a stack of prefixes of one length, and reward_values calls it once
-per tree level.
+Each payoff formula is written once, in _payoffs, which reads the
+current values and running maxima of a stack of tracks, and the whole
+tracks only for the kinds that need them.  eval_reward derives those
+from a single prefix or a stack of prefixes of one length; reward_values
+reads a tree's per-level states and running maxima directly and rebuilds
+prefixes only where a kind or a pre-history splice needs them.
 
 Every functional declares a one-sided continuity modulus (how much Y can
 exceed its value at a later, nearby time-path pair) and a finite lower
@@ -104,44 +107,59 @@ def eval_reward(Y: RewardFunctional, k: int, prefix, pre_history: Path | None = 
         track = Y.base + np.concatenate(
             [np.broadcast_to(pre, (n,) + pre.shape), pre[-1] + block[:, 1:, :]], axis=1
         )
-    out = _payoffs(Y, k, track)
+    peak = np.max(track, axis=1) if Y.kind == "lookback-max" else None
+    out = _payoffs(Y, k, track[:, -1, :], peak, track)
     return float(out[0]) if p.ndim == 2 else out
 
 
-def _payoffs(Y: RewardFunctional, k: int, track: np.ndarray) -> np.ndarray:
-    """Payoff of every absolute track in a stack of shape (n, m, d)."""
-    n, _, d = track.shape
+def _payoffs(Y: RewardFunctional, k: int, last: np.ndarray, peak, track) -> np.ndarray:
+    """Payoff of n absolute tracks from their current values last, shape
+    (n, d), and, for lookback-max, their running max peak, shape (n, d).
+    Only running-sum and custom-table read track, the whole (n, m, d)
+    stack of absolute tracks."""
+    n, d = last.shape
     if Y.kind == "constant":
         return np.full(n, float(Y.scale))
     if Y.kind == "terminal-abs":
-        return Y.scale * state_norms(track[:, -1, :])
+        return Y.scale * state_norms(last)
     if Y.kind == "custom-table":
         return np.array([float(Y.table(k, row)) for row in track])
     if d != 1:
         raise ValueError(f"{Y.kind} is a scalar-path reward, got dim {d}")
-    # contiguous rows, so np.max and np.sum reduce each row as they
-    # reduce a single track
-    track = np.ascontiguousarray(track[:, :, 0])
     if Y.kind == "american-put":
-        gap = Y.strike - track[:, -1]
+        gap = Y.strike - last[:, 0]
         # keeps gap unless 0.0 is strictly larger, so a -0.0 gap stays
         return Y.scale * np.where(0.0 > gap, 0.0, gap)
     if Y.kind == "lookback-max":
-        return Y.scale * np.max(track, axis=1)
-    # running-sum
-    return Y.scale * np.sum(track, axis=1)
+        return Y.scale * peak[:, 0]
+    # running-sum: contiguous rows, so np.sum reduces each row as it
+    # reduces a single track
+    return Y.scale * np.sum(np.ascontiguousarray(track[:, :, 0]), axis=1)
 
 
 def reward_values(tree, Y: RewardFunctional, pre_history: Path | None = None) -> np.ndarray:
     """Y evaluated at every tree node, indexed by node id.
 
     All envelope and game sweeps share this array so their comparisons see
-    bit-identical payoffs.  Each tree level is one eval_reward call on its
-    prefix block.
+    bit-identical payoffs.  american-put and terminal-abs read each
+    level's states, lookback-max its running maxima (base + max(x) is
+    max(base + x), as rounding is monotone), and constant none.  The
+    kinds that read the whole track, running-sum and custom-table, and
+    every kind under a pre_history splice, take one eval_reward call per
+    level on the level's rebuilt prefixes.
     """
-    return np.concatenate([
-        eval_reward(Y, tree.k0 + l, block, pre_history) for l, block in enumerate(tree.blocks)
-    ])
+    if Y.kind == "constant" and pre_history is None:
+        return np.full(tree.n_nodes, float(Y.scale))
+    rebuild = pre_history is not None or Y.kind in ("running-sum", "custom-table")
+    out = np.empty(tree.n_nodes)
+    for l, (lo, hi) in enumerate(zip(tree.offsets, tree.offsets[1:])):
+        k = tree.k0 + l
+        if rebuild:
+            out[lo:hi] = eval_reward(Y, k, tree.level_prefixes(l), pre_history)
+        else:
+            peak = Y.base + tree.peaks[l] if Y.kind == "lookback-max" else None
+            out[lo:hi] = _payoffs(Y, k, Y.base + tree.states[l], peak, None)
+    return out
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,15 @@ def make_signed_zero_tree(n_steps=1):
     """One control, two outcomes per node.  The first step's outcomes
     differ only in the sign of zero, so prefix_key, which compares
     floats, gives both one key; a second step moves by +-0.5."""
-    level1 = np.array([[[0.0], [0.0]], [[0.0], [-0.0]]])
-    blocks = [np.zeros((1, 1, 1)), level1]
+    states = [np.zeros((1, 1)), np.array([[0.0], [-0.0]])]
     if n_steps == 2:
-        step = np.tile([[[0.5]], [[-0.5]]], (2, 1, 1))
-        blocks.append(np.concatenate([np.repeat(level1, 2, axis=0), step], axis=1))
+        states.append(np.array([[0.5], [-0.5], [0.5], [-0.5]]))
+    peaks = [states[0]]
+    for level in states[1:]:
+        peaks.append(np.maximum(np.repeat(peaks[-1], 2, axis=0), level))
     return ScenarioTree(TimeGrid(0.0, 1.0, n_steps), ControlSet([1.0], cap=1.0),
-                        DriftSpec("zero"), 0, blocks, np.full((1, 2), 0.5))
+                        DriftSpec("zero"), np.zeros((1, 1)), states, peaks,
+                        np.full((1, 2), 0.5))
 
 
 def random_instance(rng):

@@ -73,12 +73,12 @@ def test_rules_are_adapted(put_n2):
         mask = stop_mask(tree, rule)
         # the nodes the mask evaluates: reached with no stop above them
         reached = forward_pass(tree, stops=mask.__getitem__)[0]
-        for l, block in enumerate(tree.blocks):
-            for j, row in enumerate(block):
+        for l in range(len(tree.states)):
+            for j, row in enumerate(tree.level_prefixes(l)):
                 if reached[tree.offsets[l] + j]:
                     by_prefix = rule(tree.k0 + l, row.copy())
                     assert by_prefix == mask[tree.offsets[l] + j]
-        assert rule(tree.grid.n_steps, tree.blocks[-1][-1])
+        assert rule(tree.grid.n_steps, tree.level_prefixes(len(tree.states) - 1)[-1])
     full = next(iter(enumerate_stopping_rules(tree)))
     with pytest.raises(RuleError):
         full(0, np.array([[42.0]]))
@@ -121,7 +121,7 @@ def test_expected_reward_hand_values(inst_a):
 
 def _nonterminal_keys(tree):
     return {prefix_key(tree.k0 + l, row)
-            for l, block in enumerate(tree.blocks[:-1]) for row in block}
+            for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)}
 
 
 def test_worst_case_stopped_reward(inst_a):

@@ -70,8 +70,8 @@ def test_control_set_matrix_controls():
 
 def _row(tree, i):
     """Time index and state prefix of node i, from the level layout."""
-    l = next(l for l in range(len(tree.blocks)) if i < tree.offsets[l + 1])
-    return tree.k0 + l, tree.blocks[l][i - tree.offsets[l]]
+    l = next(l for l in range(len(tree.states)) if i < tree.offsets[l + 1])
+    return tree.k0 + l, tree.level_prefixes(l, [i - tree.offsets[l]])[0]
 
 
 def _leaf_states(tree):
@@ -192,7 +192,8 @@ def test_tree_rejects_short_drift_table():
 def test_tree_level_layout(put_n2):
     tree, _ = put_n2
     assert tree.offsets == [0, 1, 5, 21]
-    assert [b.shape for b in tree.blocks] == [(1, 1, 1), (4, 2, 1), (16, 3, 1)]
+    assert [tree.level_prefixes(l).shape for l in range(3)] == [(1, 1, 1), (4, 2, 1), (16, 3, 1)]
+    assert [s.shape for s in tree.states] == [p.shape for p in tree.peaks] == [(1, 1), (4, 1), (16, 1)]
     assert tree.weights.shape == (2, 2)
     for k in range(3):
         nodes = range(tree.offsets[k], tree.offsets[k + 1])
@@ -226,8 +227,8 @@ def test_tree_resume_from_pinned_prefix():
     assert tree.k0 == 1
     assert _row(tree, 0)[1].ravel().tolist() == [0.0, 0.4]
     assert tree.n_nodes == 1 + 4 + 16
-    assert [b.shape[1] for b in tree.blocks] == [2, 3, 4]
-    assert np.all(tree.blocks[-1][:, 1, 0] == 0.4)
+    assert [tree.level_prefixes(l).shape[1] for l in range(3)] == [2, 3, 4]
+    assert np.all(tree.level_prefixes(2)[:, 1, 0] == 0.4)
     with pytest.raises(ValueError):
         expand_tree(g, 0.0, DriftSpec("zero"), cs, init_prefix=np.zeros((5, 1)))
 

@@ -25,8 +25,8 @@ def _classes_by_key(tree) -> list:
     """Per node, the lowest node id with an equal prefix_key."""
     first: dict = {}
     out = []
-    for l, block in enumerate(tree.blocks):
-        for j, row in enumerate(block):
+    for l in range(len(tree.states)):
+        for j, row in enumerate(tree.level_prefixes(l)):
             out.append(first.setdefault(prefix_key(tree.k0 + l, row), tree.offsets[l] + j))
     return out
 
@@ -110,7 +110,7 @@ def test_stop_mask_reads_a_decision_map_once_per_reached_class():
             return super().__getitem__(key)
 
     keys = {prefix_key(tree.k0 + l, row)
-            for l, block in enumerate(tree.blocks[:-1]) for row in block}
+            for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)}
     mask = stop_mask(tree, Decisions({key: False for key in keys}))
     # a rule that never stops early reaches every interior node once
     assert mask.tolist() == [False] * tree.offsets[-2] + [True] * (tree.n_nodes - tree.offsets[-2])
@@ -122,7 +122,8 @@ def test_stop_mask_reads_a_decision_map_once_per_reached_class():
 def test_prefix_keys_read_the_level_rows():
     tree, _ = make_put(2)
     ids = np.arange(tree.n_nodes)
-    want = [prefix_key(tree.k0 + l, row) for l, block in enumerate(tree.blocks) for row in block]
+    want = [prefix_key(tree.k0 + l, row)
+            for l in range(len(tree.states)) for row in tree.level_prefixes(l)]
     assert tree.prefix_keys(ids) == want
     assert tree.prefix_keys(ids[[0, 3, 7]]) == [want[0], want[3], want[7]]
     assert tree.prefix_keys([]) == []

@@ -79,8 +79,8 @@ def test_reward_values_match_pointwise(inst_a):
     tree, Y = inst_a
     vals = reward_values(tree, Y)
     assert vals.shape == (tree.n_nodes,)
-    for l, block in enumerate(tree.blocks):
-        for j, row in enumerate(block):
+    for l in range(len(tree.states)):
+        for j, row in enumerate(tree.level_prefixes(l)):
             assert vals[tree.offsets[l] + j] == eval_reward(Y, tree.k0 + l, row)
     assert sorted(vals[tree.offsets[-2]:].tolist()) == [0.5, 0.5, 1.0, 1.0]
 

@@ -90,7 +90,7 @@ def _snell_part(tree, strategy, y, from_node=0):
 def _rules(tree, rng):
     """Every prefix-keyed rule on small trees, a seeded sample otherwise."""
     keys = sorted({prefix_key(tree.k0 + l, row)
-                   for l, block in enumerate(tree.blocks[:-1]) for row in block})
+                   for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)})
     if len(keys) <= ALL_RULES_UP_TO:
         return list(enumerate_stopping_rules(tree))
     bits = rng.integers(0, 2, size=(RULE_SAMPLES, len(keys)))
