@@ -419,33 +419,8 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
         },
     }
     csvs = {
-        "slices.csv": (
-            [
-                "k",
-                "time",
-                "n_nodes",
-                "n_stopped",
-                "z_min",
-                "z_mean",
-                "z_max",
-                "y_min",
-                "y_max",
-            ],
-            [
-                [
-                    s["k"],
-                    s["time"],
-                    s["n_nodes"],
-                    s["n_stopped"],
-                    s["z_min"],
-                    s["z_mean"],
-                    s["z_max"],
-                    s["y_min"],
-                    s["y_max"],
-                ]
-                for s in slices
-            ],
-        ),
+        # each slice dict lists its keys in the CSV's column order
+        "slices.csv": (list(slices[0]), [list(s.values()) for s in slices]),
         "boundary.csv": (
             ["k", "time", "n_stopped", "min_abs_state_stopped"],
             boundary_rows,
@@ -506,6 +481,10 @@ def _parse_suite(spec: str) -> list:
     bad = [s for s in names if s not in _SUITES]
     if bad:
         raise ConfigError(f"unknown check name(s): {bad}; pick from {', '.join(_SUITES)}")
+    # the report keys each check by name, so a repeat would hide a run
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"check name(s) given more than once: {repeated}")
     if not names:
         raise ConfigError("empty check selector")
     return names
@@ -607,6 +586,8 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
 
 def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
                threads: int, mutate: bool) -> int:
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     names = _parse_suite(suite_spec)
     grid, x0, drift, controls, Y, solver, tree = _instance(cfg)
     sol = robust_envelope(tree, Y, delta=solver["delta"])

@@ -27,9 +27,14 @@ module certifies the recursion against direct enumeration instead of
 trusting that argument.
 
 forward_pass, the sweep's forward twin, follows a strategy from a node
-down to a stop rule, one step per level; every forward walk runs on it.
-stop_mask turns a stopping description (grid index, prefix-keyed rule,
-or callable) into the per-node mask the sweep takes.
+down to a stop rule, one step per level; every strategy and rule walk
+runs on it.  The tau* walk, _scenario_tau, is the one forward walk that
+does not: it keys each argmin-consistent scenario by its outcome tuple,
+and on the small trees of the oracle and the checks, which take about
+fifteen tau* walks per instance, a depth-first walk costs a few
+microseconds where a forward_pass costs tens.  stop_mask turns a
+stopping description (grid index, prefix-keyed rule, or callable) into
+the per-node mask the sweep takes.
 """
 
 from __future__ import annotations
@@ -62,11 +67,10 @@ STOP_GUARD = 1e-12
 
 
 def control_index_at(strategy, tree, node: int) -> int:
-    """Resolve a strategy (mapping, constant index, or callable) at a node."""
+    """Resolve a strategy at a node: a constant control index, or a
+    mapping from node ids to indices, such as game.ControlStrategy."""
     if isinstance(strategy, (int, np.integer)):
         ci = int(strategy)
-    elif callable(strategy):
-        ci = int(strategy(node))
     else:
         try:
             ci = int(strategy[node])
@@ -124,14 +128,14 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     node (every control without one), cut off where stops holds.
 
     stops(ids) gives the flags of one level's reached interior nodes, and
-    the strategy (anything control_index_at resolves, a constant once a
-    level) the control at each reached interior node that does not stop;
-    neither is asked about any other node, so a partial rule or strategy
-    fails only where a decision is needed.  Returns per-node arrays
-    (reached, stop, control, weight): stop holds at reached nodes that
-    stop and at reached leaves, control is -1 where no strategy's control
-    is in force, and weight is 1 at node, a child's its parent's times
-    weights[ci, oi], 0 if unreached.
+    the strategy (a constant index, resolved once a level, or a mapping
+    from node ids, see control_index_at) the control at each reached
+    interior node that does not stop; neither is asked about any other
+    node, so a partial rule or strategy fails only where a decision is
+    needed.  Returns per-node arrays (reached, stop, control, weight):
+    stop holds at reached nodes that stop and at reached leaves, control
+    is -1 where no strategy's control is in force, and weight is 1 at
+    node, a child's its parent's times weights[ci, oi], 0 if unreached.
     """
     C, B = tree.weights.shape
     w = tree.weights.reshape(-1)
@@ -221,9 +225,9 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     return v, cont, argmin
 
 
-def _y_array(tree, Y, pre_history=None) -> np.ndarray:
+def _y_array(tree, Y) -> np.ndarray:
     if isinstance(Y, RewardFunctional):
-        return reward_values(tree, Y, pre_history)
+        return reward_values(tree, Y)
     return np.asarray(Y, dtype=np.float64)
 
 
@@ -298,12 +302,7 @@ def _scenario_tau(tree, flags, argmin_control) -> dict:
     return out
 
 
-def robust_envelope(
-    tree,
-    Y,
-    delta: float = 0.0,
-    pre_history=None,
-) -> EnvelopeSolution:
+def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
     """Backward sweep of Z = max(Y, min_u E_u[Z next]) from the leaves.
 
     Y is a RewardFunctional or a precomputed per-node payoff array.  Ties
@@ -312,7 +311,7 @@ def robust_envelope(
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    y = _y_array(tree, Y, pre_history)
+    y = _y_array(tree, Y)
     z, cont, argmin = backward_sweep(tree, y, floor=y)
     flags = z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
     tau = _scenario_tau(tree, flags, argmin)

@@ -261,8 +261,10 @@ class ScenarioTree:
     the ancestor row j // fanout**(l - m) at level m: level_prefixes
     gathers whole prefixes along those rows.  weights[ci] holds the B
     edge weights of control ci, the same at every node.  Every walk over
-    the tree, backward (envelope.backward_sweep) or forward
-    (envelope.forward_pass), computes child ids from this layout.
+    the tree computes child ids from this layout: backward sweeps with
+    envelope.backward_sweep, strategy and rule walks with
+    envelope.forward_pass, and the tau* walk with the depth-first
+    envelope._scenario_tau.
 
     The stopper sees the state path only, so nodes reached under
     different controls can share its information: prefix_class holds,

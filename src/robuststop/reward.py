@@ -1,20 +1,22 @@
 """Path-dependent reward functionals.
 
 A reward Y assigns a real payoff to every (time index, state prefix).
-Evaluation happens on absolute levels: the canonical zero-anchored path is
-shifted by the base level x0, and an optional stored pre-history path is
-spliced in front, so Y sees the whole concatenated trajectory.
+Evaluation happens on absolute levels: the canonical zero-anchored path
+is shifted by the base level x0.  A stored history is resumed by
+starting the tree from it (model.expand_tree's init_prefix), so the
+drift and the reward see the same track and k counts its values.
 Each payoff formula is written once, in _payoffs, which reads the
 current values and running maxima of a stack of tracks, and the whole
 tracks only for the kinds that need them.  eval_reward derives those
 from a single prefix or a stack of prefixes of one length; reward_values
 reads a tree's per-level states and running maxima directly and rebuilds
-prefixes only where a kind or a pre-history splice needs them.
+prefixes only for the kinds that read the whole track.
 
 Every functional declares a one-sided continuity modulus (how much Y can
 exceed its value at a later, nearby time-path pair) and a finite lower
 bound.  The built-in catalog documents why each declaration holds; the
-verify module samples both claims.
+verify module samples the modulus (check_y1) and checks only that the
+bound is finite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import state_norms
-from .pathspace import ModulusSpec, Path
+from .pathspace import ModulusSpec
 
 __all__ = [
     "RewardFunctional",
@@ -84,29 +86,20 @@ class RewardFunctional:
             raise ValueError(f"{self.kind} needs scale >= 0 to stay bounded below")
 
 
-def eval_reward(Y: RewardFunctional, k: int, prefix, pre_history: Path | None = None):
+def eval_reward(Y: RewardFunctional, k: int, prefix):
     """Payoff at time index k on a state prefix of k+1 values.
 
     prefix is one prefix, of shape (k+1, d) or (k+1,), and gives a float;
     or a stack of n prefixes of shape (n, k+1, d), and gives n payoffs.
-    With pre_history, the stored path is spliced in front: each prefix's
-    increments continue from its last value.  A custom-table callable is
-    called once per prefix on its absolute track.
+    A custom-table callable is called once per prefix on its absolute
+    track.
     """
     p = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
     block = p[None] if p.ndim == 2 else p
-    n, m, d = block.shape
+    _, m, _ = block.shape
     if m != k + 1:
         raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
-    if pre_history is None:
-        track = Y.base + block
-    else:
-        if pre_history.dim != d:
-            raise ValueError("pre-history dim differs from prefix dim")
-        pre = pre_history.values
-        track = Y.base + np.concatenate(
-            [np.broadcast_to(pre, (n,) + pre.shape), pre[-1] + block[:, 1:, :]], axis=1
-        )
+    track = Y.base + block
     peak = np.max(track, axis=1) if Y.kind == "lookback-max" else None
     out = _payoffs(Y, k, track[:, -1, :], peak, track)
     return float(out[0]) if p.ndim == 2 else out
@@ -137,25 +130,24 @@ def _payoffs(Y: RewardFunctional, k: int, last: np.ndarray, peak, track) -> np.n
     return Y.scale * np.sum(np.ascontiguousarray(track[:, :, 0]), axis=1)
 
 
-def reward_values(tree, Y: RewardFunctional, pre_history: Path | None = None) -> np.ndarray:
+def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
     """Y evaluated at every tree node, indexed by node id.
 
     All envelope and game sweeps share this array so their comparisons see
     bit-identical payoffs.  american-put and terminal-abs read each
     level's states, lookback-max its running maxima (base + max(x) is
     max(base + x), as rounding is monotone), and constant none.  The
-    kinds that read the whole track, running-sum and custom-table, and
-    every kind under a pre_history splice, take one eval_reward call per
-    level on the level's rebuilt prefixes.
+    kinds that read the whole track, running-sum and custom-table, take
+    one eval_reward call per level on the level's rebuilt prefixes.
     """
-    if Y.kind == "constant" and pre_history is None:
+    if Y.kind == "constant":
         return np.full(tree.n_nodes, float(Y.scale))
-    rebuild = pre_history is not None or Y.kind in ("running-sum", "custom-table")
+    rebuild = Y.kind in ("running-sum", "custom-table")
     out = np.empty(tree.n_nodes)
     for l, (lo, hi) in enumerate(zip(tree.offsets, tree.offsets[1:])):
         k = tree.k0 + l
         if rebuild:
-            out[lo:hi] = eval_reward(Y, k, tree.level_prefixes(l), pre_history)
+            out[lo:hi] = eval_reward(Y, k, tree.level_prefixes(l))
         else:
             peak = Y.base + tree.peaks[l] if Y.kind == "lookback-max" else None
             out[lo:hi] = _payoffs(Y, k, Y.base + tree.states[l], peak, None)

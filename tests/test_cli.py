@@ -79,7 +79,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk == report
     slices = (out / "slices.csv").read_text().splitlines()
-    assert slices[0].startswith("k,")
+    assert slices[0] == "k,time,n_nodes,n_stopped,z_min,z_mean,z_max,y_min,y_max"
     assert len(slices) == 1 + 3
     assert (out / "boundary.csv").exists()
 
@@ -187,6 +187,27 @@ def test_verify_empty_suite_is_usage_error(tmp_path, capsys):
     code = main(["verify", "--config", cfg, "--suite", ""])
     assert code == 2
     assert "selector" in capsys.readouterr().err
+
+
+def test_verify_repeated_check_is_usage_error(tmp_path, capsys):
+    # the report holds one entry per check name, so a second run of a
+    # check would be counted in "ok" but not shown
+    cfg = write_config(tmp_path, SMALL_VERIFY)
+    code = main(["verify", "--config", cfg, "--suite", "y1,envelope, y1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "['y1']" in captured.err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_thread_count_below_one_is_usage_error(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, SMALL_VERIFY)
+    code = main(["verify", "--config", cfg, "--suite", "envelope", "--threads", threads])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads" in captured.err
 
 
 def test_unknown_config_keys_fail_closed(tmp_path, capsys):

@@ -130,20 +130,16 @@ def test_nonlinear_expectation_picks_worst_control(inst_a):
     assert nonlinear_expectation(tree, per_leaf) == 0.5
 
 
-def test_pre_history_splice_matches_shifted_level():
-    from robuststop import Path
-
-    # the tree spans the canonical suffix space; the history path carries
-    # the observed levels, its last value being the level at the root
+def test_init_prefix_matches_shifted_level():
+    # resuming from a stored history at time 1/3 is solving from its last
+    # level on the grid that starts there
     controls = ControlSet([0.5, 1.0], cap=1.0)
-    grid = TimeGrid(0.0, 1.0, 2)
     Y = american_put(strike=1.0, base=0.0)
-    canonical = expand_tree(grid, 0.0, DriftSpec("zero"), controls)
-    pre = Path(TimeGrid(0.0, 1.0, 1), [0.0, 1.1])
-    spliced = robust_envelope(canonical, Y, pre_history=pre)
-    shifted_tree = expand_tree(grid, 1.1, DriftSpec("zero"), controls)
-    shifted = robust_envelope(shifted_tree, Y)
-    assert abs(spliced.root_value() - shifted.root_value()) <= 1e-12
+    resumed = expand_tree(TimeGrid(0.0, 1.0, 3), None, DriftSpec("zero"), controls,
+                          init_prefix=[[0.0], [1.1]])
+    shifted = expand_tree(TimeGrid(1.0 / 3.0, 1.0, 2), 1.1, DriftSpec("zero"), controls)
+    value = robust_envelope(resumed, Y).root_value()
+    assert value == robust_envelope(shifted, Y).root_value() == 0.11933756729740641
 
 
 def test_delta_guard_handles_scale():

@@ -4,7 +4,8 @@ The tree once stored, per level, a whole prefix block of shape
 (n_l, k0 + l + 1, d).  It now stores the current states and their
 running maxima per level and rebuilds prefixes on demand.  The
 block-building expansion and the block-based reward evaluation are kept
-below, verbatim, as referees; every array the new tree gives must match
+below as referees, verbatim but for the reward-side pre-history splice
+that the library no longer has; every array the new tree gives must match
 them bit for bit: the states, the running maxima, the rewards of every
 kind and every rebuilt prefix row.
 """
@@ -18,7 +19,6 @@ from conftest import make_signed_zero_tree
 from robuststop import (
     ControlSet,
     DriftSpec,
-    Path,
     TimeGrid,
     american_put,
     constant_reward,
@@ -93,21 +93,13 @@ def _old_expand_blocks(grid, x0, drift, controls, node_cap=DEFAULT_NODE_CAP,
     return blocks
 
 
-def _old_eval_reward(Y, k, prefix, pre_history=None):
+def _old_eval_reward(Y, k, prefix):
     p = np.atleast_2d(np.asarray(prefix, dtype=np.float64).T).T
     block = p[None] if p.ndim == 2 else p
     n, m, d = block.shape
     if m != k + 1:
         raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
-    if pre_history is None:
-        track = Y.base + block
-    else:
-        if pre_history.dim != d:
-            raise ValueError("pre-history dim differs from prefix dim")
-        pre = pre_history.values
-        track = Y.base + np.concatenate(
-            [np.broadcast_to(pre, (n,) + pre.shape), pre[-1] + block[:, 1:, :]], axis=1
-        )
+    track = Y.base + block
     out = _old_payoffs(Y, k, track)
     return float(out[0]) if p.ndim == 2 else out
 
@@ -135,9 +127,9 @@ def _old_payoffs(Y, k, track):
     return Y.scale * np.sum(track, axis=1)
 
 
-def _old_reward_values(k0, blocks, Y, pre_history=None):
+def _old_reward_values(k0, blocks, Y):
     return np.concatenate([
-        _old_eval_reward(Y, k0 + l, block, pre_history) for l, block in enumerate(blocks)
+        _old_eval_reward(Y, k0 + l, block) for l, block in enumerate(blocks)
     ])
 
 
@@ -181,11 +173,6 @@ EXPANDED = {
     "pre-history-tree": ((TimeGrid(0.0, 1.0, 5), 0.0, DriftSpec("zero"),
                           ControlSet([0.5, 1.0], cap=1.0)), {}),
 }
-
-
-def _pre_history(d):
-    values = [0.0, 0.35, -0.2] if d == 1 else [[0.0, 0.0], [0.35, -0.1], [-0.2, 0.4]]
-    return Path(TimeGrid(0.0, 1.0, 2), values)
 
 
 def _rewards(tree):
@@ -237,15 +224,13 @@ def _assert_parity(tree, blocks):
     assert tree.prefix_keys(ids) == [
         prefix_key(tree.k0 + l, row) for l, block in enumerate(blocks) for row in block
     ]
-    d = tree.controls.dim
     for name, Y in _rewards(tree):
-        for pre in (None, _pre_history(d)):
-            new = _reward_or_error(lambda: reward_values(tree, Y, pre))
-            old = _reward_or_error(lambda: _old_reward_values(tree.k0, blocks, Y, pre))
-            if isinstance(old, tuple):
-                assert new == old, name
-            else:
-                _bitwise(new, old)
+        new = _reward_or_error(lambda: reward_values(tree, Y))
+        old = _reward_or_error(lambda: _old_reward_values(tree.k0, blocks, Y))
+        if isinstance(old, tuple):
+            assert new == old, name
+        else:
+            _bitwise(new, old)
 
 
 @pytest.mark.parametrize("name", sorted(EXPANDED))

@@ -1,18 +1,20 @@
-"""Reward functionals: payoff formulas, level base, pre-history splice,
-and the catalog's continuity certificates."""
+"""Reward functionals: payoff formulas, level base, a tree resumed from a
+stored history, and the catalog's continuity certificates."""
 
 import numpy as np
 import pytest
 
 from robuststop import (
+    ControlSet,
+    DriftSpec,
     ModulusSpec,
-    Path,
     TimeGrid,
     american_put,
     builtin_catalog,
     constant_reward,
     custom_reward,
     eval_reward,
+    expand_tree,
     lookback_max,
     reward_values,
     running_sum,
@@ -85,24 +87,12 @@ def test_reward_values_match_pointwise(inst_a):
     assert sorted(vals[tree.offsets[-2]:].tolist()) == [0.5, 0.5, 1.0, 1.0]
 
 
-def test_pre_history_splice_keeps_peak():
-    # mirrors the shifted-functional law: a peak in the pinned history
-    # dominates a smaller post-split maximum
-    pre = Path(TimeGrid(0.0, 1.0, 2), [0.0, 2.0, 1.0])
-    Y = lookback_max()
-    val = eval_reward(Y, 1, [[0.0], [0.25]], pre_history=pre)
-    assert val == 2.0
-    # without the history the same prefix peaks at its own top
-    assert eval_reward(Y, 1, [[0.0], [0.25]]) == 0.25
-
-
-def test_pre_history_shifts_levels():
-    pre = Path(TimeGrid(0.0, 1.0, 1), [0.0, 0.5])
-    Y = american_put(strike=1.0, base=0.0)
-    # suffix increment -0.2 lands at level 0.3
-    assert eval_reward(Y, 1, [[0.0], [-0.2]], pre_history=pre) == pytest.approx(
-        0.7, abs=1e-15
-    )
+def test_init_prefix_peak_dominates_lookback():
+    # mirrors the shifted-functional law: a peak in the stored history
+    # dominates a smaller maximum after it
+    tree = expand_tree(TimeGrid(0.0, 1.0, 3), None, DriftSpec("zero"),
+                       ControlSet([0.2], cap=0.2), init_prefix=[[0.0], [2.0], [1.0]])
+    assert reward_values(tree, lookback_max()).tolist() == [2.0, 2.0, 2.0]
 
 
 def test_catalog_entries_carry_certificates():

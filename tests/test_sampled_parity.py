@@ -12,8 +12,7 @@ Pinned by sha256 digests:
 * check_y1 and check_drift on an off-origin grid with non-dyadic
   spacing and on a zero-step grid, which pin the node times that enter
   the time-path distance;
-* eval_reward on single prefixes, with and without a stored
-  pre-history, and drift_eval on single prefixes: the returned value's
+* eval_reward and drift_eval on single prefixes: the returned value's
   type, shape and raw bytes, or the name of the exception raised;
 * simulate_paths values and sup_distance_from_start at d = 1, 2 and 3
   for every drift kind, with sample sizes inside one block, at a block
@@ -29,7 +28,10 @@ eval_reward and drift_eval once per sampled prefix; the odd-grid and
 simulator digests from per-draw samplers, which built a Path per walk
 and took one distance per draw, and from a whole-sample supremum; the
 moment digest from the path simulator, whose paths were stored whole and
-reduced afterwards, re-drawing the noise for the drifted run.  Any change in the
+reduced afterwards, re-drawing the noise for the drifted run.  The
+eval-reward digest was recorded again when the reward-side pre-history
+splice was removed: from the stacked evaluator that still had it, on
+the calls without a pre-history only.  Any change in the
 order of floating-point operations, in the RNG draw order, in a
 reduction's tie-break or in an exception type shows up as a mismatch.
 To print the digests of the current code:
@@ -48,7 +50,6 @@ from robuststop import (
     ControlSet,
     DriftSpec,
     ModulusSpec,
-    Path,
     TimeGrid,
     simulate_paths,
     american_put,
@@ -237,27 +238,14 @@ def _prefixes(rng, d):
     return out
 
 
-def _histories(d):
-    rng = np.random.default_rng(11)
-    out = [None]
-    for n in (1, 3, 6):
-        vals = np.concatenate([np.zeros((1, d)),
-                               np.cumsum(rng.uniform(-0.5, 0.5, size=(n, d)), axis=0)])
-        out.append(Path(TimeGrid(0.0, 1.0, n), vals))
-    # a history of the other dimension
-    out.append(Path(TimeGrid(0.0, 1.0, 2), np.zeros((3, 3 - d))))
-    return out
-
-
 def _eval_reward():
     rng = np.random.default_rng(3)
     parts = []
     for d in (1, 2):
         prefixes = _prefixes(rng, d)
         for Y in _rewards():
-            for pre in _histories(d):
-                for k, p in prefixes:
-                    parts.append(_value(eval_reward, Y, k, p, pre))
+            for k, p in prefixes:
+                parts.append(_value(eval_reward, Y, k, p))
     return _sha(parts)
 
 
@@ -291,7 +279,7 @@ RECORDED = {
     'drift-d2': '0d11f62976d92952bb3bcd5b1bc36e2e1f6f449d0c08c911a80e708915c34b16',
     'drift-eval': 'a22f7d8a501954e509a4a40ed606bdf7889e9b7b1f0f779863d664445a36643c',
     'moments': 'dae7295efe974001f8d8c824af0502ad8bef747a7a6e11d2ec9a1f0d2b6136e2',
-    'eval-reward': '96410f8584cdf1eefbed63fa8ec69d0fc8067e1c2bb8b71c34e92ffc4dfb76c6',
+    'eval-reward': '8a29e7ec70a404992e844a02b0aa11bda657b265cd397a739a9e09f550d73954',
     'odd-grids': '1aec31a84a7bc0ac534c6fd7f5fc244a0e61de417c6bbcac40df94cd63e9fd78',
     'simulate': 'e350fd801d9a74b8229fc67ae2ceaa94b22dd50d6dc1dc1fb318ffe1bbd8067b',
     'y1-d1': '1cf6c7fc1eaea3c0dd37d8ad63578cf4974ee749b782189c56444d906a8f4158',

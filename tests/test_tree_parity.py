@@ -26,7 +26,6 @@ from conftest import random_instance
 from robuststop import (
     ControlSet,
     DriftSpec,
-    Path,
     TimeGrid,
     american_put,
     custom_reward,
@@ -120,13 +119,6 @@ def _running_sum_n8():
     return _solved(tree, running_sum(base=0.3, scale=0.7, n_steps=8))
 
 
-def _pre_history_splice():
-    tree = expand_tree(TimeGrid(0.0, 1.0, 5), 0.0, DriftSpec("zero"),
-                       ControlSet([0.5, 1.0], cap=1.0))
-    pre = Path(TimeGrid(0.0, 1.0, 2), [0.0, 0.35, -0.2])
-    return _solved(tree, lookback_max(0.1, 1.0), pre_history=pre)
-
-
 def _custom_reward():
     tree = expand_tree(TimeGrid(0.0, 1.0, 3), 0.5,
                        DriftSpec("custom-table", table=[[0.1], [-0.2], [0.3]]),
@@ -146,7 +138,6 @@ CASES = {
     "demo-menu-9": _demo_widest_menu,
     "init-prefix": _init_prefix,
     "running-sum-n8": _running_sum_n8,
-    "pre-history-splice": _pre_history_splice,
     "custom-reward": _custom_reward,
 }
 
@@ -204,15 +195,6 @@ RECORDED = {
         'argmin_control': '77fa4d59ca3d667e58e2e29c993683ddc6f7535effba4e65e7a7517acead46f8',
         'stop': '5c680972a2b58dff72ebe549fc91e656287bcfc26a5df7cdbd720edfc5a24396',
         'tau': 'e53396270eb14904e4d4ba04af92934242addd97aa24f86f0bf04dabd79aa827',
-    },
-    'pre-history-splice': {
-        'states': 'fbecc8046331aad9a37b6bef0b60f01bed5c9f0ec7dad9205865d98be5db53cc',
-        'y': 'b3c9f0de5266ca44fc56cf32148606fcd501c5908688668e77c486acbc94c9d6',
-        'z': 'd6f4d6e9ec1ee133ff83aa12a707ffbd6dd0698a4d74004c5c415fc3cbf3a270',
-        'continuation': '5bfa46e0181bfbfae0b3dbbae89411caca7a08f0bb68df14270d54f40f1584fb',
-        'argmin_control': '61e20deafed43480be78f2ebe9e26acc7e2aa3a7b988e54cf51e18644723c2ae',
-        'stop': '004ab75c3c3ac36bd3eaa0e43f99c6b5b445a08c58fccd62ee4c1de1b616416b',
-        'tau': '4c541332c71abfd903fa1931b3c887dd505f2d1922cf85ffc387c3e055ef283d',
     },
     'running-sum-n8': {
         'states': 'f6aea6c559c0b5d869ac34489d4105b46e46bea1ce730e474ab30e936cec492c',
