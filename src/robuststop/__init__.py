@@ -11,6 +11,7 @@ no matter which control law materializes.
 from .envelope import (
     EnvelopeSolution,
     SnellResult,
+    StoppingRule,
     classic_snell,
     nonlinear_expectation,
     robust_envelope,
@@ -30,7 +31,6 @@ from .game import (
     ControlStrategy,
     GameReport,
     PastingReport,
-    StoppingRule,
     enumerate_stopping_rules,
     enumerate_strategies,
     expected_reward,

@@ -444,6 +444,8 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
         stop_time_cap=solver["stop_time_cap"],
         rule_prefix_cap=solver["rule_prefix_cap"],
     )
+    # the non-terminal prefix classes where the tau* rule stops
+    stops = int(np.count_nonzero(rep.optimal_rule.flags[: tree.offsets[-2]] == 1))
     report = {
         "command": "oracle",
         "seed": seed,
@@ -459,7 +461,7 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
         "n_strategies": rep.n_strategies,
         "n_stopping_times": rep.n_stopping_times,
         "n_rule_maps": rep.n_rule_maps,
-        "optimal_rule_stops": sum(1 for v in rep.optimal_rule.decisions.values() if v),
+        "optimal_rule_stops": stops,
         "optimal_strategy_nodes": len(rep.optimal_strategy.assignments),
     }
     _emit(report, out_dir)

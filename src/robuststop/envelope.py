@@ -33,8 +33,10 @@ does not: it keys each argmin-consistent scenario by its outcome tuple,
 and on the small trees of the oracle and the checks, which take about
 fifteen tau* walks per instance, a depth-first walk costs a few
 microseconds where a forward_pass costs tens.  stop_mask turns a
-stopping description (grid index, prefix-keyed rule, or callable) into
-the per-node mask the sweep takes.
+stopping description (grid index, StoppingRule, or callable) into the
+per-node mask the sweep takes.  A StoppingRule, what stop_rule_map and
+classic_snell return, holds one int8 flag per prefix class of its tree,
+so its per-node flags are one gather and no prefix key is built.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RuleError, StrategyError
-from .model import prefix_key
 from .reward import RewardFunctional, reward_values
 
 __all__ = [
     "EnvelopeSolution",
     "SnellResult",
+    "StoppingRule",
     "backward_sweep",
     "forward_pass",
     "stop_mask",
@@ -81,16 +83,33 @@ def control_index_at(strategy, tree, node: int) -> int:
     return ci
 
 
+@dataclass(eq=False)
+class StoppingRule:
+    """Adapted stopping rule on one tree: stop/continue per observed prefix.
+
+    flags is one int8 per node id: at each prefix-class head (the lowest
+    node of its class, see ScenarioTree.prefix_class) 1 to stop, 0 to
+    continue or -1 for no decision, and -1 at every other node, so the
+    rule at node i is flags[tree.prefix_class[i]].  Leaves stop whatever
+    their flag.
+    """
+
+    tree: object
+    flags: np.ndarray
+
+
 def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
     """Per-node stop flags of a stopping description, from node down.
 
-    rule is a grid time index (stop once k >= index), a mapping from
-    prefix keys to booleans (or an object holding one as .decisions,
-    such as a game.StoppingRule), or a callable (k, prefix) -> bool.
-    Leaves stop regardless.  A mapping or callable is evaluated by
-    forward_pass from node, once per reached prefix class on its lowest
-    node's row, so a partial map fails only where a decision is needed.
-    Interior nodes below a stop keep False; no sweep reads them.
+    rule is a grid time index (stop once k >= index), a StoppingRule of
+    this tree, or a callable (k, prefix) -> bool.  Leaves stop
+    regardless.  A rule decided at every interior node of node's subtree
+    is gathered per node; a callable, or a rule with an undecided class
+    there, is evaluated by forward_pass from node, once per reached
+    prefix class (a callable on the class's lowest node's row), so a
+    partial rule fails only where a decision is needed.  Interior nodes
+    below a stop, or outside the subtree, may hold either flag; no sweep
+    from node reads them.
     """
     mask = np.zeros(tree.n_nodes, dtype=bool)
     mask[tree.offsets[-2]:] = True
@@ -98,26 +117,28 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
         l = min(max(int(rule) - tree.k0, 0), len(tree.offsets) - 1)
         mask[tree.offsets[l]:] = True
         return mask
-    decisions = getattr(rule, "decisions", rule)
-    if callable(decisions):
-        decide = lambda k, row: bool(decisions(k, row))
-    else:
-        def decide(k, row):
-            key = prefix_key(k, row)
-            return bool(decisions[key]) if key in decisions else -1  # no decision
+    if isinstance(rule, StoppingRule):
+        if rule.tree is not tree:
+            raise RuleError("the stopping rule belongs to another tree")
+        flags = rule.flags[tree.prefix_class]
+        if all(np.all(flags[lo:hi] >= 0) for lo, hi in tree.subtree_ranges(node)[:-1]):
+            return mask | (flags == 1)
 
-    def stops(ids):
-        if not len(ids):
-            return []
-        l = bisect.bisect_right(tree.offsets, ids[0]) - 1
-        at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
-        heads = list(dict.fromkeys(at))
-        rows = tree.level_prefixes(l, heads)
-        by_class = {j: decide(tree.k0 + l, row) for j, row in zip(heads, rows)}
-        flags = [by_class[j] for j in at]
-        if -1 in flags:
-            raise RuleError(f"rule has no decision for prefix at node {ids[flags.index(-1)]}")
-        return flags
+        def stops(ids):
+            undecided = ids[flags[ids] < 0]
+            if len(undecided):
+                raise RuleError(f"rule has no decision for prefix at node {undecided[0]}")
+            return flags[ids] == 1
+    else:
+        def stops(ids):
+            if not len(ids):
+                return []
+            l = bisect.bisect_right(tree.offsets, ids[0]) - 1
+            at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
+            heads = list(dict.fromkeys(at))
+            rows = tree.level_prefixes(l, heads)
+            by_class = {j: bool(rule(tree.k0 + l, row)) for j, row in zip(heads, rows)}
+            return [by_class[j] for j in at]
 
     return mask | forward_pass(tree, node, stops=stops)[1]
 
@@ -251,31 +272,41 @@ class EnvelopeSolution:
     tau: dict = field(repr=False)
 
     def stop_flags(self, delta: float | None = None) -> np.ndarray:
-        """Recompute the stop region for another delta (guarded)."""
+        """Recompute the stop region for another delta >= 0 (guarded)."""
         if delta is None:
             return self.stop
+        if delta < 0:
+            raise ValueError(f"delta must be >= 0, got {delta}")
         return self.z - self.y <= delta + STOP_GUARD * (1.0 + np.abs(self.y))
 
-    def stop_rule_map(self, delta: float | None = None) -> dict:
-        """Stop/continue decision per observed prefix key.
+    def stop_rule_map(self, delta: float | None = None) -> StoppingRule:
+        """The stop region as a rule, one decision per prefix class.
 
         The envelope is a function of the prefix, so nodes sharing a
         prefix must agree; a conflict means the solution is corrupt.
         """
-        return _prefix_rule(self.tree, np.arange(self.tree.n_nodes), self.stop_flags(delta))
+        every = np.ones(self.tree.n_nodes, dtype=bool)
+        return _prefix_rule(self.tree, self.stop_flags(delta), every)
 
     def root_value(self) -> float:
         return float(self.z[self.tree.root])
 
 
-def _prefix_rule(tree, ids, flags, conflict="conflicting stop flags for one prefix") -> dict:
-    """The flags at increasing node ids as a prefix-keyed map, keyed from
-    each class's first node in ids, which every other node must match."""
-    first, heads = tree.class_firsts(ids)
-    bad = np.flatnonzero(flags != flags[first])
+def _prefix_rule(tree, stop, given, conflict="conflicting stop flags for one prefix"):
+    """The per-node stop flags at the given nodes (a mask) as a rule.
+
+    A class stops where one of its given nodes stops, and every given
+    node must match its class; classes without a given node stay
+    undecided.
+    """
+    cls = tree.prefix_class
+    flags = np.full(tree.n_nodes, -1, dtype=np.int8)
+    flags[cls[given]] = 0
+    flags[cls[given & stop]] = 1
+    bad = np.flatnonzero(given & (flags[cls] != stop))
     if len(bad):
-        raise RuleError(f"{conflict} at node {ids[bad[0]]}")
-    return dict(zip(tree.prefix_keys(ids[heads]), flags[heads].tolist()))
+        raise RuleError(f"{conflict} at node {bad[0]}")
+    return StoppingRule(tree, flags)
 
 
 def _scenario_tau(tree, flags, argmin_control) -> dict:
@@ -321,13 +352,13 @@ def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
 @dataclass
 class SnellResult:
     """Classic envelope under one strategy: values on reachable nodes
-    (NaN elsewhere), the first-meeting rule keyed by prefix, and the
-    root value."""
+    (NaN elsewhere), the first-meeting rule (undecided at the prefix
+    classes the strategy does not reach), and the root value."""
 
     tree: object
     from_node: int
     values: np.ndarray
-    rule: dict
+    rule: StoppingRule
     root_value: float
 
 
@@ -346,9 +377,8 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     allowed = control[:, None] == np.arange(len(tree.controls))
     swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
     values = np.where(reached, swept, np.nan)
-    ids = np.flatnonzero(reached)
-    flags = (values - y <= STOP_GUARD * (1.0 + np.abs(y)))[ids]
-    rule = _prefix_rule(tree, ids, flags, "strategy-reachable prefixes disagree")
+    meets = values - y <= STOP_GUARD * (1.0 + np.abs(y))
+    rule = _prefix_rule(tree, meets, reached, "strategy-reachable prefixes disagree")
     return SnellResult(tree, from_node, values, rule, float(values[from_node]))
 
 
@@ -376,10 +406,7 @@ def tau_delta(sol: EnvelopeSolution, delta: float) -> dict:
     delta = 0 (with the floating-point guard) is tau_star, the first
     meeting time of the envelope and the reward.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    flags = sol.stop_flags(delta)
-    return _scenario_tau(sol.tree, flags, sol.argmin_control)
+    return _scenario_tau(sol.tree, sol.stop_flags(delta), sol.argmin_control)
 
 
 def stopped_value(sol: EnvelopeSolution, node: int, rule_or_time) -> float:

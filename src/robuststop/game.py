@@ -23,16 +23,18 @@ The verify checks range over the same strategies and stopping sets with
 backward sweeps instead; these tables are the referee they are tested
 against.
 
-The one structural decision that matters: stopping rules are keyed by the
-observed state-path prefix, never by tree node identity.  The stopper
+The one structural decision that matters: stopping rules act on the
+observed state-path prefix, never on tree node identity.  The stopper
 watches the state process only, so a rule must act identically on
-coincident state paths produced by different control choices; rules,
-laws and partition predicates act once per ScenarioTree.prefix_class.
-Strategies, by contrast, are keyed by node (prefix plus control history):
-the controller knows its own past choices.  Stopping sets are keyed by
-node, so they match the adapted rules only when no two nodes share a
-prefix; on a tree with a prefix collision the lower value enumerates the
-2^m prefix maps instead.
+coincident state paths produced by different control choices; a
+StoppingRule holds one flag per ScenarioTree.prefix_class, and laws and
+partition predicates act once per class too.  Strategies, by contrast,
+are keyed by node (prefix plus control history): the controller knows
+its own past choices.  Stopping sets are keyed by node, so they match
+the adapted rules only when no two nodes share a prefix; on a tree with
+a prefix collision the lower value enumerates the 2^m rules over the m
+non-terminal classes instead.  Prefix keys are built only to order that
+enumeration and to name state_law's atoms and the pasting failures.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .envelope import (
-    _prefix_rule,
+    StoppingRule,
     _y_array,
     backward_sweep,
     classic_snell,
@@ -52,8 +54,7 @@ from .envelope import (
     robust_envelope,
     stop_mask,
 )
-from .errors import PartitionError, RuleError, SizeError
-from .model import prefix_key
+from .errors import PartitionError, SizeError
 from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it here
 
 __all__ = [
@@ -76,32 +77,6 @@ __all__ = [
 RULE_PREFIX_CAP = 22
 STRATEGY_CAP = 1_000_000
 STOP_TIME_CAP = 500_000
-
-
-class StoppingRule:
-    """Adapted stopping rule: stop/continue per observed prefix.
-
-    decisions maps prefix keys of non-terminal prefixes to booleans;
-    terminal prefixes stop by construction.  Calling the rule with
-    (k, prefix) resolves a decision; a missing prefix is an error, not a
-    default, so incomplete rules fail loudly.
-    """
-
-    def __init__(self, terminal_index: int, decisions: dict):
-        self.terminal_index = terminal_index
-        self.decisions = dict(decisions)
-
-    def __call__(self, k: int, prefix) -> bool:
-        if k >= self.terminal_index:
-            return True
-        key = prefix_key(k, prefix)
-        if key not in self.decisions:
-            raise RuleError(f"rule has no decision for prefix at time {k}")
-        return bool(self.decisions[key])
-
-    def __repr__(self):
-        stops = sum(1 for v in self.decisions.values() if v)
-        return f"StoppingRule({stops}/{len(self.decisions)} prefixes stop)"
 
 
 class ControlStrategy:
@@ -127,9 +102,9 @@ class ControlStrategy:
         return f"ControlStrategy({len(self.assignments)} nodes)"
 
 
-def _nonterminal_prefix_keys(tree, cap: int = RULE_PREFIX_CAP) -> tuple[list, np.ndarray]:
-    """The sorted keys of the non-terminal prefixes, at most cap of them,
-    and per interior node the position of its key in that list."""
+def _nonterminal_heads(tree, cap: int = RULE_PREFIX_CAP) -> np.ndarray:
+    """The heads of the non-terminal prefix classes, at most cap of them,
+    in the sorted order of their prefix keys."""
     cls = tree.prefix_class[: tree.offsets[-2]]
     heads = np.flatnonzero(cls == np.arange(len(cls)))
     if len(heads) > cap:
@@ -137,19 +112,18 @@ def _nonterminal_prefix_keys(tree, cap: int = RULE_PREFIX_CAP) -> tuple[list, np
             len(heads), "non-terminal prefixes", cap, "solver.rule_prefix_cap"
         )
     keys = tree.prefix_keys(heads)
-    index = {key: j for j, key in enumerate(sorted(keys))}
-    col = np.array([index[key] for key in keys], dtype=np.int64)
-    return list(index), col[np.searchsorted(heads, cls)]
+    return heads[sorted(range(len(heads)), key=keys.__getitem__)]
 
 
 def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
-    """All 2^m stop/continue maps over the m non-terminal reachable
-    prefixes (not deduplicated by induced stopping time)."""
-    keys = _nonterminal_prefix_keys(tree, cap)[0]
-    terminal = tree.grid.n_steps
-    for bits in range(1 << len(keys)):
-        decisions = {key: bool((bits >> j) & 1) for j, key in enumerate(keys)}
-        yield StoppingRule(terminal, decisions)
+    """All 2^m stop/continue rules over the m non-terminal prefix
+    classes, bit j of the rule's number deciding the j-th class in
+    prefix-key order (not deduplicated by induced stopping time)."""
+    heads = _nonterminal_heads(tree, cap)
+    for bits in range(1 << len(heads)):
+        flags = np.full(tree.n_nodes, -1, dtype=np.int8)
+        flags[heads] = (bits >> np.arange(len(heads))) & 1
+        yield StoppingRule(tree, flags)
 
 
 def _table_sizes(tree, stop_sets: bool = False) -> list[int]:
@@ -332,9 +306,9 @@ def game_values(
     The upper value is the min of the strategy table, and the optimal
     strategy is the enumerated strategy at its first minimal row.  The
     lower value is the max of the stopping-set table when prefixes are
-    unique, and otherwise the max over all 2^m prefix maps of the
-    controller's best response.  The inequality lower <= upper is
-    asserted exactly, before any tolerance enters.
+    unique, and otherwise the max over all 2^m rules on the non-terminal
+    prefix classes of the controller's best response.  The inequality
+    lower <= upper is asserted exactly, before any tolerance enters.
     """
     # every cap is checked before any table or payoff is built
     sizes = _table_sizes(tree)
@@ -352,8 +326,7 @@ def game_values(
         )
     m = tree.offsets[-2]  # without a collision each non-terminal node is its own prefix
     if collision:
-        keys, col = _nonterminal_prefix_keys(tree, rule_prefix_cap)
-        m = len(keys)
+        m = len(_nonterminal_heads(tree, rule_prefix_cap))
     y = _y_array(tree, Y)
 
     values = strategy_table(tree, y)
@@ -362,14 +335,10 @@ def game_values(
     best_strategy = ControlStrategy(tree, _strategy_at(tree, sizes, best))
 
     if collision:
-        # rare engineered case: fall back to explicit prefix-map rules,
-        # one sweep per map with the map's bits as the interior stop flags
-        interior = tree.offsets[-2]
-        mask = np.ones(tree.n_nodes, dtype=bool)
+        # rare engineered case: fall back to explicit rules, one sweep each
         lower = -np.inf
-        for bits in range(1 << m):
-            mask[:interior] = (bits >> col) & 1
-            v = backward_sweep(tree, y, stop=mask)[0][tree.root]
+        for rule in enumerate_stopping_rules(tree, rule_prefix_cap):
+            v = worst_case_stopped_reward(tree, y, rule)
             if v > lower:
                 lower = v
     else:
@@ -378,9 +347,7 @@ def game_values(
     assert lower <= upper, f"minimax inequality violated: {lower} > {upper}"
 
     sol = robust_envelope(tree, y)
-    # stop_rule_map() on the non-terminal prefixes: terminal ones stop anyway
-    ids = np.arange(tree.offsets[-2])
-    tau_rule = StoppingRule(tree.grid.n_steps, _prefix_rule(tree, ids, sol.stop[ids]))
+    tau_rule = sol.stop_rule_map()
     value_at_tau = backward_sweep(tree, y, stop=sol.stop)[0][tree.root]
     saddle_value = expected_reward(tree, best_strategy, tau_rule, y)
 
@@ -474,11 +441,12 @@ def state_law(tree, strategy, from_node: int = 0) -> dict:
     reached, _, _, weight = forward_pass(tree, from_node, strategy)
     lo = tree.offsets[-2]
     ids = lo + np.flatnonzero(reached[lo:])
-    first, heads = tree.class_firsts(ids)
-    # one group per class, its weights in id order, named by its first leaf
-    order = np.argsort(first, kind="stable")
-    groups = np.split(weight[ids[order]], np.searchsorted(first[order], heads[1:]))
-    return dict(sorted(zip(tree.prefix_keys(ids[heads]), map(math.fsum, groups))))
+    # one group per class, its weights in id order, named by its head
+    cls = tree.prefix_class[ids]
+    order = np.argsort(cls, kind="stable")
+    heads, starts = np.unique(cls[order], return_index=True)
+    groups = np.split(weight[ids[order]], starts[1:])
+    return dict(sorted(zip(tree.prefix_keys(heads), map(math.fsum, groups))))
 
 
 @dataclass

@@ -337,28 +337,30 @@ class ScenarioTree:
     def prefix_class(self) -> np.ndarray:
         """Per node, the lowest node id whose prefix_key equals its own:
         two prefixes agree when their parents' do and their states are
-        equal, so each level takes one stable lexsort over (the parent's
-        class, the state with -0.0 made 0.0); == splits the sorted rows."""
+        equal, so each level takes one stable lexsort over (the state with
+        -0.0 made 0.0, the parent's class), compares the sorted keys one
+        column at a time to bound memory, and gives each run of equal keys
+        its first node's id."""
         out = np.zeros(self.n_nodes, dtype=np.int64)
         for l in range(1, len(self.states)):
             lo, hi = self.offsets[l], self.offsets[l + 1]
             parent = np.repeat(out[self.offsets[l - 1]:lo], self.fanout)
-            rows = np.column_stack((parent, self.states[l])) + 0.0
-            order = np.lexsort(rows.T)
-            rows = rows[order]
-            new = np.ones(hi - lo, dtype=bool)
-            new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-            out[lo + order] = lo + order[new][np.cumsum(new) - 1]
+            cols = [col + 0.0 for col in self.states[l].T]
+            order = np.lexsort(cols + [parent])
+            parent.sort()  # the primary key, so this is parent[order]
+            new = np.zeros(hi - lo, dtype=bool)
+            new[1:] = parent[1:] != parent[:-1]
+            del parent
+            while cols:
+                col = cols.pop()[order]
+                new[1:] |= col[1:] != col[:-1]
+                del col
+            start = np.where(new, np.arange(hi - lo), 0)
+            np.maximum.accumulate(start, out=start)  # where each sorted row's run starts
+            start = order[start]
+            start += lo
+            out[lo:hi][order] = start
         return out
-
-    def class_firsts(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """For increasing node ids: per id, the position in ids of the
-        first id of its prefix class; and those positions, increasing."""
-        cls = self.prefix_class[ids]
-        first = np.full(self.n_nodes, len(ids))
-        np.minimum.at(first, cls, np.arange(len(ids)))
-        first = first[cls]
-        return first, np.flatnonzero(first == np.arange(len(ids)))
 
     def prefix_keys(self, ids) -> list[tuple]:
         """prefix_key of each of the increasing node ids."""

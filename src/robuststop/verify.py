@@ -486,8 +486,8 @@ def check_dpp_random_horizon(
     """Same identity with the horizon cut at a hitting time.
 
     nu is a grid index, a callable (k, prefix) -> bool whose first hit
-    ends the horizon, or a mapping from prefix keys to booleans; leaves
-    end it regardless (see stop_mask).
+    ends the horizon, or a StoppingRule on the tree, such as
+    sol.stop_rule_map(delta); leaves end it regardless (see stop_mask).
     """
     return _dpp_check("dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, {})
 

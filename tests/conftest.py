@@ -14,6 +14,9 @@ classic binomial Snell values sqrt(2)/8 and sqrt(3)/8.
 
 make_collision_tree and make_signed_zero_tree build trees where nodes
 reached under different controls observe the same state prefix.
+
+rule_keys reads a StoppingRule as a map from prefix keys to decisions,
+for the tests that compare rules by the prefixes the stopper observes.
 """
 
 import numpy as np
@@ -74,6 +77,13 @@ def make_signed_zero_tree(n_steps=1):
     return ScenarioTree(TimeGrid(0.0, 1.0, n_steps), ControlSet([1.0], cap=1.0),
                         DriftSpec("zero"), np.zeros((1, 1)), states, peaks,
                         np.full((1, 2), 0.5))
+
+
+def rule_keys(rule) -> dict:
+    """prefix key -> stop, per decided class of a StoppingRule, each key
+    built from the prefix of the class's lowest node."""
+    heads = np.flatnonzero(rule.flags >= 0)
+    return dict(zip(rule.tree.prefix_keys(heads), (rule.flags[heads] == 1).tolist()))
 
 
 def random_instance(rng):

@@ -2,10 +2,12 @@
 per-strategy Snell sweep, and the worst-case terminal expectation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import rule_keys
 from robuststop import (
     ControlSet,
     ControlStrategy,
@@ -17,6 +19,7 @@ from robuststop import (
     constant_reward,
     expand_tree,
     nonlinear_expectation,
+    prefix_key,
     reward_values,
     robust_envelope,
     stopped_value,
@@ -103,12 +106,39 @@ def test_delta_relaxation_stops_earlier(put_n2):
 def test_stop_rule_map_is_prefix_keyed(put_n2):
     tree, Y = put_n2
     sol = robust_envelope(tree, Y)
-    rm = sol.stop_rule_map(0.0)
-    for (k, values), flag in rm.items():
-        assert len(values) == k + 1
-        assert isinstance(bool(flag), bool)
-    # interior nodes with equal observed prefixes cannot disagree
-    assert len(rm) == len({key for key in rm})
+    by_prefix = rule_keys(sol.stop_rule_map(0.0))
+    # one decision per observed prefix, and each node stops by the
+    # decision on its own prefix
+    assert len(by_prefix) == len(set(tree.prefix_class.tolist()))
+    for l in range(len(tree.states)):
+        for j, row in enumerate(tree.level_prefixes(l)):
+            assert by_prefix[prefix_key(tree.k0 + l, row)] == sol.stop[tree.offsets[l] + j]
+
+
+def test_stop_flags_reject_a_negative_delta(put_n2):
+    sol = robust_envelope(*put_n2)
+    for call in (sol.stop_flags, sol.stop_rule_map, lambda d: tau_delta(sol, d)):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            call(-1.0)
+    assert np.array_equal(sol.stop_flags(0.0), sol.stop)
+
+
+def test_stop_rule_map_scales_to_the_deep_put():
+    # the n = 10 two-control put: 1,398,101 nodes, each its own class
+    tree = expand_tree(TimeGrid(0.0, 1.0, 10), 1.0, DriftSpec("zero"),
+                       ControlSet([0.5, 1.0], cap=1.0))
+    sol = robust_envelope(tree, american_put(strike=1.0, base=0.0))
+    # the first rule also builds the tree's prefix classes, so the bound
+    # covers both
+    tracemalloc.start()
+    try:
+        rule = sol.stop_rule_map()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_nodes == 1_398_101
+    assert np.array_equal(rule.flags[tree.prefix_class] == 1, sol.stop)
+    assert peak <= 50e6
 
 
 def test_stopped_envelope_values(inst_a):

@@ -12,6 +12,7 @@ from robuststop import (
     DriftSpec,
     ModulusSpec,
     PartitionError,
+    RuleError,
     SizeError,
     StoppingRule,
     StrategyError,
@@ -31,7 +32,7 @@ from robuststop import (
     terminal_abs,
     worst_case_stopped_reward,
 )
-from conftest import make_collision_tree, make_signed_zero_tree
+from conftest import make_collision_tree, make_put, make_signed_zero_tree, rule_keys
 from robuststop import model
 from robuststop.envelope import backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
@@ -45,8 +46,8 @@ def test_rule_count_one_step(inst_a):
     tree, _ = inst_a
     rules = list(enumerate_stopping_rules(tree))
     # one non-terminal prefix (the root): stop there or not
-    assert len(rules) == 2
-    assert all(r.terminal_index == 1 for r in rules)
+    assert [r.flags.tolist() for r in rules] == [[0, -1, -1, -1, -1], [1, -1, -1, -1, -1]]
+    assert all(r.tree is tree for r in rules)
 
 
 def test_rule_count_two_steps_single_control():
@@ -67,21 +68,27 @@ def test_rule_enumeration_cap():
 
 def test_rules_are_adapted(put_n2):
     tree, _ = put_n2
-    from robuststop import RuleError
-
+    interior = tree.offsets[-2]
     for rule in enumerate_stopping_rules(tree):
         mask = stop_mask(tree, rule)
-        # the nodes the mask evaluates: reached with no stop above them
+        by_prefix = rule_keys(rule)
+        # the nodes the mask evaluates: reached with no stop above them;
+        # each stops by the decision on its own observed prefix
         reached = forward_pass(tree, stops=mask.__getitem__)[0]
-        for l in range(len(tree.states)):
+        for l in range(len(tree.states) - 1):
             for j, row in enumerate(tree.level_prefixes(l)):
                 if reached[tree.offsets[l] + j]:
-                    by_prefix = rule(tree.k0 + l, row.copy())
-                    assert by_prefix == mask[tree.offsets[l] + j]
-        assert rule(tree.grid.n_steps, tree.level_prefixes(len(tree.states) - 1)[-1])
-    full = next(iter(enumerate_stopping_rules(tree)))
-    with pytest.raises(RuleError):
-        full(0, np.array([[42.0]]))
+                    assert by_prefix[prefix_key(tree.k0 + l, row)] == mask[tree.offsets[l] + j]
+        assert np.all(mask[interior:])
+    # a rule undecided at the root fails there; undecided below a stop,
+    # it needs no decision
+    flags = np.full(tree.n_nodes, -1, dtype=np.int8)
+    with pytest.raises(RuleError, match="at node 0"):
+        stop_mask(tree, StoppingRule(tree, flags))
+    flags[0] = 1
+    assert stop_mask(tree, StoppingRule(tree, flags))[0]
+    with pytest.raises(RuleError, match="another tree"):
+        stop_mask(make_put(2)[0], StoppingRule(tree, flags))
 
 
 def test_strategy_counts(inst_a):
@@ -110,23 +117,17 @@ def test_strategy_validation(inst_a):
 
 def test_expected_reward_hand_values(inst_a):
     tree, Y = inst_a
-    continue_rule = StoppingRule(1, {key: False for key in _nonterminal_keys(tree)})
+    continue_rule, stop_rule = enumerate_stopping_rules(tree)
     low = ControlStrategy(tree, {0: 0})
     high = ControlStrategy(tree, {0: 1})
     assert expected_reward(tree, low, continue_rule, Y) == 0.5
     assert expected_reward(tree, high, continue_rule, Y) == 1.0
-    stop_rule = StoppingRule(1, {key: True for key in _nonterminal_keys(tree)})
     assert expected_reward(tree, high, stop_rule, Y) == 0.0
-
-
-def _nonterminal_keys(tree):
-    return {prefix_key(tree.k0 + l, row)
-            for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)}
 
 
 def test_worst_case_stopped_reward(inst_a):
     tree, Y = inst_a
-    continue_rule = StoppingRule(1, {key: False for key in _nonterminal_keys(tree)})
+    continue_rule = next(enumerate_stopping_rules(tree))
     assert worst_case_stopped_reward(tree, Y, continue_rule) == 0.5
 
 

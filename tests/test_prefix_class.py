@@ -1,23 +1,36 @@
 """The stopper's information as one array: ScenarioTree.prefix_class
-partitions the nodes exactly as prefix_key does, and the tuple keys a
-caller gets back are built from each class's lowest node."""
+partitions the nodes exactly as prefix_key does, stopping rules hold one
+flag per class and build no key, and the tuple keys a caller gets back
+are built from each class's lowest node."""
 
 import numpy as np
 import pytest
 
-from conftest import make_collision_tree, make_put, make_signed_zero_tree, random_instance
+from conftest import (
+    make_collision_tree,
+    make_put,
+    make_signed_zero_tree,
+    random_instance,
+    rule_keys,
+)
 from robuststop import (
     ControlSet,
     DriftSpec,
     ScenarioTree,
     TimeGrid,
+    classic_snell,
     enumerate_stopping_rules,
     expand_tree,
+    expected_reward,
+    game_values,
     prefix_key,
     robust_envelope,
     state_law,
+    stopped_value,
     terminal_abs,
+    worst_case_stopped_reward,
 )
+from robuststop import envelope, game, model
 from robuststop.envelope import stop_mask
 
 
@@ -84,39 +97,61 @@ def test_signed_zero_keys_come_from_the_lowest_node():
     # nodes 1 and 2 share a class; node 2's row holds -0.0
     assert tree.prefix_class.tolist() == [0, 1, 1]
     want = repr((1, (np.float64(0.0), np.float64(0.0))))
-    rule_map = robust_envelope(tree, terminal_abs()).stop_rule_map()
+    rule_map = rule_keys(robust_envelope(tree, terminal_abs()).stop_rule_map())
     assert [repr(k) for k in rule_map if k[0] == 1] == [want]
     law = state_law(tree, 0)
     assert [repr(k) for k in law] == [want]
     assert list(law.values()) == [1.0]
 
     # with a second step the shared prefix is non-terminal, so the rule
-    # enumeration keys it too
+    # enumeration decides it too, once, at node 1
     tree = make_signed_zero_tree(2)
     for rule in enumerate_stopping_rules(tree):
-        keys = [k for k in rule.decisions if k[0] == 1]
+        assert rule.flags[2] == -1
+        keys = [k for k in rule_keys(rule) if k[0] == 1]
         assert [repr(k) for k in keys] == [want]
-    for keys in (robust_envelope(tree, terminal_abs()).stop_rule_map(), state_law(tree, 0)):
+    rule_map = rule_keys(robust_envelope(tree, terminal_abs()).stop_rule_map())
+    for keys in (rule_map, state_law(tree, 0)):
         assert all(_no_negative_zero(k) for k in keys)
 
 
-def test_stop_mask_reads_a_decision_map_once_per_reached_class():
+def test_stop_mask_calls_a_callable_once_per_reached_class():
     tree = make_collision_tree(2)
-    looked_up = []
+    called = []
 
-    class Decisions(dict):
-        def __getitem__(self, key):
-            looked_up.append(key)
-            return super().__getitem__(key)
+    def never(k, prefix):
+        called.append(prefix_key(k, prefix))
+        return False
 
-    keys = {prefix_key(tree.k0 + l, row)
-            for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)}
-    mask = stop_mask(tree, Decisions({key: False for key in keys}))
+    mask = stop_mask(tree, never)
     # a rule that never stops early reaches every interior node once
     assert mask.tolist() == [False] * tree.offsets[-2] + [True] * (tree.n_nodes - tree.offsets[-2])
     interior = tree.prefix_class[: tree.offsets[-2]]
-    assert len(looked_up) == len(set(interior.tolist())) < tree.offsets[-2]
-    assert len(set(looked_up)) == len(looked_up)
+    assert len(called) == len(set(interior.tolist())) < tree.offsets[-2]
+    assert len(set(called)) == len(called)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3])
+def test_rule_paths_build_no_prefix_key(n_steps, monkeypatch):
+    tree, Y = make_put(n_steps)
+    assert np.all(tree.prefix_class == np.arange(tree.n_nodes))
+
+    def refuse(*args):
+        raise AssertionError("a prefix key was built")
+
+    monkeypatch.setattr(model, "prefix_key", refuse)
+    assert not hasattr(envelope, "prefix_key") and not hasattr(game, "prefix_key")
+    sol = robust_envelope(tree, Y)
+    rule = sol.stop_rule_map()
+    assert np.array_equal(rule.flags[tree.prefix_class] == 1, sol.stop)
+    assert np.array_equal(stop_mask(tree, rule), sol.stop)
+    report = game_values(tree, Y)
+    assert report.agree and report.saddle
+    assert classic_snell(tree, 0, Y).rule.flags[0] >= 0
+    # the low control is optimal, so it plays the saddle against tau*
+    assert expected_reward(tree, 0, rule, Y) == pytest.approx(sol.root_value(), abs=1e-15)
+    assert worst_case_stopped_reward(tree, Y, rule) == report.value_at_tau_star
+    assert stopped_value(sol, 0, rule) == sol.root_value()
 
 
 def test_prefix_keys_read_the_level_rows():

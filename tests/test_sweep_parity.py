@@ -29,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_collision_tree, make_put, random_instance
+from conftest import make_collision_tree, make_put, random_instance, rule_keys
 from robuststop import (
     ControlStrategy,
     StoppingRule,
@@ -39,7 +39,6 @@ from robuststop import (
     game_values,
     nonlinear_expectation,
     pasting_check,
-    prefix_key,
     reward_values,
     robust_envelope,
     stopped_value,
@@ -53,6 +52,7 @@ from robuststop.verify import (
     check_supermartingale,
     corrupt_envelope,
 )
+from robuststop.game import _nonterminal_heads
 
 FIELDS = ("classic_snell", "nonlinear_expectation", "stopped_value",
           "worst_case_stopped_reward", "game", "verify")
@@ -83,19 +83,24 @@ def _snell_part(tree, strategy, y, from_node=0):
         r = classic_snell(tree, strategy, y, from_node=from_node)
     except Exception as exc:
         return (type(exc).__name__,)
-    rule = sorted((k, bool(v)) for k, v in r.rule.items())
+    rule = sorted(rule_keys(r.rule).items())
     return (np.ascontiguousarray(r.values).tobytes(), float(r.root_value), rule)
 
 
 def _rules(tree, rng):
-    """Every prefix-keyed rule on small trees, a seeded sample otherwise."""
-    keys = sorted({prefix_key(tree.k0 + l, row)
-                   for l in range(len(tree.states) - 1) for row in tree.level_prefixes(l)})
-    if len(keys) <= ALL_RULES_UP_TO:
+    """Every adapted rule on small trees, a seeded sample otherwise; bit
+    j of a sample decides the j-th non-terminal class in prefix-key order,
+    as in the enumeration."""
+    heads = _nonterminal_heads(tree, cap=tree.n_nodes)
+    if len(heads) <= ALL_RULES_UP_TO:
         return list(enumerate_stopping_rules(tree))
-    bits = rng.integers(0, 2, size=(RULE_SAMPLES, len(keys)))
-    return [StoppingRule(tree.grid.n_steps, dict(zip(keys, map(bool, row))))
-            for row in bits]
+    bits = rng.integers(0, 2, size=(RULE_SAMPLES, len(heads)))
+    rules = []
+    for row in bits:
+        flags = np.full(tree.n_nodes, -1, dtype=np.int8)
+        flags[heads] = row
+        rules.append(StoppingRule(tree, flags))
+    return rules
 
 
 def _game_part(tree, y):
@@ -109,8 +114,9 @@ def _game_part(tree, y):
         bool(r.agree), bool(r.saddle), float(r.tolerance),
         int(r.n_strategies), int(r.n_stopping_times), int(r.n_rule_maps),
         sorted((int(k), int(v)) for k, v in r.optimal_strategy.assignments.items()),
-        int(r.optimal_rule.terminal_index),
-        sorted((k, bool(v)) for k, v in r.optimal_rule.decisions.items()),
+        # the tau* rule's horizon and its decisions on non-terminal prefixes
+        tree.grid.n_steps,
+        sorted(kv for kv in rule_keys(r.optimal_rule).items() if kv[0][0] < tree.grid.n_steps),
     )
 
 
