@@ -9,8 +9,8 @@ volatility interval, with CSV tables).
 One JSON document configures a run.  Validation is fail-closed: an
 unknown section or key is an error, never a silently ignored typo.
 Reports are JSON with sorted keys and no timestamps; tables are CSV with
-17 significant digits.  Identical config, seed, and thread count always
-produce byte-identical files.
+17 significant digits.  Identical config and seed always produce
+byte-identical files.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (or, under
 --mutate, a mutation slipped through), 2 usage or configuration error,
@@ -22,7 +22,6 @@ other exception; its traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import logging
@@ -213,6 +212,11 @@ def build_dynamics(cfg: dict, grid: TimeGrid, dim: int):
     x0 = sec.get("x0", 0.0)
     if isinstance(x0, list):
         x0 = _finite_array(x0, "dynamics.x0")
+        if x0.size not in (1, dim):
+            raise ConfigError(
+                f"dynamics.x0 needs one entry or one per state dimension "
+                f"(d = {dim}), got {sec['x0']!r}"
+            )
     elif isinstance(x0, bool) or not isinstance(x0, (int, float)):
         raise ConfigError(f"dynamics.x0 must be a number or list, got {x0!r}")
     else:
@@ -588,6 +592,8 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
 
 def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
                threads: int, mutate: bool) -> int:
+    # --threads is still parsed and range-checked so existing command
+    # lines keep working, but the checks always run in order here
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     names = _parse_suite(suite_spec)
@@ -595,22 +601,9 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     sol = robust_envelope(tree, Y, delta=solver["delta"])
     inst = (grid, x0, drift, controls, Y, solver, tree, sol)
 
-    # checks are independent and individually seeded, so pool scheduling
-    # cannot change any result.  A single worker runs them in this thread:
-    # a pool thread would add a thread start per call, and glibc releases
-    # a finished thread's malloc arena only after the join returns, so a
-    # quick next call could grow a fresh arena and raise peak memory.
-    def run(i, name):
-        return _run_check(name, cfg, inst, seed + 101 * i, mutate)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, i, name) for i, name in enumerate(names)]
-            results = [fut.result() for fut in futures]
-    else:
-        results = [run(i, name) for i, name in enumerate(names)]
     reports = []
-    for name, rep in zip(names, results):
+    for i, name in enumerate(names):
+        rep = _run_check(name, cfg, inst, seed + 101 * i, mutate)
         log.info("check %s: %s", name, "pass" if rep.passed else "FAIL")
         reports.append((name, rep))
 
@@ -774,8 +767,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--threads",
                 type=int,
-                default=os.cpu_count() or 1,
-                help="worker threads (results never depend on this)",
+                default=1,
+                help="ignored: checks run in order (must be >= 1)",
             )
             p.add_argument(
                 "--suite",

@@ -11,7 +11,7 @@ the public functions only choose its inputs:
 * robust_envelope: the worst-case envelope Z = max(Y, min_u E_u[Z next])
   (floor Y), with the argmin control per node and the hitting time tau*;
 * classic_snell: the envelope under one fixed strategy (floor Y, one
-  allowed control per reachable node), with its first-meeting rule;
+  allowed control per reachable node);
 * nonlinear_expectation: the worst-case mean of leaf values (no floor);
 * stopped_value: the worst-case mean of Z frozen by a stopping rule.
 
@@ -34,9 +34,9 @@ and on the small trees of the oracle and the checks, which take about
 fifteen tau* walks per instance, a depth-first walk costs a few
 microseconds where a forward_pass costs tens.  stop_mask turns a
 stopping description (grid index, StoppingRule, or callable) into the
-per-node mask the sweep takes.  A StoppingRule, what stop_rule_map and
-classic_snell return, holds one int8 flag per prefix class of its tree,
-so its per-node flags are one gather and no prefix key is built.
+per-node mask the sweep takes.  A StoppingRule, what stop_rule_map
+returns, holds one int8 flag per prefix class of its tree, so its
+per-node flags are one gather and no prefix key is built.
 """
 
 from __future__ import annotations
@@ -103,13 +103,12 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
 
     rule is a grid time index (stop once k >= index), a StoppingRule of
     this tree, or a callable (k, prefix) -> bool.  Leaves stop
-    regardless.  A rule decided at every interior node of node's subtree
-    is gathered per node; a callable, or a rule with an undecided class
-    there, is evaluated by forward_pass from node, once per reached
-    prefix class (a callable on the class's lowest node's row), so a
-    partial rule fails only where a decision is needed.  Interior nodes
-    below a stop, or outside the subtree, may hold either flag; no sweep
-    from node reads them.
+    regardless.  A StoppingRule must decide every interior class of
+    node's subtree (RuleError at the first node whose class it leaves
+    undecided) and is gathered per node; a callable is evaluated by
+    forward_pass from node, once per reached prefix class on the class's
+    lowest node's row.  Interior nodes below a stop, or outside the
+    subtree, may hold either flag; no sweep from node reads them.
     """
     mask = np.zeros(tree.n_nodes, dtype=bool)
     mask[tree.offsets[-2]:] = True
@@ -121,24 +120,21 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
         if rule.tree is not tree:
             raise RuleError("the stopping rule belongs to another tree")
         flags = rule.flags[tree.prefix_class]
-        if all(np.all(flags[lo:hi] >= 0) for lo, hi in tree.subtree_ranges(node)[:-1]):
-            return mask | (flags == 1)
-
-        def stops(ids):
-            undecided = ids[flags[ids] < 0]
+        for lo, hi in tree.subtree_ranges(node)[:-1]:
+            undecided = np.flatnonzero(flags[lo:hi] < 0)
             if len(undecided):
-                raise RuleError(f"rule has no decision for prefix at node {undecided[0]}")
-            return flags[ids] == 1
-    else:
-        def stops(ids):
-            if not len(ids):
-                return []
-            l = bisect.bisect_right(tree.offsets, ids[0]) - 1
-            at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
-            heads = list(dict.fromkeys(at))
-            rows = tree.level_prefixes(l, heads)
-            by_class = {j: bool(rule(tree.k0 + l, row)) for j, row in zip(heads, rows)}
-            return [by_class[j] for j in at]
+                raise RuleError(f"rule has no decision for prefix at node {lo + undecided[0]}")
+        return mask | (flags == 1)
+
+    def stops(ids):
+        if not len(ids):
+            return []
+        l = bisect.bisect_right(tree.offsets, ids[0]) - 1
+        at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
+        heads = list(dict.fromkeys(at))
+        rows = tree.level_prefixes(l, heads)
+        by_class = {j: bool(rule(tree.k0 + l, row)) for j, row in zip(heads, rows)}
+        return [by_class[j] for j in at]
 
     return mask | forward_pass(tree, node, stops=stops)[1]
 
@@ -152,11 +148,11 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     the strategy (a constant index, resolved once a level, or a mapping
     from node ids, see control_index_at) the control at each reached
     interior node that does not stop; neither is asked about any other
-    node, so a partial rule or strategy fails only where a decision is
-    needed.  Returns per-node arrays (reached, stop, control, weight):
-    stop holds at reached nodes that stop and at reached leaves, control
-    is -1 where no strategy's control is in force, and weight is 1 at
-    node, a child's its parent's times weights[ci, oi], 0 if unreached.
+    node, so a partial strategy fails only where a decision is needed.
+    Returns per-node arrays (reached, stop, control, weight): stop holds
+    at reached nodes that stop and at reached leaves, control is -1
+    where no strategy's control is in force, and weight is 1 at node, a
+    child's its parent's times weights[ci, oi], 0 if unreached.
     """
     C, B = tree.weights.shape
     w = tree.weights.reshape(-1)
@@ -207,15 +203,13 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     inequalities hold exactly in floating point, because rounding is
     monotone term by term.
 
-    Returns per-node arrays (v, continuation, argmin), where continuation
-    is the min before floor and stop apply.  All three are NaN, NaN, -1
-    outside the subtree, and continuation and argmin are NaN and -1 at
-    leaves.
+    Returns per-node arrays (v, argmin), where argmin is the control
+    attaining the min before floor and stop apply.  They are NaN and -1
+    outside the subtree, and argmin is -1 at leaves.
     """
     w = tree.weights
     C, B = w.shape
     v = np.full(tree.n_nodes, np.nan)
-    cont = np.full(tree.n_nodes, np.nan)
     argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
     ranges = tree.subtree_ranges(node)
     lo, hi = ranges[-1]
@@ -234,7 +228,6 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
                 better &= allowed[lo:hi, ci]
             best = np.where(better, acc[:, ci], best)
             best_ci[better] = ci
-        cont[lo:hi] = best
         argmin[lo:hi] = best_ci
         if floor is not None:
             best = np.where(best > floor[lo:hi], best, floor[lo:hi])
@@ -243,7 +236,7 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
         if stop is not None:
             best = np.where(stop[lo:hi], values[lo:hi], best)
         v[lo:hi] = best
-    return v, cont, argmin
+    return v, argmin
 
 
 def _y_array(tree, Y) -> np.ndarray:
@@ -256,8 +249,8 @@ def _y_array(tree, Y) -> np.ndarray:
 class EnvelopeSolution:
     """Worst-case envelope, per node, plus the stop region.
 
-    continuation is NaN and argmin_control is -1 at leaves.  stop holds
-    Z <= Y + delta with a relative floating-point guard; tau maps each
+    argmin_control is -1 at leaves.  stop holds Z <= Y + delta with a
+    relative floating-point guard (_meets); tau maps each
     argmin-consistent scenario (outcome tuple, possibly partial) to its
     first stopping index.
     """
@@ -266,7 +259,6 @@ class EnvelopeSolution:
     delta: float
     y: np.ndarray
     z: np.ndarray
-    continuation: np.ndarray
     argmin_control: np.ndarray
     stop: np.ndarray
     tau: dict = field(repr=False)
@@ -275,9 +267,7 @@ class EnvelopeSolution:
         """Recompute the stop region for another delta >= 0 (guarded)."""
         if delta is None:
             return self.stop
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-        return self.z - self.y <= delta + STOP_GUARD * (1.0 + np.abs(self.y))
+        return _meets(self.z, self.y, delta)
 
     def stop_rule_map(self, delta: float | None = None) -> StoppingRule:
         """The stop region as a rule, one decision per prefix class.
@@ -285,27 +275,29 @@ class EnvelopeSolution:
         The envelope is a function of the prefix, so nodes sharing a
         prefix must agree; a conflict means the solution is corrupt.
         """
-        every = np.ones(self.tree.n_nodes, dtype=bool)
-        return _prefix_rule(self.tree, self.stop_flags(delta), every)
+        return _prefix_rule(self.tree, self.stop_flags(delta))
 
     def root_value(self) -> float:
         return float(self.z[self.tree.root])
 
 
-def _prefix_rule(tree, stop, given, conflict="conflicting stop flags for one prefix"):
-    """The per-node stop flags at the given nodes (a mask) as a rule.
+def _meets(z, y, delta: float) -> np.ndarray:
+    """The guarded stop test Z <= Y + delta, for delta >= 0."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    return z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
 
-    A class stops where one of its given nodes stops, and every given
-    node must match its class; classes without a given node stay
-    undecided.
-    """
+
+def _prefix_rule(tree, stop):
+    """Per-node stop flags as a rule: a class stops where one of its
+    nodes stops, and every node must match its class."""
     cls = tree.prefix_class
     flags = np.full(tree.n_nodes, -1, dtype=np.int8)
-    flags[cls[given]] = 0
-    flags[cls[given & stop]] = 1
-    bad = np.flatnonzero(given & (flags[cls] != stop))
+    flags[cls] = 0
+    flags[cls[stop]] = 1
+    bad = np.flatnonzero(flags[cls] != stop)
     if len(bad):
-        raise RuleError(f"{conflict} at node {bad[0]}")
+        raise RuleError(f"conflicting stop flags for one prefix at node {bad[0]}")
     return StoppingRule(tree, flags)
 
 
@@ -340,25 +332,21 @@ def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
     in the control argmin go to the smallest control index, so the output
     is deterministic.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     y = _y_array(tree, Y)
-    z, cont, argmin = backward_sweep(tree, y, floor=y)
-    flags = z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
+    z, argmin = backward_sweep(tree, y, floor=y)
+    flags = _meets(z, y, delta)
     tau = _scenario_tau(tree, flags, argmin)
-    return EnvelopeSolution(tree, delta, y, z, cont, argmin, flags, tau)
+    return EnvelopeSolution(tree, delta, y, z, argmin, flags, tau)
 
 
 @dataclass
 class SnellResult:
     """Classic envelope under one strategy: values on reachable nodes
-    (NaN elsewhere), the first-meeting rule (undecided at the prefix
-    classes the strategy does not reach), and the root value."""
+    (NaN elsewhere) and the root value."""
 
     tree: object
     from_node: int
     values: np.ndarray
-    rule: StoppingRule
     root_value: float
 
 
@@ -367,19 +355,14 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
 
     Y may be a RewardFunctional or a precomputed per-node array.  The
     strategy is resolved by forward_pass over the nodes it reaches, then the
-    sweep runs with that one control allowed per node.  The returned
-    rule stops at the first node where V meets Y (relative guard), which
-    is the optimal stopping rule under that single law; reachable nodes
-    that share a prefix must agree on it.
+    sweep runs with that one control allowed per node.
     """
     y = _y_array(tree, Y)
     reached, _, control, _ = forward_pass(tree, from_node, strategy)
     allowed = control[:, None] == np.arange(len(tree.controls))
     swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
     values = np.where(reached, swept, np.nan)
-    meets = values - y <= STOP_GUARD * (1.0 + np.abs(y))
-    rule = _prefix_rule(tree, meets, reached, "strategy-reachable prefixes disagree")
-    return SnellResult(tree, from_node, values, rule, float(values[from_node]))
+    return SnellResult(tree, from_node, values, float(values[from_node]))
 
 
 def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:

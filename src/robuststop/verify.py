@@ -736,7 +736,6 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
         sol.delta,
         sol.y,
         z,
-        sol.continuation.copy(),
         sol.argmin_control.copy(),
         sol.stop.copy(),
         dict(sol.tau),
@@ -753,7 +752,6 @@ def corrupt_tau(sol: EnvelopeSolution):
         sol.delta,
         sol.y,
         sol.z.copy(),
-        sol.continuation.copy(),
         sol.argmin_control.copy(),
         sol.stop.copy(),
         tau,

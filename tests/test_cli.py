@@ -210,6 +210,19 @@ def test_verify_thread_count_below_one_is_usage_error(tmp_path, capsys, threads)
     assert "--threads" in captured.err
 
 
+def test_verify_starts_no_thread_whatever_the_thread_count(tmp_path, capsys, monkeypatch):
+    import threading
+
+    def refuse(self):
+        raise AssertionError("verify started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = write_config(tmp_path, SMALL_VERIFY)
+    code = main(["verify", "--config", cfg, "--suite", "envelope,tau", "--threads", "4"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unknown_config_keys_fail_closed(tmp_path, capsys):
     for broken in (
         {**INST_A, "grid": {"t_start": 0.0, "t_end": 1.0, "steps": 1}},
@@ -395,12 +408,16 @@ def test_short_drift_table_is_config_error(tmp_path, capsys):
     assert "dynamics.drift.table" in capsys.readouterr().err
 
 
-# JSON values numpy would read as numbers, and a drift row of the wrong width
+# JSON values numpy would read as numbers, an x0 or a drift row of the wrong width
 NOT_NUMBERS = {
     "x0-string": ({**PUT_N2, "dynamics": {"x0": ["1.5"]}}, "dynamics.x0"),
     "control-bool": (
         {**PUT_N2, "controls": {"values": [0.5, True], "cap": 1.0}}, "controls.values"
     ),
+    "x0-too-long": (
+        {**PUT_N2, "dynamics": {"x0": [1.0, 2.0]}}, "dynamics.x0"
+    ),
+    "x0-empty": ({**PUT_N2, "dynamics": {"x0": []}}, "dynamics.x0"),
     "drift-row-width": (
         {**PUT_N2, "dynamics": {"x0": 1.0, "drift": {
             "kind": "custom-table", "table": [[0.1, 0.2], [0.1, 0.2]]}}},

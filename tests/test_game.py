@@ -80,13 +80,16 @@ def test_rules_are_adapted(put_n2):
                 if reached[tree.offsets[l] + j]:
                     assert by_prefix[prefix_key(tree.k0 + l, row)] == mask[tree.offsets[l] + j]
         assert np.all(mask[interior:])
-    # a rule undecided at the root fails there; undecided below a stop,
-    # it needs no decision
+    # a rule must decide every interior class, even below a stop: it
+    # fails at the first undecided node, in level order
     flags = np.full(tree.n_nodes, -1, dtype=np.int8)
     with pytest.raises(RuleError, match="at node 0"):
         stop_mask(tree, StoppingRule(tree, flags))
     flags[0] = 1
-    assert stop_mask(tree, StoppingRule(tree, flags))[0]
+    with pytest.raises(RuleError, match="at node 1"):
+        stop_mask(tree, StoppingRule(tree, flags))
+    flags[:interior] = 1
+    assert np.all(stop_mask(tree, StoppingRule(tree, flags)))
     with pytest.raises(RuleError, match="another tree"):
         stop_mask(make_put(2)[0], StoppingRule(tree, flags))
 

@@ -13,7 +13,9 @@ count shows up as a mismatch.  The verify reports are hashed without
 their work counts (n_checked and the stopping-set count in details),
 which were recorded from the stopping-set and strategy enumeration
 that the checks' backward sweeps replaced; every worst, pass flag and
-recomputed root is pinned.
+recomputed root is pinned.  The classic_snell digests pin values and
+root values only: they were re-recorded, on the code that still built
+it, without the first-meeting rule that SnellResult no longer carries.
 
 The 200 acceptance instances are folded into one digest per field (the
 sha256 of their per-instance digests, in draw order).  To print the
@@ -83,8 +85,7 @@ def _snell_part(tree, strategy, y, from_node=0):
         r = classic_snell(tree, strategy, y, from_node=from_node)
     except Exception as exc:
         return (type(exc).__name__,)
-    rule = sorted(rule_keys(r.rule).items())
-    return (np.ascontiguousarray(r.values).tobytes(), float(r.root_value), rule)
+    return (np.ascontiguousarray(r.values).tobytes(), float(r.root_value))
 
 
 def _rules(tree, rng):
@@ -219,7 +220,7 @@ CASES = {
 
 RECORDED = {
     'acceptance-200': {
-        'classic_snell': 'bb0dd0b14cf482efb3bac4b8d98440a207cd10cf8932e36db7539324f05a9f7b',
+        'classic_snell': '9f4dc399436d36640b7748049c4f963535b6786d452e1597f91c6fa99f7d2fbb',
         'nonlinear_expectation': 'a0d91cbcf8301c4d37ea7ebf2fdd790bc27d457d351fc082bb9135adbb0e8e9e',
         'stopped_value': '94685e884e9d8cbb3f7e92c77919ddee7c1673f9f2a2b2c0ba9258a8da13557e',
         'worst_case_stopped_reward': 'b5d43f4660e1a1a3b8e7252d33f546cbdf6998341f99f1c54b4cd9d36e72b76a',
@@ -227,7 +228,7 @@ RECORDED = {
         'verify': 'da5416dc20cee0b4cc2bb9d77f9c704a2a56fc6b557b0da2250dfd17322a881c',
     },
     'pasting-from-node': {
-        'classic_snell': 'e0ab328142baefdee28f793dcb1778036239d8025ce5f894c12a449b39371da8',
+        'classic_snell': '85adee425d1d4d6e8ef46c04b44b87272efcc92b9c4b03ee4c5ea1463a8019c6',
         'nonlinear_expectation': '-',
         'stopped_value': '-',
         'worst_case_stopped_reward': '-',
@@ -235,7 +236,7 @@ RECORDED = {
         'verify': '-',
     },
     'prefix-collision': {
-        'classic_snell': '459d1b20e1db8280712633a6b1e985d1b4dea1d03fc3e899dd27d7d935f37c66',
+        'classic_snell': 'd2d1210f02cd1717f026818f94d39b1e24586a671486f24f55f5ba257ccf1e90',
         'nonlinear_expectation': '6e4d3850842b52dcf721a4dff22adfb91c4fb266786c2cccd89841ecdb36928e',
         'stopped_value': '7f6da26c2daf2e83e50408d6fab03895fd0e9052ee8d30273e52635ce94c8f4a',
         'worst_case_stopped_reward': '6555c2228a5994c840a79e310ebda48f807c3b58bfaf94abb3e1078e874643e7',
