@@ -648,9 +648,21 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     n_steps = _num(sec, "demo", "n_steps", 3, integer=True, minimum=1)
     widenings = _num(sec, "demo", "widenings", 4, integer=True, minimum=1)
 
+    node_cap = build_solver(cfg)["node_cap"]
+
     grid = TimeGrid(0.0, t_end, n_steps)
     drift = DriftSpec("zero")
     mid = (lo + hi) / 2.0
+    trees = {}
+
+    def tree_of(vols, cap):
+        # the tree of a menu does not depend on the strike, so each
+        # distinct menu is expanded once and swept for every strike
+        menu = ControlSet(vols, cap=cap)
+        key = tuple(menu.scalars())
+        if key not in trees:
+            trees[key] = expand_tree(grid, 0.0, drift, menu, node_cap=node_cap)
+        return trees[key]
 
     value_rows = []
     boundary_rows = []
@@ -659,15 +671,13 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     classic_gap = 0.0
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        menu = ControlSet([lo] if lo == hi else [lo, hi], cap=hi)
-        tree = expand_tree(grid, 0.0, drift, menu)
+        tree = tree_of([lo] if lo == hi else [lo, hi], hi)
         sol = robust_envelope(tree, Y)
         robust = sol.root_value()
 
         classics = {}
         for sig in sorted({lo, hi}):
-            single = expand_tree(grid, 0.0, drift, ControlSet([sig], cap=sig))
-            classics[sig] = classic_snell(single, 0, Y).root_value
+            classics[sig] = classic_snell(tree_of([sig], sig), 0, Y).root_value
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classics[lo]))
         value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
@@ -690,8 +700,7 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             frac = j / widenings
             menu_vols += [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
             vols = sorted(set(menu_vols))
-            vtree = expand_tree(grid, 0.0, drift, ControlSet(vols, cap=hi))
-            val = robust_envelope(vtree, Y).root_value()
+            val = robust_envelope(tree_of(vols, hi), Y).root_value()
             if prev is not None and val > prev:
                 monotone = False
             prev = val

@@ -66,6 +66,9 @@ __all__ = [
 # Relative guard for testing Z == Y in floating point; tau_star uses
 # delta = 0 plus this guard.
 STOP_GUARD = 1e-12
+# Nodes per block of the stop test, so that on deep trees its two float
+# temporaries take no more memory than the sweep's level buffers did.
+_MEETS_BLOCK = 1 << 15
 
 
 def control_index_at(strategy, tree, node: int) -> int:
@@ -203,6 +206,11 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     inequalities hold exactly in floating point, because rounding is
     monotone term by term.
 
+    Each level is computed in place: the fold, its product term and the
+    comparison mask live in buffers allocated once per call, sized to
+    the widest level, and the min and its control are written straight
+    into the level's slices of the outputs.
+
     Returns per-node arrays (v, argmin), where argmin is the control
     attaining the min before floor and stop apply.  They are NaN and -1
     outside the subtree, and argmin is -1 at leaves.
@@ -214,28 +222,36 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     ranges = tree.subtree_ranges(node)
     lo, hi = ranges[-1]
     v[lo:hi] = values[lo:hi]
+    # levels widen downward, so the deepest interior level is the widest
+    width = ranges[-2][1] - ranges[-2][0] if len(ranges) > 1 else 0
+    fold, term = np.empty((width, C)), np.empty((width, C))
+    mask = np.empty(width, dtype=bool)
     # each level's children are the next level's range, in order
     for (lo, hi), (klo, khi) in zip(ranges[-2::-1], ranges[:0:-1]):
-        kids = v[klo:khi].reshape(hi - lo, C, B)
-        acc = w[:, 0] * kids[:, :, 0]
+        n = hi - lo
+        kids = v[klo:khi].reshape(n, C, B)
+        acc, prod, better = fold[:n], term[:n], mask[:n]
+        np.multiply(w[:, 0], kids[:, :, 0], out=acc)
         for j in range(1, B):
-            acc = acc + w[:, j] * kids[:, :, j]
-        best = np.full(hi - lo, np.inf)
-        best_ci = np.full(hi - lo, -1, dtype=np.int64)
+            acc += np.multiply(w[:, j], kids[:, :, j], out=prod)
+        best, best_ci = v[lo:hi], argmin[lo:hi]
+        best.fill(np.inf)
         for ci in range(C):
-            better = acc[:, ci] < best
+            col = acc[:, ci]
+            np.less(col, best, out=better)
             if allowed is not None:
                 better &= allowed[lo:hi, ci]
-            best = np.where(better, acc[:, ci], best)
+            np.copyto(best, col, where=better)
             best_ci[better] = ci
-        argmin[lo:hi] = best_ci
+        # floor and ceiling win unless best is strictly past them, NaN included
         if floor is not None:
-            best = np.where(best > floor[lo:hi], best, floor[lo:hi])
+            np.greater(best, floor[lo:hi], out=better)
+            np.copyto(best, floor[lo:hi], where=np.logical_not(better, out=better))
         if ceiling is not None:
-            best = np.where(best < ceiling[lo:hi], best, ceiling[lo:hi])
+            np.less(best, ceiling[lo:hi], out=better)
+            np.copyto(best, ceiling[lo:hi], where=np.logical_not(better, out=better))
         if stop is not None:
-            best = np.where(stop[lo:hi], values[lo:hi], best)
-        v[lo:hi] = best
+            np.copyto(best, values[lo:hi], where=stop[lo:hi])
     return v, argmin
 
 
@@ -282,10 +298,22 @@ class EnvelopeSolution:
 
 
 def _meets(z, y, delta: float) -> np.ndarray:
-    """The guarded stop test Z <= Y + delta, for delta >= 0."""
+    """The guarded stop test Z <= Y + delta, for delta >= 0: per node
+    z - y <= delta + STOP_GUARD * (1.0 + |y|), in that operation order,
+    with two float temporaries, _MEETS_BLOCK nodes at a time."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    return z - y <= delta + STOP_GUARD * (1.0 + np.abs(y))
+    if len(z) > _MEETS_BLOCK:
+        out = np.empty(len(z), dtype=bool)
+        for lo in range(0, len(z), _MEETS_BLOCK):
+            hi = lo + _MEETS_BLOCK
+            out[lo:hi] = _meets(z[lo:hi], y[lo:hi], delta)
+        return out
+    guard = np.abs(y)
+    guard += 1.0
+    guard *= STOP_GUARD
+    guard += delta
+    return z - y <= guard
 
 
 def _prefix_rule(tree, stop):

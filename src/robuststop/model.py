@@ -17,14 +17,16 @@ matrices.  Two carriers are provided:
 
 Trees are non-recombining: both the drift and the rewards downstream may
 look at the whole history, so merging nodes would be unsound.  A tree is
-stored level by level as numpy arrays, the current states and their
-running max per time index, and expansion, reward evaluation and the
-worst-case sweep each run one vectorised step per level; a node's whole
-prefix is rebuilt on demand from its ancestors' states.  Every drift
-kind is written once, in _drift_into, which reads at most the current
-states and their running max: expansion feeds it the two arrays of a
-level, drift_eval reduces stacks of prefixes for the sampled checks, and
-the Euler kernel carries the two arrays per path.
+stored level by level as numpy arrays of the current states per time
+index, and expansion, reward evaluation and the worst-case sweep each
+run one vectorised step per level; a node's whole prefix is rebuilt on
+demand from its ancestors' states, and the running max of every prefix
+is built from the states on its first read, unless expansion carried it
+for a running-max drift.  Every drift kind is written once, in
+_drift_into, which reads at most the current states and their running
+max: expansion feeds it a level's arrays, drift_eval reduces stacks of
+prefixes for the sampled checks, and the Euler kernel carries the two
+arrays per path.
 """
 
 from __future__ import annotations
@@ -227,8 +229,9 @@ def prefix_key(k: int, values: np.ndarray) -> tuple:
     return (k, tuple(np.asarray(values, dtype=np.float64).flat))
 
 
-def state_norms(states: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array.
+def state_norms(states: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array, written into out,
+    an (n,) array that states may be a view of, or into a new one.
 
     Bit for bit np.linalg.norm(row) on every row: that takes the square
     root of the BLAS dot product row.dot(row), and the stacked matmul
@@ -239,9 +242,13 @@ def state_norms(states: np.ndarray) -> np.ndarray:
     """
     if states.shape[1] == 1:
         x = states[:, 0]
-        return np.sqrt(x * x)
-    states = np.ascontiguousarray(states)
-    return np.sqrt((states[:, None, :] @ states[:, :, None]).reshape(-1))
+        out = np.multiply(x, x, out=out)
+    else:
+        states = np.ascontiguousarray(states)
+        sq = np.matmul(states[:, None, :], states[:, :, None],
+                       out=None if out is None else out.reshape(-1, 1, 1))
+        out = sq.reshape(-1)
+    return np.sqrt(out, out=out)
 
 
 class ScenarioTree:
@@ -251,9 +258,12 @@ class ScenarioTree:
     holds the node ids offsets[l] .. offsets[l+1] - 1, and two read-only
     arrays of shape (n_l, d): states[l], whose row j is the current
     state of node offsets[l] + j, and peaks[l], the componentwise
-    running max of that node's prefix.  The root's whole prefix, of
-    shape (k0 + 1, d), is root_prefix.  Ids run level by level, then by
-    parent, control and outcome, so node i of level l has the children
+    running max of that node's prefix.  peaks is built from the states
+    on its first read, unless the tree was given it (expansion carries
+    it only for a running-max drift), so until then a tree holds 8 * d
+    bytes per node.  The root's whole prefix, of shape (k0 + 1, d), is
+    root_prefix.  Ids run level by level, then by parent, control and
+    outcome, so node i of level l has the children
 
         offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
 
@@ -272,19 +282,34 @@ class ScenarioTree:
     """
 
     def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
-                 peaks: list, weights: np.ndarray):
+                 weights: np.ndarray, peaks: list | None = None):
         self.grid = grid
         self.controls = controls
         self.drift = drift
         self.root_prefix = root_prefix
         self.k0 = root_prefix.shape[0] - 1
         self.states = states
-        self.peaks = peaks
+        if peaks is not None:
+            self.__dict__["peaks"] = peaks  # what the cached property would build
         self.weights = weights
         self.branching = weights.shape[1]
         self.offsets = [0]
         for level in states:
             self.offsets.append(self.offsets[-1] + level.shape[0])
+
+    @cached_property
+    def peaks(self) -> list:
+        """Per level, the componentwise running max of each node's
+        prefix, shape (n_l, d), read-only: the root prefix's max, then
+        each level from its parents' (see _child_peaks)."""
+        d = self.root_prefix.shape[1]
+        out = [np.max(self.root_prefix[None], axis=1)]
+        for level in self.states[1:]:
+            kids = level.reshape(out[-1].shape[0], self.fanout, d)
+            out.append(_child_peaks(out[-1], kids))
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     @property
     def n_nodes(self) -> int:
@@ -371,6 +396,18 @@ class ScenarioTree:
                 for row in self.level_prefixes(l, ids[cuts[l]:cuts[l + 1]] - self.offsets[l])]
 
 
+def _child_peaks(peak: np.ndarray, kids: np.ndarray) -> np.ndarray:
+    """Running maxima of the children kids, shape (n, fanout, d), of n
+    nodes with running maxima peak, shape (n, d), as an (n * fanout, d)
+    array.
+
+    On a tie of 0.0 and -0.0 np.maximum keeps its second argument, as
+    np.max over a prefix keeps the later value, so the result is bit for
+    bit the max over the whole prefix.
+    """
+    return np.maximum(peak[:, None, :], kids).reshape(-1, kids.shape[2])
+
+
 def _projected_node_count(n_levels: int, fanout: int) -> int:
     total = 0
     level = 1
@@ -396,8 +433,10 @@ def expand_tree(
     one per (control, outcome) pair, with branching 2 for d = 1 and 2d
     for d > 1.  Child states are x + (b * dt + c) for each increment c
     of the control's kernel, with the drift b from one _drift_into call
-    on the level's states and running maxima; a child's running max is
-    the max of its parent's and its own state.  No prefix is stored.
+    on the level's states.  Only a running-max drift reads running
+    maxima during expansion, so only then are they carried, a child's
+    the max of its parent's and its own state; otherwise tree.peaks
+    builds them on its first read.  No prefix is stored.
     """
     d = controls.dim
     if init_prefix is not None:
@@ -428,23 +467,22 @@ def expand_tree(
         raise SizeError.over_cap(projected, "tree nodes", node_cap, "solver.node_cap")
 
     root = root_prefix.copy()
-    states, peaks = [root[-1:].copy()], [np.max(root[None], axis=1)]
+    states = [root[-1:].copy()]
+    peaks = [np.max(root[None], axis=1)] if drift.kind == "running-max" else None
     for k in range(k0, grid.n_steps):
-        prev, peak = states[-1], peaks[-1]
+        prev = states[-1]
         n = prev.shape[0]
-        shift = _drift_into(drift, k, prev, peak, np.empty((n, d)))
+        shift = _drift_into(drift, k, prev, peaks[-1] if peaks else None, np.empty((n, d)))
         shift *= dt
         step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
         step += prev[:, None, None, :]
         kids = step.reshape(n, fanout, d)
-        # on a tie of 0.0 and -0.0 np.maximum keeps its second argument,
-        # as np.max over a prefix keeps the later value, so the carried
-        # max is bit for bit the max over the whole prefix
         states.append(kids.reshape(n * fanout, d))
-        peaks.append(np.maximum(peak[:, None, :], kids).reshape(n * fanout, d))
-    for a in (root, *states, *peaks):
+        if peaks:
+            peaks.append(_child_peaks(peaks[-1], kids))
+    for a in (root, *states, *(peaks or ())):
         a.setflags(write=False)
-    return ScenarioTree(grid, controls, drift, root, states, peaks, weights)
+    return ScenarioTree(grid, controls, drift, root, states, weights, peaks)
 
 
 @dataclass

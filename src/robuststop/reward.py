@@ -6,11 +6,13 @@ is shifted by the base level x0.  A stored history is resumed by
 starting the tree from it (model.expand_tree's init_prefix), so the
 drift and the reward see the same track and k counts its values.
 Each payoff formula is written once, in _payoffs, which reads the
-current values and running maxima of a stack of tracks, and the whole
-tracks only for the kinds that need them.  eval_reward derives those
-from a single prefix or a stack of prefixes of one length; reward_values
-reads a tree's per-level states and running maxima directly and rebuilds
-prefixes only for the kinds that read the whole track.
+current values of a stack of tracks, or their running maxima for
+lookback-max, and the whole tracks only for the kinds that need them.
+eval_reward derives those from a single prefix or a stack of prefixes of
+one length; reward_values reads a tree's per-level states or running
+maxima directly, writes each level's payoffs into its slice of the
+result, and rebuilds prefixes only for the kinds that read the whole
+track.
 
 Every functional declares a one-sided continuity modulus (how much Y can
 exceed its value at a later, nearby time-path pair) and a finite lower
@@ -100,34 +102,40 @@ def eval_reward(Y: RewardFunctional, k: int, prefix):
     if m != k + 1:
         raise ValueError(f"prefix must hold k+1 = {k + 1} values, got {m}")
     track = Y.base + block
-    peak = np.max(track, axis=1) if Y.kind == "lookback-max" else None
-    out = _payoffs(Y, k, track[:, -1, :], peak, track)
+    x = np.max(track, axis=1) if Y.kind == "lookback-max" else track[:, -1, :]
+    out = _payoffs(Y, k, x, track)
     return float(out[0]) if p.ndim == 2 else out
 
 
-def _payoffs(Y: RewardFunctional, k: int, last: np.ndarray, peak, track) -> np.ndarray:
-    """Payoff of n absolute tracks from their current values last, shape
-    (n, d), and, for lookback-max, their running max peak, shape (n, d).
-    Only running-sum and custom-table read track, the whole (n, m, d)
-    stack of absolute tracks."""
-    n, d = last.shape
+def _payoffs(Y: RewardFunctional, k: int, x: np.ndarray, track, out=None) -> np.ndarray:
+    """Payoff of n absolute tracks from x, shape (n, d): their current
+    values, or for lookback-max their running maxima.  Only running-sum
+    and custom-table read track, the whole (n, m, d) stack of absolute
+    tracks.  The payoffs are written into out, an (n,) array that x may
+    be a view of, or into a new array when out is None."""
+    n, d = x.shape
+    if out is None:
+        out = np.empty(n)
     if Y.kind == "constant":
-        return np.full(n, float(Y.scale))
+        out.fill(float(Y.scale))
+        return out
     if Y.kind == "terminal-abs":
-        return Y.scale * state_norms(last)
+        return np.multiply(Y.scale, state_norms(x, out), out=out)
     if Y.kind == "custom-table":
-        return np.array([float(Y.table(k, row)) for row in track])
+        out[:] = [float(Y.table(k, row)) for row in track]
+        return out
     if d != 1:
         raise ValueError(f"{Y.kind} is a scalar-path reward, got dim {d}")
     if Y.kind == "american-put":
-        gap = Y.strike - last[:, 0]
+        gap = np.subtract(Y.strike, x[:, 0], out=out)
         # keeps gap unless 0.0 is strictly larger, so a -0.0 gap stays
-        return Y.scale * np.where(0.0 > gap, 0.0, gap)
+        np.copyto(gap, 0.0, where=gap < 0.0)
+        return np.multiply(Y.scale, gap, out=out)
     if Y.kind == "lookback-max":
-        return Y.scale * peak[:, 0]
+        return np.multiply(Y.scale, x[:, 0], out=out)
     # running-sum: contiguous rows, so np.sum reduces each row as it
     # reduces a single track
-    return Y.scale * np.sum(np.ascontiguousarray(track[:, :, 0]), axis=1)
+    return np.multiply(Y.scale, np.sum(np.ascontiguousarray(track[:, :, 0]), axis=1), out=out)
 
 
 def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
@@ -136,21 +144,26 @@ def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
     All envelope and game sweeps share this array so their comparisons see
     bit-identical payoffs.  american-put and terminal-abs read each
     level's states, lookback-max its running maxima (base + max(x) is
-    max(base + x), as rounding is monotone), and constant none.  The
-    kinds that read the whole track, running-sum and custom-table, take
-    one eval_reward call per level on the level's rebuilt prefixes.
+    max(base + x), as rounding is monotone), and constant none.  Each
+    level's payoffs are written into its slice of the result, and at
+    d = 1 so is base + the states or maxima they read, so a level
+    allocates at most a comparison mask.  The kinds that read the whole
+    track, running-sum and custom-table, take one eval_reward call per
+    level on the level's rebuilt prefixes.
     """
     if Y.kind == "constant":
         return np.full(tree.n_nodes, float(Y.scale))
     rebuild = Y.kind in ("running-sum", "custom-table")
+    levels = tree.peaks if Y.kind == "lookback-max" else tree.states
     out = np.empty(tree.n_nodes)
     for l, (lo, hi) in enumerate(zip(tree.offsets, tree.offsets[1:])):
         k = tree.k0 + l
         if rebuild:
             out[lo:hi] = eval_reward(Y, k, tree.level_prefixes(l))
-        else:
-            peak = Y.base + tree.peaks[l] if Y.kind == "lookback-max" else None
-            out[lo:hi] = _payoffs(Y, k, Y.base + tree.states[l], peak, None)
+            continue
+        level, payoffs = levels[l], out[lo:hi]
+        x = np.add(Y.base, level, out=payoffs[:, None] if level.shape[1] == 1 else None)
+        _payoffs(Y, k, x, None, payoffs)
     return out
 
 

@@ -71,11 +71,8 @@ def make_signed_zero_tree(n_steps=1):
     states = [np.zeros((1, 1)), np.array([[0.0], [-0.0]])]
     if n_steps == 2:
         states.append(np.array([[0.5], [-0.5], [0.5], [-0.5]]))
-    peaks = [states[0]]
-    for level in states[1:]:
-        peaks.append(np.maximum(np.repeat(peaks[-1], 2, axis=0), level))
     return ScenarioTree(TimeGrid(0.0, 1.0, n_steps), ControlSet([1.0], cap=1.0),
-                        DriftSpec("zero"), np.zeros((1, 1)), states, peaks,
+                        DriftSpec("zero"), np.zeros((1, 1)), states,
                         np.full((1, 2), 0.5))
 
 

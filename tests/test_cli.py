@@ -360,6 +360,33 @@ DEMO_SMALL = {
 }
 
 
+def test_demo_honours_the_node_cap(tmp_path, capsys):
+    # the trees of DEMO_SMALL run from 7 nodes to 43 (the three-control
+    # widening menu), and the first, the robust two-control tree, has 21
+    for cap, code in ((None, 0), (43, 0), (42, 3), (10, 3)):
+        cfg = DEMO_SMALL if cap is None else {**DEMO_SMALL, "solver": {"node_cap": cap}}
+        assert main(["demo", "--config", write_config(tmp_path, cfg)]) == code
+        assert ("solver.node_cap" in capsys.readouterr().err) == (code == 3)
+
+
+def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
+    # two strikes and 4 widenings: the robust menu, two singles and five
+    # widening menus, each expanded once and swept for both strikes
+    import robuststop.cli as cli
+
+    menus, expand = [], cli.expand_tree
+
+    def counting(grid, x0, drift, controls, **kwargs):
+        menus.append(tuple(controls.scalars()))
+        return expand(grid, x0, drift, controls, **kwargs)
+
+    monkeypatch.setattr(cli, "expand_tree", counting)
+    cfg = write_config(tmp_path, PINNED_DEMO["wide"])
+    assert main(["demo", "--config", cfg]) == 0
+    assert len(menus) == len(set(menus)) == 8
+    assert len(json.loads(capsys.readouterr().out)["values"]) == 2
+
+
 # (command, config, raw JSON token standing in for the value, key named)
 NON_FINITE = {
     "x0-nan": ("solve", {**PUT_N2, "dynamics": {"x0": "@"}}, "NaN", "dynamics.x0"),
@@ -551,3 +578,64 @@ def test_sampled_suite_reports_are_pinned(tmp_path, capsys, name, mutate):
     assert main(argv + ["--mutate"] * mutate) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLED_DIGESTS[name, mutate]
+
+
+# solve on the three solve-deep bench configs, demo on the demo-wide
+# bench config and on a degenerate interval: the sha256 of stdout and of
+# every --out file, in name order, recorded before the level loops wrote
+# into per-call buffers and demo shared one tree per menu
+PINNED_SOLVE = {
+    "put": {
+        "grid": {"t_end": 1.0, "n_steps": 8},
+        "dynamics": {"x0": 1.0, "drift": {"kind": "zero"}},
+        "controls": {"values": [0.5, 1.0], "cap": 1.0},
+        "reward": {"kind": "american-put", "strike": 1.0},
+    },
+    "lookback": {
+        "grid": {"t_end": 1.0, "n_steps": 8},
+        "dynamics": {"x0": 1.0, "drift": {"kind": "running-max", "kappa": 1.0}},
+        "controls": {"values": [0.5, 1.0], "cap": 1.0},
+        "reward": {"kind": "lookback-max"},
+    },
+    "d2": {
+        "grid": {"t_end": 1.0, "n_steps": 5},
+        "dynamics": {"x0": [0.0, 0.0], "drift": {"kind": "mean-reversion", "rate": 0.5}},
+        "controls": {
+            "values": [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.2], [0.2, 0.8]]],
+            "cap": 1.2,
+        },
+        "reward": {"kind": "terminal-abs"},
+    },
+}
+PINNED_DEMO = {
+    "wide": {"demo": {"base": 1.0, "strikes": [-5.0, 1.0], "sigma_lo": 0.3,
+                      "sigma_hi": 0.9, "t_end": 1.0, "n_steps": 4, "widenings": 4}},
+    "degenerate": {"demo": {"base": 1.0, "strikes": [0.9, 1.0, 1.1], "sigma_lo": 0.6,
+                            "sigma_hi": 0.6, "t_end": 1.0, "n_steps": 4,
+                            "widenings": 3}},
+}
+PINNED_DIGESTS = {
+    ("demo", "degenerate"):
+        "615e8b582151d492883ab20dfc5368328891b979acc5dcf8797e8dea5309ec8d",
+    ("demo", "wide"):
+        "bead950531330694d9b16d824e1a1d026dfcb9aff1df325c2b2aae61675b71cf",
+    ("solve", "d2"):
+        "5e1ac9a560638ebeff2373ce2bd5685d6b3fe47862be846fae715e7fdc0f229e",
+    ("solve", "lookback"):
+        "83688fd1280378526a0ba980bd2fa033b0c5f25e69debb0362706cc7cc7f09aa",
+    ("solve", "put"):
+        "ea7ea3fabcd437c71bc99be66ad6fd55ff98a862a6764a4ca39e1ead271b12ef",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PINNED_DIGESTS))
+def test_solve_and_demo_outputs_are_pinned(tmp_path, capsys, command, name):
+    cfg = (PINNED_SOLVE if command == "solve" else PINNED_DEMO)[name]
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+            "--seed", "1"]
+    assert main(argv) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert h.hexdigest() == PINNED_DIGESTS[command, name]

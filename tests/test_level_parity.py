@@ -261,24 +261,86 @@ def test_signed_zero_tree_matches(n_steps):
         _bitwise(reward_values(tree, Y), _old_reward_values(0, blocks, Y))
 
 
+# every order of 0.0, -0.0 and -0.5, so a tie of the two zeros sits at
+# every position of a prefix
+SIGNED_ZERO_ROWS = [[0.0, -0.0, -0.5], [-0.0, 0.0, -0.5], [-0.0, -0.5, 0.0],
+                    [0.0, -0.5, -0.0], [-0.5, -0.0, 0.0], [-0.5, 0.0, -0.0]]
+
+
 def test_signed_zero_running_max_is_carried_like_the_row_max():
     # a running max over rows holding both zeros keeps the sign that the
     # row reduction keeps, at every position of the tie
-    rows = np.array([[0.0, -0.0, -0.5], [-0.0, 0.0, -0.5], [-0.0, -0.5, 0.0],
-                     [0.0, -0.5, -0.0], [-0.5, -0.0, 0.0], [-0.5, 0.0, -0.0]])
+    rows = np.array(SIGNED_ZERO_ROWS)
     carried = rows[:, :1].copy()
     for j in range(1, rows.shape[1]):
         carried = np.maximum(carried, rows[:, j:j + 1])
     _bitwise(carried[:, 0], np.max(rows, axis=1))
 
 
-def test_tree_stores_constant_bytes_per_node():
-    def bytes_per_node(n_steps):
-        tree = expand_tree(TimeGrid(0.0, 1.0, n_steps), *PUT[1:])
-        return sum(a.nbytes for a in tree.states + tree.peaks) / tree.n_nodes
+@pytest.mark.parametrize("drift", [DriftSpec("zero"), DriftSpec("mean-reversion", rate=0.4),
+                                   DriftSpec("running-max", kappa=1.0)],
+                         ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("row", range(len(SIGNED_ZERO_ROWS)))
+def test_peaks_are_the_max_of_the_rebuilt_prefixes(drift, row):
+    # a running-max drift reads the running maxima during expansion, which
+    # carries them; any other tree builds them on the first read.  Both
+    # must be the max over the whole prefix, the sign of a zero tie
+    # included: with zero drift a path from +-0.0 is back at 0.0 two
+    # steps later
+    tree = expand_tree(TimeGrid(0.0, 1.0, 6), None, drift, ControlSet([0.5, 1.0], cap=1.0),
+                       init_prefix=SIGNED_ZERO_ROWS[row])
+    assert ("peaks" in vars(tree)) == (drift.kind == "running-max")
+    for l in range(len(tree.states)):
+        _bitwise(tree.peaks[l], np.max(tree.level_prefixes(l), axis=1))
+        assert not tree.peaks[l].flags.writeable
+    assert tree.peaks is tree.peaks
 
-    # a state and a running max of d = 1 float64 values per node, at any depth
-    assert bytes_per_node(4) == bytes_per_node(8) == 16.0
+
+def test_tree_stores_constant_bytes_per_node():
+    def bytes_per_node(n_steps, arrays):
+        tree = expand_tree(TimeGrid(0.0, 1.0, n_steps), *PUT[1:])
+        return sum(a.nbytes for a in arrays(tree)) / tree.n_nodes
+
+    # a state of d = 1 float64 values per node, at any depth, and a
+    # running max too once peaks is read
+    for arrays, size in ((lambda t: t.states, 8.0), (lambda t: t.states + t.peaks, 16.0)):
+        assert bytes_per_node(4, arrays) == bytes_per_node(8, arrays) == size
+
+
+def _peak_bytes(fn):
+    """The peak bytes traced while fn() ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expansion_keeps_running_maxima_only_when_read():
+    # the n = 8 two-control put, 87,381 nodes: 8 bytes per node of states
+    # until tree.peaks is read, 16 with it
+    tracemalloc.start()
+    try:
+        tree = expand_tree(*PUT)
+        kept = tracemalloc.get_traced_memory()[0]
+        tree.peaks
+        with_peaks = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_nodes == 87_381
+    assert kept <= 8.1 * tree.n_nodes
+    assert with_peaks - kept >= 8 * tree.n_nodes
+
+
+def test_rewards_and_envelope_allocate_little_beyond_their_outputs():
+    # the n = 8 two-control put: reward_values writes each level into its
+    # slice of the 0.70 MB result, and robust_envelope holds y, z and
+    # argmin (2.1 MB) plus the sweep's level buffers
+    tree = expand_tree(*PUT)
+    Y = american_put(strike=1.0, base=0.0)
+    assert _peak_bytes(lambda: reward_values(tree, Y)) <= 0.8e6
+    assert _peak_bytes(lambda: robust_envelope(tree, Y)) <= 2.8e6
 
 
 def test_deep_put_solves_in_bounded_memory():
