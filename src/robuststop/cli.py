@@ -35,7 +35,7 @@ import numpy as np
 from .envelope import classic_snell, robust_envelope
 from .errors import ConfigError, RuleError, SizeError
 from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
-from .model import ControlSet, DriftSpec, expand_tree, state_norms, DEFAULT_NODE_CAP
+from .model import ControlSet, DriftSpec, expand_tree, min_state_norm, DEFAULT_NODE_CAP
 from .pathspace import ModulusSpec, TimeGrid
 from .reward import (
     RewardFunctional,
@@ -71,6 +71,8 @@ _SUITES = (
     "prehistory",
     "moments",
 )
+# the checks that never read the configured tree or its solution
+_SAMPLED_CHECKS = ("y1", "drift", "prehistory", "moments")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +354,14 @@ def _instance(cfg: dict):
             f"reward.kind {Y.kind!r} reads a scalar path, "
             f"but the controls give d = {controls.dim}"
         )
-    solver = build_solver(cfg)
+    return grid, x0, drift, controls, Y, build_solver(cfg)
+
+
+def _expand(inst):
+    grid, x0, drift, controls, _, solver = inst
     tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
     log.info("expanded tree with %d nodes", tree.n_nodes)
-    return grid, x0, drift, controls, Y, solver, tree
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +369,9 @@ def _instance(cfg: dict):
 
 
 def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
-    grid, _, _, controls, Y, solver, tree = _instance(cfg)
+    inst = _instance(cfg)
+    grid, _, _, controls, Y, solver = inst
+    tree = _expand(inst)
     sol = robust_envelope(tree, Y, delta=solver["delta"])
 
     slices = []
@@ -387,14 +395,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
                 "y_max": float(np.max(y)),
             }
         )
-        # the norms of finite states are never NaN and never -0.0 (a square
-        # root of a sum of squares is at least +0.0), so np.min picks the
-        # same float that Python's min over the per-node values would
-        min_abs = (
-            float(np.min(state_norms(tree.states_at(k)[stopped])))
-            if n_stopped
-            else None
-        )
+        min_abs = min_state_norm(tree.states_at(k)[stopped]) if n_stopped else None
         boundary_rows.append(
             [k, grid.time(k), n_stopped, "" if min_abs is None else min_abs]
         )
@@ -439,7 +440,9 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
 
 
 def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
-    _, _, _, _, Y, solver, tree = _instance(cfg)
+    inst = _instance(cfg)
+    _, _, _, _, Y, solver = inst
+    tree = _expand(inst)
     rep = game_values(
         tree,
         Y,
@@ -597,9 +600,15 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     names = _parse_suite(suite_spec)
-    grid, x0, drift, controls, Y, solver, tree = _instance(cfg)
-    sol = robust_envelope(tree, Y, delta=solver["delta"])
-    inst = (grid, x0, drift, controls, Y, solver, tree, sol)
+    inst = _instance(cfg)
+    _, _, _, _, Y, solver = inst
+    # the sampled checks draw their own samples or build their own trees,
+    # so the configured tree is expanded and solved only for the others
+    tree = sol = None
+    if any(name not in _SAMPLED_CHECKS for name in names):
+        tree = _expand(inst)
+        sol = robust_envelope(tree, Y, delta=solver["delta"])
+    inst += (tree, sol)
 
     reports = []
     for i, name in enumerate(names):

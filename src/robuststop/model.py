@@ -13,7 +13,12 @@ matrices.  Two carriers are provided:
 * Gaussian Monte Carlo samples for checking the moment estimates, from
   one blocked Euler kernel that either stores the paths (simulate_paths)
   or keeps only each path's running supremum, for several drifts on one
-  draw of the normals (simulate_sup_distances).
+  draw of the normals (simulate_sup_distances).  The kernel resolves a
+  drift that reads no state into a table of per-step shifts once per
+  call, and the sup-only run skips the steps that can change only the
+  sign of a zero (a zero shift, the d = 1 stand-in for the matrix
+  product's 0.0 + xi * u, and X_k - x0 at a zero start): squaring erases
+  that sign, so its suprema are bit for bit those of the stored paths.
 
 Trees are non-recombining: both the drift and the rewards downstream may
 look at the whole history, so merging nodes would be unsound.  A tree is
@@ -52,6 +57,7 @@ __all__ = [
     "simulate_sup_distances",
     "prefix_key",
     "state_norms",
+    "min_state_norm",
     "DEFAULT_NODE_CAP",
 ]
 
@@ -229,26 +235,43 @@ def prefix_key(k: int, values: np.ndarray) -> tuple:
     return (k, tuple(np.asarray(values, dtype=np.float64).flat))
 
 
-def state_norms(states: np.ndarray, out=None) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array, written into out,
-    an (n,) array that states may be a view of, or into a new one.
+def _squared_norms(states: np.ndarray, out=None) -> np.ndarray:
+    """Squared Euclidean norm of each row of an (n, d) array, written into
+    out, an (n,) array that states may be a view of, or into a new one.
 
-    Bit for bit np.linalg.norm(row) on every row: that takes the square
-    root of the BLAS dot product row.dot(row), and the stacked matmul
-    below reaches the same dot routine.  np.linalg.norm(states, axis=1)
+    Bit for bit what np.linalg.norm(row) takes the square root of: the
+    BLAS dot product row.dot(row), whose dot routine the stacked matmul
+    below reaches too.  np.linalg.norm(states, axis=1)
     sums the squares without it and differs in the last bit on some rows.
     With one column the dot product of a row is its single product x * x,
-    so that case is np.sqrt(x * x), with no BLAS call per row.
+    so that case is x * x, with no BLAS call per row.
     """
     if states.shape[1] == 1:
         x = states[:, 0]
-        out = np.multiply(x, x, out=out)
-    else:
-        states = np.ascontiguousarray(states)
-        sq = np.matmul(states[:, None, :], states[:, :, None],
-                       out=None if out is None else out.reshape(-1, 1, 1))
-        out = sq.reshape(-1)
+        return np.multiply(x, x, out=out)
+    states = np.ascontiguousarray(states)
+    sq = np.matmul(states[:, None, :], states[:, :, None],
+                   out=None if out is None else out.reshape(-1, 1, 1))
+    return sq.reshape(-1)
+
+
+def state_norms(states: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array, written into out,
+    an (n,) array that states may be a view of, or into a new one; bit
+    for bit np.linalg.norm(row) on every row."""
+    out = _squared_norms(states, out)
     return np.sqrt(out, out=out)
+
+
+def min_state_norm(states: np.ndarray) -> float:
+    """The least of state_norms(states), of n >= 1 rows, bit for bit.
+
+    The square root is monotone and correctly rounded, so the root of the
+    least squared norm is the least norm, and only one root is taken.  A
+    squared norm is never -0.0 (a sum of squares is at least +0.0), so
+    np.min picks the same float that Python's min over the rows would.
+    """
+    return math.sqrt(np.min(_squared_norms(states)))
 
 
 class ScenarioTree:
@@ -537,15 +560,26 @@ def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
     depend on scheduling.  At each step the increment u xi_k sqrt(dt) is
     formed once and every drift in drifts takes it, as
 
-        X_{k+1} = (X_k + b * dt) + (xi_k @ u.T) * sqrt(dt),
+        X_{k+1} = (X_k + b * dt) + (xi_k @ u.T) * sqrt(dt).
 
-    with b from _drift_into on the carried state and running max.  With
-    values, an (n_paths, n_steps + 1, d) array, the one drift's states
-    are written there; otherwise the kernel keeps the running max of
-    |X_k - x0|^2 per path, reduced over the components like
-    np.linalg.norm(axis=...), and returns the (len(drifts), n_paths)
-    square roots: sqrt is monotone and correctly rounded, so that is bit
-    for bit the max of the per-node norms.
+    A drift that reads the state (mean-reversion, running-max) takes b
+    from _drift_into on the carried state and running max at every step;
+    one that does not (zero, custom-table) is resolved once per call
+    into a table of the shifts b_k * dt, each row validated once.
+
+    With values, an (n_paths, n_steps + 1, d) array, the one drift's
+    states are written there, by exactly the operations above.
+    Otherwise (sup mode) the kernel keeps the running max of |X_k - x0|^2
+    per path, reduced over the components like np.linalg.norm(axis=...),
+    and returns the (len(drifts), n_paths) square roots: sqrt is monotone
+    and correctly rounded, so that is bit for bit the max of the per-node
+    norms.  Sup mode skips three operations that can only change the
+    sign of a zero: adding a zero drift's shift, the 0.0 + xi * u that
+    stands for the d = 1 matrix product, and, when x0 is zero, taking
+    X_k - x0 before squaring.  A state then differs from the stored one
+    at most in the sign of a zero, every later sum, product, min and max
+    keeps the difference to that, and squaring erases it, so every
+    supremum is bit for bit the one of the stored paths.
 
     Every work buffer is allocated once per call and reused by every
     block: temporaries above glibc's mmap threshold (128 KB) cost a page
@@ -556,6 +590,15 @@ def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
     dt = grid.dt
     sqdt = math.sqrt(dt) if n > 0 else 0.0
     ut = u.T
+    sup_mode = values is None
+    tables = [None] * len(drifts)
+    for j, spec in enumerate(drifts):
+        if spec.kind == "custom-table" or (spec.kind == "zero" and not sup_mode):
+            tables[j] = np.empty((n, d))
+            for k in range(n):
+                _drift_into(spec, k, None, None, tables[j][k:k + 1])
+            tables[j] *= dt
+    from_zero = sup_mode and not np.any(x0)
     rows = min(_BLOCK, n_paths)
     noise = np.empty((rows, n, d))
     inc = np.empty((rows, d)) if d > 1 else None
@@ -564,7 +607,7 @@ def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
     peak = np.empty_like(state)
     dev = np.empty((rows, d))
     sq = dev[:, 0] if d == 1 else np.empty(rows)
-    sup = None if values is not None else np.zeros((len(drifts), n_paths))
+    sup = np.zeros((len(drifts), n_paths)) if sup_mode else None
     seeds = np.random.SeedSequence(seed).spawn(-(-n_paths // _BLOCK))
     for b, ss in enumerate(seeds):
         start = b * _BLOCK
@@ -574,13 +617,16 @@ def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
         np.random.Generator(np.random.PCG64(ss)).standard_normal(out=xi)
         if d == 1:
             # each (m, 1) @ (1, 1) product is 0.0 + xi * u elementwise,
-            # so the whole block's increments are formed in place at once
+            # so the whole block's increments are formed in place at once;
+            # the 0.0 + only turns -0.0 into +0.0, so sup mode skips it
             np.multiply(xi, u[0, 0], out=xi)
-            xi += 0.0
+            if not sup_mode:
+                xi += 0.0
             xi *= sqdt
         shift_m, dev_m, sq_m = shift[:m], dev[:m], sq[:m]
         states = [
-            (spec, state[j, :m], peak[j, :m], None if sup is None else sup[j, start:stop])
+            (spec, tables[j], state[j, :m], peak[j, :m],
+             None if sup is None else sup[j, start:stop])
             for j, spec in enumerate(drifts)
         ]
         state[:, :m] = x0
@@ -591,18 +637,21 @@ def _euler(grid: TimeGrid, x0, drifts, u, n_paths: int, seed: int, values=None):
             else:
                 inc_k = np.matmul(xi[:, k, :], ut, out=inc[:m])
                 inc_k *= sqdt
-            for spec, x, peak_j, sup_j in states:
-                _drift_into(spec, k, x, peak_j, shift_m)
-                shift_m *= dt
-                x += shift_m
+            for spec, table, x, peak_j, sup_j in states:
+                if table is not None:
+                    x += table[k]
+                elif spec.kind != "zero":  # a zero drift in sup mode adds nothing
+                    _drift_into(spec, k, x, peak_j, shift_m)
+                    shift_m *= dt
+                    x += shift_m
                 x += inc_k
                 if spec.kind == "running-max":
                     np.maximum(peak_j, x, out=peak_j)
                 if sup_j is None:
                     values[start:stop, k + 1] = x
                     continue
-                np.subtract(x, x0, out=dev_m)
-                np.multiply(dev_m, dev_m, out=dev_m)
+                dx = x if from_zero else np.subtract(x, x0, out=dev_m)
+                np.multiply(dx, dx, out=dev_m)
                 if d > 1:
                     np.add.reduce(dev_m, axis=1, out=sq_m)
                 np.maximum(sup_j, sq_m, out=sup_j)

@@ -112,8 +112,14 @@ def _jsonable(obj):
 # with one stacked call per time index: a call per draw costs more than a
 # stacked one, and stacking every draw at once holds all their prefixes
 # in memory.  A sampler reads each chunk from one block of raw PCG64
-# words (see _PCG64Words), about 40 KB at this size on a 4-step grid.
-SAMPLE_CHUNK = 512
+# words (see _PCG64Words), about 160 KB at this size on a 4-step grid.
+# On the 4-step d = 1 config of the verify-sampled benchmark, the plain
+# and mutated check_y1 on 10,000 samples took 107 ms at 512, 81 ms at
+# 2048 and 88 ms at 10,000, and check_drift 98, 82 and 83 ms (medians
+# of 16, one pinned CPU of a 2-CPU Xeon VM): past a few thousand draws
+# the fixed cost per chunk is paid off, and larger chunks only add
+# cache misses.
+SAMPLE_CHUNK = 2048
 
 
 def _per_index(fn, ks) -> np.ndarray:

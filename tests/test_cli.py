@@ -141,6 +141,18 @@ def test_verify_tree_checks_on_a_deep_tree(tmp_path, capsys):
     assert not any(c["passed"] for c in report["checks"].values())
 
 
+def test_verify_expands_the_tree_only_for_tree_checks(tmp_path, capsys):
+    # 5,592,405 nodes, past the default node cap: checks that draw their
+    # own samples still run, and a check that reads the tree hits the cap
+    cfg = {**SMALL_VERIFY, "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 11}}
+    path = write_config(tmp_path, cfg)
+    code, report = run(capsys, "verify", "--config", path, "--suite", "y1,drift,moments")
+    assert code == 0
+    assert sorted(report["checks"]) == ["drift", "moments", "y1"]
+    assert main(["verify", "--config", path, "--suite", "envelope"]) == 3
+    assert "solver.node_cap" in capsys.readouterr().err
+
+
 def test_verify_full_suite(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_VERIFY)
     code, report = run(capsys, "verify", "--config", cfg)

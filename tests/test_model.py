@@ -15,7 +15,7 @@ from robuststop import (
     prefix_key,
     simulate_paths,
 )
-from robuststop.model import simulate_sup_distances, state_norms
+from robuststop.model import min_state_norm, simulate_sup_distances, state_norms
 
 
 def test_drift_kinds_hand_values():
@@ -126,6 +126,27 @@ def test_state_norms_match_per_row_norm():
             assert state_norms(a).tobytes() == want.tobytes()
             assert state_norms(a[:, ::-1]).tobytes() == np.array(
                 [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_min_state_norm_is_the_least_per_row_norm(d):
+    # the least squared norm, rooted once, is the least np.linalg.norm of
+    # a row, on states of signed zeros alone and mixed with small, large
+    # and random rows
+    rng = np.random.default_rng(11)
+    zeros = np.array([[0.0] * d, [-0.0] * d, [0.0, -0.0][:d]])
+    edge = np.array([5e-324, -1e-160, 1e-150, -3.0, 1e155])
+    cases = [zeros[:1], zeros[1:2], zeros]
+    for scale in (1e-3, 1.0, 1e3):
+        a = rng.normal(size=(500, d)) * scale
+        cases += [a, np.vstack([a, zeros[1:2]]),
+                  np.vstack([a, np.repeat(edge[:, None], d, axis=1)])]
+    for a in cases:
+        with np.errstate(over="ignore", under="ignore"):
+            want = min(np.linalg.norm(row) for row in a)
+            got = min_state_norm(a)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_prefix_key_distinguishes_paths():
@@ -284,21 +305,38 @@ def test_simulate_paths_sample_views():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sup_distances_match_stored_paths_bitwise(d):
     # every drift of one call steps on the same normals, and each row is
-    # the supremum of the paths simulate_paths stores for that drift
+    # the supremum of the paths simulate_paths stores for that drift; the
+    # sup-only kernel skips steps that change only the sign of a zero, so
+    # the starts include both zeros and the controls a zero matrix, whose
+    # increments are all signed zeros
     g = TimeGrid(0.3, 1.7, 7)
     u = 0.7 if d == 1 else np.eye(d) * 0.8 + 0.1
     drifts = [
         DriftSpec("zero"),
         DriftSpec("mean-reversion", rate=0.8, level=0.1),
+        DriftSpec("mean-reversion", rate=0.8, level=0.0),
         DriftSpec("running-max", kappa=0.3),
         DriftSpec("custom-table", table=[[0.1 * (k - 3)] * d for k in range(7)]),
     ]
-    for n_paths in (1, 4097):
-        sups = simulate_sup_distances(g, -1.5, drifts, u, n_paths, seed=9)
-        assert sups.shape == (len(drifts), n_paths)
-        for row, spec in zip(sups, drifts):
-            ref = simulate_paths(g, -1.5, spec, u, n_paths, seed=9).sup_distance_from_start()
-            assert row.tobytes() == ref.tobytes()
+    for control in (u, 0.0 * np.asarray(u)):
+        for x0 in (-1.5, 0.0, -0.0):
+            for n_paths in (1, 4097, 2 * 4096 + 1):
+                sups = simulate_sup_distances(g, x0, drifts, control, n_paths, seed=9)
+                assert sups.shape == (len(drifts), n_paths)
+                for row, spec in zip(sups, drifts):
+                    ref = simulate_paths(g, x0, spec, control, n_paths, seed=9)
+                    assert row.tobytes() == ref.sup_distance_from_start().tobytes()
+
+
+def test_stored_paths_keep_the_matrix_products_zero_signs():
+    # at d = 1 the stored increments are the product 0.0 + xi * u: with a
+    # zero control every one is +0.0, where xi * 0.0 alone is -0.0 on a
+    # negative draw, and only that sign decides the state after a -0.0
+    # start and -0.0 shifts
+    g = TimeGrid(0.0, 1.0, 3)
+    drift = DriftSpec("custom-table", table=[[-0.0]] * 3)
+    values = simulate_paths(g, -0.0, drift, 0.0, 64, seed=5).values
+    assert values[:, 1:].tobytes() == np.zeros((64, 3, 1)).tobytes()
 
 
 def test_sup_distances_rejects_empty_sample():

@@ -1,6 +1,7 @@
 """One test pair per runnable check: the claim holds on healthy input and
 the check rejects a deliberately corrupted one."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,9 @@ from robuststop import (
     constant_reward,
     custom_reward,
     expand_tree,
+    lookback_max,
     robust_envelope,
+    terminal_abs,
 )
 from robuststop.verify import (
     check_continuity_in_prehistory,
@@ -362,3 +365,43 @@ def test_corrupt_helpers_leave_original_alone(put_sol):
     assert sol.tau == tau_before
     assert not np.array_equal(bad_z.z, z_before)
     assert bad_tau.tau != tau_before
+
+
+# the verify-sampled bench config and a d = 2 one, each with the reward
+# and drift that `verify` checks and the ones it checks under --mutate
+def _chunk_cases(d):
+    grid = TimeGrid(0.0, 1.0, 4)
+    decaying = custom_reward(lambda k, track: float(-k), ModulusSpec("linear", 0.0), -4.0)
+    mutated = DriftSpec("mean-reversion", kappa=0.5, rate=1.5, level=0.0)
+    if d == 1:
+        controls = ControlSet([0.5, 1.0], cap=1.0)
+        Y, drift = lookback_max(), DriftSpec("running-max", kappa=1.0)
+    else:
+        controls = ControlSet(
+            [np.diag([0.5, 0.5]), np.array([[1.0, 0.2], [0.2, 0.8]])], cap=1.2
+        )
+        Y, drift = terminal_abs(), DriftSpec("mean-reversion", rate=0.5)
+    return [
+        (check_y1, target, pair_sampler(grid, d))
+        for target in (Y, decaying)
+    ] + [
+        (check_drift, spec, prefix_sampler(grid, controls, d))
+        for spec in (drift, mutated)
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sampled_reports_do_not_depend_on_the_chunk_size(monkeypatch, d):
+    # the draws and the worst value are the same whatever the chunking:
+    # one draw per chunk, chunks that divide no count evenly, 512 and the
+    # current size; the current size splits only the second count, and
+    # one-draw chunks run only on the first, to keep the test quick
+    current = verify_module.SAMPLE_CHUNK
+    runs = ((205, (1, 7, 512, current)), (current + 3, (512, current)))
+    for check, target, sampler in _chunk_cases(d):
+        for n, chunks in runs:
+            reports = set()
+            for chunk in chunks:
+                monkeypatch.setattr(verify_module, "SAMPLE_CHUNK", chunk)
+                reports.add(json.dumps(check(target, sampler, n, seed=11).as_dict()))
+            assert len(reports) == 1, (check.__name__, target, n)
