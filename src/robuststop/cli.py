@@ -32,7 +32,7 @@ import traceback
 
 import numpy as np
 
-from .envelope import classic_snell, robust_envelope
+from .envelope import backward_sweep, classic_snell, robust_envelope
 from .errors import ConfigError, RuleError, SizeError
 from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
 from .model import ControlSet, DriftSpec, expand_tree, min_state_norm, DEFAULT_NODE_CAP
@@ -43,6 +43,7 @@ from .reward import (
     constant_reward,
     custom_reward,
     lookback_max,
+    reward_values,
     running_sum,
     terminal_abs,
 )
@@ -369,6 +370,13 @@ def _expand(inst):
 
 
 def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
+    """Solve the configured instance and report the envelope level by level.
+
+    Each level's summaries are reductions over views of the solution's
+    whole level: the min, mean and max of z and y, the number of stopped
+    nodes, and the least state norm among them (min_state_norm under the
+    stop mask), so no level copies its stopped rows out.
+    """
     inst = _instance(cfg)
     grid, _, _, controls, Y, solver = inst
     tree = _expand(inst)
@@ -388,14 +396,14 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
                 "time": grid.time(k),
                 "n_nodes": nodes.stop - nodes.start,
                 "n_stopped": n_stopped,
-                "z_min": float(np.min(z)),
-                "z_mean": float(np.mean(z)),
-                "z_max": float(np.max(z)),
-                "y_min": float(np.min(y)),
-                "y_max": float(np.max(y)),
+                "z_min": float(np.minimum.reduce(z)),
+                "z_mean": float(z.mean()),
+                "z_max": float(np.maximum.reduce(z)),
+                "y_min": float(np.minimum.reduce(y)),
+                "y_max": float(np.maximum.reduce(y)),
             }
         )
-        min_abs = min_state_norm(tree.states_at(k)[stopped]) if n_stopped else None
+        min_abs = min_state_norm(tree.states_at(k), where=stopped) if n_stopped else None
         boundary_rows.append(
             [k, grid.time(k), n_stopped, "" if min_abs is None else min_abs]
         )
@@ -666,10 +674,11 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
 
     def tree_of(vols, cap):
         # the tree of a menu does not depend on the strike, so each
-        # distinct menu is expanded once and swept for every strike
-        menu = ControlSet(vols, cap=cap)
-        key = tuple(menu.scalars())
+        # distinct menu is validated and expanded once, keyed by its
+        # sorted volatilities, and swept for every strike
+        key = tuple(sorted({float(v) for v in vols}))
         if key not in trees:
+            menu = ControlSet(vols, cap=cap)
             trees[key] = expand_tree(grid, 0.0, drift, menu, node_cap=node_cap)
         return trees[key]
 
@@ -709,7 +718,11 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             frac = j / widenings
             menu_vols += [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
             vols = sorted(set(menu_vols))
-            val = robust_envelope(tree_of(vols, hi), Y).root_value()
+            # only the root value is read: the envelope's sweep, without
+            # its stop test and tau* walk
+            wide = tree_of(vols, hi)
+            y = reward_values(wide, Y)
+            val = float(backward_sweep(wide, y, floor=y)[0][wide.root])
             if prev is not None and val > prev:
                 monotone = False
             prev = val

@@ -263,15 +263,20 @@ def state_norms(states: np.ndarray, out=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def min_state_norm(states: np.ndarray) -> float:
-    """The least of state_norms(states), of n >= 1 rows, bit for bit.
+def min_state_norm(states: np.ndarray, where=True) -> float:
+    """The least of state_norms(states) over the rows where the (n,) mask
+    where holds (every row by default; at least one row must), bit for
+    bit.
 
     The square root is monotone and correctly rounded, so the root of the
     least squared norm is the least norm, and only one root is taken.  A
     squared norm is never -0.0 (a sum of squares is at least +0.0), so
-    np.min picks the same float that Python's min over the rows would.
+    the min picks the same float that Python's min over the rows would.
+    A row's squared norm does not depend on the other rows, so the min
+    is taken over the whole array under the mask, with no copy of the
+    selected rows: the same float as over states[where].
     """
-    return math.sqrt(np.min(_squared_norms(states)))
+    return math.sqrt(np.minimum.reduce(_squared_norms(states), where=where, initial=np.inf))
 
 
 class ScenarioTree:

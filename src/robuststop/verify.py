@@ -166,14 +166,17 @@ class _PCG64Words:
             )
         self._bg, self._start = bg, bg.state
         self._has, self._half = self._start["has_uint32"], self._start["uinteger"]
-        self._blocks = [bg.random_raw(n_words)]
-        self._words = self._blocks[0].tolist()
+        self._block = bg.random_raw(n_words)
+        # indexing a memoryview of the block gives Python ints, with no
+        # list of the words beside the block
+        self._words = memoryview(self._block)
         self._pos = 0
 
     def _read_to(self, end: int) -> None:
         if end > len(self._words):
-            self._blocks.append(self._bg.random_raw(max(end - len(self._words), 64)))
-            self._words += self._blocks[-1].tolist()
+            more = self._bg.random_raw(max(end - len(self._words), 64))
+            self._block = np.concatenate([self._block, more])
+            self._words = memoryview(self._block)
 
     def doubles(self, n: int) -> int:
         first = self._pos
@@ -207,7 +210,7 @@ class _PCG64Words:
         state = bg.state
         state["has_uint32"], state["uinteger"] = self._has, self._half
         bg.state = state
-        return (np.concatenate(self._blocks) >> 11) * 2.0**-53
+        return (self._block >> 11) * 2.0**-53
 
 
 def pair_sampler(grid, dim: int = 1, spread: float = 1.0):

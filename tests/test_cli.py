@@ -9,10 +9,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import robuststop
-from robuststop.cli import _build_parser, main
+from robuststop import (
+    ControlSet,
+    DriftSpec,
+    TimeGrid,
+    american_put,
+    expand_tree,
+    robust_envelope,
+)
+from robuststop.cli import _build_parser, _expand, _instance, main
 
 INST_A = {
     "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 1},
@@ -651,3 +660,48 @@ def test_solve_and_demo_outputs_are_pinned(tmp_path, capsys, command, name):
     for path in sorted(out.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert h.hexdigest() == PINNED_DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("name, n_steps", [("put", 5), ("d2", 4)])
+def test_stop_boundary_is_the_least_norm_of_the_stopped_rows(tmp_path, capsys, name,
+                                                             n_steps):
+    # a level with no stopped node reports "", any other the least
+    # np.linalg.norm among its stopped rows, gathered out, bit for bit
+    cfg = {**PINNED_SOLVE[name], "grid": {"t_end": 1.0, "n_steps": n_steps}}
+    code, report = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    inst = _instance(cfg)
+    tree = _expand(inst)
+    sol = robust_envelope(tree, inst[4])
+    got = [row["min_abs_state"] for row in report["stop_boundary"]]
+    want = []
+    for k in range(n_steps + 1):
+        rows = tree.states_at(k)[sol.stop[tree.level(k)]]
+        want.append(min(float(np.linalg.norm(r)) for r in rows) if len(rows) else "")
+    assert "" in want and want.count("") < len(want)
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMO))
+def test_demo_widening_values_are_the_envelope_root(tmp_path, capsys, name):
+    # each widening row's value is robust_envelope's root value, bit for
+    # bit, on the nested menu the rows up to it build
+    sec = PINNED_DEMO[name]["demo"]
+    out = tmp_path / "out"
+    assert main(["demo", "--config", write_config(tmp_path, PINNED_DEMO[name]),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    grid = TimeGrid(0.0, sec["t_end"], sec["n_steps"])
+    rows = [line.split(",") for line in (out / "widening.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(sec["strikes"]) * (sec["widenings"] + 1)
+    vols = []
+    for strike, step, lo, hi, size, value in rows:
+        if step == "0":
+            vols = [(sec["sigma_lo"] + sec["sigma_hi"]) / 2.0]
+        vols += [float(lo), float(hi)]
+        menu = ControlSet(sorted(set(vols)), cap=sec["sigma_hi"])
+        assert len(menu) == int(size)
+        tree = expand_tree(grid, 0.0, DriftSpec("zero"), menu)
+        Y = american_put(strike=float(strike), base=sec["base"])
+        want = robust_envelope(tree, Y).root_value()
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()

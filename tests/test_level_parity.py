@@ -32,6 +32,7 @@ from robuststop import (
     running_sum,
     terminal_abs,
 )
+from robuststop.cli import _expand, _instance, cmd_solve
 from robuststop.errors import SizeError
 from robuststop.model import (
     DEFAULT_NODE_CAP,
@@ -341,6 +342,23 @@ def test_rewards_and_envelope_allocate_little_beyond_their_outputs():
     Y = american_put(strike=1.0, base=0.0)
     assert _peak_bytes(lambda: reward_values(tree, Y)) <= 0.8e6
     assert _peak_bytes(lambda: robust_envelope(tree, Y)) <= 2.8e6
+
+
+def test_solve_summarises_levels_without_copying_rows(capsys):
+    # cmd_solve on the n = 8 put peaks where its expansion and envelope
+    # do: each level is summarised by reductions over views of it, where
+    # a copy of the stopped rows of the 512 KB leaf level adds 0.5 MB
+    cfg = {
+        "grid": {"t_end": 1.0, "n_steps": 8},
+        "dynamics": {"x0": 1.0, "drift": {"kind": "zero"}},
+        "controls": {"values": [0.5, 1.0], "cap": 1.0},
+        "reward": {"kind": "american-put", "strike": 1.0},
+    }
+    inst = _instance(cfg)
+    envelope = _peak_bytes(lambda: robust_envelope(_expand(inst), inst[4]))
+    solve = _peak_bytes(lambda: cmd_solve(cfg, None, 1))
+    assert len(capsys.readouterr().out) > 0
+    assert solve - envelope <= 0.1e6
 
 
 def test_deep_put_solves_in_bounded_memory():

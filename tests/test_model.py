@@ -132,7 +132,8 @@ def test_state_norms_match_per_row_norm():
 def test_min_state_norm_is_the_least_per_row_norm(d):
     # the least squared norm, rooted once, is the least np.linalg.norm of
     # a row, on states of signed zeros alone and mixed with small, large
-    # and random rows
+    # and random rows; under a mask, taken over the whole array, it is
+    # bit for bit the least over the selected rows gathered out
     rng = np.random.default_rng(11)
     zeros = np.array([[0.0] * d, [-0.0] * d, [0.0, -0.0][:d]])
     edge = np.array([5e-324, -1e-160, 1e-150, -3.0, 1e155])
@@ -147,6 +148,17 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
             got = min_state_norm(a)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        masks = [rng.random(len(a)) < p for p in (0.01, 0.5, 0.99)]
+        for mask in masks + [np.arange(len(a)) == len(a) - 1]:
+            if not mask.any():
+                continue
+            with np.errstate(over="ignore", under="ignore"):
+                want = min(np.linalg.norm(row) for row in a[mask])
+                gathered = min_state_norm(a[mask])
+                got = min_state_norm(a, where=mask)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(gathered).tobytes()
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_prefix_key_distinguishes_paths():
