@@ -32,7 +32,7 @@ import traceback
 
 import numpy as np
 
-from .envelope import backward_sweep, classic_snell, robust_envelope
+from .envelope import classic_snell, robust_envelope
 from .errors import ConfigError, RuleError, SizeError
 from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
 from .model import ControlSet, DriftSpec, expand_tree, min_state_norm, DEFAULT_NODE_CAP
@@ -43,7 +43,6 @@ from .reward import (
     constant_reward,
     custom_reward,
     lookback_max,
-    reward_values,
     running_sum,
     terminal_abs,
 )
@@ -265,10 +264,6 @@ def build_controls(cfg: dict) -> ControlSet:
         raise ConfigError("controls.values must be a nonempty list")
     mats = [_finite_array(v, "controls.values") for v in values]
     cap = _num(sec, "controls", "cap")
-    if cap is None:
-        cap = max(
-            float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(m))))) for m in mats
-        )
     try:
         return ControlSet(mats, cap=cap)
     except ValueError as exc:
@@ -718,11 +713,7 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             frac = j / widenings
             menu_vols += [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
             vols = sorted(set(menu_vols))
-            # only the root value is read: the envelope's sweep, without
-            # its stop test and tau* walk
-            wide = tree_of(vols, hi)
-            y = reward_values(wide, Y)
-            val = float(backward_sweep(wide, y, floor=y)[0][wide.root])
+            val = robust_envelope(tree_of(vols, hi), Y).root_value()
             if prev is not None and val > prev:
                 monotone = False
             prev = val

@@ -9,7 +9,8 @@ with v frozen where a stop mask holds.  backward_sweep runs that step;
 the public functions only choose its inputs:
 
 * robust_envelope: the worst-case envelope Z = max(Y, min_u E_u[Z next])
-  (floor Y), with the argmin control per node and the hitting time tau*;
+  (floor Y) and the argmin control per node, from which the stop region
+  {Z = Y} and the hitting time tau* are derived on first read;
 * classic_snell: the envelope under one fixed strategy (floor Y, one
   allowed control per reachable node);
 * nonlinear_expectation: the worst-case mean of leaf values (no floor);
@@ -42,7 +43,8 @@ per-node flags are one gather and no prefix key is built.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -263,12 +265,12 @@ def _y_array(tree, Y) -> np.ndarray:
 
 @dataclass
 class EnvelopeSolution:
-    """Worst-case envelope, per node, plus the stop region.
+    """Worst-case envelope per node, as the sweep leaves it.
 
     argmin_control is -1 at leaves.  stop holds Z <= Y + delta with a
     relative floating-point guard (_meets); tau maps each
     argmin-consistent scenario (outcome tuple, possibly partial) to its
-    first stopping index.
+    first stopping index.  Both are derived on first read and kept.
     """
 
     tree: object
@@ -276,8 +278,14 @@ class EnvelopeSolution:
     y: np.ndarray
     z: np.ndarray
     argmin_control: np.ndarray
-    stop: np.ndarray
-    tau: dict = field(repr=False)
+
+    @cached_property
+    def stop(self) -> np.ndarray:
+        return _meets(self.z, self.y, self.delta)
+
+    @cached_property
+    def tau(self) -> dict:
+        return _scenario_tau(self.tree, self.stop, self.argmin_control)
 
     def stop_flags(self, delta: float | None = None) -> np.ndarray:
         """Recompute the stop region for another delta >= 0 (guarded)."""
@@ -358,13 +366,12 @@ def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
 
     Y is a RewardFunctional or a precomputed per-node payoff array.  Ties
     in the control argmin go to the smallest control index, so the output
-    is deterministic.
+    is deterministic.  The stop region and tau* are derived on first read.
     """
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     y = _y_array(tree, Y)
-    z, argmin = backward_sweep(tree, y, floor=y)
-    flags = _meets(z, y, delta)
-    tau = _scenario_tau(tree, flags, argmin)
-    return EnvelopeSolution(tree, delta, y, z, argmin, flags, tau)
+    return EnvelopeSolution(tree, delta, y, *backward_sweep(tree, y, floor=y))
 
 
 @dataclass

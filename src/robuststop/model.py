@@ -145,11 +145,13 @@ class ControlSet:
 
     Scalars are accepted for d = 1.  The menu is deduplicated and sorted
     lexicographically on the matrix entries, so control indices are a
-    stable total order.
+    stable total order.  Without a cap, the cap is the largest operator
+    norm on the menu.
     """
 
-    def __init__(self, controls, cap: float):
+    def __init__(self, controls, cap: float | None = None):
         mats = []
+        norms = []
         for u in controls:
             m = np.asarray(u, dtype=np.float64)
             if m.ndim == 0:
@@ -161,10 +163,11 @@ class ControlSet:
             eig = np.linalg.eigvalsh(m)
             if eig[0] <= 0:
                 raise ValueError(f"control must be positive definite, eigenvalues {eig}")
-            if eig[-1] > cap * (1 + 1e-12):
+            if cap is not None and eig[-1] > cap * (1 + 1e-12):
                 raise ValueError(f"control norm {eig[-1]} exceeds cap {cap}")
             m.setflags(write=False)
             mats.append(m)
+            norms.append(float(eig[-1]))
         if not mats:
             raise ValueError("control set must be nonempty")
         dims = {m.shape[0] for m in mats}
@@ -173,7 +176,7 @@ class ControlSet:
         # dedupe on exact entries, then sort lexicographically
         uniq = {tuple(m.flat): m for m in mats}
         self.controls = [uniq[key] for key in sorted(uniq)]
-        self.cap = float(cap)
+        self.cap = max(norms) if cap is None else float(cap)
         self.dim = self.controls[0].shape[0]
 
     def __len__(self):
@@ -204,17 +207,12 @@ def _control_kernel(u, dt: float) -> tuple[np.ndarray, np.ndarray]:
     For d = 1, c_0 = u * sqrt(dt); for d > 1, c_j is column j of u
     scaled by sqrt(d * dt), so the increments have mean zero and
     covariance u u^T dt.  Adding the drift shift gives shift + c_j and
-    shift + (-c_j), bit for bit the same as shift - c_j.
+    shift + (-c_j), bit for bit the same as shift - c_j.  u is a
+    ControlSet entry, so it is square and positive definite already.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 0:
-        u = u.reshape(1, 1)
     d = u.shape[0]
-    eig = np.linalg.eigvalsh(u)
-    if eig[0] <= 0:
-        raise ValueError(f"control must be positive definite, eigenvalues {eig}")
     if d == 1:
         cols = float(u[0, 0]) * math.sqrt(dt)
     else:

@@ -21,7 +21,7 @@ negative tests, and the cli's --mutate flag runs the same demonstrations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,18 +67,21 @@ class CheckReport:
     """Outcome of one check.
 
     worst is the largest violation encountered (signed: anything at or
-    below tolerance passes); n_checked counts the work the worst was
-    taken over, such as samples or tree nodes (each check says which).
-    details holds check-specific diagnostics, all JSON-friendly scalars
-    and lists.
+    below tolerance passes, and a NaN worst fails); n_checked counts the
+    work the worst was taken over, such as samples or tree nodes (each
+    check says which).  details holds check-specific diagnostics, all
+    JSON-friendly scalars and lists.
     """
 
     name: str
-    passed: bool
     worst: float
     tolerance: float
     n_checked: int
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -120,6 +123,16 @@ def _jsonable(obj):
 # the fixed cost per chunk is paid off, and larger chunks only add
 # cache misses.
 SAMPLE_CHUNK = 2048
+
+
+def _max_or_nan(worst: float, values) -> float:
+    """Python's max over worst and then values, in that order, so that
+    ties between 0.0 and -0.0 resolve as a per-draw max would; NaN when
+    a value is NaN, which max would skip unless it came first."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        return math.nan
+    return max([worst] + values.tolist())
 
 
 def _per_index(fn, ks) -> np.ndarray:
@@ -291,10 +304,9 @@ def check_y1(
         lhs = reward(k1, om1) - reward(k2, om2)
         times = om1.grid.times()
         rhs = Y.modulus(dist_dinfty(times[k1], om1, times[k2], om2))
-        worst = max([worst] + (lhs - rhs).tolist())
+        worst = _max_or_nan(worst, lhs - rhs)
     return CheckReport(
         name="y1",
-        passed=worst <= tolerance,
         worst=float(worst),
         tolerance=tolerance,
         n_checked=n,
@@ -384,11 +396,10 @@ def check_drift(
         sup = _per_index(lambda k, ids: np.max(gap[ids, : k + 1], axis=1), ks)
         lip = state_norms(b1 - b2) - spec.kappa * sup
         # scan growth_0, lip_0, growth_1, ...: the order of a per-draw
-        # max(worst, growth, lip), so ties between 0.0 and -0.0 resolve alike
-        worst = max([worst] + np.column_stack([growth, lip]).ravel().tolist())
+        # max(worst, growth, lip)
+        worst = _max_or_nan(worst, np.column_stack([growth, lip]).ravel())
     return CheckReport(
         name="drift-bounds",
-        passed=worst <= tolerance,
         worst=float(worst),
         tolerance=tolerance,
         n_checked=2 * n,
@@ -410,7 +421,6 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     worst = max(worst, leaf_gap)
     return CheckReport(
         name="envelope-basic",
-        passed=worst <= 0.0,
         worst=worst,
         tolerance=0.0,
         n_checked=tree.n_nodes + tree.offsets[-1] - tree.offsets[-2],
@@ -430,8 +440,7 @@ def check_supermartingale(
     violation is >= 0 up to rounding.
     """
     worst = float(np.max(backward_sweep(tree, sol.z, floor=sol.z)[0] - sol.z))
-    return CheckReport("supermartingale", worst <= tolerance, worst, tolerance,
-                       tree.n_nodes)
+    return CheckReport("supermartingale", worst, tolerance, tree.n_nodes)
 
 
 def check_martingale_to_tau(
@@ -452,7 +461,7 @@ def check_martingale_to_tau(
     lower = backward_sweep(tree, z, ceiling=z, stop=stop)[0]
     reached = forward_pass(tree, stops=stop.__getitem__)[0]
     worst = float(np.max(np.maximum(upper - z, z - lower)[reached]))
-    return CheckReport("martingale-to-tau", worst <= tolerance, worst, tolerance,
+    return CheckReport("martingale-to-tau", worst, tolerance,
                        int(np.count_nonzero(reached)))
 
 
@@ -470,7 +479,7 @@ def _dpp_check(name, tree, sol, cut, tolerance, details) -> CheckReport:
     """
     recomputed = float(backward_sweep(tree, sol.z, floor=sol.y, stop=cut)[0][tree.root])
     worst = abs(recomputed - sol.root_value())
-    return CheckReport(name, worst <= tolerance, worst, tolerance, tree.n_nodes,
+    return CheckReport(name, worst, tolerance, tree.n_nodes,
                        {**details, "recomputed_root": recomputed})
 
 
@@ -504,21 +513,25 @@ def check_dpp_random_horizon(
 # ---------------------------------------------------------------------------
 # hitting-time ladder
 
+# Longest halving ladder of deltas that check_tau_monotone walks.
+MAX_HALVINGS = 60
 
-def check_tau_monotone(sol: EnvelopeSolution, max_halvings: int = 60) -> CheckReport:
+
+def check_tau_monotone(sol: EnvelopeSolution) -> CheckReport:
     """The delta-relaxed hitting times decrease to tau_star as delta grows,
     i.e. tighten monotonically as delta shrinks, and reach it.
 
-    Runs tau_delta down a halving ladder until delta is below half the
-    smallest positive envelope-reward gap, where the hitting time must
-    coincide with tau_star (and with the stored scenario map when the
-    solution was built at delta = 0).  Exact: integer time indices.
+    Runs tau_delta down a halving ladder of at most MAX_HALVINGS deltas
+    until delta is below half the smallest positive envelope-reward gap,
+    where the hitting time must coincide with tau_star (and with the
+    stored scenario map when the solution was built at delta = 0).
+    Exact: integer time indices.
     """
     tau_star = tau_delta(sol, 0.0)
     gaps = (sol.z - sol.y)[~sol.stop_flags(0.0)]
     limit = float(np.min(gaps)) / 2.0 if gaps.size else 1.0
     deltas = [1.0]
-    while deltas[-1] >= limit and len(deltas) < max_halvings:
+    while deltas[-1] >= limit and len(deltas) < MAX_HALVINGS:
         deltas.append(deltas[-1] / 2.0)
     ladder = [tau_delta(sol, d) for d in deltas]
 
@@ -544,7 +557,6 @@ def check_tau_monotone(sol: EnvelopeSolution, max_halvings: int = 60) -> CheckRe
         worst = max(worst, 1.0)
     return CheckReport(
         name="tau-monotone",
-        passed=worst <= 0.0,
         worst=worst,
         tolerance=0.0,
         n_checked=n_checked + 2,
@@ -612,18 +624,16 @@ def check_continuity_in_prehistory(
         dist = float(np.max(np.linalg.norm(pre1 - pre2, axis=1)))
         dz = abs(root_value(pre1) - root_value(pre2))
         if rho1 is not None:
-            worst = max(worst, dz - float(rho1(dist)))
+            worst = _max_or_nan(worst, [dz - float(rho1(dist))])
         elif dist == 0.0:
             n_zero += 1
-            worst_zero = max(worst_zero, dz)
+            worst_zero = _max_or_nan(worst_zero, [dz])
         else:
-            kappa_fit = max(kappa_fit, dz / dist)
+            kappa_fit = _max_or_nan(kappa_fit, [dz / dist])
     if rho1 is None:
         worst = worst_zero
-    passed = worst <= tolerance
     return CheckReport(
         name="prehistory-continuity",
-        passed=passed,
         worst=float(worst),
         tolerance=tolerance,
         n_checked=n_pairs,
@@ -639,30 +649,34 @@ def check_continuity_in_prehistory(
 # ---------------------------------------------------------------------------
 # Monte Carlo moment scaling
 
+# Step sizes of check_sde_moments, the window its fitted log-log slope
+# must land in, and its room for sampling noise in the Doob bound.
+MOMENT_DELTAS = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8)
+SLOPE_WINDOW = (0.4, 0.6)
+DOOB_SLACK = 0.05
+
 
 def check_sde_moments(
     u=1.0,
     n_steps: int = 16,
-    deltas=(2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8),
     n_paths: int = 100_000,
     seed: int = 20260815,
-    slope_window=(0.4, 0.6),
-    doob_slack: float = 0.05,
     drift: DriftSpec | None = None,
     drift_bound: float | None = None,
     tolerance: float = 0.0,
 ) -> CheckReport:
     """Scaling of the running supremum of driftless Euler paths.
 
-    For each step size, n_steps Gaussian steps are simulated and the mean
-    of sup_k |X_k| (and its square) estimated.  The fitted log-log slope
-    against the horizon must land in slope_window for the first moment
-    and in twice the window for the second; the second moment must also
-    respect four times the terminal variance (with doob_slack of room for
-    sampling noise).  When a drift and its sup bound are supplied, drifted
-    paths stepped on the same normals must obey the pathwise transfer
-    mean sup |X| <= mean sup |M| + bound * horizon.  Only the per-path
-    suprema are kept, never the paths.
+    For each step size in MOMENT_DELTAS, n_steps Gaussian steps are
+    simulated and the mean of sup_k |X_k| (and its square) estimated.
+    The fitted log-log slope against the horizon must land in
+    SLOPE_WINDOW for the first moment and in twice the window for the
+    second; the second moment must also respect four times the terminal
+    variance (with DOOB_SLACK of room for sampling noise).  When a drift
+    and its sup bound are supplied, drifted paths stepped on the same
+    normals must obey the pathwise transfer mean sup |X| <= mean sup |M|
+    + bound * horizon.  Only the per-path suprema are kept, never the
+    paths.
     """
     if drift is not None and drift_bound is None:
         raise ValueError("transfer check needs the drift's sup bound")
@@ -672,7 +686,7 @@ def check_sde_moments(
     m1 = []
     m2 = []
     m1_drift = []
-    for i, dlt in enumerate(deltas):
+    for i, dlt in enumerate(MOMENT_DELTAS):
         grid_i = TimeGrid(0.0, n_steps * dlt, n_steps)
         sups = simulate_sup_distances(grid_i, 0.0, drifts, um, n_paths, seed + i)
         sup = sups[0]
@@ -694,31 +708,30 @@ def check_sde_moments(
         slope2 = float(np.polyfit(logt, np.log(m2), 1)[0])
         details["slope_p1"] = slope1
         details["slope_p2"] = slope2
-        lo, hi = slope_window
+        lo, hi = SLOPE_WINDOW
         excesses += [lo - slope1, slope1 - hi, 2 * lo - slope2, slope2 - 2 * hi]
         var_rate = float(np.trace(um @ um.T))
-        doob = max(
-            m2_i - 4.0 * var_rate * t_i * (1.0 + doob_slack)
+        doob = _max_or_nan(-math.inf, [
+            m2_i - 4.0 * var_rate * t_i * (1.0 + DOOB_SLACK)
             for m2_i, t_i in zip(m2, horizons)
-        )
+        ])
         details["doob_excess"] = doob
         excesses.append(doob)
     if drift is not None:
-        transfer = max(
+        transfer = _max_or_nan(-math.inf, [
             md - (m0 + drift_bound * t)
             for md, m0, t in zip(m1_drift, m1, horizons)
-        )
+        ])
         details["transfer_excess"] = transfer
         details["m1_drift"] = m1_drift
         excesses.append(transfer)
 
-    worst = float(max(excesses)) if excesses else 0.0
+    worst = _max_or_nan(-math.inf, excesses) if excesses else 0.0
     return CheckReport(
         name="moment-scaling",
-        passed=worst <= tolerance,
         worst=worst,
         tolerance=tolerance,
-        n_checked=len(deltas) * n_paths,
+        n_checked=len(MOMENT_DELTAS) * n_paths,
         details=details,
     )
 
@@ -732,7 +745,8 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
 
     Default target is the first interior node still strictly above its
     reward (the root, failing that), where a downward shift contradicts
-    both martingale laws.  Stop flags and the scenario map are kept, so
+    both martingale laws.  The copy keeps the original's stop region, and
+    so its scenario map, rather than deriving them from the shifted z, so
     the corruption is visible to every consistency check.
     """
     if node is None:
@@ -740,28 +754,17 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
         node = int(going[0]) if len(going) else sol.tree.root
     z = sol.z.copy()
     z[node] += amount
-    return EnvelopeSolution(
-        sol.tree,
-        sol.delta,
-        sol.y,
-        z,
-        sol.argmin_control.copy(),
-        sol.stop.copy(),
-        dict(sol.tau),
-    )
+    bad = replace(sol, z=z)
+    bad.stop = sol.stop
+    return bad
 
 
 def corrupt_tau(sol: EnvelopeSolution):
-    """Copy of a solution whose stored scenario map lies about one stop."""
+    """Copy of a solution whose stored scenario map lies about one stop;
+    its stop region is the original's."""
     tau = dict(sol.tau)
-    key = next(iter(sorted(tau)))
+    key = min(tau)
     tau[key] = 0 if tau[key] > 0 else sol.tree.grid.n_steps
-    return EnvelopeSolution(
-        sol.tree,
-        sol.delta,
-        sol.y,
-        sol.z.copy(),
-        sol.argmin_control.copy(),
-        sol.stop.copy(),
-        tau,
-    )
+    bad = replace(sol)
+    bad.stop, bad.tau = sol.stop, tau
+    return bad

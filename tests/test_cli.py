@@ -358,15 +358,16 @@ def test_parser_is_shared_and_keeps_no_flag_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
-def test_one_shot_entry_point_matches_main(tmp_path, capsys):
+def entry(*argv):
+    """python -m robuststop argv in a subprocess, on this package."""
     src = os.path.dirname(os.path.dirname(robuststop.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "robuststop", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, timeout=120)
 
-    def entry(*argv):
-        return subprocess.run([sys.executable, "-m", "robuststop", *argv],
-                              env=env, capture_output=True, timeout=120)
 
+def test_one_shot_entry_point_matches_main(tmp_path, capsys):
     assert entry("--help").returncode == 0
     cfg = write_config(tmp_path, PUT_N2)
     one_shot = entry("solve", "--config", cfg)
@@ -512,6 +513,33 @@ def test_scalar_reward_on_a_vector_state_is_config_error(tmp_path, capsys):
            "controls": {"values": [[[1.0, 0.0], [0.0, 1.0]]], "cap": 1.0}}
     assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
     assert "reward.kind" in capsys.readouterr().err
+
+
+def test_non_square_control_is_config_error_with_or_without_a_cap(tmp_path, capsys):
+    # the default cap comes from the eigenvalues ControlSet takes after
+    # checking the shape; without a cap this exited 4 with a LinAlgError
+    for controls in ({"values": [[1.0, 2.0]]}, {"values": [[1.0, 2.0]], "cap": 1.0}):
+        cfg = {**PUT_N2, "controls": controls}
+        assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "bad controls: control must be a square matrix" in capsys.readouterr().err
+
+
+def test_sampled_checks_fail_on_nan_values(tmp_path):
+    # 10 * (1e308 - x) overflows the put's payoff to inf, so the y1 and
+    # prehistory violations are inf - inf = NaN; numpy's overflow warning
+    # is an error under pytest, so the run goes in a subprocess
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 4}, "dynamics": {"x0": 1.0},
+           "controls": {"values": [0.5]},
+           "reward": {"kind": "american-put", "strike": 1e308, "scale": 10}}
+    done = entry("verify", "--config", write_config(tmp_path, cfg), "--suite",
+                 "y1,prehistory")
+    assert done.returncode == 1
+    report = json.loads(done.stdout)
+    assert sorted(report["checks"]) == ["prehistory", "y1"]
+    for check in report["checks"].values():
+        assert check["passed"] is False
+        assert math.isnan(check["worst"])
+    assert report["all_passed"] is False and report["ok"] is False
 
 
 # (command, suite, config, key named): counts and caps below 1, a

@@ -25,6 +25,7 @@ from robuststop import (
     stopped_value,
     tau_delta,
 )
+import robuststop.envelope as envelope_module
 from robuststop.envelope import forward_pass
 
 
@@ -121,6 +122,36 @@ def test_stop_flags_reject_a_negative_delta(put_n2):
         with pytest.raises(ValueError, match="delta must be >= 0"):
             call(-1.0)
     assert np.array_equal(sol.stop_flags(0.0), sol.stop)
+
+
+def test_envelope_rejects_a_negative_delta_at_the_call(put_n2):
+    # the stop region is derived on first read, but a bad delta still
+    # fails where it is passed
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        robust_envelope(*put_n2, delta=-1.0)
+
+
+def test_stop_region_and_tau_are_derived_on_first_read(monkeypatch, put_n3):
+    calls = {"_meets": 0, "_scenario_tau": 0}
+    for name in calls:
+        real = getattr(envelope_module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(envelope_module, name, counted)
+    tree, Y = put_n3
+    sol = robust_envelope(tree, Y)
+    assert calls == {"_meets": 0, "_scenario_tau": 0}
+    assert abs(sol.root_value() - math.sqrt(3.0) / 8.0) <= 1e-12
+    assert calls == {"_meets": 0, "_scenario_tau": 0}
+    tau = sol.tau
+    assert calls == {"_meets": 1, "_scenario_tau": 1}
+    # each is computed once and kept
+    assert sol.tau is tau and sol.stop is sol.stop
+    assert calls == {"_meets": 1, "_scenario_tau": 1}
+    assert np.array_equal(sol.stop, envelope_module._meets(sol.z, sol.y, 0.0))
 
 
 def test_stop_rule_map_scales_to_the_deep_put():

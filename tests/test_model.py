@@ -68,6 +68,17 @@ def test_control_set_matrix_controls():
         ControlSet([np.array([[1.0, 0.8], [-0.8, 1.0]])], cap=2.0)
 
 
+def test_control_set_default_cap_is_the_largest_norm():
+    # the float the config front end took as its default cap: the largest
+    # absolute eigenvalue over the menu, with duplicates
+    for controls in ([0.5, 0.7, 0.7], [np.array([[1.0, 0.2], [0.2, 0.5]])] * 2):
+        want = max(float(np.max(np.abs(np.linalg.eigvalsh(np.atleast_2d(m)))))
+                   for m in controls)
+        assert ControlSet(controls).cap == want
+    with pytest.raises(ValueError, match="square matrix"):
+        ControlSet([[1.0, 2.0]])
+
+
 def _row(tree, i):
     """Time index and state prefix of node i, from the level layout."""
     l = next(l for l in range(len(tree.states)) if i < tree.offsets[l + 1])

@@ -2,6 +2,7 @@
 the check rejects a deliberately corrupted one."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import robuststop.verify as verify_module
 
+from conftest import make_put, random_instance
 from robuststop import (
     ControlSet,
     DriftSpec,
@@ -77,6 +79,40 @@ def test_y1_rejects_time_decaying_reward():
         lambda k, track: float(k), ModulusSpec("linear", 0.0), lower_bound=0.0
     )
     assert check_y1(up, pair_sampler(grid), 500).passed
+
+
+NAN_REWARD = custom_reward(lambda k, track: math.nan, ModulusSpec("linear", 1.0), 0.0)
+
+
+def _fails_with_nan(report):
+    # as the tree checks report it: a NaN worst, and a failure
+    assert math.isnan(report.worst)
+    assert not report.passed
+    assert report.as_dict()["passed"] is False
+
+
+def test_y1_fails_on_a_nan_reward():
+    # Python's max skips a NaN that does not come first, so this passed
+    # with worst -inf
+    _fails_with_nan(check_y1(NAN_REWARD, pair_sampler(TimeGrid(0.0, 1.0, 3)), 500))
+
+
+def test_drift_fails_on_a_nan_rate():
+    grid = TimeGrid(0.0, 1.0, 3)
+    sampler = prefix_sampler(grid, ControlSet([0.5, 1.0], cap=1.0))
+    _fails_with_nan(check_drift(DriftSpec("mean-reversion", rate=math.nan), sampler, 400))
+
+
+@pytest.mark.parametrize("rho1", [ModulusSpec("linear", 1.0), None])
+def test_continuity_fails_on_a_nan_reward(rho1):
+    grid = TimeGrid(0.0, 1.0, 3)
+    controls = ControlSet([0.5, 1.0], cap=1.0)
+    report = check_continuity_in_prehistory(
+        grid, DriftSpec("zero"), controls, NAN_REWARD, split=1, rho1=rho1, n_pairs=4
+    )
+    _fails_with_nan(report)
+    if rho1 is None:
+        assert math.isnan(report.details["kappa_fit"])
 
 
 def test_drift_zero_and_bounded_rate_pass():
@@ -329,6 +365,15 @@ def test_sde_moments_drift_transfer():
     assert not lying.passed
 
 
+def test_sde_moments_fail_on_a_nan_drift():
+    # the transfer excesses are NaN, and the max over the excesses skipped
+    # them, so this passed on the driftless slopes alone
+    nan_drift = DriftSpec("mean-reversion", rate=math.nan)
+    report = check_sde_moments(n_paths=2_000, drift=nan_drift, drift_bound=1.0)
+    _fails_with_nan(report)
+    assert math.isnan(report.details["transfer_excess"])
+
+
 def test_sde_moments_drift_without_bound_fails_before_simulating(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the arguments")
@@ -365,6 +410,33 @@ def test_corrupt_helpers_leave_original_alone(put_sol):
     assert sol.tau == tau_before
     assert not np.array_equal(bad_z.z, z_before)
     assert bad_tau.tau != tau_before
+    # corrupt_tau lies about one scenario's stop and changes nothing else
+    assert bad_tau.tau.keys() == tau_before.keys()
+    assert sum(bad_tau.tau[key] != t for key, t in tau_before.items()) == 1
+    for name in ("y", "z", "argmin_control", "stop"):
+        assert getattr(bad_tau, name).tobytes() == getattr(sol, name).tobytes()
+    assert (bad_tau.tree, bad_tau.delta) == (sol.tree, sol.delta)
+
+
+@pytest.mark.parametrize("instance", ["put-3", "pool-0"])
+def test_corrupt_envelope_keeps_the_original_stop_region(instance):
+    # the copy's stop region is the original's, never one derived from
+    # its shifted z, even when the original's was not read before; pool-0
+    # is the first draw from the acceptance and certify pool seed
+    if instance == "put-3":
+        tree, Y = make_put(3)
+    else:
+        tree, Y = random_instance(np.random.default_rng(20260815))
+    want = robust_envelope(tree, Y)
+    flipped = 0
+    for node in (None, tree.offsets[-2], tree.root):
+        for amount in (-0.1, 0.1):
+            bad = corrupt_envelope(robust_envelope(tree, Y), node=node, amount=amount)
+            assert bad.stop.tobytes() == want.stop.tobytes()
+            assert bad.tau == want.tau
+            flipped += not np.array_equal(bad.stop_flags(0.0), want.stop)
+    # some shifts move the stop region that the shifted z alone gives
+    assert flipped > 0
 
 
 # the verify-sampled bench config and a d = 2 one, each with the reward
