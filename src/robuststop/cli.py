@@ -206,7 +206,19 @@ def build_grid(cfg: dict) -> TimeGrid:
     t_end = _num(sec, "grid", "t_end")
     if not t_end > t_start:
         raise ConfigError(f"grid.t_end must exceed grid.t_start, got [{t_start}, {t_end}]")
-    return TimeGrid(t_start, t_end, n)
+    grid = TimeGrid(t_start, t_end, n)
+    try:
+        dt = grid.dt
+    except OverflowError:  # an n_steps beyond the float range
+        dt = 0.0
+    # a subnormal step loses precision and one that underflows to 0 has no
+    # kernel, so the step must be a positive normal float
+    if not dt >= sys.float_info.min:
+        raise ConfigError(
+            f"grid.t_end - grid.t_start over grid.n_steps must give a positive "
+            f"normal float step, got {dt!r} for [{t_start}, {t_end}] in {n} steps"
+        )
+    return grid
 
 
 def build_dynamics(cfg: dict, grid: TimeGrid, dim: int):

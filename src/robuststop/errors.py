@@ -19,11 +19,20 @@ class SizeError(ValueError):
     """A construction or enumeration exceeds its configured cap."""
 
     @classmethod
-    def over_cap(cls, count: int, what: str, cap: int, key: str) -> "SizeError":
+    def over_cap(
+        cls, count: int | None, what: str, cap: int, key: str, log10_count=None
+    ) -> "SizeError":
         """count items of a kind exceed cap; the message names the config
         key that sets the cap.  A count of 13 digits or more is given as
-        a power of ten: Python refuses to print an int past 4300 digits."""
-        size = str(count) if count < 10**12 else f"about 10^{int(math.log10(count))}"
+        a power of ten: Python refuses to print an int past 4300 digits.
+        A count too large to build is passed as None, with its
+        log10_count (12 or more), which is read only then."""
+        if count is None:
+            size = f"about 10^{int(log10_count)}"
+        elif count < 10**12:
+            size = str(count)
+        else:
+            size = f"about 10^{int(math.log10(count))}"
         return cls(f"{size} {what} exceed the cap {cap}; raise {key} to allow more")
 
 

@@ -64,6 +64,7 @@ __all__ = [
     "count_strategies",
     "strategy_table",
     "stop_set_table",
+    "stop_set_max",
     "enumerate_stopping_rules",
     "enumerate_strategies",
     "expected_reward",
@@ -77,6 +78,7 @@ __all__ = [
 RULE_PREFIX_CAP = 22
 STRATEGY_CAP = 1_000_000
 STOP_TIME_CAP = 500_000
+_SLAB = 1 << 14  # entries of the root's min grid that stop_set_max holds at once
 
 
 class ControlStrategy:
@@ -235,8 +237,25 @@ def strategy_table(tree, y) -> np.ndarray:
     return tab[0]
 
 
-def stop_set_table(tree, vals) -> np.ndarray:
-    """Worst-case mean of vals frozen at every stopping set, at the root.
+def _min_grid(acc, rows=slice(None)) -> np.ndarray:
+    """Per node, the min over controls of its per-control folds acc,
+    shape (n, C, P), at every combination of one fold row per control,
+    control 0's row the most significant: shape (n, P**C), or with rows
+    only control 0's rows in that slice."""
+    n, C, _ = acc.shape
+    cont = None
+    for ci in range(C):
+        part = acc[:, ci, rows] if ci == 0 else acc[:, ci]
+        shape = [n] + [1] * C
+        shape[1 + ci] = part.shape[1]
+        part = part.reshape(shape)
+        cont = part if cont is None else np.minimum(cont, part)
+    return cont.reshape(n, -1)
+
+
+def _stop_set_fold(tree, vals) -> np.ndarray:
+    """The root's per-control fold of its children's stopping-set tables,
+    shape (C, P): every level below the root of stop_set_table, run once.
 
     Level by level from the leaves, row r of a node's table is the
     backward min over controls of the expectation of vals frozen at
@@ -246,24 +265,48 @@ def stop_set_table(tree, vals) -> np.ndarray:
     which is a superset of the prefix-adapted rules; without a prefix
     collision they induce exactly those rules.  Each table is swept with
     the same left-to-right fold as backward_sweep, so its values stay
-    exactly comparable with the envelope's.
+    exactly comparable with the envelope's.  A tree that is only a root
+    has no fold: P is 0.
     """
     C, B = tree.weights.shape
     off = tree.offsets
     tab = vals[off[-2]:off[-1], None]
     for lo, hi in reversed(list(zip(off, off[1:-1]))):
-        n = hi - lo
-        acc = _fold(tree, tab.reshape(n, C, B, -1))
-        P = acc.shape[2]
-        cont = None
-        for ci in range(C):
-            shape = [n] + [1] * C
-            shape[1 + ci] = P
-            part = acc[:, ci].reshape(shape)
-            cont = part if cont is None else np.minimum(cont, part)
-        cont = np.broadcast_to(cont, [n] + [P] * C).reshape(n, -1)
-        tab = np.concatenate([vals[lo:hi, None], cont], axis=1)
-    return tab[0]
+        acc = _fold(tree, tab.reshape(hi - lo, C, B, -1))
+        if lo == 0:
+            return acc[0]
+        tab = np.concatenate([vals[lo:hi, None], _min_grid(acc)], axis=1)
+    return np.empty((C, 0))
+
+
+def stop_set_table(tree, vals) -> np.ndarray:
+    """Worst-case mean of vals frozen at every stopping set, at the root:
+    the immediate stop, then the min over controls of the root's fold at
+    every combination of its children's stopping sets (see
+    _stop_set_fold)."""
+    acc = _stop_set_fold(tree, vals)
+    return np.concatenate([vals[tree.root, None], _min_grid(acc[None])[0]])
+
+
+def stop_set_max(tree, vals) -> float:
+    """np.max(stop_set_table(tree, vals)), bit for bit, without the root's
+    table: its min grid is reduced in slabs of control-0 rows of about
+    _SLAB entries each, so memory stays at the root's fold plus one slab.
+
+    A max of nonzero floats has the same bits whatever order the entries
+    are compared in.  A zero may be either sign and a NaN any payload, so
+    on those the table itself is built and reduced as before.
+    """
+    acc = _stop_set_fold(tree, vals)
+    C, P = acc.shape
+    step = max(1, _SLAB // max(P, 1) ** (C - 1))
+    maxima = [vals[tree.root]]
+    for a in range(0, P, step):
+        maxima.append(np.max(_min_grid(acc[None], slice(a, a + step))))
+    best = np.max(maxima)
+    if best == 0.0 or np.isnan(best):
+        best = np.max(stop_set_table(tree, vals))
+    return best
 
 
 @dataclass
@@ -305,8 +348,9 @@ def game_values(
 
     The upper value is the min of the strategy table, and the optimal
     strategy is the enumerated strategy at its first minimal row.  The
-    lower value is the max of the stopping-set table when prefixes are
-    unique, and otherwise the max over all 2^m rules on the non-terminal
+    lower value is the max of the stopping-set table (stop_set_max, which
+    never builds the table's root row) when prefixes are unique, and
+    otherwise the max over all 2^m rules on the non-terminal
     prefix classes of the controller's best response.  The inequality
     lower <= upper is asserted exactly, before any tolerance enters.
     """
@@ -342,7 +386,7 @@ def game_values(
             if v > lower:
                 lower = v
     else:
-        lower = np.max(stop_set_table(tree, y))
+        lower = stop_set_max(tree, y)
 
     assert lower <= upper, f"minimax inequality violated: {lower} > {upper}"
 

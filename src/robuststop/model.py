@@ -39,6 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -434,13 +435,30 @@ def _child_peaks(peak: np.ndarray, kids: np.ndarray) -> np.ndarray:
     return np.maximum(peak[:, None, :], kids).reshape(-1, kids.shape[2])
 
 
-def _projected_node_count(n_levels: int, fanout: int) -> int:
+def _projected_node_count(n_levels: int, fanout: int, cap=math.inf) -> int:
+    """Nodes of the complete tree with n_levels levels below the root and
+    fanout children per node, counted level by level.  The count stops
+    as soon as it passes cap, so it takes about log(cap) steps at most,
+    and a result above cap says only that the tree is over it."""
     total = 0
     level = 1
     for _ in range(n_levels + 1):
         total += level
+        if total > cap:
+            break
         level *= fanout
     return total
+
+
+def _node_cap_error(n_levels: int, fanout: int, cap: int) -> SizeError:
+    """The error for a tree over cap.  Its node count is
+    (F^(L+1) - 1) / (F - 1), with F = fanout >= 2 and L = n_levels.  At
+    10^12 and over the message gives a power of ten from logarithms of
+    that form, taken in exact rationals so that no n_levels overflows a
+    float; below, the exact count."""
+    log10 = (n_levels + 1) * Fraction(math.log10(fanout)) - Fraction(math.log10(fanout - 1))
+    count = _projected_node_count(n_levels, fanout) if log10 < 13 else None
+    return SizeError.over_cap(count, "tree nodes", cap, "solver.node_cap", log10)
 
 
 def expand_tree(
@@ -488,9 +506,8 @@ def expand_tree(
     weights = np.array([w for _, w in kernels])  # (C, B)
     weights.setflags(write=False)
     fanout = weights.size
-    projected = _projected_node_count(grid.n_steps - k0, fanout)
-    if projected > node_cap:
-        raise SizeError.over_cap(projected, "tree nodes", node_cap, "solver.node_cap")
+    if _projected_node_count(grid.n_steps - k0, fanout, node_cap) > node_cap:
+        raise _node_cap_error(grid.n_steps - k0, fanout, node_cap)
 
     root = root_prefix.copy()
     states = [root[-1:].copy()]

@@ -358,13 +358,13 @@ def test_parser_is_shared_and_keeps_no_flag_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
-def entry(*argv):
+def entry(*argv, timeout=120):
     """python -m robuststop argv in a subprocess, on this package."""
     src = os.path.dirname(os.path.dirname(robuststop.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "robuststop", *argv],
                           env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, timeout=120)
+                          capture_output=True, timeout=timeout)
 
 
 def test_one_shot_entry_point_matches_main(tmp_path, capsys):
@@ -542,8 +542,20 @@ def test_sampled_checks_fail_on_nan_values(tmp_path):
     assert report["all_passed"] is False and report["ok"] is False
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
+    # a level-by-level count of 10^300 levels never ends, so the run goes
+    # in a subprocess that a timeout stops
+    cfg = {**PUT_N2, "grid": {"t_end": 1.0, "n_steps": 1e300}}
+    done = entry(command, "--config", write_config(tmp_path, cfg), timeout=20)
+    assert done.returncode == 3
+    assert b"solver.node_cap" in done.stderr
+    assert b"about 10^60205999132796" in done.stderr
+
+
 # (command, suite, config, key named): counts and caps below 1, a
-# non-positive spread or tolerance, a split off the grid, an empty grid
+# non-positive spread or tolerance, a split off the grid, an empty grid,
+# a step that underflows to 0.0 or an n_steps past the float range
 OUT_OF_RANGE = {
     "n-samples-0": ("verify", "y1", {"verify": {"n_samples": 0}}, "verify.n_samples"),
     "prehistory-pairs-0": (
@@ -561,6 +573,15 @@ OUT_OF_RANGE = {
     "t-end-equals-t-start": (
         "solve", None, {"grid": {"t_start": 0.5, "t_end": 0.5, "n_steps": 2}},
         "grid.t_end",
+    ),
+    "t-end-underflows-solve": (
+        "solve", None, {"grid": {"t_end": 5e-324, "n_steps": 3}}, "grid.t_end"
+    ),
+    "t-end-underflows-oracle": (
+        "oracle", None, {"grid": {"t_end": 5e-324, "n_steps": 3}}, "grid.t_end"
+    ),
+    "n-steps-past-the-float-range": (
+        "solve", None, {"grid": {"t_end": 1e10, "n_steps": 10**400}}, "grid.n_steps"
     ),
     "tolerance-negative": ("oracle", None, {"solver": {"tolerance": -1}}, "solver.tolerance"),
     "strategy-cap-negative": (

@@ -2,6 +2,7 @@
 strategies, expected rewards, minimax enumeration, and pasting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from robuststop import (
     StrategyError,
     TimeGrid,
     american_put,
+    constant_reward,
     custom_reward,
     enumerate_stopping_rules,
     enumerate_strategies,
@@ -32,11 +34,18 @@ from robuststop import (
     terminal_abs,
     worst_case_stopped_reward,
 )
-from conftest import make_collision_tree, make_put, make_signed_zero_tree, rule_keys
-from robuststop import model
-from robuststop.envelope import backward_sweep, forward_pass, stop_mask
+from conftest import (
+    make_collision_tree,
+    make_put,
+    make_signed_zero_tree,
+    random_instance,
+    rule_keys,
+)
+from robuststop import game, model
+from robuststop.envelope import _y_array, backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
     count_strategies,
+    stop_set_max,
     stop_set_table,
     strategy_table,
 )
@@ -236,8 +245,72 @@ def test_referee_tables_factor_into_sweeps(rand_instance):
         z = sol.z
         stops = stop_set_table(tree, z)
         assert np.max(stops) == backward_sweep(tree, z, floor=z)[0][tree.root]
+        assert stop_set_max(tree, z) == np.max(stops)
         assert np.min(stops) == backward_sweep(tree, z, ceiling=z)[0][tree.root]
         assert np.min(strategy_table(tree, sol.y)) == sol.root_value()
+
+
+def _put_n3(strike):
+    tree = expand_tree(TimeGrid(0.0, 1.0, 3), 1.0, DriftSpec("zero"),
+                       ControlSet([0.5, 1.0], cap=1.0))
+    return tree, american_put(strike=strike, base=0.0)
+
+
+def _stop_set_max_cases():
+    """(tree, vals, whether the table's max is zero or NaN), for
+    stop_set_max against the table it never builds."""
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        tree, Y = random_instance(rng)
+        yield tree, _y_array(tree, Y), False
+    tree, Y = _put_n3(1.2)
+    yield tree, _y_array(tree, Y), False
+    three = expand_tree(TimeGrid(0.0, 1.0, 2), 0.2, DriftSpec("zero"),
+                        ControlSet([0.4, 0.7, 1.0], cap=1.0))
+    yield three, _y_array(three, american_put(strike=0.5, base=0.0)), False
+    wide = expand_tree(TimeGrid(0.0, 1.0, 2), np.array([0.0, 0.0]),
+                       DriftSpec("zero"),
+                       ControlSet([0.5 * np.eye(2), np.array([[1.0, 0.2], [0.2, 0.8]])],
+                                  cap=1.2))
+    yield wide, _y_array(wide, terminal_abs()), False
+    # every entry -0.0; then zeros of both signs; then one NaN leaf
+    yield tree, _y_array(tree, constant_reward(-0.0)), True
+    ties = np.where(np.arange(tree.n_nodes) % 3 == 0, 0.0, -0.0)
+    yield tree, ties, True
+    nan = _y_array(tree, Y).copy()
+    nan[-1] = np.nan
+    yield tree, nan, True
+
+
+@pytest.mark.parametrize("slab", [1, 7, game._SLAB])
+def test_stop_set_max_is_the_table_max_bit_for_bit(slab, monkeypatch):
+    # slabs of one control-0 row, of a few rows, and of the default size;
+    # only a zero or NaN max may build the table
+    monkeypatch.setattr(game, "_SLAB", slab)
+    built = []
+    monkeypatch.setattr(game, "stop_set_table",
+                        lambda *a: built.append(1) or stop_set_table(*a))
+    for tree, vals, fallback in _stop_set_max_cases():
+        built.clear()
+        best = stop_set_max(tree, vals)
+        assert bool(built) == fallback
+        assert float(best).hex() == float(np.max(stop_set_table(tree, vals))).hex()
+
+
+def test_oracle_never_builds_the_root_stop_set_row():
+    # the n = 3 two-control put: 83,522 stopping sets, a 0.67 MB root row;
+    # building that row twice, as the min grid and with the immediate
+    # stop, peaked at 1.35 MB
+    tree, Y = _put_n3(1.2)
+    assert count_strategies(tree, stop_sets=True) == 83_522
+    tracemalloc.start()
+    try:
+        report = game_values(tree, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.agree and report.saddle
+    assert peak < 0.5e6
 
 
 def test_state_law_is_a_probability(put_n2):

@@ -15,7 +15,13 @@ from robuststop import (
     prefix_key,
     simulate_paths,
 )
-from robuststop.model import min_state_norm, simulate_sup_distances, state_norms
+from robuststop.model import (
+    _node_cap_error,
+    _projected_node_count,
+    min_state_norm,
+    simulate_sup_distances,
+    state_norms,
+)
 
 
 def test_drift_kinds_hand_values():
@@ -283,6 +289,16 @@ def test_tree_node_cap_is_enforced():
     with pytest.raises(SizeError) as exc:
         expand_tree(g, 0.0, DriftSpec("zero"), cs, node_cap=1000)
     assert "1000" in str(exc.value)
+
+
+def test_node_cap_message_matches_the_exact_count():
+    # the message takes its power of ten from logarithms of the closed
+    # form, and prints a count below 10^12 in full, as the exact count does
+    for fanout in (2, 4, 6, 8):
+        for levels in range(1, 120):
+            exact = SizeError.over_cap(_projected_node_count(levels, fanout),
+                                       "tree nodes", 1, "solver.node_cap")
+            assert str(_node_cap_error(levels, fanout, 1)) == str(exact)
 
 
 def test_subtree_nodes_partition(put_n2):
