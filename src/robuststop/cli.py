@@ -8,9 +8,10 @@ volatility interval, with CSV tables).
 
 One JSON document configures a run.  Validation is fail-closed: an
 unknown section or key is an error, never a silently ignored typo.
-Reports are JSON with sorted keys and no timestamps; tables are CSV with
-17 significant digits.  Identical config and seed always produce
-byte-identical files.
+Reports are JSON with sorted keys and no timestamps, written as
+json.dumps(report, sort_keys=True, indent=2) writes them, byte for byte
+(_json_text); tables are CSV with 17 significant digits.  Identical
+config and seed always produce byte-identical files.
 
 Exit codes: 0 all requested checks passed, 1 a check failed (or, under
 --mutate, a mutation slipped through), 2 usage or configuration error,
@@ -340,8 +341,70 @@ def _write_csv(out_dir: str, name: str, header: list, rows: list) -> str:
     return path
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte.
+
+    json runs its generator-based pure-Python encoder whenever indent is
+    set; this writes the same text in one recursive pass.  Types are
+    tested in json's order: str, None, True, False, int and float
+    (subclasses included, through int.__repr__ and float.__repr__, with
+    NaN and the infinities spelled as json spells them), list or tuple,
+    then dict, whose keys must be str.  Anything else, a non-str key
+    included, raises TypeError.
+    """
+    parts = []
+    _render(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _render(obj, nl: str, put) -> None:
+    if isinstance(obj, str):
+        put(_ENCODE_STR(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _render(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _ENCODE_STR(key) + ": ")
+            _render(obj[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, out_dir: str | None, csvs: dict | None = None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json_text(report) + "\n"
     sys.stdout.write(text)
     if out_dir is None:
         return
@@ -369,6 +432,13 @@ def _expand(inst):
     grid, x0, drift, controls, _, solver = inst
     tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
     log.info("expanded tree with %d nodes", tree.n_nodes)
+    # finite inputs can still overflow; a state past the float range stays
+    # inf or NaN in all its descendants, so the leaves show any of them
+    if not np.isfinite(tree.states[-1]).all():
+        raise ConfigError(
+            "the tree's states overflow the float range; lower grid.t_end, "
+            "dynamics.x0, dynamics.drift or controls.values"
+        )
     return tree
 
 
@@ -597,6 +667,8 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
     if name == "moments":
         steps = _num(vcfg, "verify", "moments_steps", 16, integer=True, minimum=1)
         paths = _num(vcfg, "verify", "moments_paths", 100_000, integer=True, minimum=1)
+        # checked before the mutation's drift table of `steps` rows is built
+        vf.bound_moment_steps(steps, paths)
         kwargs = {"u": controls[0], "n_steps": steps, "n_paths": paths, "seed": seed}
         if mutate:
             # constant unit push with an understated declared bound

@@ -159,16 +159,26 @@ class ControlSet:
                 m = m.reshape(1, 1)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"control must be a square matrix, got shape {m.shape}")
-            if not np.array_equal(m, m.T):
+            if m.shape == (1, 1):
+                # LAPACK returns A(1,1) itself as the eigenvalue when N = 1,
+                # and NaN is the one entry that differs from its transpose
+                lo = hi = m.item()
+                if lo != lo:
+                    raise ValueError("control matrix must be symmetric")
+            elif not np.array_equal(m, m.T):
                 raise ValueError("control matrix must be symmetric")
-            eig = np.linalg.eigvalsh(m)
-            if eig[0] <= 0:
-                raise ValueError(f"control must be positive definite, eigenvalues {eig}")
-            if cap is not None and eig[-1] > cap * (1 + 1e-12):
-                raise ValueError(f"control norm {eig[-1]} exceeds cap {cap}")
+            else:
+                eig = np.linalg.eigvalsh(m)
+                lo, hi = eig[0], eig[-1]
+            if lo <= 0:
+                raise ValueError(
+                    f"control must be positive definite, eigenvalues {np.linalg.eigvalsh(m)}"
+                )
+            if cap is not None and hi > cap * (1 + 1e-12):
+                raise ValueError(f"control norm {np.float64(hi)} exceeds cap {cap}")
             m.setflags(write=False)
             mats.append(m)
-            norms.append(float(eig[-1]))
+            norms.append(float(hi))
         if not mats:
             raise ValueError("control set must be nonempty")
         dims = {m.shape[0] for m in mats}

@@ -33,6 +33,7 @@ from .envelope import (
     stop_mask,
     tau_delta,
 )
+from .errors import SizeError
 from .model import (
     DriftSpec,
     drift_eval,
@@ -123,6 +124,30 @@ def _jsonable(obj):
 # the fixed cost per chunk is paid off, and larger chunks only add
 # cache misses.
 SAMPLE_CHUNK = 2048
+
+# Bounds on the sampled checks' work, so that no config runs for hours or
+# asks numpy for terabytes: draws of check_y1 and check_drift, pairs of
+# check_continuity_in_prehistory (two tree solves each), and Euler steps
+# of check_sde_moments (paths x steps x len(MOMENT_DELTAS)).  Each is
+# checked before the first draw or allocation.  The CLI's defaults,
+# 10,000 draws, 12 pairs and 8e6 Euler steps, sit far below them.
+SAMPLE_CAP = 10**7
+PAIR_CAP = 10**5
+EULER_STEP_CAP = 10**8
+
+
+def _bound_work(count: int, cap: int, what: str, key: str) -> None:
+    if count > cap:
+        raise SizeError.over_cap(count, what, cap, key, advice=f"lower {key}")
+
+
+def bound_moment_steps(n_steps: int, n_paths: int) -> None:
+    """SizeError if check_sde_moments with n_steps and n_paths would take
+    more than EULER_STEP_CAP Euler steps."""
+    _bound_work(
+        len(MOMENT_DELTAS) * n_paths * n_steps, EULER_STEP_CAP, "Euler steps",
+        "verify.moments_paths or verify.moments_steps",
+    )
 
 
 def _max_or_nan(worst: float, values) -> float:
@@ -297,6 +322,7 @@ def check_y1(
     def reward(ks, om):
         return _per_index(lambda k, ids: eval_reward(Y, k, om.values[ids, : k + 1]), ks)
 
+    _bound_work(n, SAMPLE_CAP, "samples", "verify.n_samples")
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for start in range(0, n, SAMPLE_CHUNK):
@@ -379,6 +405,7 @@ def check_drift(
     draws m samples (see prefix_sampler).  Per chunk of draws each
     drift and each sup gap takes one stacked call per time index.
     """
+    _bound_work(n, SAMPLE_CAP, "samples", "verify.n_samples")
     rng = np.random.default_rng(seed)
     worst = -np.inf
     for start in range(0, n, SAMPLE_CHUNK):
@@ -594,6 +621,7 @@ def check_continuity_in_prehistory(
     give zero difference, exactly) and the best linear constant over the
     rest is fitted and reported.
     """
+    _bound_work(n_pairs, PAIR_CAP, "pre-history pairs", "verify.prehistory_pairs")
     rng = np.random.default_rng(seed)
     s_idx = int(split) if isinstance(split, (int, np.integer)) else grid.index_of(split)
     if not 0 <= s_idx <= grid.n_steps:
@@ -680,6 +708,7 @@ def check_sde_moments(
     """
     if drift is not None and drift_bound is None:
         raise ValueError("transfer check needs the drift's sup bound")
+    bound_moment_steps(n_steps, n_paths)
     um = np.atleast_2d(np.asarray(u, dtype=np.float64))
     drifts = [DriftSpec("zero")] + ([] if drift is None else [drift])
     horizons = []

@@ -17,11 +17,20 @@ reached under different controls observe the same state prefix.
 
 rule_keys reads a StoppingRule as a map from prefix keys to decisions,
 for the tests that compare rules by the prefixes the stopper observes.
+
+Every report a test has the CLI emit in-process is also rendered with
+json.dumps(sort_keys=True, indent=2), the referee of cli._json_text, and
+the two texts must be equal (an autouse fixture).  alarm(seconds) makes
+an in-process CLI run that outlives its seconds exit 4.
 """
+
+import json
+import signal
 
 import numpy as np
 import pytest
 
+from robuststop import cli
 from robuststop import (
     ControlSet,
     DriftSpec,
@@ -143,3 +152,29 @@ def put_n3():
 @pytest.fixture
 def rand_instance():
     return random_instance
+
+
+@pytest.fixture(autouse=True)
+def reports_render_as_json_dumps(monkeypatch):
+    render = cli._json_text
+
+    def refereed(report):
+        text = render(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", refereed)
+
+
+@pytest.fixture
+def alarm():
+    """Turns a run that outlives its seconds into an exception, which
+    main reports as exit 4, instead of a hung test session."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run outlived its alarm")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

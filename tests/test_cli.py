@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -604,6 +605,51 @@ def test_out_of_range_numbers_fail_closed(tmp_path, capsys, case):
         argv += ["--suite", suite, "--threads", "1"]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+def test_states_past_the_float_range_are_a_config_error(tmp_path, capsys, command):
+    # finite keys whose tree overflows: the states turn inf and NaN, and
+    # the commands reported values of them (at 3 steps solve's control
+    # count and the oracle's minimax assertion met them as exit 4);
+    # numpy still warns about the overflow on its way
+    drift = {"kind": "mean-reversion", "rate": 1e300}
+    cfg = {**PUT_N2, "dynamics": {"x0": 1.0, "drift": drift}}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main([command, "--config", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert "overflow the float range" in capsys.readouterr().err
+
+
+# (suite, verify keys, key named): sampled checks whose work exceeds its
+# cap in verify.py.  Before the caps the moments cases asked numpy for
+# terabytes (exit 4) and the others ran for hours.
+OVER_WORK_CAP = {
+    "moments-paths-1e12": ("moments", {"moments_paths": 1e12}, "verify.moments_paths"),
+    "moments-paths-1e20": ("moments", {"moments_paths": 1e20}, "verify.moments_paths"),
+    "moments-steps-1e12": ("moments", {"moments_steps": 1e12}, "verify.moments_steps"),
+    "n-samples-1e12-y1": ("y1", {"n_samples": 1e12}, "verify.n_samples"),
+    "n-samples-1e12-drift": ("drift", {"n_samples": 1e12}, "verify.n_samples"),
+    "prehistory-pairs-1e12": (
+        "prehistory", {"prehistory_pairs": 1e12}, "verify.prehistory_pairs"
+    ),
+}
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+@pytest.mark.parametrize("case", sorted(OVER_WORK_CAP))
+def test_sampled_work_over_its_cap_exits_3_at_once(tmp_path, capsys, alarm, case, mutate):
+    suite, keys, key = OVER_WORK_CAP[case]
+    argv = ["verify", "--config", write_config(tmp_path, {**PUT_N2, "verify": keys}),
+            "--suite", suite] + ["--mutate"] * mutate
+    alarm(5.0)
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert elapsed < 1.0
+    assert key in err and "exceed the cap" in err
 
 
 # The sampled suite on the verify-sampled bench config (d = 1, 4 steps,

@@ -1,0 +1,98 @@
+"""Seeded config fuzz: no config makes the CLI crash (exit 4) or hang.
+
+Each case starts from a small put (at most 4 steps, small sample
+counts) and sets one to three keys to values from a fixed list of
+out-of-range and ill-typed values, then runs solve, oracle and verify
+in-process.  Any exit code but 4 is accepted: 2 for a rejected config,
+3 for a cap, 0 or 1 for a run that completes.  The listed values keep
+every run small: a sample count is either rejected or over its cap in
+verify.py, never a large valid one.  The solver caps are the exception:
+any cap of 1 or more is valid, and a large one asks the oracle for
+real work (about 7e9 stopping sets at 4 steps), so they draw only the
+values that are not large valid counts.
+
+Finite inputs near the float range (a drift rate of -1e300, say) can
+overflow in numpy, which warns on stderr and carries on: a tree whose
+states overflow is then a config error, and the sampled checks fail on
+the NaN they meet.  The fuzz ignores those RuntimeWarnings, which the
+test session would otherwise raise, so that only a real crash counts.
+"""
+
+import copy
+import json
+import random
+import warnings
+
+from robuststop.cli import main
+
+BASE = {
+    "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 2},
+    "dynamics": {"x0": 1.0, "drift": {"kind": "zero"}},
+    "controls": {"values": [0.5, 1.0], "cap": 1.0},
+    "reward": {"kind": "american-put", "strike": 1.0},
+    "solver": {"delta": 0.0},
+    "verify": {"n_samples": 16, "prehistory_pairs": 2, "moments_steps": 2,
+               "moments_paths": 64},
+}
+# valid drifts the base may take instead, so that their keys are read
+DRIFTS = [
+    {"kind": "zero"},
+    {"kind": "mean-reversion", "kappa": 1.0, "rate": 0.5, "level": 0.2},
+    {"kind": "running-max", "kappa": 1.0},
+    {"kind": "custom-table", "table": [[0.1], [-0.1], [0.2], [0.0]]},
+]
+KEYS = [
+    ("grid", "t_start"), ("grid", "t_end"), ("grid", "n_steps"),
+    ("dynamics", "x0"), ("dynamics", "drift"), ("dynamics", "drift", "kind"),
+    ("dynamics", "drift", "kappa"), ("dynamics", "drift", "rate"),
+    ("dynamics", "drift", "level"), ("dynamics", "drift", "table"),
+    ("controls", "values"), ("controls", "cap"),
+    ("reward", "kind"), ("reward", "strike"), ("reward", "base"),
+    ("reward", "scale"), ("reward", "value"), ("reward", "sample_range"),
+    ("solver", "delta"), ("solver", "tolerance"), ("solver", "node_cap"),
+    ("solver", "strategy_cap"), ("solver", "stop_time_cap"),
+    ("solver", "rule_prefix_cap"),
+    ("verify", "n_samples"), ("verify", "spread"), ("verify", "split"),
+    ("verify", "prehistory_pairs"), ("verify", "dpp_s"), ("verify", "barrier"),
+    ("verify", "moments_steps"), ("verify", "moments_paths"),
+]
+CAP_VALUES = [
+    0, -1, 0.5, -0.0, 5e-324, -1e300, float("nan"), float("inf"),
+    float("-inf"), "1", "", True, False, None, [], [0], [[1.0]], [1.0, "x"],
+    {}, {"kind": "zero"},
+]
+VALUES = CAP_VALUES + [1e12, 1e20, 1e300, 10**400]
+
+
+def fuzzed_config(rng: random.Random) -> dict:
+    cfg = copy.deepcopy(BASE)
+    cfg["grid"]["n_steps"] = rng.randint(1, 4)
+    cfg["dynamics"]["drift"] = copy.deepcopy(rng.choice(DRIFTS))
+    for path in rng.sample(KEYS, rng.randint(1, 3)):
+        node = cfg
+        for part in path[:-1]:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        values = CAP_VALUES if path[-1].endswith("_cap") else VALUES
+        node[path[-1]] = copy.deepcopy(rng.choice(values))
+    return cfg
+
+
+def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
+    rng = random.Random(20261019)
+    crashes = []
+    for i in range(300):
+        cfg = fuzzed_config(rng)
+        path = tmp_path / f"config-{i}.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("solve", "oracle", "verify"):
+            alarm(5.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main([command, "--config", str(path)])
+            alarm(0)
+            err = capsys.readouterr().err
+            if code == 4:
+                crashes.append((command, cfg, err.splitlines()[-1:]))
+    assert not crashes, crashes[:5]

@@ -24,6 +24,7 @@ from robuststop import (
     robust_envelope,
     stopped_value,
     tau_delta,
+    terminal_abs,
 )
 import robuststop.envelope as envelope_module
 from robuststop.envelope import forward_pass
@@ -256,3 +257,37 @@ def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
     # where every reached node stops, none needs one
     flags = np.ones(tree.n_nodes, dtype=bool)
     assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21
+
+
+# Known-answer laws at depth: each holds for any depth, and neither is a
+# fold the sweep checks share, so both test the sweep against something
+# outside it.  The trees are the zero-drift two-control put menu at
+# x0 = 0 and 1, with 4 to 10 steps (up to 1,398,101 nodes).
+LAW_STEPS = (4, 6, 8, 10)
+LAW_PAYOFFS = {
+    "put": american_put(1.0, base=0.0),
+    "terminal-abs": terminal_abs(),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", LAW_STEPS)
+def test_known_answer_laws_at_depth(n):
+    grid = TimeGrid(0.0, 1.0, n)
+    for x0 in (0.0, 1.0):
+        tree = expand_tree(grid, x0, DriftSpec("zero"), ControlSet([0.5, 1.0], cap=1.0))
+        low = expand_tree(grid, x0, DriftSpec("zero"), ControlSet([0.5], cap=1.0))
+        for name, Y in LAW_PAYOFFS.items():
+            case = (name, x0, n)
+            sol = robust_envelope(tree, Y)
+            # scaling by a power of two commutes with every operation of
+            # the sweep (short of overflow and underflow)
+            scaled = robust_envelope(tree, 8.0 * sol.y)
+            assert _bits(scaled.z) == _bits(8.0 * sol.z), case
+            # a convex payoff under martingale dynamics is worst at the
+            # lowest volatility (uncertain volatility, G-expectation of a
+            # convex function): the robust root is the sigma = 0.5 root
+            assert _bits(sol.root_value()) == _bits(robust_envelope(low, Y).root_value()), case

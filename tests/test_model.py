@@ -85,6 +85,59 @@ def test_control_set_default_cap_is_the_largest_norm():
         ControlSet([[1.0, 2.0]])
 
 
+def _general_control_check(u, cap):
+    """Referee: ControlSet's validation of one control through the general
+    symmetric eigensolver, as it ran on every control before 1x1 controls
+    took their entry as their eigenvalue.  Returns the stored matrix and
+    its norm, or raises what ControlSet raised."""
+    m = np.asarray(u, dtype=np.float64)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"control must be a square matrix, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise ValueError("control matrix must be symmetric")
+    eig = np.linalg.eigvalsh(m)
+    if eig[0] <= 0:
+        raise ValueError(f"control must be positive definite, eigenvalues {eig}")
+    if cap is not None and eig[-1] > cap * (1 + 1e-12):
+        raise ValueError(f"control norm {eig[-1]} exceeds cap {cap}")
+    return m, float(eig[-1])
+
+
+SCALAR_CONTROLS = [
+    0.5, 1.0, 3, True, 1e-5, 1e16, 0.1 + 0.2, -0.5, -3, 0.0, -0.0, 5e-324,
+    2.2250738585072014e-308, -5e-324, 1e308, 1.7976931348623157e308,
+    float("inf"), float("-inf"), float("nan"), -float("nan"),
+    np.float32(0.3), [0.7], [[0.7]], np.array([[-0.25]]),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 1.0, 0.0, 1e-5, 1e308, float("inf")])
+def test_scalar_controls_match_the_general_eigensolver(cap):
+    def outcome(check, u):
+        try:
+            m, norm = check(u)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return m.tobytes(), m.shape, np.float64(norm).tobytes()
+
+    def fast(u):
+        cs = ControlSet([u], cap=cap)
+        return cs[0], cs.cap if cap is None else float(np.max(cs[0]))
+
+    for u in SCALAR_CONTROLS:
+        assert outcome(fast, u) == outcome(lambda v: _general_control_check(v, cap), u), u
+    # on a menu: the same controls, order and cap
+    menu = [1.0, 0.5, 5e-324, 1e308, 0.5]
+    if cap is None or cap >= 1e308:
+        cs = ControlSet(menu, cap=cap)
+        ref = [_general_control_check(u, cap) for u in menu]
+        assert cs.scalars() == sorted({float(u) for u in menu})
+        want = max(norm for _, norm in ref) if cap is None else float(cap)
+        assert np.float64(cs.cap).tobytes() == np.float64(want).tobytes()
+
+
 def _row(tree, i):
     """Time index and state prefix of node i, from the level layout."""
     l = next(l for l in range(len(tree.states)) if i < tree.offsets[l + 1])
