@@ -35,8 +35,16 @@ import numpy as np
 
 from .envelope import classic_snell, robust_envelope
 from .errors import ConfigError, RuleError, SizeError
-from .game import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP, game_values
-from .model import ControlSet, DriftSpec, expand_tree, min_state_norm, DEFAULT_NODE_CAP
+from .model import (
+    DEFAULT_NODE_CAP,
+    RULE_PREFIX_CAP,
+    STOP_TIME_CAP,
+    STRATEGY_CAP,
+    ControlSet,
+    DriftSpec,
+    expand_tree,
+    min_state_norm,
+)
 from .pathspace import ModulusSpec, TimeGrid
 from .reward import (
     RewardFunctional,
@@ -47,9 +55,12 @@ from .reward import (
     running_sum,
     terminal_abs,
 )
-from . import verify as vf
 
 __all__ = ["main"]
+
+# The verify module, bound on the first verify command: no other command
+# loads it.  The checks are read as vf.<name> attributes on every call.
+vf = None
 
 log = logging.getLogger("robuststop")
 
@@ -452,7 +463,8 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
     Each level's summaries are reductions over views of the solution's
     whole level: the min, mean and max of z and y, the number of stopped
     nodes, and the least state norm among them (min_state_norm under the
-    stop mask), so no level copies its stopped rows out.
+    stop mask), so no level copies its stopped rows out.  The tau*
+    summary comes from sol.tau_extent(), which builds no scenario map.
     """
     inst = _instance(cfg)
     grid, _, _, controls, Y, solver = inst
@@ -485,6 +497,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
             [k, grid.time(k), n_stopped, "" if min_abs is None else min_abs]
         )
 
+    n_scenarios, earliest, latest = sol.tau_extent()
     n_interior = tree.offsets[-2]
     counts = np.bincount(sol.argmin_control[:n_interior], minlength=len(controls))
     freqs = (counts / max(n_interior, 1)).tolist()
@@ -502,11 +515,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
             {"k": r[0], "time": r[1], "n_stopped": r[2], "min_abs_state": r[3]}
             for r in boundary_rows
         ],
-        "tau_star": {
-            "n_scenarios": len(sol.tau),
-            "earliest": min(sol.tau.values()),
-            "latest": max(sol.tau.values()),
-        },
+        "tau_star": {"n_scenarios": n_scenarios, "earliest": earliest, "latest": latest},
     }
     csvs = {
         # each slice dict lists its keys in the CSV's column order
@@ -522,6 +531,14 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
 
 # ---------------------------------------------------------------------------
 # oracle
+
+
+def game_values(*args, **kwargs):
+    """game.game_values, with the game module imported on the first call:
+    only oracle plays the game, so no other command loads it."""
+    from . import game
+
+    return game.game_values(*args, **kwargs)
 
 
 def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
@@ -682,6 +699,9 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
 
 def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
                threads: int, mutate: bool) -> int:
+    global vf
+    if vf is None:
+        from . import verify as vf
     # --threads is still parsed and range-checked so existing command
     # lines keep working, but the checks always run in order here
     if threads < 1:

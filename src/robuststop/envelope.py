@@ -29,11 +29,13 @@ trusting that argument.
 
 forward_pass, the sweep's forward twin, follows a strategy from a node
 down to a stop rule, one step per level; every strategy and rule walk
-runs on it.  The tau* walk, _scenario_tau, is the one forward walk that
-does not: it keys each argmin-consistent scenario by its outcome tuple,
+runs on it.  The tau* walks are the forward walks that do not:
+_scenario_tau keys each argmin-consistent scenario by its outcome tuple,
 and on the small trees of the oracle and the checks, which take about
 fifteen tau* walks per instance, a depth-first walk costs a few
-microseconds where a forward_pass costs tens.  stop_mask turns a
+microseconds where a forward_pass costs tens; _tau_extent counts the
+same scenarios and takes their earliest and latest stop, for solve's
+summary, without building the map.  stop_mask turns a
 stopping description (grid index, StoppingRule, or callable) into the
 per-node mask the sweep takes.  A StoppingRule, what stop_rule_map
 returns, holds one int8 flag per prefix class of its tree, so its
@@ -287,6 +289,11 @@ class EnvelopeSolution:
     def tau(self) -> dict:
         return _scenario_tau(self.tree, self.stop, self.argmin_control)
 
+    def tau_extent(self) -> tuple[int, int, int]:
+        """len(tau), min(tau.values()) and max(tau.values()), without
+        building tau (see _tau_extent)."""
+        return _tau_extent(self.tree, self.stop, self.argmin_control)
+
     def stop_flags(self, delta: float | None = None) -> np.ndarray:
         """Recompute the stop region for another delta >= 0 (guarded)."""
         if delta is None:
@@ -359,6 +366,33 @@ def _scenario_tau(tree, flags, argmin_control) -> dict:
         first = off[l + 1] + (node - off[l]) * C * B + ci * B
         stack.extend((first + oi, l + 1, outcomes + (oi,)) for oi in reversed(range(B)))
     return out
+
+
+def _tau_extent(tree, flags, argmin_control) -> tuple[int, int, int]:
+    """The number of argmin-consistent scenarios and their earliest and
+    latest first stopping index: the len, min and max of _scenario_tau's
+    dict.
+
+    The walk visits the same nodes, following argmin -1 to the last
+    control too, but a level at a time, as lists of node ids: the three
+    numbers do not depend on the order, and no outcome tuple is built.
+    """
+    C, B = tree.weights.shape
+    off = tree.offsets
+    last = len(off) - 2
+    count, earliest, nodes = 0, None, [0]
+    for l in range(last + 1):
+        going = [node for node in nodes if not flags[node]] if l < last else []
+        if len(going) < len(nodes):
+            count += len(nodes) - len(going)
+            if earliest is None:
+                earliest = l
+        if not going:
+            return count, tree.k0 + earliest, tree.k0 + l
+        lo, first = off[l], off[l + 1]
+        starts = [first + ((node - lo) * C + int(argmin_control[node]) % C) * B
+                  for node in going]
+        nodes = [start + oi for start in starts for oi in range(B)]
 
 
 def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:

@@ -55,6 +55,7 @@ from .envelope import (
     stop_mask,
 )
 from .errors import PartitionError, SizeError
+from .model import RULE_PREFIX_CAP, STOP_TIME_CAP, STRATEGY_CAP
 from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it here
 
 __all__ = [
@@ -75,9 +76,6 @@ __all__ = [
     "state_law",
 ]
 
-RULE_PREFIX_CAP = 22
-STRATEGY_CAP = 1_000_000
-STOP_TIME_CAP = 500_000
 _SLAB = 1 << 14  # entries of the root's min grid that stop_set_max holds at once
 
 
@@ -295,8 +293,18 @@ def stop_set_max(tree, vals) -> float:
 
     A max of nonzero floats has the same bits whatever order the entries
     are compared in.  A zero may be either sign and a NaN any payload, so
-    on those the table itself is built and reduced as before.
+    on those the table itself is built and reduced as before, if it has
+    no more than STOP_TIME_CAP entries; a larger one raises SizeError.
+    Past STOP_TIME_CAP entries that is foreseen before the slab pass: a
+    NaN in vals makes a NaN entry, and without one the table's max is
+    the root of the sweep with vals as floor, as the verify checks rest
+    on.  The slab pass's own max is checked too.
     """
+    n_sets = count_strategies(tree, stop_sets=True)
+    if n_sets > STOP_TIME_CAP and (
+        np.isnan(vals).any() or backward_sweep(tree, vals, floor=vals)[0][tree.root] == 0.0
+    ):
+        raise _whole_table_error(n_sets)
     acc = _stop_set_fold(tree, vals)
     C, P = acc.shape
     step = max(1, _SLAB // max(P, 1) ** (C - 1))
@@ -305,8 +313,18 @@ def stop_set_max(tree, vals) -> float:
         maxima.append(np.max(_min_grid(acc[None], slice(a, a + step))))
     best = np.max(maxima)
     if best == 0.0 or np.isnan(best):
+        if n_sets > STOP_TIME_CAP:
+            raise _whole_table_error(n_sets)
         best = np.max(stop_set_table(tree, vals))
     return best
+
+
+def _whole_table_error(n_sets: int) -> SizeError:
+    return SizeError.over_cap(
+        n_sets, "stopping times", STOP_TIME_CAP, "solver.stop_time_cap",
+        advice="a zero or NaN lower value is read off the whole table, "
+        "which solver.stop_time_cap cannot raise past its default",
+    )
 
 
 @dataclass

@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -60,9 +59,19 @@ __all__ = [
     "state_norms",
     "min_state_norm",
     "DEFAULT_NODE_CAP",
+    "STRATEGY_CAP",
+    "STOP_TIME_CAP",
+    "RULE_PREFIX_CAP",
 ]
 
+# The default size caps, each overridden by its solver.* config key: tree
+# nodes (expand_tree), and, for the game oracle, strategies, stopping
+# times and the non-terminal prefix classes whose rules are enumerated
+# on a tree with a prefix collision.
 DEFAULT_NODE_CAP = 5_000_000
+STRATEGY_CAP = 1_000_000
+STOP_TIME_CAP = 500_000
+RULE_PREFIX_CAP = 22
 
 _DRIFT_KINDS = ("zero", "mean-reversion", "running-max", "custom-table")
 
@@ -466,6 +475,8 @@ def _node_cap_error(n_levels: int, fanout: int, cap: int) -> SizeError:
     10^12 and over the message gives a power of ten from logarithms of
     that form, taken in exact rationals so that no n_levels overflows a
     float; below, the exact count."""
+    from fractions import Fraction  # only this error path needs it
+
     log10 = (n_levels + 1) * Fraction(math.log10(fanout)) - Fraction(math.log10(fanout - 1))
     count = _projected_node_count(n_levels, fanout) if log10 < 13 else None
     return SizeError.over_cap(count, "tree nodes", cap, "solver.node_cap", log10)

@@ -125,13 +125,24 @@ def _jsonable(obj):
 # cache misses.
 SAMPLE_CHUNK = 2048
 
+# A chunk's block holds at most CHUNK_WORDS raw words (8 MiB), so on a
+# long grid a chunk holds fewer than SAMPLE_CHUNK draws, and the default
+# samplers refuse a grid on which one draw alone would take more.  The
+# walks and rewards of a chunk take a few times the block: check_y1 on
+# one draw of 10^6 words (500,000 steps) peaked at 90 MB of RSS, 60 MB
+# over the process's start.  Draws of up to 512 words (n_steps x d up to
+# 255) keep chunks of SAMPLE_CHUNK.
+CHUNK_WORDS = 1 << 20
+
 # Bounds on the sampled checks' work, so that no config runs for hours or
-# asks numpy for terabytes: draws of check_y1 and check_drift, pairs of
-# check_continuity_in_prehistory (two tree solves each), and Euler steps
-# of check_sde_moments (paths x steps x len(MOMENT_DELTAS)).  Each is
-# checked before the first draw or allocation.  The CLI's defaults,
-# 10,000 draws, 12 pairs and 8e6 Euler steps, sit far below them.
+# asks numpy for terabytes: draws of check_y1 and check_drift and the raw
+# words they read in all, pairs of check_continuity_in_prehistory (two
+# tree solves each), and Euler steps of check_sde_moments (paths x steps
+# x len(MOMENT_DELTAS)).  Each is checked before the first draw or
+# allocation.  The CLI's defaults, 10,000 draws (100,000 words on a
+# 4-step grid), 12 pairs and 8e6 Euler steps, sit far below them.
 SAMPLE_CAP = 10**7
+SAMPLE_WORD_CAP = 10**9
 PAIR_CAP = 10**5
 EULER_STEP_CAP = 10**8
 
@@ -139,6 +150,25 @@ EULER_STEP_CAP = 10**8
 def _bound_work(count: int, cap: int, what: str, key: str) -> None:
     if count > cap:
         raise SizeError.over_cap(count, what, cap, key, advice=f"lower {key}")
+
+
+def _chunk_size(n: int, sampler) -> int:
+    """Draws per chunk of a sampled check on n draws from sampler, after
+    bounding its draws and its raw words: SAMPLE_CHUNK, or as many as
+    fit CHUNK_WORDS at sampler.words a draw (1 word for a sampler that
+    does not say)."""
+    _bound_work(n, SAMPLE_CAP, "samples", "verify.n_samples")
+    words = getattr(sampler, "words", 1)
+    _bound_work(
+        n * words, SAMPLE_WORD_CAP, "random words", "verify.n_samples or grid.n_steps"
+    )
+    return max(1, min(SAMPLE_CHUNK, CHUNK_WORDS // words))
+
+
+def _bound_draw(words: int) -> int:
+    """words, the raw words of one sampler draw, if they fit a chunk."""
+    _bound_work(words, CHUNK_WORDS, "random words per draw", "grid.n_steps")
+    return words
 
 
 def bound_moment_steps(n_steps: int, n_paths: int) -> None:
@@ -268,8 +298,11 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     ends in the same state.  A chunk reads them from one block of raw
     words, so rng must run on PCG64 (TypeError otherwise); the walks of
     all m draws are then gathered and summed in one stacked cumsum.
+    sampler.words is the raw words a draw reads, 2 * n_steps * dim + 2;
+    a grid on which that passes CHUNK_WORDS is refused (SizeError).
     """
     n = grid.n_steps
+    per_draw = _bound_draw(2 * n * dim + 2)
     step = spread * math.sqrt(grid.dt) if n > 0 else 0.0
     full = (-step, step)
     small = (-step * 0.05, step * 0.05)
@@ -280,7 +313,7 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     walk = np.array([[0], [n * dim + 1]]) + np.arange(n * dim)
 
     def draw(rng, m):
-        words = _PCG64Words(rng, m * (2 * n * dim + 2))
+        words = _PCG64Words(rng, m * per_draw)
         doubles, integer = words.doubles, words.integer
         at, k1, k2 = [], [], []
         for _ in range(m):
@@ -298,6 +331,7 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
         second = np.where(fresh[:, None, None], second, first + second)
         return np.array(k1), Path(grid, first), np.array(k2), Path(grid, second)
 
+    draw.words = per_draw
     return draw
 
 
@@ -314,19 +348,19 @@ def check_y1(
     may exceed the later one by at most the declared modulus of the
     one-sided distance.  sampler(rng, m) -> (k1, om1, k2, om2) draws m
     pairs: index arrays with k1 <= k2 and two Path stacks of m rows on
-    one grid.  Per chunk of draws the rewards take one stacked call per
-    time index, the distances one dist_dinfty call on the stacks and the
-    modulus one call on the distances.
+    one grid.  Per chunk of draws (_chunk_size) the rewards take one
+    stacked call per time index, the distances one dist_dinfty call on
+    the stacks and the modulus one call on the distances.
     """
 
     def reward(ks, om):
         return _per_index(lambda k, ids: eval_reward(Y, k, om.values[ids, : k + 1]), ks)
 
-    _bound_work(n, SAMPLE_CAP, "samples", "verify.n_samples")
+    chunk = _chunk_size(n, sampler)
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for start in range(0, n, SAMPLE_CHUNK):
-        k1, om1, k2, om2 = sampler(rng, min(SAMPLE_CHUNK, n - start))
+    for start in range(0, n, chunk):
+        k1, om1, k2, om2 = sampler(rng, min(chunk, n - start))
         lhs = reward(k1, om1) - reward(k2, om2)
         times = om1.grid.times()
         rhs = Y.modulus(dist_dinfty(times[k1], om1, times[k2], om2))
@@ -357,16 +391,19 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     in the same state.  A chunk reads them from one block of raw words,
     so rng must run on PCG64 (TypeError otherwise); the walks of all m
     draws are then gathered and summed in one stacked cumsum over
-    zero-padded increments.
+    zero-padded increments.  sampler.words is the most raw words a draw
+    reads, 2 * (K + 1) * dim + 1; a grid on which that passes
+    CHUNK_WORDS is refused (SizeError).
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
     K = max(grid.n_steps, 1)
+    per_draw = _bound_draw(2 * (K + 1) * dim + 1)
     menu = np.array([np.atleast_2d(np.asarray(u, dtype=np.float64)) for u in controls])
     norms = np.array([np.linalg.norm(u, 2) for u in menu])
     rows = np.arange(K)[:, None] * dim + np.arange(dim)
 
     def draw(rng, m):
-        words = _PCG64Words(rng, m * (2 * (K + 1) * dim + 1))
+        words = _PCG64Words(rng, m * per_draw)
         doubles, integer = words.doubles, words.integer
         ks, at, pick = [], [], []
         for _ in range(m):
@@ -387,6 +424,7 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
         walks = np.cumsum(padded, axis=2) - padded[:, :, :1] + offset
         return k, walks[:, 0], walks[:, 1], menu[pick], norms[pick]
 
+    draw.words = per_draw
     return draw
 
 
@@ -402,14 +440,15 @@ def check_drift(
     At the zero prefix the drift norm must stay below kappa * (1 + |u|);
     between two prefixes it must move by at most kappa times their
     componentwise sup gap.  sampler(rng, m) -> (k, p1, p2, u, u_norm)
-    draws m samples (see prefix_sampler).  Per chunk of draws each
-    drift and each sup gap takes one stacked call per time index.
+    draws m samples (see prefix_sampler).  Per chunk of draws
+    (_chunk_size) each drift and each sup gap takes one stacked call per
+    time index.
     """
-    _bound_work(n, SAMPLE_CAP, "samples", "verify.n_samples")
+    chunk = _chunk_size(n, sampler)
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for start in range(0, n, SAMPLE_CHUNK):
-        ks, p1, p2, u, unorm = sampler(rng, min(SAMPLE_CHUNK, n - start))
+    for start in range(0, n, chunk):
+        ks, p1, p2, u, unorm = sampler(rng, min(chunk, n - start))
 
         def drift(p):
             return _per_index(

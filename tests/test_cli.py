@@ -23,6 +23,7 @@ from robuststop import (
     robust_envelope,
 )
 from robuststop.cli import _build_parser, _expand, _instance, main
+from conftest import random_instance
 
 INST_A = {
     "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 1},
@@ -134,6 +135,27 @@ def test_oracle_cap_message_is_short_and_names_the_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver.stop_time_cap" in err
     assert len(err) < 200
+
+
+def test_oracle_zero_game_past_the_default_stop_time_cap_exits_3(tmp_path, capsys, alarm):
+    # every payoff -0.0 on the 4-step put, whose root fold alone would
+    # take 104 GiB: a zero lower value is read off the whole table, so a
+    # raised cap is refused before the fold is built (it exited 4)
+    cfg = {
+        **PUT_N2,
+        "grid": {"t_end": 1.0, "n_steps": 4},
+        "reward": {"kind": "american-put", "strike": 1.0, "scale": -0.0},
+        "solver": {"stop_time_cap": 1e20},
+    }
+    alarm(5.0)
+    start = time.perf_counter()
+    code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert elapsed < 1.0
+    assert "about 10^19 stopping times exceed the cap 500000" in err
+    assert "solver.stop_time_cap" in err
 
 
 def test_verify_tree_checks_on_a_deep_tree(tmp_path, capsys):
@@ -621,17 +643,27 @@ def test_states_past_the_float_range_are_a_config_error(tmp_path, capsys, comman
     assert "overflow the float range" in capsys.readouterr().err
 
 
-# (suite, verify keys, key named): sampled checks whose work exceeds its
-# cap in verify.py.  Before the caps the moments cases asked numpy for
-# terabytes (exit 4) and the others ran for hours.
+# (suite, verify keys, key named, grid.n_steps): sampled checks whose
+# work exceeds its cap in verify.py.  Before the caps the moments cases
+# asked numpy for terabytes (exit 4) and the others ran for hours; on a
+# grid of 10^6 steps y1 and drift asked for a 30.5 GiB chunk of random
+# words (exit 4), and 10^7 draws on 1,000 steps read 2e10 words.
 OVER_WORK_CAP = {
-    "moments-paths-1e12": ("moments", {"moments_paths": 1e12}, "verify.moments_paths"),
-    "moments-paths-1e20": ("moments", {"moments_paths": 1e20}, "verify.moments_paths"),
-    "moments-steps-1e12": ("moments", {"moments_steps": 1e12}, "verify.moments_steps"),
-    "n-samples-1e12-y1": ("y1", {"n_samples": 1e12}, "verify.n_samples"),
-    "n-samples-1e12-drift": ("drift", {"n_samples": 1e12}, "verify.n_samples"),
+    "moments-paths-1e12": ("moments", {"moments_paths": 1e12}, "verify.moments_paths", 2),
+    "moments-paths-1e20": ("moments", {"moments_paths": 1e20}, "verify.moments_paths", 2),
+    "moments-steps-1e12": ("moments", {"moments_steps": 1e12}, "verify.moments_steps", 2),
+    "n-samples-1e12-y1": ("y1", {"n_samples": 1e12}, "verify.n_samples", 2),
+    "n-samples-1e12-drift": ("drift", {"n_samples": 1e12}, "verify.n_samples", 2),
     "prehistory-pairs-1e12": (
-        "prehistory", {"prehistory_pairs": 1e12}, "verify.prehistory_pairs"
+        "prehistory", {"prehistory_pairs": 1e12}, "verify.prehistory_pairs", 2
+    ),
+    "n-steps-1e6-y1": ("y1", {}, "grid.n_steps", 10**6),
+    "n-steps-1e6-drift": ("drift", {}, "grid.n_steps", 10**6),
+    "words-1e7-draws-y1": (
+        "y1", {"n_samples": 10**7}, "verify.n_samples or grid.n_steps", 1000
+    ),
+    "words-1e7-draws-drift": (
+        "drift", {"n_samples": 10**7}, "verify.n_samples or grid.n_steps", 1000
     ),
 }
 
@@ -639,8 +671,9 @@ OVER_WORK_CAP = {
 @pytest.mark.parametrize("mutate", [False, True])
 @pytest.mark.parametrize("case", sorted(OVER_WORK_CAP))
 def test_sampled_work_over_its_cap_exits_3_at_once(tmp_path, capsys, alarm, case, mutate):
-    suite, keys, key = OVER_WORK_CAP[case]
-    argv = ["verify", "--config", write_config(tmp_path, {**PUT_N2, "verify": keys}),
+    suite, keys, key, n_steps = OVER_WORK_CAP[case]
+    cfg = {**PUT_N2, "grid": {"t_end": 1.0, "n_steps": n_steps}, "verify": keys}
+    argv = ["verify", "--config", write_config(tmp_path, cfg),
             "--suite", suite] + ["--mutate"] * mutate
     alarm(5.0)
     start = time.perf_counter()
@@ -742,6 +775,35 @@ PINNED_DIGESTS = {
     ("solve", "put"):
         "ea7ea3fabcd437c71bc99be66ad6fd55ff98a862a6764a4ca39e1ead271b12ef",
 }
+
+
+def test_tau_extent_is_the_scenario_maps_summary():
+    # solve's tau* summary, read without the scenario map, on the 200
+    # acceptance instances (plain and at delta 0.5), the three solve-deep
+    # configs, a tree resumed from a stored history (k0 = 1), and NaN
+    # leaves, where no continuation is finite and the walk follows
+    # argmin -1 to the last control
+    sols = []
+    rng = np.random.default_rng(20260815)
+    for _ in range(200):
+        tree, Y = random_instance(rng)
+        sols += [robust_envelope(tree, Y), robust_envelope(tree, Y, delta=0.5)]
+    for cfg in PINNED_SOLVE.values():
+        inst = _instance(cfg)
+        sols.append(robust_envelope(_expand(inst), inst[4]))
+    controls = ControlSet([0.5, 1.0], cap=1.0)
+    resumed = expand_tree(TimeGrid(0.0, 1.0, 3), None, DriftSpec("zero"), controls,
+                          init_prefix=[[0.0], [1.1]])
+    sols.append(robust_envelope(resumed, american_put(strike=1.0, base=0.0)))
+    put = expand_tree(TimeGrid(0.0, 1.0, 3), 1.0, DriftSpec("zero"), controls)
+    y = np.zeros(put.n_nodes)
+    y[put.offsets[-2]:] = np.nan
+    sols.append(robust_envelope(put, y))
+    assert (sols[-1].argmin_control[: put.offsets[-2]] == -1).all()
+    for sol in sols:
+        tau = sol.tau
+        assert sol.tau_extent() == (len(tau), min(tau.values()), max(tau.values()))
+    assert sols[-2].tau_extent()[1] >= 1
 
 
 @pytest.mark.parametrize("command, name", sorted(PINNED_DIGESTS))

@@ -297,6 +297,33 @@ def test_stop_set_max_is_the_table_max_bit_for_bit(slab, monkeypatch):
         assert float(best).hex() == float(np.max(stop_set_table(tree, vals))).hex()
 
 
+def test_a_zero_or_nan_max_builds_no_table_past_the_default_cap(monkeypatch):
+    # the n = 3 put's 83,522 stopping sets, over a lowered default: a
+    # zero or NaN max is refused before the slab pass, any other max is
+    # still the table's
+    tree, Y = _put_n3(1.2)
+    y = _y_array(tree, Y)
+    expected = float(np.max(stop_set_table(tree, y))).hex()
+    nan = y.copy()
+    nan[-1] = np.nan
+    zeros = (_y_array(tree, constant_reward(-0.0)), np.zeros(tree.n_nodes), nan)
+    over = "83522 stopping times exceed the cap 83521"
+    monkeypatch.setattr(game, "STOP_TIME_CAP", 83_521)
+    monkeypatch.setattr(game, "stop_set_table", None)
+    assert float(stop_set_max(tree, y)).hex() == expected
+    fold = game._stop_set_fold
+    monkeypatch.setattr(game, "_stop_set_fold", lambda *a: pytest.fail("folded"))
+    for vals in zeros:
+        with pytest.raises(SizeError, match=over):
+            stop_set_max(tree, vals)
+    # where the sweep foresaw no zero, the slab pass's max is checked
+    monkeypatch.setattr(game, "_stop_set_fold", fold)
+    monkeypatch.setattr(game, "backward_sweep", lambda t, v, floor: (np.ones(t.n_nodes), None))
+    for vals in zeros[:2]:
+        with pytest.raises(SizeError, match=over):
+            stop_set_max(tree, vals)
+
+
 def test_oracle_never_builds_the_root_stop_set_row():
     # the n = 3 two-control put: 83,522 stopping sets, a 0.67 MB root row;
     # building that row twice, as the min grid and with the immediate

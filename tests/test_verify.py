@@ -15,6 +15,7 @@ from robuststop import (
     ControlSet,
     DriftSpec,
     ModulusSpec,
+    SizeError,
     TimeGrid,
     american_put,
     constant_reward,
@@ -477,3 +478,33 @@ def test_sampled_reports_do_not_depend_on_the_chunk_size(monkeypatch, d):
                 monkeypatch.setattr(verify_module, "SAMPLE_CHUNK", chunk)
                 reports.add(json.dumps(check(target, sampler, n, seed=11).as_dict()))
             assert len(reports) == 1, (check.__name__, target, n)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_chunk_reads_at_most_chunk_words(monkeypatch, d):
+    # a word budget of three draws splits 205 draws into 68 chunks of 3
+    # and one of 1, with the report of the default chunks
+    for check, target, sampler in _chunk_cases(d):
+        default = check(target, sampler, 205, seed=11).as_dict()
+        sizes = []
+
+        def spy(rng, m):
+            sizes.append(m)
+            return sampler(rng, m)
+
+        spy.words = sampler.words
+        monkeypatch.setattr(verify_module, "CHUNK_WORDS", 3 * sampler.words + 2)
+        assert check(target, spy, 205, seed=11).as_dict() == default
+        assert sizes == [3] * 68 + [1]
+        monkeypatch.undo()
+
+
+def test_samplers_refuse_a_draw_over_chunk_words():
+    grid = TimeGrid(0.0, 1.0, 1000)
+    controls = ControlSet([0.5, 1.0], cap=1.0)
+    assert pair_sampler(grid).words == 2002
+    assert prefix_sampler(grid, controls).words == 2003
+    with pytest.raises(SizeError, match="words per draw exceed the cap 1048576; lower grid.n_steps"):
+        pair_sampler(TimeGrid(0.0, 1.0, 2**19))
+    with pytest.raises(SizeError, match="grid.n_steps"):
+        prefix_sampler(TimeGrid(0.0, 1.0, 2**18), controls, dim=2)
