@@ -20,15 +20,12 @@ from .envelope import (
     SnellResult,
     StoppingRule,
     classic_snell,
-    nonlinear_expectation,
     robust_envelope,
-    stopped_value,
     tau_delta,
 )
 from .errors import (
     ConfigError,
     GridError,
-    PartitionError,
     PathError,
     RuleError,
     SizeError,
@@ -66,14 +63,10 @@ _LAZY = {
         (
             "ControlStrategy",
             "GameReport",
-            "PastingReport",
             "enumerate_stopping_rules",
             "enumerate_strategies",
             "expected_reward",
             "game_values",
-            "paste_strategies",
-            "pasting_check",
-            "state_law",
             "worst_case_stopped_reward",
         ),
         "game",

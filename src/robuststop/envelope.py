@@ -12,9 +12,7 @@ the public functions only choose its inputs:
   (floor Y) and the argmin control per node, from which the stop region
   {Z = Y} and the hitting time tau* are derived on first read;
 * classic_snell: the envelope under one fixed strategy (floor Y, one
-  allowed control per reachable node);
-* nonlinear_expectation: the worst-case mean of leaf values (no floor);
-* stopped_value: the worst-case mean of Z frozen by a stopping rule.
+  allowed control per reachable node).
 
 The game module's worst-case stopped reward is the same sweep with Y
 frozen by a rule, and the verify module's supermartingale, martingale
@@ -62,9 +60,7 @@ __all__ = [
     "stop_mask",
     "robust_envelope",
     "classic_snell",
-    "nonlinear_expectation",
     "tau_delta",
-    "stopped_value",
 ]
 
 # Relative guard for testing Z == Y in floating point; tau_star uses
@@ -434,24 +430,6 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     return SnellResult(tree, from_node, values, float(values[from_node]))
 
 
-def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
-    """Backward min over controls of expectations: the worst-case mean of
-    a terminal functional, no stopping involved.
-
-    xi is a callable on the leaf's full state prefix, or an array/mapping
-    of per-leaf values indexed by node id.
-    """
-    lo, hi = tree.subtree_ranges(from_node)[-1]
-    leaf = np.full(tree.n_nodes, np.nan)
-    if callable(xi):
-        first = lo - tree.offsets[-2]
-        rows = tree.level_prefixes(len(tree.states) - 1, np.arange(first, first + hi - lo))
-        leaf[lo:hi] = [float(xi(row)) for row in rows]
-    else:
-        leaf[lo:hi] = [float(xi[i]) for i in range(lo, hi)]
-    return float(backward_sweep(tree, leaf, node=from_node)[0][from_node])
-
-
 def tau_delta(sol: EnvelopeSolution, delta: float) -> dict:
     """First index with Z <= Y + delta along argmin-consistent scenarios.
 
@@ -460,14 +438,3 @@ def tau_delta(sol: EnvelopeSolution, delta: float) -> dict:
     """
     return _scenario_tau(sol.tree, sol.stop_flags(delta), sol.argmin_control)
 
-
-def stopped_value(sol: EnvelopeSolution, node: int, rule_or_time) -> float:
-    """Worst-case expected value of the envelope stopped by a rule.
-
-    Computes the nonlinear expectation from node of Z frozen at the
-    rule's stopping nodes (see stop_mask): stopping immediately returns
-    Z at the node, stopping at the terminal returns the worst-case mean
-    of Y there.
-    """
-    stops = stop_mask(sol.tree, rule_or_time, node)
-    return float(backward_sweep(sol.tree, sol.z, stop=stops, node=node)[0][node])

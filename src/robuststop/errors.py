@@ -48,9 +48,5 @@ class RuleError(ValueError):
     """A stopping rule is incomplete or not adapted."""
 
 
-class PartitionError(ValueError):
-    """Predicates fail to partition the reachable prefixes at a pasting time."""
-
-
 class ConfigError(ValueError):
     """Rejected CLI/JSON configuration (unknown key, missing field, bad value)."""

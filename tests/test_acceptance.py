@@ -36,9 +36,10 @@ import numpy as np
 import pytest
 
 from conftest import make_inst_a, make_put, random_instance
+from referees import pasting_check
 from robuststop.cli import main
 from robuststop.envelope import robust_envelope
-from robuststop.game import ControlStrategy, game_values, pasting_check
+from robuststop.game import ControlStrategy, game_values
 from robuststop.verify import (
     check_dpp,
     check_dpp_random_horizon,

@@ -158,6 +158,34 @@ def test_oracle_zero_game_past_the_default_stop_time_cap_exits_3(tmp_path, capsy
     assert "solver.stop_time_cap" in err
 
 
+@pytest.mark.parametrize("n_steps, controls", [
+    (4, [0.5, 1.0]),
+    (3, [0.25, 0.5, 0.75, 1.0]),
+])
+def test_oracle_stop_time_cap_past_what_the_fold_holds_exits_3(
+    tmp_path, capsys, alarm, n_steps, controls
+):
+    # about 10^19 stopping sets on each, under a raised cap: the 4-step
+    # put's root fold would take 104 GiB and the 3-step four-control
+    # tree's slab over 32 GiB, so both are refused before the fold (they
+    # exited 4)
+    cfg = {
+        **PUT_N2,
+        "grid": {"t_end": 1.0, "n_steps": n_steps},
+        "controls": {"values": controls, "cap": 1.0},
+        "solver": {"stop_time_cap": 1e20},
+    }
+    alarm(5.0)
+    start = time.perf_counter()
+    code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert elapsed < 1.0
+    assert "bytes of stopping-set fold exceed the cap 1073741824" in err
+    assert "solver.stop_time_cap" in err
+
+
 def test_verify_tree_checks_on_a_deep_tree(tmp_path, capsys):
     # 87,381 nodes, far past what enumerating stopping sets or
     # strategies could reach; each check is a backward sweep

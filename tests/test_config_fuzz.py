@@ -6,10 +6,11 @@ out-of-range and ill-typed values, then runs solve, oracle and verify
 in-process.  Any exit code but 4 is accepted: 2 for a rejected config,
 3 for a cap, 0 or 1 for a run that completes.  The listed values keep
 every run small: a sample count is either rejected or over its cap in
-verify.py, never a large valid one.  The solver caps are the exception:
-any cap of 1 or more is valid, and a large one asks the oracle for
-real work (about 7e9 stopping sets at 4 steps), so they draw only the
-values that are not large valid counts.
+verify.py, never a large valid one.  The solver caps draw the large
+values too, and any cap of 1 or more is valid: a raised
+solver.stop_time_cap admits the 4-step two-control put's 10^19
+stopping sets, whose root fold the oracle refuses as too large to hold
+(exit 3), so no cap makes a run outlast its alarm.
 
 Finite inputs near the float range (a drift rate of -1e300, say) can
 overflow in numpy, which warns on stderr and carries on: a tree whose
@@ -56,12 +57,13 @@ KEYS = [
     ("verify", "prehistory_pairs"), ("verify", "dpp_s"), ("verify", "barrier"),
     ("verify", "moments_steps"), ("verify", "moments_paths"),
 ]
-CAP_VALUES = [
+# the large valid counts, which every cap key accepts
+LARGE = [1e12, 1e20, 1e300, 10**400]
+VALUES = [
     0, -1, 0.5, -0.0, 5e-324, -1e300, float("nan"), float("inf"),
     float("-inf"), "1", "", True, False, None, [], [0], [[1.0]], [1.0, "x"],
     {}, {"kind": "zero"},
-]
-VALUES = CAP_VALUES + [1e12, 1e20, 1e300, 10**400]
+] + LARGE
 
 
 def fuzzed_config(rng: random.Random) -> dict:
@@ -74,16 +76,15 @@ def fuzzed_config(rng: random.Random) -> dict:
             if not isinstance(node.get(part), dict):
                 node[part] = {}
             node = node[part]
-        values = CAP_VALUES if path[-1].endswith("_cap") else VALUES
-        node[path[-1]] = copy.deepcopy(rng.choice(values))
+        node[path[-1]] = copy.deepcopy(rng.choice(VALUES))
     return cfg
 
 
-def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
-    rng = random.Random(20261019)
+def _crashes(tmp_path, capsys, alarm, configs) -> list:
+    """(command, config, last stderr line) of every run of solve, oracle
+    and verify on the configs that exits 4."""
     crashes = []
-    for i in range(300):
-        cfg = fuzzed_config(rng)
+    for i, cfg in enumerate(configs):
         path = tmp_path / f"config-{i}.json"
         path.write_text(json.dumps(cfg))
         for command in ("solve", "oracle", "verify"):
@@ -95,4 +96,25 @@ def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
             err = capsys.readouterr().err
             if code == 4:
                 crashes.append((command, cfg, err.splitlines()[-1:]))
+    return crashes
+
+
+def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
+    rng = random.Random(20261019)
+    crashes = _crashes(tmp_path, capsys, alarm, [fuzzed_config(rng) for _ in range(300)])
+    assert not crashes, crashes[:5]
+
+
+def test_no_large_valid_cap_exits_4(tmp_path, capsys, alarm):
+    # each solver cap at each large value, on the largest base the fuzz
+    # draws: the 4-step put, whose 10^19 stopping sets a raised
+    # solver.stop_time_cap admits
+    configs = []
+    for key in ("node_cap", "strategy_cap", "stop_time_cap", "rule_prefix_cap"):
+        for value in LARGE:
+            cfg = copy.deepcopy(BASE)
+            cfg["grid"]["n_steps"] = 4
+            cfg["solver"][key] = value
+            configs.append(cfg)
+    crashes = _crashes(tmp_path, capsys, alarm, configs)
     assert not crashes, crashes[:5]

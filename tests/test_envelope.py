@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import rule_keys
+from referees import nonlinear_expectation, stopped_value
 from robuststop import (
     ControlSet,
     ControlStrategy,
@@ -18,11 +19,9 @@ from robuststop import (
     classic_snell,
     constant_reward,
     expand_tree,
-    nonlinear_expectation,
     prefix_key,
     reward_values,
     robust_envelope,
-    stopped_value,
     tau_delta,
     terminal_abs,
 )

@@ -12,7 +12,6 @@ from robuststop import (
     ControlStrategy,
     DriftSpec,
     ModulusSpec,
-    PartitionError,
     RuleError,
     SizeError,
     StoppingRule,
@@ -26,11 +25,8 @@ from robuststop import (
     expand_tree,
     expected_reward,
     game_values,
-    paste_strategies,
-    pasting_check,
     prefix_key,
     robust_envelope,
-    state_law,
     terminal_abs,
     worst_case_stopped_reward,
 )
@@ -41,6 +37,7 @@ from conftest import (
     random_instance,
     rule_keys,
 )
+from referees import PartitionError, paste_strategies, pasting_check, state_law
 from robuststop import game, model
 from robuststop.envelope import _y_array, backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
@@ -322,6 +319,28 @@ def test_a_zero_or_nan_max_builds_no_table_past_the_default_cap(monkeypatch):
     for vals in zeros[:2]:
         with pytest.raises(SizeError, match=over):
             stop_set_max(tree, vals)
+
+
+def test_stop_set_max_refuses_a_fold_past_its_byte_budget(monkeypatch):
+    # the n = 3 put folds 2 * 17^2 entries at the root and reduces a slab
+    # of _SLAB: 135,696 bytes at once, so one byte less is refused before
+    # the fold; a tree that is only a root has no fold to refuse
+    tree, Y = _put_n3(1.2)
+    y = _y_array(tree, Y)
+    expected = float(stop_set_max(tree, y)).hex()
+    monkeypatch.setattr(game, "_HELD_BYTES", 135_696)
+    assert float(stop_set_max(tree, y)).hex() == expected
+    monkeypatch.setattr(game, "_HELD_BYTES", 135_695)
+    fold = game._stop_set_fold
+    monkeypatch.setattr(game, "_stop_set_fold", lambda *a: pytest.fail("folded"))
+    with pytest.raises(SizeError, match="135696 bytes of stopping-set fold exceed the cap "
+                                        "135695; .*solver.stop_time_cap"):
+        stop_set_max(tree, y)
+    monkeypatch.setattr(game, "_stop_set_fold", fold)
+    root = expand_tree(TimeGrid(0.0, 1.0, 2), None, DriftSpec("zero"),
+                       ControlSet([0.5, 1.0], cap=1.0), init_prefix=[[0.0], [1.0], [0.5]])
+    monkeypatch.setattr(game, "_HELD_BYTES", 0)
+    assert stop_set_max(root, np.array([0.25])) == 0.25
 
 
 def test_oracle_never_builds_the_root_stop_set_row():

@@ -25,11 +25,10 @@ from robuststop import (
     game_values,
     prefix_key,
     robust_envelope,
-    state_law,
-    stopped_value,
     terminal_abs,
     worst_case_stopped_reward,
 )
+from referees import state_law, stopped_value
 from robuststop import envelope, game, model
 from robuststop.envelope import stop_mask
 

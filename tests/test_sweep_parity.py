@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from conftest import make_collision_tree, make_put, random_instance, rule_keys
+from referees import nonlinear_expectation, pasting_check, stopped_value
 from robuststop import (
     ControlStrategy,
     StoppingRule,
@@ -39,11 +40,8 @@ from robuststop import (
     enumerate_stopping_rules,
     enumerate_strategies,
     game_values,
-    nonlinear_expectation,
-    pasting_check,
     reward_values,
     robust_envelope,
-    stopped_value,
     terminal_abs,
     worst_case_stopped_reward,
 )
