@@ -175,21 +175,29 @@ def _finite(v, what: str) -> float:
     return f
 
 
-def _numbers_only(v) -> bool:
+def _finite_numbers(v) -> bool | None:
+    """None if the JSON value v holds anything but numbers (a bool is
+    not one), else whether every float in it is finite."""
     if isinstance(v, list):
-        return all(_numbers_only(e) for e in v)
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+        oks = [_finite_numbers(e) for e in v]
+        return None if None in oks else all(oks)
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return True if isinstance(v, int) and not isinstance(v, bool) else None
 
 
 def _finite_array(v, what: str) -> np.ndarray:
-    # numpy would convert "1.5" and true to floats, so check JSON types first
-    if not _numbers_only(v):
+    # numpy would convert "1.5" and true to floats, so the JSON types are
+    # checked first, and the floats' finiteness in the same walk; an int
+    # past the float range fails the conversion, as a ragged list does
+    finite = _finite_numbers(v)
+    if finite is None:
         raise ConfigError(f"{what} must hold numbers, got {v!r}")
     try:
         a = np.asarray(v, dtype=np.float64)
     except (ValueError, OverflowError):
         raise ConfigError(f"{what} must hold numbers, got {v!r}")
-    if not np.all(np.isfinite(a)):
+    if not finite:
         raise ConfigError(f"{what} must be finite, got {v!r}")
     return a
 
@@ -871,21 +879,23 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first main call and shared by
-    every later one in the process; parse_args leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its command sub-parsers by name, built on
+    the first main call and shared by every later one in the process;
+    parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="robuststop",
         description="worst-case optimal stopping on scenario trees",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text in (
         ("solve", "backward envelope sweep with slice summaries"),
         ("oracle", "exhaustive game enumeration against the sweep"),
         ("verify", "run structural checks from a config"),
         ("demo", "American put under a volatility interval"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="directory for report and CSVs")
         p.add_argument("--seed", type=int, default=2026, help="base seed (u64)")
@@ -906,20 +916,56 @@ def _build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="run each check on a broken input and demand rejection",
             )
-    return parser
+    return parser, commands
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it, in one argparse pass.
+
+    The top-level parser hands everything after the command name to that
+    command's sub-parser, so a command's arguments go to it directly.
+    Only what the sub-parser leaves over (an error the top-level parser
+    reports), no command or an unknown one, a top-level option and a
+    "--" take the full parse, so every usage message and exit code is
+    the full parser's.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands and "--" not in argv:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+@functools.cache
+def _log_handler() -> logging.Handler:
+    """The robuststop logger's stderr handler, attached on the first
+    main call and kept for the process.  The logger's records stop at
+    it: a host whose root logger has a handler would print each twice."""
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+    log.addHandler(handler)
+    log.propagate = False
+    return handler
 
 
 def _setup_logging() -> None:
+    """Set the robuststop logger's level from ROBUSTSTOP_LOG, on every
+    call.  Its one handler writes to the sys.stderr of the call; the
+    root logger, and with it the host process's logging, is left alone."""
     raw = os.environ.get("ROBUSTSTOP_LOG", "warn")
     if raw not in _LOG_LEVELS:
         raise ConfigError(
             f"ROBUSTSTOP_LOG must be one of {sorted(_LOG_LEVELS)}, got {raw!r}"
         )
-    logging.basicConfig(level=_LOG_LEVELS[raw], format="%(name)s %(levelname)s %(message)s")
+    _log_handler().stream = sys.stderr
+    log.setLevel(_LOG_LEVELS[raw])
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _setup_logging()
         if args.seed < 0 or args.seed >= 2**64:

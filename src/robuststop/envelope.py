@@ -155,10 +155,13 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     Returns per-node arrays (reached, stop, control, weight): stop holds
     at reached nodes that stop and at reached leaves, control is -1
     where no strategy's control is in force, and weight is 1 at node, a
-    child's its parent's times weights[ci, oi], 0 if unreached.
+    child's its parent's times weights[ci, oi], 0 if unreached.  Each
+    level's weights are one product written at the reached children
+    only; the others keep the zero the walk starts from.
     """
     C, B = tree.weights.shape
     w = tree.weights.reshape(-1)
+    controls = np.arange(C)
     reached = np.zeros(tree.n_nodes, dtype=bool)
     stop = np.zeros(tree.n_nodes, dtype=bool)
     control = np.full(tree.n_nodes, -1, dtype=np.int64)
@@ -179,9 +182,10 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
             ids = lo + np.flatnonzero(go)
             asked = ids[:1] if isinstance(strategy, (int, np.integer)) else ids
             control[ids] = [control_index_at(strategy, tree, i) for i in asked.tolist()]
-            kids = np.repeat(control[lo:hi, None] == np.arange(C), B)
+            kids = np.repeat(control[lo:hi, None] == controls, B)
         reached[klo:khi] = kids
-        weight[klo:khi] = np.where(kids, (weight[lo:hi, None] * w).reshape(-1), 0.0)
+        np.multiply(weight[lo:hi, None], w, out=weight[klo:khi].reshape(hi - lo, C * B),
+                    where=kids.reshape(hi - lo, C * B))
     lo, hi = ranges[-1]
     stop[lo:hi] = reached[lo:hi]
     return reached, stop, control, weight
@@ -206,36 +210,47 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     inequalities hold exactly in floating point, because rounding is
     monotone term by term.
 
-    Each level is computed in place: the fold, its product term and the
-    comparison mask live in buffers allocated once per call, sized to
-    the widest level, and the min and its control are written straight
-    into the level's slices of the outputs.
+    Each level is computed in place: every child's weighted term is one
+    broadcast product into a buffer allocated once per call, sized to
+    the widest level, and the fold adds the terms into their first
+    column, so the level costs the same few numpy calls whatever its
+    width.  The min and its control are written straight into the
+    level's slices of the outputs.
 
     Returns per-node arrays (v, argmin), where argmin is the control
-    attaining the min before floor and stop apply.  They are NaN and -1
-    outside the subtree, and argmin is -1 at leaves.
+    attaining the min before floor and stop apply, and -1 at leaves and
+    where no control is allowed.  A sweep from the root writes every
+    entry, so its outputs start unfilled; from another node they are NaN
+    and -1 outside the subtree.
     """
     w = tree.weights
     C, B = w.shape
-    v = np.full(tree.n_nodes, np.nan)
-    argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
+    if node:
+        v = np.full(tree.n_nodes, np.nan)
+        argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
+    else:
+        v = np.empty(tree.n_nodes)
+        argmin = np.empty(tree.n_nodes, dtype=np.int64)
     ranges = tree.subtree_ranges(node)
     lo, hi = ranges[-1]
     v[lo:hi] = values[lo:hi]
+    argmin[lo:hi] = -1
     # levels widen downward, so the deepest interior level is the widest
     width = ranges[-2][1] - ranges[-2][0] if len(ranges) > 1 else 0
-    fold, term = np.empty((width, C)), np.empty((width, C))
+    terms = np.empty((width, C, B))
     mask = np.empty(width, dtype=bool)
     # each level's children are the next level's range, in order
     for (lo, hi), (klo, khi) in zip(ranges[-2::-1], ranges[:0:-1]):
         n = hi - lo
-        kids = v[klo:khi].reshape(n, C, B)
-        acc, prod, better = fold[:n], term[:n], mask[:n]
-        np.multiply(w[:, 0], kids[:, :, 0], out=acc)
+        prod, better = terms[:n], mask[:n]
+        np.multiply(v[klo:khi].reshape(n, C, B), w, out=prod)
+        # the left-to-right fold of the terms, in their first column
+        acc = prod[:, :, 0]
         for j in range(1, B):
-            acc += np.multiply(w[:, j], kids[:, :, j], out=prod)
+            acc += prod[:, :, j]
         best, best_ci = v[lo:hi], argmin[lo:hi]
         best.fill(np.inf)
+        best_ci.fill(-1)
         for ci in range(C):
             col = acc[:, ci]
             np.less(col, best, out=better)

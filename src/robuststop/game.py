@@ -72,6 +72,7 @@ __all__ = [
 
 _SLAB = 1 << 14  # entries of the root's min grid that stop_set_max holds at once
 _HELD_BYTES = 1 << 30  # bytes of the root's fold and one slab that stop_set_max may hold
+_GRID_ENTRIES = 1 << 28  # entries of the root's min grid that stop_set_max reduces at most
 
 
 class ControlStrategy:
@@ -299,6 +300,11 @@ def stop_set_max(tree, vals) -> float:
     holds (about 10^19 stopping sets on a 4-step two-control tree fold
     to 104 GiB), so the fold and one slab must fit in _HELD_BYTES, or
     SizeError.  Their sizes come from the table sizes that give n_sets.
+    It also admits counts whose fold fits but whose slab pass takes
+    minutes or more (7.5 * 10^10 stopping sets on a 3-step three-control
+    tree, in 143 MB slabs), so a min grid of more than _GRID_ENTRIES
+    entries, one per stopping set but the immediate stop, raises
+    SizeError as well: that is about two seconds of slab work.
     """
     sizes = _table_sizes(tree, stop_sets=True)
     n_sets = sizes[0]
@@ -316,6 +322,12 @@ def stop_set_max(tree, vals) -> float:
                 advice="the oracle holds no more at once, "
                 "whatever solver.stop_time_cap allows",
             )
+    if n_sets - 1 > _GRID_ENTRIES:
+        raise SizeError.over_cap(
+            n_sets - 1, "entries of stopping-set min grid", _GRID_ENTRIES,
+            "solver.stop_time_cap",
+            advice="the oracle reduces no more, whatever solver.stop_time_cap allows",
+        )
     acc = _stop_set_fold(tree, vals)
     C, P = acc.shape
     step = max(1, _SLAB // max(P, 1) ** (C - 1))

@@ -395,7 +395,9 @@ class ScenarioTree:
     def subtree_ranges(self, i: int) -> list[tuple[int, int]]:
         """The subtree of node i as one id range (lo, hi) per level, from
         i's level down to the leaves; the children of range l are range
-        l + 1, in order."""
+        l + 1, in order.  The root's are the levels themselves."""
+        if i == 0:
+            return list(zip(self.offsets, self.offsets[1:]))
         l = bisect.bisect_right(self.offsets, i) - 1
         first, count = i - self.offsets[l], 1
         out = []
@@ -512,9 +514,9 @@ def expand_tree(
         if k0 > grid.n_steps:
             raise ValueError("init_prefix longer than the grid")
     else:
-        root_prefix = np.broadcast_to(
-            np.asarray(x0, dtype=np.float64).reshape(-1), (1, d)
-        )
+        # one value, or one per state dimension
+        root_prefix = np.empty((1, d))
+        root_prefix[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
         k0 = 0
     if drift.kind == "custom-table" and len(drift.table) < grid.n_steps:
         raise ValueError(

@@ -22,7 +22,7 @@ from robuststop import (
     expand_tree,
     robust_envelope,
 )
-from robuststop.cli import _build_parser, _expand, _instance, main
+from robuststop.cli import _build_parser, _expand, _instance, _parse_args, main
 from conftest import random_instance
 
 INST_A = {
@@ -186,6 +186,27 @@ def test_oracle_stop_time_cap_past_what_the_fold_holds_exits_3(
     assert "solver.stop_time_cap" in err
 
 
+def test_oracle_stop_time_cap_past_the_slab_work_budget_exits_3(tmp_path, capsys, alarm):
+    # 7.5 * 10^10 stopping sets on the 3-step three-control put, under a
+    # raised cap: the fold and one 143 MB slab fit in game._HELD_BYTES,
+    # but reducing all of them takes minutes (it ran past any timeout)
+    cfg = {
+        **PUT_N2,
+        "grid": {"t_end": 1.0, "n_steps": 3},
+        "controls": {"values": [0.5, 0.75, 1.0], "cap": 1.0},
+        "solver": {"stop_time_cap": 1e20},
+    }
+    alarm(5.0)
+    start = time.perf_counter()
+    code = main(["oracle", "--config", write_config(tmp_path, cfg)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert elapsed < 1.0
+    assert "75418890625 entries of stopping-set min grid exceed the cap 268435456" in err
+    assert "solver.stop_time_cap" in err
+
+
 def test_verify_tree_checks_on_a_deep_tree(tmp_path, capsys):
     # 87,381 nodes, far past what enumerating stopping sets or
     # strategies could reach; each check is a backward sweep
@@ -326,6 +347,32 @@ def test_log_env_var(tmp_path, capsys, monkeypatch):
     assert "ROBUSTSTOP_LOG" in capsys.readouterr().err
 
 
+def test_log_level_applies_on_every_call_and_leaves_the_root_logger(
+    tmp_path, capsys, monkeypatch
+):
+    import logging
+
+    cfg = write_config(tmp_path, INST_A)
+    root = logging.getLogger()
+    # a host that logs from its root logger sees no robuststop line twice
+    host = logging.Handler(logging.DEBUG)
+    host.emit = lambda record: pytest.fail(f"the root logger got {record.getMessage()!r}")
+    root.addHandler(host)
+    handlers, level = list(root.handlers), root.level
+    monkeypatch.setenv("ROBUSTSTOP_LOG", "warn")
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("ROBUSTSTOP_LOG", "info")
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().err == "robuststop INFO expanded tree with 5 nodes\n"
+    monkeypatch.setenv("ROBUSTSTOP_LOG", "error")
+    assert main(["solve", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert (root.handlers, root.level) == (handlers, level)
+    root.removeHandler(host)
+    assert len(logging.getLogger("robuststop").handlers) == 1
+
+
 def test_demo_degenerate_interval_matches_classic(tmp_path, capsys):
     cfg = {
         "demo": {
@@ -392,6 +439,89 @@ def test_usage_errors_raise_system_exit(tmp_path, capsys):
     code, report = run(capsys, "solve", "--config", write_config(tmp_path, INST_A))
     assert code == 0
     assert report["root_value"] == 0.5
+
+
+USAGE = "usage: robuststop [-h] {solve,oracle,verify,demo} ...\n"
+VERIFY_USAGE = (
+    "usage: robuststop verify [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+    "                         [--threads THREADS] [--suite SUITE] [--mutate]\n"
+)
+# (argv, exit code, stdout, stderr) of argparse's usage errors and help,
+# as the two-pass parse through the top-level parser gave them; argparse
+# words them alike on Python 3.10 to 3.13
+USAGE_PINS = {
+    "no-command": ([], 2, "", USAGE + (
+        "robuststop: error: the following arguments are required: command\n")),
+    "unknown-command": (["bogus"], 2, "", USAGE + (
+        "robuststop: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'solve', 'oracle', 'verify', 'demo')\n")),
+    "no-config": (["solve"], 2, "", (
+        "usage: robuststop solve [-h] --config CONFIG [--out OUT] [--seed SEED]\n"
+        "robuststop solve: error: the following arguments are required: --config\n")),
+    "bad-threads": (["verify", "--config", "c.json", "--threads", "x"], 2, "", VERIFY_USAGE + (
+        "robuststop verify: error: argument --threads: invalid int value: 'x'\n")),
+    "leftover": (["oracle", "--config", "c.json", "--bogus"], 2, "", USAGE + (
+        "robuststop: error: unrecognized arguments: --bogus\n")),
+    "help": (["--help"], 0, USAGE + (
+        "\n"
+        "worst-case optimal stopping on scenario trees\n"
+        "\n"
+        "positional arguments:\n"
+        "  {solve,oracle,verify,demo}\n"
+        "    solve               backward envelope sweep with slice summaries\n"
+        "    oracle              exhaustive game enumeration against the sweep\n"
+        "    verify              run structural checks from a config\n"
+        "    demo                American put under a volatility interval\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    "verify-help": (["verify", "--help"], 0, VERIFY_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --config CONFIG    JSON config path\n"
+        "  --out OUT          directory for report and CSVs\n"
+        "  --seed SEED        base seed (u64)\n"
+        "  --threads THREADS  ignored: checks run in order (must be >= 1)\n"
+        "  --suite SUITE      comma-separated checks: y1, drift, envelope,\n"
+        "                     supermartingale, martingale, dpp, dpp-random, tau,\n"
+        "                     prehistory, moments or 'all'\n"
+        "  --mutate           run each check on a broken input and demand rejection\n"), ""),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_PINS))
+def test_usage_errors_and_help_are_pinned(monkeypatch, capsys, case):
+    argv, code, out, err = USAGE_PINS[case]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "c.json"],
+    ["oracle", "--seed", "7", "--config=c.json", "--out", "o"],
+    ["verify", "--config", "c.json", "--threads", "-3", "--suite", "y1,tau", "--mutate"],
+    ["demo", "--conf", "c.json", "--seed", "-1"],
+    ["verify", "--config", "c.json", "--", "--mutate"],
+])
+def test_arguments_parse_as_the_top_level_parser_parses_them(capsys, argv):
+    # a command's arguments go straight to its sub-parser; what the
+    # top-level parser would make of them is the reference
+    parser, _ = _build_parser()
+    try:
+        expected = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        expected = exc.code
+    reference = capsys.readouterr()
+    try:
+        got = vars(_parse_args(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert got == expected
+    assert capsys.readouterr() == reference
 
 
 def test_parser_is_shared_and_keeps_no_flag_between_calls(tmp_path, capsys):
@@ -531,6 +661,22 @@ def test_malformed_config_arrays_fail_closed(tmp_path, capsys, case):
     cfg, key = NOT_NUMBERS[case]
     assert main(["solve", "--config", write_config(tmp_path, cfg)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("[0.5, [1, 2]]", "hold numbers"),      # ragged
+    ("[NaN, [1, 2]]", "hold numbers"),      # ragged before non-finite
+    ("[NaN, \"1.5\"]", "hold numbers"),     # a string before non-finite
+    ("[1e400, true]", "hold numbers"),      # a bool before non-finite
+    ("[NaN, 1" + "0" * 400 + "]", "hold numbers"),  # an int past the float range
+    ("[[1.0, -Infinity], [3, 4]]", "be finite"),
+    ("[1e400]", "be finite"),
+])
+def test_config_arrays_report_a_non_number_before_a_non_finite_one(text, verdict):
+    from robuststop.cli import ConfigError, _finite_array
+
+    with pytest.raises(ConfigError, match=f"^k must {verdict}, got "):
+        _finite_array(json.loads(text), "k")
 
 
 def test_internal_error_exits_4_with_traceback(tmp_path, capsys, monkeypatch):

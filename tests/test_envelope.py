@@ -258,6 +258,29 @@ def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
     assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21
 
 
+@pytest.mark.parametrize("node", [0, 1])
+def test_sweep_marks_leaves_no_control_and_outside_the_subtree(put_n3, node):
+    # a root sweep fills nothing up front, so numpy's cache of small
+    # buffers is first filled with 7s, which an unwritten entry would show
+    tree, Y = put_n3
+    y = reward_values(tree, Y)
+    allowed = np.ones((tree.n_nodes, 2), dtype=bool)
+    allowed[[1, 5, 6], :] = False  # interior nodes with no control, all in node 1's subtree
+    junk = [np.full(tree.n_nodes, 7, dtype=np.int64) for _ in range(8)]
+    del junk
+    v, argmin = envelope_module.backward_sweep(tree, y, allowed=allowed, node=node)
+    inside = np.zeros(tree.n_nodes, dtype=bool)
+    for lo, hi in tree.subtree_ranges(node):
+        inside[lo:hi] = True
+    leaves = np.arange(tree.n_nodes) >= tree.offsets[-2]
+    none = ~allowed.any(axis=1) & ~leaves
+    assert np.all(argmin[~inside | leaves | none] == -1)
+    assert np.all(np.isin(argmin[inside & ~leaves & ~none], [0, 1]))
+    assert np.all(np.isnan(v[~inside]))
+    assert np.all(v[inside & none] == np.inf)
+    assert np.array_equal(v[inside & leaves], y[inside & leaves])
+
+
 # Known-answer laws at depth: each holds for any depth, and neither is a
 # fold the sweep checks share, so both test the sweep against something
 # outside it.  The trees are the zero-drift two-control put menu at

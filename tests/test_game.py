@@ -343,6 +343,24 @@ def test_stop_set_max_refuses_a_fold_past_its_byte_budget(monkeypatch):
     assert stop_set_max(root, np.array([0.25])) == 0.25
 
 
+def test_stop_set_max_refuses_a_min_grid_past_its_entry_budget(monkeypatch):
+    # the n = 3 put reduces a root min grid of 17^4 = 83,521 entries, one
+    # per stopping set but the immediate stop: one entry less is refused
+    # before the fold, and the default budget admits every count that the
+    # default stop_time_cap admits
+    assert game._GRID_ENTRIES >= game.STOP_TIME_CAP
+    tree, Y = _put_n3(1.2)
+    y = _y_array(tree, Y)
+    expected = float(stop_set_max(tree, y)).hex()
+    monkeypatch.setattr(game, "_GRID_ENTRIES", 83_521)
+    assert float(stop_set_max(tree, y)).hex() == expected
+    monkeypatch.setattr(game, "_GRID_ENTRIES", 83_520)
+    monkeypatch.setattr(game, "_stop_set_fold", lambda *a: pytest.fail("folded"))
+    with pytest.raises(SizeError, match="83521 entries of stopping-set min grid exceed the "
+                                        "cap 83520; .*solver.stop_time_cap"):
+        stop_set_max(tree, y)
+
+
 def test_oracle_never_builds_the_root_stop_set_row():
     # the n = 3 two-control put: 83,522 stopping sets, a 0.67 MB root row;
     # building that row twice, as the min grid and with the immediate
