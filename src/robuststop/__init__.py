@@ -21,7 +21,6 @@ from .envelope import (
     StoppingRule,
     classic_snell,
     robust_envelope,
-    tau_delta,
 )
 from .errors import (
     ConfigError,

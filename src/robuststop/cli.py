@@ -663,7 +663,7 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         target = vf.corrupt_envelope(sol, node=tree.root) if mutate else sol
         return vf.check_dpp_random_horizon(tree, target, nu)
     if name == "tau":
-        target = vf.corrupt_tau(sol) if mutate else sol
+        target = vf.corrupt_envelope(sol) if mutate else sol
         return vf.check_tau_monotone(target)
     if name == "prehistory":
         split = _num(vcfg, "verify", "split", min(1, grid.n_steps), integer=True)

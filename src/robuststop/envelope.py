@@ -10,7 +10,7 @@ the public functions only choose its inputs:
 
 * robust_envelope: the worst-case envelope Z = max(Y, min_u E_u[Z next])
   (floor Y) and the argmin control per node, from which the stop region
-  {Z = Y} and the hitting time tau* are derived on first read;
+  {Z = Y}, where the hitting time tau* stops, is derived on first read;
 * classic_snell: the envelope under one fixed strategy (floor Y, one
   allowed control per reachable node).
 
@@ -27,17 +27,11 @@ trusting that argument.
 
 forward_pass, the sweep's forward twin, follows a strategy from a node
 down to a stop rule, one step per level; every strategy and rule walk
-runs on it.  The tau* walks are the forward walks that do not:
-_scenario_tau keys each argmin-consistent scenario by its outcome tuple,
-and on the small trees of the oracle and the checks, which take about
-fifteen tau* walks per instance, a depth-first walk costs a few
-microseconds where a forward_pass costs tens; _tau_extent counts the
-same scenarios and takes their earliest and latest stop, for solve's
-summary, without building the map.  stop_mask turns a
-stopping description (grid index, StoppingRule, or callable) into the
-per-node mask the sweep takes.  A StoppingRule, what stop_rule_map
-returns, holds one int8 flag per prefix class of its tree, so its
-per-node flags are one gather and no prefix key is built.
+runs on it.  stop_mask turns a stopping description (grid index,
+StoppingRule, or callable) into the per-node mask the sweep takes.  A
+StoppingRule, what stop_rule_map returns, holds one int8 flag per prefix
+class of its tree, so its per-node flags are one gather and no prefix
+key is built.
 """
 
 from __future__ import annotations
@@ -60,11 +54,10 @@ __all__ = [
     "stop_mask",
     "robust_envelope",
     "classic_snell",
-    "tau_delta",
 ]
 
-# Relative guard for testing Z == Y in floating point; tau_star uses
-# delta = 0 plus this guard.
+# Relative guard for testing Z == Y in floating point; tau* stops where
+# Z <= Y + delta within this guard.
 STOP_GUARD = 1e-12
 # Nodes per block of the stop test, so that on deep trees its two float
 # temporaries take no more memory than the sweep's level buffers did.
@@ -281,9 +274,8 @@ class EnvelopeSolution:
     """Worst-case envelope per node, as the sweep leaves it.
 
     argmin_control is -1 at leaves.  stop holds Z <= Y + delta with a
-    relative floating-point guard (_meets); tau maps each
-    argmin-consistent scenario (outcome tuple, possibly partial) to its
-    first stopping index.  Both are derived on first read and kept.
+    relative floating-point guard (_meets); it is derived on first read
+    and kept.
     """
 
     tree: object
@@ -296,28 +288,20 @@ class EnvelopeSolution:
     def stop(self) -> np.ndarray:
         return _meets(self.z, self.y, self.delta)
 
-    @cached_property
-    def tau(self) -> dict:
-        return _scenario_tau(self.tree, self.stop, self.argmin_control)
-
     def tau_extent(self) -> tuple[int, int, int]:
-        """len(tau), min(tau.values()) and max(tau.values()), without
-        building tau (see _tau_extent)."""
+        """The number of argmin-consistent scenarios and their earliest
+        and latest tau* (see _tau_extent)."""
         return _tau_extent(self.tree, self.stop, self.argmin_control)
 
-    def stop_flags(self, delta: float | None = None) -> np.ndarray:
-        """Recompute the stop region for another delta >= 0 (guarded)."""
-        if delta is None:
-            return self.stop
-        return _meets(self.z, self.y, delta)
-
     def stop_rule_map(self, delta: float | None = None) -> StoppingRule:
-        """The stop region as a rule, one decision per prefix class.
+        """The stop region as a rule, one decision per prefix class; for
+        a delta >= 0 other than None, the guarded region at that delta.
 
         The envelope is a function of the prefix, so nodes sharing a
         prefix must agree; a conflict means the solution is corrupt.
         """
-        return _prefix_rule(self.tree, self.stop_flags(delta))
+        stop = self.stop if delta is None else _meets(self.z, self.y, delta)
+        return _prefix_rule(self.tree, stop)
 
     def root_value(self) -> float:
         return float(self.z[self.tree.root])
@@ -355,38 +339,17 @@ def _prefix_rule(tree, stop):
     return StoppingRule(tree, flags)
 
 
-def _scenario_tau(tree, flags, argmin_control) -> dict:
-    """First stopping index along every argmin-consistent trajectory.
-
-    A depth-first walk over the argmin-consistent nodes only, with child
-    ids computed from the level layout, so it reads no per-node view.
-    """
-    C, B = tree.weights.shape
-    off = tree.offsets
-    last = len(off) - 2
-    out = {}
-    stack = [(0, 0, ())]
-    while stack:
-        node, l, outcomes = stack.pop()
-        if l == last or flags[node]:
-            out[outcomes] = tree.k0 + l
-            continue
-        # argmin -1 (no finite continuation) follows the last control,
-        # as a Python index of -1 would
-        ci = int(argmin_control[node]) % C
-        first = off[l + 1] + (node - off[l]) * C * B + ci * B
-        stack.extend((first + oi, l + 1, outcomes + (oi,)) for oi in reversed(range(B)))
-    return out
-
-
 def _tau_extent(tree, flags, argmin_control) -> tuple[int, int, int]:
     """The number of argmin-consistent scenarios and their earliest and
-    latest first stopping index: the len, min and max of _scenario_tau's
-    dict.
+    latest first stopping index.
 
-    The walk visits the same nodes, following argmin -1 to the last
-    control too, but a level at a time, as lists of node ids: the three
-    numbers do not depend on the order, and no outcome tuple is built.
+    A scenario follows the argmin control from the root, down every
+    outcome, to its first node where flags holds (or a leaf); argmin -1
+    (no finite continuation) follows the last control, as a Python index
+    of -1 would.  The walk goes a level at a time over lists of node ids,
+    with child ids computed from the level layout, and counts the
+    scenarios that end on each level, so it reads no per-node view and
+    builds no per-scenario key.
     """
     C, B = tree.weights.shape
     off = tree.offsets
@@ -411,7 +374,7 @@ def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
 
     Y is a RewardFunctional or a precomputed per-node payoff array.  Ties
     in the control argmin go to the smallest control index, so the output
-    is deterministic.  The stop region and tau* are derived on first read.
+    is deterministic.  The stop region is derived on first read.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -443,13 +406,4 @@ def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
     swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
     values = np.where(reached, swept, np.nan)
     return SnellResult(tree, from_node, values, float(values[from_node]))
-
-
-def tau_delta(sol: EnvelopeSolution, delta: float) -> dict:
-    """First index with Z <= Y + delta along argmin-consistent scenarios.
-
-    delta = 0 (with the floating-point guard) is tau_star, the first
-    meeting time of the envelope and the reward.
-    """
-    return _scenario_tau(sol.tree, sol.stop_flags(delta), sol.argmin_control)
 

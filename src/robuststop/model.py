@@ -292,8 +292,13 @@ def min_state_norm(states: np.ndarray, where=True) -> float:
     the min picks the same float that Python's min over the rows would.
     A row's squared norm does not depend on the other rows, so the min
     is taken over the whole array under the mask, with no copy of the
-    selected rows: the same float as over states[where].
+    selected rows: the same float as over states[where].  At d = 1 a
+    row's norm is sqrt(x * x), which is |x| wherever x * x is a normal
+    float, so the min is taken over |x| with no square, which neither
+    overflows nor underflows.
     """
+    if states.shape[1] == 1:
+        return float(np.minimum.reduce(np.abs(states[:, 0]), where=where, initial=np.inf))
     return math.sqrt(np.minimum.reduce(_squared_norms(states), where=where, initial=np.inf))
 
 
@@ -319,8 +324,8 @@ class ScenarioTree:
     edge weights of control ci, the same at every node.  Every walk over
     the tree computes child ids from this layout: backward sweeps with
     envelope.backward_sweep, strategy and rule walks with
-    envelope.forward_pass, and the tau* walk with the depth-first
-    envelope._scenario_tau.
+    envelope.forward_pass, and the tau* summary's level walk with
+    envelope._tau_extent.
 
     The stopper sees the state path only, so nodes reached under
     different controls can share its information: prefix_class holds,

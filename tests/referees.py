@@ -1,5 +1,5 @@
-"""Referees that live in the tests, not the package: strategy pasting and
-two sweep wrappers that no command calls.
+"""Referees that live in the tests, not the package: strategy pasting,
+two sweep wrappers that no command calls, and the scenario map of tau*.
 
 The paper assumes the control family is weakly stable under pasting.  On
 the scenario tree that holds by construction: the family is every
@@ -9,10 +9,15 @@ construction below (paste_strategies, state_law, pasting_check) checks
 that claim directly, in acceptance gate 6 and the game tests, and the
 sweep parity gate pins its outputs.  nonlinear_expectation and
 stopped_value are the worst-case mean of leaf values and of the envelope
-frozen by a rule; the sweep parity gate pins both.
+frozen by a rule; the sweep parity gate pins both.  scenario_tau keys
+each argmin-consistent scenario by its outcome tuple: solve's tau*
+summary (envelope._tau_extent) is its len, min and max, and the tree
+parity gate pins it.  max_control_envelope is a wrong solver for the
+tests that show a check or a law rejects one.
 
-The code is the package's as it was when it moved here, with the same
-operation order, so every recorded digest still holds.
+All but max_control_envelope and solution_tau is the package's code as
+it was when it moved here, with the same operation order, so every
+recorded digest still holds.
 """
 
 from __future__ import annotations
@@ -66,6 +71,42 @@ def stopped_value(sol: EnvelopeSolution, node: int, rule_or_time) -> float:
     """
     stops = stop_mask(sol.tree, rule_or_time, node)
     return float(backward_sweep(sol.tree, sol.z, stop=stops, node=node)[0][node])
+
+
+def scenario_tau(tree, flags, argmin_control) -> dict:
+    """First stopping index along every argmin-consistent trajectory.
+
+    A depth-first walk over the argmin-consistent nodes only, with child
+    ids computed from the level layout, so it reads no per-node view.
+    """
+    C, B = tree.weights.shape
+    off = tree.offsets
+    last = len(off) - 2
+    out = {}
+    stack = [(0, 0, ())]
+    while stack:
+        node, l, outcomes = stack.pop()
+        if l == last or flags[node]:
+            out[outcomes] = tree.k0 + l
+            continue
+        # argmin -1 (no finite continuation) follows the last control,
+        # as a Python index of -1 would
+        ci = int(argmin_control[node]) % C
+        first = off[l + 1] + (node - off[l]) * C * B + ci * B
+        stack.extend((first + oi, l + 1, outcomes + (oi,)) for oi in reversed(range(B)))
+    return out
+
+
+def solution_tau(sol: EnvelopeSolution) -> dict:
+    """scenario_tau of a solution's stop region and argmin controls."""
+    return scenario_tau(sol.tree, sol.stop, sol.argmin_control)
+
+
+def max_control_envelope(tree, y) -> np.ndarray:
+    """A deliberately wrong solver, max(y, max_u E_u[z next]) with max in
+    place of min over controls: minus the sweep of -y with -y as ceiling.
+    Negation is exact, so the fold is the sweep's own."""
+    return -backward_sweep(tree, -y, ceiling=-y)[0]
 
 
 def _reachable_at(tree, strategy, depth: int) -> list[tuple[int, float]]:

@@ -7,7 +7,8 @@ pass/fail line under -v:
      game value (upper) within 1e-9 and lower = upper within 1e-9, with
      the whole sweep done in under 60 s
   2. stopping at tau* is worst-case optimal: the inf over strategies of
-     the reward stopped at tau* equals the game value within 1e-9
+     the reward stopped at tau* equals the game value within 1e-9, and
+     the tau check finds it equal to the envelope at every node
   3. the envelope dominates the reward everywhere and meets it at the
      leaves, exactly, on every instance in the suite
   4. full stopping-set enumeration confirms the supermartingale and
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 
 from conftest import make_inst_a, make_put, random_instance
-from referees import pasting_check
+from referees import pasting_check, solution_tau
 from robuststop.cli import main
 from robuststop.envelope import robust_envelope
 from robuststop.game import ControlStrategy, game_values
@@ -47,6 +48,7 @@ from robuststop.verify import (
     check_martingale_to_tau,
     check_sde_moments,
     check_supermartingale,
+    check_tau_monotone,
     corrupt_envelope,
 )
 
@@ -79,8 +81,13 @@ def test_c01_envelope_equals_game_value_on_200_instances(batch):
 
 def test_c02_tau_star_attains_the_value(batch):
     rows, _ = batch
-    for _, _, _, rep in rows:
+    for _, _, sol, rep in rows:
         assert abs(rep.value_at_tau_star - rep.upper) <= GAME_TOL
+        # the tau check takes the same value from every node, not only
+        # the root, and its root is the oracle's bit for bit
+        report = check_tau_monotone(sol)
+        assert report.passed
+        assert report.details["value_at_tau_star"] == rep.value_at_tau_star
 
 
 def test_c03_domination_and_leaf_equality_exact(batch):
@@ -123,7 +130,7 @@ def test_c05_single_step_instance_exact():
     assert sol.root_value() == 0.5
     assert tree.controls.scalars()[sol.argmin_control[tree.root]] == 0.5
     assert not sol.stop[tree.root]
-    assert sol.tau == {(0,): 1, (1,): 1}
+    assert solution_tau(sol) == {(0,): 1, (1,): 1}
     rep = game_values(tree, Y)
     assert rep.lower == rep.upper == rep.value_at_tau_star == 0.5
 

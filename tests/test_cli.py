@@ -24,6 +24,7 @@ from robuststop import (
 )
 from robuststop.cli import _build_parser, _expand, _instance, _parse_args, main
 from conftest import random_instance
+from referees import solution_tau
 
 INST_A = {
     "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 1},
@@ -539,11 +540,11 @@ def test_parser_is_shared_and_keeps_no_flag_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
-def entry(*argv, timeout=120):
-    """python -m robuststop argv in a subprocess, on this package."""
+def entry(*argv, timeout=120, flags=()):
+    """python flags -m robuststop argv in a subprocess, on this package."""
     src = os.path.dirname(os.path.dirname(robuststop.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "robuststop", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "robuststop", *argv],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, timeout=timeout)
 
@@ -737,6 +738,21 @@ def test_sampled_checks_fail_on_nan_values(tmp_path):
         assert check["passed"] is False
         assert math.isnan(check["worst"])
     assert report["all_passed"] is False and report["ok"] is False
+
+
+def test_solve_near_the_float_range_warns_nothing(tmp_path):
+    # at d = 1 the stop boundary's least state norm is the least |x|, so
+    # states near 1e300 give their size there, where squaring them
+    # overflowed to inf with a numpy warning (exit 4 under -W error)
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 3},
+           "dynamics": {"x0": 1e300, "drift": {"kind": "running-max", "kappa": 1.0}},
+           "controls": {"values": [0.5, 1.0], "cap": 1.0},
+           "reward": {"kind": "american-put", "strike": 1.0}}
+    done = entry("solve", "--config", write_config(tmp_path, cfg), flags=("-W", "error"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    boundary = json.loads(done.stdout)["stop_boundary"]
+    assert [row["min_abs_state"] for row in boundary] == [1e300] * 4
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle"])
@@ -975,7 +991,7 @@ def test_tau_extent_is_the_scenario_maps_summary():
     sols.append(robust_envelope(put, y))
     assert (sols[-1].argmin_control[: put.offsets[-2]] == -1).all()
     for sol in sols:
-        tau = sol.tau
+        tau = solution_tau(sol)
         assert sol.tau_extent() == (len(tau), min(tau.values()), max(tau.values()))
     assert sols[-2].tau_extent()[1] >= 1
 

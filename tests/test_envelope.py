@@ -3,12 +3,19 @@ per-strategy Snell sweep, and the worst-case terminal expectation."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import rule_keys
-from referees import nonlinear_expectation, stopped_value
+from referees import (
+    max_control_envelope,
+    nonlinear_expectation,
+    scenario_tau,
+    solution_tau,
+    stopped_value,
+)
 from robuststop import (
     ControlSet,
     ControlStrategy,
@@ -19,14 +26,15 @@ from robuststop import (
     classic_snell,
     constant_reward,
     expand_tree,
+    lookback_max,
     prefix_key,
     reward_values,
     robust_envelope,
-    tau_delta,
     terminal_abs,
 )
 import robuststop.envelope as envelope_module
 from robuststop.envelope import forward_pass
+from robuststop.verify import check_tau_monotone
 
 
 def test_inst_a_hand_values(inst_a):
@@ -37,7 +45,7 @@ def test_inst_a_hand_values(inst_a):
     assert sol.y.tolist() == [0.0, 0.5, 0.5, 1.0, 1.0]
     assert sol.argmin_control[0] == 0
     assert sol.stop.tolist() == [False, True, True, True, True]
-    assert sol.tau == {(0,): 1, (1,): 1}
+    assert solution_tau(sol) == {(0,): 1, (1,): 1}
 
 
 def test_inst_b_hand_values(inst_b):
@@ -72,7 +80,7 @@ def test_constant_reward_stops_immediately(inst_a):
     sol = robust_envelope(tree, constant_reward(0.3))
     assert np.all(sol.z == 0.3)
     assert np.all(sol.stop)
-    assert sol.tau == {(): 0}
+    assert solution_tau(sol) == {(): 0}
 
 
 def test_singleton_control_equals_classic_snell():
@@ -90,16 +98,16 @@ def test_envelope_accepts_precomputed_values(inst_a):
     direct = robust_envelope(tree, Y)
     via_array = robust_envelope(tree, reward_values(tree, Y))
     assert via_array.z.tolist() == direct.z.tolist()
-    assert via_array.tau == direct.tau
+    assert solution_tau(via_array) == solution_tau(direct)
 
 
 def test_delta_relaxation_stops_earlier(put_n2):
     tree, Y = put_n2
     sol = robust_envelope(tree, Y)
-    assert tau_delta(sol, 0.0) == sol.tau
-    assert tau_delta(sol, 5.0) == {(): 0}
-    tight = sol.stop_flags(0.0)
-    loose = sol.stop_flags(5.0)
+    tight = sol.stop_rule_map(0.0).flags[tree.prefix_class] == 1
+    loose = sol.stop_rule_map(5.0).flags[tree.prefix_class] == 1
+    assert np.array_equal(tight, sol.stop)
+    assert scenario_tau(tree, loose, sol.argmin_control) == {(): 0}
     assert np.all(loose[tight])
     assert np.all(loose)
 
@@ -118,10 +126,9 @@ def test_stop_rule_map_is_prefix_keyed(put_n2):
 
 def test_stop_flags_reject_a_negative_delta(put_n2):
     sol = robust_envelope(*put_n2)
-    for call in (sol.stop_flags, sol.stop_rule_map, lambda d: tau_delta(sol, d)):
-        with pytest.raises(ValueError, match="delta must be >= 0"):
-            call(-1.0)
-    assert np.array_equal(sol.stop_flags(0.0), sol.stop)
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        sol.stop_rule_map(-1.0)
+    assert np.array_equal(sol.stop_rule_map(0.0).flags, sol.stop_rule_map().flags)
 
 
 def test_envelope_rejects_a_negative_delta_at_the_call(put_n2):
@@ -132,7 +139,9 @@ def test_envelope_rejects_a_negative_delta_at_the_call(put_n2):
 
 
 def test_stop_region_and_tau_are_derived_on_first_read(monkeypatch, put_n3):
-    calls = {"_meets": 0, "_scenario_tau": 0}
+    # tau* is read only through the stop region: solve's summary of it
+    # derives the region once, and the region is kept
+    calls = {"_meets": 0, "_tau_extent": 0}
     for name in calls:
         real = getattr(envelope_module, name)
 
@@ -143,14 +152,14 @@ def test_stop_region_and_tau_are_derived_on_first_read(monkeypatch, put_n3):
         monkeypatch.setattr(envelope_module, name, counted)
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
-    assert calls == {"_meets": 0, "_scenario_tau": 0}
+    assert calls == {"_meets": 0, "_tau_extent": 0}
     assert abs(sol.root_value() - math.sqrt(3.0) / 8.0) <= 1e-12
-    assert calls == {"_meets": 0, "_scenario_tau": 0}
-    tau = sol.tau
-    assert calls == {"_meets": 1, "_scenario_tau": 1}
-    # each is computed once and kept
-    assert sol.tau is tau and sol.stop is sol.stop
-    assert calls == {"_meets": 1, "_scenario_tau": 1}
+    assert calls == {"_meets": 0, "_tau_extent": 0}
+    extent = sol.tau_extent()
+    assert calls == {"_meets": 1, "_tau_extent": 1}
+    stop = sol.stop
+    assert sol.tau_extent() == extent and sol.stop is stop
+    assert calls == {"_meets": 1, "_tau_extent": 2}
     assert np.array_equal(sol.stop, envelope_module._meets(sol.z, sol.y, 0.0))
 
 
@@ -313,3 +322,43 @@ def test_known_answer_laws_at_depth(n):
             # lowest volatility (uncertain volatility, G-expectation of a
             # convex function): the robust root is the sigma = 0.5 root
             assert _bits(sol.root_value()) == _bits(robust_envelope(low, Y).root_value()), case
+            # the paper's theorem at every node: stopping at tau* attains z
+            assert check_tau_monotone(sol).passed, case
+
+
+def _expected_walk_max(n: int) -> Fraction:
+    """E[max(0, S_1, ..., S_n)] for a simple random walk S, exactly: by the
+    reflection principle P(max >= j) = P(S_n >= j) + P(S_n > j)."""
+    law = {m: Fraction(math.comb(n, (n + m) // 2), 2**n) for m in range(-n, n + 1, 2)}
+    return sum(
+        sum(p for m, p in law.items() if m >= j) + sum(p for m, p in law.items() if m > j)
+        for j in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", (8, 10))
+@pytest.mark.parametrize("x0, base", [(0.0, 0.0), (1.0, -0.3)])
+def test_lookback_and_menu_order_laws_at_depth(n, x0, base):
+    # lookback-max under zero drift: the running max only grows, so
+    # stopping at the horizon is optimal, and E[max] is convex in every
+    # increment, so the worst case is sigma = 0.5 at every node; the
+    # value is x0 + base + h * E[max(0, S_1..S_n)] with h the tree's step
+    grid = TimeGrid(0.0, 1.0, n)
+    Y = lookback_max(base)
+    tree = expand_tree(grid, x0, DriftSpec("zero"), ControlSet([0.5, 1.0], cap=1.0))
+    sol = robust_envelope(tree, Y)
+    low = expand_tree(grid, x0, DriftSpec("zero"), ControlSet([0.5], cap=1.0))
+    assert _bits(sol.root_value()) == _bits(robust_envelope(low, Y).root_value())
+    h = 0.5 * math.sqrt(grid.dt)
+    closed = float(Fraction(x0) + Fraction(base) + Fraction(h) * _expected_walk_max(n))
+    assert abs(sol.root_value() - closed) <= math.ulp(closed)
+    # the paper's theorem at every node, with nodes stopping before T
+    assert np.count_nonzero(sol.stop[: tree.offsets[-2]]) > 0
+    assert check_tau_monotone(sol).passed
+    # the menu's order moves node ids, not values
+    rev = expand_tree(grid, x0, DriftSpec("zero"), ControlSet([1.0, 0.5], cap=1.0))
+    rsol = robust_envelope(rev, Y)
+    assert _bits(rsol.root_value()) == _bits(sol.root_value())
+    assert _bits(np.sort(rsol.z)) == _bits(np.sort(sol.z))
+    # a sweep with max in place of min over controls breaks the law
+    assert abs(max_control_envelope(tree, sol.y)[tree.root] - closed) > 0.01

@@ -22,7 +22,7 @@ SRC = Path(robuststop.__file__).resolve().parents[1]
 EXPORTS = {
     envelope: [
         "EnvelopeSolution", "SnellResult", "StoppingRule", "classic_snell",
-        "robust_envelope", "tau_delta",
+        "robust_envelope",
     ],
     errors: [
         "ConfigError", "GridError", "PathError", "RuleError", "SizeError",

@@ -203,7 +203,10 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
     # the least squared norm, rooted once, is the least np.linalg.norm of
     # a row, on states of signed zeros alone and mixed with small, large
     # and random rows; under a mask, taken over the whole array, it is
-    # bit for bit the least over the selected rows gathered out
+    # bit for bit the least over the selected rows gathered out.  At
+    # d = 1 the norm is |x| with no square, so the rows whose square
+    # underflows or overflows (5e-324, -1e-160, 1e155) keep their size
+    norm = (lambda row: abs(float(row[0]))) if d == 1 else np.linalg.norm
     rng = np.random.default_rng(11)
     zeros = np.array([[0.0] * d, [-0.0] * d, [0.0, -0.0][:d]])
     edge = np.array([5e-324, -1e-160, 1e-150, -3.0, 1e155])
@@ -214,7 +217,7 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
                   np.vstack([a, np.repeat(edge[:, None], d, axis=1)])]
     for a in cases:
         with np.errstate(over="ignore", under="ignore"):
-            want = min(np.linalg.norm(row) for row in a)
+            want = min(norm(row) for row in a)
             got = min_state_norm(a)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -223,12 +226,29 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
             if not mask.any():
                 continue
             with np.errstate(over="ignore", under="ignore"):
-                want = min(np.linalg.norm(row) for row in a[mask])
+                want = min(norm(row) for row in a[mask])
                 gathered = min_state_norm(a[mask])
                 got = min_state_norm(a, where=mask)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(gathered).tobytes()
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_min_state_norm_at_d1_is_the_rooted_square():
+    # |x| is bit for bit sqrt(x * x) wherever x * x is a normal float,
+    # so taking the least |x| at d = 1 moves no output of a state whose
+    # square neither overflows nor underflows
+    rng = np.random.default_rng(17)
+    exps = rng.integers(-500, 501, size=200_000)
+    x = np.ldexp(rng.uniform(1.0, 2.0, size=exps.size), exps)
+    x[::2] *= -1.0
+    assert np.abs(x).min() >= 2.0**-500 and np.abs(x).max() < 2.0**501
+    rooted = np.sqrt(x * x)
+    for i in rng.choice(x.size, 2_000, replace=False).tolist():
+        got = min_state_norm(x[i : i + 1, None])
+        assert np.float64(got).tobytes() == rooted[i].tobytes()
+    assert np.array_equal(np.abs(x), rooted)
+    assert min_state_norm(x[:, None]) == float(rooted.min())
 
 
 def test_prefix_key_distinguishes_paths():

@@ -3,10 +3,12 @@ worst-case sweep.
 
 Every float the solver produces is pinned here by a sha256 digest of the
 raw bytes of each per-node output array: node states, rewards y,
-envelope z, argmin controls, stop flags, and the sorted tau* items.  The digests were recorded from the per-node tree
-(one Python object per node) that the level-ordered array tree
-replaced; any change to the order of floating-point operations in
-expansion, reward or sweep shows up as a mismatch.
+envelope z, argmin controls, stop flags, and the sorted tau* items of
+the scenario-map referee (referees.solution_tau).  The digests were
+recorded from the per-node tree (one Python object per node) that the
+level-ordered array tree replaced; any change to the order of
+floating-point operations in expansion, reward or sweep shows up as a
+mismatch.
 
 The 200 acceptance instances are folded into one digest per field (the
 sha256 of their per-instance digests, in draw order); every other tree
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from referees import solution_tau
 from robuststop import (
     ControlSet,
     DriftSpec,
@@ -51,7 +54,7 @@ def digests(tree, sol) -> dict:
     out = {"states": _array_digest(states)}
     for name in FIELDS[1:-1]:
         out[name] = _array_digest(getattr(sol, name))
-    out["tau"] = hashlib.sha256(repr(sorted(sol.tau.items())).encode()).hexdigest()
+    out["tau"] = hashlib.sha256(repr(sorted(solution_tau(sol).items())).encode()).hexdigest()
     return out
 
 

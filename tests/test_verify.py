@@ -11,6 +11,7 @@ import pytest
 import robuststop.verify as verify_module
 
 from conftest import make_put, random_instance
+from referees import max_control_envelope, solution_tau
 from robuststop import (
     ControlSet,
     DriftSpec,
@@ -25,6 +26,7 @@ from robuststop import (
     robust_envelope,
     terminal_abs,
 )
+from robuststop.envelope import EnvelopeSolution, _meets, backward_sweep
 from robuststop.verify import (
     check_continuity_in_prehistory,
     check_dpp,
@@ -37,7 +39,6 @@ from robuststop.verify import (
     check_tau_monotone,
     check_y1,
     corrupt_envelope,
-    corrupt_tau,
     pair_sampler,
     prefix_sampler,
 )
@@ -280,17 +281,95 @@ def test_tau_monotone_constant_and_fixture(inst_a, put_n3):
     tree_a, _ = inst_a
     sol_c = robust_envelope(tree_a, constant_reward(0.2))
     report = check_tau_monotone(sol_c)
-    assert report.passed
+    assert report.passed and report.worst == 0.0
+    assert report.details == {"value_at_tau_star": 0.2}
     tree, Y = put_n3
-    report = check_tau_monotone(robust_envelope(tree, Y))
+    sol = robust_envelope(tree, Y)
+    report = check_tau_monotone(sol)
     assert report.passed
-    assert report.details["final_equal"] == 1
-    assert report.details["stored_equal"] == 1
+    assert report.name == "tau-optimal" and report.n_checked == tree.n_nodes
+    assert report.tolerance == 1e-12 * (1.0 + float(np.max(np.abs(sol.y))))
+    # the root of the sweep frozen at tau*, as the oracle takes it
+    v = backward_sweep(tree, sol.y, stop=sol.stop)[0]
+    assert report.details["value_at_tau_star"] == float(v[tree.root])
+
+
+@pytest.mark.parametrize("case", ["scale-1e9", "t_end-1e20"])
+def test_tau_monotone_tolerance_scales_with_the_reward(case):
+    # float error grows with the values: both correct solutions miss the
+    # sweep frozen at tau* by more than an absolute 1e-9, and stay far
+    # inside the guarded stop test's slack
+    controls = ControlSet([0.5, 1.0], cap=1.0)
+    if case == "scale-1e9":
+        grid, Y = TimeGrid(0.0, 1.0, 3), american_put(1.1, 0.0, 1e9)
+    else:
+        grid, Y = TimeGrid(0.0, 1e20, 8), american_put(1.0, 0.0, 1.0)
+    sol = robust_envelope(expand_tree(grid, 1.0, DriftSpec("zero"), controls), Y)
+    report = check_tau_monotone(sol)
+    assert report.passed
+    assert 1e-9 < report.worst < report.tolerance / 1e3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("node", [1, -1])
+def test_tau_monotone_fails_on_a_non_finite_reward(put_n2, bad, node):
+    tree, Y = put_n2
+    y = robust_envelope(tree, Y).y.copy()
+    y[node] = bad
+    # inf - inf in the stop test and the check is NaN, as it should be
+    with np.errstate(invalid="ignore"):
+        report = check_tau_monotone(robust_envelope(tree, y))
+    assert math.isnan(report.worst) and not report.passed
+
+
+def _stop_early(sol):
+    """Copy of a solution whose stop region also stops the prefix class of
+    the continuing interior node with the largest z - y, or None if every
+    interior node stops."""
+    tree = sol.tree
+    going = np.flatnonzero(~sol.stop[: tree.offsets[-2]])
+    if not len(going):
+        return None
+    node = going[np.argmax((sol.z - sol.y)[going])]
+    bad = EnvelopeSolution(tree, sol.delta, sol.y, sol.z, sol.argmin_control)
+    bad.stop = sol.stop | (tree.prefix_class == tree.prefix_class[node])
+    return bad
 
 
 def test_tau_monotone_rejects_shifted_tau(put_sol):
+    # tau* moved one class earlier no longer attains the envelope
     _, _, sol = put_sol
-    assert not check_tau_monotone(corrupt_tau(sol)).passed
+    assert not check_tau_monotone(_stop_early(sol)).passed
+    assert not check_tau_monotone(corrupt_envelope(sol)).passed
+
+
+def test_tau_check_rejects_every_corruption_on_the_acceptance_instances():
+    # the check's power map: each single-node shift of z, a solver with
+    # max in place of min over controls, and a tau* stopped one class
+    # early are each rejected by the tau check alone
+    rng = np.random.default_rng(20260815)
+    n_shifts = n_wrong = n_early = 0
+    for _ in range(200):
+        tree, Y = random_instance(rng)
+        sol = robust_envelope(tree, Y)
+        clean = check_tau_monotone(sol)
+        assert clean.passed
+        for node in range(tree.n_nodes):
+            for amount in (0.1, -0.1):
+                bad = corrupt_envelope(sol, node=node, amount=amount)
+                assert not check_tau_monotone(bad).passed, (node, amount)
+                n_shifts += 1
+        z = max_control_envelope(tree, sol.y)
+        wrong = check_tau_monotone(EnvelopeSolution(tree, 0.0, sol.y, z, sol.argmin_control))
+        # a wrong z passes only where it is the envelope up to rounding
+        off = float(np.max(np.abs(z - sol.z)))
+        assert wrong.passed == (off <= clean.tolerance), off
+        n_wrong += off > clean.tolerance
+        early = _stop_early(sol)
+        if early is not None:
+            assert not check_tau_monotone(early).passed
+            n_early += 1
+    assert (n_shifts, n_wrong, n_early) == (9012, 72, 150)
 
 
 def test_continuity_zero_drift_put():
@@ -404,19 +483,15 @@ def test_sde_moments_memory_stays_small(drifted):
 def test_corrupt_helpers_leave_original_alone(put_sol):
     _, _, sol = put_sol
     z_before = sol.z.copy()
-    tau_before = dict(sol.tau)
+    stop_before = sol.stop.copy()
     bad_z = corrupt_envelope(sol)
-    bad_tau = corrupt_tau(sol)
     assert np.array_equal(sol.z, z_before)
-    assert sol.tau == tau_before
-    assert not np.array_equal(bad_z.z, z_before)
-    assert bad_tau.tau != tau_before
-    # corrupt_tau lies about one scenario's stop and changes nothing else
-    assert bad_tau.tau.keys() == tau_before.keys()
-    assert sum(bad_tau.tau[key] != t for key, t in tau_before.items()) == 1
-    for name in ("y", "z", "argmin_control", "stop"):
-        assert getattr(bad_tau, name).tobytes() == getattr(sol, name).tobytes()
-    assert (bad_tau.tree, bad_tau.delta) == (sol.tree, sol.delta)
+    assert np.array_equal(sol.stop, stop_before)
+    # corrupt_envelope shifts one z and changes nothing else
+    assert np.count_nonzero(bad_z.z != z_before) == 1
+    for name in ("y", "argmin_control", "stop"):
+        assert getattr(bad_z, name).tobytes() == getattr(sol, name).tobytes()
+    assert (bad_z.tree, bad_z.delta) == (sol.tree, sol.delta)
 
 
 @pytest.mark.parametrize("instance", ["put-3", "pool-0"])
@@ -434,8 +509,8 @@ def test_corrupt_envelope_keeps_the_original_stop_region(instance):
         for amount in (-0.1, 0.1):
             bad = corrupt_envelope(robust_envelope(tree, Y), node=node, amount=amount)
             assert bad.stop.tobytes() == want.stop.tobytes()
-            assert bad.tau == want.tau
-            flipped += not np.array_equal(bad.stop_flags(0.0), want.stop)
+            assert solution_tau(bad) == solution_tau(want)
+            flipped += not np.array_equal(_meets(bad.z, bad.y, 0.0), want.stop)
     # some shifts move the stop region that the shifted z alone gives
     assert flipped > 0
 
