@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(
         (
-            "ControlStrategy",
             "GameReport",
             "enumerate_stopping_rules",
             "enumerate_strategies",

@@ -579,7 +579,7 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
         "n_stopping_times": rep.n_stopping_times,
         "n_rule_maps": rep.n_rule_maps,
         "optimal_rule_stops": stops,
-        "optimal_strategy_nodes": len(rep.optimal_strategy.assignments),
+        "optimal_strategy_nodes": int(np.count_nonzero(rep.optimal_strategy >= 0)),
     }
     _emit(report, out_dir)
     return 0 if (rep.agree and rep.saddle) else 1
@@ -663,7 +663,9 @@ def _run_check(name, cfg, inst, seed: int, mutate: bool):
         target = vf.corrupt_envelope(sol, node=tree.root) if mutate else sol
         return vf.check_dpp_random_horizon(tree, target, nu)
     if name == "tau":
-        target = vf.corrupt_envelope(sol) if mutate else sol
+        # the check lets z sit up to delta above the value of stopping at
+        # tau*, so the shift reaches past that slack
+        target = vf.corrupt_envelope(sol, amount=-(sol.delta + 0.1)) if mutate else sol
         return vf.check_tau_monotone(target)
     if name == "prehistory":
         split = _num(vcfg, "verify", "split", min(1, grid.n_steps), integer=True)

@@ -27,11 +27,13 @@ trusting that argument.
 
 forward_pass, the sweep's forward twin, follows a strategy from a node
 down to a stop rule, one step per level; every strategy and rule walk
-runs on it.  stop_mask turns a stopping description (grid index,
-StoppingRule, or callable) into the per-node mask the sweep takes.  A
-StoppingRule, what stop_rule_map returns, holds one int8 flag per prefix
-class of its tree, so its per-node flags are one gather and no prefix
-key is built.
+runs on it.  A strategy is what the controller, who knows its own past
+choices, picks on the tree: one control per node, held as an int64
+array with -1 where it assigns none, or one constant control index.
+stop_mask turns a stopping description (grid index, StoppingRule, or
+callable) into the per-node mask the sweep takes.  A StoppingRule, what
+stop_rule_map returns, holds one int8 flag per prefix class of its
+tree, so its per-node flags are one gather and no prefix key is built.
 """
 
 from __future__ import annotations
@@ -62,21 +64,6 @@ STOP_GUARD = 1e-12
 # Nodes per block of the stop test, so that on deep trees its two float
 # temporaries take no more memory than the sweep's level buffers did.
 _MEETS_BLOCK = 1 << 15
-
-
-def control_index_at(strategy, tree, node: int) -> int:
-    """Resolve a strategy at a node: a constant control index, or a
-    mapping from node ids to indices, such as game.ControlStrategy."""
-    if isinstance(strategy, (int, np.integer)):
-        ci = int(strategy)
-    else:
-        try:
-            ci = int(strategy[node])
-        except KeyError:
-            raise StrategyError(f"strategy assigns no control to node {node}")
-    if not 0 <= ci < len(tree.controls):
-        raise StrategyError(f"control index {ci} out of range at node {node}")
-    return ci
 
 
 @dataclass(eq=False)
@@ -140,11 +127,13 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     over the subtree of node, following the strategy's control at each
     node (every control without one), cut off where stops holds.
 
-    stops(ids) gives the flags of one level's reached interior nodes, and
-    the strategy (a constant index, resolved once a level, or a mapping
-    from node ids, see control_index_at) the control at each reached
-    interior node that does not stop; neither is asked about any other
-    node, so a partial strategy fails only where a decision is needed.
+    stops(ids) gives the flags of one level's reached interior nodes.  The
+    strategy is one control index for every node, or an int array of
+    length tree.n_nodes with one per node, -1 where it assigns none; its
+    controls are gathered a level at a time at the reached interior nodes
+    that do not stop.  Neither is read at any other node, so a partial
+    strategy fails only where a decision is needed: StrategyError at the
+    first such node, in id order, whose index is not a control.
     Returns per-node arrays (reached, stop, control, weight): stop holds
     at reached nodes that stop and at reached leaves, control is -1
     where no strategy's control is in force, and weight is 1 at node, a
@@ -161,6 +150,8 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     weight = np.zeros(tree.n_nodes)
     reached[node] = True
     weight[node] = 1.0
+    if strategy is not None:
+        strategy = np.broadcast_to(strategy, tree.n_nodes)
     ranges = tree.subtree_ranges(node)
     # each level's children are the next level's range, C * B per node
     for (lo, hi), (klo, khi) in zip(ranges, ranges[1:]):
@@ -173,8 +164,15 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
             kids = np.repeat(go, C * B)
         else:
             ids = lo + np.flatnonzero(go)
-            asked = ids[:1] if isinstance(strategy, (int, np.integer)) else ids
-            control[ids] = [control_index_at(strategy, tree, i) for i in asked.tolist()]
+            ci = strategy[ids]
+            # a negative index wraps past C, so one comparison checks both ends
+            bad = np.flatnonzero(ci.astype(np.uint64) >= C)
+            if len(bad):
+                i, c = int(ids[bad[0]]), int(ci[bad[0]])
+                if c == -1:
+                    raise StrategyError(f"strategy assigns no control to node {i}")
+                raise StrategyError(f"control index {c} out of range at node {i}")
+            control[ids] = ci
             kids = np.repeat(control[lo:hi, None] == controls, B)
         reached[klo:khi] = kids
         np.multiply(weight[lo:hi, None], w, out=weight[klo:khi].reshape(hi - lo, C * B),

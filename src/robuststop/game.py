@@ -28,11 +28,12 @@ watches the state process only, so a rule must act identically on
 coincident state paths produced by different control choices; a
 StoppingRule holds one flag per ScenarioTree.prefix_class.  Strategies,
 by contrast, are keyed by node (prefix plus control history): the
-controller knows its own past choices.  Stopping sets are keyed by node,
-so they match the adapted rules only when no two nodes share a prefix;
-on a tree with a prefix collision the lower value enumerates the 2^m
-rules over the m non-terminal classes instead.  Prefix keys are built
-only to order that enumeration.
+controller knows its own past choices, so a strategy is one int64
+control index per node, -1 where it assigns none.  Stopping sets are
+keyed by node, so they match the adapted rules only when no two nodes
+share a prefix; on a tree with a prefix collision the lower value
+enumerates the 2^m rules over the m non-terminal classes instead.
+Prefix keys are built only to order that enumeration.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it he
 
 __all__ = [
     "StoppingRule",
-    "ControlStrategy",
     "GameReport",
     "count_strategies",
     "strategy_table",
@@ -73,29 +73,6 @@ __all__ = [
 _SLAB = 1 << 14  # entries of the root's min grid that stop_set_max holds at once
 _HELD_BYTES = 1 << 30  # bytes of the root's fold and one slab that stop_set_max may hold
 _GRID_ENTRIES = 1 << 28  # entries of the root's min grid that stop_set_max reduces at most
-
-
-class ControlStrategy:
-    """Control assignment per tree node.
-
-    Only nodes reachable under the strategy itself need an assignment;
-    validate() follows the strategy forward and rejects gaps.
-    """
-
-    def __init__(self, tree, assignments: dict):
-        self.tree = tree
-        self.assignments = dict(assignments)
-
-    def __getitem__(self, node: int) -> int:
-        return self.assignments[node]
-
-    def validate(self) -> None:
-        """Raise StrategyError at a reached interior node with no valid
-        control."""
-        forward_pass(self.tree, strategy=self.assignments)
-
-    def __repr__(self):
-        return f"ControlStrategy({len(self.assignments)} nodes)"
 
 
 def _nonterminal_heads(tree, cap: int = RULE_PREFIX_CAP) -> np.ndarray:
@@ -144,8 +121,9 @@ def count_strategies(tree, stop_sets: bool = False) -> int:
     return _table_sizes(tree, stop_sets)[0]
 
 
-def _strategy_at(tree, sizes: list[int], row: int) -> dict:
-    """Row row of strategy_table as a node -> control map.
+def _strategy_at(tree, sizes: list[int], row: int) -> np.ndarray:
+    """Row row of strategy_table as a strategy: one control per node it
+    reaches, -1 at every other node.
 
     Row r of a node's table of C * P rows (P = S**B, S the size of its
     children's tables) picks control r // P, and r % P, read as B digits
@@ -154,7 +132,8 @@ def _strategy_at(tree, sizes: list[int], row: int) -> dict:
     """
     C, B = tree.weights.shape
     off = tree.offsets
-    out = {}
+    out = np.full(tree.n_nodes, -1, np.int64)
+    # rows stay Python ints: a raised strategy_cap admits rows past int64
     level = [(0, row)]
     for l, S in enumerate(sizes[1:]):
         nxt = []
@@ -168,20 +147,22 @@ def _strategy_at(tree, sizes: list[int], row: int) -> dict:
 
 
 def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
-    """Every strategy, in strategy_table row order: the control at the
+    """Every strategy, in strategy_table row order, as an int64 array of
+    one control per node it reaches (-1 elsewhere): the control at the
     root varies slowest, then the strategies of the children it reaches,
     the first child the most significant."""
     sizes = _table_sizes(tree)
     if sizes[0] > cap:
         raise SizeError.over_cap(sizes[0], "strategies", cap, "solver.strategy_cap")
     for row in range(sizes[0]):
-        yield ControlStrategy(tree, _strategy_at(tree, sizes, row))
+        yield _strategy_at(tree, sizes, row)
 
 
 def expected_reward(tree, strategy, rule, Y) -> float:
     """E[Y at the stop] under one strategy and one rule: the exactly
     rounded sum over stopped trajectories, weights multiplying per step.
-    rule is anything stop_mask accepts."""
+    strategy is anything forward_pass accepts, rule anything stop_mask
+    accepts."""
     y = _y_array(tree, Y)
     stops = stop_mask(tree, rule)
     _, end, _, weight = forward_pass(tree, strategy=strategy, stops=stops.__getitem__)
@@ -353,13 +334,15 @@ def _whole_table_error(n_sets: int) -> SizeError:
 @dataclass
 class GameReport:
     """Both game values, the envelope root, and the tau_star value, with
-    the pair that witnesses the saddle."""
+    the pair that witnesses the saddle: optimal_strategy, the strategy at
+    the first minimal row of the strategy table (one control per node it
+    reaches, -1 elsewhere), and optimal_rule, the rule of tau_star."""
 
     lower: float
     upper: float
     envelope_root: float
     value_at_tau_star: float
-    optimal_strategy: ControlStrategy
+    optimal_strategy: np.ndarray
     optimal_rule: StoppingRule
     n_strategies: int
     n_stopping_times: int
@@ -417,7 +400,7 @@ def game_values(
     values = strategy_table(tree, y)
     best = int(np.argmin(values))
     upper = values[best]
-    best_strategy = ControlStrategy(tree, _strategy_at(tree, sizes, best))
+    best_strategy = _strategy_at(tree, sizes, best)
 
     if collision:
         # rare engineered case: fall back to explicit rules, one sweep each

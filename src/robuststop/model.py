@@ -261,12 +261,7 @@ def _squared_norms(states: np.ndarray, out=None) -> np.ndarray:
     BLAS dot product row.dot(row), whose dot routine the stacked matmul
     below reaches too.  np.linalg.norm(states, axis=1)
     sums the squares without it and differs in the last bit on some rows.
-    With one column the dot product of a row is its single product x * x,
-    so that case is x * x, with no BLAS call per row.
     """
-    if states.shape[1] == 1:
-        x = states[:, 0]
-        return np.multiply(x, x, out=out)
     states = np.ascontiguousarray(states)
     sq = np.matmul(states[:, None, :], states[:, :, None],
                    out=None if out is None else out.reshape(-1, 1, 1))
@@ -275,8 +270,15 @@ def _squared_norms(states: np.ndarray, out=None) -> np.ndarray:
 
 def state_norms(states: np.ndarray, out=None) -> np.ndarray:
     """Euclidean norm of each row of an (n, d) array, written into out,
-    an (n,) array that states may be a view of, or into a new one; bit
-    for bit np.linalg.norm(row) on every row."""
+    an (n,) array that states may be a view of, or into a new one.
+
+    At d = 1 it is |x|, the exact norm, which is np.linalg.norm(row) bit
+    for bit wherever x * x is a normal float and, unlike a square, never
+    overflows or underflows.  At d > 1 it is np.linalg.norm(row) bit for
+    bit on every row.
+    """
+    if states.shape[1] == 1:
+        return np.abs(states[:, 0], out=out)
     out = _squared_norms(states, out)
     return np.sqrt(out, out=out)
 

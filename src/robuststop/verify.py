@@ -791,7 +791,9 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
     both martingale laws.  The copy keeps the original's stop region
     rather than deriving it from the shifted z, so the corruption is
     visible to every consistency check: the value of stopping at tau*,
-    for one, does not move with z.
+    for one, does not move with z.  The tau check allows z to exceed that
+    value by delta, so verify --mutate shifts its target by -(delta +
+    0.1), which is -0.1 bit for bit at delta = 0.
     """
     if node is None:
         going = np.flatnonzero(~sol.stop[: sol.tree.offsets[-2]])

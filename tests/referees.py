@@ -1,5 +1,7 @@
 """Referees that live in the tests, not the package: strategy pasting,
 two sweep wrappers that no command calls, and the scenario map of tau*.
+as_strategy writes a partial node -> control map as the package's
+strategy array.
 
 The paper assumes the control family is weakly stable under pasting.  On
 the scenario tree that holds by construction: the family is every
@@ -15,9 +17,11 @@ summary (envelope._tau_extent) is its len, min and max, and the tree
 parity gate pins it.  max_control_envelope is a wrong solver for the
 tests that show a check or a law rejects one.
 
-All but max_control_envelope and solution_tau is the package's code as
-it was when it moved here, with the same operation order, so every
-recorded digest still holds.
+All but max_control_envelope, solution_tau and as_strategy is the
+package's code as it was when it moved here, with the same operation
+order, so every recorded digest still holds; paste_strategies has since
+pasted strategy arrays with one gather where it merged node -> control
+maps, which picks the same control at every node.
 """
 
 from __future__ import annotations
@@ -36,11 +40,18 @@ from robuststop.envelope import (
     forward_pass,
     stop_mask,
 )
-from robuststop.game import ControlStrategy
 
 
 class PartitionError(ValueError):
     """Predicates fail to partition the reachable prefixes at a pasting time."""
+
+
+def as_strategy(tree, mapping: dict) -> np.ndarray:
+    """A strategy array with mapping's control at each of its nodes and
+    none (-1) at every other node."""
+    strategy = np.full(tree.n_nodes, -1, dtype=np.int64)
+    strategy[list(mapping)] = list(mapping.values())
+    return strategy
 
 
 def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
@@ -141,14 +152,15 @@ def _at_level(tree, k: int, fn) -> dict:
     return {lo + j: at[c] for j, c in enumerate(cls)}
 
 
-def paste_strategies(base: ControlStrategy, s: float, partition, pieces) -> ControlStrategy:
+def paste_strategies(tree, base, s: float, partition, pieces) -> np.ndarray:
     """Follow base strictly before s; from s on, follow piece j on the
     cell A_j, and keep base on the remainder cell A_0 = partition[0].
 
-    partition is a list of predicates on the prefix up to s; its first
-    entry is the keep-base cell, the rest pair up with pieces.
+    base and pieces are strategy arrays of tree.  partition is a list of
+    predicates on the prefix up to s; its first entry is the keep-base
+    cell, the rest pair up with pieces.  The paste is validated by
+    following it from the root (StrategyError at a gap).
     """
-    tree = base.tree
     if len(partition) != len(pieces) + 1:
         raise PartitionError(
             f"{len(partition)} cells need {len(partition) - 1} pieces, "
@@ -165,13 +177,8 @@ def paste_strategies(base: ControlStrategy, s: float, partition, pieces) -> Cont
     for a, b, c in zip(off[l:], off[l + 1:], off[l + 2:]):
         cell[b:c] = np.repeat(cell[a:b], tree.fanout)
 
-    sources = [base, *pieces]
-    assignments = {}
-    for node, j in enumerate(cell[: off[-2]].tolist()):
-        if node in sources[j].assignments:
-            assignments[node] = sources[j].assignments[node]
-    pasted = ControlStrategy(tree, assignments)
-    pasted.validate()
+    pasted = np.stack([base, *pieces])[cell, np.arange(tree.n_nodes)]
+    forward_pass(tree, strategy=pasted)
     return pasted
 
 
@@ -207,7 +214,8 @@ class PastingReport:
 
 
 def pasting_check(
-    base: ControlStrategy,
+    tree,
+    base,
     s: float,
     partition,
     pieces,
@@ -223,12 +231,11 @@ def pasting_check(
     and (c) on each cell intersected with the F_s event A, the optimal
     stopping value under the pasted law never exceeds the piece's own
     optimal value from the same node (zero slack: discrete pasting is
-    exact).
+    exact).  base and pieces are strategy arrays of tree.
     """
-    tree = base.tree
     y = _y_array(tree, Y)
     i_s = tree.grid.index_of(s)
-    pasted = paste_strategies(base, s, partition, pieces)
+    pasted = paste_strategies(tree, base, s, partition, pieces)
 
     p_law = state_law(tree, base)
     hat_law = state_law(tree, pasted)

@@ -37,10 +37,10 @@ import numpy as np
 import pytest
 
 from conftest import make_inst_a, make_put, random_instance
-from referees import pasting_check, solution_tau
+from referees import as_strategy, pasting_check, solution_tau
 from robuststop.cli import main
 from robuststop.envelope import robust_envelope
-from robuststop.game import ControlStrategy, game_values
+from robuststop.game import game_values
 from robuststop.verify import (
     check_dpp,
     check_dpp_random_horizon,
@@ -143,11 +143,10 @@ def test_c06_random_pastings_exact():
         n_ctrl = len(tree.controls)
         interior = range(tree.offsets[-2])
         for _ in range(4):
-            base = ControlStrategy(
-                tree, {i: int(rng.integers(n_ctrl)) for i in interior}
-            )
+            # one scalar draw per interior node, in id order; leaves need none
+            base = as_strategy(tree, {i: int(rng.integers(n_ctrl)) for i in interior})
             pieces = [
-                ControlStrategy(tree, {i: int(rng.integers(n_ctrl)) for i in interior})
+                as_strategy(tree, {i: int(rng.integers(n_ctrl)) for i in interior})
                 for _ in range(int(rng.integers(1, 3)))
             ]
             s_idx = int(rng.integers(0, tree.grid.n_steps + 1))
@@ -157,7 +156,7 @@ def test_c06_random_pastings_exact():
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 cells.append(lambda p, a=lo, b=hi: a < p[-1, 0] <= b)
             cells.append(lambda p, c=cuts[-1]: p[-1, 0] > c)
-            report = pasting_check(base, tree.grid.time(s_idx), cells, pieces, Y)
+            report = pasting_check(tree, base, tree.grid.time(s_idx), cells, pieces, Y)
             assert report.ok, report.failures
             assert report.worst_atom_gap <= PASTE_TOL
             assert report.worst_marginal_gap <= PASTE_TOL

@@ -257,6 +257,26 @@ def test_verify_subset_and_mutation(tmp_path, capsys):
     assert not any(c["passed"] for c in report["checks"].values())
 
 
+def test_tau_mutation_shows_past_the_delta_slack(tmp_path, capsys):
+    # a one-control, one-step certify pool instance at delta 0.5: its root
+    # stops with z 0.38 above y, the value of stopping there, so a shift
+    # of z by -0.1 alone would stay inside the delta the tau check allows
+    cfg = {
+        "grid": {"t_end": 0.5, "n_steps": 1},
+        "dynamics": {"x0": 1.0643688288659674,
+                     "drift": {"kind": "custom-table", "table": [[-0.32234063425628845]]}},
+        "controls": {"values": [1.298], "cap": 2.0},
+        "reward": {"kind": "lookback-max", "base": -0.03422858449433208},
+        "solver": {"delta": 0.5},
+    }
+    path = write_config(tmp_path, cfg)
+    code, report = run(capsys, "verify", "--config", path, "--suite", "tau")
+    assert code == 0 and report["checks"]["tau"]["passed"]
+    code, report = run(capsys, "verify", "--config", path, "--suite", "tau", "--mutate")
+    assert code == 0 and report["ok"]
+    assert not report["checks"]["tau"]["passed"]
+
+
 @pytest.mark.parametrize("verify", [{}, {"split": 0, "prehistory_pairs": 1}])
 def test_verify_mutation_breaks_prehistory_on_constant_reward(tmp_path, capsys, verify):
     # a constant payoff's root value ignores the pre-history, so the
@@ -755,6 +775,20 @@ def test_solve_near_the_float_range_warns_nothing(tmp_path):
     assert [row["min_abs_state"] for row in boundary] == [1e300] * 4
 
 
+def test_terminal_abs_near_the_float_range_warns_nothing(tmp_path):
+    # at d = 1 the payoff's state norm is |x|, so states near 1e300 give
+    # their size; a square would overflow to an inf y, whose NaN z - y
+    # leaves argmin -1 at a node and fails the control count (exit 4)
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 3},
+           "dynamics": {"x0": 1e300, "drift": {"kind": "running-max", "kappa": 1.0}},
+           "controls": {"values": [0.5, 1.0], "cap": 1.0},
+           "reward": {"kind": "terminal-abs"}}
+    done = entry("solve", "--config", write_config(tmp_path, cfg), flags=("-W", "error"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert json.loads(done.stdout)["root_value"] == 1e300
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
     # a level-by-level count of 10^300 levels never ends, so the run goes
@@ -1052,3 +1086,168 @@ def test_demo_widening_values_are_the_envelope_root(tmp_path, capsys, name):
         Y = american_put(strike=float(strike), base=sec["base"])
         want = robust_envelope(tree, Y).root_value()
         assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+# oracle and the tree checks of verify, plain and --mutate, on ten certify
+# pool instances (drawn from the acceptance suite's seed, every reward and
+# drift kind among them) and on the two prefix-collision trees of the sweep
+# parity gate: the exit code and the sha256 of stdout of each call
+GAME_SUITE = "envelope,supermartingale,martingale,dpp,dpp-random,tau"
+COLLISION = {
+    "dynamics": {"x0": [0.0, 0.0], "drift": {"kind": "zero"}},
+    "controls": {"values": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]]],
+                 "cap": 2.0},
+    "reward": {"kind": "terminal-abs"},
+}
+PINNED_GAME = {
+    "pool-1": {
+        "grid": {"t_end": 0.5, "n_steps": 1},
+        "dynamics": {"x0": 1.0643688288659674, "drift": {"kind": "custom-table", "table": [[-0.32234063425628845]]}},
+        "controls": {"values": [1.298], "cap": 2.0},
+        "reward": {"kind": "lookback-max", "base": -0.03422858449433208},
+    },
+    "pool-64": {
+        "grid": {"t_end": 0.5, "n_steps": 1},
+        "dynamics": {"x0": 0.9895347109051464, "drift": {"kind": "custom-table", "table": [[-0.3018268988114242]]}},
+        "controls": {"values": [0.303, 0.48], "cap": 2.0},
+        "reward": {"kind": "american-put", "strike": 0.6401525814742268},
+    },
+    "pool-68": {
+        "grid": {"t_end": 1.0, "n_steps": 1},
+        "dynamics": {"x0": 1.4542591934863978, "drift": {"kind": "mean-reversion", "kappa": 1.0, "rate": 0.39963089074058933, "level": -0.23403284554826143}},
+        "controls": {"values": [0.709, 0.797], "cap": 2.0},
+        "reward": {"kind": "constant", "value": 0.8218539191823158},
+    },
+    "pool-131": {
+        "grid": {"t_end": 1.0, "n_steps": 2},
+        "dynamics": {"x0": -0.24339144267135948, "drift": {"kind": "zero"}},
+        "controls": {"values": [1.079], "cap": 2.0},
+        "reward": {"kind": "running-sum", "scale": -0.13416566184145168},
+    },
+    "pool-192": {
+        "grid": {"t_end": 2.0, "n_steps": 2},
+        "dynamics": {"x0": -0.44177533532501556, "drift": {"kind": "mean-reversion", "kappa": 1.0, "rate": 0.5152072719709292, "level": -0.252088457629032}},
+        "controls": {"values": [0.685, 1.096], "cap": 2.0},
+        "reward": {"kind": "terminal-abs", "base": 0.23542016263137577},
+    },
+    "pool-195": {
+        "grid": {"t_end": 2.0, "n_steps": 2},
+        "dynamics": {"x0": 0.9816974358636477, "drift": {"kind": "zero"}},
+        "controls": {"values": [0.349, 0.715], "cap": 2.0},
+        "reward": {"kind": "lookback-max", "base": 0.07828030356855054},
+    },
+    "pool-197": {
+        "grid": {"t_end": 1.0, "n_steps": 2},
+        "dynamics": {"x0": 0.6090250462718076, "drift": {"kind": "custom-table", "table": [[-0.11992377077006733], [0.4374343440967742]]}},
+        "controls": {"values": [0.517, 1.251], "cap": 2.0},
+        "reward": {"kind": "american-put", "strike": 0.9540612821450152},
+    },
+    "pool-260": {
+        "grid": {"t_end": 0.5, "n_steps": 3},
+        "dynamics": {"x0": 1.4958258181579305, "drift": {"kind": "zero"}},
+        "controls": {"values": [0.654], "cap": 2.0},
+        "reward": {"kind": "terminal-abs", "base": -0.1884322352785046},
+    },
+    "pool-320": {
+        "grid": {"t_end": 1.0, "n_steps": 3},
+        "dynamics": {"x0": -0.17998957078238487, "drift": {"kind": "mean-reversion", "kappa": 1.0, "rate": 0.11211680633256203, "level": 0.28882153627157664}},
+        "controls": {"values": [0.717, 1.152], "cap": 2.0},
+        "reward": {"kind": "american-put", "strike": 0.659536627188322},
+    },
+    "pool-322": {
+        "grid": {"t_end": 0.5, "n_steps": 3},
+        "dynamics": {"x0": 0.8844108892855373, "drift": {"kind": "custom-table", "table": [[0.1630514530897802], [-0.3654135601652093], [-0.0021055578798098162]]}},
+        "controls": {"values": [0.571, 1.026], "cap": 2.0},
+        "reward": {"kind": "constant", "value": -0.0033298431735977463},
+    },
+    "collision-n1": {"grid": {"t_end": 1.0, "n_steps": 1}, **COLLISION},
+    "collision-n2": {"grid": {"t_end": 1.0, "n_steps": 2}, **COLLISION},
+}
+GAME_CALLS = {
+    "oracle": ["oracle"],
+    "verify": ["verify", "--suite", GAME_SUITE, "--threads", "1"],
+    "verify --mutate": ["verify", "--suite", GAME_SUITE, "--threads", "1", "--mutate"],
+}
+GAME_DIGESTS = {
+    ("oracle", "collision-n1"):
+        (0, "27d58f5b484d87dd62cf2c66bfae680e35fef1d2557fcbfed91e5f7148f09c00"),
+    ("oracle", "collision-n2"):
+        (0, "8da84777619768ea1dca46d5fb74f89929c70b1856cead0efa48f637805acd82"),
+    ("oracle", "pool-1"):
+        (0, "f47b05e0e16ab8c85c3e97b5342b7dc364062a4cd284ed74329cf1aa95c724bf"),
+    ("oracle", "pool-131"):
+        (0, "92e02fa404589efe163c69c921bb16c3eccd69a69ac5ee7202be8b2795cdd3f7"),
+    ("oracle", "pool-192"):
+        (0, "836275c6d8ab07a130dd1a61b773697ddaea7f0a26046def05a681c1397d084e"),
+    ("oracle", "pool-195"):
+        (0, "5dbf7554b01890f106231c64913691798fbef035c19747313f1b6df70ecc8954"),
+    ("oracle", "pool-197"):
+        (0, "9d04015b69eded8dcc97dcb9ae04826c7384fa5101bebf535270271a2cf31862"),
+    ("oracle", "pool-260"):
+        (0, "16fd5989dfdb119cad1a8ec4b4ec105c7583a80743e5cd3caf648966d0fd375b"),
+    ("oracle", "pool-320"):
+        (0, "9602a5c82fce50ca1cab9c687a5473e52ae497c5c836286ef4f3f161066824ab"),
+    ("oracle", "pool-322"):
+        (0, "2283454a0fc208faa41caa75b991e0303e59ae9b4767ec03b2583e2d57a81a71"),
+    ("oracle", "pool-64"):
+        (0, "9876ddb730b5d5a009e30210b9c991d5d6c91c8caf566349174ca2fd24aac4ec"),
+    ("oracle", "pool-68"):
+        (0, "f87b56447a0f1bc80d6d0e996cf0ac9a0d84feea51887c4640d93c8f564035e3"),
+    ("verify", "collision-n1"):
+        (0, "beb768b38065b68975b74ec4eb543812b13c30638d30b45f95384fbe34cb712d"),
+    ("verify", "collision-n2"):
+        (0, "d669fb2c252326a769bc636a45d01d6348542b0112e90c1ab012ef98c0c3186f"),
+    ("verify", "pool-1"):
+        (0, "f1f71000f6afcd2292c919af2c4a27019c30ffbbd656bc5e44bf0045778a2bfc"),
+    ("verify", "pool-131"):
+        (0, "615f1716829ba20b85d2fc5ddbb0c0c137d731581b0d5225d8994fc4eacb9e1b"),
+    ("verify", "pool-192"):
+        (0, "f7e804e3ff5a030e8676585b7ae48d56e414da4850eccc30b669336b25006f88"),
+    ("verify", "pool-195"):
+        (0, "7b6605fa9c0859bea1a0715562f239869740ffe843a84d827e525999b8728a8c"),
+    ("verify", "pool-197"):
+        (0, "59e8a72e57446cbe174257bbb952a62dd9853e8eb70dbfa4caca794d75868f0d"),
+    ("verify", "pool-260"):
+        (0, "6ccd0aa6c1b9752c0f8647a27dec8b80d667574a86b7f49a5837349bc13d20b4"),
+    ("verify", "pool-320"):
+        (0, "73a376039ae3fcf16a7992d5f67b2bd9300cb3d35e33e23cc9eb3bef8e10c154"),
+    ("verify", "pool-322"):
+        (0, "95e4ab0bd5435984e57b2b6635e39a853e3e0fc46420db2cd18f6068e4fd3cd0"),
+    ("verify", "pool-64"):
+        (0, "e0a108d19039ce014787b1f3c8b930c7282cda2164ef571d5fe854796ad5ff6a"),
+    ("verify", "pool-68"):
+        (0, "b26737944fa80a24b162976bed4f22c356f7276e9349c809537a6313a8613392"),
+    ("verify --mutate", "collision-n1"):
+        (0, "c881a5ceddde847bc16d4213faef3a7b7f809d76e2a93852f276a4ee72fa5674"),
+    ("verify --mutate", "collision-n2"):
+        (0, "8a943e453e1daf5695775e9eaeb2434fe65713d3cefce7b24da574cad0a17af0"),
+    ("verify --mutate", "pool-1"):
+        (0, "799c34a7a4b6772090af47dff6f3fbff0e359bd7f541c7fb53c8dfc29b05c13c"),
+    ("verify --mutate", "pool-131"):
+        (0, "ec225f114a0fbbc29666f46243a86d93c0c6c68ed24b495b3e93659fd1dd5820"),
+    ("verify --mutate", "pool-192"):
+        (0, "fd9c6ad35edeb58c9062b89c05d8b07eb3d261c8f71bc6c81e43b3054d8a4462"),
+    ("verify --mutate", "pool-195"):
+        (0, "496a5dbd19816558009161709fce60f1a901c950b674afc2edbad5d80b8755a6"),
+    ("verify --mutate", "pool-197"):
+        (0, "70d4a3314295d8e9913d104804677c62daad17af653276dbc88bdb5224a19edb"),
+    ("verify --mutate", "pool-260"):
+        (1, "f242867751e9751af49d97296832b3f07d97d57a7d0182e209e0d9ee7b41a6f0"),
+    ("verify --mutate", "pool-320"):
+        (0, "29520124b5a4da16657bcc9993e3bef08b6a78a772b59ebce44f09dcddd6a3d6"),
+    ("verify --mutate", "pool-322"):
+        (1, "e145bb1984823d27f7b8b0fcd19c1b65856cc98fdaeb1feff178718b88bab780"),
+    ("verify --mutate", "pool-64"):
+        (0, "863f3d9946fc892de6b1d862b3efd027cc698b478b414296b99710f9c37c65a4"),
+    ("verify --mutate", "pool-68"):
+        (1, "3601d1420c9d8a3fb8ee606180ede090137011220479bf4fdacf96bb1837eb8e"),
+}
+
+
+@pytest.mark.parametrize("call, name", sorted(GAME_DIGESTS))
+def test_oracle_and_tree_verify_outputs_are_pinned(tmp_path, capsys, call, name):
+    argv = GAME_CALLS[call] + ["--config", write_config(tmp_path, PINNED_GAME[name]),
+                               "--seed", "1"]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GAME_DIGESTS[call, name]

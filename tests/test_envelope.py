@@ -10,6 +10,7 @@ import pytest
 
 from conftest import rule_keys
 from referees import (
+    as_strategy,
     max_control_envelope,
     nonlinear_expectation,
     scenario_tau,
@@ -18,7 +19,6 @@ from referees import (
 )
 from robuststop import (
     ControlSet,
-    ControlStrategy,
     DriftSpec,
     StrategyError,
     TimeGrid,
@@ -88,7 +88,7 @@ def test_singleton_control_equals_classic_snell():
     tree = expand_tree(grid, 1.0, DriftSpec("zero"), ControlSet([0.7], cap=1.0))
     Y = american_put(strike=1.0, base=0.0)
     sol = robust_envelope(tree, Y)
-    snell = classic_snell(tree, ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])}), Y)
+    snell = classic_snell(tree, np.zeros(tree.n_nodes, dtype=np.int64), Y)
     assert sol.z.tolist() == snell.values.tolist()
     assert sol.root_value() == snell.root_value
 
@@ -225,7 +225,8 @@ def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):
     rng = np.random.default_rng(3)
     for _ in range(20):
         tree, _ = rand_instance(rng)
-        strategy = {i: int(rng.integers(len(tree.controls))) for i in range(tree.offsets[-2])}
+        strategy = as_strategy(tree, {i: int(rng.integers(len(tree.controls)))
+                                      for i in range(tree.offsets[-2])})
         flags = rng.random(tree.n_nodes) < 0.3
         flags[tree.root] = False
         out = forward_pass(tree, strategy=strategy, stops=flags.__getitem__)
@@ -239,14 +240,14 @@ def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):
         needed = np.flatnonzero(control >= 0).tolist()
         assert needed
         partial = {i: strategy[i] for i in needed}
-        again = forward_pass(tree, strategy=ControlStrategy(tree, partial),
+        again = forward_pass(tree, strategy=as_strategy(tree, partial),
                              stops=flags.__getitem__)
         for got, want in zip(again, out):
             assert np.array_equal(got, want)
         drop = needed[int(rng.integers(len(needed)))]
         del partial[drop]
         with pytest.raises(StrategyError, match=f"node {drop}$"):
-            forward_pass(tree, strategy=ControlStrategy(tree, partial),
+            forward_pass(tree, strategy=as_strategy(tree, partial),
                          stops=flags.__getitem__)
 
 
@@ -254,14 +255,16 @@ def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
     tree, _ = put_n2
     interior = range(tree.offsets[-2])
     for ci in (0, 1, np.int64(1)):
-        by_node = forward_pass(tree, strategy={i: int(ci) for i in interior})
+        by_node = forward_pass(tree, strategy=as_strategy(tree, dict.fromkeys(interior, int(ci))))
         for got, want in zip(forward_pass(tree, strategy=ci), by_node):
             assert np.array_equal(got, want)
     # an out-of-range index fails at the first node that needs a control
     with pytest.raises(StrategyError, match="control index 2 out of range at node 0$"):
         forward_pass(tree, strategy=2)
-    with pytest.raises(StrategyError, match="control index -1 out of range at node 3$"):
+    with pytest.raises(StrategyError, match="assigns no control to node 3$"):
         forward_pass(tree, 3, strategy=-1)
+    with pytest.raises(StrategyError, match="control index -2 out of range at node 3$"):
+        forward_pass(tree, 3, strategy=-2)
     # where every reached node stops, none needs one
     flags = np.ones(tree.n_nodes, dtype=bool)
     assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21

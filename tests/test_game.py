@@ -9,7 +9,6 @@ import pytest
 
 from robuststop import (
     ControlSet,
-    ControlStrategy,
     DriftSpec,
     ModulusSpec,
     RuleError,
@@ -37,7 +36,13 @@ from conftest import (
     random_instance,
     rule_keys,
 )
-from referees import PartitionError, paste_strategies, pasting_check, state_law
+from referees import (
+    PartitionError,
+    as_strategy,
+    paste_strategies,
+    pasting_check,
+    state_law,
+)
 from robuststop import game, model
 from robuststop.envelope import _y_array, backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
@@ -112,23 +117,29 @@ def test_strategy_counts(inst_a):
     strategies = list(enumerate_strategies(t2))
     assert len(strategies) == 8
     for s in strategies:
-        s.validate()
+        assert s.dtype == np.int64 and s.shape == (t2.n_nodes,)
+        forward_pass(t2, strategy=s)
 
 
 def test_strategy_validation(inst_a):
     tree, _ = inst_a
-    with pytest.raises(StrategyError):
-        ControlStrategy(tree, {}).validate()
-    with pytest.raises(StrategyError):
-        ControlStrategy(tree, {0: 5}).validate()
-    ControlStrategy(tree, {0: 1}).validate()
+    with pytest.raises(StrategyError, match="assigns no control to node 0$"):
+        forward_pass(tree, strategy=as_strategy(tree, {}))
+    with pytest.raises(StrategyError, match="control index 5 out of range at node 0$"):
+        forward_pass(tree, strategy=as_strategy(tree, {0: 5}))
+    # a negative index other than -1 is out of range, not a missing control
+    with pytest.raises(StrategyError, match="control index -2 out of range at node 0$"):
+        forward_pass(tree, strategy=as_strategy(tree, {0: -2}))
+    forward_pass(tree, strategy=as_strategy(tree, {0: 1}))
+    with pytest.raises(ValueError):
+        forward_pass(tree, strategy=np.zeros(tree.n_nodes - 1, dtype=np.int64))
 
 
 def test_expected_reward_hand_values(inst_a):
     tree, Y = inst_a
     continue_rule, stop_rule = enumerate_stopping_rules(tree)
-    low = ControlStrategy(tree, {0: 0})
-    high = ControlStrategy(tree, {0: 1})
+    low = np.zeros(tree.n_nodes, dtype=np.int64)
+    high = np.ones(tree.n_nodes, dtype=np.int64)
     assert expected_reward(tree, low, continue_rule, Y) == 0.5
     assert expected_reward(tree, high, continue_rule, Y) == 1.0
     assert expected_reward(tree, high, stop_rule, Y) == 0.0
@@ -152,7 +163,7 @@ def test_game_inst_a_full_agreement(inst_a):
     assert report.n_strategies == 2
     assert report.n_stopping_times == 2
     assert report.n_rule_maps == 2
-    assert report.optimal_strategy.assignments[0] == 0
+    assert report.optimal_strategy[0] == 0
 
 
 def test_game_put_n2(put_n2):
@@ -379,7 +390,7 @@ def test_oracle_never_builds_the_root_stop_set_row():
 
 def test_state_law_is_a_probability(put_n2):
     tree, _ = put_n2
-    law = state_law(tree, ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])}))
+    law = state_law(tree, np.zeros(tree.n_nodes, dtype=np.int64))
     weights = np.array(list(law.values()))
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert np.all(weights > 0)
@@ -388,10 +399,10 @@ def test_state_law_is_a_probability(put_n2):
 
 def test_pasting_changes_law_only_below_switched_cell(put_n2):
     tree, _ = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
-    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
+    base = np.zeros(tree.n_nodes, dtype=np.int64)
+    piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
-    pasted = paste_strategies(base, 0.5, [lambda p: not up(p), up], [piece])
+    pasted = paste_strategies(tree, base, 0.5, [lambda p: not up(p), up], [piece])
     law_base = state_law(tree, base)
     law_pasted = state_law(tree, pasted)
     down_atoms = {key: w for key, w in law_base.items() if key[1][1] < 1.0}
@@ -404,10 +415,10 @@ def test_pasting_changes_law_only_below_switched_cell(put_n2):
 
 def test_pasting_check_zero_slack(put_n2):
     tree, Y = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
-    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
+    base = np.zeros(tree.n_nodes, dtype=np.int64)
+    piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
-    report = pasting_check(base, 0.5, [lambda p: not up(p), up], [piece], Y)
+    report = pasting_check(tree, base, 0.5, [lambda p: not up(p), up], [piece], Y)
     assert report.ok
     assert report.worst_atom_gap == 0.0
     assert report.worst_marginal_gap == 0.0
@@ -417,13 +428,13 @@ def test_pasting_check_zero_slack(put_n2):
 
 def test_pasting_rejects_bad_partitions(put_n2):
     tree, _ = put_n2
-    base = ControlStrategy(tree, {i: 0 for i in range(tree.offsets[-2])})
-    piece = ControlStrategy(tree, {i: 1 for i in range(tree.offsets[-2])})
+    base = np.zeros(tree.n_nodes, dtype=np.int64)
+    piece = np.ones(tree.n_nodes, dtype=np.int64)
     always = lambda p: True
     with pytest.raises(PartitionError):
-        paste_strategies(base, 0.5, [always, always], [piece])
+        paste_strategies(tree, base, 0.5, [always, always], [piece])
     never = lambda p: False
     with pytest.raises(PartitionError):
-        paste_strategies(base, 0.5, [never, never], [piece])
+        paste_strategies(tree, base, 0.5, [never, never], [piece])
     with pytest.raises(PartitionError):
-        paste_strategies(base, 0.5, [always], [piece])
+        paste_strategies(tree, base, 0.5, [always], [piece])

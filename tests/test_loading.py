@@ -29,9 +29,8 @@ EXPORTS = {
         "StrategyError",
     ],
     game: [
-        "ControlStrategy", "GameReport", "enumerate_stopping_rules",
-        "enumerate_strategies", "expected_reward", "game_values",
-        "worst_case_stopped_reward",
+        "GameReport", "enumerate_stopping_rules", "enumerate_strategies",
+        "expected_reward", "game_values", "worst_case_stopped_reward",
     ],
     model: [
         "ControlSet", "DriftSpec", "PathSample", "ScenarioTree", "drift_eval",

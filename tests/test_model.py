@@ -193,6 +193,17 @@ def test_state_norms_match_per_row_norm():
         a = np.vstack([a, np.repeat(edge[:, None], d, axis=1), np.resize(edge, (8, d))])
         with np.errstate(over="ignore", under="ignore"):
             want = np.array([np.linalg.norm(row) for row in a])
+            if d == 1:
+                # the exact norm |x| on every row, np.linalg.norm's where
+                # x * x is a normal float (or x is zero); the square of
+                # the edge rows 5e-324, 1e-160, 1e155 and -1e200 is not
+                x = a[:, 0]
+                assert state_norms(a).tobytes() == np.abs(x).tobytes()
+                sq = x * x
+                normal = (x == 0) | (np.isfinite(sq) & (sq >= np.finfo(float).tiny))
+                assert np.count_nonzero(~normal) == 12
+                assert state_norms(a)[normal].tobytes() == want[normal].tobytes()
+                continue
             assert state_norms(a).tobytes() == want.tobytes()
             assert state_norms(a[:, ::-1]).tobytes() == np.array(
                 [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()

@@ -34,7 +34,6 @@ import pytest
 from conftest import make_collision_tree, make_put, random_instance, rule_keys
 from referees import nonlinear_expectation, pasting_check, stopped_value
 from robuststop import (
-    ControlStrategy,
     StoppingRule,
     classic_snell,
     enumerate_stopping_rules,
@@ -112,7 +111,8 @@ def _game_part(tree, y):
         float(r.value_at_tau_star), float(r.saddle_value), float(r.max_gap),
         bool(r.agree), bool(r.saddle), float(r.tolerance),
         int(r.n_strategies), int(r.n_stopping_times), int(r.n_rule_maps),
-        sorted((int(k), int(v)) for k, v in r.optimal_strategy.assignments.items()),
+        # the strategy's assigned (node, control) pairs, in node order
+        [(i, c) for i, c in enumerate(r.optimal_strategy.tolist()) if c >= 0],
         # the tau* rule's horizon and its decisions on non-terminal prefixes
         tree.grid.n_steps,
         sorted(kv for kv in rule_keys(r.optimal_rule).items() if kv[0][0] < tree.grid.n_steps),
@@ -153,8 +153,7 @@ def digests(tree, Y, rng) -> dict:
     parts = {
         "classic_snell": [
             _snell_part(tree, s, y) for s in enumerate_strategies(tree)
-        ] + [_snell_part(tree, {i: int(c) % len(tree.controls)
-                                for i, c in enumerate(sol.argmin_control)}, y, node)
+        ] + [_snell_part(tree, sol.argmin_control % len(tree.controls), y, node)
              for node in level1],
         "nonlinear_expectation": [
             _outcome(nonlinear_expectation, tree, xi_, node)
@@ -194,12 +193,12 @@ def _prefix_collision():
 def _pasting_from_node():
     tree, Y = make_put(3)
     interior = range(tree.offsets[-2])
-    base = ControlStrategy(tree, {i: 0 for i in interior})
-    piece = ControlStrategy(tree, {i: 1 for i in interior})
+    base = np.zeros(tree.n_nodes, dtype=np.int64)
+    piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
     parts = []
     for s in (tree.grid.time(1), tree.grid.time(2)):
-        r = pasting_check(base, s, [lambda p: not up(p), up], [piece], Y)
+        r = pasting_check(tree, base, s, [lambda p: not up(p), up], [piece], Y)
         parts.append((bool(r.ok), float(r.worst_atom_gap), float(r.worst_marginal_gap),
                       float(r.worst_snell_excess), r.n_atoms, r.n_marginal_events,
                       r.failures))
