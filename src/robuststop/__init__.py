@@ -44,7 +44,6 @@ from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
 from .reward import (
     RewardFunctional,
     american_put,
-    builtin_catalog,
     constant_reward,
     custom_reward,
     eval_reward,

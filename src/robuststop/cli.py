@@ -2,9 +2,9 @@
 
 Four subcommands: solve (backward sweep with slice summaries and the
 stop-region boundary), oracle (exhaustive game enumeration against the
-sweep), verify (named checks from the verify module, with --mutate to
-demonstrate that each one can reject), and demo (American put under a
-volatility interval, with CSV tables).
+sweep), verify (the checks of verify.CHECKS by name; with --mutate each
+runs on the broken input its entry builds, and must reject it), and demo
+(American put under a volatility interval, with CSV tables).
 
 One JSON document configures a run.  Validation is fail-closed: an
 unknown section or key is an error, never a silently ignored typo.
@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import traceback
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,12 +46,11 @@ from .model import (
     expand_tree,
     min_state_norm,
 )
-from .pathspace import ModulusSpec, TimeGrid
+from .pathspace import TimeGrid
 from .reward import (
     RewardFunctional,
     american_put,
     constant_reward,
-    custom_reward,
     lookback_max,
     running_sum,
     terminal_abs,
@@ -71,6 +71,8 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
+# verify.CHECKS' names, in its order, for --help: building the parser
+# does not load the verify module
 _SUITES = (
     "y1",
     "drift",
@@ -83,8 +85,6 @@ _SUITES = (
     "prehistory",
     "moments",
 )
-# the checks that never read the configured tree or its solution
-_SAMPLED_CHECKS = ("y1", "drift", "prehistory", "moments")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +434,21 @@ def _emit(report: dict, out_dir: str | None, csvs: dict | None = None) -> None:
         _write_csv(out_dir, name, header, rows)
 
 
-def _instance(cfg: dict):
+class Instance(NamedTuple):
+    """A config's parsed instance, and for verify's tree checks the
+    expanded tree and its solution."""
+
+    grid: TimeGrid
+    x0: object
+    drift: DriftSpec
+    controls: ControlSet
+    Y: RewardFunctional
+    solver: dict
+    tree: object = None
+    sol: object = None
+
+
+def _instance(cfg: dict) -> Instance:
     grid = build_grid(cfg)
     controls = build_controls(cfg)
     x0, drift = build_dynamics(cfg, grid, controls.dim)
@@ -444,12 +458,12 @@ def _instance(cfg: dict):
             f"reward.kind {Y.kind!r} reads a scalar path, "
             f"but the controls give d = {controls.dim}"
         )
-    return grid, x0, drift, controls, Y, build_solver(cfg)
+    return Instance(grid, x0, drift, controls, Y, build_solver(cfg))
 
 
-def _expand(inst):
-    grid, x0, drift, controls, _, solver = inst
-    tree = expand_tree(grid, x0, drift, controls, node_cap=solver["node_cap"])
+def _expand(inst: Instance):
+    tree = expand_tree(inst.grid, inst.x0, inst.drift, inst.controls,
+                       node_cap=inst.solver["node_cap"])
     log.info("expanded tree with %d nodes", tree.n_nodes)
     # finite inputs can still overflow; a state past the float range stays
     # inf or NaN in all its descendants, so the leaves show any of them
@@ -475,9 +489,9 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
     summary comes from sol.tau_extent(), which builds no scenario map.
     """
     inst = _instance(cfg)
-    grid, _, _, controls, Y, solver = inst
+    grid, controls = inst.grid, inst.controls
     tree = _expand(inst)
-    sol = robust_envelope(tree, Y, delta=solver["delta"])
+    sol = robust_envelope(tree, inst.Y, delta=inst.solver["delta"])
 
     slices = []
     boundary_rows = []
@@ -514,7 +528,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
         "command": "solve",
         "seed": seed,
         "root_value": sol.root_value(),
-        "delta": solver["delta"],
+        "delta": inst.solver["delta"],
         "n_nodes": tree.n_nodes,
         "n_controls": len(controls),
         "argmin_control_frequencies": freqs,
@@ -551,11 +565,11 @@ def game_values(*args, **kwargs):
 
 def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
     inst = _instance(cfg)
-    _, _, _, _, Y, solver = inst
+    solver = inst.solver
     tree = _expand(inst)
     rep = game_values(
         tree,
-        Y,
+        inst.Y,
         tolerance=solver["tolerance"],
         strategy_cap=solver["strategy_cap"],
         stop_time_cap=solver["stop_time_cap"],
@@ -590,16 +604,15 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
 
 
 def _parse_suite(spec: str) -> list:
+    checks = vf.CHECKS
     if spec is None or spec.strip() == "":
-        raise ConfigError(
-            f"empty check selector; pick from {', '.join(_SUITES)} or 'all'"
-        )
+        raise ConfigError(f"empty check selector; pick from {', '.join(checks)} or 'all'")
     if spec.strip() == "all":
-        return list(_SUITES)
+        return list(checks)
     names = [s.strip() for s in spec.split(",") if s.strip()]
-    bad = [s for s in names if s not in _SUITES]
+    bad = [s for s in names if s not in checks]
     if bad:
-        raise ConfigError(f"unknown check name(s): {bad}; pick from {', '.join(_SUITES)}")
+        raise ConfigError(f"unknown check name(s): {bad}; pick from {', '.join(checks)}")
     # the report keys each check by name, so a repeat would hide a run
     repeated = sorted({s for s in names if names.count(s) > 1})
     if repeated:
@@ -607,104 +620,6 @@ def _parse_suite(spec: str) -> list:
     if not names:
         raise ConfigError("empty check selector")
     return names
-
-
-def _run_check(name, cfg, inst, seed: int, mutate: bool):
-    grid, x0, drift, controls, Y, solver, tree, sol = inst
-    vcfg = _section(cfg, "verify")
-    n_samples = _num(vcfg, "verify", "n_samples", 10_000, integer=True, minimum=1)
-    spread = _num(vcfg, "verify", "spread", 1.0)
-    if not spread > 0:
-        raise ConfigError(f"verify.spread must be > 0, got {spread}")
-
-    if name == "y1":
-        target = Y
-        if mutate:
-            # payoff that decays with time but claims a zero modulus, so
-            # the early value exceeds the later one on every ordered pair
-            target = custom_reward(
-                lambda k, track: float(-k), ModulusSpec("linear", 0.0), -float(grid.n_steps)
-            )
-        return vf.check_y1(
-            target, vf.pair_sampler(grid, controls.dim, spread), n_samples, seed=seed
-        )
-    if name == "drift":
-        spec = drift
-        if mutate:
-            spec = DriftSpec("mean-reversion", kappa=0.5, rate=1.5, level=0.0)
-        return vf.check_drift(
-            spec, vf.prefix_sampler(grid, controls, controls.dim, spread),
-            n_samples, seed=seed,
-        )
-    if name == "envelope":
-        target = vf.corrupt_envelope(sol, node=tree.offsets[-2]) if mutate else sol
-        return vf.check_envelope_basic(target)
-    if name == "supermartingale":
-        target = vf.corrupt_envelope(sol) if mutate else sol
-        return vf.check_supermartingale(tree, target)
-    if name == "martingale":
-        target = vf.corrupt_envelope(sol) if mutate else sol
-        return vf.check_martingale_to_tau(tree, target)
-    if name == "dpp":
-        s = _num(vcfg, "verify", "dpp_s", grid.n_steps, integer=True)
-        if not 0 <= s <= grid.n_steps:
-            raise ConfigError(f"verify.dpp_s must lie in [0, {grid.n_steps}]")
-        target = sol
-        if mutate:
-            target = vf.corrupt_envelope(sol, node=tree.root)
-            s = max(s, 1)
-        return vf.check_dpp(tree, target, s)
-    if name == "dpp-random":
-        barrier = _num(vcfg, "verify", "barrier")
-        if mutate or barrier is None:
-            nu = grid.n_steps
-        else:
-            nu = lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier)
-        target = vf.corrupt_envelope(sol, node=tree.root) if mutate else sol
-        return vf.check_dpp_random_horizon(tree, target, nu)
-    if name == "tau":
-        # the check lets z sit up to delta above the value of stopping at
-        # tau*, so the shift reaches past that slack
-        target = vf.corrupt_envelope(sol, amount=-(sol.delta + 0.1)) if mutate else sol
-        return vf.check_tau_monotone(target)
-    if name == "prehistory":
-        split = _num(vcfg, "verify", "split", min(1, grid.n_steps), integer=True)
-        if not 0 <= split <= grid.n_steps:
-            raise ConfigError(f"verify.split must lie in [0, {grid.n_steps}]")
-        pairs = _num(vcfg, "verify", "prehistory_pairs", 12, integer=True, minimum=1)
-        # with a path-independent drift the reward's own modulus transfers
-        # to the root value; otherwise fit and report
-        rho1 = Y.modulus if drift.kind in ("zero", "custom-table") else None
-        target = Y
-        if mutate:
-            # payoff that reads the pre-history but claims a zero modulus,
-            # so the root value moves on every pair with a gap, whatever
-            # the configured reward; a gap needs a split past 0 and a pair
-            # past the first, identical one
-            split, pairs = max(split, 1), max(pairs, 2)
-            target = custom_reward(
-                lambda k, track: float(np.sum(np.abs(track[: split + 1]))),
-                ModulusSpec("linear", 0.0), 0.0,
-            )
-            rho1 = ModulusSpec("linear", 0.0)
-        return vf.check_continuity_in_prehistory(
-            grid, drift, controls, target, split,
-            x0=x0, n_pairs=pairs, spread=spread, rho1=rho1, seed=seed,
-        )
-    if name == "moments":
-        steps = _num(vcfg, "verify", "moments_steps", 16, integer=True, minimum=1)
-        paths = _num(vcfg, "verify", "moments_paths", 100_000, integer=True, minimum=1)
-        # checked before the mutation's drift table of `steps` rows is built
-        vf.bound_moment_steps(steps, paths)
-        kwargs = {"u": controls[0], "n_steps": steps, "n_paths": paths, "seed": seed}
-        if mutate:
-            # constant unit push with an understated declared bound
-            kwargs["drift"] = DriftSpec(
-                "custom-table", table=[[1.0] * controls.dim] * steps
-            )
-            kwargs["drift_bound"] = 1e-6
-        return vf.check_sde_moments(**kwargs)
-    raise ConfigError(f"unknown check name {name!r}")
 
 
 def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
@@ -718,18 +633,17 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     names = _parse_suite(suite_spec)
     inst = _instance(cfg)
-    _, _, _, _, Y, solver = inst
-    # the sampled checks draw their own samples or build their own trees,
-    # so the configured tree is expanded and solved only for the others
-    tree = sol = None
-    if any(name not in _SAMPLED_CHECKS for name in names):
+    if any(vf.CHECKS[name].reads_tree for name in names):
         tree = _expand(inst)
-        sol = robust_envelope(tree, Y, delta=solver["delta"])
-    inst += (tree, sol)
+        sol = robust_envelope(tree, inst.Y, delta=inst.solver["delta"])
+        inst = inst._replace(tree=tree, sol=sol)
+    num = functools.partial(_num, _section(cfg, "verify"), "verify")
+    # read and checked before the first check, whichever checks read them
+    vf.sample_keys(num)
 
     reports = []
     for i, name in enumerate(names):
-        rep = _run_check(name, cfg, inst, seed + 101 * i, mutate)
+        rep = vf.CHECKS[name].run(inst, num, seed + 101 * i, mutate)
         log.info("check %s: %s", name, "pass" if rep.passed else "FAIL")
         reports.append((name, rep))
 

@@ -110,8 +110,6 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
         return mask | (flags == 1)
 
     def stops(ids):
-        if not len(ids):
-            return []
         l = bisect.bisect_right(tree.offsets, ids[0]) - 1
         at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
         heads = list(dict.fromkeys(at))
@@ -127,8 +125,10 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     over the subtree of node, following the strategy's control at each
     node (every control without one), cut off where stops holds.
 
-    stops(ids) gives the flags of one level's reached interior nodes.  The
-    strategy is one control index for every node, or an int array of
+    stops(ids) gives the flags of one level's reached interior nodes; the
+    walk ends at the first level it does not reach, so ids is never
+    empty, and the levels below keep the values the walk starts from.
+    The strategy is one control index for every node, or an int array of
     length tree.n_nodes with one per node, -1 where it assigns none; its
     controls are gathered a level at a time at the reached interior nodes
     that do not stop.  Neither is read at any other node, so a partial
@@ -156,6 +156,8 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     # each level's children are the next level's range, C * B per node
     for (lo, hi), (klo, khi) in zip(ranges, ranges[1:]):
         go = reached[lo:hi]
+        if not go.any():
+            break
         if stops is not None:
             ids = lo + np.flatnonzero(go)
             stop[ids] = stops(ids)

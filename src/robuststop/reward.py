@@ -16,9 +16,9 @@ track.
 
 Every functional declares a one-sided continuity modulus (how much Y can
 exceed its value at a later, nearby time-path pair) and a finite lower
-bound.  The built-in catalog documents why each declaration holds; the
-verify module samples the modulus (check_y1) and checks only that the
-bound is finite.
+bound.  The tests' reward catalog (tests/referees.py) gives the argument
+for each built-in declaration; the verify module samples the modulus
+(check_y1) and checks only that the bound is finite.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .pathspace import ModulusSpec
 
 __all__ = [
     "RewardFunctional",
-    "CatalogEntry",
     "eval_reward",
     "reward_values",
-    "builtin_catalog",
     "american_put",
     "lookback_max",
     "terminal_abs",
@@ -167,13 +165,6 @@ def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    template: RewardFunctional
-    certificate: str
-
-
 def american_put(strike: float = 1.0, base: float = 1.0, scale: float = 1.0) -> RewardFunctional:
     return RewardFunctional(
         kind="american-put",
@@ -259,42 +250,3 @@ def custom_reward(
         modulus=modulus,
         lower_bound=lower_bound,
     )
-
-
-def builtin_catalog() -> list[CatalogEntry]:
-    """Built-in rewards with their continuity certificates."""
-    return [
-        CatalogEntry(
-            "american-put",
-            american_put(),
-            "|(K-a)+ - (K-b)+| <= |a-b|, and the current level moves by at "
-            "most the stopped-path gap, so the one-sided bound is linear "
-            "with constant |scale|.",
-        ),
-        CatalogEntry(
-            "lookback-max",
-            lookback_max(),
-            "Running maxima over nested windows: the earlier max is taken "
-            "over a subset of the later window, so the one-sided excess is "
-            "at most the stopped-path sup gap; linear with constant scale.",
-        ),
-        CatalogEntry(
-            "terminal-abs",
-            terminal_abs(),
-            "Reverse triangle inequality on the current level; linear with "
-            "constant scale.",
-        ),
-        CatalogEntry(
-            "running-sum",
-            running_sum(),
-            "Shared terms move by at most (n_steps+1) per unit of path "
-            "distance; dropped tail terms are bounded by the declared "
-            f"sample range {CATALOG_RANGE}.  Constant valid on that range "
-            "only (documented restriction).",
-        ),
-        CatalogEntry(
-            "constant",
-            constant_reward(0.25),
-            "Constant payoff: the modulus is identically zero.",
-        ),
-    ]

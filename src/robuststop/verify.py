@@ -17,14 +17,16 @@ value of stopping at tau* is one such sweep too, the game module's
 value_at_tau_star at every node instead of the root only.
 
 Checks are deterministic given their seeds, and each one can genuinely
-fail: corrupt_envelope builds broken inputs for the negative tests, and
-the cli's --mutate flag runs the same demonstrations.
+fail.  CHECKS, the suite by name, reads each check's config keys and
+runs it plain or on the broken input of its mutation, for the verify
+command and for any caller in-process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .envelope import (
     robust_envelope,
     stop_mask,
 )
-from .errors import SizeError
+from .errors import ConfigError, SizeError
 from .model import (
     DriftSpec,
     drift_eval,
@@ -45,8 +47,8 @@ from .model import (
     simulate_sup_distances,
     state_norms,
 )
-from .pathspace import Path, TimeGrid, dist_dinfty
-from .reward import RewardFunctional, eval_reward
+from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
+from .reward import RewardFunctional, custom_reward, eval_reward
 
 __all__ = [
     "CheckReport",
@@ -63,6 +65,8 @@ __all__ = [
     "check_continuity_in_prehistory",
     "check_sde_moments",
     "corrupt_envelope",
+    "Check",
+    "CHECKS",
 ]
 
 @dataclass(frozen=True)
@@ -804,3 +808,156 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
     bad.stop = sol.stop
     return bad
 
+
+
+# ---------------------------------------------------------------------------
+# the suite: each check with its config keys and its mutation
+
+
+class Check(NamedTuple):
+    """A check of the suite.  run(inst, num, seed, mutate) -> CheckReport
+    reads the check's verify keys through num(key, default, integer,
+    minimum), which parses them, and runs the check on inst, the parsed
+    instance, or with mutate on a broken input it must reject (which may
+    move the check's parameters too).  It calls its check, corrupt_envelope
+    and the samplers by their module names when it runs, so a wrapper set
+    on the module sees every call.  reads_tree: run reads inst.tree and
+    inst.sol, the configured tree and its solution."""
+
+    run: Callable[..., CheckReport]
+    reads_tree: bool
+
+
+def sample_keys(num) -> tuple[int, float]:
+    """verify.n_samples and verify.spread, which the sampled checks read
+    and every run of the suite checks before its first check."""
+    n_samples = num("n_samples", 10_000, integer=True, minimum=1)
+    spread = num("spread", 1.0)
+    if not spread > 0:
+        raise ConfigError(f"verify.spread must be > 0, got {spread}")
+    return n_samples, spread
+
+
+def _run_y1(inst, num, seed, mutate):
+    n_samples, spread = sample_keys(num)
+    grid, target = inst.grid, inst.Y
+    if mutate:
+        # payoff that decays with time but claims a zero modulus, so
+        # the early value exceeds the later one on every ordered pair
+        target = custom_reward(
+            lambda k, track: float(-k), ModulusSpec("linear", 0.0), -float(grid.n_steps)
+        )
+    sampler = pair_sampler(grid, inst.controls.dim, spread)
+    return check_y1(target, sampler, n_samples, seed=seed)
+
+
+def _run_drift(inst, num, seed, mutate):
+    n_samples, spread = sample_keys(num)
+    spec = inst.drift
+    if mutate:
+        spec = DriftSpec("mean-reversion", kappa=0.5, rate=1.5, level=0.0)
+    sampler = prefix_sampler(inst.grid, inst.controls, inst.controls.dim, spread)
+    return check_drift(spec, sampler, n_samples, seed=seed)
+
+
+def _run_envelope(inst, num, seed, mutate):
+    sol = inst.sol
+    target = corrupt_envelope(sol, node=inst.tree.offsets[-2]) if mutate else sol
+    return check_envelope_basic(target)
+
+
+def _run_supermartingale(inst, num, seed, mutate):
+    target = corrupt_envelope(inst.sol) if mutate else inst.sol
+    return check_supermartingale(inst.tree, target)
+
+
+def _run_martingale(inst, num, seed, mutate):
+    target = corrupt_envelope(inst.sol) if mutate else inst.sol
+    return check_martingale_to_tau(inst.tree, target)
+
+
+def _run_dpp(inst, num, seed, mutate):
+    n = inst.grid.n_steps
+    s = num("dpp_s", n, integer=True)
+    if not 0 <= s <= n:
+        raise ConfigError(f"verify.dpp_s must lie in [0, {n}]")
+    target = inst.sol
+    if mutate:
+        target = corrupt_envelope(inst.sol, node=inst.tree.root)
+        s = max(s, 1)
+    return check_dpp(inst.tree, target, s)
+
+
+def _run_dpp_random(inst, num, seed, mutate):
+    barrier = num("barrier")
+    if mutate or barrier is None:
+        nu = inst.grid.n_steps
+    else:
+        nu = lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier)
+    target = corrupt_envelope(inst.sol, node=inst.tree.root) if mutate else inst.sol
+    return check_dpp_random_horizon(inst.tree, target, nu)
+
+
+def _run_tau(inst, num, seed, mutate):
+    sol = inst.sol
+    # the check lets z sit up to delta above the value of stopping at
+    # tau*, so the shift reaches past that slack
+    target = corrupt_envelope(sol, amount=-(sol.delta + 0.1)) if mutate else sol
+    return check_tau_monotone(target)
+
+
+def _run_prehistory(inst, num, seed, mutate):
+    _, spread = sample_keys(num)
+    n = inst.grid.n_steps
+    split = num("split", min(1, n), integer=True)
+    if not 0 <= split <= n:
+        raise ConfigError(f"verify.split must lie in [0, {n}]")
+    pairs = num("prehistory_pairs", 12, integer=True, minimum=1)
+    # with a path-independent drift the reward's own modulus transfers
+    # to the root value; otherwise fit and report
+    rho1 = inst.Y.modulus if inst.drift.kind in ("zero", "custom-table") else None
+    target = inst.Y
+    if mutate:
+        # payoff that reads the pre-history but claims a zero modulus,
+        # so the root value moves on every pair with a gap, whatever
+        # the configured reward; a gap needs a split past 0 and a pair
+        # past the first, identical one
+        split, pairs = max(split, 1), max(pairs, 2)
+        target = custom_reward(
+            lambda k, track: float(np.sum(np.abs(track[: split + 1]))),
+            ModulusSpec("linear", 0.0), 0.0,
+        )
+        rho1 = ModulusSpec("linear", 0.0)
+    return check_continuity_in_prehistory(
+        inst.grid, inst.drift, inst.controls, target, split,
+        x0=inst.x0, n_pairs=pairs, spread=spread, rho1=rho1, seed=seed,
+    )
+
+
+def _run_moments(inst, num, seed, mutate):
+    steps = num("moments_steps", 16, integer=True, minimum=1)
+    paths = num("moments_paths", 100_000, integer=True, minimum=1)
+    # checked before the mutation's drift table of `steps` rows is built
+    bound_moment_steps(steps, paths)
+    dim = inst.controls.dim
+    kwargs = {"u": inst.controls[0], "n_steps": steps, "n_paths": paths, "seed": seed}
+    if mutate:
+        # constant unit push with an understated declared bound
+        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0] * dim] * steps)
+        kwargs["drift_bound"] = 1e-6
+    return check_sde_moments(**kwargs)
+
+
+# every check by its suite name, in the order `--suite all` runs them
+CHECKS = {
+    "y1": Check(_run_y1, reads_tree=False),
+    "drift": Check(_run_drift, reads_tree=False),
+    "envelope": Check(_run_envelope, reads_tree=True),
+    "supermartingale": Check(_run_supermartingale, reads_tree=True),
+    "martingale": Check(_run_martingale, reads_tree=True),
+    "dpp": Check(_run_dpp, reads_tree=True),
+    "dpp-random": Check(_run_dpp_random, reads_tree=True),
+    "tau": Check(_run_tau, reads_tree=True),
+    "prehistory": Check(_run_prehistory, reads_tree=False),
+    "moments": Check(_run_moments, reads_tree=False),
+}

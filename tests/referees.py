@@ -15,7 +15,9 @@ frozen by a rule; the sweep parity gate pins both.  scenario_tau keys
 each argmin-consistent scenario by its outcome tuple: solve's tau*
 summary (envelope._tau_extent) is its len, min and max, and the tree
 parity gate pins it.  max_control_envelope is a wrong solver for the
-tests that show a check or a law rejects one.
+tests that show a check or a law rejects one.  builtin_catalog lists the
+built-in rewards with the argument for each one's declared modulus; the
+reward tests sample those and the sampled parity gate pins them.
 
 All but max_control_envelope, solution_tau and as_strategy is the
 package's code as it was when it moved here, with the same operation
@@ -39,6 +41,15 @@ from robuststop.envelope import (
     classic_snell,
     forward_pass,
     stop_mask,
+)
+from robuststop.reward import (
+    CATALOG_RANGE,
+    RewardFunctional,
+    american_put,
+    constant_reward,
+    lookback_max,
+    running_sum,
+    terminal_abs,
 )
 
 
@@ -303,3 +314,50 @@ def pasting_check(
         n_marginal_events=n_marginal,
         failures=failures,
     )
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    name: str
+    template: RewardFunctional
+    certificate: str
+
+
+
+def builtin_catalog() -> list[CatalogEntry]:
+    """Built-in rewards with their continuity certificates."""
+    return [
+        CatalogEntry(
+            "american-put",
+            american_put(),
+            "|(K-a)+ - (K-b)+| <= |a-b|, and the current level moves by at "
+            "most the stopped-path gap, so the one-sided bound is linear "
+            "with constant |scale|.",
+        ),
+        CatalogEntry(
+            "lookback-max",
+            lookback_max(),
+            "Running maxima over nested windows: the earlier max is taken "
+            "over a subset of the later window, so the one-sided excess is "
+            "at most the stopped-path sup gap; linear with constant scale.",
+        ),
+        CatalogEntry(
+            "terminal-abs",
+            terminal_abs(),
+            "Reverse triangle inequality on the current level; linear with "
+            "constant scale.",
+        ),
+        CatalogEntry(
+            "running-sum",
+            running_sum(),
+            "Shared terms move by at most (n_steps+1) per unit of path "
+            "distance; dropped tail terms are bounded by the declared "
+            f"sample range {CATALOG_RANGE}.  Constant valid on that range "
+            "only (documented restriction).",
+        ),
+        CatalogEntry(
+            "constant",
+            constant_reward(0.25),
+            "Constant payoff: the modulus is identically zero.",
+        ),
+    ]

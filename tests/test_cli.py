@@ -801,8 +801,10 @@ def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
 
 
 # (command, suite, config, key named): counts and caps below 1, a
-# non-positive spread or tolerance, a split off the grid, an empty grid,
-# a step that underflows to 0.0 or an n_steps past the float range
+# non-positive spread (also where no check of the suite reads it) or
+# tolerance, a split or dpp_s off the grid, a barrier that is not a
+# number, an empty grid, a step that underflows to 0.0 or an n_steps
+# past the float range
 OUT_OF_RANGE = {
     "n-samples-0": ("verify", "y1", {"verify": {"n_samples": 0}}, "verify.n_samples"),
     "prehistory-pairs-0": (
@@ -817,6 +819,13 @@ OUT_OF_RANGE = {
     ),
     "split-past-grid": ("verify", "prehistory", {"verify": {"split": 5}}, "verify.split"),
     "spread-negative": ("verify", "drift", {"verify": {"spread": -1}}, "verify.spread"),
+    "spread-negative-envelope": (
+        "verify", "envelope", {"verify": {"spread": -1}}, "verify.spread"
+    ),
+    "dpp-s-past-grid": ("verify", "dpp", {"verify": {"dpp_s": 5}}, "verify.dpp_s"),
+    "barrier-not-a-number": (
+        "verify", "dpp-random", {"verify": {"barrier": "high"}}, "verify.barrier"
+    ),
     "t-end-equals-t-start": (
         "solve", None, {"grid": {"t_start": 0.5, "t_end": 0.5, "n_steps": 2}},
         "grid.t_end",

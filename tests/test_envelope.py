@@ -1,6 +1,7 @@
 """Backward sweeps: the robust envelope, its stopping data, the classic
 per-strategy Snell sweep, and the worst-case terminal expectation."""
 
+import bisect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +31,7 @@ from robuststop import (
     prefix_key,
     reward_values,
     robust_envelope,
+    running_sum,
     terminal_abs,
 )
 import robuststop.envelope as envelope_module
@@ -270,6 +272,31 @@ def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
     assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21
 
 
+@pytest.mark.parametrize("level", [0, 1])
+def test_forward_pass_ends_at_the_first_level_it_does_not_reach(put_n3, level):
+    # every node from `level` down stops, so the walk reaches levels 0
+    # to `level` only: stops is called once on each and never on an
+    # empty id array, and the levels below keep their starting values
+    tree, _ = put_n3
+    flags = np.zeros(tree.n_nodes, dtype=bool)
+    flags[tree.offsets[level]:] = True
+    calls = []
+
+    def stops(ids):
+        calls.append(ids.tolist())
+        return flags[ids]
+
+    reached, stop, control, weight = forward_pass(tree, strategy=0, stops=stops)
+    assert len(calls) == level + 1 and all(calls)
+    # control 0's two outcomes at the root, each with weight 1/2
+    ends = [0] if level == 0 else [1, 2]
+    assert np.flatnonzero(reached).tolist() == list(range(level)) + ends
+    assert np.flatnonzero(stop).tolist() == ends
+    assert control.tolist() == [0] * level + [-1] * (tree.n_nodes - level)
+    assert weight[ends].tolist() == ([1.0] if level == 0 else [0.5, 0.5])
+    assert not weight[tree.offsets[level + 1]:].any()
+
+
 @pytest.mark.parametrize("node", [0, 1])
 def test_sweep_marks_leaves_no_control_and_outside_the_subtree(put_n3, node):
     # a root sweep fills nothing up front, so numpy's cache of small
@@ -365,3 +392,80 @@ def test_lookback_and_menu_order_laws_at_depth(n, x0, base):
     assert _bits(np.sort(rsol.z)) == _bits(np.sort(sol.z))
     # a sweep with max in place of min over controls breaks the law
     assert abs(max_control_envelope(tree, sol.y)[tree.root] - closed) > 0.01
+
+
+# Two laws the paper's proof rests on that hold bitwise at any depth and
+# for every reward and drift kind, so they need no oracle: re-expanding
+# from a node's prefix gives that node's z (the DPP across trees), and a
+# larger menu lowers the envelope (z_full <= z_sub wherever the sub-menu's
+# tree embeds in the full menu's).  x0 = 1 throughout.
+DEPTH_CASES = {
+    "put": (american_put(strike=1.1, base=0.0), DriftSpec("zero")),
+    "lookback-running-max": (lookback_max(), DriftSpec("running-max", kappa=1.0)),
+    "running-sum-mean-reversion": (
+        running_sum(n_steps=10), DriftSpec("mean-reversion", rate=0.5, level=0.0)
+    ),
+}
+
+
+def _resume_mismatches(tree, z, Y, drift, nodes):
+    """The nodes among nodes whose z differs, in any bit, from the root
+    value of the tree re-expanded from their prefix."""
+    off = tree.offsets
+    bad = []
+    for i in nodes:
+        l = bisect.bisect_right(off, i) - 1
+        prefix = tree.level_prefixes(l, [i - off[l]])[0]
+        resumed = expand_tree(tree.grid, None, drift, tree.controls, init_prefix=prefix)
+        if _bits(robust_envelope(resumed, Y).root_value()) != _bits(z[i]):
+            bad.append(i)
+    return bad
+
+
+@pytest.mark.parametrize("n, n_nodes", [(8, 20), (10, 10)])
+@pytest.mark.parametrize("case", sorted(DEPTH_CASES))
+def test_resume_from_any_node_gives_its_envelope(case, n, n_nodes):
+    Y, drift = DEPTH_CASES[case]
+    tree = expand_tree(TimeGrid(0.0, 1.0, n), 1.0, drift, ControlSet([0.5, 1.0], cap=1.0))
+    sol = robust_envelope(tree, Y)
+    rng = np.random.default_rng(20260815 + n)
+    # a level, then a node of it, so the nodes span every depth
+    levels = rng.integers(0, n + 1, size=n_nodes)
+    nodes = [int(tree.offsets[l] + rng.integers(tree.offsets[l + 1] - tree.offsets[l]))
+             for l in levels]
+    assert _resume_mismatches(tree, sol.z, Y, drift, nodes) == []
+    # a z shifted at one node breaks the law there and nowhere else
+    i = nodes[0]
+    shifted = sol.z.copy()
+    shifted[i] -= 0.1
+    assert _resume_mismatches(tree, shifted, Y, drift, nodes) == [i]
+
+
+@pytest.mark.parametrize("n, full, sub", [
+    (7, [0.3, 0.6, 1.0], [0.3, 1.0]),
+    (10, [0.5, 1.0], [1.0]),
+])
+def test_a_larger_menu_lowers_the_envelope(n, full, sub):
+    grid = TimeGrid(0.0, 1.0, n)
+    wrong = 0
+    for case, (Y, drift) in sorted(DEPTH_CASES.items()):
+        big = expand_tree(grid, 1.0, drift, ControlSet(full, cap=1.0))
+        small = expand_tree(grid, 1.0, drift, ControlSet(sub, cap=1.0))
+        C, B = big.weights.shape
+        # a sub-menu node's children sit in its controls' slots of the
+        # embedded full-menu node's children, outcome by outcome
+        slots = (np.array([full.index(u) for u in sub])[:, None] * B + np.arange(B)).ravel()
+        rows = [np.zeros(1, dtype=np.int64)]
+        for _ in range(n):
+            rows.append((rows[-1][:, None] * (C * B) + slots).ravel())
+        ids = np.concatenate([big.offsets[l] + r for l, r in enumerate(rows)])
+        assert len(ids) == small.n_nodes, case
+        for l, r in enumerate(rows):
+            assert _bits(big.states[l][r]) == _bits(small.states[l]), (case, l)
+        z_small = robust_envelope(small, Y).z
+        assert np.count_nonzero(robust_envelope(big, Y).z[ids] > z_small) == 0, case
+        # a full-menu solver that takes the max over controls breaks the
+        # law; not in every case, since under the lookback payoff the max
+        # can pick the top volatility, which [1.0] holds too
+        wrong += np.count_nonzero(max_control_envelope(big, reward_values(big, Y))[ids] > z_small)
+    assert wrong > 0

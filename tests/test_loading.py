@@ -38,9 +38,8 @@ EXPORTS = {
     ],
     pathspace: ["ModulusSpec", "Path", "TimeGrid", "dist_dinfty"],
     reward: [
-        "RewardFunctional", "american_put", "builtin_catalog", "constant_reward",
-        "custom_reward", "eval_reward", "lookback_max", "reward_values", "running_sum",
-        "terminal_abs",
+        "RewardFunctional", "american_put", "constant_reward", "custom_reward",
+        "eval_reward", "lookback_max", "reward_values", "running_sum", "terminal_abs",
     ],
     verify: [
         "CheckReport", "check_continuity_in_prehistory", "check_dpp",

@@ -10,7 +10,6 @@ from robuststop import (
     ModulusSpec,
     TimeGrid,
     american_put,
-    builtin_catalog,
     constant_reward,
     custom_reward,
     eval_reward,
@@ -21,6 +20,7 @@ from robuststop import (
     terminal_abs,
 )
 from robuststop.verify import check_y1, pair_sampler
+from referees import builtin_catalog
 
 
 def test_put_payoff():

@@ -53,7 +53,6 @@ from robuststop import (
     TimeGrid,
     simulate_paths,
     american_put,
-    builtin_catalog,
     custom_reward,
     drift_eval,
     eval_reward,
@@ -67,6 +66,7 @@ from robuststop.verify import (
     pair_sampler,
     prefix_sampler,
 )
+from referees import builtin_catalog
 
 COUNTS = (0, 1, 1300)
 SEEDS = (2026, 7)

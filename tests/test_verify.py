@@ -1,6 +1,7 @@
 """One test pair per runnable check: the claim holds on healthy input and
 the check rejects a deliberately corrupted one."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import robuststop.verify as verify_module
+from robuststop import cli
 
 from conftest import make_put, random_instance
+from test_cli import SMALL_VERIFY
 from referees import max_control_envelope, solution_tau
 from robuststop import (
     ControlSet,
@@ -583,3 +586,46 @@ def test_samplers_refuse_a_draw_over_chunk_words():
         pair_sampler(TimeGrid(0.0, 1.0, 2**19))
     with pytest.raises(SizeError, match="grid.n_steps"):
         prefix_sampler(TimeGrid(0.0, 1.0, 2**18), controls, dim=2)
+
+
+# each suite name's check function, as the benchmark's tracer wraps it
+CHECK_FUNCTIONS = {
+    "y1": "check_y1",
+    "drift": "check_drift",
+    "envelope": "check_envelope_basic",
+    "supermartingale": "check_supermartingale",
+    "martingale": "check_martingale_to_tau",
+    "dpp": "check_dpp",
+    "dpp-random": "check_dpp_random_horizon",
+    "tau": "check_tau_monotone",
+    "prehistory": "check_continuity_in_prehistory",
+    "moments": "check_sde_moments",
+}
+
+
+def test_the_cli_lists_the_table_in_its_order():
+    assert cli._SUITES == tuple(verify_module.CHECKS) == tuple(CHECK_FUNCTIONS)
+
+
+@pytest.mark.parametrize("i, name", list(enumerate(verify_module.CHECKS)))
+def test_each_check_passes_plain_and_rejects_its_mutation(monkeypatch, i, name):
+    # in-process on the CLI tests' small verify config, with the seed
+    # `verify --suite all` gives the check; a check that reads no tree
+    # runs on an instance without one
+    check = verify_module.CHECKS[name]
+    inst = cli._instance(SMALL_VERIFY)
+    if check.reads_tree:
+        tree = cli._expand(inst)
+        inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
+    num = functools.partial(cli._num, SMALL_VERIFY["verify"], "verify")
+    # the entry calls the check by its module name, so a wrapper set on
+    # the module, as the tracer sets one, sees every run
+    calls = []
+    fn = getattr(verify_module, CHECK_FUNCTIONS[name])
+    monkeypatch.setattr(verify_module, CHECK_FUNCTIONS[name],
+                        lambda *a, **k: calls.append(name) or fn(*a, **k))
+    plain = check.run(inst, num, 2026 + 101 * i, False)
+    mutated = check.run(inst, num, 2026 + 101 * i, True)
+    assert plain.passed, plain.as_dict()
+    assert not mutated.passed, mutated.as_dict()
+    assert calls == [name, name]
