@@ -37,7 +37,6 @@ from .model import (
     ScenarioTree,
     drift_eval,
     expand_tree,
-    prefix_key,
     simulate_paths,
 )
 from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
@@ -61,7 +60,6 @@ _LAZY = {
         (
             "GameReport",
             "enumerate_stopping_rules",
-            "enumerate_strategies",
             "expected_reward",
             "game_values",
             "worst_case_stopped_reward",

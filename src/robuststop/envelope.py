@@ -308,8 +308,7 @@ class EnvelopeSolution:
 
 
 def _meets(z, y, delta: float) -> np.ndarray:
-    """The guarded stop test Z <= Y + delta, for delta >= 0: per node
-    z - y <= delta + STOP_GUARD * (1.0 + |y|), in that operation order,
+    """The guarded stop test z - y <= _stop_slack(y, delta), delta >= 0,
     with two float temporaries, _MEETS_BLOCK nodes at a time."""
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
@@ -319,11 +318,17 @@ def _meets(z, y, delta: float) -> np.ndarray:
             hi = lo + _MEETS_BLOCK
             out[lo:hi] = _meets(z[lo:hi], y[lo:hi], delta)
         return out
-    guard = np.abs(y)
-    guard += 1.0
-    guard *= STOP_GUARD
-    guard += delta
-    return z - y <= guard
+    return z - y <= _stop_slack(y, delta)
+
+
+def _stop_slack(y, delta: float) -> np.ndarray:
+    """How far the stop test lets z exceed y: delta + STOP_GUARD * (1.0 +
+    |y|), in that operation order, in one new array."""
+    slack = np.abs(y)
+    slack += 1.0
+    slack *= STOP_GUARD
+    slack += delta
+    return slack
 
 
 def _prefix_rule(tree, stop):

@@ -13,10 +13,10 @@ root value and to the worst-case value of stopping at tau_star.
 Both enumerations are tables built once per tree, level by level from
 the leaves (all nodes of a level have tables of one size):
 
-* strategy_table: the optimally-stopped value of every strategy (in
-  enumerate_strategies order, which decodes a row arithmetically);
+* strategy_table: the optimally-stopped value of every strategy (row r
+  decodes arithmetically into its strategy, see _strategy_at);
 * stop_set_table: the controller's best response to every stopping set;
-* count_strategies: the size of either table, without building it.
+* _table_sizes: the size of either table, without building it.
 
 The verify checks range over the same strategies and stopping sets with
 backward sweeps instead; these tables are the referee they are tested
@@ -32,8 +32,8 @@ controller knows its own past choices, so a strategy is one int64
 control index per node, -1 where it assigns none.  Stopping sets are
 keyed by node, so they match the adapted rules only when no two nodes
 share a prefix; on a tree with a prefix collision the lower value
-enumerates the 2^m rules over the m non-terminal classes instead.
-Prefix keys are built only to order that enumeration.
+enumerates the 2^m rules over the m non-terminal classes instead,
+ordered by time index, then lexicographically by prefix.
 """
 
 from __future__ import annotations
@@ -59,12 +59,10 @@ from .reward import reward_values  # noqa: F401  perfbench/tracer.py wraps it he
 __all__ = [
     "StoppingRule",
     "GameReport",
-    "count_strategies",
     "strategy_table",
     "stop_set_table",
     "stop_set_max",
     "enumerate_stopping_rules",
-    "enumerate_strategies",
     "expected_reward",
     "worst_case_stopped_reward",
     "game_values",
@@ -77,21 +75,29 @@ _GRID_ENTRIES = 1 << 28  # entries of the root's min grid that stop_set_max redu
 
 def _nonterminal_heads(tree, cap: int = RULE_PREFIX_CAP) -> np.ndarray:
     """The heads of the non-terminal prefix classes, at most cap of them,
-    in the sorted order of their prefix keys."""
+    level by level, each level in the lexicographic order of the heads'
+    prefixes as flat rows (a stable lexsort, 0.0 equal to -0.0): sorted
+    tuple keys' order, but a NaN sorts last here and has no defined order
+    among tuples (the CLI admits no non-finite tree)."""
     cls = tree.prefix_class[: tree.offsets[-2]]
     heads = np.flatnonzero(cls == np.arange(len(cls)))
     if len(heads) > cap:
         raise SizeError.over_cap(
             len(heads), "non-terminal prefixes", cap, "solver.rule_prefix_cap"
         )
-    keys = tree.prefix_keys(heads)
-    return heads[sorted(range(len(heads)), key=keys.__getitem__)]
+    cuts = np.searchsorted(heads, tree.offsets).tolist()
+    out = []
+    for l in range(len(tree.states) - 1):
+        ids = heads[cuts[l]:cuts[l + 1]]
+        rows = tree.level_prefixes(l, ids - tree.offsets[l]).reshape(len(ids), -1)
+        out.append(ids[np.lexsort(rows.T[::-1])])
+    return np.concatenate(out) if out else heads
 
 
 def enumerate_stopping_rules(tree, cap: int = RULE_PREFIX_CAP):
     """All 2^m stop/continue rules over the m non-terminal prefix
     classes, bit j of the rule's number deciding the j-th class in
-    prefix-key order (not deduplicated by induced stopping time)."""
+    _nonterminal_heads order (not deduplicated by induced stopping time)."""
     heads = _nonterminal_heads(tree, cap)
     for bits in range(1 << len(heads)):
         flags = np.full(tree.n_nodes, -1, dtype=np.int8)
@@ -114,11 +120,6 @@ def _table_sizes(tree, stop_sets: bool = False) -> list[int]:
         s = sizes[0]
         sizes.insert(0, 1 + s ** (C * B) if stop_sets else C * s**B)
     return sizes
-
-
-def count_strategies(tree, stop_sets: bool = False) -> int:
-    """The row count of strategy_table, or with stop_sets of stop_set_table."""
-    return _table_sizes(tree, stop_sets)[0]
 
 
 def _strategy_at(tree, sizes: list[int], row: int) -> np.ndarray:
@@ -144,18 +145,6 @@ def _strategy_at(tree, sizes: list[int], row: int) -> np.ndarray:
             nxt += [(first + j, r // S ** (B - 1 - j) % S) for j in range(B)]
         level = nxt
     return out
-
-
-def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
-    """Every strategy, in strategy_table row order, as an int64 array of
-    one control per node it reaches (-1 elsewhere): the control at the
-    root varies slowest, then the strategies of the children it reaches,
-    the first child the most significant."""
-    sizes = _table_sizes(tree)
-    if sizes[0] > cap:
-        raise SizeError.over_cap(sizes[0], "strategies", cap, "solver.strategy_cap")
-    for row in range(sizes[0]):
-        yield _strategy_at(tree, sizes, row)
 
 
 def expected_reward(tree, strategy, rule, Y) -> float:
@@ -195,8 +184,8 @@ def _fold(tree, kids) -> np.ndarray:
 
 
 def strategy_table(tree, y) -> np.ndarray:
-    """Optimally-stopped value of every strategy, in enumerate_strategies
-    order.
+    """Optimally-stopped value of every strategy, row r the strategy
+    _strategy_at decodes.
 
     Level by level from the leaves, a node's table holds max(y, E[table
     next]) for every control assignment on its subtree: under each
@@ -371,7 +360,7 @@ def game_values(
     """Enumerate the game and report all four value computations.
 
     The upper value is the min of the strategy table, and the optimal
-    strategy is the enumerated strategy at its first minimal row.  The
+    strategy is the one at its first minimal row.  The
     lower value is the max of the stopping-set table (stop_set_max, which
     never builds the table's root row) when prefixes are unique, and
     otherwise the max over all 2^m rules on the non-terminal
@@ -385,8 +374,8 @@ def game_values(
         raise SizeError.over_cap(
             n_strategies, "strategies", strategy_cap, "solver.strategy_cap"
         )
-    n_stop_times = count_strategies(tree, stop_sets=True)
-    # whether two nodes share a prefix_key: a node's class is a lower node
+    n_stop_times = _table_sizes(tree, stop_sets=True)[0]
+    # whether two nodes share a prefix: a node's class is a lower node
     collision = bool(np.any(tree.prefix_class != np.arange(tree.n_nodes)))
     if not collision and n_stop_times > stop_time_cap:
         raise SizeError.over_cap(

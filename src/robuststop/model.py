@@ -55,7 +55,6 @@ __all__ = [
     "expand_tree",
     "simulate_paths",
     "simulate_sup_distances",
-    "prefix_key",
     "state_norms",
     "min_state_norm",
     "DEFAULT_NODE_CAP",
@@ -88,7 +87,11 @@ class DriftSpec:
                             of drift vectors, one row per grid step.
 
     kappa is the Lipschitz/growth constant the drift is declared to obey;
-    verify.check_drift samples the two bounds.
+    verify.check_drift samples the two bounds.  For running-max the
+    Lipschitz constant is max(kappa, sqrt(d)): each component moves by
+    at most the change of its running max, which the sup gap of the
+    paths bounds whatever kappa, and a norm over d components adds
+    sqrt(d).
     """
 
     kind: str
@@ -243,16 +246,6 @@ def _control_kernel(u, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return inc, np.full(2 * d, 1.0 / (2 * d))
 
 
-def prefix_key(k: int, values: np.ndarray) -> tuple:
-    """Hashable identity of an observed state prefix.
-
-    Float equality semantics (0.0 == -0.0), so two nodes whose prefixes
-    agree as real vectors share a key.  This is the stopper's information:
-    rules are keyed on these, never on tree node ids.
-    """
-    return (k, tuple(np.asarray(values, dtype=np.float64).flat))
-
-
 def _squared_norms(states: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean norm of each row of an (n, d) array, written into
     out, an (n,) array that states may be a view of, or into a new one.
@@ -331,7 +324,8 @@ class ScenarioTree:
 
     The stopper sees the state path only, so nodes reached under
     different controls can share its information: prefix_class holds,
-    per node, the lowest node id with the same prefix_key.
+    per node, the lowest node id whose prefix equals its own as a float
+    vector (0.0 equal to -0.0).
     """
 
     def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
@@ -415,8 +409,9 @@ class ScenarioTree:
 
     @cached_property
     def prefix_class(self) -> np.ndarray:
-        """Per node, the lowest node id whose prefix_key equals its own:
-        two prefixes agree when their parents' do and their states are
+        """Per node, the lowest node id whose prefix equals its own as a
+        float vector, so 0.0 equals -0.0 and a NaN equals nothing: two
+        prefixes agree when their parents' do and their states are
         equal, so each level takes one stable lexsort over (the state with
         -0.0 made 0.0, the parent's class), compares the sorted keys one
         column at a time to bound memory, and gives each run of equal keys
@@ -441,14 +436,6 @@ class ScenarioTree:
             start += lo
             out[lo:hi][order] = start
         return out
-
-    def prefix_keys(self, ids) -> list[tuple]:
-        """prefix_key of each of the increasing node ids."""
-        ids = np.asarray(ids, dtype=np.int64)
-        cuts = np.searchsorted(ids, self.offsets).tolist()
-        return [prefix_key(self.k0 + l, row)
-                for l in range(len(self.states)) if cuts[l] < cuts[l + 1]
-                for row in self.level_prefixes(l, ids[cuts[l]:cuts[l + 1]] - self.offsets[l])]
 
 
 def _child_peaks(peak: np.ndarray, kids: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ import numpy as np
 from .envelope import (
     STOP_GUARD,
     EnvelopeSolution,
+    _stop_slack,
     backward_sweep,
-    forward_pass,
     robust_envelope,
     stop_mask,
 )
@@ -444,9 +444,11 @@ def check_drift(
     """Growth and Lipschitz bounds of the drift, sampled.
 
     At the zero prefix the drift norm must stay below kappa * (1 + |u|);
-    between two prefixes it must move by at most kappa times their
-    componentwise sup gap.  sampler(rng, m) -> (k, p1, p2, u, u_norm)
-    draws m samples (see prefix_sampler).  Per chunk of draws
+    between two prefixes it must move by at most kappa times their sup
+    gap, or for running-max by max(kappa, sqrt(d)) times it: each of its
+    d components moves by at most the change of its running max, which
+    is at most the sup gap, whatever kappa.  sampler(rng, m) -> (k, p1,
+    p2, u, u_norm) draws m samples (see prefix_sampler).  Per chunk of draws
     (_chunk_size) each drift and each sup gap takes one stacked call per
     time index.
     """
@@ -455,6 +457,9 @@ def check_drift(
     worst = -np.inf
     for start in range(0, n, chunk):
         ks, p1, p2, u, unorm = sampler(rng, min(chunk, n - start))
+        lip_const = spec.kappa
+        if spec.kind == "running-max":
+            lip_const = max(spec.kappa, math.sqrt(p1.shape[2]))
 
         def drift(p):
             return _per_index(
@@ -466,7 +471,7 @@ def check_drift(
         b2 = drift(p2)
         gap = np.linalg.norm(p1 - p2, axis=2)
         sup = _per_index(lambda k, ids: np.max(gap[ids, : k + 1], axis=1), ks)
-        lip = state_norms(b1 - b2) - spec.kappa * sup
+        lip = state_norms(b1 - b2) - lip_const * sup
         # scan growth_0, lip_0, growth_1, ...: the order of a per-draw
         # max(worst, growth, lip)
         worst = _max_or_nan(worst, np.column_stack([growth, lip]).ravel())
@@ -518,23 +523,31 @@ def check_supermartingale(
 def check_martingale_to_tau(
     tree, sol: EnvelopeSolution, tolerance: float = 1e-9
 ) -> CheckReport:
-    """The envelope is flat, in the worst-case mean, up to the meeting time.
+    """The envelope is flat, in the worst-case mean, up to the meeting
+    time, and meets the reward there.
 
     Stopping sets are restricted to act at or before the stop region, so
     every worst-case mean of the frozen envelope must reproduce the node
     value (within the tolerance), not just stay below it.  The largest
     and smallest of those means are the sweeps W+ = max(z, min_u
     E_u[W+ next]) and W- = min(z, min_u E_u[W- next]), both frozen at the
-    stop region, compared at the nodes with no strict ancestor in it
-    (n_checked counts them).
+    stop region, compared at every node (n_checked counts them): the law
+    holds from any start.  On the stop region z must meet y: the worst
+    takes max(y - z, z - y - slack) there, where the slack is the stop
+    test's own, delta + STOP_GUARD * (1 + |y|), so a solution passes at
+    any scale and any delta.
     """
-    z, stop = sol.z, sol.stop
+    z, y, stop = sol.z, sol.y, sol.stop
     upper = backward_sweep(tree, z, floor=z, stop=stop)[0]
     lower = backward_sweep(tree, z, ceiling=z, stop=stop)[0]
-    reached = forward_pass(tree, stops=stop.__getitem__)[0]
-    worst = float(np.max(np.maximum(upper - z, z - lower)[reached]))
-    return CheckReport("martingale-to-tau", worst, tolerance,
-                       int(np.count_nonzero(reached)))
+    worst = float(np.max(np.maximum(upper - z, z - lower)))
+    gap = z[stop] - y[stop]
+    # the flat part is >= +0.0 and wins ties, so a clean report keeps
+    # its bits; a NaN in either part shows
+    meet = float(np.max(np.maximum(-gap, gap - _stop_slack(y[stop], sol.delta))))
+    if math.isnan(meet) or meet > worst:
+        worst = meet
+    return CheckReport("martingale-to-tau", worst, tolerance, tree.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +880,14 @@ def _run_envelope(inst, num, seed, mutate):
 
 
 def _run_supermartingale(inst, num, seed, mutate):
-    target = corrupt_envelope(inst.sol) if mutate else inst.sol
-    return check_supermartingale(inst.tree, target)
+    tree, target = inst.tree, inst.sol
+    if mutate:
+        # the root 0.1 below its continuation, the sweep's own fold of z
+        # with no floor, up to rounding: waiting one step beats it by 0.1
+        root = tree.root
+        cont = backward_sweep(tree, target.z, stop=stop_mask(tree, tree.k0 + 1))[0][root]
+        target = corrupt_envelope(target, node=root, amount=cont - 0.1 - target.z[root])
+    return check_supermartingale(tree, target)
 
 
 def _run_martingale(inst, num, seed, mutate):

@@ -43,6 +43,7 @@ from robuststop import (
     running_sum,
     terminal_abs,
 )
+from referees import prefix_keys
 
 
 def make_inst_a():
@@ -89,7 +90,7 @@ def rule_keys(rule) -> dict:
     """prefix key -> stop, per decided class of a StoppingRule, each key
     built from the prefix of the class's lowest node."""
     heads = np.flatnonzero(rule.flags >= 0)
-    return dict(zip(rule.tree.prefix_keys(heads), (rule.flags[heads] == 1).tolist()))
+    return dict(zip(prefix_keys(rule.tree, heads), (rule.flags[heads] == 1).tolist()))
 
 
 def random_instance(rng):

@@ -18,6 +18,10 @@ parity gate pins it.  max_control_envelope is a wrong solver for the
 tests that show a check or a law rejects one.  builtin_catalog lists the
 built-in rewards with the argument for each one's declared modulus; the
 reward tests sample those and the sampled parity gate pins them.
+prefix_key and prefix_keys name an observed prefix by a hashable tuple,
+the referee for ScenarioTree.prefix_class and for the order of the
+collision-rule enumeration; enumerate_strategies yields every strategy
+in strategy_table row order, the referee for that order.
 
 All but max_control_envelope, solution_tau and as_strategy is the
 package's code as it was when it moved here, with the same operation
@@ -42,6 +46,9 @@ from robuststop.envelope import (
     forward_pass,
     stop_mask,
 )
+from robuststop.errors import SizeError
+from robuststop.game import _strategy_at, _table_sizes
+from robuststop.model import STRATEGY_CAP
 from robuststop.reward import (
     CATALOG_RANGE,
     RewardFunctional,
@@ -63,6 +70,37 @@ def as_strategy(tree, mapping: dict) -> np.ndarray:
     strategy = np.full(tree.n_nodes, -1, dtype=np.int64)
     strategy[list(mapping)] = list(mapping.values())
     return strategy
+
+
+def prefix_key(k: int, values: np.ndarray) -> tuple:
+    """Hashable identity of an observed state prefix.
+
+    Float equality semantics (0.0 == -0.0), so two nodes whose prefixes
+    agree as real vectors share a key.  This is the stopper's information:
+    rules are keyed on these, never on tree node ids.
+    """
+    return (k, tuple(np.asarray(values, dtype=np.float64).flat))
+
+
+def prefix_keys(tree, ids) -> list[tuple]:
+    """prefix_key of each of the increasing node ids of tree."""
+    ids = np.asarray(ids, dtype=np.int64)
+    cuts = np.searchsorted(ids, tree.offsets).tolist()
+    return [prefix_key(tree.k0 + l, row)
+            for l in range(len(tree.states)) if cuts[l] < cuts[l + 1]
+            for row in tree.level_prefixes(l, ids[cuts[l]:cuts[l + 1]] - tree.offsets[l])]
+
+
+def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
+    """Every strategy, in strategy_table row order, as an int64 array of
+    one control per node it reaches (-1 elsewhere): the control at the
+    root varies slowest, then the strategies of the children it reaches,
+    the first child the most significant."""
+    sizes = _table_sizes(tree)
+    if sizes[0] > cap:
+        raise SizeError.over_cap(sizes[0], "strategies", cap, "solver.strategy_cap")
+    for row in range(sizes[0]):
+        yield _strategy_at(tree, sizes, row)
 
 
 def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
@@ -207,7 +245,7 @@ def state_law(tree, strategy, from_node: int = 0) -> dict:
     order = np.argsort(cls, kind="stable")
     heads, starts = np.unique(cls[order], return_index=True)
     groups = np.split(weight[ids[order]], starts[1:])
-    return dict(sorted(zip(tree.prefix_keys(heads), map(math.fsum, groups))))
+    return dict(sorted(zip(prefix_keys(tree, heads), map(math.fsum, groups))))
 
 
 @dataclass
@@ -288,7 +326,7 @@ def pasting_check(
         gap = abs(base_marg.get(cls[node], 0.0) - pasted_marg.get(cls[node], 0.0))
         worst_marg = max(worst_marg, gap)
         if gap > tolerance:
-            key = tree.prefix_keys([node])[0]
+            key = prefix_keys(tree, [node])[0]
             failures.append(f"marginal event {key}: off by {gap:.3e}")
 
     # (c) cell-wise optimal stopping from s: pasted value vs piece value

@@ -3,6 +3,7 @@ exit codes, and byte-identical reruns."""
 
 import filecmp
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1209,23 +1210,23 @@ GAME_DIGESTS = {
     ("verify", "pool-1"):
         (0, "f1f71000f6afcd2292c919af2c4a27019c30ffbbd656bc5e44bf0045778a2bfc"),
     ("verify", "pool-131"):
-        (0, "615f1716829ba20b85d2fc5ddbb0c0c137d731581b0d5225d8994fc4eacb9e1b"),
+        (0, "eb39ae05a8c2b296818e62e58a0cb23e01e960227673cf6c0366ef1281063d2f"),
     ("verify", "pool-192"):
-        (0, "f7e804e3ff5a030e8676585b7ae48d56e414da4850eccc30b669336b25006f88"),
+        (0, "ebe0bf71381465152613ac6102533fca64a1aa2318fea835a2e6f88ec112ac27"),
     ("verify", "pool-195"):
-        (0, "7b6605fa9c0859bea1a0715562f239869740ffe843a84d827e525999b8728a8c"),
+        (0, "3d8791286120fcb10f425c3be7c2966e5fa321bab9ccad94943c0b6bf41b08ab"),
     ("verify", "pool-197"):
-        (0, "59e8a72e57446cbe174257bbb952a62dd9853e8eb70dbfa4caca794d75868f0d"),
+        (0, "6a7805a98bb4b377d7a2e75c267a26f35f8460f7d09bc4db047033baeee4a249"),
     ("verify", "pool-260"):
-        (0, "6ccd0aa6c1b9752c0f8647a27dec8b80d667574a86b7f49a5837349bc13d20b4"),
+        (0, "234f5be45fa247d2bb6ea82b1a649466913c8f2b43347995b84b8c6127dace24"),
     ("verify", "pool-320"):
-        (0, "73a376039ae3fcf16a7992d5f67b2bd9300cb3d35e33e23cc9eb3bef8e10c154"),
+        (0, "594f8c8753d541df08e43244d03dfe917d423016fa1ba06e3952e0f449954923"),
     ("verify", "pool-322"):
-        (0, "95e4ab0bd5435984e57b2b6635e39a853e3e0fc46420db2cd18f6068e4fd3cd0"),
+        (0, "348bfa8dd5fe6ef1d340dbc892fdb3cc2089e30bb6024c481264a51982d8f528"),
     ("verify", "pool-64"):
         (0, "e0a108d19039ce014787b1f3c8b930c7282cda2164ef571d5fe854796ad5ff6a"),
     ("verify", "pool-68"):
-        (0, "b26737944fa80a24b162976bed4f22c356f7276e9349c809537a6313a8613392"),
+        (0, "db6192f75ea817ea36f69262d03296e28614e5d8ffa50d3f85eeaa597590d1cd"),
     ("verify --mutate", "collision-n1"):
         (0, "c881a5ceddde847bc16d4213faef3a7b7f809d76e2a93852f276a4ee72fa5674"),
     ("verify --mutate", "collision-n2"):
@@ -1233,23 +1234,23 @@ GAME_DIGESTS = {
     ("verify --mutate", "pool-1"):
         (0, "799c34a7a4b6772090af47dff6f3fbff0e359bd7f541c7fb53c8dfc29b05c13c"),
     ("verify --mutate", "pool-131"):
-        (0, "ec225f114a0fbbc29666f46243a86d93c0c6c68ed24b495b3e93659fd1dd5820"),
+        (0, "943b6a88608c790ede04b8debc72f03aa938c2cd3447b7fa56a50eb1736cc29d"),
     ("verify --mutate", "pool-192"):
-        (0, "fd9c6ad35edeb58c9062b89c05d8b07eb3d261c8f71bc6c81e43b3054d8a4462"),
+        (0, "04b5c2e4508a32abd2c341f9da0e121d9544b1812494d8af8db95ffc0ebcc8bf"),
     ("verify --mutate", "pool-195"):
-        (0, "496a5dbd19816558009161709fce60f1a901c950b674afc2edbad5d80b8755a6"),
+        (0, "fa0f2d400febc447085fa1f950bfbf2d5bc854696a56b542d4fc1fb046181064"),
     ("verify --mutate", "pool-197"):
-        (0, "70d4a3314295d8e9913d104804677c62daad17af653276dbc88bdb5224a19edb"),
+        (0, "bdc26a07e214d18dec46e59a23d8c37443049865530b2f521a00ed6ada031a11"),
     ("verify --mutate", "pool-260"):
-        (1, "f242867751e9751af49d97296832b3f07d97d57a7d0182e209e0d9ee7b41a6f0"),
+        (0, "50e260425cf7b239f275c3f39a26e0d252c1ed6de8b776843296cc7e283e8c13"),
     ("verify --mutate", "pool-320"):
-        (0, "29520124b5a4da16657bcc9993e3bef08b6a78a772b59ebce44f09dcddd6a3d6"),
+        (0, "3346f50d8205e812e949a7d0188aa72bb714d6195e3c7e67d47ea9f82d76e0ae"),
     ("verify --mutate", "pool-322"):
-        (1, "e145bb1984823d27f7b8b0fcd19c1b65856cc98fdaeb1feff178718b88bab780"),
+        (0, "c097e778d5450a26484e6662a71bfd826cdeee5433801e47f44f03b60dcf3b8f"),
     ("verify --mutate", "pool-64"):
         (0, "863f3d9946fc892de6b1d862b3efd027cc698b478b414296b99710f9c37c65a4"),
     ("verify --mutate", "pool-68"):
-        (1, "3601d1420c9d8a3fb8ee606180ede090137011220479bf4fdacf96bb1837eb8e"),
+        (0, "89babe8c54b934a1a59f219cc8674138ab60496a578c187cfeb4fad7aed554cb"),
 }
 
 
@@ -1260,3 +1261,56 @@ def test_oracle_and_tree_verify_outputs_are_pinned(tmp_path, capsys, call, name)
     code = main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GAME_DIGESTS[call, name]
+
+
+def _certify_pool() -> list:
+    """The benchmark's certify pool, from perfbench/workloads.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.certify_pool()
+
+
+def test_the_tree_checks_reject_every_mutation_on_the_certify_pool(tmp_path, capsys):
+    # every law holds on the solver's own solution and every mutation
+    # breaks its law, on all 384 pool instances, in-process
+    pool = _certify_pool()
+    assert len(pool) == 384
+    for i, cfg in enumerate(pool):
+        # a new file per instance: truncating one file 384 times is slow
+        path = write_config(tmp_path, cfg, f"pool-{i}.json")
+        base = ["verify", "--config", path, "--suite", GAME_SUITE, "--seed", "1"]
+        code, report = run(capsys, *base)
+        assert (code, report["all_passed"]) == (0, True), i
+        code, report = run(capsys, *base, "--mutate")
+        assert code == 0, (i, report)
+        assert not any(c["passed"] for c in report["checks"].values()), i
+
+
+# the running-max drift at d = 2 with kappa 1 and at d = 1 with kappa 0.5:
+# its Lipschitz constant is max(kappa, sqrt(d)), below which the check
+# failed on these configs
+RUNNING_MAX_DRIFT = {
+    "d2-kappa-1": {
+        "grid": {"t_end": 1.0, "n_steps": 4},
+        "dynamics": {"x0": [0.0, 0.0], "drift": {"kind": "running-max", "kappa": 1.0}},
+        "controls": {"values": [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.2], [0.2, 0.8]]],
+                     "cap": 1.2},
+        "reward": {"kind": "terminal-abs"},
+    },
+    "d1-kappa-0.5": {
+        "grid": {"t_end": 1.0, "n_steps": 4},
+        "dynamics": {"x0": 1.0, "drift": {"kind": "running-max", "kappa": 0.5}},
+        "controls": {"values": [0.5, 1.0], "cap": 1.0},
+        "reward": {"kind": "lookback-max"},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNING_MAX_DRIFT))
+def test_verify_drift_passes_on_a_running_max_below_sqrt_d(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, RUNNING_MAX_DRIFT[name])
+    code, report = run(capsys, "verify", "--config", cfg, "--suite", "drift", "--seed", "1")
+    assert (code, report["all_passed"]) == (0, True), report
+    assert report["checks"]["drift"]["n_checked"] == 20_000

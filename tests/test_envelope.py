@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rule_keys
+from conftest import random_instance, rule_keys
 from referees import (
     as_strategy,
     max_control_envelope,
     nonlinear_expectation,
+    prefix_key,
     scenario_tau,
     solution_tau,
     stopped_value,
@@ -28,7 +29,6 @@ from robuststop import (
     constant_reward,
     expand_tree,
     lookback_max,
-    prefix_key,
     reward_values,
     robust_envelope,
     running_sum,
@@ -408,18 +408,35 @@ DEPTH_CASES = {
 }
 
 
-def _resume_mismatches(tree, z, Y, drift, nodes):
-    """The nodes among nodes whose z differs, in any bit, from the root
-    value of the tree re-expanded from their prefix."""
+def _resumed_roots(tree, Y, nodes) -> list:
+    """The root value of the tree re-expanded from each node's prefix."""
     off = tree.offsets
-    bad = []
+    roots = []
     for i in nodes:
         l = bisect.bisect_right(off, i) - 1
         prefix = tree.level_prefixes(l, [i - off[l]])[0]
-        resumed = expand_tree(tree.grid, None, drift, tree.controls, init_prefix=prefix)
-        if _bits(robust_envelope(resumed, Y).root_value()) != _bits(z[i]):
-            bad.append(i)
-    return bad
+        resumed = expand_tree(tree.grid, None, tree.drift, tree.controls, init_prefix=prefix)
+        roots.append(robust_envelope(resumed, Y).root_value())
+    return roots
+
+
+def _resume_mismatches(z, nodes, roots) -> list:
+    """The nodes among nodes whose z differs, in any bit, from their
+    resumed root."""
+    return [i for i, r in zip(nodes, roots) if _bits(r) != _bits(z[i])]
+
+
+def _embedded_rows(big, full, sub) -> list:
+    """Per level, the rows of big, the tree of the menu full, at which the
+    tree of the sub-menu sub embeds, in the sub-menu tree's order: a
+    sub-menu node's children sit in its controls' slots of the embedded
+    full-menu node's children, outcome by outcome."""
+    C, B = big.weights.shape
+    slots = (np.array([full.index(u) for u in sub])[:, None] * B + np.arange(B)).ravel()
+    rows = [np.zeros(1, dtype=np.int64)]
+    for _ in range(len(big.states) - 1):
+        rows.append((rows[-1][:, None] * (C * B) + slots).ravel())
+    return rows
 
 
 @pytest.mark.parametrize("n, n_nodes", [(8, 20), (10, 10)])
@@ -433,12 +450,13 @@ def test_resume_from_any_node_gives_its_envelope(case, n, n_nodes):
     levels = rng.integers(0, n + 1, size=n_nodes)
     nodes = [int(tree.offsets[l] + rng.integers(tree.offsets[l + 1] - tree.offsets[l]))
              for l in levels]
-    assert _resume_mismatches(tree, sol.z, Y, drift, nodes) == []
+    roots = _resumed_roots(tree, Y, nodes)
+    assert _resume_mismatches(sol.z, nodes, roots) == []
     # a z shifted at one node breaks the law there and nowhere else
     i = nodes[0]
     shifted = sol.z.copy()
     shifted[i] -= 0.1
-    assert _resume_mismatches(tree, shifted, Y, drift, nodes) == [i]
+    assert _resume_mismatches(shifted, nodes, roots) == [i]
 
 
 @pytest.mark.parametrize("n, full, sub", [
@@ -451,13 +469,7 @@ def test_a_larger_menu_lowers_the_envelope(n, full, sub):
     for case, (Y, drift) in sorted(DEPTH_CASES.items()):
         big = expand_tree(grid, 1.0, drift, ControlSet(full, cap=1.0))
         small = expand_tree(grid, 1.0, drift, ControlSet(sub, cap=1.0))
-        C, B = big.weights.shape
-        # a sub-menu node's children sit in its controls' slots of the
-        # embedded full-menu node's children, outcome by outcome
-        slots = (np.array([full.index(u) for u in sub])[:, None] * B + np.arange(B)).ravel()
-        rows = [np.zeros(1, dtype=np.int64)]
-        for _ in range(n):
-            rows.append((rows[-1][:, None] * (C * B) + slots).ravel())
+        rows = _embedded_rows(big, full, sub)
         ids = np.concatenate([big.offsets[l] + r for l, r in enumerate(rows)])
         assert len(ids) == small.n_nodes, case
         for l, r in enumerate(rows):
@@ -469,3 +481,42 @@ def test_a_larger_menu_lowers_the_envelope(n, full, sub):
         # can pick the top volatility, which [1.0] holds too
         wrong += np.count_nonzero(max_control_envelope(big, reward_values(big, Y))[ids] > z_small)
     assert wrong > 0
+
+
+def test_resume_and_menu_laws_on_the_acceptance_instances():
+    # both laws on every reward and drift kind of the acceptance suite:
+    # resumed from three seeded nodes of each instance, and for each
+    # two-control instance against both of its one-control sub-menus.  A
+    # solver with max in place of min over controls and a z shifted at
+    # one node each break both laws somewhere
+    rng = np.random.default_rng(20260815)
+    pick = np.random.default_rng(25)
+    resume_wrong = menu_checked = menu_wrong = menu_shifted = 0
+    for _ in range(200):
+        tree, Y = random_instance(rng)
+        sol = robust_envelope(tree, Y)
+        nodes = pick.choice(tree.n_nodes, size=3, replace=False).tolist()
+        roots = _resumed_roots(tree, Y, nodes)
+        assert _resume_mismatches(sol.z, nodes, roots) == []
+        shifted = sol.z.copy()
+        shifted[nodes[0]] -= 0.1
+        assert _resume_mismatches(shifted, nodes, roots) == [nodes[0]]
+        wrong = max_control_envelope(tree, sol.y)
+        resume_wrong += len(_resume_mismatches(wrong, nodes, roots))
+
+        full = tree.controls.scalars()
+        for u in full if len(full) == 2 else []:
+            small = expand_tree(tree.grid, tree.root_prefix[0], tree.drift,
+                                ControlSet([u], cap=tree.controls.cap))
+            rows = _embedded_rows(tree, full, [u])
+            for l, r in enumerate(rows):
+                assert _bits(tree.states[l][r]) == _bits(small.states[l])
+            ids = np.concatenate([tree.offsets[l] + r for l, r in enumerate(rows)])
+            z_small = robust_envelope(small, Y).z
+            assert np.count_nonzero(sol.z[ids] > z_small) == 0
+            menu_checked += 1
+            menu_wrong += int(np.count_nonzero(wrong[ids] > z_small))
+            raised = sol.z[ids]
+            raised[0] += 0.1
+            menu_shifted += int(np.count_nonzero(raised > z_small))
+    assert (menu_checked, resume_wrong, menu_wrong, menu_shifted) == (206, 30, 207, 165)

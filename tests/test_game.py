@@ -20,11 +20,9 @@ from robuststop import (
     constant_reward,
     custom_reward,
     enumerate_stopping_rules,
-    enumerate_strategies,
     expand_tree,
     expected_reward,
     game_values,
-    prefix_key,
     robust_envelope,
     terminal_abs,
     worst_case_stopped_reward,
@@ -39,14 +37,16 @@ from conftest import (
 from referees import (
     PartitionError,
     as_strategy,
+    enumerate_strategies,
     paste_strategies,
     pasting_check,
+    prefix_key,
     state_law,
 )
-from robuststop import game, model
+from robuststop import game
 from robuststop.envelope import _y_array, backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
-    count_strategies,
+    _table_sizes,
     stop_set_max,
     stop_set_table,
     strategy_table,
@@ -107,13 +107,13 @@ def test_rules_are_adapted(put_n2):
 
 def test_strategy_counts(inst_a):
     tree_a, _ = inst_a
-    assert count_strategies(tree_a) == 2
+    assert _table_sizes(tree_a)[0] == 2
     assert len(list(enumerate_strategies(tree_a))) == 2
     t2 = expand_tree(
         TimeGrid(0.0, 1.0, 2), 1.0, DriftSpec("zero"), ControlSet([0.5, 1.0], cap=1.0)
     )
     # root choice times a choice at each of the two reachable children
-    assert count_strategies(t2) == 8
+    assert _table_sizes(t2)[0] == 8
     strategies = list(enumerate_strategies(t2))
     assert len(strategies) == 8
     for s in strategies:
@@ -216,9 +216,9 @@ def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
 def test_game_size_caps(put_n2, monkeypatch):
     tree, Y = put_n2
     # the collision check reads the prefix classes, so a rejected run
-    # builds no prefix key
+    # rebuilds no prefix
     keys = []
-    monkeypatch.setattr(model, "prefix_key", lambda *args: keys.append(args))
+    monkeypatch.setattr(tree, "level_prefixes", lambda *args: keys.append(args))
     with pytest.raises(SizeError, match="solver.strategy_cap"):
         game_values(tree, Y, strategy_cap=3)
     with pytest.raises(SizeError, match="solver.stop_time_cap"):
@@ -377,7 +377,7 @@ def test_oracle_never_builds_the_root_stop_set_row():
     # building that row twice, as the min grid and with the immediate
     # stop, peaked at 1.35 MB
     tree, Y = _put_n3(1.2)
-    assert count_strategies(tree, stop_sets=True) == 83_522
+    assert _table_sizes(tree, stop_sets=True)[0] == 83_522
     tracemalloc.start()
     try:
         report = game_values(tree, Y)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import make_signed_zero_tree
+from referees import prefix_key, prefix_keys
 from robuststop import (
     ControlSet,
     DriftSpec,
@@ -26,7 +27,6 @@ from robuststop import (
     drift_eval,
     expand_tree,
     lookback_max,
-    prefix_key,
     reward_values,
     robust_envelope,
     running_sum,
@@ -222,7 +222,7 @@ def _assert_parity(tree, blocks):
         assert not tree.states[l].flags.writeable
         assert not tree.peaks[l].flags.writeable
     ids = np.arange(tree.n_nodes)
-    assert tree.prefix_keys(ids) == [
+    assert prefix_keys(tree, ids) == [
         prefix_key(tree.k0 + l, row) for l, block in enumerate(blocks) for row in block
     ]
     for name, Y in _rewards(tree):

@@ -12,9 +12,9 @@ from robuststop import (
     TimeGrid,
     drift_eval,
     expand_tree,
-    prefix_key,
     simulate_paths,
 )
+from referees import prefix_key, prefix_keys
 from robuststop.model import (
     _node_cap_error,
     _projected_node_count,
@@ -305,7 +305,7 @@ def test_tree_prefix_consistency(put_n2):
         if l > 0:
             parent = tree.offsets[l - 1] + (i - tree.offsets[l]) // tree.fanout
             assert np.array_equal(_row(tree, parent)[1], pref[:-1])
-        assert tree.prefix_keys([i])[0][0] == k
+        assert prefix_keys(tree, [i])[0][0] == k
 
 
 def test_tree_drift_moves_children():

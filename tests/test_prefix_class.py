@@ -1,7 +1,8 @@
 """The stopper's information as one array: ScenarioTree.prefix_class
-partitions the nodes exactly as prefix_key does, stopping rules hold one
-flag per class and build no key, and the tuple keys a caller gets back
-are built from each class's lowest node."""
+partitions the nodes exactly as the tuple prefix_key of tests/referees.py
+does, the rule enumeration orders the classes as those keys sort,
+stopping rules hold one flag per class and rebuild no prefix, and the
+tuple keys built from a rule are built from each class's lowest node."""
 
 import numpy as np
 import pytest
@@ -23,12 +24,11 @@ from robuststop import (
     expand_tree,
     expected_reward,
     game_values,
-    prefix_key,
     robust_envelope,
     terminal_abs,
     worst_case_stopped_reward,
 )
-from referees import state_law, stopped_value
+from referees import prefix_key, prefix_keys, state_law, stopped_value
 from robuststop import envelope, game, model
 from robuststop.envelope import stop_mask
 
@@ -75,6 +75,25 @@ def test_prefix_class_matches_prefix_key(name):
     # every class is named by its lowest node, which names itself
     assert np.all(cls <= np.arange(tree.n_nodes))
     assert np.all(cls[cls] == cls)
+
+
+def _heads_by_key(tree) -> list:
+    """The non-terminal class heads in the sorted order of their tuple
+    prefix keys."""
+    cls = tree.prefix_class[: tree.offsets[-2]]
+    heads = np.flatnonzero(cls == np.arange(len(cls)))
+    keys = prefix_keys(tree, heads)
+    return heads[sorted(range(len(heads)), key=keys.__getitem__)].tolist()
+
+
+def test_rule_enumeration_orders_the_classes_as_their_tuple_keys_sort():
+    # the lexsort over flattened prefixes gives the sorted tuple-key order,
+    # signed zeros included, which the rule enumeration and the sweep
+    # parity digests rest on
+    trees = [*_named_trees().values(), make_collision_tree(3), *_acceptance_trees()]
+    for tree in trees:
+        got = game._nonterminal_heads(tree, cap=tree.n_nodes).tolist()
+        assert got == _heads_by_key(tree)
 
 
 def test_collision_trees_have_shared_classes():
@@ -136,10 +155,12 @@ def test_rule_paths_build_no_prefix_key(n_steps, monkeypatch):
     assert np.all(tree.prefix_class == np.arange(tree.n_nodes))
 
     def refuse(*args):
-        raise AssertionError("a prefix key was built")
+        raise AssertionError("a prefix was rebuilt")
 
-    monkeypatch.setattr(model, "prefix_key", refuse)
-    assert not hasattr(envelope, "prefix_key") and not hasattr(game, "prefix_key")
+    # the package builds no tuple key at all, and without a collision the
+    # oracle orders no rule enumeration, so nothing rebuilds a prefix
+    assert not any(hasattr(m, "prefix_key") for m in (envelope, game, model))
+    monkeypatch.setattr(tree, "level_prefixes", refuse)
     sol = robust_envelope(tree, Y)
     rule = sol.stop_rule_map()
     assert np.array_equal(rule.flags[tree.prefix_class] == 1, sol.stop)
@@ -158,9 +179,9 @@ def test_prefix_keys_read_the_level_rows():
     ids = np.arange(tree.n_nodes)
     want = [prefix_key(tree.k0 + l, row)
             for l in range(len(tree.states)) for row in tree.level_prefixes(l)]
-    assert tree.prefix_keys(ids) == want
-    assert tree.prefix_keys(ids[[0, 3, 7]]) == [want[0], want[3], want[7]]
-    assert tree.prefix_keys([]) == []
+    assert prefix_keys(tree, ids) == want
+    assert prefix_keys(tree, ids[[0, 3, 7]]) == [want[0], want[3], want[7]]
+    assert prefix_keys(tree, []) == []
 
 
 def test_tree_keeps_no_per_node_views():

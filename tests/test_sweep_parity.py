@@ -16,6 +16,9 @@ that the checks' backward sweeps replaced; every worst, pass flag and
 recomputed root is pinned.  The classic_snell digests pin values and
 root values only: they were re-recorded, on the code that still built
 it, without the first-meeting rule that SnellResult no longer carries.
+The acceptance verify digest was recorded again when the martingale
+check began to compare at every node and to test that z meets y on the
+stop region: only its reports on the two corrupted envelopes moved.
 
 The 200 acceptance instances are folded into one digest per field (the
 sha256 of their per-instance digests, in draw order).  To print the
@@ -32,12 +35,11 @@ import numpy as np
 import pytest
 
 from conftest import make_collision_tree, make_put, random_instance, rule_keys
-from referees import nonlinear_expectation, pasting_check, stopped_value
+from referees import enumerate_strategies, nonlinear_expectation, pasting_check, stopped_value
 from robuststop import (
     StoppingRule,
     classic_snell,
     enumerate_stopping_rules,
-    enumerate_strategies,
     game_values,
     reward_values,
     robust_envelope,
@@ -87,8 +89,8 @@ def _snell_part(tree, strategy, y, from_node=0):
 
 def _rules(tree, rng):
     """Every adapted rule on small trees, a seeded sample otherwise; bit
-    j of a sample decides the j-th non-terminal class in prefix-key order,
-    as in the enumeration."""
+    j of a sample decides the j-th non-terminal class in the order the
+    enumeration uses."""
     heads = _nonterminal_heads(tree, cap=tree.n_nodes)
     if len(heads) <= ALL_RULES_UP_TO:
         return list(enumerate_stopping_rules(tree))
@@ -222,7 +224,7 @@ RECORDED = {
         'stopped_value': '94685e884e9d8cbb3f7e92c77919ddee7c1673f9f2a2b2c0ba9258a8da13557e',
         'worst_case_stopped_reward': 'b5d43f4660e1a1a3b8e7252d33f546cbdf6998341f99f1c54b4cd9d36e72b76a',
         'game': '914f41f0a0d6e6d5bf80b9790b414659456cdb9854e4f0dbaf3d754eeea79bdd',
-        'verify': 'da5416dc20cee0b4cc2bb9d77f9c704a2a56fc6b557b0da2250dfd17322a881c',
+        'verify': 'da5bed1b9407f43964925cf83a9cd492eb924c8d19e916c48bbfbdd16d4681b3',
     },
     'pasting-from-node': {
         'classic_snell': '85adee425d1d4d6e8ef46c04b44b87272efcc92b9c4b03ee4c5ea1463a8019c6',

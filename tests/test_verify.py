@@ -13,7 +13,7 @@ import robuststop.verify as verify_module
 from robuststop import cli
 
 from conftest import make_put, random_instance
-from test_cli import SMALL_VERIFY
+from test_cli import PINNED_GAME, SMALL_VERIFY
 from referees import max_control_envelope, solution_tau
 from robuststop import (
     ControlSet,
@@ -196,6 +196,33 @@ def test_martingale_to_tau_rejects_corruption(put_sol):
     assert not check_martingale_to_tau(tree, corrupt_envelope(sol)).passed
 
 
+def test_martingale_to_tau_rejects_a_stop_node_off_its_reward(put_sol):
+    # a shift at a stop node moves z off y there by the whole shift, and
+    # its ancestors' stopped means by less
+    tree, _, sol = put_sol
+    node = int(np.flatnonzero(sol.stop)[0])
+    assert node < tree.offsets[-2]
+    for amount in (-0.1, 0.1):
+        report = check_martingale_to_tau(tree, corrupt_envelope(sol, node=node, amount=amount))
+        assert not report.passed
+        assert report.worst == pytest.approx(0.1)
+        assert report.n_checked == tree.n_nodes
+
+
+@pytest.mark.parametrize("t_end, delta", [(1.0, 0.5), (1e20, 0.0)])
+def test_martingale_to_tau_meets_y_within_the_stop_test(t_end, delta):
+    # the stop region holds z up to delta + STOP_GUARD * (1 + |y|) above
+    # y, past the check's tolerance here, and a solution passes at
+    # any scale and any delta
+    tree = expand_tree(TimeGrid(0.0, t_end, 3), 1.0, DriftSpec("zero"),
+                       ControlSet([0.5, 1.0], cap=1.0))
+    sol = robust_envelope(tree, american_put(strike=1.1, base=0.0), delta=delta)
+    report = check_martingale_to_tau(tree, sol)
+    gap = (sol.z - sol.y)[sol.stop]
+    assert np.max(gap) > report.tolerance
+    assert report.passed
+
+
 def test_martingale_to_tau_rejects_a_raised_node(put_sol):
     # every stopped mean stays below a node lifted before the stop
     # region, so only the lower side of the law sees the lift
@@ -205,27 +232,13 @@ def test_martingale_to_tau_rejects_a_raised_node(put_sol):
     assert report.worst == pytest.approx(0.1)
 
 
-def _reached_before_stop(tree, stop) -> int:
-    """Nodes with no strict ancestor in the stop region, walked depth
-    first, with child ids from the level layout (leaves always stop)."""
-    seen, stack = 0, [(tree.root, 0)]
-    while stack:
-        node, l = stack.pop()
-        seen += 1
-        if not stop[node]:
-            first = tree.offsets[l + 1] + (node - tree.offsets[l]) * tree.fanout
-            stack.extend((c, l + 1) for c in range(first, first + tree.fanout))
-    return seen
-
-
 def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
     rng = np.random.default_rng(5)
     for _ in range(10):
         tree, Y = rand_instance(rng)
         sol = robust_envelope(tree, Y)
-        reached = _reached_before_stop(tree, sol.stop)
         assert check_supermartingale(tree, sol).n_checked == tree.n_nodes
-        assert check_martingale_to_tau(tree, sol).n_checked == reached
+        assert check_martingale_to_tau(tree, sol).n_checked == tree.n_nodes
         assert check_dpp(tree, sol, 1).n_checked == tree.n_nodes
         nu = sol.stop_rule_map(0.05)
         assert check_dpp_random_horizon(tree, sol, nu).n_checked == tree.n_nodes
@@ -607,25 +620,34 @@ def test_the_cli_lists_the_table_in_its_order():
     assert cli._SUITES == tuple(verify_module.CHECKS) == tuple(CHECK_FUNCTIONS)
 
 
+# a certify pool instance whose root stops (a constant reward), where
+# the martingale and supermartingale mutations once slipped through
+ROOT_STOPS = PINNED_GAME["pool-68"]
+
+
 @pytest.mark.parametrize("i, name", list(enumerate(verify_module.CHECKS)))
 def test_each_check_passes_plain_and_rejects_its_mutation(monkeypatch, i, name):
     # in-process on the CLI tests' small verify config, with the seed
-    # `verify --suite all` gives the check; a check that reads no tree
-    # runs on an instance without one
+    # `verify --suite all` gives the check, and a check that reads the
+    # tree on ROOT_STOPS too; a check that reads no tree runs on an
+    # instance without one
     check = verify_module.CHECKS[name]
-    inst = cli._instance(SMALL_VERIFY)
-    if check.reads_tree:
-        tree = cli._expand(inst)
-        inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
-    num = functools.partial(cli._num, SMALL_VERIFY["verify"], "verify")
+    configs = [SMALL_VERIFY, ROOT_STOPS] if check.reads_tree else [SMALL_VERIFY]
     # the entry calls the check by its module name, so a wrapper set on
     # the module, as the tracer sets one, sees every run
     calls = []
     fn = getattr(verify_module, CHECK_FUNCTIONS[name])
     monkeypatch.setattr(verify_module, CHECK_FUNCTIONS[name],
                         lambda *a, **k: calls.append(name) or fn(*a, **k))
-    plain = check.run(inst, num, 2026 + 101 * i, False)
-    mutated = check.run(inst, num, 2026 + 101 * i, True)
-    assert plain.passed, plain.as_dict()
-    assert not mutated.passed, mutated.as_dict()
-    assert calls == [name, name]
+    for cfg in configs:
+        inst = cli._instance(cfg)
+        if check.reads_tree:
+            tree = cli._expand(inst)
+            inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
+            assert inst.sol.stop[tree.root] == (cfg is ROOT_STOPS)
+        num = functools.partial(cli._num, cfg.get("verify", {}), "verify")
+        plain = check.run(inst, num, 2026 + 101 * i, False)
+        mutated = check.run(inst, num, 2026 + 101 * i, True)
+        assert plain.passed, plain.as_dict()
+        assert not mutated.passed, mutated.as_dict()
+    assert calls == [name, name] * len(configs)
