@@ -205,10 +205,11 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
 
     Each level is computed in place: every child's weighted term is one
     broadcast product into a buffer allocated once per call, sized to
-    the widest level, and the fold adds the terms into their first
-    column, so the level costs the same few numpy calls whatever its
-    width.  The min and its control are written straight into the
-    level's slices of the outputs.
+    the widest level, with a row per (control, branch) slot and a column
+    per node, and the fold adds each control's rows into its first, so
+    the level costs the same few numpy calls whatever its width.  The
+    min and its control are written straight into the level's slices of
+    the outputs.
 
     Returns per-node arrays (v, argmin), where argmin is the control
     attaining the min before floor and stop apply, and -1 at leaves and
@@ -230,22 +231,23 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     argmin[lo:hi] = -1
     # levels widen downward, so the deepest interior level is the widest
     width = ranges[-2][1] - ranges[-2][0] if len(ranges) > 1 else 0
-    terms = np.empty((width, C, B))
+    terms = np.empty((C * B, width))
     mask = np.empty(width, dtype=bool)
     # each level's children are the next level's range, in order
     for (lo, hi), (klo, khi) in zip(ranges[-2::-1], ranges[:0:-1]):
         n = hi - lo
-        prod, better = terms[:n], mask[:n]
-        np.multiply(v[klo:khi].reshape(n, C, B), w, out=prod)
-        # the left-to-right fold of the terms, in their first column
-        acc = prod[:, :, 0]
+        prod, better = terms[:, :n], mask[:n]
+        # one row per (control, branch) slot, one column per node
+        np.multiply(v[klo:khi].reshape(n, C * B).T, w.reshape(C * B, 1), out=prod)
+        # the left-to-right fold of each control's terms, in its first row
+        acc = prod[0::B]
         for j in range(1, B):
-            acc += prod[:, :, j]
+            acc += prod[j::B]
         best, best_ci = v[lo:hi], argmin[lo:hi]
         best.fill(np.inf)
         best_ci.fill(-1)
         for ci in range(C):
-            col = acc[:, ci]
+            col = acc[ci]
             np.less(col, best, out=better)
             if allowed is not None:
                 better &= allowed[lo:hi, ci]

@@ -181,7 +181,10 @@ def dist_dinfty(t1, om1: Path, t2, om2: Path):
     if om1.grid != om2.grid or om1.values.shape != om2.values.shape:
         raise GridError("paths must share grid, dim and row count")
     gap = _stopped_values(om1, ta) - _stopped_values(om2, tb)
-    out = (tb - ta) + np.max(np.linalg.norm(gap, axis=2), axis=1)
+    # at d = 1 the norm is |gap|: np.linalg.norm's bits wherever gap**2 is
+    # a normal float, and no overflow past 1e154 (as model.state_norms)
+    norms = np.abs(gap[:, :, 0]) if gap.shape[2] == 1 else np.linalg.norm(gap, axis=2)
+    out = (tb - ta) + np.max(norms, axis=1)
     return float(out[0]) if om1.values.ndim == 2 else out
 
 

@@ -121,14 +121,14 @@ def _jsonable(obj):
 # Samplers draw this many samples per call, and the checks evaluate them
 # with one stacked call per time index: a call per draw costs more than a
 # stacked one, and stacking every draw at once holds all their prefixes
-# in memory.  A sampler reads each chunk from one block of raw PCG64
+# in memory.  A sampler decodes each chunk from one block of raw PCG64
 # words (see _PCG64Words), about 160 KB at this size on a 4-step grid.
 # On the 4-step d = 1 config of the verify-sampled benchmark, the plain
-# and mutated check_y1 on 10,000 samples took 107 ms at 512, 81 ms at
-# 2048 and 88 ms at 10,000, and check_drift 98, 82 and 83 ms (medians
-# of 16, one pinned CPU of a 2-CPU Xeon VM): past a few thousand draws
-# the fixed cost per chunk is paid off, and larger chunks only add
-# cache misses.
+# and mutated check_y1 on 10,000 samples took 16.3 ms at 512, 11.4 ms at
+# 2048 and 11.2 ms at 10,000, and check_drift 15.0, 11.4 and 9.9 ms
+# (medians of 16, one pinned CPU of a 2-CPU AMD EPYC VM): past a few
+# thousand draws the fixed cost per chunk is paid off, and larger chunks
+# gain little for the memory they hold.
 SAMPLE_CHUNK = 2048
 
 # A chunk's block holds at most CHUNK_WORDS raw words (8 MiB), so on a
@@ -230,6 +230,11 @@ class _PCG64Words:
     generator exactly where those calls would have left it and gives the
     doubles of all words read, indexed like the words.  Any other bit
     generator raises TypeError: its draws follow other rules.
+
+    The samplers decode a whole chunk from halves() and move the reader
+    past it with seek(); these per-draw calls are their fallback, for a
+    chunk in which a 32-bit draw is rejected or a draw reads more words
+    than the decoder's step table holds (see _walk).
     """
 
     def __init__(self, rng, n_words: int):
@@ -276,6 +281,37 @@ class _PCG64Words:
             if (m & 0xFFFFFFFF) >= threshold:
                 return m >> 32
 
+    def halves(self):
+        """(even, odd, state): the 32-bit halves at even and odd chain
+        states, as int64 in arrays of len(block) + 1 (odd's last is 0,
+        past the block), and the chain state the block starts at.
+
+        A chain state s indexes the halves in the order next_uint32 takes
+        them: 0 is the generator's uinteger, and word i's low and high
+        halves are at 2i + 1 and 2i + 2, so the half at s is even[s // 2]
+        or odd[s // 2].  A decoder's state is the half the next 32-bit
+        draw takes: even for a buffered high half, odd for the low half of
+        a fresh word.  A double moves an odd state on by 2, a 32-bit draw
+        moves any state on by 1, and a buffered half drawn after doubles
+        leaves the odd state of the word they end at."""
+        block = self._block
+        even = np.empty(len(block) + 1, dtype=np.uint64)
+        even[0] = self._half
+        np.right_shift(block, 32, out=even[1:])
+        odd = np.zeros(len(block) + 1, dtype=np.uint64)
+        np.left_shift(block, 32, out=odd[:-1])
+        odd >>= 32
+        return even.view(np.int64), odd.view(np.int64), 1 - self._has
+
+    def seek(self, pos: int, state: int, even: np.ndarray, last) -> None:
+        """Move past a decoded chunk: pos words read, state the chain state
+        after it, and last the state of its last 32-bit half, None if it
+        drew none, which keeps the buffer.  uinteger keeps the high half
+        of the last fresh word, buffered or not."""
+        self._pos = pos
+        if last is not None:
+            self._has, self._half = 1 - (state & 1), int(even[(last + 1) // 2])
+
     def close(self) -> np.ndarray:
         self._read_to(self._pos)
         bg = self._bg
@@ -285,6 +321,41 @@ class _PCG64Words:
         state["has_uint32"], state["uinteger"] = self._has, self._half
         bg.state = state
         return (self._block >> 11) * 2.0**-53
+
+
+# One step of a decoder's chain moves it by at most four times the words
+# of a draw, so draws of up to this many words keep the steps of _walk
+# within uint8; longer draws take the per-draw calls.
+_WALK_WORDS = 63
+
+
+def _walk(steps: np.ndarray, base: int, state: int, m: int):
+    """The chain states m draws start from, as an array, and the state
+    after them, where a draw from state s moves to s + base + steps[s].
+
+    steps is uint8, read as bytes: indexing them gives Python's cached
+    small ints, with no list of the table, so the walk is m lookups and
+    adds."""
+    steps = steps.tobytes()
+    starts = [0] * m
+    for i in range(m):
+        starts[i] = state
+        state += base + steps[state]
+    return np.array(starts), state
+
+
+def _halves_at(even, odd, s):
+    """The 32-bit halves at the chain states in s (see _PCG64Words.halves)."""
+    return np.where(s % 2, odd[s >> 1], even[s >> 1])
+
+
+def _lemire(halves: np.ndarray, excl):
+    """integers(0, excl) from each 32-bit half by Lemire's product, and
+    whether numpy rejects that half.  halves and excl are int64 or
+    Python ints, with excl below 2**31, so the product is exact in int64
+    (a uint64 mixed with an int64 would become float64 and lose bits)."""
+    prod = halves * excl
+    return prod >> 32, prod % (1 << 32) < (1 << 32) % excl
 
 
 def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
@@ -302,10 +373,13 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     rng.uniform (first walk), rng.random (fresh or perturbed),
     rng.uniform (second walk) and rng.integers (k1, then k2), and rng
     ends in the same state.  A chunk reads them from one block of raw
-    words, so rng must run on PCG64 (TypeError otherwise); the walks of
-    all m draws are then gathered and summed in one stacked cumsum.
-    sampler.words is the raw words a draw reads, 2 * n_steps * dim + 2;
-    a grid on which that passes CHUNK_WORDS is refused (SizeError).
+    words, so rng must run on PCG64 (TypeError otherwise).  It decodes
+    the block with no loop per draw but _walk's: a draw's length moves
+    only with whether k1 == n, which one comparison of k1's 32-bit half
+    tells; the walks of all m draws are then gathered and summed in one
+    stacked cumsum.  sampler.words is the raw words a draw reads, 2 *
+    n_steps * dim + 2; a grid on which that passes CHUNK_WORDS is
+    refused (SizeError).
     """
     n = grid.n_steps
     per_draw = _bound_draw(2 * n * dim + 2)
@@ -318,16 +392,47 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     # per draw: the first walk, the fresh double, the second walk
     walk = np.array([[0], [n * dim + 1]]) + np.arange(n * dim)
 
+    n_doubles = 2 * n * dim + 1
+    # a draw steps the chain by 2 per double and 1 per 32-bit draw; k1
+    # is n exactly when its half is at least top, and k2 then draws none
+    steps_k1_n = 2 * n_doubles + (n > 0)
+    top = -(-(n << 32) // (n + 1))
+
+    def decode(words, m):
+        """(at, k1, k2) as the per-draw calls give them, with words moved
+        past the chunk, or None if one of its 32-bit draws is rejected."""
+        even, odd, state = words.halves()
+        # the states a draw can start from are those of the first P words;
+        # k1 takes the buffered half at an even one, and the low half past
+        # the doubles at an odd one
+        P = (m - 1) * per_draw + 1
+        k1_below_n = np.empty(2 * P, dtype=np.uint8)
+        np.less(even[:P], top, out=k1_below_n[0::2].view(bool))
+        np.less(odd[n_doubles : n_doubles + P], top, out=k1_below_n[1::2].view(bool))
+        s, end = _walk(k1_below_n, steps_k1_n, state, m)
+        i1 = s + 2 * n_doubles * (s % 2)
+        i2 = s + 2 * n_doubles + 1
+        k1, bad1 = _lemire(_halves_at(even, odd, i1), n + 1)
+        dk, bad2 = _lemire(_halves_at(even, odd, i2), n + 1 - k1)
+        if bad1.any() or bad2.any():
+            return None
+        last = int(i2[-1] if k1[-1] < n else i1[-1]) if n else None
+        words.seek(end >> 1, end, even, last)
+        return s >> 1, k1.astype(np.int_), (k1 + dk).astype(np.int_)
+
     def draw(rng, m):
         words = _PCG64Words(rng, m * per_draw)
-        doubles, integer = words.doubles, words.integer
-        at, k1, k2 = [], [], []
-        for _ in range(m):
-            at.append(doubles(2 * n * dim + 1))
-            k1.append(integer(n))
-            k2.append(k1[-1] + integer(n - k1[-1]))
+        decoded = decode(words, m) if m and per_draw <= _WALK_WORDS else None
+        if decoded is None:
+            doubles, integer = words.doubles, words.integer
+            at, k1, k2 = [], [], []
+            for _ in range(m):
+                at.append(doubles(n_doubles))
+                k1.append(integer(n))
+                k2.append(k1[-1] + integer(n - k1[-1]))
+            decoded = np.array(at, dtype=np.intp), np.array(k1), np.array(k2)
+        at, k1, k2 = decoded
         u = words.close()
-        at = np.array(at, dtype=np.intp)
         fresh = u[at + n * dim] < 0.5
         pick = fresh.astype(np.intp)
         inc = lo[pick] + span[pick] * u[at[:, None, None] + walk]
@@ -335,7 +440,7 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
         np.cumsum(np.reshape(inc, (m, 2, n, dim)), axis=2, out=walks[:, :, 1:])
         first, second = walks[:, 0], walks[:, 1]
         second = np.where(fresh[:, None, None], second, first + second)
-        return np.array(k1), Path(grid, first), np.array(k2), Path(grid, second)
+        return k1, Path(grid, first), k2, Path(grid, second)
 
     draw.words = per_draw
     return draw
@@ -395,11 +500,13 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     rng.integers (k), then per walk rng.uniform (increments) and
     rng.uniform (start), then rng.integers (the control), and rng ends
     in the same state.  A chunk reads them from one block of raw words,
-    so rng must run on PCG64 (TypeError otherwise); the walks of all m
-    draws are then gathered and summed in one stacked cumsum over
-    zero-padded increments.  sampler.words is the most raw words a draw
-    reads, 2 * (K + 1) * dim + 1; a grid on which that passes
-    CHUNK_WORDS is refused (SizeError).
+    so rng must run on PCG64 (TypeError otherwise).  It decodes the
+    block with no loop per draw but _walk's: a draw's length moves with
+    k, which Lemire's product on every candidate 32-bit half gives; the
+    walks of all m draws are then gathered and summed in one stacked
+    cumsum over zero-padded increments.  sampler.words is the most raw
+    words a draw reads, 2 * (K + 1) * dim + 1; a grid on which that
+    passes CHUNK_WORDS is refused (SizeError).
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
     K = max(grid.n_steps, 1)
@@ -408,19 +515,70 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     norms = np.array([np.linalg.norm(u, 2) for u in menu])
     rows = np.arange(K)[:, None] * dim + np.arange(dim)
 
+    # whether k and the control take a 32-bit half
+    a, c = int(K > 1), int(len(menu) > 1)
+
+    def decode(words, m):
+        """(k, at, pick) as the per-draw calls give them, with words moved
+        past the chunk, or None if one of its 32-bit draws is rejected."""
+        even, odd, state = words.halves()
+        # k takes the half at its state, and a draw from there steps by 2
+        # per double, 4 * (k + 2) * dim in all, and by 1 per 32-bit draw
+        P = (m - 1) * per_draw + 1
+        steps = np.empty(2 * P, dtype=np.uint8)
+        for parity, halves in enumerate((even[:P], odd[:P])):
+            doubles = halves * K
+            doubles >>= 32
+            doubles += 2
+            doubles *= 4 * dim
+            steps[parity::2] = doubles
+        base = a + c
+        if a and not c:
+            # a fresh draw leaves its high half to the next draw, past its
+            # own doubles: it steps to that half, and the draw from there
+            # steps past both draws' doubles
+            steps[2::2] += steps[1:-1:2]
+            steps[1::2] = 0
+            base = 1
+        s, end = _walk(steps, base, state, m)
+        k, bad_k = _lemire(_halves_at(even, odd, s), K)
+        # the control's half: the high half k left, or the low half past
+        # the doubles
+        after_k = s + a
+        at_pick = after_k + (k + 2) * (4 * dim) * (after_k % 2)
+        pick, bad_c = _lemire(_halves_at(even, odd, at_pick), len(menu))
+        if bad_k.any() or bad_c.any():
+            return None
+        at = (s >> 1) + a * (s % 2)
+        if a and not c:
+            # a buffered draw starts past the doubles of the draw before
+            gap = ((odd[(s >> 1) - 1] * K >> 32) + 2) * (2 * dim)
+            at += np.where(s % 2 + (s == 0), 0, gap)
+        at = np.stack([at, at + (k + 2) * dim], axis=1)
+        # the last draw ends past its doubles, and past the control's
+        # word if that is fresh
+        words.seek(
+            int(at[-1, 1] + (k[-1] + 2) * dim + c * (after_k[-1] % 2)), end, even,
+            int(at_pick[-1]) if c else int(s[-1]) if a else None,
+        )
+        return k.astype(np.int_), at, pick
+
     def draw(rng, m):
         words = _PCG64Words(rng, m * per_draw)
-        doubles, integer = words.doubles, words.integer
-        ks, at, pick = [], [], []
-        for _ in range(m):
-            ks.append(integer(K - 1))
-            # each walk: k + 1 increments, then its start
-            at.append(doubles((ks[-1] + 2) * dim))
-            at.append(doubles((ks[-1] + 2) * dim))
-            pick.append(integer(len(menu) - 1))
+        decoded = decode(words, m) if m and per_draw <= _WALK_WORDS else None
+        if decoded is None:
+            doubles, integer = words.doubles, words.integer
+            ks, at, pick = [], [], []
+            for _ in range(m):
+                ks.append(integer(K - 1))
+                # each walk: k + 1 increments, then its start
+                at.append(doubles((ks[-1] + 2) * dim))
+                at.append(doubles((ks[-1] + 2) * dim))
+                pick.append(integer(len(menu) - 1))
+            decoded = np.array(ks), np.array(at, dtype=np.intp), np.array(pick, dtype=np.intp)
+        k, at, pick = decoded
         u = words.close()
-        k = np.array(ks)
-        at = np.reshape(np.array(at, dtype=np.intp), (m, 2, 1, 1))
+        at = np.reshape(at, (m, 2, 1, 1))
         # the increments of each walk, zero past its prefix
         padded = np.zeros((m, 2, K, dim))
         within = np.broadcast_to(np.arange(K) <= k[:, None, None], (m, 2, K))

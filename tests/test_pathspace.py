@@ -2,6 +2,8 @@
 one-sided time-path distance on one pair or a stack, and modulus
 templates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from robuststop import (
     TimeGrid,
     dist_dinfty,
 )
+from robuststop.pathspace import _stopped_values
 
 
 def test_grid_nodes_exact():
@@ -148,6 +151,30 @@ def test_dist_stack_matches_single_pairs_bitwise(grid, d):
     assert stacked.shape == (300,)
     assert all(type(x) is float for x in single)
     assert stacked.tobytes() == np.array(single).tobytes() == np.array(reference).tobytes()
+
+
+def test_dist_at_d1_takes_the_absolute_gap():
+    # np.linalg.norm over a size-1 axis squares the gap, so 1e200 read
+    # inf with an overflow warning; |gap| is exact
+    g = TimeGrid(0.0, 1.0, 2)
+    far = np.array([[0.0], [1e200], [1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist_dinfty(1.0, Path(g, far), 1.0, Path(g, np.zeros((3, 1)))) == 1e200
+        stacked = dist_dinfty(
+            np.ones(2), Path(g, np.stack([far, -far])), np.ones(2), Path(g, np.zeros((2, 3, 1)))
+        )
+    assert stacked.tolist() == [1e200, 1e200]
+    # elsewhere the bits of the norm: gaps from 1e-150 to 1e150 on a
+    # stack of random d = 1 walks
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(0.0, 1.0, 5)
+    t1, v1, t2, v2 = _sampled_pairs(grid, 1, 2048, rng)
+    scale = 10.0 ** rng.uniform(-150, 150, size=(2048, 1, 1))
+    a, b = Path(grid, v1 * scale), Path(grid, v2 * scale)
+    gap = _stopped_values(a, t1) - _stopped_values(b, t2)
+    expected = (t2 - t1) + np.max(np.linalg.norm(gap, axis=2), axis=1)
+    assert dist_dinfty(t1, a, t2, b).tobytes() == expected.tobytes()
 
 
 def test_floor_index_array_matches_scalar():

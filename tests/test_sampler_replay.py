@@ -3,12 +3,15 @@ they share.
 
 The referees below are the per-draw samplers the block readers replaced,
 copied verbatim apart from their docstrings: one set of Generator calls
-per draw.  The samplers now replay those calls from one block of raw
-PCG64 words per chunk, and must give byte-identical arrays and leave the
-generator in the same state after every chunk.  The reader is also
-checked on the paths the samplers almost never reach: Lemire rejections,
-ranges that draw nothing, and a half-word buffer that is full at the
-start or carried from one chunk to the next.
+per draw.  The samplers now decode each chunk from one block of raw
+PCG64 words, and must give byte-identical arrays and leave the generator
+in the same state after every chunk, from a fresh start and from a
+buffered 32-bit half.  The decoder's fallback, the reader's per-draw
+calls, is checked on a chunk with a rejected draw and on draws too long
+for the decoder.  The reader is also checked on the paths the samplers
+almost never reach: Lemire rejections, ranges that draw nothing, and a
+half-word buffer that is full at the start or carried from one chunk to
+the next.
 """
 
 import math
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from robuststop import Path, TimeGrid
+from robuststop import verify
 from robuststop.verify import _PCG64Words, pair_sampler, prefix_sampler
 
 
@@ -89,14 +93,20 @@ def _raw(part):
 CHUNKS = (1, 3, 512, 3)
 
 
-def _assert_same_draws(old, new, seed):
-    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-    for m in CHUNKS:
-        a, b = old(ra, m), new(rb, m)
-        assert [_raw(p) for p in a] == [_raw(p) for p in b]
-        assert ra.bit_generator.state == rb.bit_generator.state
-    assert ra.random() == rb.random()
-    assert ra.integers(0, 7) == rb.integers(0, 7)
+def _assert_same_draws(old, new, seed, chunks=CHUNKS):
+    # from a fresh start, and from a buffered half (the high half of the
+    # word integers(0, 5) drew), which the first draw may take
+    for buffered in (False, True):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert ra.integers(0, 5) == rb.integers(0, 5)
+            assert rb.bit_generator.state["has_uint32"] == 1
+        for m in chunks:
+            a, b = old(ra, m), new(rb, m)
+            assert [_raw(p) for p in a] == [_raw(p) for p in b]
+            assert ra.bit_generator.state == rb.bit_generator.state
+        assert ra.random() == rb.random()
+        assert ra.integers(0, 7) == rb.integers(0, 7)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -117,6 +127,71 @@ def test_prefix_sampler_matches_per_draw_calls(n_steps, d, n_controls):
         referee_prefix_sampler(grid, menu, d, 0.7), prefix_sampler(grid, menu, d, 0.7),
         29 + d,
     )
+
+
+def _pairs(n_steps, d, n_controls=2):
+    grid, menu = _grid(n_steps), _menu(d, n_controls)
+    return [
+        (referee_pair_sampler(grid, d), pair_sampler(grid, d)),
+        (referee_prefix_sampler(grid, menu, d, 0.7), prefix_sampler(grid, menu, d, 0.7)),
+    ]
+
+
+def _count_per_draw_calls(monkeypatch):
+    """The ranges of the reader's per-draw integer calls, in a list that
+    grows as they run."""
+    integer, ranges = _PCG64Words.integer, []
+
+    def counted(self, r):
+        ranges.append(r)
+        return integer(self, r)
+
+    monkeypatch.setattr(_PCG64Words, "integer", counted)
+    return ranges
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["pair", "prefix"])
+def test_the_decoder_takes_the_default_grid(monkeypatch, which):
+    # the verify-sampled shape: 4 steps, d = 1, two controls, full chunks
+    replays = _count_per_draw_calls(monkeypatch)
+    old, new = _pairs(4, 1)[which]
+    _assert_same_draws(old, new, 5, chunks=(2048, 1808, 1))
+    assert replays == []
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["pair", "prefix"])
+@pytest.mark.parametrize("n_steps, d", [(4, 1), (7, 3)])
+@pytest.mark.parametrize("draw", ["first", "second"])
+def test_a_rejected_draw_replays_the_chunk(monkeypatch, draw, n_steps, d, which):
+    # one visited 32-bit draw of the second chunk reports a rejection, in
+    # its first integer (k1 or k) or its second (k2 or the control), so
+    # that chunk goes through the per-draw calls from the chunk's start
+    lemire, calls = verify._lemire, []
+
+    def reject_one(halves, excl):
+        value, rejected = lemire(halves, excl)
+        calls.append(len(halves))
+        if len(calls) == (3 if draw == "first" else 4):
+            rejected = rejected.copy()
+            rejected[len(halves) // 2] = True
+        return value, rejected
+
+    monkeypatch.setattr(verify, "_lemire", reject_one)
+    replays = _count_per_draw_calls(monkeypatch)
+    old, new = _pairs(n_steps, d)[which]
+    _assert_same_draws(old, new, 17, chunks=(64, 512, 3))
+    assert len(replays) >= 512
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["pair", "prefix"])
+def test_draws_past_the_walk_table_take_the_per_draw_calls(monkeypatch, which):
+    # 40 steps: a pair draw reads 82 words and a prefix draw 83, more than
+    # the decoder's uint8 steps hold
+    replays = _count_per_draw_calls(monkeypatch)
+    old, new = _pairs(40, 1)[which]
+    assert new.words > verify._WALK_WORDS
+    _assert_same_draws(old, new, 23, chunks=(1, 300))
+    assert replays
 
 
 # ---------------------------------------------------------------------------
