@@ -17,7 +17,6 @@ from types import ModuleType as _ModuleType
 
 from .envelope import (
     EnvelopeSolution,
-    SnellResult,
     StoppingRule,
     classic_snell,
     robust_envelope,

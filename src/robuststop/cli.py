@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import logging
 import math
@@ -43,6 +44,7 @@ from .model import (
     STRATEGY_CAP,
     ControlSet,
     DriftSpec,
+    _projected_node_count,
     expand_tree,
     min_state_norm,
 )
@@ -693,13 +695,44 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     grid = TimeGrid(0.0, t_end, n_steps)
     drift = DriftSpec("zero")
     mid = (lo + hi) / 2.0
+    robust_menu = [lo] if lo == hi else [lo, hi]
     trees = {}
 
-    def tree_of(vols, cap):
+    def widening_menus():
+        # nested menus: each widening keeps every earlier volatility, so
+        # the inf runs over a superset and the value cannot increase
+        menu_vols = [mid]
+        for j in range(widenings + 1):
+            frac = j / widenings
+            edges = [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
+            menu_vols += edges
+            yield j, edges, sorted(set(menu_vols))
+
+    def key_of(vols):
         # the tree of a menu does not depend on the strike, so each
         # distinct menu is validated and expanded once, keyed by its
         # sorted volatilities, and swept for every strike
-        key = tuple(sorted({float(v) for v in vols}))
+        return tuple(sorted({float(v) for v in vols}))
+
+    # every tree is kept until the end, so the distinct menus' trees are
+    # held to the cap together, before the first is expanded; a d = 1
+    # menu of m controls has 2 * m children per node
+    held, seen = 0, set()
+    classic = ([sig] for sig in {lo, hi})
+    widened = (vols for _, _, vols in widening_menus())
+    for vols in itertools.chain([robust_menu], classic, widened):
+        key = key_of(vols)
+        if key not in seen:
+            seen.add(key)
+            held += _projected_node_count(n_steps, 2 * len(key), node_cap - held)
+            if held > node_cap:
+                raise SizeError(
+                    f"the demo's trees together exceed the cap {node_cap} tree nodes; "
+                    f"lower demo.widenings or raise solver.node_cap to allow more"
+                )
+
+    def tree_of(vols, cap):
+        key = key_of(vols)
         if key not in trees:
             menu = ControlSet(vols, cap=cap)
             trees[key] = expand_tree(grid, 0.0, drift, menu, node_cap=node_cap)
@@ -712,13 +745,14 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     classic_gap = 0.0
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        tree = tree_of([lo] if lo == hi else [lo, hi], hi)
+        tree = tree_of(robust_menu, hi)
         sol = robust_envelope(tree, Y)
         robust = sol.root_value()
 
         classics = {}
         for sig in sorted({lo, hi}):
-            classics[sig] = classic_snell(tree_of([sig], sig), 0, Y).root_value
+            single = tree_of([sig], sig)
+            classics[sig] = float(classic_snell(single, 0, Y)[single.root])
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classics[lo]))
         value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
@@ -733,22 +767,13 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             )
             boundary_rows.append([float(K), k, grid.time(k), n_stopped, level])
 
-        # nested menus: each widening keeps every earlier volatility, so
-        # the inf runs over a superset and the value cannot increase
-        menu_vols = [mid]
         prev = None
-        for j in range(widenings + 1):
-            frac = j / widenings
-            menu_vols += [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
-            vols = sorted(set(menu_vols))
+        for j, edges, vols in widening_menus():
             val = robust_envelope(tree_of(vols, hi), Y).root_value()
             if prev is not None and val > prev:
                 monotone = False
             prev = val
-            widening_rows.append(
-                [float(K), j, mid + (lo - mid) * frac, mid + (hi - mid) * frac,
-                 len(vols), val]
-            )
+            widening_rows.append([float(K), j, *edges, len(vols), val])
 
     passed = monotone and (lo != hi or classic_gap <= 1e-12)
     report = {

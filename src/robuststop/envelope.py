@@ -25,20 +25,22 @@ node because the reward there does not depend on the control; the game
 module certifies the recursion against direct enumeration instead of
 trusting that argument.
 
-forward_pass, the sweep's forward twin, follows a strategy from a node
-down to a stop rule, one step per level; every strategy and rule walk
-runs on it.  A strategy is what the controller, who knows its own past
-choices, picks on the tree: one control per node, held as an int64
-array with -1 where it assigns none, or one constant control index.
-stop_mask turns a stopping description (grid index, StoppingRule, or
-callable) into the per-node mask the sweep takes.  A StoppingRule, what
-stop_rule_map returns, holds one int8 flag per prefix class of its
-tree, so its per-node flags are one gather and no prefix key is built.
+forward_pass, the sweep's forward twin, follows a strategy from the
+root down to a stop rule, one step per level; every strategy and rule
+walk runs on it.  Both run over the whole tree: a value from a later
+node is the root value of the tree expanded from that node's prefix
+(expand_tree's init_prefix).  A strategy is what the controller, who
+knows its own past choices, picks on the tree: one control per node,
+held as an int64 array with -1 where it assigns none, or one constant
+control index.  stop_mask turns a stopping description (grid index,
+StoppingRule, or per-node bool mask) into the mask the sweep takes.  A
+StoppingRule, what stop_rule_map returns, holds one int8 flag per
+prefix class of its tree, so its per-node flags are one gather and no
+prefix key is built.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +51,6 @@ from .reward import RewardFunctional, reward_values
 
 __all__ = [
     "EnvelopeSolution",
-    "SnellResult",
     "StoppingRule",
     "backward_sweep",
     "forward_pass",
@@ -81,20 +82,19 @@ class StoppingRule:
     flags: np.ndarray
 
 
-def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
-    """Per-node stop flags of a stopping description, from node down.
+def stop_mask(tree, rule) -> np.ndarray:
+    """Per-node stop flags of a stopping description.
 
     rule is a grid time index (stop once k >= index), a StoppingRule of
-    this tree, or a callable (k, prefix) -> bool.  Leaves stop
-    regardless.  A StoppingRule must decide every interior class of
-    node's subtree (RuleError at the first node whose class it leaves
-    undecided) and is gathered per node; a callable is evaluated by
-    forward_pass from node, once per reached prefix class on the class's
-    lowest node's row.  Interior nodes below a stop, or outside the
-    subtree, may hold either flag; no sweep from node reads them.
+    this tree, or a bool array of length tree.n_nodes.  Leaves stop
+    regardless.  A StoppingRule must decide every interior class
+    (RuleError at the first node whose class it leaves undecided) and is
+    gathered per node.  Interior nodes below a stop may hold either
+    flag; no sweep reads them.
     """
     mask = np.zeros(tree.n_nodes, dtype=bool)
-    mask[tree.offsets[-2]:] = True
+    interior = tree.offsets[-2]
+    mask[interior:] = True
     if isinstance(rule, (int, np.integer)):
         l = min(max(int(rule) - tree.k0, 0), len(tree.offsets) - 1)
         mask[tree.offsets[l]:] = True
@@ -103,27 +103,17 @@ def stop_mask(tree, rule, node: int = 0) -> np.ndarray:
         if rule.tree is not tree:
             raise RuleError("the stopping rule belongs to another tree")
         flags = rule.flags[tree.prefix_class]
-        for lo, hi in tree.subtree_ranges(node)[:-1]:
-            undecided = np.flatnonzero(flags[lo:hi] < 0)
-            if len(undecided):
-                raise RuleError(f"rule has no decision for prefix at node {lo + undecided[0]}")
+        undecided = np.flatnonzero(flags[:interior] < 0)
+        if len(undecided):
+            raise RuleError(f"rule has no decision for prefix at node {undecided[0]}")
         return mask | (flags == 1)
-
-    def stops(ids):
-        l = bisect.bisect_right(tree.offsets, ids[0]) - 1
-        at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
-        heads = list(dict.fromkeys(at))
-        rows = tree.level_prefixes(l, heads)
-        by_class = {j: bool(rule(tree.k0 + l, row)) for j, row in zip(heads, rows)}
-        return [by_class[j] for j in at]
-
-    return mask | forward_pass(tree, node, stops=stops)[1]
+    return mask | rule
 
 
-def forward_pass(tree, node: int = 0, strategy=None, stops=None):
+def forward_pass(tree, *, strategy=None, stops=None):
     """The forward twin of backward_sweep: one vectorised step per level
-    over the subtree of node, following the strategy's control at each
-    node (every control without one), cut off where stops holds.
+    from the root, following the strategy's control at each node (every
+    control without one), cut off where stops holds.
 
     stops(ids) gives the flags of one level's reached interior nodes; the
     walk ends at the first level it does not reach, so ids is never
@@ -136,9 +126,9 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     first such node, in id order, whose index is not a control.
     Returns per-node arrays (reached, stop, control, weight): stop holds
     at reached nodes that stop and at reached leaves, control is -1
-    where no strategy's control is in force, and weight is 1 at node, a
-    child's its parent's times weights[ci, oi], 0 if unreached.  Each
-    level's weights are one product written at the reached children
+    where no strategy's control is in force, and weight is 1 at the
+    root, a child's its parent's times weights[ci, oi], 0 if unreached.
+    Each level's weights are one product written at the reached children
     only; the others keep the zero the walk starts from.
     """
     C, B = tree.weights.shape
@@ -148,13 +138,13 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
     stop = np.zeros(tree.n_nodes, dtype=bool)
     control = np.full(tree.n_nodes, -1, dtype=np.int64)
     weight = np.zeros(tree.n_nodes)
-    reached[node] = True
-    weight[node] = 1.0
+    reached[0] = True
+    weight[0] = 1.0
     if strategy is not None:
         strategy = np.broadcast_to(strategy, tree.n_nodes)
-    ranges = tree.subtree_ranges(node)
-    # each level's children are the next level's range, C * B per node
-    for (lo, hi), (klo, khi) in zip(ranges, ranges[1:]):
+    off = tree.offsets
+    # the children of level lo:hi are the next level, hi:end, C * B per node
+    for lo, hi, end in zip(off, off[1:], off[2:]):
         go = reached[lo:hi]
         if not go.any():
             break
@@ -176,18 +166,17 @@ def forward_pass(tree, node: int = 0, strategy=None, stops=None):
                 raise StrategyError(f"control index {c} out of range at node {i}")
             control[ids] = ci
             kids = np.repeat(control[lo:hi, None] == controls, B)
-        reached[klo:khi] = kids
-        np.multiply(weight[lo:hi, None], w, out=weight[klo:khi].reshape(hi - lo, C * B),
+        reached[hi:end] = kids
+        np.multiply(weight[lo:hi, None], w, out=weight[hi:end].reshape(hi - lo, C * B),
                     where=kids.reshape(hi - lo, C * B))
-    lo, hi = ranges[-1]
-    stop[lo:hi] = reached[lo:hi]
+    stop[off[-2]:] = reached[off[-2]:]
     return reached, stop, control, weight
 
 
 def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
-                   allowed=None, node=0):
+                   allowed=None):
     """One backward pass of v = max(floor, min over allowed u of E_u[v next]),
-    a vectorised step per level over the subtree of node.
+    a vectorised step per level from the leaves to the root.
 
     Leaves, and nodes where the stop mask holds, take values.  Every
     other node takes the min over the controls allowed there
@@ -213,32 +202,26 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
 
     Returns per-node arrays (v, argmin), where argmin is the control
     attaining the min before floor and stop apply, and -1 at leaves and
-    where no control is allowed.  A sweep from the root writes every
-    entry, so its outputs start unfilled; from another node they are NaN
-    and -1 outside the subtree.
+    where no control is allowed.  The sweep writes every entry, so its
+    outputs start unfilled.
     """
     w = tree.weights
     C, B = w.shape
-    if node:
-        v = np.full(tree.n_nodes, np.nan)
-        argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
-    else:
-        v = np.empty(tree.n_nodes)
-        argmin = np.empty(tree.n_nodes, dtype=np.int64)
-    ranges = tree.subtree_ranges(node)
-    lo, hi = ranges[-1]
-    v[lo:hi] = values[lo:hi]
-    argmin[lo:hi] = -1
+    v = np.empty(tree.n_nodes)
+    argmin = np.empty(tree.n_nodes, dtype=np.int64)
+    off = tree.offsets
+    v[off[-2]:] = values[off[-2]:]
+    argmin[off[-2]:] = -1
     # levels widen downward, so the deepest interior level is the widest
-    width = ranges[-2][1] - ranges[-2][0] if len(ranges) > 1 else 0
+    width = off[-2] - off[-3] if len(off) > 2 else 0
     terms = np.empty((C * B, width))
     mask = np.empty(width, dtype=bool)
-    # each level's children are the next level's range, in order
-    for (lo, hi), (klo, khi) in zip(ranges[-2::-1], ranges[:0:-1]):
+    # the children of level lo:hi are the next level, hi:end, in order
+    for lo, hi, end in zip(off[-3::-1], off[-2::-1], off[:0:-1]):
         n = hi - lo
         prod, better = terms[:, :n], mask[:n]
         # one row per (control, branch) slot, one column per node
-        np.multiply(v[klo:khi].reshape(n, C * B).T, w.reshape(C * B, 1), out=prod)
+        np.multiply(v[hi:end].reshape(n, C * B).T, w.reshape(C * B, 1), out=prod)
         # the left-to-right fold of each control's terms, in its first row
         acc = prod[0::B]
         for j in range(1, B):
@@ -295,15 +278,13 @@ class EnvelopeSolution:
         and latest tau* (see _tau_extent)."""
         return _tau_extent(self.tree, self.stop, self.argmin_control)
 
-    def stop_rule_map(self, delta: float | None = None) -> StoppingRule:
-        """The stop region as a rule, one decision per prefix class; for
-        a delta >= 0 other than None, the guarded region at that delta.
+    def stop_rule_map(self) -> StoppingRule:
+        """The stop region as a rule, one decision per prefix class.
 
         The envelope is a function of the prefix, so nodes sharing a
         prefix must agree; a conflict means the solution is corrupt.
         """
-        stop = self.stop if delta is None else _meets(self.z, self.y, delta)
-        return _prefix_rule(self.tree, stop)
+        return _prefix_rule(self.tree, self.stop)
 
     def root_value(self) -> float:
         return float(self.z[self.tree.root])
@@ -312,8 +293,6 @@ class EnvelopeSolution:
 def _meets(z, y, delta: float) -> np.ndarray:
     """The guarded stop test z - y <= _stop_slack(y, delta), delta >= 0,
     with two float temporaries, _MEETS_BLOCK nodes at a time."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     if len(z) > _MEETS_BLOCK:
         out = np.empty(len(z), dtype=bool)
         for lo in range(0, len(z), _MEETS_BLOCK):
@@ -389,28 +368,17 @@ def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:
     return EnvelopeSolution(tree, delta, y, *backward_sweep(tree, y, floor=y))
 
 
-@dataclass
-class SnellResult:
-    """Classic envelope under one strategy: values on reachable nodes
-    (NaN elsewhere) and the root value."""
-
-    tree: object
-    from_node: int
-    values: np.ndarray
-    root_value: float
-
-
-def classic_snell(tree, strategy, Y, from_node: int = 0) -> SnellResult:
-    """V = max(Y, E[V next]) under a fixed strategy, from from_node down.
+def classic_snell(tree, strategy, Y) -> np.ndarray:
+    """V = max(Y, E[V next]) under a fixed strategy: per-node values, NaN
+    where the strategy does not reach.
 
     Y may be a RewardFunctional or a precomputed per-node array.  The
     strategy is resolved by forward_pass over the nodes it reaches, then the
     sweep runs with that one control allowed per node.
     """
     y = _y_array(tree, Y)
-    reached, _, control, _ = forward_pass(tree, from_node, strategy)
+    reached, _, control, _ = forward_pass(tree, strategy=strategy)
     allowed = control[:, None] == np.arange(len(tree.controls))
-    swept = backward_sweep(tree, y, floor=y, allowed=allowed, node=from_node)[0]
-    values = np.where(reached, swept, np.nan)
-    return SnellResult(tree, from_node, values, float(values[from_node]))
+    swept = backward_sweep(tree, y, floor=y, allowed=allowed)[0]
+    return np.where(reached, swept, np.nan)
 

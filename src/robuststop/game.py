@@ -20,7 +20,8 @@ the leaves (all nodes of a level have tables of one size):
 
 The verify checks range over the same strategies and stopping sets with
 backward sweeps instead; these tables are the referee they are tested
-against.
+against.  expected_reward and worst_case_stopped_reward value one rule
+(anything stop_mask accepts) at the root, as every sweep and walk does.
 
 The one structural decision that matters: stopping rules act on the
 observed state-path prefix, never on tree node identity.  The stopper
@@ -159,13 +160,13 @@ def expected_reward(tree, strategy, rule, Y) -> float:
     return math.fsum(weight[ends] * y[ends])
 
 
-def worst_case_stopped_reward(tree, Y, rule, from_node: int = 0) -> float:
+def worst_case_stopped_reward(tree, Y, rule) -> float:
     """min over strategies of E[Y at the stop] for a fixed rule (anything
     stop_mask accepts), by backward induction: the controller observes
     everything, so node-wise minimization is exact."""
     y = _y_array(tree, Y)
-    stops = stop_mask(tree, rule, from_node)
-    return float(backward_sweep(tree, y, stop=stops, node=from_node)[0][from_node])
+    stops = stop_mask(tree, rule)
+    return float(backward_sweep(tree, y, stop=stops)[0][tree.root])
 
 
 def _fold(tree, kids) -> np.ndarray:

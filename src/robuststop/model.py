@@ -36,7 +36,6 @@ arrays per path.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -317,10 +316,11 @@ class ScenarioTree:
     the ancestor row j // fanout**(l - m) at level m: level_prefixes
     gathers whole prefixes along those rows.  weights[ci] holds the B
     edge weights of control ci, the same at every node.  Every walk over
-    the tree computes child ids from this layout: backward sweeps with
-    envelope.backward_sweep, strategy and rule walks with
-    envelope.forward_pass, and the tau* summary's level walk with
-    envelope._tau_extent.
+    the tree runs from the root and computes child ids from this layout:
+    backward sweeps with envelope.backward_sweep, strategy and rule walks
+    with envelope.forward_pass, and the tau* summary's level walk with
+    envelope._tau_extent.  The tree below a later node is the one
+    expand_tree resumes from that node's prefix (init_prefix).
 
     The stopper sees the state path only, so nodes reached under
     different controls can share its information: prefix_class holds,
@@ -391,20 +391,6 @@ class ScenarioTree:
         for m in range(l, 0, -1):
             out[:, self.k0 + m] = self.states[m][rows]
             rows = rows // self.fanout
-        return out
-
-    def subtree_ranges(self, i: int) -> list[tuple[int, int]]:
-        """The subtree of node i as one id range (lo, hi) per level, from
-        i's level down to the leaves; the children of range l are range
-        l + 1, in order.  The root's are the levels themselves."""
-        if i == 0:
-            return list(zip(self.offsets, self.offsets[1:]))
-        l = bisect.bisect_right(self.offsets, i) - 1
-        first, count = i - self.offsets[l], 1
-        out = []
-        for start in self.offsets[l:-1]:
-            out.append((start + first, start + first + count))
-            first, count = first * self.fanout, count * self.fanout
         return out
 
     @cached_property

@@ -746,9 +746,10 @@ def check_dpp_random_horizon(
 ) -> CheckReport:
     """Same identity with the horizon cut at a hitting time.
 
-    nu is a grid index, a callable (k, prefix) -> bool whose first hit
-    ends the horizon, or a StoppingRule on the tree, such as
-    sol.stop_rule_map(delta); leaves end it regardless (see stop_mask).
+    nu is a grid index, a StoppingRule on the tree, such as the
+    stop_rule_map of a solution at some delta, or a per-node bool mask
+    whose first hit ends the horizon; leaves end it regardless (see
+    stop_mask).
     """
     return _dpp_check("dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, {})
 
@@ -1070,7 +1071,8 @@ def _run_dpp_random(inst, num, seed, mutate):
     if mutate or barrier is None:
         nu = inst.grid.n_steps
     else:
-        nu = lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier)
+        # the nodes whose state's norm is at or past the barrier
+        nu = np.concatenate([state_norms(level) >= barrier for level in inst.tree.states])
     target = corrupt_envelope(inst.sol, node=inst.tree.root) if mutate else inst.sol
     return check_dpp_random_horizon(inst.tree, target, nu)
 

@@ -3,6 +3,13 @@ two sweep wrappers that no command calls, and the scenario map of tau*.
 as_strategy writes a partial node -> control map as the package's
 strategy array.
 
+Every sweep and walk of the package runs from the root.  A referee that
+starts from a later node runs on that node's subtree, built by subtree
+as a tree of its own: the tree expand_tree resumes from the node's
+prefix, whose node ids in the full tree are its ids.  callable_mask
+turns a stopping callable (k, prefix) -> bool into the per-node mask
+stop_mask takes, calling it once per reached prefix class.
+
 The paper assumes the control family is weakly stable under pasting.  On
 the scenario tree that holds by construction: the family is every
 node-wise choice of control, and the backward sweep minimises over the
@@ -23,15 +30,20 @@ the referee for ScenarioTree.prefix_class and for the order of the
 collision-rule enumeration; enumerate_strategies yields every strategy
 in strategy_table row order, the referee for that order.
 
-All but max_control_envelope, solution_tau and as_strategy is the
-package's code as it was when it moved here, with the same operation
+All but max_control_envelope, solution_tau, as_strategy, subtree and
+the helpers that move a rule, a strategy or the classic Snell values
+between a tree and a subtree (_rule_on, _strategy_on, snell_values) is
+the package's code as it was when it moved here, with the same operation
 order, so every recorded digest still holds; paste_strategies has since
 pasted strategy arrays with one gather where it merged node -> control
-maps, which picks the same control at every node.
+maps, which picks the same control at every node, and the referees that
+start from a node have since run on its subtree, which gives each node
+the bits the sweep from that node gave.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -40,6 +52,7 @@ import numpy as np
 
 from robuststop.envelope import (
     EnvelopeSolution,
+    StoppingRule,
     _y_array,
     backward_sweep,
     classic_snell,
@@ -48,7 +61,7 @@ from robuststop.envelope import (
 )
 from robuststop.errors import SizeError
 from robuststop.game import _strategy_at, _table_sizes
-from robuststop.model import STRATEGY_CAP
+from robuststop.model import STRATEGY_CAP, ScenarioTree
 from robuststop.reward import (
     CATALOG_RANGE,
     RewardFunctional,
@@ -103,34 +116,97 @@ def enumerate_strategies(tree, cap: int = STRATEGY_CAP):
         yield _strategy_at(tree, sizes, row)
 
 
-def nonlinear_expectation(tree, xi, from_node: int = 0) -> float:
-    """Backward min over controls of expectations: the worst-case mean of
-    a terminal functional, no stopping involved.
+def subtree(tree, node: int):
+    """node's subtree as a tree of its own, and the ids in tree of its
+    nodes, in its id order.  m levels below node its nodes are one run
+    of fanout**m ids, and its root prefix is node's whole prefix, so it
+    is the tree expand_tree resumes from that prefix."""
+    off = tree.offsets
+    l = bisect.bisect_right(off, node) - 1
+    first, count = node - off[l], 1
+    states, ids = [], []
+    for m in range(l, len(off) - 1):
+        states.append(tree.states[m][first:first + count])
+        ids.append(np.arange(off[m] + first, off[m] + first + count))
+        first, count = first * tree.fanout, count * tree.fanout
+    root_prefix = tree.level_prefixes(l, [node - off[l]])[0]
+    sub = ScenarioTree(tree.grid, tree.controls, tree.drift, root_prefix, states, tree.weights)
+    return sub, np.concatenate(ids)
+
+
+def callable_mask(tree, fn) -> np.ndarray:
+    """Per-node stop flags of a callable (k, prefix) -> bool, for
+    stop_mask: evaluated by forward_pass from the root, once per reached
+    prefix class on the class's lowest node's row.  Reached leaves stop;
+    nodes below a stop hold False, and no sweep reads them."""
+
+    def stops(ids):
+        l = bisect.bisect_right(tree.offsets, ids[0]) - 1
+        at = (tree.prefix_class[ids] - tree.offsets[l]).tolist()
+        heads = list(dict.fromkeys(at))
+        rows = tree.level_prefixes(l, heads)
+        by_class = {j: bool(fn(tree.k0 + l, row)) for j, row in zip(heads, rows)}
+        return [by_class[j] for j in at]
+
+    return forward_pass(tree, stops=stops)[1]
+
+
+def _rule_on(tree, sub, ids, rule):
+    """A grid index, a StoppingRule of tree or a callable (k, prefix) ->
+    bool as a stopping description of its subtree sub over ids."""
+    if isinstance(rule, StoppingRule):
+        flags = np.full(sub.n_nodes, -1, dtype=np.int8)
+        flags[sub.prefix_class] = rule.flags[tree.prefix_class[ids]]
+        return StoppingRule(sub, flags)
+    if callable(rule):
+        return callable_mask(sub, rule)
+    return rule
+
+
+def _strategy_on(strategy, ids):
+    """A strategy of a tree (one control index, or one per node) as one
+    of its subtree over ids."""
+    strategy = np.asarray(strategy)
+    return strategy[ids] if strategy.ndim else strategy
+
+
+def nonlinear_expectation(tree, xi, node: int = 0) -> float:
+    """Backward min over controls of expectations, from node: the
+    worst-case mean of a terminal functional, no stopping involved.
 
     xi is a callable on the leaf's full state prefix, or an array/mapping
     of per-leaf values indexed by node id.
     """
-    lo, hi = tree.subtree_ranges(from_node)[-1]
-    leaf = np.full(tree.n_nodes, np.nan)
+    sub, ids = subtree(tree, node)
+    lo = sub.offsets[-2]
+    leaf = np.full(sub.n_nodes, np.nan)
     if callable(xi):
-        first = lo - tree.offsets[-2]
-        rows = tree.level_prefixes(len(tree.states) - 1, np.arange(first, first + hi - lo))
-        leaf[lo:hi] = [float(xi(row)) for row in rows]
+        leaf[lo:] = [float(xi(row)) for row in sub.level_prefixes(len(sub.states) - 1)]
     else:
-        leaf[lo:hi] = [float(xi[i]) for i in range(lo, hi)]
-    return float(backward_sweep(tree, leaf, node=from_node)[0][from_node])
+        leaf[lo:] = [float(xi[i]) for i in ids[lo:].tolist()]
+    return float(backward_sweep(sub, leaf)[0][sub.root])
 
 
 def stopped_value(sol: EnvelopeSolution, node: int, rule_or_time) -> float:
     """Worst-case expected value of the envelope stopped by a rule.
 
     Computes the nonlinear expectation from node of Z frozen at the
-    rule's stopping nodes (see stop_mask): stopping immediately returns
-    Z at the node, stopping at the terminal returns the worst-case mean
-    of Y there.
+    rule's stopping nodes (a grid index, a StoppingRule or a callable
+    (k, prefix) -> bool): stopping immediately returns Z at the node,
+    stopping at the terminal returns the worst-case mean of Y there.
     """
-    stops = stop_mask(sol.tree, rule_or_time, node)
-    return float(backward_sweep(sol.tree, sol.z, stop=stops, node=node)[0][node])
+    sub, ids = subtree(sol.tree, node)
+    stops = stop_mask(sub, _rule_on(sol.tree, sub, ids, rule_or_time))
+    return float(backward_sweep(sub, sol.z[ids], stop=stops)[0][sub.root])
+
+
+def snell_values(tree, strategy, y, node: int = 0) -> np.ndarray:
+    """classic_snell from node, run on its subtree, as per-node values of
+    tree: NaN wherever the strategy does not reach from node."""
+    sub, ids = subtree(tree, node)
+    values = np.full(tree.n_nodes, np.nan)
+    values[ids] = classic_snell(sub, _strategy_on(strategy, ids), y[ids])
+    return values
 
 
 def scenario_tau(tree, flags, argmin_control) -> dict:
@@ -231,21 +307,23 @@ def paste_strategies(tree, base, s: float, partition, pieces) -> np.ndarray:
     return pasted
 
 
-def state_law(tree, strategy, from_node: int = 0) -> dict:
-    """Induced distribution over state paths: leaf prefix key -> weight.
+def state_law(tree, strategy, node: int = 0) -> dict:
+    """Induced distribution over state paths from node: leaf prefix key
+    -> weight.
 
     Distinct tree leaves with coincident state paths merge, since the law
     lives on the observable process.
     """
-    reached, _, _, weight = forward_pass(tree, from_node, strategy)
-    lo = tree.offsets[-2]
-    ids = lo + np.flatnonzero(reached[lo:])
+    sub, ids = subtree(tree, node)
+    reached, _, _, weight = forward_pass(sub, strategy=_strategy_on(strategy, ids))
+    lo = sub.offsets[-2]
+    leaves = lo + np.flatnonzero(reached[lo:])
     # one group per class, its weights in id order, named by its head
-    cls = tree.prefix_class[ids]
+    cls = sub.prefix_class[leaves]
     order = np.argsort(cls, kind="stable")
     heads, starts = np.unique(cls[order], return_index=True)
-    groups = np.split(weight[ids[order]], starts[1:])
-    return dict(sorted(zip(prefix_keys(tree, heads), map(math.fsum, groups))))
+    groups = np.split(weight[leaves[order]], starts[1:])
+    return dict(sorted(zip(prefix_keys(sub, heads), map(math.fsum, groups))))
 
 
 @dataclass
@@ -300,7 +378,7 @@ def pasting_check(
     atom_keys = sorted(set(p_law) | set(hat_law))
     expected: dict = {}
     for node, wgt in level:
-        sub_law = state_law(tree, sources[cells[node]], from_node=node)
+        sub_law = state_law(tree, sources[cells[node]], node)
         for key, w in sub_law.items():
             expected[key] = expected.get(key, 0.0) + wgt * w
     for key in atom_keys:
@@ -334,8 +412,8 @@ def pasting_check(
     for node, wgt in level:
         if not in_A[node]:
             continue
-        lhs = wgt * classic_snell(tree, pasted, y, from_node=node).root_value
-        rhs = wgt * classic_snell(tree, sources[cells[node]], y, from_node=node).root_value
+        lhs = wgt * float(snell_values(tree, pasted, y, node)[node])
+        rhs = wgt * float(snell_values(tree, sources[cells[node]], y, node)[node])
         worst_excess = max(worst_excess, lhs - rhs)
         if lhs - rhs > tolerance:
             failures.append(

@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from conftest import make_inst_a, make_put, random_instance
-from referees import as_strategy, pasting_check, solution_tau
+from referees import as_strategy, callable_mask, pasting_check, solution_tau
 from robuststop.cli import main
 from robuststop.envelope import robust_envelope
 from robuststop.game import game_values
@@ -178,11 +178,10 @@ def test_c07_dynamic_programming_identity(batch):
             assert check_dpp(tree, sol, s, GAME_TOL).passed
         assert check_dpp(tree, sol, tree.grid.t_end, GAME_TOL).passed
         level = float(rng.uniform(0.2, 1.0))
-        barrier = lambda k, pref: abs(float(pref[-1, 0])) >= level
+        barrier = callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= level)
         assert check_dpp_random_horizon(tree, sol, barrier, GAME_TOL).passed
-        assert check_dpp_random_horizon(
-            tree, sol, sol.stop_rule_map(0.05), GAME_TOL
-        ).passed
+        relaxed = robust_envelope(tree, sol.y, delta=0.05).stop_rule_map()
+        assert check_dpp_random_horizon(tree, sol, relaxed, GAME_TOL).passed
 
 
 def test_c08_monte_carlo_moment_scaling():

@@ -586,12 +586,29 @@ DEMO_SMALL = {
 
 
 def test_demo_honours_the_node_cap(tmp_path, capsys):
-    # the trees of DEMO_SMALL run from 7 nodes to 43 (the three-control
-    # widening menu), and the first, the robust two-control tree, has 21
-    for cap, code in ((None, 0), (43, 0), (42, 3), (10, 3)):
+    # DEMO_SMALL keeps five trees, which hold 85 nodes together: the
+    # robust two-control tree has 21, the two classic trees and the
+    # one-control widening menu 7 each, and the three-control one 43
+    for cap, code in ((None, 0), (85, 0), (84, 3), (43, 3), (42, 3), (10, 3)):
         cfg = DEMO_SMALL if cap is None else {**DEMO_SMALL, "solver": {"node_cap": cap}}
         assert main(["demo", "--config", write_config(tmp_path, cfg)]) == code
-        assert ("solver.node_cap" in capsys.readouterr().err) == (code == 3)
+        err = capsys.readouterr().err
+        assert ("solver.node_cap" in err) == ("demo.widenings" in err) == (code == 3)
+
+
+def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatch):
+    # a billion widening menus pass the cap after a few hundred, and the
+    # run fails before it expands its first tree
+    import robuststop.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was expanded")
+
+    monkeypatch.setattr(cli, "expand_tree", refuse)
+    cfg = {"demo": {**DEMO_SMALL["demo"], "widenings": 10**9}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "demo.widenings" in err and "solver.node_cap" in err
 
 
 def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from referees import (
     scenario_tau,
     solution_tau,
     stopped_value,
+    subtree,
 )
 from robuststop import (
     ControlSet,
@@ -91,8 +92,8 @@ def test_singleton_control_equals_classic_snell():
     Y = american_put(strike=1.0, base=0.0)
     sol = robust_envelope(tree, Y)
     snell = classic_snell(tree, np.zeros(tree.n_nodes, dtype=np.int64), Y)
-    assert sol.z.tolist() == snell.values.tolist()
-    assert sol.root_value() == snell.root_value
+    assert sol.z.tolist() == snell.tolist()
+    assert sol.root_value() == snell[tree.root]
 
 
 def test_envelope_accepts_precomputed_values(inst_a):
@@ -106,8 +107,8 @@ def test_envelope_accepts_precomputed_values(inst_a):
 def test_delta_relaxation_stops_earlier(put_n2):
     tree, Y = put_n2
     sol = robust_envelope(tree, Y)
-    tight = sol.stop_rule_map(0.0).flags[tree.prefix_class] == 1
-    loose = sol.stop_rule_map(5.0).flags[tree.prefix_class] == 1
+    tight = sol.stop_rule_map().flags[tree.prefix_class] == 1
+    loose = robust_envelope(tree, Y, delta=5.0).stop_rule_map().flags[tree.prefix_class] == 1
     assert np.array_equal(tight, sol.stop)
     assert scenario_tau(tree, loose, sol.argmin_control) == {(): 0}
     assert np.all(loose[tight])
@@ -117,20 +118,13 @@ def test_delta_relaxation_stops_earlier(put_n2):
 def test_stop_rule_map_is_prefix_keyed(put_n2):
     tree, Y = put_n2
     sol = robust_envelope(tree, Y)
-    by_prefix = rule_keys(sol.stop_rule_map(0.0))
+    by_prefix = rule_keys(sol.stop_rule_map())
     # one decision per observed prefix, and each node stops by the
     # decision on its own prefix
     assert len(by_prefix) == len(set(tree.prefix_class.tolist()))
     for l in range(len(tree.states)):
         for j, row in enumerate(tree.level_prefixes(l)):
             assert by_prefix[prefix_key(tree.k0 + l, row)] == sol.stop[tree.offsets[l] + j]
-
-
-def test_stop_flags_reject_a_negative_delta(put_n2):
-    sol = robust_envelope(*put_n2)
-    with pytest.raises(ValueError, match="delta must be >= 0"):
-        sol.stop_rule_map(-1.0)
-    assert np.array_equal(sol.stop_rule_map(0.0).flags, sol.stop_rule_map().flags)
 
 
 def test_envelope_rejects_a_negative_delta_at_the_call(put_n2):
@@ -260,13 +254,16 @@ def test_forward_pass_resolves_a_constant_strategy_per_level(put_n2):
         by_node = forward_pass(tree, strategy=as_strategy(tree, dict.fromkeys(interior, int(ci))))
         for got, want in zip(forward_pass(tree, strategy=ci), by_node):
             assert np.array_equal(got, want)
-    # an out-of-range index fails at the first node that needs a control
+    # an out-of-range index fails at the first node that needs a control:
+    # control 1 at the root reaches nodes 3 and 4, and only 3 lacks one
     with pytest.raises(StrategyError, match="control index 2 out of range at node 0$"):
         forward_pass(tree, strategy=2)
-    with pytest.raises(StrategyError, match="assigns no control to node 3$"):
-        forward_pass(tree, 3, strategy=-1)
-    with pytest.raises(StrategyError, match="control index -2 out of range at node 3$"):
-        forward_pass(tree, 3, strategy=-2)
+    for ci, message in ((-1, "assigns no control to node 3$"),
+                        (-2, "control index -2 out of range at node 3$")):
+        strategy = np.ones(tree.n_nodes, dtype=np.int64)
+        strategy[3] = ci
+        with pytest.raises(StrategyError, match=message):
+            forward_pass(tree, strategy=strategy)
     # where every reached node stops, none needs one
     flags = np.ones(tree.n_nodes, dtype=bool)
     assert forward_pass(tree, strategy=5, stops=flags.__getitem__)[2].tolist() == [-1] * 21
@@ -297,27 +294,22 @@ def test_forward_pass_ends_at_the_first_level_it_does_not_reach(put_n3, level):
     assert not weight[tree.offsets[level + 1]:].any()
 
 
-@pytest.mark.parametrize("node", [0, 1])
-def test_sweep_marks_leaves_no_control_and_outside_the_subtree(put_n3, node):
-    # a root sweep fills nothing up front, so numpy's cache of small
+def test_sweep_marks_leaves_and_nodes_with_no_control(put_n3):
+    # the sweep fills nothing up front, so numpy's cache of small
     # buffers is first filled with 7s, which an unwritten entry would show
     tree, Y = put_n3
     y = reward_values(tree, Y)
     allowed = np.ones((tree.n_nodes, 2), dtype=bool)
-    allowed[[1, 5, 6], :] = False  # interior nodes with no control, all in node 1's subtree
+    allowed[[1, 5, 6], :] = False  # interior nodes with no control
     junk = [np.full(tree.n_nodes, 7, dtype=np.int64) for _ in range(8)]
     del junk
-    v, argmin = envelope_module.backward_sweep(tree, y, allowed=allowed, node=node)
-    inside = np.zeros(tree.n_nodes, dtype=bool)
-    for lo, hi in tree.subtree_ranges(node):
-        inside[lo:hi] = True
+    v, argmin = envelope_module.backward_sweep(tree, y, allowed=allowed)
     leaves = np.arange(tree.n_nodes) >= tree.offsets[-2]
     none = ~allowed.any(axis=1) & ~leaves
-    assert np.all(argmin[~inside | leaves | none] == -1)
-    assert np.all(np.isin(argmin[inside & ~leaves & ~none], [0, 1]))
-    assert np.all(np.isnan(v[~inside]))
-    assert np.all(v[inside & none] == np.inf)
-    assert np.array_equal(v[inside & leaves], y[inside & leaves])
+    assert np.all(argmin[leaves | none] == -1)
+    assert np.all(np.isin(argmin[~leaves & ~none], [0, 1]))
+    assert np.all(v[none] == np.inf)
+    assert np.array_equal(v[leaves], y[leaves])
 
 
 # Known-answer laws at depth: each holds for any depth, and neither is a
@@ -457,6 +449,27 @@ def test_resume_from_any_node_gives_its_envelope(case, n, n_nodes):
     shifted = sol.z.copy()
     shifted[i] -= 0.1
     assert _resume_mismatches(shifted, nodes, roots) == [i]
+
+
+@pytest.mark.parametrize("case", ["put", "lookback-running-max"])
+def test_subtree_is_the_tree_resumed_from_its_prefix(case):
+    # the referees that start from a node run on referees.subtree, so it
+    # must be the resumed tree of the resume law above, bit for bit, and
+    # carry the full tree's rewards, running maxima included
+    Y, drift = DEPTH_CASES[case]
+    tree = expand_tree(TimeGrid(0.0, 1.0, 5), 1.0, drift, ControlSet([0.5, 1.0], cap=1.0))
+    y = reward_values(tree, Y)
+    off = tree.offsets
+    for node in range(off[-2]):
+        l = bisect.bisect_right(off, node) - 1
+        sub, ids = subtree(tree, node)
+        prefix = tree.level_prefixes(l, [node - off[l]])[0]
+        resumed = expand_tree(tree.grid, None, drift, tree.controls, init_prefix=prefix)
+        assert sub.offsets == resumed.offsets and sub.k0 == resumed.k0 == l, node
+        assert _bits(sub.root_prefix) == _bits(resumed.root_prefix), node
+        for a, b in zip(sub.states, resumed.states):
+            assert _bits(a) == _bits(b), node
+        assert _bits(reward_values(sub, Y)) == _bits(y[ids]), node
 
 
 @pytest.mark.parametrize("n, full, sub", [

@@ -21,8 +21,7 @@ SRC = Path(robuststop.__file__).resolve().parents[1]
 # every name the package re-exports, by the module that defines it
 EXPORTS = {
     envelope: [
-        "EnvelopeSolution", "SnellResult", "StoppingRule", "classic_snell",
-        "robust_envelope",
+        "EnvelopeSolution", "StoppingRule", "classic_snell", "robust_envelope",
     ],
     errors: [
         "ConfigError", "GridError", "PathError", "RuleError", "SizeError",

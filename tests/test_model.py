@@ -282,8 +282,9 @@ def test_inst_a_tree_shape(inst_a):
     assert sorted(_leaf_states(tree)) == [-1.0, -0.5, 0.5, 1.0]
     assert tree.weights.shape == (2, 2)
     assert np.all(tree.weights == 0.5)
-    # the root's children run by control, then outcome: +u, -u per control
-    assert tree.subtree_ranges(0) == [(0, 1), (1, 5)]
+    # the root's children, ids 1 to 4, run by control, then outcome: +u,
+    # -u per control
+    assert tree.offsets[2] - tree.offsets[1] == tree.fanout == 4
     assert _leaf_states(tree) == [0.5, -0.5, 1.0, -1.0]
 
 
@@ -383,14 +384,6 @@ def test_node_cap_message_matches_the_exact_count():
             exact = SizeError.over_cap(_projected_node_count(levels, fanout),
                                        "tree nodes", 1, "solver.node_cap")
             assert str(_node_cap_error(levels, fanout, 1)) == str(exact)
-
-
-def test_subtree_nodes_partition(put_n2):
-    tree, _ = put_n2
-    # node 1's subtree: itself, then its four children at the leaves
-    assert tree.subtree_ranges(1) == [(1, 2), (5, 9)]
-    # the root's subtree is every level, whole
-    assert tree.subtree_ranges(0) == list(zip(tree.offsets, tree.offsets[1:]))
 
 
 def test_simulate_paths_deterministic():

@@ -28,7 +28,7 @@ from robuststop import (
     terminal_abs,
     worst_case_stopped_reward,
 )
-from referees import prefix_key, prefix_keys, state_law, stopped_value
+from referees import callable_mask, prefix_key, prefix_keys, state_law, stopped_value
 from robuststop import envelope, game, model
 from robuststop.envelope import stop_mask
 
@@ -141,7 +141,7 @@ def test_stop_mask_calls_a_callable_once_per_reached_class():
         called.append(prefix_key(k, prefix))
         return False
 
-    mask = stop_mask(tree, never)
+    mask = stop_mask(tree, callable_mask(tree, never))
     # a rule that never stops early reaches every interior node once
     assert mask.tolist() == [False] * tree.offsets[-2] + [True] * (tree.n_nodes - tree.offsets[-2])
     interior = tree.prefix_class[: tree.offsets[-2]]
@@ -167,10 +167,12 @@ def test_rule_paths_build_no_prefix_key(n_steps, monkeypatch):
     assert np.array_equal(stop_mask(tree, rule), sol.stop)
     report = game_values(tree, Y)
     assert report.agree and report.saddle
-    assert classic_snell(tree, 0, Y).root_value == sol.root_value()
+    assert classic_snell(tree, 0, Y)[tree.root] == sol.root_value()
     # the low control is optimal, so it plays the saddle against tau*
     assert expected_reward(tree, 0, rule, Y) == pytest.approx(sol.root_value(), abs=1e-15)
     assert worst_case_stopped_reward(tree, Y, rule) == report.value_at_tau_star
+    # the referee builds node 0's subtree from its prefix
+    monkeypatch.undo()
     assert stopped_value(sol, 0, rule) == sol.root_value()
 
 

@@ -15,7 +15,14 @@ which were recorded from the stopping-set and strategy enumeration
 that the checks' backward sweeps replaced; every worst, pass flag and
 recomputed root is pinned.  The classic_snell digests pin values and
 root values only: they were re-recorded, on the code that still built
-it, without the first-meeting rule that SnellResult no longer carries.
+it, without the first-meeting rule that classic_snell's result no longer
+carries.  They and the nonlinear expectation and stopped values were
+recorded from sweeps that started at the node; those now run on the
+node's subtree (referees.subtree), and the classic values are scattered
+back to full size, NaN outside it.  The barrier and relaxed rules of the
+dpp-random reports were a callable and stop_rule_map(0.05); they are now
+the callable's mask (referees.callable_mask) and the rule of the
+envelope solved at delta = 0.05, whose z is the same.
 The acceptance verify digest was recorded again when the martingale
 check began to compare at every node and to test that z meets y on the
 stop region: only its reports on the two corrupted envelopes moved.
@@ -35,10 +42,16 @@ import numpy as np
 import pytest
 
 from conftest import make_collision_tree, make_put, random_instance, rule_keys
-from referees import enumerate_strategies, nonlinear_expectation, pasting_check, stopped_value
+from referees import (
+    callable_mask,
+    enumerate_strategies,
+    nonlinear_expectation,
+    pasting_check,
+    snell_values,
+    stopped_value,
+)
 from robuststop import (
     StoppingRule,
-    classic_snell,
     enumerate_stopping_rules,
     game_values,
     reward_values,
@@ -79,12 +92,12 @@ def _outcome(fn, *args):
         return type(exc).__name__
 
 
-def _snell_part(tree, strategy, y, from_node=0):
+def _snell_part(tree, strategy, y, node=0):
     try:
-        r = classic_snell(tree, strategy, y, from_node=from_node)
+        values = snell_values(tree, strategy, y, node)
     except Exception as exc:
         return (type(exc).__name__,)
-    return (np.ascontiguousarray(r.values).tobytes(), float(r.root_value))
+    return (values.tobytes(), float(values[node]))
 
 
 def _rules(tree, rng):
@@ -123,14 +136,15 @@ def _game_part(tree, y):
 
 def _verify_part(tree, sol):
     n = tree.grid.n_steps
-    barrier = lambda k, pref: abs(float(pref[-1, 0])) >= 1.0
+    barrier = callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= 1.0)
+    relaxed = robust_envelope(tree, sol.y, delta=0.05).stop_rule_map()
     out = []
     for target in (sol, corrupt_envelope(sol), corrupt_envelope(sol, node=tree.root)):
         reports = [check_supermartingale(tree, target),
                    check_martingale_to_tau(tree, target)]
         reports += [check_dpp(tree, target, s) for s in range(n + 1)]
         reports += [check_dpp_random_horizon(tree, target, nu)
-                    for nu in (n, barrier, sol.stop_rule_map(0.05))]
+                    for nu in (n, barrier, relaxed)]
         out += [json.dumps(_count_free(r.as_dict()), sort_keys=True) for r in reports]
     return out
 

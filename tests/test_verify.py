@@ -14,11 +14,12 @@ from robuststop import cli
 
 from conftest import make_put, random_instance
 from test_cli import PINNED_GAME, SMALL_VERIFY
-from referees import max_control_envelope, solution_tau
+from referees import callable_mask, max_control_envelope, solution_tau
 from robuststop import (
     ControlSet,
     DriftSpec,
     ModulusSpec,
+    ScenarioTree,
     SizeError,
     TimeGrid,
     american_put,
@@ -29,7 +30,7 @@ from robuststop import (
     robust_envelope,
     terminal_abs,
 )
-from robuststop.envelope import EnvelopeSolution, _meets, backward_sweep
+from robuststop.envelope import EnvelopeSolution, _meets, backward_sweep, stop_mask
 from robuststop.verify import (
     check_continuity_in_prehistory,
     check_dpp,
@@ -240,7 +241,7 @@ def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
         assert check_supermartingale(tree, sol).n_checked == tree.n_nodes
         assert check_martingale_to_tau(tree, sol).n_checked == tree.n_nodes
         assert check_dpp(tree, sol, 1).n_checked == tree.n_nodes
-        nu = sol.stop_rule_map(0.05)
+        nu = robust_envelope(tree, Y, delta=0.05).stop_rule_map()
         assert check_dpp_random_horizon(tree, sol, nu).n_checked == tree.n_nodes
 
 
@@ -279,11 +280,61 @@ def test_dpp_random_horizon_variants(put_n3):
     terminal = check_dpp_random_horizon(tree, sol, tree.grid.n_steps)
     assert terminal.passed and terminal.worst == 0.0
     barrier = check_dpp_random_horizon(
-        tree, sol, lambda k, pref: abs(float(pref[-1, 0])) >= 1.2
+        tree, sol, callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= 1.2)
     )
     assert barrier.passed
-    delta_time = check_dpp_random_horizon(tree, sol, sol.stop_rule_map(0.05))
+    relaxed = robust_envelope(tree, Y, delta=0.05).stop_rule_map()
+    delta_time = check_dpp_random_horizon(tree, sol, relaxed)
     assert delta_time.passed
+
+
+BARRIER_TREES = {
+    "put": {
+        "grid": {"t_end": 1.0, "n_steps": 5},
+        "dynamics": {"x0": 1.0},
+        "controls": {"values": [0.3, 0.7], "cap": 1.0},
+        "reward": {"kind": "american-put", "strike": 1.1},
+    },
+    "d2": {
+        "grid": {"t_end": 1.0, "n_steps": 3},
+        "dynamics": {"x0": [1.0, -0.5]},
+        "controls": {"values": [[[0.5, 0.0], [0.0, 0.5]], [[1.0, 0.2], [0.2, 0.8]]],
+                     "cap": 2.0},
+        "reward": {"kind": "terminal-abs"},
+    },
+}
+
+
+@pytest.mark.parametrize("barrier", [1.2, 1.4, 1.7])
+@pytest.mark.parametrize("name", sorted(BARRIER_TREES))
+def test_dpp_random_barrier_is_a_state_mask(monkeypatch, name, barrier):
+    # the barrier's hitting region is read off each level's states, so
+    # the check builds no prefix class, and it cuts the horizon where the
+    # barrier as a callable on the prefix cuts it
+    cfg = {**BARRIER_TREES[name], "verify": {"barrier": barrier}}
+    inst = cli._instance(cfg)
+    tree = cli._expand(inst)
+    inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
+    num = functools.partial(cli._num, cfg["verify"], "verify")
+    cuts, check = [], verify_module.check_dpp_random_horizon
+
+    def refuse(self):
+        raise AssertionError("the prefix classes were built")
+
+    monkeypatch.setattr(verify_module, "check_dpp_random_horizon",
+                        lambda tree, sol, nu: cuts.append(nu) or check(tree, sol, nu))
+    monkeypatch.setattr(ScenarioTree, "prefix_class", property(refuse))
+    report = verify_module.CHECKS["dpp-random"].run(inst, num, 0, False)
+    monkeypatch.undo()
+    hit = callable_mask(tree, lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier))
+    assert report.as_dict() == check(tree, inst.sol, hit).as_dict()
+    # the barrier is first hit below the root, and off the envelope the
+    # cut decides the recomputed root
+    assert not hit[tree.root] and hit[: tree.offsets[-2]].any()
+    off = inst.sol.z + np.random.default_rng(1).random(tree.n_nodes)
+    roots = [backward_sweep(tree, off, floor=inst.sol.y, stop=stop_mask(tree, nu))[0][tree.root]
+             for nu in (cuts[0], hit)]
+    assert roots[0] == roots[1]
 
 
 def test_dpp_random_horizon_rejects_corrupt_root(put_n3):
