@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import math
@@ -693,65 +692,61 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     node_cap = build_solver(cfg)["node_cap"]
 
     grid = TimeGrid(0.0, t_end, n_steps)
-    drift = DriftSpec("zero")
     mid = (lo + hi) / 2.0
-    robust_menu = [lo] if lo == hi else [lo, hi]
+
+    # one table of the distinct menus, keyed by their sorted volatilities
+    # in the order they are met; a menu's tree does not depend on the
+    # strike, so each is expanded once and swept at most once per strike.
+    # Every tree is kept until the end, so the trees are held to the cap
+    # together before the first is expanded; a d = 1 menu of m controls
+    # has 2 * m children per node
     trees = {}
+    held = 0
 
-    def widening_menus():
-        # nested menus: each widening keeps every earlier volatility, so
-        # the inf runs over a superset and the value cannot increase
-        menu_vols = [mid]
-        for j in range(widenings + 1):
-            frac = j / widenings
-            edges = [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
-            menu_vols += edges
-            yield j, edges, sorted(set(menu_vols))
-
-    def key_of(vols):
-        # the tree of a menu does not depend on the strike, so each
-        # distinct menu is validated and expanded once, keyed by its
-        # sorted volatilities, and swept for every strike
-        return tuple(sorted({float(v) for v in vols}))
-
-    # every tree is kept until the end, so the distinct menus' trees are
-    # held to the cap together, before the first is expanded; a d = 1
-    # menu of m controls has 2 * m children per node
-    held, seen = 0, set()
-    classic = ([sig] for sig in {lo, hi})
-    widened = (vols for _, _, vols in widening_menus())
-    for vols in itertools.chain([robust_menu], classic, widened):
-        key = key_of(vols)
-        if key not in seen:
-            seen.add(key)
+    def register(vols):
+        nonlocal held
+        key = tuple(sorted(vols))
+        if key not in trees:
             held += _projected_node_count(n_steps, 2 * len(key), node_cap - held)
             if held > node_cap:
                 raise SizeError(
                     f"the demo's trees together exceed the cap {node_cap} tree nodes; "
                     f"lower demo.widenings or raise solver.node_cap to allow more"
                 )
+            trees[key] = None
+        return key
 
-    def tree_of(vols, cap):
-        key = key_of(vols)
-        if key not in trees:
-            menu = ControlSet(vols, cap=cap)
-            trees[key] = expand_tree(grid, 0.0, drift, menu, node_cap=node_cap)
-        return trees[key]
+    robust_key = register({lo, hi})
+    classic_keys = {sig: register({sig}) for sig in sorted({lo, hi})}
+    # nested menus: each widening keeps every earlier volatility, so the
+    # inf runs over a superset and the value cannot increase
+    vols, key, steps = {mid}, register({mid}), []
+    for j in range(widenings + 1):
+        frac = j / widenings
+        edges = [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
+        if not vols.issuperset(edges):
+            vols.update(edges)
+            key = register(vols)
+        steps.append((j, edges, len(vols), key))
+
+    drift = DriftSpec("zero")
+    for key in trees:
+        trees[key] = expand_tree(grid, 0.0, drift, ControlSet(key), node_cap=node_cap)
 
     value_rows = []
     boundary_rows = []
     widening_rows = []
     monotone = True
     classic_gap = 0.0
+    tree = trees[robust_key]
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        tree = tree_of(robust_menu, hi)
         sol = robust_envelope(tree, Y)
         robust = sol.root_value()
-
+        roots = {robust_key: robust}
         classics = {}
-        for sig in sorted({lo, hi}):
-            single = tree_of([sig], sig)
+        for sig, key in classic_keys.items():
+            single = trees[key]
             classics[sig] = float(classic_snell(single, 0, Y)[single.root])
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classics[lo]))
@@ -768,12 +763,14 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             boundary_rows.append([float(K), k, grid.time(k), n_stopped, level])
 
         prev = None
-        for j, edges, vols in widening_menus():
-            val = robust_envelope(tree_of(vols, hi), Y).root_value()
+        for j, edges, size, key in steps:
+            if key not in roots:
+                roots[key] = robust_envelope(trees[key], Y).root_value()
+            val = roots[key]
             if prev is not None and val > prev:
                 monotone = False
             prev = val
-            widening_rows.append([float(K), j, *edges, len(vols), val])
+            widening_rows.append([float(K), j, *edges, size, val])
 
     passed = monotone and (lo != hi or classic_gap <= 1e-12)
     report = {

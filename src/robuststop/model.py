@@ -157,7 +157,8 @@ class ControlSet:
 
     Scalars are accepted for d = 1.  The menu is deduplicated and sorted
     lexicographically on the matrix entries, so control indices are a
-    stable total order.  Without a cap, the cap is the largest operator
+    stable total order, and kept as one read-only (C, d, d) array: each
+    control is a view of it.  Without a cap, the cap is the largest operator
     norm on the menu.
     """
 
@@ -187,7 +188,6 @@ class ControlSet:
                 )
             if cap is not None and hi > cap * (1 + 1e-12):
                 raise ValueError(f"control norm {np.float64(hi)} exceeds cap {cap}")
-            m.setflags(write=False)
             mats.append(m)
             norms.append(float(hi))
         if not mats:
@@ -195,11 +195,13 @@ class ControlSet:
         dims = {m.shape[0] for m in mats}
         if len(dims) != 1:
             raise ValueError(f"controls have mixed dimensions {sorted(dims)}")
-        # dedupe on exact entries, then sort lexicographically
+        # dedupe on exact entries, then sort lexicographically, into one
+        # read-only (C, d, d) array whose rows are the controls
         uniq = {tuple(m.flat): m for m in mats}
-        self.controls = [uniq[key] for key in sorted(uniq)]
+        self.controls = np.array([uniq[key] for key in sorted(uniq)])
+        self.controls.setflags(write=False)
         self.cap = max(norms) if cap is None else float(cap)
-        self.dim = self.controls[0].shape[0]
+        self.dim = self.controls.shape[1]
 
     def __len__(self):
         return len(self.controls)

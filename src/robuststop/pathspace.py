@@ -159,6 +159,13 @@ def _stopped_values(path: Path, t) -> np.ndarray:
     return np.where(nodes > i, np.take_along_axis(v, i, axis=1), v)
 
 
+def _gap_norms(gap: np.ndarray) -> np.ndarray:
+    """Euclidean norms of path gaps over their last (component) axis.  At
+    d = 1 the norm is |gap|: np.linalg.norm's bits wherever gap**2 is a
+    normal float, and no overflow past 1e154 (as model.state_norms)."""
+    return np.abs(gap[..., 0]) if gap.shape[-1] == 1 else np.linalg.norm(gap, axis=-1)
+
+
 def dist_dinfty(t1, om1: Path, t2, om2: Path):
     """One-sided distance (t2 − t1) + sup-norm of the stopped-path gap.
 
@@ -181,10 +188,7 @@ def dist_dinfty(t1, om1: Path, t2, om2: Path):
     if om1.grid != om2.grid or om1.values.shape != om2.values.shape:
         raise GridError("paths must share grid, dim and row count")
     gap = _stopped_values(om1, ta) - _stopped_values(om2, tb)
-    # at d = 1 the norm is |gap|: np.linalg.norm's bits wherever gap**2 is
-    # a normal float, and no overflow past 1e154 (as model.state_norms)
-    norms = np.abs(gap[:, :, 0]) if gap.shape[2] == 1 else np.linalg.norm(gap, axis=2)
-    out = (tb - ta) + np.max(norms, axis=1)
+    out = (tb - ta) + np.max(_gap_norms(gap), axis=1)
     return float(out[0]) if om1.values.ndim == 2 else out
 
 

@@ -47,7 +47,7 @@ from .model import (
     simulate_sup_distances,
     state_norms,
 )
-from .pathspace import ModulusSpec, Path, TimeGrid, dist_dinfty
+from .pathspace import ModulusSpec, Path, TimeGrid, _gap_norms, dist_dinfty
 from .reward import RewardFunctional, custom_reward, eval_reward
 
 __all__ = [
@@ -627,7 +627,7 @@ def check_drift(
         growth = state_norms(drift(np.zeros_like(p1))) - spec.kappa * (1.0 + unorm)
         b1 = drift(p1)
         b2 = drift(p2)
-        gap = np.linalg.norm(p1 - p2, axis=2)
+        gap = _gap_norms(p1 - p2)
         sup = _per_index(lambda k, ids: np.max(gap[ids, : k + 1], axis=1), ks)
         lip = state_norms(b1 - b2) - lip_const * sup
         # scan growth_0, lip_0, growth_1, ...: the order of a per-draw
@@ -839,7 +839,7 @@ def check_continuity_in_prehistory(
             pre2 = pre1
         else:
             pre2 = history(float(2.0 ** -rng.integers(0, 6)), base=pre1)
-        dist = float(np.max(np.linalg.norm(pre1 - pre2, axis=1)))
+        dist = float(np.max(_gap_norms(pre1 - pre2)))
         dz = abs(root_value(pre1) - root_value(pre2))
         if rho1 is not None:
             worst = _max_or_nan(worst, [dz - float(rho1(dist))])

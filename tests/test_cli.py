@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import time
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -295,6 +297,27 @@ def test_verify_mutation_breaks_prehistory_on_constant_reward(tmp_path, capsys, 
     assert report["ok"]
     assert not report["checks"]["prehistory"]["passed"]
     assert report["checks"]["prehistory"]["worst"] > 0.0
+
+
+def test_sampled_gaps_at_d1_do_not_overflow(tmp_path, capsys):
+    # at d = 1 check_drift's sup gap and the pre-history distance are
+    # |gap|, as in dist_dinfty: squared, a gap near 1e200 overflows, a
+    # warning that exits 4 here, and the inf gap left the Lipschitz term
+    # at -inf and kappa_fit at 0.0, so the drift mutation went through
+    cfg = {
+        **SMALL_VERIFY,
+        "dynamics": {"x0": 1.0, "drift": {"kind": "mean-reversion", "rate": 0.5}},
+        "verify": {**SMALL_VERIFY["verify"], "spread": 1e200},
+    }
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--suite", "drift,prehistory"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(capsys, *argv)
+        assert (code, report["all_passed"]) == (0, True)
+        assert report["checks"]["prehistory"]["details"]["kappa_fit"] > 0.0
+        code, report = run(capsys, *argv, "--mutate")
+    assert (code, report["ok"]) == (0, True)
+    assert not any(c["passed"] for c in report["checks"].values())
 
 
 def test_verify_empty_suite_is_usage_error(tmp_path, capsys):
@@ -611,9 +634,30 @@ def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatc
     assert "demo.widenings" in err and "solver.node_cap" in err
 
 
+def _count_sweeps(monkeypatch):
+    # the ids of the trees demo passes to each of its two sweeps, one
+    # entry a call
+    import robuststop.cli as cli
+
+    swept = {"robust_envelope": [], "classic_snell": []}
+
+    def counting(fn):
+        sweep = getattr(cli, fn)
+
+        def call(tree, *args, **kwargs):
+            swept[fn].append(id(tree))
+            return sweep(tree, *args, **kwargs)
+
+        return call
+
+    for fn in swept:
+        monkeypatch.setattr(cli, fn, counting(fn))
+    return swept
+
+
 def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
     # two strikes and 4 widenings: the robust menu, two singles and five
-    # widening menus, each expanded once and swept for both strikes
+    # widening menus, each expanded once and swept once for each strike
     import robuststop.cli as cli
 
     menus, expand = [], cli.expand_tree
@@ -623,10 +667,45 @@ def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
         return expand(grid, x0, drift, controls, **kwargs)
 
     monkeypatch.setattr(cli, "expand_tree", counting)
+    swept = _count_sweeps(monkeypatch)
     cfg = write_config(tmp_path, PINNED_DEMO["wide"])
     assert main(["demo", "--config", cfg]) == 0
     assert len(menus) == len(set(menus)) == 8
     assert len(json.loads(capsys.readouterr().out)["values"]) == 2
+    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 6
+    assert sorted(Counter(swept["classic_snell"]).values()) == [2] * 2
+
+
+def test_demo_sweeps_a_menu_the_robust_one_repeats_once(tmp_path, capsys, monkeypatch):
+    # sigma_hi is the float after sigma_lo, so mid rounds to sigma_lo and
+    # the five widening menus are {lo} and, once an edge rounds up to hi,
+    # the robust menu {lo, hi}: two robust_envelope sweeps per strike
+    swept = _count_sweeps(monkeypatch)
+    cfg = {"demo": {**PINNED_DEMO["wide"]["demo"], "sigma_lo": 1.0,
+                    "sigma_hi": float(np.nextafter(1.0, 2.0))}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["widening_monotone"]
+    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 2
+    assert sorted(Counter(swept["classic_snell"]).values()) == [2] * 2
+
+
+def test_demo_sweeps_a_degenerate_interval_once_per_strike(tmp_path, capsys, monkeypatch):
+    # with sigma_lo == sigma_hi every widening menu is the robust menu, so
+    # 20,001 widening rows per strike read one robust_envelope root; the
+    # widening.csv digest is the one recorded when each row swept its
+    # tree again
+    swept = _count_sweeps(monkeypatch)
+    cfg = {"demo": {"strikes": [0.9, 1.1], "sigma_lo": 0.6, "sigma_hi": 0.6,
+                    "n_steps": 1, "widenings": 20_000}}
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert main(["demo", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - t0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(swept["robust_envelope"]) == 2
+    assert elapsed < 5.0
+    digest = hashlib.sha256((out / "widening.csv").read_bytes()).hexdigest()
+    assert digest == "fda265c86e7fda972ac1b2326fbed6cbe2e3af1336a594fd56221af3833e8fa4"
 
 
 # (command, config, raw JSON token standing in for the value, key named)

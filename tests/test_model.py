@@ -55,6 +55,32 @@ def test_control_set_scalars_sorted_and_deduped():
     assert len(cs.controls) == 2
 
 
+def test_control_set_holds_its_menu_in_one_array():
+    # 100 nested scalar menus of 1, 3, ..., 199 controls: each menu is one
+    # read-only (C, d, d) array and its controls are views of it, so the
+    # menus hold about 8 bytes a control, not two arrays of their own
+    # (about 240 bytes); a d = 2 menu keeps its order and entries too
+    import tracemalloc
+
+    vols = [0.5 + 0.001 * i for i in range(200)]
+    tracemalloc.start()
+    try:
+        menus = [ControlSet(vols[: 2 * m + 1]) for m in range(100)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_controls = sum(len(cs) for cs in menus)
+    assert n_controls == 10_000
+    assert held < 32 * n_controls
+    mats = [np.array([[1.0, 0.2], [0.2, 0.5]]), np.array([[0.5, 0.0], [0.0, 0.5]])]
+    for cs in (*menus[:3], menus[-1], ControlSet(mats)):
+        assert cs.controls.shape == (len(cs), cs.dim, cs.dim)
+        assert not cs.controls.flags.writeable
+        assert all(u.base is cs.controls for u in [*cs, cs[0], cs[len(cs) - 1]])
+    assert [u.tolist() for u in ControlSet(mats)] == [mats[1].tolist(), mats[0].tolist()]
+    assert mats[0].flags.writeable
+
+
 def test_control_set_validation():
     with pytest.raises(ValueError):
         ControlSet([0.5, -0.2], cap=1.0)
