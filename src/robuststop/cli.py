@@ -716,6 +716,18 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             trees[key] = None
         return key
 
+    # every widening edge moves monotonically with j, and so does its
+    # rounding, so the edges at j = 0 and j = widenings bound the rest.
+    # Near the float range the midpoint overflows (NaN edges) or a lower
+    # edge rounds to 0.0; either fails before a menu is registered
+    for frac in (0.0, 1.0):
+        for edge in (mid + (lo - mid) * frac, mid + (hi - mid) * frac):
+            if not (math.isfinite(edge) and edge > 0):
+                raise ConfigError(
+                    f"demo.sigma_lo and demo.sigma_hi give the widening edge {edge!r}; "
+                    f"every edge must be a finite number > 0"
+                )
+
     robust_key = register({lo, hi})
     classic_keys = {sig: register({sig}) for sig in sorted({lo, hi})}
     # nested menus: each widening keeps every earlier volatility, so the

@@ -1,17 +1,19 @@
 """Discrete canonical path space: uniform grids, zero-anchored paths,
 and the one-sided time-path distance used by continuity checks.
 
-All paths live on uniform grids and start at zero.  Path equality is
-exact: no comparison in this module carries a tolerance.
+All paths live on uniform grids and start at zero, and a grid position
+is always a node index, never a time.  Path equality is exact: no
+comparison in this module carries a tolerance.
 
-Usage::
+Usage, stopping one path at nodes 1 and 2 (times 1.0 and 2.0):
 
-    g = TimeGrid(0.0, 2.0, 2)
-    w = Path(g, [0.0, 1.0, 3.0])
-    dist_dinfty(1.0, w, 2.0, w)   # 3.0: time gap 1 plus stopped-path gap 2
+>>> g = TimeGrid(0.0, 2.0, 2)
+>>> w = Path(g, [0.0, 1.0, 3.0])
+>>> dist_dinfty(1, w, 2, w)  # time gap 1 plus stopped-path gap 2
+3.0
 
 A Path may also hold a stack of paths on one grid, and dist_dinfty then
-takes one pair of times per row and gives one distance per row.
+takes one pair of indices per row and gives one distance per row.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ __all__ = [
     "ModulusSpec",
     "dist_dinfty",
 ]
-
-# Relative slack for matching user-supplied times to grid nodes.  Node
-# times themselves are always computed from the index, never accumulated.
-_TIME_MATCH_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,31 +74,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.array([self.time(i) for i in range(self.n_steps + 1)])
-
-    def index_of(self, t: float) -> int:
-        """Index of the grid node at time t; rejects off-node times."""
-        span = max(abs(self.t_end), abs(self.t_start), 1.0)
-        for i in range(self.n_steps + 1):
-            ti = self.time(i)
-            if t == ti or abs(t - ti) <= _TIME_MATCH_RTOL * span:
-                return i
-        raise GridError(f"time {t} is not a node of {self}")
-
-    def floor_index(self, t):
-        """Index of the greatest node with time <= t (clamping for the
-        stopped-path operation); an array of times gives an index array."""
-        ts = np.asarray(t, dtype=np.float64)
-        if np.any((ts < self.t_start) | (ts > self.t_end)):
-            raise GridError(f"time {t} outside [{self.t_start}, {self.t_end}]")
-        span = max(abs(self.t_end), abs(self.t_start), 1.0)
-        nodes = self.times()
-        below = (nodes <= ts[..., None]) | (
-            np.abs(ts[..., None] - nodes) <= _TIME_MATCH_RTOL * span
-        )
-        # the last node below t, or node 0 when none is
-        last = self.n_steps - np.argmax(below[..., ::-1], axis=-1)
-        best = np.where(below.any(axis=-1), last, 0)
-        return int(best) if ts.ndim == 0 else best
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +123,11 @@ class Path:
         )
 
 
-def _stopped_values(path: Path, t) -> np.ndarray:
-    """Node values of the stopped paths ω(· ∧ t), one row per path, each
-    clamped at the greatest grid node at or below its time."""
+def _stopped_values(path: Path, k) -> np.ndarray:
+    """Node values of the stopped paths ω(· ∧ t_k), one row per path,
+    each frozen from its own node index k on."""
     v = path.values.reshape((-1,) + path.values.shape[-2:])
-    i = np.broadcast_to(path.grid.floor_index(t), v.shape[:1])[:, None, None]
+    i = np.broadcast_to(k, v.shape[:1])[:, None, None]
     nodes = np.arange(v.shape[1])[None, :, None]
     return np.where(nodes > i, np.take_along_axis(v, i, axis=1), v)
 
@@ -166,29 +139,35 @@ def _gap_norms(gap: np.ndarray) -> np.ndarray:
     return np.abs(gap[..., 0]) if gap.shape[-1] == 1 else np.linalg.norm(gap, axis=-1)
 
 
-def dist_dinfty(t1, om1: Path, t2, om2: Path):
-    """One-sided distance (t2 − t1) + sup-norm of the stopped-path gap.
+def dist_dinfty(k1, om1: Path, k2, om2: Path):
+    """One-sided distance (t_k2 − t_k1) + sup-norm of the gap between the
+    paths stopped at nodes k1 and k2.
 
-    One pair, with float times and single paths, gives a float.  A stack
-    of n pairs, with length-n time arrays and path stacks of n rows,
-    gives n distances, each the one its pair alone would give.  Defined
-    for t1 <= t2 only, in every row; both sides must share grid,
-    dimension and row count.
+    One pair, with int indices and single paths, gives a float.  A stack
+    of n pairs, with length-n int arrays and path stacks of n rows, gives
+    n distances, each the one its pair alone would give.  Defined for
+    0 <= k1 <= k2 <= n_steps only, in every row; both sides must share
+    grid, dimension and row count.
     """
-    ta, tb = np.broadcast_arrays(
-        np.asarray(t1, dtype=np.float64), np.asarray(t2, dtype=np.float64)
-    )
-    late = np.flatnonzero(ta > tb)
+    ka, kb = np.broadcast_arrays(np.asarray(k1), np.asarray(k2))
+    if ka.dtype.kind not in "iu" or kb.dtype.kind not in "iu":
+        raise TypeError(f"node indices must be integers, got {ka.dtype} and {kb.dtype}")
+    late = np.flatnonzero(ka > kb)
     if late.size:
         r = late[0]
-        row = f" in row {r}" if ta.ndim else ""
+        row = f" in row {r}" if ka.ndim else ""
         raise GridError(
-            f"one-sided distance needs t1 <= t2, got {ta.flat[r]} > {tb.flat[r]}{row}"
+            f"one-sided distance needs k1 <= k2, got {ka.flat[r]} > {kb.flat[r]}{row}"
         )
     if om1.grid != om2.grid or om1.values.shape != om2.values.shape:
         raise GridError("paths must share grid, dim and row count")
-    gap = _stopped_values(om1, ta) - _stopped_values(om2, tb)
-    out = (tb - ta) + np.max(_gap_norms(gap), axis=1)
+    n = om1.grid.n_steps
+    # with k1 <= k2 in every row, these two bound every index
+    if np.any(ka < 0) or np.any(kb > n):
+        raise GridError(f"node indices must lie in [0, {n}]")
+    times = om1.grid.times()
+    gap = _stopped_values(om1, ka) - _stopped_values(om2, kb)
+    out = (times[kb] - times[ka]) + np.max(_gap_norms(gap), axis=1)
     return float(out[0]) if om1.values.ndim == 2 else out
 
 

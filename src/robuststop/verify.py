@@ -25,6 +25,7 @@ command and for any caller in-process.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -473,8 +474,7 @@ def check_y1(
     for start in range(0, n, chunk):
         k1, om1, k2, om2 = sampler(rng, min(chunk, n - start))
         lhs = reward(k1, om1) - reward(k2, om2)
-        times = om1.grid.times()
-        rhs = Y.modulus(dist_dinfty(times[k1], om1, times[k2], om2))
+        rhs = Y.modulus(dist_dinfty(k1, om1, k2, om2))
         worst = _max_or_nan(worst, lhs - rhs)
     return CheckReport(
         name="y1",
@@ -731,9 +731,10 @@ def check_dpp(tree, sol: EnvelopeSolution, s, tolerance: float = 1e-9) -> CheckR
 
     The root value must equal the min over control assignments on the
     horizon before s of the optimally-stopped value whose terminal slice
-    is the solver's own slice-s values.  s is a grid index or node time.
+    is the solver's own slice-s values.  s is a grid index (a float
+    raises TypeError).
     """
-    s_idx = int(s) if isinstance(s, (int, np.integer)) else tree.grid.index_of(s)
+    s_idx = operator.index(s)
     if not tree.k0 <= s_idx <= tree.grid.n_steps:
         raise ValueError(f"cut {s_idx} outside the tree's horizon")
     return _dpp_check(
@@ -806,14 +807,15 @@ def check_continuity_in_prehistory(
     """Root value moves by at most a modulus of the pre-history gap.
 
     Expands the tree twice from perturbed history prefixes covering grid
-    nodes 0..split and compares root values.  With rho1 given, the bound
-    is asserted; without it, the first pair is identical (zero gap must
-    give zero difference, exactly) and the best linear constant over the
-    rest is fitted and reported.
+    nodes 0..split and compares root values; split is a grid index (a
+    float raises TypeError).  With rho1 given, the bound is asserted;
+    without it, the first pair is identical (zero gap must give zero
+    difference, exactly) and the best linear constant over the rest is
+    fitted and reported.
     """
     _bound_work(n_pairs, PAIR_CAP, "pre-history pairs", "verify.prehistory_pairs")
     rng = np.random.default_rng(seed)
-    s_idx = int(split) if isinstance(split, (int, np.integer)) else grid.index_of(split)
+    s_idx = operator.index(split)
     if not 0 <= s_idx <= grid.n_steps:
         raise ValueError(f"split {s_idx} outside the grid")
     d = controls.dim

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -277,9 +278,10 @@ def _at_level(tree, k: int, fn) -> dict:
     return {lo + j: at[c] for j, c in enumerate(cls)}
 
 
-def paste_strategies(tree, base, s: float, partition, pieces) -> np.ndarray:
-    """Follow base strictly before s; from s on, follow piece j on the
-    cell A_j, and keep base on the remainder cell A_0 = partition[0].
+def paste_strategies(tree, base, s: int, partition, pieces) -> np.ndarray:
+    """Follow base strictly before grid index s; from s on, follow piece
+    j on the cell A_j, and keep base on the remainder cell A_0 =
+    partition[0].
 
     base and pieces are strategy arrays of tree.  partition is a list of
     predicates on the prefix up to s; its first entry is the keep-base
@@ -291,7 +293,7 @@ def paste_strategies(tree, base, s: float, partition, pieces) -> np.ndarray:
             f"{len(partition)} cells need {len(partition) - 1} pieces, "
             f"got {len(pieces)}"
         )
-    i_s = tree.grid.index_of(s)
+    i_s = operator.index(s)
     off = tree.offsets
     l = max(i_s - tree.k0, 0)
     # the cells must split every prefix observable at s, whatever strategy
@@ -343,7 +345,7 @@ class PastingReport:
 def pasting_check(
     tree,
     base,
-    s: float,
+    s: int,
     partition,
     pieces,
     Y,
@@ -361,7 +363,7 @@ def pasting_check(
     exact).  base and pieces are strategy arrays of tree.
     """
     y = _y_array(tree, Y)
-    i_s = tree.grid.index_of(s)
+    i_s = operator.index(s)
     pasted = paste_strategies(tree, base, s, partition, pieces)
 
     p_law = state_law(tree, base)

@@ -634,6 +634,24 @@ def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatc
     assert "demo.widenings" in err and "solver.node_cap" in err
 
 
+@pytest.mark.parametrize("lo, hi", [(1e308, 1e308), (1e-300, 1.0)])
+def test_demo_refuses_widening_edges_it_cannot_hold(tmp_path, capsys, monkeypatch, lo, hi):
+    # at 1e308 the midpoint (lo + hi) / 2 overflows and every edge is
+    # NaN; at 1e-300 the last lower edge mid + (lo - mid) rounds to 0.0.
+    # No control can take either edge, so the config is refused before
+    # any tree is expanded
+    import robuststop.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was expanded")
+
+    monkeypatch.setattr(cli, "expand_tree", refuse)
+    cfg = {"demo": {**DEMO_SMALL["demo"], "sigma_lo": lo, "sigma_hi": hi}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "demo.sigma_lo" in err and "demo.sigma_hi" in err
+
+
 def _count_sweeps(monkeypatch):
     # the ids of the trees demo passes to each of its two sweeps, one
     # entry a call

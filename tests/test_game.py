@@ -402,7 +402,7 @@ def test_pasting_changes_law_only_below_switched_cell(put_n2):
     base = np.zeros(tree.n_nodes, dtype=np.int64)
     piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
-    pasted = paste_strategies(tree, base, 0.5, [lambda p: not up(p), up], [piece])
+    pasted = paste_strategies(tree, base, 1, [lambda p: not up(p), up], [piece])
     law_base = state_law(tree, base)
     law_pasted = state_law(tree, pasted)
     down_atoms = {key: w for key, w in law_base.items() if key[1][1] < 1.0}
@@ -418,7 +418,7 @@ def test_pasting_check_zero_slack(put_n2):
     base = np.zeros(tree.n_nodes, dtype=np.int64)
     piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
-    report = pasting_check(tree, base, 0.5, [lambda p: not up(p), up], [piece], Y)
+    report = pasting_check(tree, base, 1, [lambda p: not up(p), up], [piece], Y)
     assert report.ok
     assert report.worst_atom_gap == 0.0
     assert report.worst_marginal_gap == 0.0
@@ -432,9 +432,9 @@ def test_pasting_rejects_bad_partitions(put_n2):
     piece = np.ones(tree.n_nodes, dtype=np.int64)
     always = lambda p: True
     with pytest.raises(PartitionError):
-        paste_strategies(tree, base, 0.5, [always, always], [piece])
+        paste_strategies(tree, base, 1, [always, always], [piece])
     never = lambda p: False
     with pytest.raises(PartitionError):
-        paste_strategies(tree, base, 0.5, [never, never], [piece])
+        paste_strategies(tree, base, 1, [never, never], [piece])
     with pytest.raises(PartitionError):
-        paste_strategies(tree, base, 0.5, [always], [piece])
+        paste_strategies(tree, base, 1, [always], [piece])

@@ -213,7 +213,7 @@ def _pasting_from_node():
     piece = np.ones(tree.n_nodes, dtype=np.int64)
     up = lambda p: p[-1][0] > 1.0
     parts = []
-    for s in (tree.grid.time(1), tree.grid.time(2)):
+    for s in (1, 2):
         r = pasting_check(tree, base, s, [lambda p: not up(p), up], [piece], Y)
         parts.append((bool(r.ok), float(r.worst_atom_gap), float(r.worst_marginal_gap),
                       float(r.worst_snell_excess), r.n_atoms, r.n_marginal_events,

@@ -247,7 +247,7 @@ def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
 
 def test_dpp_terminal_slice_is_definition(put_sol):
     tree, _, sol = put_sol
-    report = check_dpp(tree, sol, tree.grid.t_end)
+    report = check_dpp(tree, sol, tree.grid.n_steps)
     assert report.passed
     assert report.worst == 0.0
 
@@ -255,10 +255,21 @@ def test_dpp_terminal_slice_is_definition(put_sol):
 def test_dpp_interior_slices(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
-    for s in (1, 2, tree.grid.time(1)):
+    for s in (1, 2):
         report = check_dpp(tree, sol, s)
         assert report.passed
         assert report.worst <= report.tolerance
+
+
+def test_cuts_are_grid_indices_not_times(put_n3):
+    tree, Y = put_n3
+    sol = robust_envelope(tree, Y)
+    with pytest.raises(TypeError):
+        check_dpp(tree, sol, 1.0)
+    with pytest.raises(TypeError):
+        check_continuity_in_prehistory(
+            tree.grid, DriftSpec("zero"), ControlSet([1.0], cap=1.0), Y, split=1.0
+        )
 
 
 def test_dpp_random_instances(rand_instance):
