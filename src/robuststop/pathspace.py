@@ -39,6 +39,15 @@ class TimeGrid:
     Node times are computed as t_i = t_start + (i/n)(t_end - t_start) so
     that t_0 and t_n are exact and no rounding accumulates.  A grid with
     zero steps is the degenerate single-point grid (t_start == t_end).
+    A node is named by its int index, never by a time or a bool:
+
+    >>> g = TimeGrid(0.0, 1.0, 4)
+    >>> g.times().tolist()
+    [0.0, 0.25, 0.5, 0.75, 1.0]
+    >>> g.time(1.5)
+    Traceback (most recent call last):
+        ...
+    TypeError: node index must be an integer, got float
     """
 
     t_start: float
@@ -65,7 +74,9 @@ class TimeGrid:
         return (self.t_end - self.t_start) / self.n_steps
 
     def time(self, i: int) -> float:
-        """Node time t_i, computed directly from the index."""
+        """Node time t_i, computed directly from the int index i."""
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"node index must be an integer, got {type(i).__name__}")
         if not 0 <= i <= self.n_steps:
             raise GridError(f"node index {i} outside [0, {self.n_steps}]")
         if i == self.n_steps:
@@ -73,7 +84,10 @@ class TimeGrid:
         return self.t_start + (i / self.n_steps) * (self.t_end - self.t_start)
 
     def times(self) -> np.ndarray:
-        return np.array([self.time(i) for i in range(self.n_steps + 1)])
+        """Every node time, bit for bit time(i) of each index i."""
+        n = self.n_steps
+        inner = self.t_start + (np.arange(n) / n) * (self.t_end - self.t_start)
+        return np.append(inner, self.t_end)
 
 
 @dataclass(frozen=True, eq=False)

@@ -122,8 +122,9 @@ def _jsonable(obj):
 # Samplers draw this many samples per call, and the checks evaluate them
 # with one stacked call per time index: a call per draw costs more than a
 # stacked one, and stacking every draw at once holds all their prefixes
-# in memory.  A sampler decodes each chunk from one block of raw PCG64
-# words (see _PCG64Words), about 160 KB at this size on a 4-step grid.
+# in memory.  A sampler decodes each chunk, on a grid of any length,
+# from one block of raw PCG64 words (see _PCG64Words), about 160 KB at
+# this size on a 4-step grid.
 # On the 4-step d = 1 config of the verify-sampled benchmark, the plain
 # and mutated check_y1 on 10,000 samples took 16.3 ms at 512, 11.4 ms at
 # 2048 and 11.2 ms at 10,000, and check_drift 15.0, 11.4 and 9.9 ms
@@ -135,8 +136,9 @@ SAMPLE_CHUNK = 2048
 # A chunk's block holds at most CHUNK_WORDS raw words (8 MiB), so on a
 # long grid a chunk holds fewer than SAMPLE_CHUNK draws, and the default
 # samplers refuse a grid on which one draw alone would take more.  The
-# walks and rewards of a chunk take a few times the block: check_y1 on
-# one draw of 10^6 words (500,000 steps) peaked at 90 MB of RSS, 60 MB
+# decoder's halves of the block and the walks and rewards of a chunk
+# take a few times the block: on one draw of 10^6 words (500,000 steps),
+# check_y1 peaked at 85 MB of RSS and check_drift at 101 MB, 55 and 71 MB
 # over the process's start.  Draws of up to 512 words (n_steps x d up to
 # 255) keep chunks of SAMPLE_CHUNK.
 CHUNK_WORDS = 1 << 20
@@ -213,7 +215,7 @@ def _per_index(fn, ks) -> np.ndarray:
 
 
 class _PCG64Words:
-    """Generator.random, uniform and integers draws, replayed from raw
+    """Generator.random, uniform and integers draws, decoded from raw
     words of the Generator's PCG64 bit generator.
 
     As numpy implements them, a double is (word >> 11) * 2**-53 of the
@@ -224,18 +226,14 @@ class _PCG64Words:
     half and keeps its high half for the next 32-bit draw, across calls;
     doubles leave the buffer alone.
 
-    The reader takes words from one random_raw block of n_words, reading
-    more if a rejection runs past it.  doubles(n) passes over the words
-    of n doubles and gives the index of the first; integer(r) gives what
-    integers(0, r + 1) would, for r < 2**32.  close() leaves the
-    generator exactly where those calls would have left it and gives the
-    doubles of all words read, indexed like the words.  Any other bit
-    generator raises TypeError: its draws follow other rules.
-
-    The samplers decode a whole chunk from halves() and move the reader
-    past it with seek(); these per-draw calls are their fallback, for a
-    chunk in which a 32-bit draw is rejected or a draw reads more words
-    than the decoder's step table holds (see _walk).
+    The reader takes one random_raw block of n_words.  A sampler decodes
+    a whole chunk from halves(), moves the reader past it with seek(),
+    and close() leaves the generator exactly where the per-draw calls
+    would have left it and gives the doubles of the block's words,
+    indexed like the words.  A chunk in which a 32-bit draw is rejected
+    is not decoded: rewind() puts the generator back where the chunk
+    started, and the sampler makes numpy's own per-draw calls.  Any
+    other bit generator raises TypeError: its draws follow other rules.
     """
 
     def __init__(self, rng, n_words: int):
@@ -247,40 +245,7 @@ class _PCG64Words:
         self._bg, self._start = bg, bg.state
         self._has, self._half = self._start["has_uint32"], self._start["uinteger"]
         self._block = bg.random_raw(n_words)
-        # indexing a memoryview of the block gives Python ints, with no
-        # list of the words beside the block
-        self._words = memoryview(self._block)
         self._pos = 0
-
-    def _read_to(self, end: int) -> None:
-        if end > len(self._words):
-            more = self._bg.random_raw(max(end - len(self._words), 64))
-            self._block = np.concatenate([self._block, more])
-            self._words = memoryview(self._block)
-
-    def doubles(self, n: int) -> int:
-        first = self._pos
-        self._pos += n
-        return first
-
-    def integer(self, r: int) -> int:
-        if r == 0:
-            return 0
-        excl = r + 1
-        # numpy's (2**32 - 1 - r) % (r + 1): a 32-bit draw x is rejected
-        # while the low half of x * (r + 1) falls below it
-        threshold = (1 << 32) % excl
-        while True:
-            if self._has:
-                x, self._has = self._half, 0
-            else:
-                self._read_to(self._pos + 1)
-                word = self._words[self._pos]
-                self._pos += 1
-                x, self._half, self._has = word & 0xFFFFFFFF, word >> 32, 1
-            m = x * excl
-            if (m & 0xFFFFFFFF) >= threshold:
-                return m >> 32
 
     def halves(self):
         """(even, odd, state): the 32-bit halves at even and odd chain
@@ -314,7 +279,6 @@ class _PCG64Words:
             self._has, self._half = 1 - (state & 1), int(even[(last + 1) // 2])
 
     def close(self) -> np.ndarray:
-        self._read_to(self._pos)
         bg = self._bg
         bg.state = self._start
         bg.advance(self._pos)
@@ -323,21 +287,19 @@ class _PCG64Words:
         bg.state = state
         return (self._block >> 11) * 2.0**-53
 
-
-# One step of a decoder's chain moves it by at most four times the words
-# of a draw, so draws of up to this many words keep the steps of _walk
-# within uint8; longer draws take the per-draw calls.
-_WALK_WORDS = 63
+    def rewind(self) -> None:
+        """Put the generator back where the chunk started."""
+        self._bg.state = self._start
 
 
 def _walk(steps: np.ndarray, base: int, state: int, m: int):
     """The chain states m draws start from, as an array, and the state
     after them, where a draw from state s moves to s + base + steps[s].
 
-    steps is uint8, read as bytes: indexing them gives Python's cached
-    small ints, with no list of the table, so the walk is m lookups and
-    adds."""
-    steps = steps.tobytes()
+    steps is an unsigned integer table, read through a memoryview:
+    indexing it gives Python ints, with no list of the table, so the
+    walk is m lookups and adds."""
+    steps = memoryview(steps)
     starts = [0] * m
     for i in range(m):
         starts[i] = state
@@ -378,9 +340,12 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     the block with no loop per draw but _walk's: a draw's length moves
     only with whether k1 == n, which one comparison of k1's 32-bit half
     tells; the walks of all m draws are then gathered and summed in one
-    stacked cumsum.  sampler.words is the raw words a draw reads, 2 *
-    n_steps * dim + 2; a grid on which that passes CHUNK_WORDS is
-    refused (SizeError).
+    stacked cumsum.  A chunk with a rejected 32-bit draw (a chance below
+    (n_steps + 1) / 2**32 per integer) is drawn instead by numpy's own
+    per-draw calls from the chunk's start: rng.random(2 * n_steps * dim
+    + 1), then rng.integers for k1 and k2.  sampler.words is the raw
+    words a draw reads, 2 * n_steps * dim + 2; a grid on which that
+    passes CHUNK_WORDS is refused (SizeError).
     """
     n = grid.n_steps
     per_draw = _bound_draw(2 * n * dim + 2)
@@ -423,17 +388,19 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
 
     def draw(rng, m):
         words = _PCG64Words(rng, m * per_draw)
-        decoded = decode(words, m) if m and per_draw <= _WALK_WORDS else None
+        decoded = decode(words, m) if m else None
         if decoded is None:
-            doubles, integer = words.doubles, words.integer
-            at, k1, k2 = [], [], []
-            for _ in range(m):
-                at.append(doubles(n_doubles))
-                k1.append(integer(n))
-                k2.append(k1[-1] + integer(n - k1[-1]))
-            decoded = np.array(at, dtype=np.intp), np.array(k1), np.array(k2)
-        at, k1, k2 = decoded
-        u = words.close()
+            words.rewind()
+            u = np.empty((m, n_doubles))
+            k1, k2 = np.empty(m, dtype=np.int_), np.empty(m, dtype=np.int_)
+            for i in range(m):
+                rng.random(out=u[i])
+                k1[i] = rng.integers(0, n + 1)
+                k2[i] = rng.integers(k1[i], n + 1)
+            at, u = np.arange(m) * n_doubles, u.ravel()
+        else:
+            at, k1, k2 = decoded
+            u = words.close()
         fresh = u[at + n * dim] < 0.5
         pick = fresh.astype(np.intp)
         inc = lo[pick] + span[pick] * u[at[:, None, None] + walk]
@@ -504,9 +471,13 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     block with no loop per draw but _walk's: a draw's length moves with
     k, which Lemire's product on every candidate 32-bit half gives; the
     walks of all m draws are then gathered and summed in one stacked
-    cumsum over zero-padded increments.  sampler.words is the most raw
-    words a draw reads, 2 * (K + 1) * dim + 1; a grid on which that
-    passes CHUNK_WORDS is refused (SizeError).
+    cumsum over zero-padded increments.  A chunk with a rejected 32-bit
+    draw (a chance below max(K, len(controls)) / 2**32 per integer) is
+    drawn instead by numpy's own per-draw calls from the chunk's start:
+    rng.integers (k), rng.random(2 * (k + 2) * dim), then rng.integers
+    (the control).  sampler.words is the most raw words a draw reads, 2
+    * (K + 1) * dim + 1; a grid on which that passes CHUNK_WORDS is
+    refused (SizeError).
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
     K = max(grid.n_steps, 1)
@@ -523,9 +494,10 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
         past the chunk, or None if one of its 32-bit draws is rejected."""
         even, odd, state = words.halves()
         # k takes the half at its state, and a draw from there steps by 2
-        # per double, 4 * (k + 2) * dim in all, and by 1 per 32-bit draw
+        # per double, 4 * (k + 2) * dim in all, and by 1 per 32-bit draw;
+        # a step spans at most two draws' doubles, 8 * dim * (K + 1)
         P = (m - 1) * per_draw + 1
-        steps = np.empty(2 * P, dtype=np.uint8)
+        steps = np.empty(2 * P, dtype=np.min_scalar_type(8 * dim * (K + 1)))
         for parity, halves in enumerate((even[:P], odd[:P])):
             doubles = halves * K
             doubles >>= 32
@@ -565,19 +537,24 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
 
     def draw(rng, m):
         words = _PCG64Words(rng, m * per_draw)
-        decoded = decode(words, m) if m and per_draw <= _WALK_WORDS else None
+        decoded = decode(words, m) if m else None
         if decoded is None:
-            doubles, integer = words.doubles, words.integer
-            ks, at, pick = [], [], []
-            for _ in range(m):
-                ks.append(integer(K - 1))
+            words.rewind()
+            u = np.empty(m * per_draw)
+            k, pick = np.empty(m, dtype=np.int_), np.empty(m, dtype=np.intp)
+            at = np.empty((m, 2), dtype=np.intp)
+            end = 0
+            for i in range(m):
+                k[i] = rng.integers(0, K)
                 # each walk: k + 1 increments, then its start
-                at.append(doubles((ks[-1] + 2) * dim))
-                at.append(doubles((ks[-1] + 2) * dim))
-                pick.append(integer(len(menu) - 1))
-            decoded = np.array(ks), np.array(at, dtype=np.intp), np.array(pick, dtype=np.intp)
-        k, at, pick = decoded
-        u = words.close()
+                walk = (k[i] + 2) * dim
+                at[i] = end, end + walk
+                end += 2 * walk
+                rng.random(out=u[at[i, 0] : end])
+                pick[i] = rng.integers(0, len(menu))
+        else:
+            k, at, pick = decoded
+            u = words.close()
         at = np.reshape(at, (m, 2, 1, 1))
         # the increments of each walk, zero past its prefix
         padded = np.zeros((m, 2, K, dim))

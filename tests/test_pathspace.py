@@ -30,6 +30,31 @@ def test_grid_endpoints_exact_on_awkward_span():
     assert g.time(7) == 1.1
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TimeGrid(0.0, 1.0, 4),
+        TimeGrid(1e6, 1e6 + 4e-7, 4),
+        TimeGrid(0.1, 2.7, 1000),
+        TimeGrid(0.0, 1.0, 500_000),
+    ],
+    ids=["unit", "shifted", "awkward", "long"],
+)
+def test_times_match_time_of_each_index_bitwise(grid):
+    expected = np.array([grid.time(i) for i in range(grid.n_steps + 1)])
+    times = grid.times()
+    assert times.dtype == np.float64
+    assert times.tobytes() == expected.tobytes()
+
+
+def test_time_takes_node_indices_only():
+    g = TimeGrid(0.0, 1.0, 4)
+    assert g.time(np.int64(1)) == g.time(1) == 0.25
+    for bad in (1.5, 1.0, True, np.bool_(True), np.float64(1.0)):
+        with pytest.raises(TypeError, match="node index must be an integer"):
+            g.time(bad)
+
+
 def test_grid_rejects_bad_bounds():
     with pytest.raises(GridError):
         TimeGrid(-1.0, 1.0, 2)

@@ -1,17 +1,13 @@
-"""Old-vs-new parity of the default samplers, and the raw-word reader
-they share.
+"""Old-vs-new parity of the default samplers.
 
 The referees below are the per-draw samplers the block readers replaced,
 copied verbatim apart from their docstrings: one set of Generator calls
 per draw.  The samplers now decode each chunk from one block of raw
 PCG64 words, and must give byte-identical arrays and leave the generator
 in the same state after every chunk, from a fresh start and from a
-buffered 32-bit half.  The decoder's fallback, the reader's per-draw
-calls, is checked on a chunk with a rejected draw and on draws too long
-for the decoder.  The reader is also checked on the paths the samplers
-almost never reach: Lemire rejections, ranges that draw nothing, and a
-half-word buffer that is full at the start or carried from one chunk to
-the next.
+buffered 32-bit half, on grids short and long and on ranges that draw
+nothing.  A chunk with a rejected 32-bit draw is not decoded but drawn
+by numpy's own per-draw calls, and is checked the same way.
 """
 
 import math
@@ -138,16 +134,16 @@ def _pairs(n_steps, d, n_controls=2):
 
 
 def _count_per_draw_calls(monkeypatch):
-    """The ranges of the reader's per-draw integer calls, in a list that
-    grows as they run."""
-    integer, ranges = _PCG64Words.integer, []
+    """The chunks drawn by numpy's per-draw calls, one entry each, in a
+    list that grows as they run."""
+    rewind, replays = _PCG64Words.rewind, []
 
-    def counted(self, r):
-        ranges.append(r)
-        return integer(self, r)
+    def counted(self):
+        replays.append(len(self._block))
+        return rewind(self)
 
-    monkeypatch.setattr(_PCG64Words, "integer", counted)
-    return ranges
+    monkeypatch.setattr(_PCG64Words, "rewind", counted)
+    return replays
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["pair", "prefix"])
@@ -180,129 +176,22 @@ def test_a_rejected_draw_replays_the_chunk(monkeypatch, draw, n_steps, d, which)
     replays = _count_per_draw_calls(monkeypatch)
     old, new = _pairs(n_steps, d)[which]
     _assert_same_draws(old, new, 17, chunks=(64, 512, 3))
-    assert len(replays) >= 512
+    # only the second chunk of the first (unbuffered) pass
+    assert replays == [512 * new.words]
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["pair", "prefix"])
-def test_draws_past_the_walk_table_take_the_per_draw_calls(monkeypatch, which):
-    # 40 steps: a pair draw reads 82 words and a prefix draw 83, more than
-    # the decoder's uint8 steps hold
+@pytest.mark.parametrize(
+    "which, n_controls", [(0, 2), (1, 1), (1, 3)], ids=["pair", "prefix-1", "prefix-3"]
+)
+@pytest.mark.parametrize("n_steps, d", [(40, 1), (40, 3), (100, 1), (100, 3)])
+def test_the_decoder_takes_long_draws(monkeypatch, n_steps, d, which, n_controls):
+    # 40 steps at d = 1: a pair draw reads 82 words and a prefix draw 83;
+    # 100 steps at d = 3, 602 and 607.  The prefix step tables of all
+    # four grids pass uint8
     replays = _count_per_draw_calls(monkeypatch)
-    old, new = _pairs(40, 1)[which]
-    assert new.words > verify._WALK_WORDS
+    old, new = _pairs(n_steps, d, n_controls)[which]
     _assert_same_draws(old, new, 23, chunks=(1, 300))
-    assert replays
-
-
-# ---------------------------------------------------------------------------
-# the reader on its own
-
-# integers ranges b - a: rejection is frequent just above 2**31 (about
-# every other draw) and at 2**31 + 2**30 (one in four); 2**32 - 1 is the
-# widest, and 1 draws nothing
-RANGES = (2**31 + 1, 2**31 + 2**30 + 1, 2**32 - 1, 2**32, 1, 3, 7)
-
-
-def _ops(seed, n_ops):
-    """A seeded mix of ("uniform", lo, hi, size), ("random",) and
-    ("integers", a, b) calls."""
-    pick = np.random.default_rng(seed)
-    ops = []
-    for _ in range(n_ops):
-        kind = pick.integers(0, 3)
-        if kind == 0:
-            ops.append(("uniform", -0.3, 0.7, int(pick.integers(0, 4))))
-        elif kind == 1:
-            ops.append(("random",))
-        else:
-            a = int(pick.integers(-5, 5))
-            ops.append(("integers", a, a + RANGES[pick.integers(0, len(RANGES))]))
-    return ops
-
-
-def _plain(rng, ops):
-    out = []
-    for op in ops:
-        if op[0] == "uniform":
-            out.extend(rng.uniform(op[1], op[2], size=op[3]).tolist())
-        elif op[0] == "random":
-            out.append(rng.random())
-        else:
-            out.append(int(rng.integers(op[1], op[2])))
-    return out
-
-
-def _replayed(rng, ops, n_words):
-    """_plain's values, read through one reader: doubles by the index of
-    their first word, integers as drawn."""
-    words = _PCG64Words(rng, n_words)
-    at = []
-    for op in ops:
-        if op[0] == "integers":
-            at.append(op[1] + words.integer(op[2] - 1 - op[1]))
-        else:
-            at.append(words.doubles(op[3] if op[0] == "uniform" else 1))
-    u = words.close()
-    out = []
-    for op, a in zip(ops, at):
-        if op[0] == "uniform":
-            out.extend((op[1] + (op[2] - op[1]) * u[a:a + op[3]]).tolist())
-        elif op[0] == "random":
-            out.append(float(u[a]))
-        else:
-            out.append(a)
-    return out, words
-
-
-@pytest.mark.parametrize("n_words", [1, 4096])
-@pytest.mark.parametrize("buffered", [False, True])
-def test_reader_matches_generator_calls(buffered, n_words):
-    # n_words = 1 makes every later word a read past the block
-    ops = _ops(3, 400)
-    plain, replay = np.random.default_rng(8), np.random.default_rng(8)
-    if buffered:
-        # leaves the high half of a word in the buffer
-        assert plain.integers(0, 5) == replay.integers(0, 5)
-        assert replay.bit_generator.state["has_uint32"] == 1
-    expected = _plain(plain, ops)
-    got, words = _replayed(replay, ops, n_words)
-    assert [v.hex() if isinstance(v, float) else v for v in got] == [
-        v.hex() if isinstance(v, float) else v for v in expected
-    ]
-    assert replay.bit_generator.state == plain.bit_generator.state
-    # rejections happened: more words than one double each and one
-    # 32-bit half per draw
-    n_doubles = sum(op[3] if op[0] == "uniform" else op[0] == "random" for op in ops)
-    n_halves = sum(op[0] == "integers" and op[2] - op[1] > 1 for op in ops)
-    assert words._pos > n_doubles + (n_halves + 1) // 2 + 5
-
-
-def test_reader_carries_the_buffer_across_chunks():
-    # an odd number of 32-bit draws leaves the buffer full at the end of
-    # the first chunk, and the second chunk starts from it
-    first = [("integers", 0, 3), ("random",), ("integers", 0, 10), ("integers", 0, 3)]
-    second = [("integers", 0, 1), ("integers", 2, 9), ("uniform", 0.0, 1.0, 2)]
-    plain, replay = np.random.default_rng(41), np.random.default_rng(41)
-    expected = _plain(plain, first)
-    assert _replayed(replay, first, 2)[0] == expected
-    assert replay.bit_generator.state == plain.bit_generator.state
-    assert replay.bit_generator.state["has_uint32"] == 1
-    # its doubles run past a one-word block, to be read at close
-    expected = _plain(plain, second)
-    assert _replayed(replay, second, 1)[0] == expected
-    assert replay.bit_generator.state == plain.bit_generator.state
-
-
-def test_ranges_of_one_draw_nothing():
-    plain, replay = np.random.default_rng(5), np.random.default_rng(5)
-    plain.integers(0, 5)
-    replay.integers(0, 5)
-    before = replay.bit_generator.state
-    ops = [("integers", 4, 5)] * 3
-    got, words = _replayed(replay, ops, 8)
-    assert got == _plain(plain, ops) == [4, 4, 4]
-    assert words._pos == 0
-    assert replay.bit_generator.state == plain.bit_generator.state == before
+    assert replays == []
 
 
 @pytest.mark.parametrize("make", [pair_sampler, prefix_sampler])
