@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .envelope import classic_snell, robust_envelope
+# perfbench/tracer.py wraps cli.classic_snell, though no command calls it
+from .envelope import classic_snell, robust_envelope  # noqa: F401
 from .errors import ConfigError, RuleError, SizeError
 from .model import (
     DEFAULT_NODE_CAP,
@@ -44,6 +45,7 @@ from .model import (
     ControlSet,
     DriftSpec,
     _projected_node_count,
+    expand_recombined,
     expand_tree,
     min_state_norm,
 )
@@ -741,9 +743,11 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             key = register(vols)
         steps.append((j, edges, len(vols), key))
 
+    # a zero drift and a put that reads the current state only: every
+    # tree is solved on its recombined form, bitwise the same values
     drift = DriftSpec("zero")
     for key in trees:
-        trees[key] = expand_tree(grid, 0.0, drift, ControlSet(key), node_cap=node_cap)
+        trees[key] = expand_recombined(grid, 0.0, drift, ControlSet(key))
 
     value_rows = []
     boundary_rows = []
@@ -755,29 +759,31 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
         Y = american_put(strike=float(K), base=base)
         sol = robust_envelope(tree, Y)
         robust = sol.root_value()
+        # each menu's root, swept once; under one control the robust
+        # sweep is the classic envelope's, since its min runs over that
+        # control alone
         roots = {robust_key: robust}
-        classics = {}
-        for sig, key in classic_keys.items():
-            single = trees[key]
-            classics[sig] = float(classic_snell(single, 0, Y)[single.root])
+        for key in (*classic_keys.values(), *(step[3] for step in steps)):
+            if key not in roots:
+                roots[key] = robust_envelope(trees[key], Y).root_value()
+        classics = {sig: roots[key] for sig, key in classic_keys.items()}
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classics[lo]))
         value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
 
-        for k in range(grid.n_steps + 1):
-            stopped = sol.stop[tree.level(k)]
-            n_stopped = int(np.count_nonzero(stopped))
-            level = (
-                max((base + tree.states_at(k)[stopped, 0]).tolist())
-                if n_stopped
-                else ""
-            )
-            boundary_rows.append([float(K), k, grid.time(k), n_stopped, level])
+        # a merged node stands for multiplicity tree nodes of its state.
+        # A merged level orders its states unlike the tree, which can move
+        # Python's max only between 0.0 and -0.0 or around a NaN, and no
+        # state here is either: from x0 = 0.0 each step adds a finite
+        # increment to a 0.0 drift shift, then the parent's state
+        for l, states in enumerate(tree.states):
+            stopped = sol.stop[tree.offsets[l]:tree.offsets[l + 1]]
+            n_stopped = int(tree.multiplicity[l][stopped].sum())
+            level = max((base + states[stopped, 0]).tolist()) if n_stopped else ""
+            boundary_rows.append([float(K), l, grid.time(l), n_stopped, level])
 
         prev = None
         for j, edges, size, key in steps:
-            if key not in roots:
-                roots[key] = robust_envelope(trees[key], Y).root_value()
             val = roots[key]
             if prev is not None and val > prev:
                 monotone = False

@@ -129,8 +129,12 @@ def forward_pass(tree, *, strategy=None, stops=None):
     where no strategy's control is in force, and weight is 1 at the
     root, a child's its parent's times weights[ci, oi], 0 if unreached.
     Each level's weights are one product written at the reached children
-    only; the others keep the zero the walk starts from.
+    only; the others keep the zero the walk starts from.  A strategy
+    reads the controller's past choices, which a RecombinedTree merges
+    away, so the walk refuses one (TypeError).
     """
+    if tree.children is not None:
+        tree.refuse("forward_pass")
     C, B = tree.weights.shape
     w = tree.weights.reshape(-1)
     controls = np.arange(C)
@@ -194,11 +198,14 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
 
     Each level is computed in place: every child's weighted term is one
     broadcast product into a buffer allocated once per call, sized to
-    the widest level, with a row per (control, branch) slot and a column
-    per node, and the fold adds each control's rows into its first, so
-    the level costs the same few numpy calls whatever its width.  The
-    min and its control are written straight into the level's slices of
-    the outputs.
+    the widest interior level, with a row per (control, branch) slot and
+    a column per node, and the fold adds each control's rows into its
+    first, so the level costs the same few numpy calls whatever its
+    width.  The min and its control are written straight into the
+    level's slices of the outputs.  On a ScenarioTree a level's children
+    are the next level in order, read by a reshape; on a RecombinedTree
+    they are gathered by its children ids, and the values are those of
+    the tree, node for node, wherever the merge is exact (see model).
 
     Returns per-node arrays (v, argmin), where argmin is the control
     attaining the min before floor and stop apply, and -1 at leaves and
@@ -210,18 +217,20 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     v = np.empty(tree.n_nodes)
     argmin = np.empty(tree.n_nodes, dtype=np.int64)
     off = tree.offsets
+    kids = tree.children
     v[off[-2]:] = values[off[-2]:]
     argmin[off[-2]:] = -1
-    # levels widen downward, so the deepest interior level is the widest
-    width = off[-2] - off[-3] if len(off) > 2 else 0
-    terms = np.empty((C * B, width))
-    mask = np.empty(width, dtype=bool)
-    # the children of level lo:hi are the next level, hi:end, in order
-    for lo, hi, end in zip(off[-3::-1], off[-2::-1], off[:0:-1]):
+    terms = np.empty((C * B, tree.width))
+    mask = np.empty(tree.width, dtype=bool)
+    # the children of level l, lo:hi, are in the next level, hi:end
+    for l in range(len(off) - 3, -1, -1):
+        lo, hi, end = off[l], off[l + 1], off[l + 2]
         n = hi - lo
         prod, better = terms[:, :n], mask[:n]
+        nxt = v[hi:end]
         # one row per (control, branch) slot, one column per node
-        np.multiply(v[hi:end].reshape(n, C * B).T, w.reshape(C * B, 1), out=prod)
+        np.multiply((nxt.reshape(n, C * B) if kids is None else nxt[kids[l]]).T,
+                    w.reshape(C * B, 1), out=prod)
         # the left-to-right fold of each control's terms, in its first row
         acc = prod[0::B]
         for j in range(1, B):
@@ -335,8 +344,11 @@ def _tau_extent(tree, flags, argmin_control) -> tuple[int, int, int]:
     of -1 would.  The walk goes a level at a time over lists of node ids,
     with child ids computed from the level layout, and counts the
     scenarios that end on each level, so it reads no per-node view and
-    builds no per-scenario key.
+    builds no per-scenario key.  A RecombinedTree has no scenarios to
+    count, so the walk refuses one (TypeError).
     """
+    if tree.children is not None:
+        tree.refuse("the tau* summary")
     C, B = tree.weights.shape
     off = tree.offsets
     last = len(off) - 2

@@ -326,7 +326,14 @@ class GameReport:
     """Both game values, the envelope root, and the tau_star value, with
     the pair that witnesses the saddle: optimal_strategy, the strategy at
     the first minimal row of the strategy table (one control per node it
-    reaches, -1 elsewhere), and optimal_rule, the rule of tau_star."""
+    reaches, -1 elsewhere), and optimal_rule, the rule of tau_star.
+
+    agree and saddle allow each gap tolerance * max(1.0, the largest
+    finite |value| compared): the four computations fold the same floats
+    in different orders, which leaves gaps of a few ulp of the values,
+    so at large values an absolute tolerance would read rounding as
+    disagreement.  A gap that involves an infinite value is infinite or
+    NaN, and fails."""
 
     lower: float
     upper: float
@@ -346,8 +353,12 @@ class GameReport:
     def __post_init__(self):
         vals = (self.lower, self.upper, self.envelope_root, self.value_at_tau_star)
         self.max_gap = max(vals) - min(vals)
-        self.agree = self.max_gap <= self.tolerance
-        self.saddle = abs(self.saddle_value - self.upper) <= self.tolerance
+        self.agree = self.max_gap <= self._bound(*vals)
+        self.saddle = abs(self.saddle_value - self.upper) <= self._bound(
+            self.saddle_value, self.upper)
+
+    def _bound(self, *vals) -> float:
+        return self.tolerance * max([1.0] + [abs(v) for v in vals if math.isfinite(v)])
 
 
 def game_values(

@@ -20,18 +20,27 @@ matrices.  Two carriers are provided:
   product's 0.0 + xi * u, and X_k - x0 at a zero start): squaring erases
   that sign, so its suprema are bit for bit those of the stored paths.
 
-Trees are non-recombining: both the drift and the rewards downstream may
-look at the whole history, so merging nodes would be unsound.  A tree is
-stored level by level as numpy arrays of the current states per time
-index, and expansion, reward evaluation and the worst-case sweep each
-run one vectorised step per level; a node's whole prefix is rebuilt on
-demand from its ancestors' states, and the running max of every prefix
-is built from the states on its first read, unless expansion carried it
-for a running-max drift.  Every drift kind is written once, in
-_drift_into, which reads at most the current states and their running
-max: expansion feeds it a level's arrays, drift_eval reduces stacks of
-prefixes for the sampled checks, and the Euler kernel carries the two
-arrays per path.
+A tree is stored level by level as numpy arrays of the current states
+per time index, and expansion, reward evaluation and the worst-case
+sweep each run one vectorised step per level; a node's whole prefix is
+rebuilt on demand from its ancestors' states, and the running max of
+every prefix is built from the states on its first read, unless
+expansion carried it for a running-max drift.  Every drift kind is
+written once, in _drift_into, which reads at most the current states and
+their running max: expansion feeds it a level's arrays, drift_eval
+reduces stacks of prefixes for the sampled checks, and the Euler kernel
+carries the two arrays per path.
+
+expand_tree's trees are non-recombining, because a running-max drift and
+the path-dependent rewards look at more of the history than the current
+state.  Merging is exact where nothing does: at d = 1, with a drift that
+reads at most the current state (every kind but running-max) and a
+reward that reads only the current state (american-put, terminal-abs,
+constant), a node's whole subtree, its rewards and its envelope are a
+function of its level and its state's bits, since every child is formed
+from them by the same float operations.  So nodes whose states are
+bitwise equal carry bitwise-equal values, and expand_recombined keeps
+one node per distinct state and level (a RecombinedTree).
 """
 
 from __future__ import annotations
@@ -49,9 +58,11 @@ __all__ = [
     "DriftSpec",
     "ControlSet",
     "ScenarioTree",
+    "RecombinedTree",
     "PathSample",
     "drift_eval",
     "expand_tree",
+    "expand_recombined",
     "simulate_paths",
     "simulate_sup_distances",
     "state_norms",
@@ -298,67 +309,34 @@ def min_state_norm(states: np.ndarray, where=True) -> float:
     return math.sqrt(np.minimum.reduce(_squared_norms(states), where=where, initial=np.inf))
 
 
-class ScenarioTree:
-    """Control-expanded non-recombining tree, stored level by level.
+class _LevelTree:
+    """What both tree kinds hold: the grid, the control menu, the drift,
+    the root's whole prefix root_prefix of shape (k0 + 1, d), per level l
+    (time index k0 + l) the read-only (n_l, d) array states[l] of the
+    nodes' current states, and the (C, B) edge weights, the same at every
+    node.  Level l holds the node ids offsets[l] .. offsets[l+1] - 1, and
+    children is None where the ids of a node's children follow from this
+    layout (ScenarioTree), or per level the array of them
+    (RecombinedTree).  width is the node count of the widest level that
+    has children (0 when the root is a leaf), the width of
+    envelope.backward_sweep's buffer."""
 
-    With C controls of B outcomes each, level l (time index k0 + l)
-    holds the node ids offsets[l] .. offsets[l+1] - 1, and two read-only
-    arrays of shape (n_l, d): states[l], whose row j is the current
-    state of node offsets[l] + j, and peaks[l], the componentwise
-    running max of that node's prefix.  peaks is built from the states
-    on its first read, unless the tree was given it (expansion carries
-    it only for a running-max drift), so until then a tree holds 8 * d
-    bytes per node.  The root's whole prefix, of shape (k0 + 1, d), is
-    root_prefix.  Ids run level by level, then by parent, control and
-    outcome, so node i of level l has the children
-
-        offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
-
-    for control index ci and outcome index oi, and row j of level l has
-    the ancestor row j // fanout**(l - m) at level m: level_prefixes
-    gathers whole prefixes along those rows.  weights[ci] holds the B
-    edge weights of control ci, the same at every node.  Every walk over
-    the tree runs from the root and computes child ids from this layout:
-    backward sweeps with envelope.backward_sweep, strategy and rule walks
-    with envelope.forward_pass, and the tau* summary's level walk with
-    envelope._tau_extent.  The tree below a later node is the one
-    expand_tree resumes from that node's prefix (init_prefix).
-
-    The stopper sees the state path only, so nodes reached under
-    different controls can share its information: prefix_class holds,
-    per node, the lowest node id whose prefix equals its own as a float
-    vector (0.0 equal to -0.0).
-    """
+    children = None
 
     def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
-                 weights: np.ndarray, peaks: list | None = None):
+                 weights: np.ndarray):
         self.grid = grid
         self.controls = controls
         self.drift = drift
         self.root_prefix = root_prefix
         self.k0 = root_prefix.shape[0] - 1
         self.states = states
-        if peaks is not None:
-            self.__dict__["peaks"] = peaks  # what the cached property would build
         self.weights = weights
         self.branching = weights.shape[1]
         self.offsets = [0]
         for level in states:
             self.offsets.append(self.offsets[-1] + level.shape[0])
-
-    @cached_property
-    def peaks(self) -> list:
-        """Per level, the componentwise running max of each node's
-        prefix, shape (n_l, d), read-only: the root prefix's max, then
-        each level from its parents' (see _child_peaks)."""
-        d = self.root_prefix.shape[1]
-        out = [np.max(self.root_prefix[None], axis=1)]
-        for level in self.states[1:]:
-            kids = level.reshape(out[-1].shape[0], self.fanout, d)
-            out.append(_child_peaks(out[-1], kids))
-        for a in out:
-            a.setflags(write=False)
-        return out
+        self.width = max(map(len, states[:-1]), default=0)
 
     @property
     def n_nodes(self) -> int:
@@ -380,6 +358,60 @@ class ScenarioTree:
     def states_at(self, k: int) -> np.ndarray:
         """Current values of the nodes at time index k, shape (n_k, d)."""
         return self.states[k - self.k0]
+
+
+class ScenarioTree(_LevelTree):
+    """Control-expanded non-recombining tree, stored level by level.
+
+    With C controls of B outcomes each, row j of states[l] is the
+    current state of node offsets[l] + j, and peaks[l], shape (n_l, d),
+    the componentwise running max of that node's prefix.  peaks is built
+    from the states on its first read, unless the tree was given it
+    (expansion carries it only for a running-max drift), so until then a
+    tree holds 8 * d bytes per node.  Ids run level by level, then by
+    parent, control and outcome, so node i of level l has the children
+
+        offsets[l+1] + (i - offsets[l]) * C * B + ci * B + oi
+
+    for control index ci and outcome index oi, and row j of level l has
+    the ancestor row j // fanout**(l - m) at level m: level_prefixes
+    gathers whole prefixes along those rows.  Every walk over the tree
+    runs from the root and computes child ids from this layout: backward
+    sweeps with envelope.backward_sweep, strategy and rule walks with
+    envelope.forward_pass, and the tau* summary's level walk with
+    envelope._tau_extent.  The tree below a later node is the one
+    expand_tree resumes from that node's prefix (init_prefix).
+
+    Nodes with bitwise-equal states on one level carry equal values only
+    where the drift and the reward read no more than the current state
+    (the module docstring says when); expand_recombined merges them
+    there, and this tree keeps every node, so it serves every config.
+
+    The stopper sees the state path only, so nodes reached under
+    different controls can share its information: prefix_class holds,
+    per node, the lowest node id whose prefix equals its own as a float
+    vector (0.0 equal to -0.0).
+    """
+
+    def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
+                 weights: np.ndarray, peaks: list | None = None):
+        super().__init__(grid, controls, drift, root_prefix, states, weights)
+        if peaks is not None:
+            self.__dict__["peaks"] = peaks  # what the cached property would build
+
+    @cached_property
+    def peaks(self) -> list:
+        """Per level, the componentwise running max of each node's
+        prefix, shape (n_l, d), read-only: the root prefix's max, then
+        each level from its parents' (see _child_peaks)."""
+        d = self.root_prefix.shape[1]
+        out = [np.max(self.root_prefix[None], axis=1)]
+        for level in self.states[1:]:
+            kids = level.reshape(out[-1].shape[0], self.fanout, d)
+            out.append(_child_peaks(out[-1], kids))
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     def level_prefixes(self, l: int, rows=None) -> np.ndarray:
         """State prefixes of the given rows of level l (every row when
@@ -426,6 +458,64 @@ class ScenarioTree:
         return out
 
 
+class RecombinedTree(_LevelTree):
+    """The tree of expand_tree with the nodes of each level whose states
+    are bitwise equal merged into one, stored level by level
+    (expand_recombined).
+
+    states[l], shape (n_l, 1), holds the distinct states of level l,
+    ordered by their bit patterns read as int64 (np.unique's order).
+    children[l], an int64 array of shape (n_l, C * B), holds the ids of
+    each node's children in the tree's (control, outcome) order, counted
+    from the first id of level l + 1: the one part of the layout that a
+    walk reads here and computes on a ScenarioTree.  multiplicity[l]
+    counts the tree nodes each node of level l stands for.
+
+    A node stands for every tree node with its state, whatever their
+    prefixes, so the running maxima, prefix classes and prefixes of a
+    ScenarioTree raise a TypeError here, as do the walks that follow
+    single scenarios (envelope.forward_pass and the tau* summary).
+    """
+
+    def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,
+                 weights: np.ndarray, children: list):
+        super().__init__(grid, controls, drift, root_prefix, states, weights)
+        self.children = children
+
+    @cached_property
+    def multiplicity(self) -> list:
+        """Per level, an int64 array: the tree nodes each node stands
+        for, summed over the children slots of its parents.  Level l sums
+        to fanout**l, so a tree whose deepest level passes int64 raises a
+        SizeError."""
+        if self.fanout ** (len(self.states) - 1) > np.iinfo(np.int64).max:
+            raise SizeError("the tree's deepest level holds more nodes than int64 counts")
+        out = [np.ones(1, dtype=np.int64)]
+        for kids, level in zip(self.children, self.states[1:]):
+            count = np.zeros(level.shape[0], dtype=np.int64)
+            np.add.at(count, kids, out[-1][:, None])
+            out.append(count)
+        return out
+
+    def refuse(self, what: str):
+        """Raise the TypeError of a read that needs one node per prefix."""
+        raise TypeError(
+            f"{what} needs one node per prefix, and a RecombinedTree merges every "
+            f"node with an equal state; expand the tree with expand_tree"
+        )
+
+    @property
+    def peaks(self):
+        self.refuse("running maxima")
+
+    @property
+    def prefix_class(self):
+        self.refuse("prefix classes")
+
+    def level_prefixes(self, l: int, rows=None):
+        self.refuse("level_prefixes")
+
+
 def _child_peaks(peak: np.ndarray, kids: np.ndarray) -> np.ndarray:
     """Running maxima of the children kids, shape (n, fanout, d), of n
     nodes with running maxima peak, shape (n, d), as an (n * fanout, d)
@@ -466,6 +556,34 @@ def _node_cap_error(n_levels: int, fanout: int, cap: int) -> SizeError:
     return SizeError.over_cap(count, "tree nodes", cap, "solver.node_cap", log10)
 
 
+def _kernels(grid: TimeGrid, drift: DriftSpec, controls: ControlSet):
+    """The (C, B, d) increments and (C, B) read-only weights of every
+    control's kernel on grid, once the drift is known to cover it."""
+    if drift.kind == "custom-table" and len(drift.table) < grid.n_steps:
+        raise ValueError(
+            f"custom-table drift has {len(drift.table)} rows, the grid needs {grid.n_steps}"
+        )
+    kernels = [_control_kernel(u, grid.dt) for u in controls]
+    increments = np.array([inc for inc, _ in kernels])  # (C, B, d)
+    weights = np.array([w for _, w in kernels])  # (C, B)
+    weights.setflags(write=False)
+    return increments, weights
+
+
+def _child_states(drift: DriftSpec, k: int, prev: np.ndarray, peak, increments: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """The children of the states prev, shape (n, d), at time index k,
+    as an (n, C * B, d) array: x + (b * dt + c) for every increment c of
+    increments, shape (C, B, d), with the drift b from one _drift_into
+    call on prev and its running maxima peak."""
+    n, d = prev.shape
+    shift = _drift_into(drift, k, prev, peak, np.empty((n, d)))
+    shift *= dt
+    step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
+    step += prev[:, None, None, :]
+    return step.reshape(n, -1, d)
+
+
 def expand_tree(
     grid: TimeGrid,
     x0,
@@ -500,16 +618,7 @@ def expand_tree(
         root_prefix = np.empty((1, d))
         root_prefix[0] = np.asarray(x0, dtype=np.float64).reshape(-1)
         k0 = 0
-    if drift.kind == "custom-table" and len(drift.table) < grid.n_steps:
-        raise ValueError(
-            f"custom-table drift has {len(drift.table)} rows, the grid needs {grid.n_steps}"
-        )
-
-    dt = grid.dt
-    kernels = [_control_kernel(u, dt) for u in controls]
-    increments = np.array([inc for inc, _ in kernels])  # (C, B, d)
-    weights = np.array([w for _, w in kernels])  # (C, B)
-    weights.setflags(write=False)
+    increments, weights = _kernels(grid, drift, controls)
     fanout = weights.size
     if _projected_node_count(grid.n_steps - k0, fanout, node_cap) > node_cap:
         raise _node_cap_error(grid.n_steps - k0, fanout, node_cap)
@@ -517,20 +626,58 @@ def expand_tree(
     root = root_prefix.copy()
     states = [root[-1:].copy()]
     peaks = [np.max(root[None], axis=1)] if drift.kind == "running-max" else None
+    dt = grid.dt
     for k in range(k0, grid.n_steps):
-        prev = states[-1]
-        n = prev.shape[0]
-        shift = _drift_into(drift, k, prev, peaks[-1] if peaks else None, np.empty((n, d)))
-        shift *= dt
-        step = shift[:, None, None, :] + increments[None]  # (n, C, B, d)
-        step += prev[:, None, None, :]
-        kids = step.reshape(n, fanout, d)
-        states.append(kids.reshape(n * fanout, d))
+        kids = _child_states(drift, k, states[-1], peaks[-1] if peaks else None,
+                             increments, dt)
+        states.append(kids.reshape(-1, d))
         if peaks:
             peaks.append(_child_peaks(peaks[-1], kids))
     for a in (root, *states, *(peaks or ())):
         a.setflags(write=False)
     return ScenarioTree(grid, controls, drift, root, states, weights, peaks)
+
+
+def expand_recombined(grid: TimeGrid, x0, drift: DriftSpec, controls: ControlSet) -> RecombinedTree:
+    """expand_tree(grid, x0, drift, controls) with the nodes of each
+    level whose states are bitwise equal merged into one.
+
+    Each level takes expand_tree's child step on the merged nodes of the
+    level above, then keeps its distinct states, found by np.unique on
+    their int64 bit patterns, so 0.0 and -0.0 stay apart.  The merge is
+    exact only at d = 1 and for a drift that reads no running max (see
+    the module docstring), and other inputs raise ValueError.  The
+    merged tree is no larger than the tree, so a caller bounds it by the
+    tree's projected node count.
+
+    The widest menu of the demo's widenings from [0.3, 0.9] in four
+    steps has nine controls, and at n_steps 4 its 111,151 tree nodes
+    hold 750 distinct (level, state) pairs:
+
+    >>> mid = (0.3 + 0.9) / 2
+    >>> menu = ControlSet({mid + (e - mid) * (j / 4) for j in range(5) for e in (0.3, 0.9)})
+    >>> grid, zero = TimeGrid(0.0, 1.0, 4), DriftSpec("zero")
+    >>> len(menu), expand_tree(grid, 0.0, zero, menu).n_nodes
+    (9, 111151)
+    >>> expand_recombined(grid, 0.0, zero, menu).n_nodes
+    750
+    """
+    if controls.dim != 1:
+        raise ValueError(f"a recombined tree needs d = 1, got d = {controls.dim}")
+    if drift.kind == "running-max":
+        raise ValueError("a running-max drift reads the whole prefix, so its tree cannot merge")
+    increments, weights = _kernels(grid, drift, controls)
+    root = np.array(x0, dtype=np.float64).reshape(1, 1)
+    states, children = [root], []
+    dt = grid.dt
+    for k in range(grid.n_steps):
+        kids = _child_states(drift, k, states[-1], None, increments, dt).reshape(-1)
+        distinct, inverse = np.unique(kids.view(np.int64), return_inverse=True)
+        states.append(distinct.view(np.float64)[:, None])
+        children.append(inverse.reshape(-1, weights.size))
+    for a in (*states, *children):
+        a.setflags(write=False)
+    return RecombinedTree(grid, controls, drift, root, states, weights, children)
 
 
 @dataclass

@@ -143,16 +143,27 @@ def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
     bit-identical payoffs.  american-put and terminal-abs read each
     level's states, lookback-max its running maxima (base + max(x) is
     max(base + x), as rounding is monotone), and constant none.  Each
-    level's payoffs are written into its slice of the result, and at
-    d = 1 so is base + the states or maxima they read, so a level
-    allocates at most a comparison mask.  The kinds that read the whole
-    track, running-sum and custom-table, take one eval_reward call per
-    level on the level's rebuilt prefixes.
+    level's payoffs are written into its slice of the result, and base +
+    the states or maxima they read into that slice at d = 1, or at d > 1
+    into one buffer sized to the widest level, allocated once per call,
+    so a level allocates at most a comparison mask.  The kinds that read
+    the whole track, running-sum and custom-table, take one eval_reward
+    call per level on the level's rebuilt prefixes.  On a RecombinedTree
+    a node stands for tree nodes with different prefixes, so only the
+    kinds that read the current state alone run there, and the others
+    raise ValueError.
     """
+    if tree.children is not None and Y.kind in ("lookback-max", "running-sum", "custom-table"):
+        raise ValueError(
+            f"a {Y.kind} reward reads more of the track than the current state, "
+            f"which a RecombinedTree does not keep"
+        )
     if Y.kind == "constant":
         return np.full(tree.n_nodes, float(Y.scale))
     rebuild = Y.kind in ("running-sum", "custom-table")
     levels = tree.peaks if Y.kind == "lookback-max" else tree.states
+    d = levels[0].shape[1]
+    buf = None if d == 1 or rebuild else np.empty((max(map(len, levels)), d))
     out = np.empty(tree.n_nodes)
     for l, (lo, hi) in enumerate(zip(tree.offsets, tree.offsets[1:])):
         k = tree.k0 + l
@@ -160,7 +171,7 @@ def reward_values(tree, Y: RewardFunctional) -> np.ndarray:
             out[lo:hi] = eval_reward(Y, k, tree.level_prefixes(l))
             continue
         level, payoffs = levels[l], out[lo:hi]
-        x = np.add(Y.base, level, out=payoffs[:, None] if level.shape[1] == 1 else None)
+        x = np.add(Y.base, level, out=payoffs[:, None] if d == 1 else buf[: hi - lo])
         _payoffs(Y, k, x, None, payoffs)
     return out
 

@@ -119,6 +119,18 @@ def test_oracle_put_n2(tmp_path, capsys):
     assert abs(report["envelope_root"] - math.sqrt(2.0) / 8.0) <= 1e-12
 
 
+def test_oracle_agrees_at_a_large_value_scale(tmp_path, capsys):
+    # at t_end 1e20 the game's values reach 2.2e9, and saddle_value, a
+    # forward fsum in another order than the strategy table's fold, lies
+    # one ulp above upper: the gaps are bounded relative to that scale
+    cfg = {**PUT_N2, "grid": {"t_start": 0.0, "t_end": 1e20, "n_steps": 3}}
+    code, report = run(capsys, "oracle", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    assert report["agree"] and report["saddle"]
+    assert report["lower"] == report["upper"] == report["envelope_root"] == 2165063509.4610963
+    assert report["saddle_value"] == math.nextafter(report["upper"], math.inf)
+
+
 def test_oracle_node_cap_exits_3(tmp_path, capsys):
     cfg = {**PUT_N2, "solver": {"node_cap": 4}}
     code = main(["oracle", "--config", write_config(tmp_path, cfg)])
@@ -627,7 +639,7 @@ def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a tree was expanded")
 
-    monkeypatch.setattr(cli, "expand_tree", refuse)
+    monkeypatch.setattr(cli, "expand_recombined", refuse)
     cfg = {"demo": {**DEMO_SMALL["demo"], "widenings": 10**9}}
     assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
@@ -645,7 +657,7 @@ def test_demo_refuses_widening_edges_it_cannot_hold(tmp_path, capsys, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a tree was expanded")
 
-    monkeypatch.setattr(cli, "expand_tree", refuse)
+    monkeypatch.setattr(cli, "expand_recombined", refuse)
     cfg = {"demo": {**DEMO_SMALL["demo"], "sigma_lo": lo, "sigma_hi": hi}}
     assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
@@ -653,11 +665,11 @@ def test_demo_refuses_widening_edges_it_cannot_hold(tmp_path, capsys, monkeypatc
 
 
 def _count_sweeps(monkeypatch):
-    # the ids of the trees demo passes to each of its two sweeps, one
-    # entry a call
+    # the ids of the trees demo passes to robust_envelope, one entry a
+    # call; the classic values are the roots of its one-control menus
     import robuststop.cli as cli
 
-    swept = {"robust_envelope": [], "classic_snell": []}
+    swept = {"robust_envelope": []}
 
     def counting(fn):
         sweep = getattr(cli, fn)
@@ -678,33 +690,32 @@ def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
     # widening menus, each expanded once and swept once for each strike
     import robuststop.cli as cli
 
-    menus, expand = [], cli.expand_tree
+    menus, expand = [], cli.expand_recombined
 
     def counting(grid, x0, drift, controls, **kwargs):
         menus.append(tuple(controls.scalars()))
         return expand(grid, x0, drift, controls, **kwargs)
 
-    monkeypatch.setattr(cli, "expand_tree", counting)
+    monkeypatch.setattr(cli, "expand_recombined", counting)
     swept = _count_sweeps(monkeypatch)
     cfg = write_config(tmp_path, PINNED_DEMO["wide"])
     assert main(["demo", "--config", cfg]) == 0
     assert len(menus) == len(set(menus)) == 8
     assert len(json.loads(capsys.readouterr().out)["values"]) == 2
-    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 6
-    assert sorted(Counter(swept["classic_snell"]).values()) == [2] * 2
+    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 8
 
 
 def test_demo_sweeps_a_menu_the_robust_one_repeats_once(tmp_path, capsys, monkeypatch):
     # sigma_hi is the float after sigma_lo, so mid rounds to sigma_lo and
     # the five widening menus are {lo} and, once an edge rounds up to hi,
-    # the robust menu {lo, hi}: two robust_envelope sweeps per strike
+    # the robust menu {lo, hi}: with the singles {lo} and {hi}, three
+    # robust_envelope sweeps per strike
     swept = _count_sweeps(monkeypatch)
     cfg = {"demo": {**PINNED_DEMO["wide"]["demo"], "sigma_lo": 1.0,
                     "sigma_hi": float(np.nextafter(1.0, 2.0))}}
     assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["widening_monotone"]
-    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 2
-    assert sorted(Counter(swept["classic_snell"]).values()) == [2] * 2
+    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 3
 
 
 def test_demo_sweeps_a_degenerate_interval_once_per_strike(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from robuststop import (
     ControlSet,
     DriftSpec,
+    GameReport,
     ModulusSpec,
     RuleError,
     SizeError,
@@ -173,6 +174,30 @@ def test_game_put_n2(put_n2):
     assert abs(report.upper - math.sqrt(2.0) / 8.0) <= 1e-12
     assert report.n_strategies == 8
     assert report.n_rule_maps == 32
+
+
+def test_game_gaps_scale_with_the_values(inst_a):
+    # the agree and saddle gaps are bounded by tolerance * max(1, the
+    # largest finite |value| compared): at 2.2e9 a gap of one ulp passes,
+    # three times the scaled bound fails, and at unit scale the bound is
+    # the tolerance itself; an infinite value scales nothing
+    report = game_values(*inst_a)
+    value = 2165063509.4610963
+    bound = report.tolerance * value
+
+    def remade(saddle_value, vals=(value,) * 4):
+        fields = {k: getattr(report, k) for k in (
+            "optimal_strategy", "optimal_rule", "n_strategies", "n_stopping_times",
+            "n_rule_maps", "tolerance")}
+        return GameReport(*vals, saddle_value=saddle_value, **fields)
+
+    assert remade(math.nextafter(value, math.inf)).saddle
+    assert remade(value + 0.9 * bound).saddle
+    assert not remade(value + 3 * bound).saddle
+    assert not remade(value, (value, value + 3 * bound, value, value)).agree
+    assert remade(value, (value, value + 0.9 * bound, value, value)).agree
+    assert not remade(0.5 + 2 * report.tolerance, (0.5,) * 4).saddle
+    assert not remade(value, (value, math.inf, value, value)).agree
 
 
 def test_lower_value_matches_rule_map_enumeration(put_n2):

@@ -342,6 +342,14 @@ def test_rewards_and_envelope_allocate_little_beyond_their_outputs():
     Y = american_put(strike=1.0, base=0.0)
     assert _peak_bytes(lambda: reward_values(tree, Y)) <= 0.8e6
     assert _peak_bytes(lambda: robust_envelope(tree, Y)) <= 2.8e6
+    # solve-deep's d = 2 tree, 37,449 nodes: terminal-abs writes base +
+    # the states of every level into one 0.52 MB buffer beside the
+    # 0.30 MB result, where a new array per level peaked at 0.89 MB with
+    # the last two levels' arrays held at once
+    tree = expand_tree(TimeGrid(0.0, 1.0, 5), [0.0, 0.0],
+                       DriftSpec("mean-reversion", rate=0.5), D2_CONTROLS)
+    assert tree.n_nodes == 37_449
+    assert _peak_bytes(lambda: reward_values(tree, terminal_abs())) <= 0.85e6
 
 
 def test_solve_summarises_levels_without_copying_rows(capsys):
