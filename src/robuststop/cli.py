@@ -34,8 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# perfbench/tracer.py wraps cli.classic_snell, though no command calls it
-from .envelope import classic_snell, robust_envelope  # noqa: F401
+from .envelope import (
+    EnvelopeSolution,
+    backward_sweep,
+    classic_snell,  # noqa: F401  perfbench/tracer.py wraps it here, though no command calls it
+    column_chunk,
+    robust_envelope,
+)
 from .errors import ConfigError, RuleError, SizeError
 from .model import (
     DEFAULT_NODE_CAP,
@@ -55,6 +60,7 @@ from .reward import (
     american_put,
     constant_reward,
     lookback_max,
+    reward_values,
     running_sum,
     terminal_abs,
 )
@@ -697,25 +703,24 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     mid = (lo + hi) / 2.0
 
     # one table of the distinct menus, keyed by their sorted volatilities
-    # in the order they are met; a menu's tree does not depend on the
-    # strike, so each is expanded once and swept at most once per strike.
-    # Every tree is kept until the end, so the trees are held to the cap
-    # together before the first is expanded; a d = 1 menu of m controls
-    # has 2 * m children per node
-    trees = {}
+    # in the order they are met.  The trees that hold them are kept until
+    # the end, so the menus are held to the cap together, as if each had
+    # its own tree, before the first tree is expanded; a d = 1 menu of m
+    # controls has 2 * m children per node
+    menus = {}
     held = 0
 
     def register(vols):
         nonlocal held
         key = tuple(sorted(vols))
-        if key not in trees:
+        if key not in menus:
             held += _projected_node_count(n_steps, 2 * len(key), node_cap - held)
             if held > node_cap:
                 raise SizeError(
                     f"the demo's trees together exceed the cap {node_cap} tree nodes; "
                     f"lower demo.widenings or raise solver.node_cap to allow more"
                 )
-            trees[key] = None
+            menus[key] = None
         return key
 
     # every widening edge moves monotonically with j, and so does its
@@ -743,48 +748,88 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
             key = register(vols)
         steps.append((j, edges, len(vols), key))
 
-    # a zero drift and a put that reads the current state only: every
-    # tree is solved on its recombined form, bitwise the same values
+    # a smaller menu's envelope is its larger one's recursion with the
+    # min restricted to its controls, and the controls of both, sorted,
+    # share their kernels and their order, so on the tree of a menu each
+    # sub-menu is a column of one sweep, bitwise its own tree's values at
+    # the nodes its controls reach.  Every menu lies in the last widening
+    # menu or in the robust one, so only those that no other registered
+    # menu contains are expanded, and each other menu is a column of the
+    # first of them that holds it.  A zero drift and a put that reads the
+    # current state only: every tree is recombined, bitwise the same values
+    tops = [key, robust_key]
+    if vols.issuperset(robust_key):
+        tops.remove(robust_key)
+    elif vols.issubset(robust_key):
+        tops.remove(key)
     drift = DriftSpec("zero")
-    for key in trees:
-        trees[key] = expand_recombined(grid, 0.0, drift, ControlSet(key))
+    families, placed = [], 0
+    for top in tops:
+        index = {u: i for i, u in enumerate(top)}
+        # one bool per (control, column), the same at every node; each
+        # menu is numbered by its column, counted over every tree
+        allowed = np.zeros((1, len(top), len(menus)), dtype=bool)
+        m = 0
+        for menu, col in menus.items():
+            if col is None:
+                slots = list(map(index.get, menu))
+                if None not in slots:
+                    allowed[0, slots, m] = True
+                    menus[menu] = placed + m
+                    m += 1
+        families.append((expand_recombined(grid, 0.0, drift, ControlSet(top)), allowed[:, :, :m]))
+        placed += m
+    robust_col = menus[robust_key]
+    # the stop boundary reads the robust column, of the last tree (the
+    # only one, or the robust menu's own); its nodes and their
+    # multiplicities are those that its menu's slots reach
+    tree, allowed = families[-1]
+    multiplicity = tree.multiplicity(allowed[0, :, robust_col - (placed - m)])
+    classic_cols = {sig: menus[key] for sig, key in classic_keys.items()}
+    steps = [(j, edges, size, menus[key]) for j, edges, size, key in steps]
 
     value_rows = []
     boundary_rows = []
     widening_rows = []
     monotone = True
     classic_gap = 0.0
-    tree = trees[robust_key]
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        sol = robust_envelope(tree, Y)
-        robust = sol.root_value()
-        # each menu's root, swept once; under one control the robust
-        # sweep is the classic envelope's, since its min runs over that
-        # control alone
-        roots = {robust_key: robust}
-        for key in (*classic_keys.values(), *(step[3] for step in steps)):
-            if key not in roots:
-                roots[key] = robust_envelope(trees[key], Y).root_value()
-        classics = {sig: roots[key] for sig, key in classic_keys.items()}
+        # every menu's root, by column: one sweep per tree, in chunks of
+        # columns that keep the sweep's buffers in a fixed budget
+        roots = []
+        for menu_tree, allowed in families:
+            y = reward_values(menu_tree, Y)
+            step = column_chunk(menu_tree)
+            for a in range(0, allowed.shape[2], step):
+                z, argmin = backward_sweep(menu_tree, y, floor=y,
+                                           allowed=allowed[:, :, a:a + step])
+                c = robust_col - len(roots)
+                if 0 <= c < z.shape[1]:
+                    sol = EnvelopeSolution(menu_tree, 0.0, y, z[:, c].copy(), argmin[:, c].copy())
+                roots += z[menu_tree.root].tolist()
+                del z, argmin  # so that the next chunk's sweep holds the budget alone
+        robust = roots[robust_col]
+        classics = {sig: roots[c] for sig, c in classic_cols.items()}
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classics[lo]))
         value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
 
-        # a merged node stands for multiplicity tree nodes of its state.
-        # A merged level orders its states unlike the tree, which can move
+        # a merged node stands for multiplicity tree nodes of its state,
+        # and for none where the robust menu does not reach it.  A merged
+        # level orders its states unlike the tree, which can move
         # Python's max only between 0.0 and -0.0 or around a NaN, and no
         # state here is either: from x0 = 0.0 each step adds a finite
         # increment to a 0.0 drift shift, then the parent's state
         for l, states in enumerate(tree.states):
-            stopped = sol.stop[tree.offsets[l]:tree.offsets[l + 1]]
-            n_stopped = int(tree.multiplicity[l][stopped].sum())
+            stopped = sol.stop[tree.offsets[l]:tree.offsets[l + 1]] & (multiplicity[l] > 0)
+            n_stopped = int(multiplicity[l][stopped].sum())
             level = max((base + states[stopped, 0]).tolist()) if n_stopped else ""
             boundary_rows.append([float(K), l, grid.time(l), n_stopped, level])
 
         prev = None
-        for j, edges, size, key in steps:
-            val = roots[key]
+        for j, edges, size, col in steps:
+            val = roots[col]
             if prev is not None and val > prev:
                 monotone = False
             prev = val

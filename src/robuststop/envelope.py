@@ -5,8 +5,9 @@ expectation, applied level by level from the leaves:
 
     v = max(floor, min over allowed u of E_u[v next]),
 
-with v frozen where a stop mask holds.  backward_sweep runs that step;
-the public functions only choose its inputs:
+with v frozen where a stop mask holds.  backward_sweep runs that step,
+for one value column or side by side for many (one per sub-menu, or
+per stopping rule); the public functions only choose its inputs:
 
 * robust_envelope: the worst-case envelope Z = max(Y, min_u E_u[Z next])
   (floor Y) and the argmin control per node, from which the stop region
@@ -65,6 +66,8 @@ STOP_GUARD = 1e-12
 # Nodes per block of the stop test, so that on deep trees its two float
 # temporaries take no more memory than the sweep's level buffers did.
 _MEETS_BLOCK = 1 << 15
+# Bytes of outputs and buffers that one column sweep may hold (column_chunk).
+COLUMN_BYTES = 1 << 24
 
 
 @dataclass(eq=False)
@@ -196,41 +199,82 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     inequalities hold exactly in floating point, because rounding is
     monotone term by term.
 
+    The inputs may carry a trailing column axis, and then one pass runs
+    m sweeps side by side, each column bit for bit the sweep of its own
+    inputs: values, floor, ceiling and stop broadcast to (n_nodes, m)
+    and allowed to (n_nodes, C, m), where a per-node input without the
+    axis (values of shape (n_nodes,), allowed of (n_nodes, C)) serves
+    every column.  A smaller menu is the same recursion with the min
+    restricted to its controls, so on the tree of a menu every sub-menu
+    is a column whose allowed mask holds its controls:
+
+    >>> from robuststop import ControlSet, DriftSpec, TimeGrid, american_put
+    >>> from robuststop.model import expand_recombined
+    >>> grid, zero, put = TimeGrid(0.0, 1.0, 3), DriftSpec("zero"), american_put(strike=1.1)
+    >>> tree = expand_recombined(grid, 0.0, zero, ControlSet([0.3, 0.6, 0.9]))
+    >>> menus = [(0.3, 0.6, 0.9), (0.3, 0.9), (0.3,), (0.9,)]
+    >>> allowed = np.array([[u in menu for menu in menus] for u in (0.3, 0.6, 0.9)])
+    >>> y = reward_values(tree, put)
+    >>> v, _ = backward_sweep(tree, y, floor=y, allowed=allowed[None])
+    >>> v.shape, v[tree.root].round(6).tolist()
+    ((63, 4), [0.179904, 0.179904, 0.179904, 0.439711])
+    >>> v[tree.root].tolist() == [robust_envelope(
+    ...     expand_recombined(grid, 0.0, zero, ControlSet(menu)), put).root_value()
+    ...     for menu in menus]
+    True
+
     Each level is computed in place: every child's weighted term is one
     broadcast product into a buffer allocated once per call, sized to
     the widest interior level, with a row per (control, branch) slot and
-    a column per node, and the fold adds each control's rows into its
-    first, so the level costs the same few numpy calls whatever its
-    width.  The min and its control are written straight into the
-    level's slices of the outputs.  On a ScenarioTree a level's children
-    are the next level in order, read by a reshape; on a RecombinedTree
-    they are gathered by its children ids, and the values are those of
-    the tree, node for node, wherever the merge is exact (see model).
+    a column per node (and per column of the sweep), and the fold adds
+    each control's rows into its first, so the level costs the same few
+    numpy calls whatever its width.  The min and its control are
+    written straight into the level's slices of the outputs.  On a
+    ScenarioTree a level's children are the next level in order, read
+    by a reshape; on a RecombinedTree they are gathered by its children
+    ids, and the values are those of the tree, node for node, wherever
+    the merge is exact (see model).  A pass holds about
+    16 * n_nodes + (8 * C * B + 1) * tree.width bytes a column
+    (column_chunk).
 
-    Returns per-node arrays (v, argmin), where argmin is the control
-    attaining the min before floor and stop apply, and -1 at leaves and
-    where no control is allowed.  The sweep writes every entry, so its
-    outputs start unfilled.
+    Returns per-node arrays (v, argmin), each with the column axis when
+    the inputs have one, where argmin is the control attaining the min
+    before floor and stop apply, and -1 at leaves and where no control
+    is allowed.  The sweep writes every entry, so its outputs start
+    unfilled.
     """
     w = tree.weights
     C, B = w.shape
-    v = np.empty(tree.n_nodes)
-    argmin = np.empty(tree.n_nodes, dtype=np.int64)
+    shape, slot_w = (tree.n_nodes,), w.reshape(C * B, 1)
+    if (values.ndim > 1 or floor is not None and floor.ndim > 1
+            or ceiling is not None and ceiling.ndim > 1 or stop is not None and stop.ndim > 1
+            or allowed is not None and allowed.ndim > 2):
+        values, floor, ceiling, stop, allowed = _columns(tree.n_nodes, C, values, floor,
+                                                         ceiling, stop, allowed)
+        shape, slot_w = values.shape, slot_w[:, :, None]
+    cols = shape[1:]
+    v = np.empty(shape)
+    argmin = np.empty(shape, dtype=np.int64)
     off = tree.offsets
     kids = tree.children
     v[off[-2]:] = values[off[-2]:]
     argmin[off[-2]:] = -1
-    terms = np.empty((C * B, tree.width))
-    mask = np.empty(tree.width, dtype=bool)
+    terms = np.empty((C * B, tree.width) + cols)
+    mask = np.empty((tree.width,) + cols, dtype=bool)
+    fan = (C * B,) + cols
     # the children of level l, lo:hi, are in the next level, hi:end
     for l in range(len(off) - 3, -1, -1):
         lo, hi, end = off[l], off[l + 1], off[l + 2]
         n = hi - lo
         prod, better = terms[:, :n], mask[:n]
         nxt = v[hi:end]
-        # one row per (control, branch) slot, one column per node
-        np.multiply((nxt.reshape(n, C * B) if kids is None else nxt[kids[l]]).T,
-                    w.reshape(C * B, 1), out=prod)
+        # one row per (control, branch) slot, one column per node; gathered
+        # children go straight into the buffer and are weighted there
+        if kids is None:
+            np.multiply(nxt.reshape((n,) + fan).swapaxes(0, 1), slot_w, out=prod)
+        else:
+            np.take(nxt, kids[l].T, axis=0, out=prod, mode="wrap")
+            np.multiply(prod, slot_w, out=prod)
         # the left-to-right fold of each control's terms, in its first row
         acc = prod[0::B]
         for j in range(1, B):
@@ -255,6 +299,31 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
         if stop is not None:
             np.copyto(best, values[lo:hi], where=stop[lo:hi])
     return v, argmin
+
+
+def _columns(n_nodes: int, C: int, values, floor, ceiling, stop, allowed):
+    """backward_sweep's inputs broadcast to one shared column axis: the
+    per-node ones to (n_nodes, m), allowed to (n_nodes, C, m), as views."""
+    per_node = [a if a is None or a.ndim > 1 else a[:, None]
+                for a in (values, floor, ceiling, stop)]
+    if allowed is not None and allowed.ndim == 2:
+        allowed = allowed[:, :, None]
+    cols = np.broadcast_shapes(*(a.shape[1:] for a in per_node if a is not None),
+                               *(() if allowed is None else (allowed.shape[2:],)))
+    per_node = [a if a is None else np.broadcast_to(a, (n_nodes, *cols)) for a in per_node]
+    if allowed is not None:
+        allowed = np.broadcast_to(allowed, (n_nodes, C, *cols))
+    return (*per_node, allowed)
+
+
+def column_chunk(tree) -> int:
+    """The number of columns, at least 1, whose backward_sweep on tree
+    holds no more than COLUMN_BYTES: per column 16 bytes a node for v and
+    argmin, and 8 * C * B + 1 bytes a node of the widest interior level
+    for the product and the mask.  A caller with more columns sweeps them
+    in chunks of this many."""
+    per_column = 16 * tree.n_nodes + (8 * tree.fanout + 1) * tree.width
+    return max(1, COLUMN_BYTES // per_column)
 
 
 def _y_array(tree, Y) -> np.ndarray:

@@ -34,7 +34,8 @@ control index per node, -1 where it assigns none.  Stopping sets are
 keyed by node, so they match the adapted rules only when no two nodes
 share a prefix; on a tree with a prefix collision the lower value
 enumerates the 2^m rules over the m non-terminal classes instead,
-ordered by time index, then lexicographically by prefix.
+ordered by time index, then lexicographically by prefix, and sweeps
+them as stop-mask columns (_rules_max).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .envelope import (
     _y_array,
     backward_sweep,
     classic_snell,  # noqa: F401  perfbench/tracer.py wraps it here
+    column_chunk,
     forward_pass,
     robust_envelope,
     stop_mask,
@@ -167,6 +169,40 @@ def worst_case_stopped_reward(tree, Y, rule) -> float:
     y = _y_array(tree, Y)
     stops = stop_mask(tree, rule)
     return float(backward_sweep(tree, y, stop=stops)[0][tree.root])
+
+
+def _rules_max(tree, y, cap: int = RULE_PREFIX_CAP) -> float:
+    """The max over enumerate_stopping_rules of worst_case_stopped_reward,
+    bit for bit: the first rule in enumeration order that beats every
+    earlier one by v > lower, from -inf.
+
+    The rules are swept as stop-mask columns of backward_sweep, a chunk
+    of column_chunk(tree) of them at a time: column r of a chunk stops
+    each interior node where bit j of its rule's number is set, j the
+    position of the node's class head among the heads (_nonterminal_heads),
+    and every leaf.  np.argmax takes the first of equal maxima, as the
+    v > lower comparison keeps the first, and a NaN root, which never
+    beats lower, is read as -inf.
+    """
+    heads = _nonterminal_heads(tree, cap)
+    interior = tree.offsets[-2]
+    bit = np.empty(tree.n_nodes, dtype=np.int64)
+    bit[heads] = np.arange(len(heads))
+    bit = bit[tree.prefix_class[:interior]]
+    n_rules = 1 << len(heads)
+    step = column_chunk(tree)
+    lower = -np.inf
+    for a in range(0, n_rules, step):
+        rules = np.arange(a, min(a + step, n_rules))
+        flags = (rules >> np.arange(len(heads))[:, None]) & 1 == 1  # per head and rule
+        stops = np.ones((tree.n_nodes, len(rules)), dtype=bool)
+        np.take(flags, bit, axis=0, out=stops[:interior])
+        roots = backward_sweep(tree, y, stop=stops)[0][tree.root]
+        roots[~(roots > lower)] = -np.inf
+        best = roots[np.argmax(roots)]
+        if best > lower:
+            lower = best
+    return lower
 
 
 def _fold(tree, kids) -> np.ndarray:
@@ -404,12 +440,7 @@ def game_values(
     best_strategy = _strategy_at(tree, sizes, best)
 
     if collision:
-        # rare engineered case: fall back to explicit rules, one sweep each
-        lower = -np.inf
-        for rule in enumerate_stopping_rules(tree, rule_prefix_cap):
-            v = worst_case_stopped_reward(tree, y, rule)
-            if v > lower:
-                lower = v
+        lower = _rules_max(tree, y, rule_prefix_cap)
     else:
         lower = stop_set_max(tree, y)
 

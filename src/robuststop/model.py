@@ -468,7 +468,7 @@ class RecombinedTree(_LevelTree):
     children[l], an int64 array of shape (n_l, C * B), holds the ids of
     each node's children in the tree's (control, outcome) order, counted
     from the first id of level l + 1: the one part of the layout that a
-    walk reads here and computes on a ScenarioTree.  multiplicity[l]
+    walk reads here and computes on a ScenarioTree.  multiplicity()[l]
     counts the tree nodes each node of level l stands for.
 
     A node stands for every tree node with its state, whatever their
@@ -482,18 +482,21 @@ class RecombinedTree(_LevelTree):
         super().__init__(grid, controls, drift, root_prefix, states, weights)
         self.children = children
 
-    @cached_property
-    def multiplicity(self) -> list:
+    def multiplicity(self, allowed=None) -> list:
         """Per level, an int64 array: the tree nodes each node stands
-        for, summed over the children slots of its parents.  Level l sums
-        to fanout**l, so a tree whose deepest level passes int64 raises a
-        SizeError."""
-        if self.fanout ** (len(self.states) - 1) > np.iinfo(np.int64).max:
+        for, summed over the children slots of its parents, or with
+        allowed, one bool per control, over the slots of those controls
+        only: the nodes of that sub-menu's tree, 0 where it does not
+        reach.  Level l sums to (slots per node)**l, so a count whose
+        deepest level passes int64 raises a SizeError."""
+        C, B = self.weights.shape
+        slots = np.arange(C * B) if allowed is None else np.flatnonzero(np.repeat(allowed, B))
+        if len(slots) ** (len(self.states) - 1) > np.iinfo(np.int64).max:
             raise SizeError("the tree's deepest level holds more nodes than int64 counts")
         out = [np.ones(1, dtype=np.int64)]
         for kids, level in zip(self.children, self.states[1:]):
             count = np.zeros(level.shape[0], dtype=np.int64)
-            np.add.at(count, kids, out[-1][:, None])
+            np.add.at(count, kids[:, slots].reshape(-1), np.repeat(out[-1], len(slots)))
             out.append(count)
         return out
 

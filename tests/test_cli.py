@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -665,29 +664,28 @@ def test_demo_refuses_widening_edges_it_cannot_hold(tmp_path, capsys, monkeypatc
 
 
 def _count_sweeps(monkeypatch):
-    # the ids of the trees demo passes to robust_envelope, one entry a
-    # call; the classic values are the roots of its one-control menus
+    # one entry per backward_sweep call demo makes: the tree's id and the
+    # menus of its columns, each the tuple of its allowed controls
     import robuststop.cli as cli
 
-    swept = {"robust_envelope": []}
+    swept, sweep = [], cli.backward_sweep
 
-    def counting(fn):
-        sweep = getattr(cli, fn)
+    def call(tree, *args, allowed, **kwargs):
+        scalars = tree.controls.scalars()
+        swept.append((id(tree), [tuple(u for u, on in zip(scalars, col) if on)
+                                 for col in allowed[0].T]))
+        return sweep(tree, *args, allowed=allowed, **kwargs)
 
-        def call(tree, *args, **kwargs):
-            swept[fn].append(id(tree))
-            return sweep(tree, *args, **kwargs)
-
-        return call
-
-    for fn in swept:
-        monkeypatch.setattr(cli, fn, counting(fn))
+    monkeypatch.setattr(cli, "backward_sweep", call)
     return swept
 
 
 def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
     # two strikes and 4 widenings: the robust menu, two singles and five
-    # widening menus, each expanded once and swept once for each strike
+    # widening menus, all held by the last widening menu, whose edges
+    # land on sigma_lo and sigma_hi.  So that nine-control menu is the one
+    # tree expanded, and each strike sweeps it once with the eight menus
+    # as columns
     import robuststop.cli as cli
 
     menus, expand = [], cli.expand_recombined
@@ -700,29 +698,34 @@ def test_demo_expands_each_menu_once(tmp_path, capsys, monkeypatch):
     swept = _count_sweeps(monkeypatch)
     cfg = write_config(tmp_path, PINNED_DEMO["wide"])
     assert main(["demo", "--config", cfg]) == 0
-    assert len(menus) == len(set(menus)) == 8
     assert len(json.loads(capsys.readouterr().out)["values"]) == 2
-    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 8
+    assert [len(menu) for menu in menus] == [9]
+    assert len(swept) == 2 and swept[0] == swept[1]
+    columns = swept[0][1]
+    assert len(columns) == len(set(columns)) == 8
+    assert sorted(map(len, columns)) == [1, 1, 1, 2, 3, 5, 7, 9]
+    assert all(set(col) <= set(menus[0]) for col in columns)
 
 
 def test_demo_sweeps_a_menu_the_robust_one_repeats_once(tmp_path, capsys, monkeypatch):
     # sigma_hi is the float after sigma_lo, so mid rounds to sigma_lo and
     # the five widening menus are {lo} and, once an edge rounds up to hi,
-    # the robust menu {lo, hi}: with the singles {lo} and {hi}, three
-    # robust_envelope sweeps per strike
+    # the robust menu {lo, hi}: one tree, swept once per strike with three
+    # columns, the robust menu and the singles {lo} and {hi}
     swept = _count_sweeps(monkeypatch)
-    cfg = {"demo": {**PINNED_DEMO["wide"]["demo"], "sigma_lo": 1.0,
-                    "sigma_hi": float(np.nextafter(1.0, 2.0))}}
+    lo, hi = 1.0, float(np.nextafter(1.0, 2.0))
+    cfg = {"demo": {**PINNED_DEMO["wide"]["demo"], "sigma_lo": lo, "sigma_hi": hi}}
     assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["widening_monotone"]
-    assert sorted(Counter(swept["robust_envelope"]).values()) == [2] * 3
+    assert len(swept) == 2 and swept[0] == swept[1]
+    assert sorted(swept[0][1]) == [(lo,), (lo, hi), (hi,)]
 
 
 def test_demo_sweeps_a_degenerate_interval_once_per_strike(tmp_path, capsys, monkeypatch):
     # with sigma_lo == sigma_hi every widening menu is the robust menu, so
-    # 20,001 widening rows per strike read one robust_envelope root; the
-    # widening.csv digest is the one recorded when each row swept its
-    # tree again
+    # 20,001 widening rows per strike read the root of one one-column
+    # sweep; the widening.csv digest is the one recorded when each row
+    # swept its tree again
     swept = _count_sweeps(monkeypatch)
     cfg = {"demo": {"strikes": [0.9, 1.1], "sigma_lo": 0.6, "sigma_hi": 0.6,
                     "n_steps": 1, "widenings": 20_000}}
@@ -731,7 +734,7 @@ def test_demo_sweeps_a_degenerate_interval_once_per_strike(tmp_path, capsys, mon
     assert main(["demo", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     elapsed = time.perf_counter() - t0
     assert json.loads(capsys.readouterr().out)["passed"]
-    assert len(swept["robust_envelope"]) == 2
+    assert [columns for _, columns in swept] == [[(0.6,)], [(0.6,)]]
     assert elapsed < 5.0
     digest = hashlib.sha256((out / "widening.csv").read_bytes()).hexdigest()
     assert digest == "fda265c86e7fda972ac1b2326fbed6cbe2e3af1336a594fd56221af3833e8fa4"

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_instance, rule_keys
+from conftest import make_collision_tree, random_instance, rule_keys
 from referees import (
     as_strategy,
     max_control_envelope,
@@ -37,6 +37,7 @@ from robuststop import (
 )
 import robuststop.envelope as envelope_module
 from robuststop.envelope import forward_pass
+from robuststop.model import expand_recombined
 from robuststop.verify import check_tau_monotone
 
 
@@ -310,6 +311,58 @@ def test_sweep_marks_leaves_and_nodes_with_no_control(put_n3):
     assert np.all(np.isin(argmin[~leaves & ~none], [0, 1]))
     assert np.all(v[none] == np.inf)
     assert np.array_equal(v[leaves], y[leaves])
+
+
+def _column_trees():
+    rng = np.random.default_rng(20260815)
+    for _ in range(200):
+        yield random_instance(rng)
+    for n in (1, 2):
+        yield make_collision_tree(n), terminal_abs()
+    menu = ControlSet([0.3, 0.45, 0.6, 0.75, 0.9])
+    rec = expand_recombined(TimeGrid(0.0, 1.0, 4), 0.0, DriftSpec("zero"), menu)
+    yield rec, american_put(strike=0.1, base=0.0)
+
+
+def test_a_column_sweep_is_each_columns_own_sweep():
+    # m = 3 columns whose values, floor, ceiling, stop and allowed each
+    # differ by column (some nodes with no allowed control, some NaN
+    # values, a -0.0 floor where y is 0.0), in every combination the
+    # callers use, and per-node inputs that serve every column: each
+    # column of v and argmin is bit for bit the 1-D sweep of that
+    # column's inputs
+    rng = np.random.default_rng(44)
+    m = 3
+    for tree, Y in _column_trees():
+        y = reward_values(tree, Y)
+        n, C = tree.n_nodes, len(tree.controls)
+        shift = rng.uniform(-0.2, 0.2, (n, m)) * (rng.random((n, m)) < 0.5)
+        cols = {
+            "values": np.where(rng.random((n, m)) < 0.05, np.nan, y[:, None] + shift),
+            "floor": np.where(y == 0.0, -0.0, y)[:, None] - shift,
+            "ceiling": y[:, None] + np.abs(shift) + 0.1,
+            "stop": rng.random((n, m)) < 0.2,
+            "allowed": rng.random((n, C, m)) < 0.8,
+        }
+        for names in (("floor",), ("ceiling", "stop"), ("floor", "allowed"),
+                      ("floor", "ceiling", "stop", "allowed")):
+            kwargs = {k: cols[k] for k in names}
+            for values in (cols["values"], y):
+                v, argmin = envelope_module.backward_sweep(tree, values, **kwargs)
+                assert v.shape == argmin.shape == (n, m)
+                for j in range(m):
+                    own = {k: a[..., j] for k, a in kwargs.items()}
+                    want = envelope_module.backward_sweep(
+                        tree, values if values.ndim == 1 else values[:, j], **own)
+                    assert v[:, j].tobytes() == want[0].tobytes(), (names, j)
+                    assert np.array_equal(argmin[:, j], want[1])
+        # the demo's shape: one allowed mask per column, the same at every node
+        menus = cols["allowed"][:1]
+        v = envelope_module.backward_sweep(tree, y, floor=y, allowed=menus)[0]
+        for j in range(m):
+            want = envelope_module.backward_sweep(
+                tree, y, floor=y, allowed=np.repeat(menus[:, :, j], n, axis=0))[0]
+            assert v[:, j].tobytes() == want.tobytes()
 
 
 # Known-answer laws at depth: each holds for any depth, and neither is a

@@ -44,7 +44,7 @@ from referees import (
     prefix_key,
     state_law,
 )
-from robuststop import game
+from robuststop import envelope, game
 from robuststop.envelope import _y_array, backward_sweep, forward_pass, stop_mask
 from robuststop.game import (
     _table_sizes,
@@ -236,6 +236,28 @@ def test_prefix_collision_uses_rule_maps(n_steps, n_nodes, n_rule_maps, value):
     assert report.lower == report.upper == value
     assert report.envelope_root == report.value_at_tau_star == value
     assert report.agree and report.saddle
+
+
+@pytest.mark.parametrize("budget", [1, 2000, None], ids=["one-rule", "few-rules", "default"])
+def test_rule_columns_keep_the_first_best_rule_bit_for_bit(budget, monkeypatch):
+    # the collision trees' rules swept as stop-mask columns, one, a few or
+    # all to a sweep, against one worst_case_stopped_reward sweep per rule
+    # kept by v > lower: payoffs whose rules tie at 0.0 and -0.0, and a NaN
+    # leaf, where only the first of equal roots may win
+    if budget is not None:
+        monkeypatch.setattr(envelope, "COLUMN_BYTES", budget)
+    for tree in (make_collision_tree(1), make_collision_tree(2), make_signed_zero_tree(2)):
+        y = _y_array(tree, terminal_abs())
+        nan = y.copy()
+        nan[-1] = np.nan
+        ties = np.where(np.arange(tree.n_nodes) % 3 == 0, 0.0, -0.0)
+        for vals in (y, -y, ties, -ties, nan):
+            lower = -np.inf
+            for rule in enumerate_stopping_rules(tree):
+                v = worst_case_stopped_reward(tree, vals, rule)
+                if v > lower:
+                    lower = v
+            assert float(game._rules_max(tree, vals)).hex() == float(lower).hex()
 
 
 def test_game_size_caps(put_n2, monkeypatch):

@@ -9,6 +9,8 @@ multiplicities that count the tree nodes of each merged node, summing to
 fanout**l on level l.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def assert_parity(grid, x0, drift, controls, rewards):
         maps.append(kids[maps[-1]].reshape(-1))
     for l, m in enumerate(maps):
         assert np.array_equal(_bits(tree.states[l]), _bits(rec.states[l][m]))
-        mult = rec.multiplicity[l]
+        mult = rec.multiplicity()[l]
         assert mult.dtype == np.int64
         assert np.array_equal(mult, np.bincount(m, minlength=len(rec.states[l])))
         assert int(mult.sum()) == tree.fanout**l
@@ -65,8 +67,9 @@ def assert_parity(grid, x0, drift, controls, rewards):
 
 
 def test_demo_trees_match_their_full_trees(monkeypatch, tmp_path, capsys):
-    # the menus the demo expands, on the wide config at strikes -5 and 1
-    # and on the degenerate one at its three strikes
+    # the trees the demo expands, one on each config: the wide config's
+    # nine-control menu at strikes -5 and 1, and the degenerate config's
+    # one control at its three strikes
     import robuststop.cli as cli
 
     built, expand = [], cli.expand_recombined
@@ -81,13 +84,12 @@ def test_demo_trees_match_their_full_trees(monkeypatch, tmp_path, capsys):
         del built[:]
         assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
         capsys.readouterr()
-        assert len(built) == {"wide": 8, "degenerate": 1}[name]
+        assert len(built) == 1
         rewards = [american_put(strike=float(K), base=cfg["demo"]["base"])
                    for K in cfg["demo"]["strikes"]]
-        sizes = [assert_parity(*args, rewards) for args in built]
+        tree, rec = assert_parity(*built[0], rewards)
         if name == "wide":
-            assert sum(t.n_nodes for t, _ in sizes) == 165_622
-            assert sum(r.n_nodes for _, r in sizes) == 1_990
+            assert (tree.n_nodes, rec.n_nodes) == (111_151, 750)
 
 
 def _random_config(rng):
@@ -158,3 +160,82 @@ def test_per_prefix_reads_refuse_a_recombined_tree(rec, entry):
 def test_path_rewards_refuse_a_recombined_tree(rec, Y):
     with pytest.raises(ValueError, match=Y.kind):
         reward_values(rec, Y)
+
+
+def _demo_intervals():
+    # seeded intervals with sigma_hi up to 10 sigma_lo, then three edge
+    # cases: the robust menu apart from the widening ones (sigma_hi >
+    # 3 sigma_lo, the last lower edge one ulp off sigma_lo), lo == hi, and
+    # sigma_hi the float after sigma_lo
+    rng = np.random.default_rng(20261021)
+    for _ in range(12):
+        lo = float(np.round(rng.uniform(0.1, 1.0), 3))
+        yield lo, float(np.round(lo * rng.uniform(1.0, 10.0), 3))
+    yield 0.1, 0.7
+    yield 0.6, 0.6
+    yield 1.0, float(np.nextafter(1.0, 2.0))
+
+
+def test_demo_menus_are_columns_of_the_tree_that_holds_them(monkeypatch, tmp_path, capsys):
+    # every column demo sweeps gives, bit for bit, the root and the z at
+    # each node its own controls reach that its menu's own recombined tree
+    # gives, and the multiplicities its slots count are that tree's
+    import robuststop.cli as cli
+
+    swept, sweep = [], cli.backward_sweep
+
+    def record(tree, y, *, floor, allowed):
+        v = sweep(tree, y, floor=floor, allowed=allowed)
+        swept.append((tree, allowed[0], v[0]))
+        return v
+
+    monkeypatch.setattr(cli, "backward_sweep", record)
+    grid = TimeGrid(0.0, 1.0, 3)
+    trees = set()
+    for lo, hi in _demo_intervals():
+        cfg = {"demo": {"base": 1.0, "strikes": [1.1], "sigma_lo": lo, "sigma_hi": hi,
+                        "t_end": 1.0, "n_steps": 3, "widenings": 3}}
+        del swept[:]
+        assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        trees.add(len(swept))
+        put = american_put(strike=1.1, base=1.0)
+        for tree, allowed, z in swept:
+            scalars = np.array(tree.controls.scalars())
+            for c in range(allowed.shape[1]):
+                own = expand_recombined(grid, 0.0, DriftSpec("zero"),
+                                        ControlSet(scalars[allowed[:, c]]))
+                want = robust_envelope(own, put)
+                counts = tree.multiplicity(allowed[:, c])
+                for l, states in enumerate(own.states):
+                    # the held tree's level is sorted by the same bit patterns
+                    level = _bits(tree.states[l][:, 0])
+                    ids = np.searchsorted(level, _bits(states[:, 0]))
+                    assert np.array_equal(level[ids], _bits(states[:, 0]))
+                    assert np.array_equal(np.flatnonzero(counts[l]), ids)
+                    assert np.array_equal(counts[l][ids], own.multiplicity()[l])
+                    got = z[tree.offsets[l] + ids, c]
+                    assert np.array_equal(_bits(got), _bits(want.z[own.level(l)]))
+    # one tree, and two when the robust menu lies outside the widening ones
+    assert trees == {1, 2}
+
+
+def test_many_widenings_sweep_in_a_fixed_byte_budget(tmp_path, capsys):
+    # 800 widenings at n_steps 1: 803 menus of up to 1,601 controls, one
+    # tree of 3,203 nodes.  Swept at once, its columns would hold about
+    # 62 MB; in chunks the run's traced peak stays near COLUMN_BYTES
+    import tracemalloc
+
+    from robuststop.envelope import COLUMN_BYTES
+
+    cfg = {"demo": {"strikes": [0.9, 1.1], "sigma_lo": 0.3, "sigma_hi": 0.9,
+                    "n_steps": 1, "widenings": 800}}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["demo", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["widening_monotone"]
+    assert peak < COLUMN_BYTES + (12 << 20)
