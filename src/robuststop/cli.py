@@ -235,17 +235,22 @@ def build_grid(cfg: dict) -> TimeGrid:
     t_end = _num(sec, "grid", "t_end")
     if not t_end > t_start:
         raise ConfigError(f"grid.t_end must exceed grid.t_start, got [{t_start}, {t_end}]")
-    grid = TimeGrid(t_start, t_end, n)
+    return _stepped(TimeGrid(t_start, t_end, n), "grid.t_end - grid.t_start", "grid.n_steps")
+
+
+def _stepped(grid: TimeGrid, span: str, steps: str, normal: bool = True) -> TimeGrid:
+    """grid, if its step, span over steps (the keys named), is a positive
+    float, and a normal one unless normal is False (demo's grids)."""
     try:
         dt = grid.dt
     except OverflowError:  # an n_steps beyond the float range
         dt = 0.0
     # a subnormal step loses precision and one that underflows to 0 has no
-    # kernel, so the step must be a positive normal float
-    if not dt >= sys.float_info.min:
+    # kernel; demo has always taken subnormal steps
+    if not (dt >= sys.float_info.min if normal else dt > 0):
         raise ConfigError(
-            f"grid.t_end - grid.t_start over grid.n_steps must give a positive "
-            f"normal float step, got {dt!r} for [{t_start}, {t_end}] in {n} steps"
+            f"{span} over {steps} must give a positive{' normal' * normal} float step, "
+            f"got {dt!r} for [{grid.t_start}, {grid.t_end}] in {grid.n_steps} steps"
         )
     return grid
 
@@ -676,6 +681,22 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
 # ---------------------------------------------------------------------------
 # demo
 
+# The widening rows a demo holds, widenings + 1 per strike, take about
+# 413 bytes each (in-process at 10^6 rows): this fixed cap keeps ~400 MB.
+DEMO_ROW_CAP = 10**6
+
+
+def _held(held: int, size: int, n_steps: int, node_cap: int) -> int:
+    """held plus the tree nodes of a demo menu of size volatilities (2 * size
+    children a node), refused past node_cap."""
+    held += _projected_node_count(n_steps, 2 * size, node_cap - held)
+    if held > node_cap:
+        raise SizeError(
+            f"the demo's trees together exceed the cap {node_cap} tree nodes; "
+            f"lower demo.widenings or raise solver.node_cap to allow more"
+        )
+    return held
+
 
 def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     sec = _section(cfg, "demo", required=("strikes", "sigma_lo", "sigma_hi"))
@@ -698,35 +719,12 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     widenings = _num(sec, "demo", "widenings", 4, integer=True, minimum=1)
 
     node_cap = build_solver(cfg)["node_cap"]
-
-    grid = TimeGrid(0.0, t_end, n_steps)
     mid = (lo + hi) / 2.0
 
-    # one table of the distinct menus, keyed by their sorted volatilities
-    # in the order they are met.  The trees that hold them are kept until
-    # the end, so the menus are held to the cap together, as if each had
-    # its own tree, before the first tree is expanded; a d = 1 menu of m
-    # controls has 2 * m children per node
-    menus = {}
-    held = 0
-
-    def register(vols):
-        nonlocal held
-        key = tuple(sorted(vols))
-        if key not in menus:
-            held += _projected_node_count(n_steps, 2 * len(key), node_cap - held)
-            if held > node_cap:
-                raise SizeError(
-                    f"the demo's trees together exceed the cap {node_cap} tree nodes; "
-                    f"lower demo.widenings or raise solver.node_cap to allow more"
-                )
-            menus[key] = None
-        return key
-
     # every widening edge moves monotonically with j, and so does its
-    # rounding, so the edges at j = 0 and j = widenings bound the rest.
-    # Near the float range the midpoint overflows (NaN edges) or a lower
-    # edge rounds to 0.0; either fails before a menu is registered
+    # rounding, so the edges at j = 0 and j = widenings bound the rest:
+    # near the float range the midpoint overflows (NaN edges) or a lower
+    # edge rounds to 0.0.  The rows are bounded before any is built
     for frac in (0.0, 1.0):
         for edge in (mid + (lo - mid) * frac, mid + (hi - mid) * frac):
             if not (math.isfinite(edge) and edge > 0):
@@ -734,86 +732,88 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
                     f"demo.sigma_lo and demo.sigma_hi give the widening edge {edge!r}; "
                     f"every edge must be a finite number > 0"
                 )
+    rows = (widenings + 1) * len(strikes)
+    if rows > DEMO_ROW_CAP:
+        raise SizeError.over_cap(rows, "widening rows", DEMO_ROW_CAP, "demo.widenings", advice=(
+            "lower demo.widenings (solver.node_cap bounds the trees, not the rows)"))
 
-    robust_key = register({lo, hi})
-    classic_keys = {sig: register({sig}) for sig in sorted({lo, hi})}
-    # nested menus: each widening keeps every earlier volatility, so the
-    # inf runs over a superset and the value cannot increase
-    vols, key, steps = {mid}, register({mid}), []
+    # each distinct menu is held to the cap as if it kept its own tree, in
+    # the order met: the robust menu, the classic ones, then the widening
+    # ones.  These nest, so the inf runs over a superset and the value
+    # cannot increase: joined lists the volatilities in the order they
+    # join, and widening menu j is its first size_j, named by that size
+    named = [frozenset(menu) for menu in ({lo, hi}, {lo}, {hi})]
+    fixed, held = dict.fromkeys(named), 0
+    for menu in fixed:
+        held = _held(held, len(menu), n_steps, node_cap)
+    joined, sizes, steps = {mid: None}, [], []
     for j in range(widenings + 1):
         frac = j / widenings
         edges = [mid + (lo - mid) * frac, mid + (hi - mid) * frac]
-        if not vols.issuperset(edges):
-            vols.update(edges)
-            key = register(vols)
-        steps.append((j, edges, len(vols), key))
+        joined.update(dict.fromkeys(edges))
+        if j == 0 or len(joined) > sizes[-1]:
+            sizes.append(len(joined))
+            if len(joined) <= 2 and frozenset(joined) in fixed:
+                fixed[frozenset(joined)] = (0, len(sizes) - 1)
+            else:
+                held = _held(held, len(joined), n_steps, node_cap)
+        steps.append((j, edges, len(joined), len(sizes) - 1))
+    vols = list(joined)
 
-    # a smaller menu's envelope is its larger one's recursion with the
-    # min restricted to its controls, and the controls of both, sorted,
-    # share their kernels and their order, so on the tree of a menu each
-    # sub-menu is a column of one sweep, bitwise its own tree's values at
-    # the nodes its controls reach.  Every menu lies in the last widening
-    # menu or in the robust one, so only those that no other registered
-    # menu contains are expanded, and each other menu is a column of the
-    # first of them that holds it.  A zero drift and a put that reads the
-    # current state only: every tree is recombined, bitwise the same values
-    tops = [key, robust_key]
-    if vols.issuperset(robust_key):
-        tops.remove(robust_key)
-    elif vols.issubset(robust_key):
-        tops.remove(key)
-    drift = DriftSpec("zero")
-    families, placed = [], 0
-    for top in tops:
-        index = {u: i for i, u in enumerate(top)}
-        # one bool per (control, column), the same at every node; each
-        # menu is numbered by its column, counted over every tree
-        allowed = np.zeros((1, len(top), len(menus)), dtype=bool)
-        m = 0
-        for menu, col in menus.items():
-            if col is None:
-                slots = list(map(index.get, menu))
-                if None not in slots:
-                    allowed[0, slots, m] = True
-                    menus[menu] = placed + m
-                    m += 1
-        families.append((expand_recombined(grid, 0.0, drift, ControlSet(top)), allowed[:, :, :m]))
-        placed += m
-    robust_col = menus[robust_key]
-    # the stop boundary reads the robust column, of the last tree (the
-    # only one, or the robust menu's own); its nodes and their
+    # each robust or classic menu's place, (tree, column): the widening
+    # column that repeats it (met above), else its own column on the last
+    # widening menu's tree (0), or on the robust menu's own tree (1) where
+    # the last lower edge mid + (lo - mid) misses sigma_lo bitwise, which
+    # takes sigma_hi > 3 * sigma_lo (the last upper edge is sigma_hi)
+    extra = ([], [])
+    for menu, place in fixed.items():
+        if place is None:
+            f = int(not menu.issubset(joined))
+            fixed[menu] = (f, len(sizes) * (1 - f) + len(extra[f]))
+            extra[f].append(menu)
+    grid = _stepped(TimeGrid(0.0, t_end, n_steps), "demo.t_end", "demo.n_steps", normal=False)
+
+    # a sub-menu's envelope is its menu's recursion with the min over its
+    # own controls, which share their kernels and sorted order, so it is
+    # a column of one sweep on the menu's tree, bitwise its own tree's
+    # values where its controls reach.  A widening column allows the
+    # sorted controls whose join index (rank) is below its size.  With a
+    # zero drift and a put of the current state every tree is recombined
+    rank, ctl = np.argsort(vols), np.sort(vols)
+    masks = [np.concatenate([rank[:, None] < sizes, *(
+        (ctl[:, None] == [*menu]).any(1, keepdims=True) for menu in extra[0])], axis=1)]
+    if extra[1]:
+        masks.append(np.array([[u in menu for menu in extra[1]] for u in (lo, hi)]))
+    families = [(expand_recombined(grid, 0.0, DriftSpec("zero"), ControlSet(top)), allowed[None])
+                for top, allowed in zip((vols, [lo, hi]), masks)]
+    # the stop boundary reads the robust column; its nodes and their
     # multiplicities are those that its menu's slots reach
-    tree, allowed = families[-1]
-    multiplicity = tree.multiplicity(allowed[0, :, robust_col - (placed - m)])
-    classic_cols = {sig: menus[key] for sig, key in classic_keys.items()}
-    steps = [(j, edges, size, menus[key]) for j, edges, size, key in steps]
+    rf, rc = fixed[named[0]]
+    tree, allowed = families[rf]
+    multiplicity = tree.multiplicity(allowed[0, :, rc])
 
-    value_rows = []
-    boundary_rows = []
-    widening_rows = []
-    monotone = True
-    classic_gap = 0.0
+    value_rows, boundary_rows, widening_rows = [], [], []
+    monotone, classic_gap = True, 0.0
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        # every menu's root, by column: one sweep per tree, in chunks of
+        # every column's root, per tree: one sweep per tree, in chunks of
         # columns that keep the sweep's buffers in a fixed budget
-        roots = []
-        for menu_tree, allowed in families:
+        roots = [[] for _ in families]
+        for f, (menu_tree, allowed) in enumerate(families):
             y = reward_values(menu_tree, Y)
             step = column_chunk(menu_tree)
             for a in range(0, allowed.shape[2], step):
                 z, argmin = backward_sweep(menu_tree, y, floor=y,
                                            allowed=allowed[:, :, a:a + step])
-                c = robust_col - len(roots)
-                if 0 <= c < z.shape[1]:
-                    sol = EnvelopeSolution(menu_tree, 0.0, y, z[:, c].copy(), argmin[:, c].copy())
-                roots += z[menu_tree.root].tolist()
+                if f == rf and a <= rc < a + step:
+                    sol = EnvelopeSolution(menu_tree, 0.0, y, z[:, rc - a].copy(),
+                                           argmin[:, rc - a].copy())
+                roots[f] += z[menu_tree.root].tolist()
                 del z, argmin  # so that the next chunk's sweep holds the budget alone
-        robust = roots[robust_col]
-        classics = {sig: roots[c] for sig, c in classic_cols.items()}
+        robust, classic_lo, classic_hi = (roots[f][c] for f, c in map(fixed.get, named))
         if lo == hi:
-            classic_gap = max(classic_gap, abs(robust - classics[lo]))
-        value_rows.append([float(K), lo, hi, robust, classics[lo], classics[hi]])
+            classic_gap = max(classic_gap, abs(robust - classic_lo))
+        value_rows.append([float(K), lo, hi, robust, classic_lo, classic_hi])
 
         # a merged node stands for multiplicity tree nodes of its state,
         # and for none where the robust menu does not reach it.  A merged
@@ -829,7 +829,7 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
 
         prev = None
         for j, edges, size, col in steps:
-            val = roots[col]
+            val = roots[0][col]
             if prev is not None and val > prev:
                 monotone = False
             prev = val

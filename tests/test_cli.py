@@ -631,8 +631,9 @@ def test_demo_honours_the_node_cap(tmp_path, capsys):
 
 
 def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatch):
-    # a billion widening menus pass the cap after a few hundred, and the
-    # run fails before it expands its first tree
+    # a billion widenings are refused before the first tree is expanded,
+    # by the row cap, whose message names solver.node_cap as bounding the
+    # trees only
     import robuststop.cli as cli
 
     def refuse(*args, **kwargs):
@@ -643,6 +644,49 @@ def test_demo_bounds_its_widenings_before_expanding(tmp_path, capsys, monkeypatc
     assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     assert "demo.widenings" in err and "solver.node_cap" in err
+
+
+@pytest.mark.parametrize("widenings", [1e20, 1e300, 10**400], ids=["1e20", "1e300", "10**400"])
+def test_demo_bounds_its_rows_before_the_widening_loop(tmp_path, capsys, monkeypatch,
+                                                       alarm, widenings):
+    # (widenings + 1) rows per strike over cli.DEMO_ROW_CAP are refused at
+    # once; at 10^300 no edge leaves mid for about 10^283 steps, so no
+    # node cap could stop the loop
+    import robuststop.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was expanded")
+
+    monkeypatch.setattr(cli, "expand_recombined", refuse)
+    cfg = {"demo": {**DEMO_SMALL["demo"], "widenings": widenings}}
+    alarm(2.0)
+    code = main(["demo", "--config", write_config(tmp_path, cfg)])
+    alarm(0)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "widening rows" in err and "demo.widenings" in err
+
+
+def test_demo_row_cap_counts_every_strike(tmp_path, capsys, monkeypatch):
+    import robuststop.cli as cli
+
+    monkeypatch.setattr(cli, "DEMO_ROW_CAP", 12)
+    for widenings, code in ((5, 0), (6, 3)):
+        cfg = {"demo": {**DEMO_SMALL["demo"], "strikes": [0.9, 1.1], "widenings": widenings}}
+        assert main(["demo", "--config", write_config(tmp_path, cfg)]) == code
+        assert ("demo.widenings" in capsys.readouterr().err) == (code == 3)
+
+
+@pytest.mark.parametrize("t_end, n_steps, code", [(5e-324, 2, 2), (5e-324, 3, 2),
+                                                  (5e-324, 1, 0), (1e-310, 2, 0)])
+def test_demo_refuses_a_step_that_underflows(tmp_path, capsys, t_end, n_steps, code):
+    # demo's grid passes the step check that build_grid uses, but, as it
+    # always has, takes a subnormal step: only a step that rounds to 0.0,
+    # which has no kernel, is refused
+    cfg = {"demo": {**DEMO_SMALL["demo"], "t_end": t_end, "n_steps": n_steps}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == code
+    err = capsys.readouterr().err
+    assert ("demo.t_end" in err and "demo.n_steps" in err) == (code == 2)
 
 
 @pytest.mark.parametrize("lo, hi", [(1e308, 1e308), (1e-300, 1.0)])

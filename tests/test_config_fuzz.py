@@ -12,6 +12,11 @@ solver.stop_time_cap admits the 4-step two-control put's 10^19
 stopping sets, whose root fold the oracle refuses as too large to hold
 (exit 3), so no cap makes a run outlast its alarm.
 
+`demo` has its own small base, a two-strike interval on 2 steps, and
+draws its `demo.*` keys and `solver.node_cap` from the same values,
+with a 2 s alarm a run: the large valid widening counts and the
+subnormal `demo.t_end` must be refused, not run for ever or crash.
+
 Finite inputs near the float range (a drift rate of -1e300, say) can
 overflow in numpy, which warns on stderr and carries on: a tree whose
 states overflow is then a config error, and the sampled checks fail on
@@ -66,11 +71,19 @@ VALUES = [
 ] + LARGE
 
 
-def fuzzed_config(rng: random.Random) -> dict:
-    cfg = copy.deepcopy(BASE)
-    cfg["grid"]["n_steps"] = rng.randint(1, 4)
-    cfg["dynamics"]["drift"] = copy.deepcopy(rng.choice(DRIFTS))
-    for path in rng.sample(KEYS, rng.randint(1, 3)):
+DEMO_BASE = {
+    "demo": {"base": 1.0, "strikes": [0.9, 1.1], "sigma_lo": 0.3, "sigma_hi": 0.9,
+             "t_end": 1.0, "n_steps": 2, "widenings": 2},
+}
+DEMO_KEYS = [("demo", key) for key in sorted(DEMO_BASE["demo"])] + [("solver", "node_cap")]
+
+
+def fuzzed_config(rng: random.Random, base=BASE, keys=KEYS) -> dict:
+    cfg = copy.deepcopy(base)
+    if "grid" in cfg:
+        cfg["grid"]["n_steps"] = rng.randint(1, 4)
+        cfg["dynamics"]["drift"] = copy.deepcopy(rng.choice(DRIFTS))
+    for path in rng.sample(keys, rng.randint(1, 3)):
         node = cfg
         for part in path[:-1]:
             if not isinstance(node.get(part), dict):
@@ -80,15 +93,16 @@ def fuzzed_config(rng: random.Random) -> dict:
     return cfg
 
 
-def _crashes(tmp_path, capsys, alarm, configs) -> list:
-    """(command, config, last stderr line) of every run of solve, oracle
-    and verify on the configs that exits 4."""
+def _crashes(tmp_path, capsys, alarm, configs, commands=("solve", "oracle", "verify"),
+             seconds=5.0) -> list:
+    """(command, config, last stderr line) of every run of the commands
+    on the configs that exits 4, a run past its alarm among them."""
     crashes = []
     for i, cfg in enumerate(configs):
         path = tmp_path / f"config-{i}.json"
         path.write_text(json.dumps(cfg))
-        for command in ("solve", "oracle", "verify"):
-            alarm(5.0)
+        for command in commands:
+            alarm(seconds)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main([command, "--config", str(path)])
@@ -102,6 +116,13 @@ def _crashes(tmp_path, capsys, alarm, configs) -> list:
 def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
     rng = random.Random(20261019)
     crashes = _crashes(tmp_path, capsys, alarm, [fuzzed_config(rng) for _ in range(300)])
+    assert not crashes, crashes[:5]
+
+
+def test_no_fuzzed_demo_config_exits_4(tmp_path, capsys, alarm):
+    rng = random.Random(20261024)
+    configs = [fuzzed_config(rng, DEMO_BASE, DEMO_KEYS) for _ in range(2000)]
+    crashes = _crashes(tmp_path, capsys, alarm, configs, ("demo",), 2.0)
     assert not crashes, crashes[:5]
 
 
