@@ -489,6 +489,23 @@ def _expand(inst: Instance):
     return tree
 
 
+def _rewards(inst: Instance, tree) -> np.ndarray:
+    """inst.Y at every node of tree, the one array that the sweeps and
+    the game read, refused unless every reward is finite."""
+    # finite states can still give a payoff past the float range: at d > 1
+    # the state norm squares the states, which overflows past about
+    # 1.3e154, and base and scale move a finite state further.  The
+    # refusal names the keys, so numpy's overflow warning stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = reward_values(tree, inst.Y)
+    if not np.isfinite(y).all():
+        raise ConfigError(
+            "the tree's rewards overflow the float range; lower dynamics.x0, "
+            "reward.base or reward.scale"
+        )
+    return y
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -505,7 +522,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
     inst = _instance(cfg)
     grid, controls = inst.grid, inst.controls
     tree = _expand(inst)
-    sol = robust_envelope(tree, inst.Y, delta=inst.solver["delta"])
+    sol = robust_envelope(tree, _rewards(inst, tree), delta=inst.solver["delta"])
 
     slices = []
     boundary_rows = []
@@ -583,7 +600,7 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
     tree = _expand(inst)
     rep = game_values(
         tree,
-        inst.Y,
+        _rewards(inst, tree),
         tolerance=solver["tolerance"],
         strategy_cap=solver["strategy_cap"],
         stop_time_cap=solver["stop_time_cap"],
@@ -649,7 +666,7 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     inst = _instance(cfg)
     if any(vf.CHECKS[name].reads_tree for name in names):
         tree = _expand(inst)
-        sol = robust_envelope(tree, inst.Y, delta=inst.solver["delta"])
+        sol = robust_envelope(tree, _rewards(inst, tree), delta=inst.solver["delta"])
         inst = inst._replace(tree=tree, sol=sol)
     num = functools.partial(_num, _section(cfg, "verify"), "verify")
     # read and checked before the first check, whichever checks read them
@@ -754,63 +771,54 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
         if j == 0 or len(joined) > sizes[-1]:
             sizes.append(len(joined))
             if len(joined) <= 2 and frozenset(joined) in fixed:
-                fixed[frozenset(joined)] = (0, len(sizes) - 1)
+                fixed[frozenset(joined)] = len(sizes) - 1
             else:
                 held = _held(held, len(joined), n_steps, node_cap)
         steps.append((j, edges, len(joined), len(sizes) - 1))
-    vols = list(joined)
-
-    # each robust or classic menu's place, (tree, column): the widening
-    # column that repeats it (met above), else its own column on the last
-    # widening menu's tree (0), or on the robust menu's own tree (1) where
-    # the last lower edge mid + (lo - mid) misses sigma_lo bitwise, which
-    # takes sigma_hi > 3 * sigma_lo (the last upper edge is sigma_hi)
-    extra = ([], [])
-    for menu, place in fixed.items():
-        if place is None:
-            f = int(not menu.issubset(joined))
-            fixed[menu] = (f, len(sizes) * (1 - f) + len(extra[f]))
-            extra[f].append(menu)
+    # a robust or classic menu reads the widening column that repeats it
+    # (met above), or else a column of its own after the widening ones.
+    # sigma_lo and sigma_hi join last, so their rank is past every size
+    own = [menu for menu, col in fixed.items() if col is None]
+    fixed.update((menu, len(sizes) + i) for i, menu in enumerate(own))
+    joined.update(dict.fromkeys((lo, hi)))
     grid = _stepped(TimeGrid(0.0, t_end, n_steps), "demo.t_end", "demo.n_steps", normal=False)
 
     # a sub-menu's envelope is its menu's recursion with the min over its
     # own controls, which share their kernels and sorted order, so it is
-    # a column of one sweep on the menu's tree, bitwise its own tree's
-    # values where its controls reach.  A widening column allows the
-    # sorted controls whose join index (rank) is below its size.  With a
-    # zero drift and a put of the current state every tree is recombined
+    # a column of one sweep on the tree of every volatility, bitwise its
+    # own tree's values where its controls reach.  A widening column
+    # allows the sorted controls whose join index (rank) is below its
+    # size.  With a zero drift and a put of the current state the tree is
+    # recombined
+    vols = list(joined)
     rank, ctl = np.argsort(vols), np.sort(vols)
-    masks = [np.concatenate([rank[:, None] < sizes, *(
-        (ctl[:, None] == [*menu]).any(1, keepdims=True) for menu in extra[0])], axis=1)]
-    if extra[1]:
-        masks.append(np.array([[u in menu for menu in extra[1]] for u in (lo, hi)]))
-    families = [(expand_recombined(grid, 0.0, DriftSpec("zero"), ControlSet(top)), allowed[None])
-                for top, allowed in zip((vols, [lo, hi]), masks)]
+    own_allowed = np.array([[u in menu for menu in own] for u in ctl], dtype=bool)
+    tree = expand_recombined(grid, 0.0, DriftSpec("zero"), ControlSet(vols))
     # the stop boundary reads the robust column; its nodes and their
     # multiplicities are those that its menu's slots reach
-    rf, rc = fixed[named[0]]
-    tree, allowed = families[rf]
-    multiplicity = tree.multiplicity(allowed[0, :, rc])
+    rc = fixed[named[0]]
+    multiplicity = tree.multiplicity((ctl == lo) | (ctl == hi))
+    n, step = len(sizes), column_chunk(tree)
 
     value_rows, boundary_rows, widening_rows = [], [], []
     monotone, classic_gap = True, 0.0
     for K in strikes:
         Y = american_put(strike=float(K), base=base)
-        # every column's root, per tree: one sweep per tree, in chunks of
-        # columns that keep the sweep's buffers in a fixed budget
-        roots = [[] for _ in families]
-        for f, (menu_tree, allowed) in enumerate(families):
-            y = reward_values(menu_tree, Y)
-            step = column_chunk(menu_tree)
-            for a in range(0, allowed.shape[2], step):
-                z, argmin = backward_sweep(menu_tree, y, floor=y,
-                                           allowed=allowed[:, :, a:a + step])
-                if f == rf and a <= rc < a + step:
-                    sol = EnvelopeSolution(menu_tree, 0.0, y, z[:, rc - a].copy(),
-                                           argmin[:, rc - a].copy())
-                roots[f] += z[menu_tree.root].tolist()
-                del z, argmin  # so that the next chunk's sweep holds the budget alone
-        robust, classic_lo, classic_hi = (roots[f][c] for f, c in map(fixed.get, named))
+        y = reward_values(tree, Y)
+        # every column's root, in chunks of columns that keep the sweep's
+        # buffers in a fixed budget, each chunk with its own mask
+        roots = []
+        for a in range(0, n + len(own), step):
+            allowed = np.concatenate([rank[:, None] < sizes[a:a + step],
+                                      own_allowed[:, max(a, n) - n:max(a + step, n) - n]],
+                                     axis=1)
+            z, argmin = backward_sweep(tree, y, floor=y, allowed=allowed[None])
+            if a <= rc < a + step:
+                sol = EnvelopeSolution(tree, 0.0, y, z[:, rc - a].copy(),
+                                       argmin[:, rc - a].copy())
+            roots += z[tree.root].tolist()
+            del z, argmin  # so that the next chunk's sweep holds the budget alone
+        robust, classic_lo, classic_hi = (roots[fixed[menu]] for menu in named)
         if lo == hi:
             classic_gap = max(classic_gap, abs(robust - classic_lo))
         value_rows.append([float(K), lo, hi, robust, classic_lo, classic_hi])
@@ -829,7 +837,7 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
 
         prev = None
         for j, edges, size, col in steps:
-            val = roots[0][col]
+            val = roots[col]
             if prev is not None and val > prev:
                 monotone = False
             prev = val

@@ -962,6 +962,27 @@ def test_terminal_abs_near_the_float_range_warns_nothing(tmp_path):
     assert json.loads(done.stdout)["root_value"] == 1e300
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve",), ("oracle",),
+    *(("verify", "--suite", s) for s in
+      ("envelope", "supermartingale", "martingale", "dpp", "dpp-random", "tau")),
+], ids=lambda argv: argv[-1])
+def test_rewards_past_the_float_range_are_a_config_error(tmp_path, capsys, argv):
+    # at d = 2 the terminal-abs payoff squares the state, which overflows
+    # past about 1.3e154: an inf reward at every node left argmin -1 and
+    # no node stopping, so solve and the martingale check crashed (exit 4)
+    # and the other commands failed.  Such a tree is refused, quietly
+    # under warnings as errors, and a state just below the overflow runs
+    for x, code in ((1e200, 2), (-1e200, 2), (1e154, 0)):
+        cfg = {"grid": {"t_end": 1.0, "n_steps": 2},
+               "dynamics": {"x0": [x, 0.0], "drift": {"kind": "zero"}},
+               "controls": {"values": [[[1.0, 0.0], [0.0, 1.0]]]},
+               "reward": {"kind": "terminal-abs"}}
+        assert main([*argv, "--config", write_config(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        assert ("dynamics.x0" in err and "reward.scale" in err) == (code == 2), err
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
     # a level-by-level count of 10^300 levels never ends, so the run goes

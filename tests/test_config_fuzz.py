@@ -16,6 +16,10 @@ stopping sets, whose root fold the oracle refuses as too large to hold
 draws its `demo.*` keys and `solver.node_cap` from the same values,
 with a 2 s alarm a run: the large valid widening counts and the
 subnormal `demo.t_end` must be refused, not run for ever or crash.
+Since those values stop most runs at the config layer, `demo` also
+draws valid configs near its bounds (near_bound_demo_config).  A d = 2
+fuzz draws starts near and past the float range of the state norm
+(extreme_start_config).
 
 Finite inputs near the float range (a drift rate of -1e300, say) can
 overflow in numpy, which warns on stderr and carries on: a tree whose
@@ -26,10 +30,12 @@ test session would otherwise raise, so that only a real crash counts.
 
 import copy
 import json
+import math
 import random
 import warnings
 
-from robuststop.cli import main
+from robuststop.cli import DEMO_ROW_CAP, main
+from test_demo_parity import _menu_nodes
 
 BASE = {
     "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 2},
@@ -76,6 +82,18 @@ DEMO_BASE = {
              "t_end": 1.0, "n_steps": 2, "widenings": 2},
 }
 DEMO_KEYS = [("demo", key) for key in sorted(DEMO_BASE["demo"])] + [("solver", "node_cap")]
+# valid demo intervals near their bounds: the narrow ones hold one or two
+# volatilities (sigma_lo == sigma_hi, sigma_hi the float after sigma_lo,
+# subnormal ones), the wide ones gain volatilities as they widen, among
+# them sigma_hi > 3 sigma_lo and edges near the float range, where the
+# midpoint overflows or an edge rounds to 0.0 (exit 2)
+NARROW = [(0.3, 0.3), (1.7, 1.7), (0.3, math.nextafter(0.3, 1.0)),
+          (1.0, math.nextafter(1.0, 2.0)), (5e-324, 1e-323)]
+WIDE = [(0.3, 0.9), (0.1, 0.7), (0.05, 40.0), (1e307, 8e307), (8.9e307, 8.98e307),
+        (1e307, 1.7e308), (1e-300, 1.0)]
+# subnormal (5e-324 over 2 steps rounds to 0.0, exit 2), the least normal
+# float and one near the float range
+T_ENDS = [5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 1e300]
 
 
 def fuzzed_config(rng: random.Random, base=BASE, keys=KEYS) -> dict:
@@ -90,6 +108,28 @@ def fuzzed_config(rng: random.Random, base=BASE, keys=KEYS) -> dict:
                 node[part] = {}
             node = node[part]
         node[path[-1]] = copy.deepcopy(rng.choice(VALUES))
+    return cfg
+
+
+def near_bound_demo_config(rng: random.Random) -> dict:
+    """A valid demo config drawn near its bounds: an interval, demo.t_end,
+    and either demo.widenings one below, at or one past the row cap or a
+    few widenings with solver.node_cap at or one below the menus' charge.
+
+    At the row cap a wide interval meets the node cap at once; a narrow
+    one passes it and is a valid full-size run (10^6 rows, about 400 MB
+    and over 2 s), so the row cap draws wide intervals only."""
+    sec = copy.deepcopy(DEMO_BASE["demo"])
+    cfg = {"demo": sec}
+    at_rows = rng.random() < 0.25
+    sec["sigma_lo"], sec["sigma_hi"] = rng.choice(WIDE if at_rows else NARROW + WIDE)
+    if rng.random() < 0.5:
+        sec["t_end"] = rng.choice(T_ENDS)
+    if at_rows:
+        sec["widenings"] = DEMO_ROW_CAP // len(sec["strikes"]) - 1 + rng.choice([-1, 0, 1])
+    else:
+        sec["widenings"] = rng.randint(1, 6)
+        cfg["solver"] = {"node_cap": _menu_nodes(sec) - rng.randint(0, 1)}
     return cfg
 
 
@@ -122,7 +162,39 @@ def test_no_fuzzed_config_exits_4(tmp_path, capsys, alarm):
 def test_no_fuzzed_demo_config_exits_4(tmp_path, capsys, alarm):
     rng = random.Random(20261024)
     configs = [fuzzed_config(rng, DEMO_BASE, DEMO_KEYS) for _ in range(2000)]
+    configs += [near_bound_demo_config(rng) for _ in range(400)]
     crashes = _crashes(tmp_path, capsys, alarm, configs, ("demo",), 2.0)
+    assert not crashes, crashes[:5]
+
+
+# a d = 2 instance whose start lies near or past the float range of
+# its state norm: each x0 component 0.0 or +-10**e, e in [150, 300]
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def extreme_start_config(rng: random.Random) -> dict:
+    x0 = [0.0, 0.0]
+    for i in rng.sample([0, 1], rng.randint(1, 2)):
+        x0[i] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(150, 300)
+    return {
+        "grid": {"t_end": 1.0, "n_steps": rng.randint(1, 3)},
+        "dynamics": {"x0": x0, "drift": copy.deepcopy(rng.choice(DRIFTS[:3]))},
+        "controls": {"values": [IDENTITY, [[0.5, 0.0], [0.0, 1.0]]][:rng.randint(1, 2)]},
+        "reward": rng.choice([{"kind": "terminal-abs"}, {"kind": "constant", "value": 1.0}]),
+        "verify": BASE["verify"],
+    }
+
+
+def test_no_d2_config_with_an_extreme_start_exits_4(tmp_path, capsys, alarm):
+    # first the start whose terminal-abs rewards overflow to inf: x0
+    # [1e200, 0.0], the identity control, zero drift and 2 steps
+    rng = random.Random(20261025)
+    configs = [{"grid": {"t_end": 1.0, "n_steps": 2},
+                "dynamics": {"x0": [1e200, 0.0], "drift": {"kind": "zero"}},
+                "controls": {"values": [IDENTITY]}, "reward": {"kind": "terminal-abs"},
+                "verify": BASE["verify"]}]
+    configs += [extreme_start_config(rng) for _ in range(40)]
+    crashes = _crashes(tmp_path, capsys, alarm, configs)
     assert not crashes, crashes[:5]
 
 

@@ -1,17 +1,18 @@
 """Parity harness for `demo`: one sha256 over seeded intervals, the
-minimal node cap that admits a run, and the bookkeeping's memory before
-any tree is expanded.
+minimal node cap that admits a run, the bookkeeping's memory before the
+tree is expanded, and that tree's size against the cap's charge.
 
 The digest covers each run's exit code, stdout and --out files.  It
 was recorded before the menu table gave way to menus named by their
-size, and any later change to how `demo` builds, places or sweeps its
-menus must leave it as it is.  The intervals cover sigma_lo ==
-sigma_hi, sigma_hi the float after sigma_lo, intervals whose robust
-menu needs a tree of its own (sigma_hi > 3 sigma_lo), and node caps at
-and one below the summed node count of the distinct menus (on every
-edge-case interval and on a quarter of the seeded ones), which
-`_menu_nodes` recounts here from sorted volatility tuples.
-"""
+size, and it held when the robust menu's own tree gave way to one tree
+of every volatility; any later change to how `demo` builds, places or
+sweeps its menus must leave it as it is.  The intervals cover sigma_lo
+== sigma_hi, sigma_hi the float after sigma_lo, intervals where
+sigma_lo is in no widening menu (sigma_hi > 3 sigma_lo, where the last
+lower edge can miss it), and node caps at and one below the summed node
+count of the distinct menus (on every edge-case interval and on a
+quarter of the seeded ones), which `_menu_nodes` recounts here from
+sorted volatility tuples."""
 
 import hashlib
 import json
@@ -104,10 +105,18 @@ def test_demo_node_cap_thresholds(tmp_path, capsys, lo, hi, cap):
         capsys.readouterr()
 
 
-def test_demo_bookkeeping_fits_a_fixed_budget(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("widenings, node_cap, budget", [
     # the widest n_steps 1 demo the default cap admits: 1,579 widenings,
-    # menus of up to 3,159 controls.  Everything demo holds before it
-    # expands its first tree stays under 12 MiB of traced memory
+    # menus of up to 3,159 controls
+    (1579, None, 12 << 20),
+    # 4,001 widening columns over 8,001 controls: a whole-run column mask
+    # would take 32 MB, so each chunk of columns builds its own
+    (4000, 10**12, 8 << 20),
+], ids=["default-cap", "4000-widenings"])
+def test_demo_bookkeeping_fits_a_fixed_budget(tmp_path, capsys, monkeypatch, widenings,
+                                              node_cap, budget):
+    # everything demo holds before it expands its tree stays under the
+    # budget of traced memory
     import robuststop.cli as cli
 
     peaks = []
@@ -118,7 +127,9 @@ def test_demo_bookkeeping_fits_a_fixed_budget(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "expand_recombined", stop)
     cfg = {"demo": {"strikes": [0.9, 1.1], "sigma_lo": 0.3, "sigma_hi": 0.9,
-                    "n_steps": 1, "widenings": 1579}}
+                    "n_steps": 1, "widenings": widenings}}
+    if node_cap is not None:
+        cfg["solver"] = {"node_cap": node_cap}
     path = write_config(tmp_path, cfg)
     tracemalloc.start()
     try:
@@ -126,7 +137,32 @@ def test_demo_bookkeeping_fits_a_fixed_budget(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert "stop before the first expansion" in capsys.readouterr().err
-    assert len(peaks) == 1 and peaks[0] < 12 << 20
+    assert len(peaks) == 1 and peaks[0] < budget
+
+
+def test_the_one_tree_fits_the_menus_node_charge(tmp_path, capsys, monkeypatch):
+    # the cap charges each distinct menu a full tree of its own, and the
+    # one tree demo expands, which merges equal states, holds no more
+    # nodes than that charge on any run of the digest, so the cap still
+    # bounds what is expanded
+    import robuststop.cli as cli
+
+    built, expand = [], cli.expand_recombined
+
+    def record(*args):
+        built.append(expand(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "expand_recombined", record)
+    ratios = []
+    for cfg in _configs():
+        del built[:]
+        code = main(["demo", "--config", write_config(tmp_path, cfg)])
+        capsys.readouterr()
+        assert len(built) == (code != 3)
+        if built:
+            ratios.append(built[0].n_nodes / _menu_nodes(cfg["demo"]))
+    assert len(ratios) == 35 and max(ratios) <= 1
 
 
 @pytest.mark.parametrize("sec", [

@@ -164,9 +164,9 @@ def test_path_rewards_refuse_a_recombined_tree(rec, Y):
 
 def _demo_intervals():
     # seeded intervals with sigma_hi up to 10 sigma_lo, then three edge
-    # cases: the robust menu apart from the widening ones (sigma_hi >
-    # 3 sigma_lo, the last lower edge one ulp off sigma_lo), lo == hi, and
-    # sigma_hi the float after sigma_lo
+    # cases: sigma_lo outside every widening menu (sigma_hi > 3 sigma_lo,
+    # the last lower edge one ulp off sigma_lo), lo == hi, and sigma_hi
+    # the float after sigma_lo
     rng = np.random.default_rng(20261021)
     for _ in range(12):
         lo = float(np.round(rng.uniform(0.1, 1.0), 3))
@@ -179,10 +179,16 @@ def _demo_intervals():
 def test_demo_menus_are_columns_of_the_tree_that_holds_them(monkeypatch, tmp_path, capsys):
     # every column demo sweeps gives, bit for bit, the root and the z at
     # each node its own controls reach that its menu's own recombined tree
-    # gives, and the multiplicities its slots count are that tree's
+    # gives, and the multiplicities its slots count are that tree's.  Each
+    # run expands one tree, which holds every menu
     import robuststop.cli as cli
 
     swept, sweep = [], cli.backward_sweep
+    built, expand = [], cli.expand_recombined
+
+    def count(*args):
+        built.append(args)
+        return expand(*args)
 
     def record(tree, y, *, floor, allowed):
         v = sweep(tree, y, floor=floor, allowed=allowed)
@@ -190,14 +196,16 @@ def test_demo_menus_are_columns_of_the_tree_that_holds_them(monkeypatch, tmp_pat
         return v
 
     monkeypatch.setattr(cli, "backward_sweep", record)
+    monkeypatch.setattr(cli, "expand_recombined", count)
     grid = TimeGrid(0.0, 1.0, 3)
     trees = set()
     for lo, hi in _demo_intervals():
         cfg = {"demo": {"base": 1.0, "strikes": [1.1], "sigma_lo": lo, "sigma_hi": hi,
                         "t_end": 1.0, "n_steps": 3, "widenings": 3}}
-        del swept[:]
+        del swept[:], built[:]
         assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
         capsys.readouterr()
+        assert len(built) == 1
         trees.add(len(swept))
         put = american_put(strike=1.1, base=1.0)
         for tree, allowed, z in swept:
@@ -216,8 +224,9 @@ def test_demo_menus_are_columns_of_the_tree_that_holds_them(monkeypatch, tmp_pat
                     assert np.array_equal(counts[l][ids], own.multiplicity()[l])
                     got = z[tree.offsets[l] + ids, c]
                     assert np.array_equal(_bits(got), _bits(want.z[own.level(l)]))
-    # one tree, and two when the robust menu lies outside the widening ones
-    assert trees == {1, 2}
+    # one sweep of the one tree on every interval, the robust menu's own
+    # column included
+    assert trees == {1}
 
 
 def test_many_widenings_sweep_in_a_fixed_byte_budget(tmp_path, capsys):
