@@ -489,20 +489,18 @@ def _expand(inst: Instance):
     return tree
 
 
-def _rewards(inst: Instance, tree) -> np.ndarray:
-    """inst.Y at every node of tree, the one array that the sweeps and
-    the game read, refused unless every reward is finite."""
+def _rewards(tree, Y, advice="lower dynamics.x0, reward.base or reward.scale") -> np.ndarray:
+    """Y at every node of tree, the one array that the sweeps and the
+    game read, refused unless every reward is finite: the ConfigError's
+    advice names the keys that set the rewards."""
     # finite states can still give a payoff past the float range: at d > 1
     # the state norm squares the states, which overflows past about
     # 1.3e154, and base and scale move a finite state further.  The
     # refusal names the keys, so numpy's overflow warning stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        y = reward_values(tree, inst.Y)
+        y = reward_values(tree, Y)
     if not np.isfinite(y).all():
-        raise ConfigError(
-            "the tree's rewards overflow the float range; lower dynamics.x0, "
-            "reward.base or reward.scale"
-        )
+        raise ConfigError(f"the tree's rewards overflow the float range; {advice}")
     return y
 
 
@@ -522,7 +520,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
     inst = _instance(cfg)
     grid, controls = inst.grid, inst.controls
     tree = _expand(inst)
-    sol = robust_envelope(tree, _rewards(inst, tree), delta=inst.solver["delta"])
+    sol = robust_envelope(tree, _rewards(tree, inst.Y), delta=inst.solver["delta"])
 
     slices = []
     boundary_rows = []
@@ -600,7 +598,7 @@ def cmd_oracle(cfg: dict, out_dir: str | None, seed: int) -> int:
     tree = _expand(inst)
     rep = game_values(
         tree,
-        _rewards(inst, tree),
+        _rewards(tree, inst.Y),
         tolerance=solver["tolerance"],
         strategy_cap=solver["strategy_cap"],
         stop_time_cap=solver["stop_time_cap"],
@@ -666,7 +664,7 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     inst = _instance(cfg)
     if any(vf.CHECKS[name].reads_tree for name in names):
         tree = _expand(inst)
-        sol = robust_envelope(tree, _rewards(inst, tree), delta=inst.solver["delta"])
+        sol = robust_envelope(tree, _rewards(tree, inst.Y), delta=inst.solver["delta"])
         inst = inst._replace(tree=tree, sol=sol)
     num = functools.partial(_num, _section(cfg, "verify"), "verify")
     # read and checked before the first check, whichever checks read them
@@ -803,8 +801,9 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     value_rows, boundary_rows, widening_rows = [], [], []
     monotone, classic_gap = True, 0.0
     for K in strikes:
-        Y = american_put(strike=float(K), base=base)
-        y = reward_values(tree, Y)
+        # strike - (base + x) overflows where K and base are far apart
+        y = _rewards(tree, american_put(strike=float(K), base=base),
+                     "bring demo.base and demo.strikes nearer to 0")
         # every column's root, in chunks of columns that keep the sweep's
         # buffers in a fixed budget, each chunk with its own mask
         roots = []

@@ -63,11 +63,14 @@ __all__ = [
 # Relative guard for testing Z == Y in floating point; tau* stops where
 # Z <= Y + delta within this guard.
 STOP_GUARD = 1e-12
-# Nodes per block of the stop test, so that on deep trees its two float
-# temporaries take no more memory than the sweep's level buffers did.
-_MEETS_BLOCK = 1 << 15
 # Bytes of outputs and buffers that one column sweep may hold (column_chunk).
 COLUMN_BYTES = 1 << 24
+# Nodes per block of a backward_sweep level and of the stop test, so that
+# their buffers and temporaries stay the same size however wide the tree
+# grows.  It is past the widest level that has children in every
+# perfbench workload's trees (16,384 nodes, on the n = 8 two-control
+# put), so those sweep each level in one numpy pass.
+SWEEP_BLOCK = 1 << 15
 
 
 @dataclass(eq=False)
@@ -223,24 +226,30 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
     ...     for menu in menus]
     True
 
-    Each level is computed in place: every child's weighted term is one
-    broadcast product into a buffer allocated once per call, sized to
-    the widest interior level, with a row per (control, branch) slot and
-    a column per node (and per column of the sweep), and the fold adds
-    each control's rows into its first, so the level costs the same few
-    numpy calls whatever its width.  The min and its control are
-    written straight into the level's slices of the outputs.  On a
-    ScenarioTree a level's children are the next level in order, read
-    by a reshape; on a RecombinedTree they are gathered by its children
-    ids, and the values are those of the tree, node for node, wherever
-    the merge is exact (see model).  A pass holds about
-    16 * n_nodes + (8 * C * B + 1) * tree.width bytes a column
-    (column_chunk).
+    Each level is computed in place, in blocks of at most SWEEP_BLOCK
+    nodes: every child's weighted term is one broadcast product into a
+    buffer allocated once per call, sized to one block (or to the
+    widest interior level when that is narrower), with a row per
+    (control, branch) slot and a column per node (and per column of the
+    sweep), and the fold adds each control's rows into its first, so a
+    block costs the same few numpy calls whatever its width.  The min
+    and its control are written straight into the block's slices of the
+    outputs.  Every node sees the same operations in the same order in
+    any block, so the blocks change no output bit.  On a ScenarioTree a
+    block's children are a contiguous run of the next level, read by a
+    reshape; on a RecombinedTree they are gathered by its rows of
+    children ids, and the values are those of the tree, node for node,
+    wherever the merge is exact (see model).  Per column, a pass holds
+    8 bytes of v and one argmin item per node, and 8 * C * B + 1 bytes
+    per node of the buffer's block: 9 * n_nodes + (8 * C * B + 1) *
+    min(tree.width, SWEEP_BLOCK) bytes when C <= 128 (column_chunk).
 
     Returns per-node arrays (v, argmin), each with the column axis when
     the inputs have one, where argmin is the control attaining the min
     before floor and stop apply, and -1 at leaves and where no control
-    is allowed.  The sweep writes every entry, so its outputs start
+    is allowed.  argmin takes the narrowest signed integer type that
+    holds -C (np.min_scalar_type): int8 up to 128 controls, int16 up to
+    32,768.  The sweep writes every entry, so its outputs start
     unfilled.
     """
     w = tree.weights
@@ -254,50 +263,56 @@ def backward_sweep(tree, values, *, floor=None, ceiling=None, stop=None,
         shape, slot_w = values.shape, slot_w[:, :, None]
     cols = shape[1:]
     v = np.empty(shape)
-    argmin = np.empty(shape, dtype=np.int64)
+    argmin = np.empty(shape, dtype=np.min_scalar_type(-C))
     off = tree.offsets
     kids = tree.children
     v[off[-2]:] = values[off[-2]:]
     argmin[off[-2]:] = -1
-    terms = np.empty((C * B, tree.width) + cols)
-    mask = np.empty((tree.width,) + cols, dtype=bool)
+    block = min(tree.width, SWEEP_BLOCK)
+    terms = np.empty((C * B, block) + cols)
+    mask = np.empty((block,) + cols, dtype=bool)
     fan = (C * B,) + cols
-    # the children of level l, lo:hi, are in the next level, hi:end
+    # the children of level l, lo:hi, are in the next level, hi:end, and
+    # those of its block a:b are rows a - lo .. b - lo of them
     for l in range(len(off) - 3, -1, -1):
         lo, hi, end = off[l], off[l + 1], off[l + 2]
-        n = hi - lo
-        prod, better = terms[:, :n], mask[:n]
         nxt = v[hi:end]
-        # one row per (control, branch) slot, one column per node; gathered
-        # children go straight into the buffer and are weighted there
-        if kids is None:
-            np.multiply(nxt.reshape((n,) + fan).swapaxes(0, 1), slot_w, out=prod)
-        else:
-            np.take(nxt, kids[l].T, axis=0, out=prod, mode="wrap")
-            np.multiply(prod, slot_w, out=prod)
-        # the left-to-right fold of each control's terms, in its first row
-        acc = prod[0::B]
-        for j in range(1, B):
-            acc += prod[j::B]
-        best, best_ci = v[lo:hi], argmin[lo:hi]
-        best.fill(np.inf)
-        best_ci.fill(-1)
-        for ci in range(C):
-            col = acc[ci]
-            np.less(col, best, out=better)
-            if allowed is not None:
-                better &= allowed[lo:hi, ci]
-            np.copyto(best, col, where=better)
-            best_ci[better] = ci
-        # floor and ceiling win unless best is strictly past them, NaN included
-        if floor is not None:
-            np.greater(best, floor[lo:hi], out=better)
-            np.copyto(best, floor[lo:hi], where=np.logical_not(better, out=better))
-        if ceiling is not None:
-            np.less(best, ceiling[lo:hi], out=better)
-            np.copyto(best, ceiling[lo:hi], where=np.logical_not(better, out=better))
-        if stop is not None:
-            np.copyto(best, values[lo:hi], where=stop[lo:hi])
+        for a in range(lo, hi, block):
+            b = min(a + block, hi)
+            n = b - a
+            prod, better = terms[:, :n], mask[:n]
+            # one row per (control, branch) slot, one column per node;
+            # gathered children go straight into the buffer and are
+            # weighted there
+            if kids is None:
+                part = nxt[(a - lo) * C * B:(b - lo) * C * B]
+                np.multiply(part.reshape((n,) + fan).swapaxes(0, 1), slot_w, out=prod)
+            else:
+                np.take(nxt, kids[l][a - lo:b - lo].T, axis=0, out=prod, mode="wrap")
+                np.multiply(prod, slot_w, out=prod)
+            # the left-to-right fold of each control's terms, in its first row
+            acc = prod[0::B]
+            for j in range(1, B):
+                acc += prod[j::B]
+            best, best_ci = v[a:b], argmin[a:b]
+            best.fill(np.inf)
+            best_ci.fill(-1)
+            for ci in range(C):
+                col = acc[ci]
+                np.less(col, best, out=better)
+                if allowed is not None:
+                    better &= allowed[a:b, ci]
+                np.copyto(best, col, where=better)
+                best_ci[better] = ci
+            # floor and ceiling win unless best is strictly past them, NaN included
+            if floor is not None:
+                np.greater(best, floor[a:b], out=better)
+                np.copyto(best, floor[a:b], where=np.logical_not(better, out=better))
+            if ceiling is not None:
+                np.less(best, ceiling[a:b], out=better)
+                np.copyto(best, ceiling[a:b], where=np.logical_not(better, out=better))
+            if stop is not None:
+                np.copyto(best, values[a:b], where=stop[a:b])
     return v, argmin
 
 
@@ -318,11 +333,14 @@ def _columns(n_nodes: int, C: int, values, floor, ceiling, stop, allowed):
 
 def column_chunk(tree) -> int:
     """The number of columns, at least 1, whose backward_sweep on tree
-    holds no more than COLUMN_BYTES: per column 16 bytes a node for v and
-    argmin, and 8 * C * B + 1 bytes a node of the widest interior level
+    holds no more than COLUMN_BYTES: per column 8 bytes a node for v and
+    one argmin item a node (1 byte up to 128 controls), and 8 * C * B + 1
+    bytes a node of one block (the widest interior level, if narrower)
     for the product and the mask.  A caller with more columns sweeps them
     in chunks of this many."""
-    per_column = 16 * tree.n_nodes + (8 * tree.fanout + 1) * tree.width
+    C = tree.weights.shape[0]
+    per_node = 8 + np.min_scalar_type(-C).itemsize
+    per_column = per_node * tree.n_nodes + (8 * tree.fanout + 1) * min(tree.width, SWEEP_BLOCK)
     return max(1, COLUMN_BYTES // per_column)
 
 
@@ -370,11 +388,11 @@ class EnvelopeSolution:
 
 def _meets(z, y, delta: float) -> np.ndarray:
     """The guarded stop test z - y <= _stop_slack(y, delta), delta >= 0,
-    with two float temporaries, _MEETS_BLOCK nodes at a time."""
-    if len(z) > _MEETS_BLOCK:
+    with two float temporaries, SWEEP_BLOCK nodes at a time."""
+    if len(z) > SWEEP_BLOCK:
         out = np.empty(len(z), dtype=bool)
-        for lo in range(0, len(z), _MEETS_BLOCK):
-            hi = lo + _MEETS_BLOCK
+        for lo in range(0, len(z), SWEEP_BLOCK):
+            hi = lo + SWEEP_BLOCK
             out[lo:hi] = _meets(z[lo:hi], y[lo:hi], delta)
         return out
     return z - y <= _stop_slack(y, delta)

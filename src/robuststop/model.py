@@ -318,7 +318,7 @@ class _LevelTree:
     children is None where the ids of a node's children follow from this
     layout (ScenarioTree), or per level the array of them
     (RecombinedTree).  width is the node count of the widest level that
-    has children (0 when the root is a leaf), the width of
+    has children (0 when the root is a leaf), which bounds the width of
     envelope.backward_sweep's buffer."""
 
     children = None

@@ -22,23 +22,26 @@ frozen by a rule; the sweep parity gate pins both.  scenario_tau keys
 each argmin-consistent scenario by its outcome tuple: solve's tau*
 summary (envelope._tau_extent) is its len, min and max, and the tree
 parity gate pins it.  max_control_envelope is a wrong solver for the
-tests that show a check or a law rejects one.  builtin_catalog lists the
-built-in rewards with the argument for each one's declared modulus; the
-reward tests sample those and the sampled parity gate pins them.
+tests that show a check or a law rejects one; int64_envelope is the
+sweep's recursion written out a whole level at a time with an int64
+argmin, the referee for the sweep's narrow argmin type and its blocks.
+builtin_catalog lists the built-in rewards with the argument for each
+one's declared modulus; the reward tests sample those and the sampled
+parity gate pins them.
 prefix_key and prefix_keys name an observed prefix by a hashable tuple,
 the referee for ScenarioTree.prefix_class and for the order of the
 collision-rule enumeration; enumerate_strategies yields every strategy
 in strategy_table row order, the referee for that order.
 
-All but max_control_envelope, solution_tau, as_strategy, subtree and
-the helpers that move a rule, a strategy or the classic Snell values
-between a tree and a subtree (_rule_on, _strategy_on, snell_values) is
-the package's code as it was when it moved here, with the same operation
-order, so every recorded digest still holds; paste_strategies has since
-pasted strategy arrays with one gather where it merged node -> control
-maps, which picks the same control at every node, and the referees that
-start from a node have since run on its subtree, which gives each node
-the bits the sweep from that node gave.
+All but max_control_envelope, int64_envelope, solution_tau, as_strategy,
+subtree and the helpers that move a rule, a strategy or the classic
+Snell values between a tree and a subtree (_rule_on, _strategy_on,
+snell_values) is the package's code as it was when it moved here, with
+the same operation order, so every recorded digest still holds;
+paste_strategies has since pasted strategy arrays with one gather where
+it merged node -> control maps, which picks the same control at every
+node, and the referees that start from a node have since run on its
+subtree, which gives each node the bits the sweep from that node gave.
 """
 
 from __future__ import annotations
@@ -244,6 +247,36 @@ def max_control_envelope(tree, y) -> np.ndarray:
     place of min over controls: minus the sweep of -y with -y as ceiling.
     Negation is exact, so the fold is the sweep's own."""
     return -backward_sweep(tree, -y, ceiling=-y)[0]
+
+
+def int64_envelope(tree, y, allowed=None) -> tuple[np.ndarray, np.ndarray]:
+    """max(y, min over allowed u of E_u[z next]) per node, and the int64
+    control attaining the min, -1 at leaves and where none is allowed.
+
+    One level at a time, with no blocks: every child's value times its
+    weight, folded left to right over the outcomes, then the first
+    smallest over the allowed controls (allowed, one bool per control,
+    or every control when None), kept where it is strictly above y.
+    For finite y these are backward_sweep(tree, y, floor=y)'s operations
+    on every node, so its values are bitwise the sweep's."""
+    C, B = tree.weights.shape
+    z = np.array(y, dtype=np.float64)
+    argmin = np.full(tree.n_nodes, -1, dtype=np.int64)
+    off = tree.offsets
+    for l in range(len(off) - 3, -1, -1):
+        lo, hi, end = off[l], off[l + 1], off[l + 2]
+        kids = np.arange(end - hi) if tree.children is None else tree.children[l]
+        terms = z[hi:end][kids.reshape(hi - lo, C, B)] * tree.weights
+        acc = terms[:, :, 0]
+        for j in range(1, B):
+            acc = acc + terms[:, :, j]
+        if allowed is not None:
+            acc = np.where(allowed, acc, np.inf)
+        ci = np.argmin(acc, axis=1)
+        best = acc[np.arange(hi - lo), ci]
+        argmin[lo:hi] = np.where(best < np.inf, ci, -1)
+        z[lo:hi] = np.where(best > z[lo:hi], best, z[lo:hi])
+    return z, argmin
 
 
 def _reachable_at(tree, strategy, depth: int) -> list[tuple[int, float]]:

@@ -983,6 +983,20 @@ def test_rewards_past_the_float_range_are_a_config_error(tmp_path, capsys, argv)
         assert ("dynamics.x0" in err and "reward.scale" in err) == (code == 2), err
 
 
+def test_demo_payoffs_past_the_float_range_are_a_config_error(tmp_path, capsys):
+    # the put's strike - (base + x) overflows when a strike and base are
+    # far apart: every value printed as Infinity and the run exited 0, or
+    # 4 under warnings as errors.  Such a run is refused before it prints
+    # anything, even after a strike that fits, and one that fits runs
+    for strikes, base, code in (([1e308], -1e308, 2), ([1.0, 1e308], -1e308, 2),
+                                ([1e307], -1e307, 0)):
+        cfg = {"demo": {"base": base, "strikes": strikes, "sigma_lo": 0.3, "sigma_hi": 0.9}}
+        assert main(["demo", "--config", write_config(tmp_path, cfg)]) == code
+        out, err = capsys.readouterr()
+        assert ("demo.base" in err and "demo.strikes" in err) == (code == 2), err
+        assert (out == "") == (code == 2)
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
     # a level-by-level count of 10^300 levels never ends, so the run goes

@@ -29,6 +29,7 @@ from robuststop import (
     classic_snell,
     expand_tree,
 )
+from referees import int64_envelope
 from robuststop.cli import main
 from test_cli import write_config
 
@@ -163,6 +164,32 @@ def test_the_one_tree_fits_the_menus_node_charge(tmp_path, capsys, monkeypatch):
         if built:
             ratios.append(built[0].n_nodes / _menu_nodes(cfg["demo"]))
     assert len(ratios) == 35 and max(ratios) <= 1
+
+
+def test_a_widening_menu_past_128_controls_keeps_the_int64_values(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 64 widenings join 129 volatilities, so the sweep's argmin is int16;
+    # every column of every chunk has the argmin and the values of the
+    # int64 referee on that column's menu
+    import robuststop.cli as cli
+
+    sweep, types = cli.backward_sweep, []
+
+    def checked(tree, y, *, floor, allowed):
+        v, argmin = sweep(tree, y, floor=floor, allowed=allowed)
+        for j in range(v.shape[1]):
+            z, want = int64_envelope(tree, y, allowed[0, :, j])
+            assert np.array_equal(argmin[:, j], want)
+            assert v[:, j].tobytes() == z.tobytes()
+        types.append(argmin.dtype)
+        return v, argmin
+
+    monkeypatch.setattr(cli, "backward_sweep", checked)
+    cfg = {"demo": {"strikes": [0.9, 1.1], "sigma_lo": 0.3, "sigma_hi": 0.9,
+                    "n_steps": 2, "widenings": 64}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["values"]) == 2 and set(types) == {np.dtype(np.int16)}
 
 
 @pytest.mark.parametrize("sec", [

@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_collision_tree, random_instance, rule_keys
+from conftest import make_collision_tree, make_put, random_instance, rule_keys
 from referees import (
     as_strategy,
+    int64_envelope,
     max_control_envelope,
     nonlinear_expectation,
     prefix_key,
@@ -302,7 +303,7 @@ def test_sweep_marks_leaves_and_nodes_with_no_control(put_n3):
     y = reward_values(tree, Y)
     allowed = np.ones((tree.n_nodes, 2), dtype=bool)
     allowed[[1, 5, 6], :] = False  # interior nodes with no control
-    junk = [np.full(tree.n_nodes, 7, dtype=np.int64) for _ in range(8)]
+    junk = [np.full(tree.n_nodes, 7, dtype=t) for t in (np.int8, np.int64) for _ in range(4)]
     del junk
     v, argmin = envelope_module.backward_sweep(tree, y, allowed=allowed)
     leaves = np.arange(tree.n_nodes) >= tree.offsets[-2]
@@ -313,9 +314,9 @@ def test_sweep_marks_leaves_and_nodes_with_no_control(put_n3):
     assert np.array_equal(v[leaves], y[leaves])
 
 
-def _column_trees():
+def _column_trees(n_random=200):
     rng = np.random.default_rng(20260815)
-    for _ in range(200):
+    for _ in range(n_random):
         yield random_instance(rng)
     for n in (1, 2):
         yield make_collision_tree(n), terminal_abs()
@@ -363,6 +364,60 @@ def test_a_column_sweep_is_each_columns_own_sweep():
             want = envelope_module.backward_sweep(
                 tree, y, floor=y, allowed=np.repeat(menus[:, :, j], n, axis=0))[0]
             assert v[:, j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_a_level_split_into_blocks_is_swept_bit_for_bit(monkeypatch, block):
+    # a level wider than SWEEP_BLOCK is swept a block at a time, from a
+    # slice of the next level on a ScenarioTree and from rows of the
+    # children ids on a RecombinedTree: with and without columns, every
+    # output is the one-block sweep's, and the envelope the referee's
+    rng = np.random.default_rng(47)
+    m, split = 2, set()
+    for tree, Y in [*_column_trees(n_random=20), make_put(5)]:
+        y = reward_values(tree, Y)
+        n, C = tree.n_nodes, len(tree.controls)
+        kwargs = {
+            "floor": y[:, None] - rng.uniform(0.0, 0.2, (n, m)),
+            "ceiling": y[:, None] + rng.uniform(0.0, 0.2, (n, m)),
+            "stop": rng.random((n, m)) < 0.2,
+            "allowed": rng.random((n, C, m)) < 0.8,
+        }
+        calls = [((y,), {"floor": y}), ((y,), kwargs)]
+        whole = [envelope_module.backward_sweep(tree, *a, **k) for a, k in calls]
+        with monkeypatch.context() as patched:
+            patched.setattr(envelope_module, "SWEEP_BLOCK", block)
+            for (a, k), want in zip(calls, whole):
+                got = envelope_module.backward_sweep(tree, *a, **k)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        z, argmin = int64_envelope(tree, y)
+        assert whole[0][0].tobytes() == z.tobytes()
+        assert np.array_equal(whole[0][1], argmin)
+        if tree.width > block:
+            split.add(type(tree).__name__)
+    assert split == {"ScenarioTree", "RecombinedTree"}
+
+
+@pytest.mark.parametrize("kind", ["tree", "recombined"])
+@pytest.mark.parametrize("C, dtype", [(127, np.int8), (128, np.int8), (129, np.int16)])
+def test_argmin_takes_the_narrowest_type_that_holds_its_menu(C, dtype, kind):
+    # argmin runs from -1 to C - 1, so int8 holds it up to 128 controls
+    # and the index 128 of a 129th needs int16.  Random rewards put the
+    # argmin on every control, and the concave -x**2 on the last one; the
+    # values and argmin are the int64 referee's
+    menu = ControlSet(0.3 + 0.6 * np.arange(C) / C)
+    expand = expand_tree if kind == "tree" else expand_recombined
+    tree = expand(TimeGrid(0.0, 1.0, 2), 0.0, DriftSpec("zero"), menu)
+    x = np.concatenate(tree.states)[:, 0]
+    for y in (np.random.default_rng(C).standard_normal(tree.n_nodes), -x * x):
+        sol = robust_envelope(tree, y)
+        z, argmin = int64_envelope(tree, y)
+        assert sol.argmin_control.dtype == dtype
+        assert np.array_equal(sol.argmin_control, argmin)
+        assert sol.z.tobytes() == z.tobytes()
+    interior = slice(0, tree.offsets[-2])
+    assert (argmin[interior] == C - 1).all()
 
 
 # Known-answer laws at depth: each holds for any depth, and neither is a

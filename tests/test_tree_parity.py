@@ -3,10 +3,10 @@ worst-case sweep.
 
 Every float the solver produces is pinned here by a sha256 digest of the
 raw bytes of each per-node output array: node states, rewards y,
-envelope z, argmin controls, stop flags, and the sorted tau* items of
-the scenario-map referee (referees.solution_tau).  The digests were
-recorded from the per-node tree (one Python object per node) that the
-level-ordered array tree replaced; any change to the order of
+envelope z, argmin controls (cast to int64), stop flags, and the sorted
+tau* items of the scenario-map referee (referees.solution_tau).  The
+digests were recorded from the per-node tree (one Python object per node)
+that the level-ordered array tree replaced; any change to the order of
 floating-point operations in expansion, reward or sweep shows up as a
 mismatch.
 
@@ -50,10 +50,15 @@ def _array_digest(a) -> str:
 
 
 def digests(tree, sol) -> dict:
+    # the sweep keeps argmin in its narrowest integer type, int8 for these
+    # menus of at most 9 controls; the digests were recorded from int64,
+    # which holds every one of its values unchanged
+    assert sol.argmin_control.dtype == np.int8
     states = np.concatenate(tree.states)
     out = {"states": _array_digest(states)}
     for name in FIELDS[1:-1]:
-        out[name] = _array_digest(getattr(sol, name))
+        a = getattr(sol, name)
+        out[name] = _array_digest(a.astype(np.int64) if name == "argmin_control" else a)
     out["tau"] = hashlib.sha256(repr(sorted(solution_tau(sol).items())).encode()).hexdigest()
     return out
 
