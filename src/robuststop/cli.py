@@ -508,6 +508,17 @@ def _rewards(tree, Y, advice="lower dynamics.x0, reward.base or reward.scale") -
 # solve
 
 
+def _mean(values: np.ndarray) -> float:
+    """values.mean(), or the sum of values / len(values) where the plain
+    sum overflows: the mean of finite floats fits a float, their sum may
+    not."""
+    with np.errstate(over="ignore"):
+        mean = values.mean()
+    if np.isinf(mean):
+        mean = (values / len(values)).sum()
+    return float(mean)
+
+
 def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
     """Solve the configured instance and report the envelope level by level.
 
@@ -537,7 +548,7 @@ def cmd_solve(cfg: dict, out_dir: str | None, seed: int) -> int:
                 "n_nodes": nodes.stop - nodes.start,
                 "n_stopped": n_stopped,
                 "z_min": float(np.minimum.reduce(z)),
-                "z_mean": float(z.mean()),
+                "z_mean": _mean(z),
                 "z_max": float(np.maximum.reduce(z)),
                 "y_min": float(np.minimum.reduce(y)),
                 "y_max": float(np.maximum.reduce(y)),

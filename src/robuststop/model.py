@@ -302,11 +302,25 @@ def min_state_norm(states: np.ndarray, where=True) -> float:
     selected rows: the same float as over states[where].  At d = 1 a
     row's norm is sqrt(x * x), which is |x| wherever x * x is a normal
     float, so the min is taken over |x| with no square, which neither
-    overflows nor underflows.
+    overflows nor underflows.  At d > 1, where every selected square
+    overflows (a row past about 1.3e154) and some selected row is finite,
+    the min is taken over the finite rows' norms scaled by each row's
+    largest |x|: within a few ulp of math.hypot, where np.linalg.norm
+    gives inf.
     """
     if states.shape[1] == 1:
         return float(np.minimum.reduce(np.abs(states[:, 0]), where=where, initial=np.inf))
-    return math.sqrt(np.minimum.reduce(_squared_norms(states), where=where, initial=np.inf))
+    with np.errstate(over="ignore"):
+        least = np.minimum.reduce(_squared_norms(states), where=where, initial=np.inf)
+    if least == np.inf:
+        rows = states[np.broadcast_to(where, states.shape[:1])]
+        rows = rows[np.isfinite(rows).all(axis=1)]
+        if len(rows):
+            big = np.max(np.abs(rows), axis=1)
+            with np.errstate(over="ignore"):
+                scaled = big * np.sqrt(_squared_norms(rows / big[:, None]))
+            return float(np.minimum.reduce(scaled))
+    return math.sqrt(least)
 
 
 class _LevelTree:

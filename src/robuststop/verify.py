@@ -136,11 +136,11 @@ SAMPLE_CHUNK = 2048
 # A chunk's block holds at most CHUNK_WORDS raw words (8 MiB), so on a
 # long grid a chunk holds fewer than SAMPLE_CHUNK draws, and the default
 # samplers refuse a grid on which one draw alone would take more.  The
-# decoder's halves of the block and the walks and rewards of a chunk
-# take a few times the block: on one draw of 10^6 words (500,000 steps),
-# check_y1 peaked at 85 MB of RSS and check_drift at 101 MB, 55 and 71 MB
-# over the process's start.  Draws of up to 512 words (n_steps x d up to
-# 255) keep chunks of SAMPLE_CHUNK.
+# decoder's array of the block's 32-bit halves (16 bytes a word) and the
+# walks and rewards of a chunk take a few times the block: on one draw of
+# 10^6 words (500,000 steps), check_y1 peaked at 85 MB of RSS and
+# check_drift at 101 MB, 55 and 71 MB over the process's start.  Draws
+# of up to 512 words (n_steps x d up to 255) keep chunks of SAMPLE_CHUNK.
 CHUNK_WORDS = 1 << 20
 
 # Bounds on the sampled checks' work, so that no config runs for hours or
@@ -227,13 +227,14 @@ class _PCG64Words:
     doubles leave the buffer alone.
 
     The reader takes one random_raw block of n_words.  A sampler decodes
-    a whole chunk from halves(), moves the reader past it with seek(),
-    and close() leaves the generator exactly where the per-draw calls
-    would have left it and gives the doubles of the block's words,
-    indexed like the words.  A chunk in which a 32-bit draw is rejected
-    is not decoded: rewind() puts the generator back where the chunk
-    started, and the sampler makes numpy's own per-draw calls.  Any
-    other bit generator raises TypeError: its draws follow other rules.
+    a whole chunk from halves(), one array of the block's 32-bit halves
+    that the reader keeps, moves the reader past it with seek(), and
+    close() leaves the generator exactly where the per-draw calls would
+    have left it and gives the doubles of the block's words, indexed
+    like the words.  A chunk in which a 32-bit draw is rejected is not
+    decoded: rewind() puts the generator back where the chunk started,
+    and the sampler makes numpy's own per-draw calls.  Any other bit
+    generator raises TypeError: its draws follow other rules.
     """
 
     def __init__(self, rng, n_words: int):
@@ -248,35 +249,36 @@ class _PCG64Words:
         self._pos = 0
 
     def halves(self):
-        """(even, odd, state): the 32-bit halves at even and odd chain
-        states, as int64 in arrays of len(block) + 1 (odd's last is 0,
-        past the block), and the chain state the block starts at.
+        """(half, state): the 32-bit halves of the block as int64, indexed
+        by chain state, and the chain state the block starts at.
 
         A chain state s indexes the halves in the order next_uint32 takes
-        them: 0 is the generator's uinteger, and word i's low and high
-        halves are at 2i + 1 and 2i + 2, so the half at s is even[s // 2]
-        or odd[s // 2].  A decoder's state is the half the next 32-bit
+        them: half[0] is the generator's uinteger, and word i's low and
+        high halves are half[2i + 1] and half[2i + 2].  One 0 follows,
+        past the block.  A decoder's state is the half the next 32-bit
         draw takes: even for a buffered high half, odd for the low half of
         a fresh word.  A double moves an odd state on by 2, a 32-bit draw
         moves any state on by 1, and a buffered half drawn after doubles
         leaves the odd state of the word they end at."""
-        block = self._block
-        even = np.empty(len(block) + 1, dtype=np.uint64)
-        even[0] = self._half
-        np.right_shift(block, 32, out=even[1:])
-        odd = np.zeros(len(block) + 1, dtype=np.uint64)
-        np.left_shift(block, 32, out=odd[:-1])
-        odd >>= 32
-        return even.view(np.int64), odd.view(np.int64), 1 - self._has
+        half = np.zeros(2 * len(self._block) + 2, dtype=np.int64)
+        half[0] = self._half
+        # a little-endian word is its low half, then its high half
+        half[1:-1] = np.asarray(self._block, dtype="<u8").view("<u4")
+        self._halves = half
+        return half, 1 - self._has
 
-    def seek(self, pos: int, state: int, even: np.ndarray, last) -> None:
+    def seek(self, pos: int, state: int, last) -> None:
         """Move past a decoded chunk: pos words read, state the chain state
         after it, and last the state of its last 32-bit half, None if it
         drew none, which keeps the buffer.  uinteger keeps the high half
-        of the last fresh word, buffered or not."""
+        of the last fresh word, buffered or not.  The reader lets go of
+        its halves, which a draw of 500,000 steps would otherwise hold
+        while the chunk is assembled."""
         self._pos = pos
         if last is not None:
-            self._has, self._half = 1 - (state & 1), int(even[(last + 1) // 2])
+            self._has = 1 - (state & 1)
+            self._half = int(self._halves[last + (last & 1)])
+        self._halves = None
 
     def close(self) -> np.ndarray:
         bg = self._bg
@@ -305,11 +307,6 @@ def _walk(steps: np.ndarray, base: int, state: int, m: int):
         starts[i] = state
         state += base + steps[state]
     return np.array(starts), state
-
-
-def _halves_at(even, odd, s):
-    """The 32-bit halves at the chain states in s (see _PCG64Words.halves)."""
-    return np.where(s % 2, odd[s >> 1], even[s >> 1])
 
 
 def _lemire(halves: np.ndarray, excl):
@@ -367,23 +364,24 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     def decode(words, m):
         """(at, k1, k2) as the per-draw calls give them, with words moved
         past the chunk, or None if one of its 32-bit draws is rejected."""
-        even, odd, state = words.halves()
+        half, state = words.halves()
         # the states a draw can start from are those of the first P words;
         # k1 takes the buffered half at an even one, and the low half past
         # the doubles at an odd one
         P = (m - 1) * per_draw + 1
         k1_below_n = np.empty(2 * P, dtype=np.uint8)
-        np.less(even[:P], top, out=k1_below_n[0::2].view(bool))
-        np.less(odd[n_doubles : n_doubles + P], top, out=k1_below_n[1::2].view(bool))
+        np.less(half[0 : 2 * P : 2], top, out=k1_below_n[0::2].view(bool))
+        past = 2 * n_doubles + 1
+        np.less(half[past : past + 2 * P : 2], top, out=k1_below_n[1::2].view(bool))
         s, end = _walk(k1_below_n, steps_k1_n, state, m)
         i1 = s + 2 * n_doubles * (s % 2)
         i2 = s + 2 * n_doubles + 1
-        k1, bad1 = _lemire(_halves_at(even, odd, i1), n + 1)
-        dk, bad2 = _lemire(_halves_at(even, odd, i2), n + 1 - k1)
+        k1, bad1 = _lemire(half[i1], n + 1)
+        dk, bad2 = _lemire(half[i2], n + 1 - k1)
         if bad1.any() or bad2.any():
             return None
         last = int(i2[-1] if k1[-1] < n else i1[-1]) if n else None
-        words.seek(end >> 1, end, even, last)
+        words.seek(end >> 1, end, last)
         return s >> 1, k1.astype(np.int_), (k1 + dk).astype(np.int_)
 
     def draw(rng, m):
@@ -492,18 +490,16 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     def decode(words, m):
         """(k, at, pick) as the per-draw calls give them, with words moved
         past the chunk, or None if one of its 32-bit draws is rejected."""
-        even, odd, state = words.halves()
+        half, state = words.halves()
         # k takes the half at its state, and a draw from there steps by 2
         # per double, 4 * (k + 2) * dim in all, and by 1 per 32-bit draw;
         # a step spans at most two draws' doubles, 8 * dim * (K + 1)
         P = (m - 1) * per_draw + 1
-        steps = np.empty(2 * P, dtype=np.min_scalar_type(8 * dim * (K + 1)))
-        for parity, halves in enumerate((even[:P], odd[:P])):
-            doubles = halves * K
-            doubles >>= 32
-            doubles += 2
-            doubles *= 4 * dim
-            steps[parity::2] = doubles
+        steps = half[: 2 * P] * K
+        steps >>= 32
+        steps += 2
+        steps *= 4 * dim
+        steps = steps.astype(np.min_scalar_type(8 * dim * (K + 1)))
         base = a + c
         if a and not c:
             # a fresh draw leaves its high half to the next draw, past its
@@ -513,24 +509,24 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
             steps[1::2] = 0
             base = 1
         s, end = _walk(steps, base, state, m)
-        k, bad_k = _lemire(_halves_at(even, odd, s), K)
+        k, bad_k = _lemire(half[s], K)
         # the control's half: the high half k left, or the low half past
         # the doubles
         after_k = s + a
         at_pick = after_k + (k + 2) * (4 * dim) * (after_k % 2)
-        pick, bad_c = _lemire(_halves_at(even, odd, at_pick), len(menu))
+        pick, bad_c = _lemire(half[at_pick], len(menu))
         if bad_k.any() or bad_c.any():
             return None
         at = (s >> 1) + a * (s % 2)
         if a and not c:
             # a buffered draw starts past the doubles of the draw before
-            gap = ((odd[(s >> 1) - 1] * K >> 32) + 2) * (2 * dim)
+            gap = ((half[s - 1] * K >> 32) + 2) * (2 * dim)
             at += np.where(s % 2 + (s == 0), 0, gap)
         at = np.stack([at, at + (k + 2) * dim], axis=1)
         # the last draw ends past its doubles, and past the control's
         # word if that is fresh
         words.seek(
-            int(at[-1, 1] + (k[-1] + 2) * dim + c * (after_k[-1] % 2)), end, even,
+            int(at[-1, 1] + (k[-1] + 2) * dim + c * (after_k[-1] % 2)), end,
             int(at_pick[-1]) if c else int(s[-1]) if a else None,
         )
         return k.astype(np.int_), at, pick

@@ -948,6 +948,33 @@ def test_solve_near_the_float_range_warns_nothing(tmp_path):
     assert [row["min_abs_state"] for row in boundary] == [1e300] * 4
 
 
+def test_solve_level_means_near_the_float_range_warn_nothing(tmp_path, capsys):
+    # a put struck at the largest float holds z there at every node, so a
+    # level's plain sum overflowed: z_mean read Infinity at levels 1 to 3,
+    # with a numpy warning (exit 4 under warnings as errors)
+    top = 1.7976931348623157e308
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 3},
+           "dynamics": {"x0": 1.0, "drift": {"kind": "zero"}},
+           "controls": {"values": [0.5, 1.0], "cap": 1.0},
+           "reward": {"kind": "american-put", "strike": top, "base": 0}}
+    code, report = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    assert [s["z_mean"] for s in report["slices"]] == [top] * 4
+
+
+def test_solve_least_stopped_norm_past_the_square_range(tmp_path, capsys):
+    # at d = 2 a state of 1e200 squares past the float range: the stop
+    # boundary read Infinity at every level, with a numpy warning (exit 4
+    # under warnings as errors), where the norm is 1e200
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 2},
+           "dynamics": {"x0": [1e200, 0.0], "drift": {"kind": "zero"}},
+           "controls": {"values": [[[1.0, 0.0], [0.0, 1.0]]]},
+           "reward": {"kind": "constant", "value": 1.0}}
+    code, report = run(capsys, "solve", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    assert [row["min_abs_state"] for row in report["stop_boundary"]] == [1e200] * 3
+
+
 def test_terminal_abs_near_the_float_range_warns_nothing(tmp_path):
     # at d = 1 the payoff's state norm is |x|, so states near 1e300 give
     # their size; a square would overflow to an inf y, whose NaN z - y

@@ -25,7 +25,9 @@ Finite inputs near the float range (a drift rate of -1e300, say) can
 overflow in numpy, which warns on stderr and carries on: a tree whose
 states overflow is then a config error, and the sampled checks fail on
 the NaN they meet.  The fuzz ignores those RuntimeWarnings, which the
-test session would otherwise raise, so that only a real crash counts.
+test session would otherwise raise, so that only a real crash counts,
+except in solve and oracle on the d = 2 extreme starts, which must warn
+nothing.
 """
 
 import copy
@@ -134,9 +136,11 @@ def near_bound_demo_config(rng: random.Random) -> dict:
 
 
 def _crashes(tmp_path, capsys, alarm, configs, commands=("solve", "oracle", "verify"),
-             seconds=5.0) -> list:
+             seconds=5.0, strict=()) -> list:
     """(command, config, last stderr line) of every run of the commands
-    on the configs that exits 4, a run past its alarm among them."""
+    on the configs that exits 4, a run past its alarm among them.  The
+    commands in strict keep RuntimeWarnings as errors, so that a numpy
+    warning there is a crash too."""
     crashes = []
     for i, cfg in enumerate(configs):
         path = tmp_path / f"config-{i}.json"
@@ -144,7 +148,8 @@ def _crashes(tmp_path, capsys, alarm, configs, commands=("solve", "oracle", "ver
         for command in commands:
             alarm(seconds)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                if command not in strict:
+                    warnings.simplefilter("ignore", RuntimeWarning)
                 code = main([command, "--config", str(path)])
             alarm(0)
             err = capsys.readouterr().err
@@ -194,7 +199,9 @@ def test_no_d2_config_with_an_extreme_start_exits_4(tmp_path, capsys, alarm):
                 "controls": {"values": [IDENTITY]}, "reward": {"kind": "terminal-abs"},
                 "verify": BASE["verify"]}]
     configs += [extreme_start_config(rng) for _ in range(40)]
-    crashes = _crashes(tmp_path, capsys, alarm, configs)
+    # solve and oracle warn nothing on them; verify's sampled suites still
+    # square d > 1 distances past the float range (ROADMAP item 17)
+    crashes = _crashes(tmp_path, capsys, alarm, configs, strict=("solve", "oracle"))
     assert not crashes, crashes[:5]
 
 

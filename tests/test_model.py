@@ -2,6 +2,8 @@
 kernels of the first expanded level, scenario-tree expansion, and the
 path simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,11 @@ def test_state_norms_match_per_row_norm():
                 [np.linalg.norm(row) for row in a[:, ::-1]]).tobytes()
 
 
+# math.hypot against min_state_norm on a row whose square overflows: at
+# most 2 ulp apart on 20,000 random rows each at d = 2, 3 and 5
+HYPOT_ULPS = 4
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_min_state_norm_is_the_least_per_row_norm(d):
     # the least squared norm, rooted once, is the least np.linalg.norm of
@@ -242,8 +249,23 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
     # and random rows; under a mask, taken over the whole array, it is
     # bit for bit the least over the selected rows gathered out.  At
     # d = 1 the norm is |x| with no square, so the rows whose square
-    # underflows or overflows (5e-324, -1e-160, 1e155) keep their size
-    norm = (lambda row: abs(float(row[0]))) if d == 1 else np.linalg.norm
+    # underflows or overflows (5e-324, -1e-160, 1e155) keep their size.
+    # At d = 2 the 1e155 row's square overflows, where np.linalg.norm
+    # reads inf: its norm is math.hypot's, within HYPOT_ULPS
+    def norm(row):
+        """The row's norm, and whether it is np.linalg.norm's bit for bit."""
+        if d == 1:
+            return abs(float(row[0])), True
+        exact = np.linalg.norm(row)
+        return (exact, True) if exact < math.inf else (math.hypot(*row), False)
+
+    def assert_norm(got, want):
+        want, exact = want
+        if exact:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert abs(got - want) <= HYPOT_ULPS * np.spacing(want)
+
     rng = np.random.default_rng(11)
     zeros = np.array([[0.0] * d, [-0.0] * d, [0.0, -0.0][:d]])
     edge = np.array([5e-324, -1e-160, 1e-150, -3.0, 1e155])
@@ -257,7 +279,7 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
             want = min(norm(row) for row in a)
             got = min_state_norm(a)
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert_norm(got, want)
         masks = [rng.random(len(a)) < p for p in (0.01, 0.5, 0.99)]
         for mask in masks + [np.arange(len(a)) == len(a) - 1]:
             if not mask.any():
@@ -268,7 +290,26 @@ def test_min_state_norm_is_the_least_per_row_norm(d):
                 got = min_state_norm(a, where=mask)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(gathered).tobytes()
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert_norm(got, want)
+
+
+def test_min_state_norm_past_the_square_range_warns_nothing():
+    # rows whose squares all overflow take the least of their scaled
+    # norms, within HYPOT_ULPS of math.hypot, and a row past the float
+    # range or holding an inf is inf; a smaller row is still exact
+    rng = np.random.default_rng(12)
+    big = rng.normal(size=(300, 2)) * 10.0 ** rng.uniform(155, 307, size=(300, 1))
+    for a in (big, big * [[1.0, 1e-300]], np.array([[1e200, 0.0]]),
+              np.vstack([big, [[np.inf, 1.0], [1.0, -np.inf]]])):
+        want = min(math.hypot(*row) for row in a)
+        got = min_state_norm(a)
+        assert abs(got - want) <= HYPOT_ULPS * np.spacing(want)
+    assert min_state_norm(np.array([[1e200, 0.0]])) == 1e200
+    assert min_state_norm(np.array([[1.7e308, 1.7e308], [np.inf, 0.0]])) == math.inf
+    a = np.array([[1e200, 1e200], [0.0, 3.0]])
+    got = min_state_norm(a, where=np.array([True, False]))
+    assert abs(got - math.hypot(1e200, 1e200)) <= HYPOT_ULPS * np.spacing(got)
+    assert min_state_norm(a) == 3.0
 
 
 def test_min_state_norm_at_d1_is_the_rooted_square():

@@ -105,6 +105,25 @@ def _assert_same_draws(old, new, seed, chunks=CHUNKS):
         assert ra.integers(0, 7) == rb.integers(0, 7)
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+def test_halves_are_the_32_bit_draws_in_chain_order(buffered):
+    # from the chain state a reader starts at, its halves are the 32-bit
+    # draws of a copy of the generator (over the full range numpy returns
+    # next_uint32 as it is), the buffered half first if there is one, and
+    # one 0 follows the block
+    rng = np.random.default_rng(41)
+    if buffered:
+        rng.integers(0, 5)
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    half, state = _PCG64Words(rng, 9).halves()
+    assert state == (0 if buffered else 1)
+    assert half.dtype == np.int64 and len(half) == 2 * 9 + 2
+    want = twin.integers(0, 2**32, size=2 * 9 + 1 - state, dtype=np.uint32)
+    assert half[state:-1].tolist() == want.tolist()
+    assert half[-1] == 0
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n_steps", [0, 1, 4, 7])
 def test_pair_sampler_matches_per_draw_calls(n_steps, d):
