@@ -450,7 +450,7 @@ def _emit(report: dict, out_dir: str | None, csvs: dict | None = None) -> None:
 
 class Instance(NamedTuple):
     """A config's parsed instance, and for verify's tree checks the
-    expanded tree and its solution."""
+    solution of its expanded tree (the tree is sol.tree)."""
 
     grid: TimeGrid
     x0: object
@@ -458,7 +458,6 @@ class Instance(NamedTuple):
     controls: ControlSet
     Y: RewardFunctional
     solver: dict
-    tree: object = None
     sol: object = None
 
 
@@ -676,7 +675,7 @@ def cmd_verify(cfg: dict, suite_spec: str, out_dir: str | None, seed: int,
     if any(vf.CHECKS[name].reads_tree for name in names):
         tree = _expand(inst)
         sol = robust_envelope(tree, _rewards(tree, inst.Y), delta=inst.solver["delta"])
-        inst = inst._replace(tree=tree, sol=sol)
+        inst = inst._replace(sol=sol)
     num = functools.partial(_num, _section(cfg, "verify"), "verify")
     # read and checked before the first check, whichever checks read them
     vf.sample_keys(num)

@@ -155,6 +155,13 @@ SAMPLE_WORD_CAP = 10**9
 PAIR_CAP = 10**5
 EULER_STEP_CAP = 10**8
 
+# The checks' tolerances, set here and not by their callers: the sweep
+# checks form the solver's sums again, so they meet it up to rounding,
+# and the sampled checks allow SAMPLE_TOL, or for y1 and drift 16 ulps
+# of the largest finite value compared where that is more.
+SWEEP_TOL = 1e-9
+SAMPLE_TOL = 1e-12
+
 
 def _bound_work(count: int, cap: int, what: str, key: str) -> None:
     if count > cap:
@@ -197,6 +204,16 @@ def _max_or_nan(worst: float, values) -> float:
     if np.isnan(values).any():
         return math.nan
     return max([worst] + values.tolist())
+
+
+def _sampled_tolerance(tol: float, *values) -> float:
+    """The larger of tol and 16 ulps of each array's largest finite |x|,
+    since rounding grows with the values compared.  A max cannot
+    overflow as a sum could, and an x past the float range adds nothing,
+    so a check it breaks still fails."""
+    ulps = 16 * np.finfo(np.float64).eps
+    return max([tol] + [ulps * float(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))
+                        for v in values])
 
 
 def _per_index(fn, ks) -> np.ndarray:
@@ -412,13 +429,7 @@ def pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     return draw
 
 
-def check_y1(
-    Y: RewardFunctional,
-    sampler,
-    n: int,
-    tolerance: float = 1e-12,
-    seed: int = 2026,
-) -> CheckReport:
+def check_y1(Y: RewardFunctional, sampler, n: int, seed: int = 2026) -> CheckReport:
     """One-sided continuity of the reward in the time-path pair.
 
     On n sampled ordered pairs (k1, om1) <= (k2, om2), the earlier value
@@ -427,7 +438,8 @@ def check_y1(
     pairs: index arrays with k1 <= k2 and two Path stacks of m rows on
     one grid.  Per chunk of draws (_chunk_size) the rewards take one
     stacked call per time index, the distances one dist_dinfty call on
-    the stacks and the modulus one call on the distances.
+    the stacks and the modulus one call on the distances.  The tolerance
+    is SAMPLE_TOL, or 16 ulps of the largest finite |reward| drawn.
     """
 
     def reward(ks, om):
@@ -435,31 +447,32 @@ def check_y1(
 
     chunk = _chunk_size(n, sampler)
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    worst, tol = -np.inf, SAMPLE_TOL
     for start in range(0, n, chunk):
         k1, om1, k2, om2 = sampler(rng, min(chunk, n - start))
-        lhs = reward(k1, om1) - reward(k2, om2)
+        early, late = reward(k1, om1), reward(k2, om2)
+        tol = _sampled_tolerance(tol, early, late)
         rhs = Y.modulus(dist_dinfty(k1, om1, k2, om2))
-        worst = _max_or_nan(worst, lhs - rhs)
+        worst = _max_or_nan(worst, early - late - rhs)
     return CheckReport(
         name="y1",
         worst=float(worst),
-        tolerance=tolerance,
+        tolerance=tol,
         n_checked=n,
         details={"modulus_kind": Y.modulus.kind, "kappa": Y.modulus.kappa},
     )
 
 
-def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
+def prefix_sampler(grid, controls, *, spread: float = 1.0):
     """Default sampler of (k, prefix, prefix', u) draws for check_drift.
 
     sampler(rng, m) -> (k, p1, p2, u, u_norm) draws m samples: an index
     array k of length m, two prefix stacks of shape (m, K, dim) whose
     row i holds its prefix in its first k[i] + 1 entries (K is the
-    longest prefix the grid allows), the controls u of shape (m, d, d)
-    and their operator norms.  Prefixes are independent bounded random
-    walks; the control is drawn uniformly from the menu, and each menu
-    control's norm is taken once.
+    longest prefix the grid allows, and dim the menu's d), the controls
+    u of shape (m, d, d) and their operator norms.  Prefixes are
+    independent bounded random walks; the control is drawn uniformly
+    from the menu, and each menu control's norm is taken once.
 
     The draws are bit for bit those of one draw at a time with
     rng.integers (k), then per walk rng.uniform (increments) and
@@ -478,9 +491,9 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     refused (SizeError).
     """
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
-    K = max(grid.n_steps, 1)
-    per_draw = _bound_draw(2 * (K + 1) * dim + 1)
     menu = np.array([np.atleast_2d(np.asarray(u, dtype=np.float64)) for u in controls])
+    K, dim = max(grid.n_steps, 1), menu.shape[-1]
+    per_draw = _bound_draw(2 * (K + 1) * dim + 1)
     norms = np.array([np.linalg.norm(u, 2) for u in menu])
     rows = np.arange(K)[:, None] * dim + np.arange(dim)
 
@@ -565,13 +578,7 @@ def prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
     return draw
 
 
-def check_drift(
-    spec: DriftSpec,
-    sampler,
-    n: int,
-    tolerance: float = 1e-12,
-    seed: int = 2026,
-) -> CheckReport:
+def check_drift(spec: DriftSpec, sampler, n: int, seed: int = 2026) -> CheckReport:
     """Growth and Lipschitz bounds of the drift, sampled.
 
     At the zero prefix the drift norm must stay below kappa * (1 + |u|);
@@ -581,11 +588,12 @@ def check_drift(
     is at most the sup gap, whatever kappa.  sampler(rng, m) -> (k, p1,
     p2, u, u_norm) draws m samples (see prefix_sampler).  Per chunk of draws
     (_chunk_size) each drift and each sup gap takes one stacked call per
-    time index.
+    time index.  The tolerance is SAMPLE_TOL, or 16 ulps of the largest
+    finite drift component drawn, which at d = 1 is the drift norm.
     """
     chunk = _chunk_size(n, sampler)
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    worst, tol = -np.inf, SAMPLE_TOL
     for start in range(0, n, chunk):
         ks, p1, p2, u, unorm = sampler(rng, min(chunk, n - start))
         lip_const = spec.kappa
@@ -597,9 +605,9 @@ def check_drift(
                 lambda k, ids: drift_eval(spec, k, p[ids, : k + 1], u[ids]), ks
             )
 
-        growth = state_norms(drift(np.zeros_like(p1))) - spec.kappa * (1.0 + unorm)
-        b1 = drift(p1)
-        b2 = drift(p2)
+        b0, b1, b2 = drift(np.zeros_like(p1)), drift(p1), drift(p2)
+        growth = state_norms(b0) - spec.kappa * (1.0 + unorm)
+        tol = _sampled_tolerance(tol, b0, b1, b2)
         gap = _gap_norms(p1 - p2)
         sup = _per_index(lambda k, ids: np.max(gap[ids, : k + 1], axis=1), ks)
         lip = state_norms(b1 - b2) - lip_const * sup
@@ -609,7 +617,7 @@ def check_drift(
     return CheckReport(
         name="drift-bounds",
         worst=float(worst),
-        tolerance=tolerance,
+        tolerance=tol,
         n_checked=2 * n,
         details={"kind": spec.kind, "kappa": spec.kappa},
     )
@@ -636,30 +644,26 @@ def check_envelope_basic(sol: EnvelopeSolution) -> CheckReport:
     )
 
 
-def check_supermartingale(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9
-) -> CheckReport:
+def check_supermartingale(sol: EnvelopeSolution) -> CheckReport:
     """Worst-case means of the stopped envelope never exceed the envelope.
 
     At every node (n_checked counts them), the largest worst-case mean of
     the envelope frozen at a stopping set of the subtree is compared
     against the node value; that max is the sweep W = max(z, min_u
     E_u[W next]).  Immediate stop realizes equality, so the worst
-    violation is >= 0 up to rounding.
+    violation is >= 0 up to rounding, which SWEEP_TOL allows.
     """
-    worst = float(np.max(backward_sweep(tree, sol.z, floor=sol.z)[0] - sol.z))
-    return CheckReport("supermartingale", worst, tolerance, tree.n_nodes)
+    worst = float(np.max(backward_sweep(sol.tree, sol.z, floor=sol.z)[0] - sol.z))
+    return CheckReport("supermartingale", worst, SWEEP_TOL, sol.tree.n_nodes)
 
 
-def check_martingale_to_tau(
-    tree, sol: EnvelopeSolution, tolerance: float = 1e-9
-) -> CheckReport:
+def check_martingale_to_tau(sol: EnvelopeSolution) -> CheckReport:
     """The envelope is flat, in the worst-case mean, up to the meeting
     time, and meets the reward there.
 
     Stopping sets are restricted to act at or before the stop region, so
     every worst-case mean of the frozen envelope must reproduce the node
-    value (within the tolerance), not just stay below it.  The largest
+    value (within SWEEP_TOL), not just stay below it.  The largest
     and smallest of those means are the sweeps W+ = max(z, min_u
     E_u[W+ next]) and W- = min(z, min_u E_u[W- next]), both frozen at the
     stop region, compared at every node (n_checked counts them): the law
@@ -668,7 +672,7 @@ def check_martingale_to_tau(
     test's own, delta + STOP_GUARD * (1 + |y|), so a solution passes at
     any scale and any delta.
     """
-    z, y, stop = sol.z, sol.y, sol.stop
+    tree, z, y, stop = sol.tree, sol.z, sol.y, sol.stop
     upper = backward_sweep(tree, z, floor=z, stop=stop)[0]
     lower = backward_sweep(tree, z, ceiling=z, stop=stop)[0]
     worst = float(np.max(np.maximum(upper - z, z - lower)))
@@ -678,54 +682,51 @@ def check_martingale_to_tau(
     meet = float(np.max(np.maximum(-gap, gap - _stop_slack(y[stop], sol.delta))))
     if math.isnan(meet) or meet > worst:
         worst = meet
-    return CheckReport("martingale-to-tau", worst, tolerance, tree.n_nodes)
+    return CheckReport("martingale-to-tau", worst, SWEEP_TOL, tree.n_nodes)
 
 
 # ---------------------------------------------------------------------------
 # dynamic programming identities
 
 
-def _dpp_check(name, tree, sol, cut, tolerance, details) -> CheckReport:
+def _dpp_check(name, sol, cut, details) -> CheckReport:
     """Root value against the min over truncated strategies of the
     optimally-stopped value that ends in the solver's z at the cut.
 
     The controller sees everything, so that min is the sweep v = max(y,
     min_u E_u[v next]) with z frozen at the cut; n_checked counts the
-    nodes swept.
+    nodes swept, and the two roots meet within SWEEP_TOL.
     """
+    tree = sol.tree
     recomputed = float(backward_sweep(tree, sol.z, floor=sol.y, stop=cut)[0][tree.root])
     worst = abs(recomputed - sol.root_value())
-    return CheckReport(name, worst, tolerance, tree.n_nodes,
+    return CheckReport(name, worst, SWEEP_TOL, tree.n_nodes,
                        {**details, "recomputed_root": recomputed})
 
 
-def check_dpp(tree, sol: EnvelopeSolution, s, tolerance: float = 1e-9) -> CheckReport:
+def check_dpp(sol: EnvelopeSolution, s) -> CheckReport:
     """One-step-at-a-time identity against the truncated game.
 
-    The root value must equal the min over control assignments on the
-    horizon before s of the optimally-stopped value whose terminal slice
-    is the solver's own slice-s values.  s is a grid index (a float
-    raises TypeError).
+    The root value must equal, within SWEEP_TOL, the min over control
+    assignments on the horizon before s of the optimally-stopped value
+    whose terminal slice is the solver's own slice-s values.  s is a
+    grid index (a float raises TypeError).
     """
-    s_idx = operator.index(s)
+    s_idx, tree = operator.index(s), sol.tree
     if not tree.k0 <= s_idx <= tree.grid.n_steps:
         raise ValueError(f"cut {s_idx} outside the tree's horizon")
-    return _dpp_check(
-        "dpp-deterministic", tree, sol, stop_mask(tree, s_idx), tolerance, {"s": s_idx}
-    )
+    return _dpp_check("dpp-deterministic", sol, stop_mask(tree, s_idx), {"s": s_idx})
 
 
-def check_dpp_random_horizon(
-    tree, sol: EnvelopeSolution, nu, tolerance: float = 1e-9
-) -> CheckReport:
-    """Same identity with the horizon cut at a hitting time.
+def check_dpp_random_horizon(sol: EnvelopeSolution, nu) -> CheckReport:
+    """Same identity within SWEEP_TOL, the horizon cut at a hitting time.
 
     nu is a grid index, a StoppingRule on the tree, such as the
     stop_rule_map of a solution at some delta, or a per-node bool mask
     whose first hit ends the horizon; leaves end it regardless (see
     stop_mask).
     """
-    return _dpp_check("dpp-random-horizon", tree, sol, stop_mask(tree, nu), tolerance, {})
+    return _dpp_check("dpp-random-horizon", sol, stop_mask(sol.tree, nu), {})
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +776,6 @@ def check_continuity_in_prehistory(
     spread: float = 0.5,
     rho1=None,
     seed: int = 2026,
-    tolerance: float = 1e-12,
 ) -> CheckReport:
     """Root value moves by at most a modulus of the pre-history gap.
 
@@ -784,7 +784,7 @@ def check_continuity_in_prehistory(
     float raises TypeError).  With rho1 given, the bound is asserted;
     without it, the first pair is identical (zero gap must give zero
     difference, exactly) and the best linear constant over the rest is
-    fitted and reported.
+    fitted and reported.  The tolerance is SAMPLE_TOL.
     """
     _bound_work(n_pairs, PAIR_CAP, "pre-history pairs", "verify.prehistory_pairs")
     rng = np.random.default_rng(seed)
@@ -828,7 +828,7 @@ def check_continuity_in_prehistory(
     return CheckReport(
         name="prehistory-continuity",
         worst=float(worst),
-        tolerance=tolerance,
+        tolerance=SAMPLE_TOL,
         n_checked=n_pairs,
         details={
             "split": s_idx,
@@ -856,7 +856,6 @@ def check_sde_moments(
     seed: int = 20260815,
     drift: DriftSpec | None = None,
     drift_bound: float | None = None,
-    tolerance: float = 0.0,
 ) -> CheckReport:
     """Scaling of the running supremum of driftless Euler paths.
 
@@ -868,8 +867,9 @@ def check_sde_moments(
     variance (with DOOB_SLACK of room for sampling noise).  When a drift
     and its sup bound are supplied, drifted paths stepped on the same
     normals must obey the pathwise transfer mean sup |X| <= mean sup |M|
-    + bound * horizon.  Only the per-path suprema are kept, never the
-    paths.
+    + bound * horizon.  The worst is the largest excess, and the bounds
+    hold their margins, so the tolerance is 0.0.  Only the per-path
+    suprema are kept, never the paths.
     """
     if drift is not None and drift_bound is None:
         raise ValueError("transfer check needs the drift's sup bound")
@@ -924,7 +924,7 @@ def check_sde_moments(
     return CheckReport(
         name="moment-scaling",
         worst=worst,
-        tolerance=tolerance,
+        tolerance=0.0,
         n_checked=len(MOMENT_DELTAS) * n_paths,
         details=details,
     )
@@ -956,7 +956,6 @@ def corrupt_envelope(sol: EnvelopeSolution, node=None, amount: float = -0.1):
     return bad
 
 
-
 # ---------------------------------------------------------------------------
 # the suite: each check with its config keys and its mutation
 
@@ -968,8 +967,9 @@ class Check(NamedTuple):
     instance, or with mutate on a broken input it must reject (which may
     move the check's parameters too).  It calls its check, corrupt_envelope
     and the samplers by their module names when it runs, so a wrapper set
-    on the module sees every call.  reads_tree: run reads inst.tree and
-    inst.sol, the configured tree and its solution."""
+    on the module sees every call.  Each check sets its own tolerance, so
+    run passes none.  reads_tree: run reads inst.sol, the configured
+    tree's solution, and the tree as inst.sol.tree."""
 
     run: Callable[..., CheckReport]
     reads_tree: bool
@@ -1003,30 +1003,30 @@ def _run_drift(inst, num, seed, mutate):
     spec = inst.drift
     if mutate:
         spec = DriftSpec("mean-reversion", kappa=0.5, rate=1.5, level=0.0)
-    sampler = prefix_sampler(inst.grid, inst.controls, inst.controls.dim, spread)
+    sampler = prefix_sampler(inst.grid, inst.controls, spread=spread)
     return check_drift(spec, sampler, n_samples, seed=seed)
 
 
 def _run_envelope(inst, num, seed, mutate):
     sol = inst.sol
-    target = corrupt_envelope(sol, node=inst.tree.offsets[-2]) if mutate else sol
+    target = corrupt_envelope(sol, node=sol.tree.offsets[-2]) if mutate else sol
     return check_envelope_basic(target)
 
 
 def _run_supermartingale(inst, num, seed, mutate):
-    tree, target = inst.tree, inst.sol
+    tree, target = inst.sol.tree, inst.sol
     if mutate:
         # the root 0.1 below its continuation, the sweep's own fold of z
         # with no floor, up to rounding: waiting one step beats it by 0.1
         root = tree.root
         cont = backward_sweep(tree, target.z, stop=stop_mask(tree, tree.k0 + 1))[0][root]
         target = corrupt_envelope(target, node=root, amount=cont - 0.1 - target.z[root])
-    return check_supermartingale(tree, target)
+    return check_supermartingale(target)
 
 
 def _run_martingale(inst, num, seed, mutate):
     target = corrupt_envelope(inst.sol) if mutate else inst.sol
-    return check_martingale_to_tau(inst.tree, target)
+    return check_martingale_to_tau(target)
 
 
 def _run_dpp(inst, num, seed, mutate):
@@ -1036,9 +1036,9 @@ def _run_dpp(inst, num, seed, mutate):
         raise ConfigError(f"verify.dpp_s must lie in [0, {n}]")
     target = inst.sol
     if mutate:
-        target = corrupt_envelope(inst.sol, node=inst.tree.root)
+        target = corrupt_envelope(inst.sol, node=inst.sol.tree.root)
         s = max(s, 1)
-    return check_dpp(inst.tree, target, s)
+    return check_dpp(target, s)
 
 
 def _run_dpp_random(inst, num, seed, mutate):
@@ -1047,9 +1047,9 @@ def _run_dpp_random(inst, num, seed, mutate):
         nu = inst.grid.n_steps
     else:
         # the nodes whose state's norm is at or past the barrier
-        nu = np.concatenate([state_norms(level) >= barrier for level in inst.tree.states])
-    target = corrupt_envelope(inst.sol, node=inst.tree.root) if mutate else inst.sol
-    return check_dpp_random_horizon(inst.tree, target, nu)
+        nu = np.concatenate([state_norms(level) >= barrier for level in inst.sol.tree.states])
+    target = corrupt_envelope(inst.sol, node=inst.sol.tree.root) if mutate else inst.sol
+    return check_dpp_random_horizon(target, nu)
 
 
 def _run_tau(inst, num, seed, mutate):

@@ -106,8 +106,8 @@ def test_c03_domination_and_leaf_equality_exact(batch):
 def test_c04_martingale_laws_and_mutation_rejection(batch):
     rows, _ = batch
     for i, (tree, _, sol, _) in enumerate(rows):
-        assert check_supermartingale(tree, sol, GAME_TOL).passed
-        assert check_martingale_to_tau(tree, sol, GAME_TOL).passed
+        for report in (check_supermartingale(sol), check_martingale_to_tau(sol)):
+            assert report.passed and report.tolerance == GAME_TOL
         if i % 20 == 0:
             for amount in (0.1, -0.1):
                 # a raised root on an everywhere-stopped instance keeps
@@ -117,9 +117,9 @@ def test_c04_martingale_laws_and_mutation_rejection(batch):
                 bad = corrupt_envelope(sol, amount=amount)
                 rejected = (
                     not check_envelope_basic(bad).passed
-                    or not check_supermartingale(tree, bad, GAME_TOL).passed
-                    or not check_martingale_to_tau(tree, bad, GAME_TOL).passed
-                    or not check_dpp(tree, bad, tree.grid.n_steps, GAME_TOL).passed
+                    or not check_supermartingale(bad).passed
+                    or not check_martingale_to_tau(bad).passed
+                    or not check_dpp(bad, tree.grid.n_steps).passed
                 )
                 assert rejected
 
@@ -175,12 +175,14 @@ def test_c07_dynamic_programming_identity(batch):
     ]
     for tree, sol in sample:
         for s in range(tree.grid.n_steps + 1):
-            assert check_dpp(tree, sol, s, GAME_TOL).passed
+            report = check_dpp(sol, s)
+            assert report.passed and report.tolerance == GAME_TOL
         level = float(rng.uniform(0.2, 1.0))
         barrier = callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= level)
-        assert check_dpp_random_horizon(tree, sol, barrier, GAME_TOL).passed
         relaxed = robust_envelope(tree, sol.y, delta=0.05).stop_rule_map()
-        assert check_dpp_random_horizon(tree, sol, relaxed, GAME_TOL).passed
+        for nu in (barrier, relaxed):
+            report = check_dpp_random_horizon(sol, nu)
+            assert report.passed and report.tolerance == GAME_TOL
 
 
 def test_c08_monte_carlo_moment_scaling():

@@ -933,6 +933,29 @@ def test_sampled_checks_fail_on_nan_values(tmp_path):
     assert report["all_passed"] is False and report["ok"] is False
 
 
+# rounding error grows with the values compared: with an absolute 1e-12
+# a correct put failed y1 from reward.scale 2e3 (worst 1.36e-12), and a
+# mean-reversion drift at rate = kappa = 5e3 failed drift (3.64e-12)
+@pytest.mark.parametrize("suite, scale", [("y1", s) for s in (2e3, 1e6, 1e9, 1e100, 1e307)]
+                         + [("drift", s) for s in (5e3, 1e6, 1e9, 1e100, 1e307)])
+def test_sampled_checks_pass_at_any_value_scale(tmp_path, capsys, suite, scale):
+    cfg = {"grid": {"t_end": 1.0, "n_steps": 4}, "dynamics": {"x0": 1.0},
+           "controls": {"values": [0.5, 1.0], "cap": 1.0},
+           "reward": {"kind": "american-put", "strike": 1.1}}
+    if suite == "y1":
+        cfg["reward"]["scale"] = scale
+    else:
+        cfg["dynamics"]["drift"] = {"kind": "mean-reversion", "rate": scale, "kappa": scale}
+    argv = ["verify", "--config", write_config(tmp_path, cfg), "--suite", suite]
+    code, report = run(capsys, *argv)
+    check = report["checks"][suite]
+    assert (code, check["passed"]) == (0, True), check
+    # past the absolute floor, and within 16 ulps of a few times the scale
+    assert 1e-12 < check["worst"] <= check["tolerance"] < 1e-13 * scale
+    code, report = run(capsys, *argv, "--mutate")
+    assert (code, report["ok"], report["checks"][suite]["passed"]) == (0, True, False)
+
+
 def test_solve_near_the_float_range_warns_nothing(tmp_path):
     # at d = 1 the stop boundary's least state norm is the least |x|, so
     # states near 1e300 give their size there, where squaring them

@@ -157,7 +157,7 @@ def _drift(d):
     parts = []
     for spec in _drifts(d):
         for spread in (1.0, 3.0):
-            sampler = prefix_sampler(grid, controls, d, spread)
+            sampler = prefix_sampler(grid, controls, spread=spread)
             for n in COUNTS:
                 for seed in SEEDS:
                     parts.append(_report(check_drift, spec, sampler, n, seed=seed))
@@ -176,7 +176,7 @@ def _odd_grids():
             for Y in _rewards():
                 for n in (1, 700):
                     parts.append(_report(check_y1, Y, pair_sampler(grid, d), n, seed=3))
-            sampler = prefix_sampler(grid, _controls(d), d, 2.0)
+            sampler = prefix_sampler(grid, _controls(d), spread=2.0)
             for spec in _drifts(d)[:3]:
                 for n in (1, 700):
                     parts.append(_report(check_drift, spec, sampler, n, seed=3))

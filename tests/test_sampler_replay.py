@@ -45,11 +45,12 @@ def referee_pair_sampler(grid, dim: int = 1, spread: float = 1.0):
     return draw
 
 
-def referee_prefix_sampler(grid, controls, dim: int = 1, spread: float = 1.0):
+def referee_prefix_sampler(grid, controls, *, spread: float = 1.0):
     """prefix_sampler as it was: the generator calls of each draw in turn."""
     step = spread * math.sqrt(grid.dt) if grid.n_steps > 0 else spread
     K = max(grid.n_steps, 1)
     menu = np.array([np.atleast_2d(np.asarray(u, dtype=np.float64)) for u in controls])
+    dim = menu.shape[-1]
     norms = np.array([np.linalg.norm(u, 2) for u in menu])
 
     def draw(rng, m):
@@ -139,7 +140,7 @@ def test_prefix_sampler_matches_per_draw_calls(n_steps, d, n_controls):
     # one-step grid none for k
     grid, menu = _grid(n_steps), _menu(d, n_controls)
     _assert_same_draws(
-        referee_prefix_sampler(grid, menu, d, 0.7), prefix_sampler(grid, menu, d, 0.7),
+        referee_prefix_sampler(grid, menu, spread=0.7), prefix_sampler(grid, menu, spread=0.7),
         29 + d,
     )
 
@@ -148,7 +149,7 @@ def _pairs(n_steps, d, n_controls=2):
     grid, menu = _grid(n_steps), _menu(d, n_controls)
     return [
         (referee_pair_sampler(grid, d), pair_sampler(grid, d)),
-        (referee_prefix_sampler(grid, menu, d, 0.7), prefix_sampler(grid, menu, d, 0.7)),
+        (referee_prefix_sampler(grid, menu, spread=0.7), prefix_sampler(grid, menu, spread=0.7)),
     ]
 
 

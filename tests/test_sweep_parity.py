@@ -140,11 +140,9 @@ def _verify_part(tree, sol):
     relaxed = robust_envelope(tree, sol.y, delta=0.05).stop_rule_map()
     out = []
     for target in (sol, corrupt_envelope(sol), corrupt_envelope(sol, node=tree.root)):
-        reports = [check_supermartingale(tree, target),
-                   check_martingale_to_tau(tree, target)]
-        reports += [check_dpp(tree, target, s) for s in range(n + 1)]
-        reports += [check_dpp_random_horizon(tree, target, nu)
-                    for nu in (n, barrier, relaxed)]
+        reports = [check_supermartingale(target), check_martingale_to_tau(target)]
+        reports += [check_dpp(target, s) for s in range(n + 1)]
+        reports += [check_dpp_random_horizon(target, nu) for nu in (n, barrier, relaxed)]
         out += [json.dumps(_count_free(r.as_dict()), sort_keys=True) for r in reports]
     return out
 

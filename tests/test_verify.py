@@ -2,6 +2,7 @@
 the check rejects a deliberately corrupted one."""
 
 import functools
+import inspect
 import json
 import math
 import tracemalloc
@@ -31,6 +32,7 @@ from robuststop import (
     terminal_abs,
 )
 from robuststop.envelope import EnvelopeSolution, _meets, backward_sweep, stop_mask
+from robuststop.pathspace import Path
 from robuststop.verify import (
     check_continuity_in_prehistory,
     check_dpp,
@@ -109,6 +111,45 @@ def test_drift_fails_on_a_nan_rate():
     _fails_with_nan(check_drift(DriftSpec("mean-reversion", rate=math.nan), sampler, 400))
 
 
+def _one_pair(rng, m):
+    # every draw compares node 0 of a zero path with node 1 of it
+    paths = Path(TimeGrid(0.0, 1.0, 1), np.zeros((m, 2, 1)))
+    return np.zeros(m, dtype=int), paths, np.ones(m, dtype=int), paths
+
+
+def _one_prefix_pair(rng, m):
+    # every draw compares the one-node prefixes 10 and 0, under u = 1
+    p1 = np.full((m, 1, 1), 10.0)
+    return np.zeros(m, dtype=int), p1, np.zeros_like(p1), np.ones((m, 1, 1)), np.ones(m)
+
+
+def test_sampled_tolerances_take_only_finite_values():
+    # a reward or drift past the float range leaves the tolerance at the
+    # finite values' scale, here the floor, so its inf violation fails;
+    # with the inf in the scale the tolerance would be inf and pass it
+    Y = custom_reward(lambda k, track: math.inf if k == 0 else 0.0,
+                      ModulusSpec("linear", 1.0), 0.0)
+    spec = DriftSpec("mean-reversion", kappa=1.0, rate=1e308, level=0.0)
+    with np.errstate(over="ignore"):
+        reports = [check_y1(Y, _one_pair, 10), check_drift(spec, _one_prefix_pair, 10)]
+    for report in reports:
+        assert report.worst == math.inf and report.tolerance == 1e-12
+        assert not report.passed
+
+
+@pytest.mark.parametrize("scale", [1.0, 2e3, 1e307])
+def test_sampled_tolerances_are_16_ulps_of_the_largest_value(scale):
+    # the same pairs with finite values: the y1 rewards are 2 * scale and
+    # 0, and the drifts -10 * scale, 0 and 0
+    Y = custom_reward(lambda k, track: 2.0 * scale if k == 0 else 0.0,
+                      ModulusSpec("linear", 1.0), 0.0)
+    spec = DriftSpec("mean-reversion", kappa=1.0, rate=scale, level=0.0)
+    ulps = 16 * np.finfo(np.float64).eps
+    y1, drift = check_y1(Y, _one_pair, 10), check_drift(spec, _one_prefix_pair, 10)
+    assert y1.tolerance == max(1e-12, ulps * 2.0 * scale)
+    assert drift.tolerance == max(1e-12, ulps * 10.0 * scale)
+
+
 @pytest.mark.parametrize("rho1", [ModulusSpec("linear", 1.0), None])
 def test_continuity_fails_on_a_nan_reward(rho1):
     grid = TimeGrid(0.0, 1.0, 3)
@@ -163,16 +204,16 @@ def test_envelope_basic_rejects_corrupt_leaf(put_sol):
 def test_supermartingale_holds(inst_a, put_sol):
     tree_a, Y_a = inst_a
     sol_a = robust_envelope(tree_a, Y_a)
-    assert check_supermartingale(tree_a, sol_a).passed
-    tree, _, sol = put_sol
-    report = check_supermartingale(tree, sol)
+    assert check_supermartingale(sol_a).passed
+    _, _, sol = put_sol
+    report = check_supermartingale(sol)
     assert report.passed
     assert report.worst <= report.tolerance
 
 
 def test_supermartingale_rejects_sunk_node(put_sol):
-    tree, _, sol = put_sol
-    report = check_supermartingale(tree, corrupt_envelope(sol))
+    _, _, sol = put_sol
+    report = check_supermartingale(corrupt_envelope(sol))
     assert not report.passed
     assert report.worst > 0.09
 
@@ -180,21 +221,21 @@ def test_supermartingale_rejects_sunk_node(put_sol):
 def test_martingale_to_tau_exact_for_constant(inst_a):
     tree, _ = inst_a
     sol = robust_envelope(tree, constant_reward(0.4))
-    report = check_martingale_to_tau(tree, sol)
+    report = check_martingale_to_tau(sol)
     assert report.passed
     assert report.worst == 0.0
 
 
 def test_martingale_to_tau_on_fixtures(inst_a, put_sol):
     tree_a, Y_a = inst_a
-    assert check_martingale_to_tau(tree_a, robust_envelope(tree_a, Y_a)).passed
-    tree, _, sol = put_sol
-    assert check_martingale_to_tau(tree, sol).passed
+    assert check_martingale_to_tau(robust_envelope(tree_a, Y_a)).passed
+    _, _, sol = put_sol
+    assert check_martingale_to_tau(sol).passed
 
 
 def test_martingale_to_tau_rejects_corruption(put_sol):
-    tree, _, sol = put_sol
-    assert not check_martingale_to_tau(tree, corrupt_envelope(sol)).passed
+    _, _, sol = put_sol
+    assert not check_martingale_to_tau(corrupt_envelope(sol)).passed
 
 
 def test_martingale_to_tau_rejects_a_stop_node_off_its_reward(put_sol):
@@ -204,7 +245,7 @@ def test_martingale_to_tau_rejects_a_stop_node_off_its_reward(put_sol):
     node = int(np.flatnonzero(sol.stop)[0])
     assert node < tree.offsets[-2]
     for amount in (-0.1, 0.1):
-        report = check_martingale_to_tau(tree, corrupt_envelope(sol, node=node, amount=amount))
+        report = check_martingale_to_tau(corrupt_envelope(sol, node=node, amount=amount))
         assert not report.passed
         assert report.worst == pytest.approx(0.1)
         assert report.n_checked == tree.n_nodes
@@ -218,7 +259,7 @@ def test_martingale_to_tau_meets_y_within_the_stop_test(t_end, delta):
     tree = expand_tree(TimeGrid(0.0, t_end, 3), 1.0, DriftSpec("zero"),
                        ControlSet([0.5, 1.0], cap=1.0))
     sol = robust_envelope(tree, american_put(strike=1.1, base=0.0), delta=delta)
-    report = check_martingale_to_tau(tree, sol)
+    report = check_martingale_to_tau(sol)
     gap = (sol.z - sol.y)[sol.stop]
     assert np.max(gap) > report.tolerance
     assert report.passed
@@ -227,8 +268,8 @@ def test_martingale_to_tau_meets_y_within_the_stop_test(t_end, delta):
 def test_martingale_to_tau_rejects_a_raised_node(put_sol):
     # every stopped mean stays below a node lifted before the stop
     # region, so only the lower side of the law sees the lift
-    tree, _, sol = put_sol
-    report = check_martingale_to_tau(tree, corrupt_envelope(sol, amount=0.1))
+    _, _, sol = put_sol
+    report = check_martingale_to_tau(corrupt_envelope(sol, amount=0.1))
     assert not report.passed
     assert report.worst == pytest.approx(0.1)
 
@@ -238,16 +279,16 @@ def test_sweep_checks_count_the_nodes_they_compare(rand_instance):
     for _ in range(10):
         tree, Y = rand_instance(rng)
         sol = robust_envelope(tree, Y)
-        assert check_supermartingale(tree, sol).n_checked == tree.n_nodes
-        assert check_martingale_to_tau(tree, sol).n_checked == tree.n_nodes
-        assert check_dpp(tree, sol, 1).n_checked == tree.n_nodes
+        assert check_supermartingale(sol).n_checked == tree.n_nodes
+        assert check_martingale_to_tau(sol).n_checked == tree.n_nodes
+        assert check_dpp(sol, 1).n_checked == tree.n_nodes
         nu = robust_envelope(tree, Y, delta=0.05).stop_rule_map()
-        assert check_dpp_random_horizon(tree, sol, nu).n_checked == tree.n_nodes
+        assert check_dpp_random_horizon(sol, nu).n_checked == tree.n_nodes
 
 
 def test_dpp_terminal_slice_is_definition(put_sol):
     tree, _, sol = put_sol
-    report = check_dpp(tree, sol, tree.grid.n_steps)
+    report = check_dpp(sol, tree.grid.n_steps)
     assert report.passed
     assert report.worst == 0.0
 
@@ -256,7 +297,7 @@ def test_dpp_interior_slices(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
     for s in (1, 2):
-        report = check_dpp(tree, sol, s)
+        report = check_dpp(sol, s)
         assert report.passed
         assert report.worst <= report.tolerance
 
@@ -265,7 +306,7 @@ def test_cuts_are_grid_indices_not_times(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
     with pytest.raises(TypeError):
-        check_dpp(tree, sol, 1.0)
+        check_dpp(sol, 1.0)
     with pytest.raises(TypeError):
         check_continuity_in_prehistory(
             tree.grid, DriftSpec("zero"), ControlSet([1.0], cap=1.0), Y, split=1.0
@@ -277,25 +318,25 @@ def test_dpp_random_instances(rand_instance):
     for _ in range(10):
         tree, Y = rand_instance(rng)
         sol = robust_envelope(tree, Y)
-        assert check_dpp(tree, sol, max(tree.grid.n_steps - 1, 1)).passed
+        assert check_dpp(sol, max(tree.grid.n_steps - 1, 1)).passed
 
 
 def test_dpp_rejects_corrupt_root(put_sol):
-    tree, _, sol = put_sol
-    assert not check_dpp(tree, corrupt_envelope(sol, node=0), 1).passed
+    _, _, sol = put_sol
+    assert not check_dpp(corrupt_envelope(sol, node=0), 1).passed
 
 
 def test_dpp_random_horizon_variants(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
-    terminal = check_dpp_random_horizon(tree, sol, tree.grid.n_steps)
+    terminal = check_dpp_random_horizon(sol, tree.grid.n_steps)
     assert terminal.passed and terminal.worst == 0.0
     barrier = check_dpp_random_horizon(
-        tree, sol, callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= 1.2)
+        sol, callable_mask(tree, lambda k, pref: abs(float(pref[-1, 0])) >= 1.2)
     )
     assert barrier.passed
     relaxed = robust_envelope(tree, Y, delta=0.05).stop_rule_map()
-    delta_time = check_dpp_random_horizon(tree, sol, relaxed)
+    delta_time = check_dpp_random_horizon(sol, relaxed)
     assert delta_time.passed
 
 
@@ -325,7 +366,7 @@ def test_dpp_random_barrier_is_a_state_mask(monkeypatch, name, barrier):
     cfg = {**BARRIER_TREES[name], "verify": {"barrier": barrier}}
     inst = cli._instance(cfg)
     tree = cli._expand(inst)
-    inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
+    inst = inst._replace(sol=robust_envelope(tree, inst.Y))
     num = functools.partial(cli._num, cfg["verify"], "verify")
     cuts, check = [], verify_module.check_dpp_random_horizon
 
@@ -333,12 +374,12 @@ def test_dpp_random_barrier_is_a_state_mask(monkeypatch, name, barrier):
         raise AssertionError("the prefix classes were built")
 
     monkeypatch.setattr(verify_module, "check_dpp_random_horizon",
-                        lambda tree, sol, nu: cuts.append(nu) or check(tree, sol, nu))
+                        lambda sol, nu: cuts.append(nu) or check(sol, nu))
     monkeypatch.setattr(ScenarioTree, "prefix_class", property(refuse))
     report = verify_module.CHECKS["dpp-random"].run(inst, num, 0, False)
     monkeypatch.undo()
     hit = callable_mask(tree, lambda k, prefix: bool(np.linalg.norm(prefix[-1]) >= barrier))
-    assert report.as_dict() == check(tree, inst.sol, hit).as_dict()
+    assert report.as_dict() == check(inst.sol, hit).as_dict()
     # the barrier is first hit below the root, and off the envelope the
     # cut decides the recomputed root
     assert not hit[tree.root] and hit[: tree.offsets[-2]].any()
@@ -352,7 +393,7 @@ def test_dpp_random_horizon_rejects_corrupt_root(put_n3):
     tree, Y = put_n3
     sol = robust_envelope(tree, Y)
     bad = corrupt_envelope(sol, node=0)
-    assert not check_dpp_random_horizon(tree, bad, tree.grid.n_steps).passed
+    assert not check_dpp_random_horizon(bad, tree.grid.n_steps).passed
 
 
 def test_tau_monotone_constant_and_fixture(inst_a, put_n3):
@@ -611,7 +652,7 @@ def _chunk_cases(d):
         (check_y1, target, pair_sampler(grid, d))
         for target in (Y, decaying)
     ] + [
-        (check_drift, spec, prefix_sampler(grid, controls, d))
+        (check_drift, spec, prefix_sampler(grid, controls))
         for spec in (drift, mutated)
     ]
 
@@ -660,7 +701,7 @@ def test_samplers_refuse_a_draw_over_chunk_words():
     with pytest.raises(SizeError, match="words per draw exceed the cap 1048576; lower grid.n_steps"):
         pair_sampler(TimeGrid(0.0, 1.0, 2**19))
     with pytest.raises(SizeError, match="grid.n_steps"):
-        prefix_sampler(TimeGrid(0.0, 1.0, 2**18), controls, dim=2)
+        prefix_sampler(TimeGrid(0.0, 1.0, 2**18), [np.eye(2)])
 
 
 # each suite name's check function, as the benchmark's tracer wraps it
@@ -676,6 +717,19 @@ CHECK_FUNCTIONS = {
     "prehistory": "check_continuity_in_prehistory",
     "moments": "check_sde_moments",
 }
+
+
+def test_the_checks_take_only_what_varies():
+    # each check sets its own tolerance, the tree checks read the tree
+    # off the solution, and prefix_sampler reads d off its menu
+    params = {name: inspect.signature(getattr(verify_module, name)).parameters
+              for name in verify_module.__all__ if name.startswith("check_")}
+    assert sorted(params) == sorted(CHECK_FUNCTIONS.values())
+    assert not [name for name, p in params.items() if "tolerance" in p]
+    for name in ("check_supermartingale", "check_martingale_to_tau", "check_dpp",
+                 "check_dpp_random_horizon"):
+        assert next(iter(params[name])) == "sol" and "tree" not in params[name]
+    assert "dim" not in inspect.signature(prefix_sampler).parameters
 
 
 def test_the_cli_lists_the_table_in_its_order():
@@ -705,7 +759,7 @@ def test_each_check_passes_plain_and_rejects_its_mutation(monkeypatch, i, name):
         inst = cli._instance(cfg)
         if check.reads_tree:
             tree = cli._expand(inst)
-            inst = inst._replace(tree=tree, sol=robust_envelope(tree, inst.Y))
+            inst = inst._replace(sol=robust_envelope(tree, inst.Y))
             assert inst.sol.stop[tree.root] == (cfg is ROOT_STOPS)
         num = functools.partial(cli._num, cfg.get("verify", {}), "verify")
         plain = check.run(inst, num, 2026 + 101 * i, False)
