@@ -136,10 +136,10 @@ SAMPLE_CHUNK = 2048
 # A chunk's block holds at most CHUNK_WORDS raw words (8 MiB), so on a
 # long grid a chunk holds fewer than SAMPLE_CHUNK draws, and the default
 # samplers refuse a grid on which one draw alone would take more.  The
-# decoder's array of the block's 32-bit halves (16 bytes a word) and the
-# walks and rewards of a chunk take a few times the block: on one draw of
-# 10^6 words (500,000 steps), check_y1 peaked at 85 MB of RSS and
-# check_drift at 101 MB, 55 and 71 MB over the process's start.  Draws
+# walks of a chunk, gathered and summed from the block's doubles, peak at
+# six to eight times the block, with the decoder's halves let go.  On one
+# draw of 10^6 words (500,000 steps), check_y1 peaked at 87 MB of RSS and
+# check_drift at 103 MB, 56 and 72 MB over the process's start.  Draws
 # of up to 512 words (n_steps x d up to 255) keep chunks of SAMPLE_CHUNK.
 CHUNK_WORDS = 1 << 20
 
@@ -802,7 +802,9 @@ def check_continuity_in_prehistory(
 
     def root_value(pre):
         tree = expand_tree(grid, x0, drift, controls, init_prefix=pre)
-        return robust_envelope(tree, Y).root_value()
+        # a reward past the float range fails the check, not numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return robust_envelope(tree, Y).root_value()
 
     worst = -np.inf
     worst_zero = 0.0
@@ -868,27 +870,28 @@ def check_sde_moments(
     and its sup bound are supplied, drifted paths stepped on the same
     normals must obey the pathwise transfer mean sup |X| <= mean sup |M|
     + bound * horizon.  The worst is the largest excess, and the bounds
-    hold their margins, so the tolerance is 0.0.  Only the per-path
-    suprema are kept, never the paths.
+    hold their margins, so the tolerance is 0.0.  Only one step size's
+    per-path suprema are held at a time, never the paths.
     """
     if drift is not None and drift_bound is None:
         raise ValueError("transfer check needs the drift's sup bound")
     bound_moment_steps(n_steps, n_paths)
     um = np.atleast_2d(np.asarray(u, dtype=np.float64))
     drifts = [DriftSpec("zero")] + ([] if drift is None else [drift])
-    horizons = []
-    m1 = []
-    m2 = []
-    m1_drift = []
-    for i, dlt in enumerate(MOMENT_DELTAS):
-        grid_i = TimeGrid(0.0, n_steps * dlt, n_steps)
-        sups = simulate_sup_distances(grid_i, 0.0, drifts, um, n_paths, seed + i)
-        sup = sups[0]
-        horizons.append(n_steps * dlt)
-        m1.append(float(np.mean(sup)))
-        m2.append(float(np.mean(sup**2)))
-        if drift is not None:
-            m1_drift.append(float(np.mean(sups[1])))
+
+    horizons = [n_steps * dlt for dlt in MOMENT_DELTAS]
+    m1, m2, m1_drift = [], [], []
+
+    def add_means(grid, seed_i):
+        # one step size's suprema, freed on return: each drift's mean,
+        # then the zero drift's mean square, its row squared in place
+        sups = simulate_sup_distances(grid, 0.0, drifts, um, n_paths, seed_i)
+        m1.append(float(np.mean(sups[0])))
+        m1_drift.extend(float(np.mean(row)) for row in sups[1:])
+        m2.append(float(np.mean(np.square(sups[0], out=sups[0]))))
+
+    for i, t in enumerate(horizons):
+        add_means(TimeGrid(0.0, t, n_steps), seed + i)
 
     excesses = []
     details: dict = {"horizons": horizons, "m1": m1, "m2": m2}
@@ -1093,11 +1096,10 @@ def _run_moments(inst, num, seed, mutate):
     paths = num("moments_paths", 100_000, integer=True, minimum=1)
     # checked before the mutation's drift table of `steps` rows is built
     bound_moment_steps(steps, paths)
-    dim = inst.controls.dim
     kwargs = {"u": inst.controls[0], "n_steps": steps, "n_paths": paths, "seed": seed}
     if mutate:
         # constant unit push with an understated declared bound
-        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0] * dim] * steps)
+        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0] * inst.controls.dim] * steps)
         kwargs["drift_bound"] = 1e-6
     return check_sde_moments(**kwargs)
 

@@ -22,12 +22,14 @@ fuzz draws starts near and past the float range of the state norm
 (extreme_start_config).
 
 Finite inputs near the float range (a drift rate of -1e300, say) can
-overflow in numpy, which warns on stderr and carries on: a tree whose
-states overflow is then a config error, and the sampled checks fail on
-the NaN they meet.  The fuzz ignores those RuntimeWarnings, which the
-test session would otherwise raise, so that only a real crash counts,
-except in solve and oracle on the d = 2 extreme starts, which must warn
-nothing.
+overflow in numpy: a tree whose states or rewards overflow is then a
+config error, and a check fails on the NaN it meets.  solve, oracle and
+verify must do so without a numpy warning: they run with
+RuntimeWarnings as errors, so a warning is a crash too.  verify runs
+twice, with its whole suite and with its sampled checks alone, since a
+tree check refuses rewards past the float range before the prehistory
+check expands its own trees.  Only demo runs with RuntimeWarnings
+ignored: it still warns near the float range (ROADMAP item 17).
 """
 
 import copy
@@ -135,12 +137,18 @@ def near_bound_demo_config(rng: random.Random) -> dict:
     return cfg
 
 
-def _crashes(tmp_path, capsys, alarm, configs, commands=("solve", "oracle", "verify"),
-             seconds=5.0, strict=()) -> list:
-    """(command, config, last stderr line) of every run of the commands
-    on the configs that exits 4, a run past its alarm among them.  The
-    commands in strict keep RuntimeWarnings as errors, so that a numpy
-    warning there is a crash too."""
+# verify's sampled checks alone: with a tree check in its suite, verify
+# refuses a tree whose rewards overflow before any check runs
+SAMPLED = ("verify", "--suite", "y1,drift,prehistory,moments")
+COMMANDS = (("solve",), ("oracle",), ("verify",), SAMPLED)
+
+
+def _crashes(tmp_path, capsys, alarm, configs, commands=COMMANDS, seconds=5.0,
+             strict=True) -> list:
+    """(command, config, last stderr line) of every run of the commands,
+    each a command and its options, on the configs that exits 4, a run
+    past its alarm among them.  A strict run keeps RuntimeWarnings as
+    errors, so that a numpy warning is a crash too."""
     crashes = []
     for i, cfg in enumerate(configs):
         path = tmp_path / f"config-{i}.json"
@@ -148,13 +156,13 @@ def _crashes(tmp_path, capsys, alarm, configs, commands=("solve", "oracle", "ver
         for command in commands:
             alarm(seconds)
             with warnings.catch_warnings():
-                if command not in strict:
+                if not strict:
                     warnings.simplefilter("ignore", RuntimeWarning)
-                code = main([command, "--config", str(path)])
+                code = main([*command, "--config", str(path)])
             alarm(0)
             err = capsys.readouterr().err
             if code == 4:
-                crashes.append((command, cfg, err.splitlines()[-1:]))
+                crashes.append((" ".join(command), cfg, err.splitlines()[-1:]))
     return crashes
 
 
@@ -168,7 +176,8 @@ def test_no_fuzzed_demo_config_exits_4(tmp_path, capsys, alarm):
     rng = random.Random(20261024)
     configs = [fuzzed_config(rng, DEMO_BASE, DEMO_KEYS) for _ in range(2000)]
     configs += [near_bound_demo_config(rng) for _ in range(400)]
-    crashes = _crashes(tmp_path, capsys, alarm, configs, ("demo",), 2.0)
+    # demo still warns on its own near the float range (ROADMAP item 17)
+    crashes = _crashes(tmp_path, capsys, alarm, configs, (("demo",),), 2.0, strict=False)
     assert not crashes, crashes[:5]
 
 
@@ -192,16 +201,15 @@ def extreme_start_config(rng: random.Random) -> dict:
 
 def test_no_d2_config_with_an_extreme_start_exits_4(tmp_path, capsys, alarm):
     # first the start whose terminal-abs rewards overflow to inf: x0
-    # [1e200, 0.0], the identity control, zero drift and 2 steps
+    # [1e200, 0.0], the identity control, zero drift and 2 steps, which
+    # the prehistory check fails (exit 1) on its trees' infinite roots
     rng = random.Random(20261025)
     configs = [{"grid": {"t_end": 1.0, "n_steps": 2},
                 "dynamics": {"x0": [1e200, 0.0], "drift": {"kind": "zero"}},
                 "controls": {"values": [IDENTITY]}, "reward": {"kind": "terminal-abs"},
                 "verify": BASE["verify"]}]
     configs += [extreme_start_config(rng) for _ in range(40)]
-    # solve and oracle warn nothing on them; verify's sampled suites still
-    # square d > 1 distances past the float range (ROADMAP item 17)
-    crashes = _crashes(tmp_path, capsys, alarm, configs, strict=("solve", "oracle"))
+    crashes = _crashes(tmp_path, capsys, alarm, configs)
     assert not crashes, crashes[:5]
 
 

@@ -9,6 +9,7 @@ multiplicities that count the tree nodes of each merged node, summing to
 fanout**l on level l.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from robuststop import (
     running_sum,
     terminal_abs,
 )
+from robuststop import cli, verify
 from robuststop.cli import main
 from robuststop.envelope import forward_pass
 from robuststop.model import expand_recombined
@@ -248,3 +250,51 @@ def test_many_widenings_sweep_in_a_fixed_byte_budget(tmp_path, capsys):
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["widening_monotone"]
     assert peak < COLUMN_BYTES + (12 << 20)
+
+
+# the two-control put on a dyadic grid (T / n a power of 4, so sqrt(dt)
+# is exact and no child state rounds): its DAG is the exact lattice
+DYADIC_PUT = {"grid": {"t_end": 1.0, "n_steps": 64},
+              "dynamics": {"x0": 1.0, "drift": {"kind": "zero"}},
+              "controls": {"values": [0.5, 1.0]},
+              "reward": {"kind": "american-put", "strike": 1.1}}
+
+
+def _tree_reports(sol, cut):
+    n = sol.tree.grid.n_steps
+    return [verify.check_envelope_basic(sol), verify.check_supermartingale(sol),
+            verify.check_martingale_to_tau(sol), verify.check_dpp(sol, n),
+            verify.check_dpp(sol, cut), verify.check_dpp_random_horizon(sol, sol.stop),
+            verify.check_tau_monotone(sol)]
+
+
+def test_tree_checks_run_unchanged_on_a_recombined_tree():
+    # the n = 64 DAG stands for a tree of 4^64 leaves; a check's max over
+    # merged nodes is its max over the tree's, since every tree node has
+    # its merged node's values.  The DPP is cut at the horizon, halfway
+    # and at the stop region; tau's worst is the stop guard's slack
+    inst = cli._instance(DYADIC_PUT)
+    rec = expand_recombined(inst.grid, inst.x0, inst.drift, inst.controls)
+    assert rec.n_nodes == 2 * 64**2 + 3 * 64
+    sol = robust_envelope(rec, inst.Y)
+    *exact, tau = _tree_reports(sol, 32)
+    assert [r.worst for r in exact] == [0.0] * len(exact)
+    assert tau.passed and tau.worst < 1e-11
+    # each tree check's mutation, applied to the DAG's solution, fails
+    inst = inst._replace(sol=sol)
+    num = functools.partial(cli._num, {}, "verify")
+    for name, check in verify.CHECKS.items():
+        if check.reads_tree:
+            assert check.run(inst, num, 0, False).passed, name
+            assert not check.run(inst, num, 0, True).passed, name
+
+
+def test_tree_checks_read_the_same_worst_on_the_tree_and_its_dag():
+    cfg = {**DYADIC_PUT, "grid": {"t_end": 1.0, "n_steps": 4}}
+    inst = cli._instance(cfg)
+    args = (inst.grid, inst.x0, inst.drift, inst.controls)
+    full = robust_envelope(expand_tree(*args), inst.Y)
+    merged = robust_envelope(expand_recombined(*args), inst.Y)
+    for a, b in zip(_tree_reports(full, 2), _tree_reports(merged, 2)):
+        assert _bits(a.worst) == _bits(b.worst), a.name
+        assert a.tolerance == b.tolerance, a.name

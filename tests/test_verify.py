@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import robuststop.model as model_module
 import robuststop.verify as verify_module
 from robuststop import cli
 
@@ -584,19 +585,27 @@ def test_sde_moments_drift_without_bound_fails_before_simulating(monkeypatch):
 
 @pytest.mark.parametrize("drifted", [False, True])
 def test_sde_moments_memory_stays_small(drifted):
-    # only per-path suprema and per-block work buffers are kept: storing
-    # the 100,000 x 17 paths alone would take 13.6 MB per simulation
-    kwargs = {"n_paths": 100_000}
+    # one step size's suprema at a time, 8 bytes a drift and path, plus
+    # the simulator's block of normals and 512 KB for its other work
+    # buffers: storing the 100,000 x 17 paths alone would take 13.6 MB
+    # per simulation, and holding the last step size's suprema or a
+    # squared copy of them while the next one is simulated fails the bound
+    n_paths, n_steps, drifts = 100_000, 16, 1
+    kwargs = {"n_paths": n_paths, "n_steps": n_steps}
     if drifted:
-        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0]] * 16)
+        kwargs["drift"] = DriftSpec("custom-table", table=[[1.0]] * n_steps)
         kwargs["drift_bound"] = 1.0
+        drifts = 2
+    # a first small run makes the lazy imports of numpy's seeding
+    check_sde_moments(n_paths=1)
     tracemalloc.start()
     try:
         check_sde_moments(**kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8_000_000
+    normals = 8 * model_module._BLOCK * n_steps
+    assert peak < 8 * drifts * n_paths + normals + 2**19
 
 
 def test_corrupt_helpers_leave_original_alone(put_sol):
