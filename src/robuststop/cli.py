@@ -801,7 +801,12 @@ def cmd_demo(cfg: dict, out_dir: str | None, seed: int) -> int:
     vols = list(joined)
     rank, ctl = np.argsort(vols), np.sort(vols)
     own_allowed = np.array([[u in menu for menu in own] for u in ctl], dtype=bool)
-    tree = expand_recombined(grid, 0.0, DriftSpec("zero"), ControlSet(vols))
+    # a state past the float range stays inf or NaN below, so the leaves show it
+    with np.errstate(over="ignore", invalid="ignore"):
+        tree = expand_recombined(grid, 0.0, DriftSpec("zero"), ControlSet(vols))
+    if not np.isfinite(tree.states[-1]).all():
+        raise ConfigError("the demo tree's states overflow the float range; "
+                          "lower demo.sigma_hi or demo.t_end")
     # the stop boundary reads the robust column; its nodes and their
     # multiplicities are those that its menu's slots reach
     rc = fixed[named[0]]

@@ -428,30 +428,32 @@ def _tau_extent(tree, flags, argmin_control) -> tuple[int, int, int]:
     A scenario follows the argmin control from the root, down every
     outcome, to its first node where flags holds (or a leaf); argmin -1
     (no finite continuation) follows the last control, as a Python index
-    of -1 would.  The walk goes a level at a time over lists of node ids,
-    with child ids computed from the level layout, and counts the
-    scenarios that end on each level, so it reads no per-node view and
-    builds no per-scenario key.  A RecombinedTree has no scenarios to
-    count, so the walk refuses one (TypeError).
+    of -1 would.  A level at a time, stopped rows add their scenario
+    counts to the total and the rest push theirs to the argmin control's
+    B children: from the level layout on a ScenarioTree, from children[l]
+    on a RecombinedTree, where np.add.at sums a shared child's.  Counts
+    are int64 while B**levels fits, and Python ints past it.
     """
-    if tree.children is not None:
-        tree.refuse("the tau* summary")
     C, B = tree.weights.shape
     off = tree.offsets
     last = len(off) - 2
-    count, earliest, nodes = 0, None, [0]
+    dtype = np.int64 if B**last <= np.iinfo(np.int64).max else object
+    count, earliest, rows, n = 0, None, np.zeros(1, dtype=np.int64), np.ones(1, dtype=dtype)
     for l in range(last + 1):
-        going = [node for node in nodes if not flags[node]] if l < last else []
-        if len(going) < len(nodes):
-            count += len(nodes) - len(going)
-            if earliest is None:
-                earliest = l
-        if not going:
-            return count, tree.k0 + earliest, tree.k0 + l
-        lo, first = off[l], off[l + 1]
-        starts = [first + ((node - lo) * C + int(argmin_control[node]) % C) * B
-                  for node in going]
-        nodes = [start + oi for start in starts for oi in range(B)]
+        stop = flags[off[l] + rows] | (l == last)
+        count += n[stop].sum()
+        if earliest is None and stop.any():
+            earliest = l
+        if stop.all():
+            return int(count), tree.k0 + earliest, tree.k0 + l
+        rows, n = rows[~stop], n[~stop]
+        slots = (argmin_control[off[l] + rows].astype(np.int64) % C)[:, None] * B + np.arange(B)
+        if tree.children is None:
+            rows, n = (rows[:, None] * (C * B) + slots).reshape(-1), np.repeat(n, B)
+        else:
+            rows, at = np.unique(tree.children[l][rows[:, None], slots], return_inverse=True)
+            n, pushed = np.zeros(len(rows), dtype=dtype), np.repeat(n, B)
+            np.add.at(n, at.reshape(-1), pushed)
 
 
 def robust_envelope(tree, Y, delta: float = 0.0) -> EnvelopeSolution:

@@ -390,10 +390,9 @@ class ScenarioTree(_LevelTree):
     for control index ci and outcome index oi, and row j of level l has
     the ancestor row j // fanout**(l - m) at level m: level_prefixes
     gathers whole prefixes along those rows.  Every walk over the tree
-    runs from the root and computes child ids from this layout: backward
-    sweeps with envelope.backward_sweep, strategy and rule walks with
-    envelope.forward_pass, and the tau* summary's level walk with
-    envelope._tau_extent.  The tree below a later node is the one
+    runs from the root and computes child ids from this layout: the
+    backward sweep, the forward pass of strategy and rule walks, and the
+    tau* summary (envelope).  The tree below a later node is the one
     expand_tree resumes from that node's prefix (init_prefix).
 
     Nodes with bitwise-equal states on one level carry equal values only
@@ -487,8 +486,7 @@ class RecombinedTree(_LevelTree):
 
     A node stands for every tree node with its state, whatever their
     prefixes, so the running maxima, prefix classes and prefixes of a
-    ScenarioTree raise a TypeError here, as do the walks that follow
-    single scenarios (envelope.forward_pass and the tau* summary).
+    ScenarioTree, and envelope.forward_pass, raise a TypeError here.
     """
 
     def __init__(self, grid, controls, drift, root_prefix: np.ndarray, states: list,

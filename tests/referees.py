@@ -20,8 +20,8 @@ sweep parity gate pins its outputs.  nonlinear_expectation and
 stopped_value are the worst-case mean of leaf values and of the envelope
 frozen by a rule; the sweep parity gate pins both.  scenario_tau keys
 each argmin-consistent scenario by its outcome tuple: solve's tau*
-summary (envelope._tau_extent) is its len, min and max, and the tree
-parity gate pins it.  max_control_envelope is a wrong solver for the
+summary (envelope._tau_extent) is its len, min and max on a
+ScenarioTree, and the tree parity gate pins it.  max_control_envelope is a wrong solver for the
 tests that show a check or a law rejects one; int64_envelope is the
 sweep's recursion written out a whole level at a time with an int64
 argmin, the referee for the sweep's narrow argmin type and its blocks.

@@ -1047,6 +1047,20 @@ def test_demo_payoffs_past_the_float_range_are_a_config_error(tmp_path, capsys):
         assert (out == "") == (code == 2)
 
 
+def test_demo_states_past_the_float_range_are_a_config_error(tmp_path, capsys):
+    # sigma_hi 8e307 over t_end 1e300 in 2 steps: a child state overflows
+    # to inf and its children add inf and -inf, a NaN.  That warned
+    # "invalid value" (exit 4 under warnings as errors), then the NaN
+    # rewards were refused naming demo.base and demo.strikes.  The tree
+    # is refused before any reward, naming the keys that set its states
+    cfg = {"demo": {"strikes": [1.0], "sigma_lo": 1e307, "sigma_hi": 8e307,
+                    "t_end": 1e300, "n_steps": 2}}
+    assert main(["demo", "--config", write_config(tmp_path, cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "demo.sigma_hi" in err and "demo.t_end" in err and "demo.base" not in err, err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_huge_n_steps_hits_the_node_cap_at_once(tmp_path, command):
     # a level-by-level count of 10^300 levels never ends, so the run goes
@@ -1271,17 +1285,17 @@ PINNED_DIGESTS = {
 def test_tau_extent_is_the_scenario_maps_summary():
     # solve's tau* summary, read without the scenario map, on the 200
     # acceptance instances (plain and at delta 0.5), the three solve-deep
-    # configs, a tree resumed from a stored history (k0 = 1), and NaN
-    # leaves, where no continuation is finite and the walk follows
-    # argmin -1 to the last control
+    # configs, the 384 certify pool instances, a tree resumed from a
+    # stored history (k0 = 1), and NaN leaves, where no continuation is
+    # finite and the walk follows argmin -1 to the last control
     sols = []
     rng = np.random.default_rng(20260815)
     for _ in range(200):
         tree, Y = random_instance(rng)
         sols += [robust_envelope(tree, Y), robust_envelope(tree, Y, delta=0.5)]
-    for cfg in PINNED_SOLVE.values():
+    for cfg in [*PINNED_SOLVE.values(), *_certify_pool()]:
         inst = _instance(cfg)
-        sols.append(robust_envelope(_expand(inst), inst[4]))
+        sols.append(robust_envelope(_expand(inst), inst.Y))
     controls = ControlSet([0.5, 1.0], cap=1.0)
     resumed = expand_tree(TimeGrid(0.0, 1.0, 3), None, DriftSpec("zero"), controls,
                           init_prefix=[[0.0], [1.1]])

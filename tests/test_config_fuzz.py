@@ -23,20 +23,18 @@ fuzz draws starts near and past the float range of the state norm
 
 Finite inputs near the float range (a drift rate of -1e300, say) can
 overflow in numpy: a tree whose states or rewards overflow is then a
-config error, and a check fails on the NaN it meets.  solve, oracle and
-verify must do so without a numpy warning: they run with
-RuntimeWarnings as errors, so a warning is a crash too.  verify runs
-twice, with its whole suite and with its sampled checks alone, since a
-tree check refuses rewards past the float range before the prehistory
-check expands its own trees.  Only demo runs with RuntimeWarnings
-ignored: it still warns near the float range (ROADMAP item 17).
+config error, and a check fails on the NaN it meets.  Every command
+must do so without a numpy warning: they run with RuntimeWarnings as
+errors, so a warning is a crash too.  verify runs twice, with its
+whole suite and with its sampled checks alone, since a tree check
+refuses rewards past the float range before the prehistory check
+expands its own trees.
 """
 
 import copy
 import json
 import math
 import random
-import warnings
 
 from robuststop.cli import DEMO_ROW_CAP, main
 from test_demo_parity import _menu_nodes
@@ -143,22 +141,19 @@ SAMPLED = ("verify", "--suite", "y1,drift,prehistory,moments")
 COMMANDS = (("solve",), ("oracle",), ("verify",), SAMPLED)
 
 
-def _crashes(tmp_path, capsys, alarm, configs, commands=COMMANDS, seconds=5.0,
-             strict=True) -> list:
+def _crashes(tmp_path, capsys, alarm, configs, commands=COMMANDS, seconds=5.0) -> list:
     """(command, config, last stderr line) of every run of the commands,
     each a command and its options, on the configs that exits 4, a run
-    past its alarm among them.  A strict run keeps RuntimeWarnings as
-    errors, so that a numpy warning is a crash too."""
+    past its alarm among them.  The suite keeps RuntimeWarnings as
+    errors (pyproject.toml's filterwarnings), so that a numpy warning is
+    a crash too."""
     crashes = []
     for i, cfg in enumerate(configs):
         path = tmp_path / f"config-{i}.json"
         path.write_text(json.dumps(cfg))
         for command in commands:
             alarm(seconds)
-            with warnings.catch_warnings():
-                if not strict:
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                code = main([*command, "--config", str(path)])
+            code = main([*command, "--config", str(path)])
             alarm(0)
             err = capsys.readouterr().err
             if code == 4:
@@ -176,8 +171,7 @@ def test_no_fuzzed_demo_config_exits_4(tmp_path, capsys, alarm):
     rng = random.Random(20261024)
     configs = [fuzzed_config(rng, DEMO_BASE, DEMO_KEYS) for _ in range(2000)]
     configs += [near_bound_demo_config(rng) for _ in range(400)]
-    # demo still warns on its own near the float range (ROADMAP item 17)
-    crashes = _crashes(tmp_path, capsys, alarm, configs, (("demo",),), 2.0, strict=False)
+    crashes = _crashes(tmp_path, capsys, alarm, configs, (("demo",),), 2.0)
     assert not crashes, crashes[:5]
 
 

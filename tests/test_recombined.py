@@ -4,9 +4,9 @@ prefix.
 
 The gate maps each tree node to its merged node level by level (a tree
 node's merged node is the merged parent's child in the same slot) and
-requires bitwise-equal states, y, z, argmin_control and stop there, and
-multiplicities that count the tree nodes of each merged node, summing to
-fanout**l on level l.
+requires bitwise-equal states, y, z, argmin_control and stop there, the
+tree's tau* summary, and multiplicities that count the tree nodes of
+each merged node, summing to fanout**l on level l.
 """
 
 import functools
@@ -19,6 +19,7 @@ from robuststop import (
     ControlSet,
     DriftSpec,
     ModulusSpec,
+    SizeError,
     TimeGrid,
     american_put,
     constant_reward,
@@ -32,7 +33,7 @@ from robuststop import (
 )
 from robuststop import cli, verify
 from robuststop.cli import main
-from robuststop.envelope import forward_pass
+from robuststop.envelope import _tau_extent, forward_pass
 from robuststop.model import expand_recombined
 from test_cli import PINNED_DEMO, write_config
 
@@ -65,6 +66,7 @@ def assert_parity(grid, x0, drift, controls, rewards):
                 assert np.array_equal(_bits(getattr(full, name)[t]), _bits(got)), (name, l)
             assert np.array_equal(full.argmin_control[t], merged.argmin_control[r][m])
             assert np.array_equal(full.stop[t], merged.stop[r][m])
+        assert merged.tau_extent() == full.tau_extent()
     return tree, rec
 
 
@@ -140,7 +142,6 @@ def rec():
 
 REFUSALS = {
     "forward_pass": lambda rec: forward_pass(rec, strategy=0),
-    "tau_extent": lambda rec: robust_envelope(rec, terminal_abs()).tau_extent(),
     "stop_rule_map": lambda rec: robust_envelope(rec, terminal_abs()).stop_rule_map(),
     "prefix_class": lambda rec: rec.prefix_class,
     "level_prefixes": lambda rec: rec.level_prefixes(1),
@@ -152,6 +153,24 @@ REFUSALS = {
 def test_per_prefix_reads_refuse_a_recombined_tree(rec, entry):
     with pytest.raises(TypeError, match="RecombinedTree"):
         REFUSALS[entry](rec)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_tau_summary_counts_past_int64(n):
+    # one control, so 2**n scenarios reach the leaves when no interior
+    # node stops: int64 holds 2**62 but not 2**63, where multiplicity()
+    # gives up and the walk counts in Python ints.  sqrt(dt) = 1/8, so
+    # the DAG is the exact lattice of n + 1 states on level n
+    rec = expand_recombined(TimeGrid(0.0, n / 64, n), 0.0, DriftSpec("zero"),
+                            ControlSet([1.0]))
+    assert rec.n_nodes == (n + 1) * (n + 2) // 2
+    flags, argmin = np.zeros(rec.n_nodes, dtype=bool), np.zeros(rec.n_nodes, dtype=np.int8)
+    assert _tau_extent(rec, flags, argmin) == (2**n, n, n)
+    if n == 62:
+        assert int(rec.multiplicity()[-1].sum()) == 2**n
+    else:
+        with pytest.raises(SizeError, match="int64"):
+            rec.multiplicity()
 
 
 @pytest.mark.parametrize("Y", [
