@@ -60,9 +60,6 @@ __all__ = [
     "classic_snell",
 ]
 
-# Relative guard for testing Z == Y in floating point; tau* stops where
-# Z <= Y + delta within this guard.
-STOP_GUARD = 1e-12
 # Bytes of outputs and buffers that one column sweep may hold (column_chunk).
 COLUMN_BYTES = 1 << 24
 # Nodes per block of a backward_sweep level and of the stop test, so that
@@ -354,9 +351,9 @@ def _y_array(tree, Y) -> np.ndarray:
 class EnvelopeSolution:
     """Worst-case envelope per node, as the sweep leaves it.
 
-    argmin_control is -1 at leaves.  stop holds Z <= Y + delta with a
-    relative floating-point guard (_meets); it is derived on first read
-    and kept.
+    argmin_control is -1 at leaves.  stop holds Z - Y <= delta (_meets),
+    so Z == Y at delta = 0, where the sweep writes the floor's own bits;
+    it is derived on first read and kept.
     """
 
     tree: object
@@ -387,25 +384,15 @@ class EnvelopeSolution:
 
 
 def _meets(z, y, delta: float) -> np.ndarray:
-    """The guarded stop test z - y <= _stop_slack(y, delta), delta >= 0,
-    with two float temporaries, SWEEP_BLOCK nodes at a time."""
+    """The stop test z - y <= delta, delta >= 0, with one float
+    temporary, SWEEP_BLOCK nodes at a time."""
     if len(z) > SWEEP_BLOCK:
         out = np.empty(len(z), dtype=bool)
         for lo in range(0, len(z), SWEEP_BLOCK):
             hi = lo + SWEEP_BLOCK
             out[lo:hi] = _meets(z[lo:hi], y[lo:hi], delta)
         return out
-    return z - y <= _stop_slack(y, delta)
-
-
-def _stop_slack(y, delta: float) -> np.ndarray:
-    """How far the stop test lets z exceed y: delta + STOP_GUARD * (1.0 +
-    |y|), in that operation order, in one new array."""
-    slack = np.abs(y)
-    slack += 1.0
-    slack *= STOP_GUARD
-    slack += delta
-    return slack
+    return z - y <= delta
 
 
 def _prefix_rule(tree, stop):

@@ -31,14 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envelope import (
-    STOP_GUARD,
-    EnvelopeSolution,
-    _stop_slack,
-    backward_sweep,
-    robust_envelope,
-    stop_mask,
-)
+from .envelope import EnvelopeSolution, backward_sweep, robust_envelope, stop_mask
 from .errors import ConfigError, SizeError
 from .model import (
     DriftSpec,
@@ -439,7 +432,8 @@ def check_y1(Y: RewardFunctional, sampler, n: int, seed: int = 2026) -> CheckRep
     one grid.  Per chunk of draws (_chunk_size) the rewards take one
     stacked call per time index, the distances one dist_dinfty call on
     the stacks and the modulus one call on the distances.  The tolerance
-    is SAMPLE_TOL, or 16 ulps of the largest finite |reward| drawn.
+    is SAMPLE_TOL, or 16 ulps of the largest finite |reward| drawn.  A
+    reward past the float range gives a NaN worst, without a warning.
     """
 
     def reward(ks, om):
@@ -450,10 +444,11 @@ def check_y1(Y: RewardFunctional, sampler, n: int, seed: int = 2026) -> CheckRep
     worst, tol = -np.inf, SAMPLE_TOL
     for start in range(0, n, chunk):
         k1, om1, k2, om2 = sampler(rng, min(chunk, n - start))
-        early, late = reward(k1, om1), reward(k2, om2)
-        tol = _sampled_tolerance(tol, early, late)
-        rhs = Y.modulus(dist_dinfty(k1, om1, k2, om2))
-        worst = _max_or_nan(worst, early - late - rhs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            early, late = reward(k1, om1), reward(k2, om2)
+            tol = _sampled_tolerance(tol, early, late)
+            rhs = Y.modulus(dist_dinfty(k1, om1, k2, om2))
+            worst = _max_or_nan(worst, early - late - rhs)
     return CheckReport(
         name="y1",
         worst=float(worst),
@@ -668,9 +663,8 @@ def check_martingale_to_tau(sol: EnvelopeSolution) -> CheckReport:
     E_u[W+ next]) and W- = min(z, min_u E_u[W- next]), both frozen at the
     stop region, compared at every node (n_checked counts them): the law
     holds from any start.  On the stop region z must meet y: the worst
-    takes max(y - z, z - y - slack) there, where the slack is the stop
-    test's own, delta + STOP_GUARD * (1 + |y|), so a solution passes at
-    any scale and any delta.
+    takes max(y - z, z - y - delta) there, the stop test's own
+    expression, so a solution passes at any scale and any delta.
     """
     tree, z, y, stop = sol.tree, sol.z, sol.y, sol.stop
     upper = backward_sweep(tree, z, floor=z, stop=stop)[0]
@@ -679,7 +673,7 @@ def check_martingale_to_tau(sol: EnvelopeSolution) -> CheckReport:
     gap = z[stop] - y[stop]
     # the flat part is >= +0.0 and wins ties, so a clean report keeps
     # its bits; a NaN in either part shows
-    meet = float(np.max(np.maximum(-gap, gap - _stop_slack(y[stop], sol.delta))))
+    meet = float(np.max(np.maximum(-gap, gap - sol.delta)))
     if math.isnan(meet) or meet > worst:
         worst = meet
     return CheckReport("martingale-to-tau", worst, SWEEP_TOL, tree.n_nodes)
@@ -742,10 +736,10 @@ def check_tau_monotone(sol: EnvelopeSolution) -> CheckReport:
     (reported in details).  The worst is max(z - v - delta, v - z) over
     every node (n_checked counts them), so at delta = 0 it is max |z - v|;
     a stop region relaxed by delta only bounds v below by z - delta.  The
-    tolerance, STOP_GUARD * (1 + max |y|), is the most that the guarded
-    stop test lets z exceed y + delta at a stop node.  A NaN or infinite
-    y gives a NaN worst.  v does not read z, so a shifted z shows at its
-    own node.
+    tolerance is 0.0: at delta = 0 the stop region is exactly {z == y},
+    where the sweep wrote y's own bits, so v is z bitwise.  A NaN or
+    infinite y gives a NaN worst.  v does not read z, so a shifted z
+    shows at its own node.
 
     The name is kept from the check's first law, that the delta-relaxed
     hitting times tighten monotonically to tau*, because the benchmark's
@@ -753,11 +747,10 @@ def check_tau_monotone(sol: EnvelopeSolution) -> CheckReport:
     """
     tree, z, y = sol.tree, sol.z, sol.y
     v = backward_sweep(tree, y, stop=sol.stop)[0]
-    tolerance = STOP_GUARD * (1.0 + float(np.max(np.abs(y))))
     worst = float(np.max(np.maximum(z - v - sol.delta, v - z)))
-    if not math.isfinite(tolerance):
+    if not np.isfinite(y).all():
         worst = math.nan
-    return CheckReport("tau-optimal", worst, tolerance, tree.n_nodes,
+    return CheckReport("tau-optimal", worst, 0.0, tree.n_nodes,
                        {"value_at_tau_star": float(v[tree.root])})
 
 

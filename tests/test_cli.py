@@ -1270,15 +1270,15 @@ PINNED_DEMO = {
 }
 PINNED_DIGESTS = {
     ("demo", "degenerate"):
-        "615e8b582151d492883ab20dfc5368328891b979acc5dcf8797e8dea5309ec8d",
+        "c18e9b5abd9cc7213be6e7e1d713e42d9a431ab645572a4dbdd228019e57ef15",
     ("demo", "wide"):
-        "bead950531330694d9b16d824e1a1d026dfcb9aff1df325c2b2aae61675b71cf",
+        "0dd43f2cef7d0e77f55bf55219cb6361e99c17576ca6ec97d1185375d94895e5",
     ("solve", "d2"):
         "5e1ac9a560638ebeff2373ce2bd5685d6b3fe47862be846fae715e7fdc0f229e",
     ("solve", "lookback"):
         "83688fd1280378526a0ba980bd2fa033b0c5f25e69debb0362706cc7cc7f09aa",
     ("solve", "put"):
-        "ea7ea3fabcd437c71bc99be66ad6fd55ff98a862a6764a4ca39e1ead271b12ef",
+        "df707cc601ba2ec9f064ead304d3287ea31901fb0258a4294964ad7ce6afc221",
 }
 
 
@@ -1342,6 +1342,31 @@ def test_stop_boundary_is_the_least_norm_of_the_stopped_rows(tmp_path, capsys, n
         want.append(min(float(np.linalg.norm(r)) for r in rows) if len(rows) else "")
     assert "" in want and want.count("") < len(want)
     assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+# the n = 8 two-control put with strike 1.1 at a given reward.scale
+def _scaled_put(scale):
+    return {**PINNED_SOLVE["put"],
+            "reward": {"kind": "american-put", "strike": 1.1, "scale": scale}}
+
+
+def test_solve_reports_the_same_tau_star_at_a_tiny_reward_scale(tmp_path, capsys):
+    # tau* is where z meets y, which scaling the reward leaves in place:
+    # at scale 1e-12 every z - y is below 1e-12, yet the root stops only
+    # where it stops at scale 1
+    for scale in (1.0, 1e-12):
+        code, report = run(capsys, "solve", "--config", write_config(tmp_path, _scaled_put(scale)))
+        assert code == 0
+        assert report["tau_star"] == {"earliest": 4, "latest": 8, "n_scenarios": 126}
+
+
+def test_verify_mutate_rejects_at_a_large_reward_scale(tmp_path, capsys):
+    # at scale 1e12 the 0.1 mutations are far below max |y|, and every
+    # tree check, tau's included, still rejects its broken input
+    code, report = run(capsys, "verify", "--suite", GAME_SUITE, "--mutate",
+                       "--config", write_config(tmp_path, _scaled_put(1e12)))
+    assert code == 0
+    assert not any(c["passed"] for c in report["checks"].values())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DEMO))
@@ -1475,53 +1500,53 @@ GAME_DIGESTS = {
     ("oracle", "pool-68"):
         (0, "f87b56447a0f1bc80d6d0e996cf0ac9a0d84feea51887c4640d93c8f564035e3"),
     ("verify", "collision-n1"):
-        (0, "beb768b38065b68975b74ec4eb543812b13c30638d30b45f95384fbe34cb712d"),
+        (0, "83e1b7e04326719627e8687bed5883d2d30e3171efd955ebb3ee82d6cf10abc3"),
     ("verify", "collision-n2"):
-        (0, "d669fb2c252326a769bc636a45d01d6348542b0112e90c1ab012ef98c0c3186f"),
+        (0, "b9f13af8ebac86d2a1424346aa664f049aab47ddb3c67e71cd1685e0eafbf0c7"),
     ("verify", "pool-1"):
-        (0, "f1f71000f6afcd2292c919af2c4a27019c30ffbbd656bc5e44bf0045778a2bfc"),
+        (0, "76a9c72e127522bbb2084365c2ad13dfd85211064d053455bbea36e75493d711"),
     ("verify", "pool-131"):
-        (0, "eb39ae05a8c2b296818e62e58a0cb23e01e960227673cf6c0366ef1281063d2f"),
+        (0, "295b7516e3005ec0764c8a12bb6bc78826c0a2d6a7d931b5bcc69a8d2fb7b533"),
     ("verify", "pool-192"):
-        (0, "ebe0bf71381465152613ac6102533fca64a1aa2318fea835a2e6f88ec112ac27"),
+        (0, "936936c2392db5fd3187aa753cfbc71a3c64ea9df6a306f0df31f5b2f87cfaca"),
     ("verify", "pool-195"):
-        (0, "3d8791286120fcb10f425c3be7c2966e5fa321bab9ccad94943c0b6bf41b08ab"),
+        (0, "c0c01d73c52f5ac7e0917b28b51edf619556bea85d36b4948a0c36990f308315"),
     ("verify", "pool-197"):
-        (0, "6a7805a98bb4b377d7a2e75c267a26f35f8460f7d09bc4db047033baeee4a249"),
+        (0, "0aed451c4536e68c9baa0d0971a20ce029f78b0ae96a09b8b451695e01cd74fa"),
     ("verify", "pool-260"):
-        (0, "234f5be45fa247d2bb6ea82b1a649466913c8f2b43347995b84b8c6127dace24"),
+        (0, "8547d27bc2d632096a3d7ee97d3a293d65d3d138021d7e7dabe711bbe0382495"),
     ("verify", "pool-320"):
-        (0, "594f8c8753d541df08e43244d03dfe917d423016fa1ba06e3952e0f449954923"),
+        (0, "26e583cfceda3745b9e5fb322d02e39d58e358a4a7c3f100ffed9c7a0a8be278"),
     ("verify", "pool-322"):
-        (0, "348bfa8dd5fe6ef1d340dbc892fdb3cc2089e30bb6024c481264a51982d8f528"),
+        (0, "974fa2a3ef93a939558ea77276bcfbec92575a64f01da8d7c80a03c44af7d10e"),
     ("verify", "pool-64"):
-        (0, "e0a108d19039ce014787b1f3c8b930c7282cda2164ef571d5fe854796ad5ff6a"),
+        (0, "1f33d4df6544e28dd390fd139eddd1737a8e72db4f413475bec4515c586ed734"),
     ("verify", "pool-68"):
-        (0, "db6192f75ea817ea36f69262d03296e28614e5d8ffa50d3f85eeaa597590d1cd"),
+        (0, "fe931c1790815776ff7be051d5d80df6241dba3a747dd3f8b488b18e84befeb7"),
     ("verify --mutate", "collision-n1"):
-        (0, "c881a5ceddde847bc16d4213faef3a7b7f809d76e2a93852f276a4ee72fa5674"),
+        (0, "d26d3e770682358671c963b03ac60ee56af8521944e20b171fc3e5efb96b3b07"),
     ("verify --mutate", "collision-n2"):
-        (0, "8a943e453e1daf5695775e9eaeb2434fe65713d3cefce7b24da574cad0a17af0"),
+        (0, "45efbddbe09357ba402728977616a7eb7ef5e7e7c93e00f9da332ebe5c526f56"),
     ("verify --mutate", "pool-1"):
-        (0, "799c34a7a4b6772090af47dff6f3fbff0e359bd7f541c7fb53c8dfc29b05c13c"),
+        (0, "500789fcaa9edd2eaf59abbd9632d08292dc808b890f740a42a93229e2e145c2"),
     ("verify --mutate", "pool-131"):
-        (0, "943b6a88608c790ede04b8debc72f03aa938c2cd3447b7fa56a50eb1736cc29d"),
+        (0, "218ce8e601661b0b4affa47ddf3cce79cee58aa92c6ec9e4a1eb0902918af9a1"),
     ("verify --mutate", "pool-192"):
-        (0, "04b5c2e4508a32abd2c341f9da0e121d9544b1812494d8af8db95ffc0ebcc8bf"),
+        (0, "301fe1d30641389d35ea5431efa6ee09f7f032dc1fef9c10782253402ed8ec04"),
     ("verify --mutate", "pool-195"):
-        (0, "fa0f2d400febc447085fa1f950bfbf2d5bc854696a56b542d4fc1fb046181064"),
+        (0, "ceeb23fb3036cdb6d4bd05e3c6712855be3952cae84ea94bb94ec851c28175a1"),
     ("verify --mutate", "pool-197"):
-        (0, "bdc26a07e214d18dec46e59a23d8c37443049865530b2f521a00ed6ada031a11"),
+        (0, "e907ccc2a3d3f2f8589064941df05049bdfb4b57272acc0d144bc67282a02fe5"),
     ("verify --mutate", "pool-260"):
-        (0, "50e260425cf7b239f275c3f39a26e0d252c1ed6de8b776843296cc7e283e8c13"),
+        (0, "d3968dc54b0d6a03435c232c2feb13ad9d9a5d0831955f1dcf2e3d751a4c276e"),
     ("verify --mutate", "pool-320"):
-        (0, "3346f50d8205e812e949a7d0188aa72bb714d6195e3c7e67d47ea9f82d76e0ae"),
+        (0, "3b833097c366e38ec724a188bdea6ee04396f114ed6f55c9457fb9bb3d80a9b7"),
     ("verify --mutate", "pool-322"):
-        (0, "c097e778d5450a26484e6662a71bfd826cdeee5433801e47f44f03b60dcf3b8f"),
+        (0, "9de3aaf15ba639ccb667eef18b00a3aff491c91675d42a8e06ac6b03c4581cc5"),
     ("verify --mutate", "pool-64"):
-        (0, "863f3d9946fc892de6b1d862b3efd027cc698b478b414296b99710f9c37c65a4"),
+        (0, "48242b5f6307a244a4e78a72870ab40b7d43d0371e6bcc92924f6fd83e4901fa"),
     ("verify --mutate", "pool-68"):
-        (0, "89babe8c54b934a1a59f219cc8674138ab60496a578c187cfeb4fad7aed554cb"),
+        (0, "eb24e385b088dece36d0428739f00bc4b37fabb1c61a56f14a18b29092544bea"),
 }
 
 

@@ -220,3 +220,19 @@ def test_no_large_valid_cap_exits_4(tmp_path, capsys, alarm):
             configs.append(cfg)
     crashes = _crashes(tmp_path, capsys, alarm, configs)
     assert not crashes, crashes[:5]
+
+
+# every reward kind at a reward.scale near the float maximum; constant
+# takes it as its value, since it reads no scale
+HUGE_SCALES = [1e300, 1e307, 1e308, 1.7976931348623157e308]
+
+
+def test_no_reward_scale_near_the_float_maximum_exits_4(tmp_path, capsys, alarm):
+    configs = []
+    for kind in ("american-put", "lookback-max", "terminal-abs", "constant", "running-sum"):
+        for scale in HUGE_SCALES:
+            cfg = copy.deepcopy(BASE)
+            cfg["reward"] = {"kind": kind, "strike": 1.0, "scale": scale, "value": scale}
+            configs.append(cfg)
+    crashes = _crashes(tmp_path, capsys, alarm, configs)
+    assert not crashes, crashes[:5]

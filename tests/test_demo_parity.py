@@ -86,7 +86,7 @@ def test_seeded_demo_runs_are_pinned(tmp_path, capsys):
         for path in sorted(out.iterdir()) if out.exists() else ():
             h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert (len(configs), codes.count(0), codes.count(3)) == (46, 35, 11)
-    assert h.hexdigest() == "c0835d7bc435a8757fbfbb8dbb88ea937f807b73b2c09bf3c81ea2febef50e1a"
+    assert h.hexdigest() == "018d93c865327ac7e229d6260288a611988ced54513ba7bec8147eecd30b7509"
 
 
 @pytest.mark.parametrize("lo, hi, cap", [

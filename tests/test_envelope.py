@@ -37,9 +37,11 @@ from robuststop import (
     terminal_abs,
 )
 import robuststop.envelope as envelope_module
+from robuststop.cli import _expand, _instance
 from robuststop.envelope import forward_pass
 from robuststop.model import expand_recombined
 from robuststop.verify import check_tau_monotone
+from test_cli import _certify_pool
 
 
 def test_inst_a_hand_values(inst_a):
@@ -211,12 +213,36 @@ def test_init_prefix_matches_shifted_level():
 
 
 def test_delta_guard_handles_scale():
-    # a tie at z == y must register as a stop even when the values carry
-    # rounding noise at large magnitude
+    # a tie at z == y registers as a stop at large magnitude too: where
+    # the floor wins, the sweep writes y's own bits into z
     grid = TimeGrid(0.0, 1.0, 1)
     tree = expand_tree(grid, 1e9, DriftSpec("zero"), ControlSet([1.0], cap=1.0))
     sol = robust_envelope(tree, constant_reward(1e9))
     assert np.all(sol.stop)
+
+
+def test_scaling_y_by_a_power_of_two_leaves_tau_star_in_place():
+    # the paper's law: Z scales with Y and tau*, the first time Z meets
+    # Y, stays where it is.  A power of two scales every float exactly,
+    # so z scales bitwise and the stop set, the argmin and the tau*
+    # summary keep their bits, on the acceptance instances, the certify
+    # pool and both prefix-collision trees
+    rng = np.random.default_rng(20260815)
+    cases = [random_instance(rng) for _ in range(200)]
+    for cfg in _certify_pool():
+        inst = _instance(cfg)
+        cases.append((_expand(inst), inst.Y))
+    cases += [(make_collision_tree(n), terminal_abs()) for n in (1, 2)]
+    for tree, Y in cases:
+        sol = robust_envelope(tree, Y)
+        for k in (-60, -20, 0, 20, 60):
+            c = math.ldexp(1.0, k)
+            scaled = robust_envelope(tree, sol.y * c)
+            assert np.array_equal(scaled.z, sol.z * c)
+            assert np.array_equal(scaled.stop, sol.stop)
+            assert np.array_equal(scaled.argmin_control, sol.argmin_control)
+            assert scaled.tau_extent() == sol.tau_extent()
+            assert check_tau_monotone(scaled).worst == 0.0
 
 
 def test_forward_pass_follows_a_strategy_to_its_stops(rand_instance):

@@ -291,14 +291,13 @@ def test_tree_checks_run_unchanged_on_a_recombined_tree():
     # the n = 64 DAG stands for a tree of 4^64 leaves; a check's max over
     # merged nodes is its max over the tree's, since every tree node has
     # its merged node's values.  The DPP is cut at the horizon, halfway
-    # and at the stop region; tau's worst is the stop guard's slack
+    # and at the stop region; every check, tau's included, reads 0.0
     inst = cli._instance(DYADIC_PUT)
     rec = expand_recombined(inst.grid, inst.x0, inst.drift, inst.controls)
     assert rec.n_nodes == 2 * 64**2 + 3 * 64
     sol = robust_envelope(rec, inst.Y)
-    *exact, tau = _tree_reports(sol, 32)
-    assert [r.worst for r in exact] == [0.0] * len(exact)
-    assert tau.passed and tau.worst < 1e-11
+    reports = _tree_reports(sol, 32)
+    assert [r.worst for r in reports] == [0.0] * len(reports)
     # each tree check's mutation, applied to the DAG's solution, fails
     inst = inst._replace(sol=sol)
     num = functools.partial(cli._num, {}, "verify")

@@ -235,7 +235,7 @@ RECORDED = {
         'nonlinear_expectation': 'a0d91cbcf8301c4d37ea7ebf2fdd790bc27d457d351fc082bb9135adbb0e8e9e',
         'stopped_value': '94685e884e9d8cbb3f7e92c77919ddee7c1673f9f2a2b2c0ba9258a8da13557e',
         'worst_case_stopped_reward': 'b5d43f4660e1a1a3b8e7252d33f546cbdf6998341f99f1c54b4cd9d36e72b76a',
-        'game': '914f41f0a0d6e6d5bf80b9790b414659456cdb9854e4f0dbaf3d754eeea79bdd',
+        'game': '7ede147b8e204fcd92d4769665efebb230c1056e78cebae13587f06a0f3a97a4',
         'verify': 'da5bed1b9407f43964925cf83a9cd492eb924c8d19e916c48bbfbdd16d4681b3',
     },
     'pasting-from-node': {

@@ -154,8 +154,8 @@ RECORDED = {
         'y': '2524c7caf1088c34421b4e34290e4eada8bde8f4bf7ce8ca92eb257b5160dc8a',
         'z': '01baf38a4352df8615f086a9fba691703e6034a644d763720087091aa461bbce',
         'argmin_control': 'affdcdac65ae1b8ed473220bf29578f49cd8aa03eab3e2ec232ab79ba5d9f45e',
-        'stop': '9431938ea4aca4eac8f1f8a264b806c611d5f97e46bdc371bab6aaa8b87a2485',
-        'tau': 'c18da4c824909b42e178eb83356ac1b3556d534340d075a329c44635ad9146f6',
+        'stop': '1b2f837fa8b63b3bdf36d76a1e1756a9b27d212ea3bd4a7ddce9d74ba7e1dc2e',
+        'tau': '2944b203f82a3a1d8ad6799688da683ff7e413016304e5ad69b1bf5b8777e7bc',
     },
     'custom-reward': {
         'states': '378e8b994d1b5fca0a3a591149b687b9acb000dfce9a0dd539652bfcbfb429a9',
@@ -178,7 +178,7 @@ RECORDED = {
         'y': 'a79981e6b213a68f86312894fca796dda84d5d8cd9a2ddcf4911a04708a3cfa7',
         'z': 'daa15b8fc8bc99c1ff64f0e4d704f53ae1f61ff6dedbf0b95335a9411e579aec',
         'argmin_control': '0002629de89ca697f4550a10121be42c7041b8f95faac8683298410d47e226be',
-        'stop': '969a5fb62713575c94c760c7d3c712fb28facd4d7467e4465ff80a0f1578e3b8',
+        'stop': 'bf783313a797c1ca822987792112edabc515e1b0012433c2ef5b17b028ce8e3a',
         'tau': '3158a4786087f19bc8822b0dab9983541b82d4283e42293fe927fb217a65176d',
     },
     'demo-menu-9': {
@@ -186,7 +186,7 @@ RECORDED = {
         'y': 'fef846d27cebd2ab7592819f0e5080e7ac28b47cfce5e7333f622ee821bc4b82',
         'z': '55349b71aa6a4aed5cdcf966b7e0435d07cffeadd7d9a20079e260e3b87470a4',
         'argmin_control': '263dcd884b3e1e28e6444ac05dc47a8b550c1c70c1b3c5c53aa3256d88604dbf',
-        'stop': 'c265a18d2aaa7a2faf70e0aa120700c4ee8ad572dccf8e95272232dc26b85d56',
+        'stop': '4de1bc07cabc2dc830d98269cef1496508104ed5be010a0347779c966b1ca531',
         'tau': '3158a4786087f19bc8822b0dab9983541b82d4283e42293fe927fb217a65176d',
     },
     'init-prefix': {
@@ -226,7 +226,7 @@ RECORDED = {
         'y': '72fc196cf97f1683e904af8edd334fd49b53b53bbf95e336f82c86ebdb2dc913',
         'z': 'f7e296036fd35661286ea598fcbdc8ad03f4751117bdefe1297b99d0a2e767b0',
         'argmin_control': '736c26713276bc0138e067c000910056e564bb8aad6f8797df7c6dd68c610579',
-        'stop': 'a301ad6d7dd42125f91df3c03b797cd5c03f0cfba9fcffbea736ac42fe497971',
+        'stop': '492a1fdfbaf4723f203a5fb0ad38270cafea0183101acbdcbc4690273bd10351',
         'tau': '0ba176ee6506cdca8a42204c9f05ad63f4e190ecbe2ed2ed9e007145c6842dde',
     },
 }

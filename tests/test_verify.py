@@ -254,15 +254,19 @@ def test_martingale_to_tau_rejects_a_stop_node_off_its_reward(put_sol):
 
 @pytest.mark.parametrize("t_end, delta", [(1.0, 0.5), (1e20, 0.0)])
 def test_martingale_to_tau_meets_y_within_the_stop_test(t_end, delta):
-    # the stop region holds z up to delta + STOP_GUARD * (1 + |y|) above
-    # y, past the check's tolerance here, and a solution passes at
-    # any scale and any delta
+    # the stop region holds z up to delta above y: past the check's
+    # tolerance at delta 0.5, and not at all at delta 0, where it is
+    # {z == y} however large the values; a solution passes at any scale
+    # and any delta
     tree = expand_tree(TimeGrid(0.0, t_end, 3), 1.0, DriftSpec("zero"),
                        ControlSet([0.5, 1.0], cap=1.0))
     sol = robust_envelope(tree, american_put(strike=1.1, base=0.0), delta=delta)
     report = check_martingale_to_tau(sol)
-    gap = (sol.z - sol.y)[sol.stop]
-    assert np.max(gap) > report.tolerance
+    gap = np.max((sol.z - sol.y)[sol.stop])
+    if delta:
+        assert report.tolerance < gap <= delta
+    else:
+        assert gap == 0.0 and np.max(sol.y) > 1e9
     assert report.passed
 
 
@@ -408,7 +412,7 @@ def test_tau_monotone_constant_and_fixture(inst_a, put_n3):
     report = check_tau_monotone(sol)
     assert report.passed
     assert report.name == "tau-optimal" and report.n_checked == tree.n_nodes
-    assert report.tolerance == 1e-12 * (1.0 + float(np.max(np.abs(sol.y))))
+    assert report.worst == 0.0 and report.tolerance == 0.0
     # the root of the sweep frozen at tau*, as the oracle takes it
     v = backward_sweep(tree, sol.y, stop=sol.stop)[0]
     assert report.details["value_at_tau_star"] == float(v[tree.root])
@@ -416,9 +420,9 @@ def test_tau_monotone_constant_and_fixture(inst_a, put_n3):
 
 @pytest.mark.parametrize("case", ["scale-1e9", "t_end-1e20"])
 def test_tau_monotone_tolerance_scales_with_the_reward(case):
-    # float error grows with the values: both correct solutions miss the
-    # sweep frozen at tau* by more than an absolute 1e-9, and stay far
-    # inside the guarded stop test's slack
+    # float error grows with the values, yet the tolerance stays 0.0:
+    # the stop region is exactly {z == y}, so the sweep frozen at tau*
+    # meets z bitwise however large the values
     controls = ControlSet([0.5, 1.0], cap=1.0)
     if case == "scale-1e9":
         grid, Y = TimeGrid(0.0, 1.0, 3), american_put(1.1, 0.0, 1e9)
@@ -426,8 +430,8 @@ def test_tau_monotone_tolerance_scales_with_the_reward(case):
         grid, Y = TimeGrid(0.0, 1e20, 8), american_put(1.0, 0.0, 1.0)
     sol = robust_envelope(expand_tree(grid, 1.0, DriftSpec("zero"), controls), Y)
     report = check_tau_monotone(sol)
-    assert report.passed
-    assert 1e-9 < report.worst < report.tolerance / 1e3
+    assert report.passed and np.max(sol.y) > 1e8
+    assert report.worst == report.tolerance == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -481,15 +485,16 @@ def test_tau_check_rejects_every_corruption_on_the_acceptance_instances():
                 n_shifts += 1
         z = max_control_envelope(tree, sol.y)
         wrong = check_tau_monotone(EnvelopeSolution(tree, 0.0, sol.y, z, sol.argmin_control))
-        # a wrong z passes only where it is the envelope up to rounding
+        # a wrong z passes only where it is the envelope bit for bit
         off = float(np.max(np.abs(z - sol.z)))
-        assert wrong.passed == (off <= clean.tolerance), off
-        n_wrong += off > clean.tolerance
+        assert clean.worst == clean.tolerance == 0.0
+        assert wrong.passed == (off == 0.0), off
+        n_wrong += off > 0.0
         early = _stop_early(sol)
         if early is not None:
             assert not check_tau_monotone(early).passed
             n_early += 1
-    assert (n_shifts, n_wrong, n_early) == (9012, 72, 150)
+    assert (n_shifts, n_wrong, n_early) == (9012, 73, 150)
 
 
 def test_continuity_zero_drift_put():
