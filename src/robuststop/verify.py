@@ -735,22 +735,29 @@ def check_tau_monotone(sol: EnvelopeSolution) -> CheckReport:
     stop region, whose root is the game module's value_at_tau_star
     (reported in details).  The worst is max(z - v - delta, v - z) over
     every node (n_checked counts them), so at delta = 0 it is max |z - v|;
-    a stop region relaxed by delta only bounds v below by z - delta.  The
-    tolerance is 0.0: at delta = 0 the stop region is exactly {z == y},
-    where the sweep wrote y's own bits, so v is z bitwise.  A NaN or
-    infinite y gives a NaN worst.  v does not read z, so a shifted z
-    shows at its own node.
+    a stop region relaxed by delta only bounds v below by z - delta.  At
+    delta = 0 the tolerance is 0.0: the stop region is exactly {z == y},
+    where the sweep wrote y's own bits, so v is z bitwise.  At delta > 0
+    a fold of children within delta of z can round past delta, so the
+    tolerance is B + 2 ulps of max |z| + delta per level folded, with no
+    absolute floor.  v <= z holds exactly at any delta, as rounding is
+    monotone.  A NaN or infinite y gives a NaN worst.  v does not read z,
+    so a shifted z shows at its own node.
 
     The name is kept from the check's first law, that the delta-relaxed
     hitting times tighten monotonically to tau*, because the benchmark's
     tracer wraps the check by it.
     """
-    tree, z, y = sol.tree, sol.z, sol.y
+    tree, z, y, delta = sol.tree, sol.z, sol.y, sol.delta
     v = backward_sweep(tree, y, stop=sol.stop)[0]
-    worst = float(np.max(np.maximum(z - v - sol.delta, v - z)))
+    worst = float(np.max(np.maximum(z - v - delta, v - z)))
     if not np.isfinite(y).all():
         worst = math.nan
-    return CheckReport("tau-optimal", worst, 0.0, tree.n_nodes,
+    tol = 0.0
+    if delta:
+        ulps = (tree.branching + 2) * (len(tree.offsets) - 2) * np.finfo(np.float64).eps
+        tol = ulps * (float(np.max(np.abs(z), initial=0.0, where=np.isfinite(z))) + delta)
+    return CheckReport("tau-optimal", worst, tol, tree.n_nodes,
                        {"value_at_tau_star": float(v[tree.root])})
 
 

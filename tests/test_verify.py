@@ -420,18 +420,48 @@ def test_tau_monotone_constant_and_fixture(inst_a, put_n3):
 
 @pytest.mark.parametrize("case", ["scale-1e9", "t_end-1e20"])
 def test_tau_monotone_tolerance_scales_with_the_reward(case):
-    # float error grows with the values, yet the tolerance stays 0.0:
-    # the stop region is exactly {z == y}, so the sweep frozen at tau*
-    # meets z bitwise however large the values
+    # float error grows with the values, yet at delta = 0 the tolerance
+    # stays 0.0: the stop region is exactly {z == y}, so the sweep frozen
+    # at tau* meets z bitwise however large the values.  At delta > 0 it
+    # is a count of ulps of max |z| + delta, so scaling y and delta by a
+    # power of two scales it exactly, with no absolute floor
     controls = ControlSet([0.5, 1.0], cap=1.0)
     if case == "scale-1e9":
         grid, Y = TimeGrid(0.0, 1.0, 3), american_put(1.1, 0.0, 1e9)
     else:
         grid, Y = TimeGrid(0.0, 1e20, 8), american_put(1.0, 0.0, 1.0)
-    sol = robust_envelope(expand_tree(grid, 1.0, DriftSpec("zero"), controls), Y)
+    tree = expand_tree(grid, 1.0, DriftSpec("zero"), controls)
+    sol = robust_envelope(tree, Y)
     report = check_tau_monotone(sol)
     assert report.passed and np.max(sol.y) > 1e8
     assert report.worst == report.tolerance == 0.0
+    delta = float(np.max(sol.y)) / 8
+    ulps = (tree.branching + 2) * grid.n_steps * np.finfo(np.float64).eps
+    for k in (-40, 0, 40):
+        c = math.ldexp(1.0, k)
+        scaled = check_tau_monotone(robust_envelope(tree, sol.y * c, delta=delta * c))
+        assert scaled.passed
+        assert scaled.tolerance == ulps * (float(np.max(sol.z)) + delta) * c
+
+
+def test_tau_monotone_allows_rounding_past_delta():
+    # at delta > 0 the fold of children within delta of z can round past
+    # delta though z - y <= delta holds at every stop: on the third
+    # instance of this seed (a 3-step put), at delta one of its own gaps
+    # z - y, the worst is one ulp of the values.  The scan that found it
+    # sets delta to each instance's own gaps, where a stop is decided by
+    # the last bit, and every check must pass
+    rng, found = np.random.default_rng(7), []
+    for i in range(400):
+        tree, Y = random_instance(rng)
+        sol = robust_envelope(tree, Y)
+        gaps = np.unique((sol.z - sol.y)[: tree.offsets[-2]])
+        for delta in gaps[gaps > 0][:12].tolist():
+            report = check_tau_monotone(robust_envelope(tree, sol.y, delta=delta))
+            assert report.passed, (i, delta, report.worst, report.tolerance)
+            if (i, delta) == (2, 0.11450612925519521):
+                found.append(report.worst)
+    assert found == [2.0 ** -52]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
